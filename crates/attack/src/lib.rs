@@ -2,10 +2,7 @@
 //!
 //! The paper's contribution is robustness against receivers that inflate
 //! their subscription (§2), guess keys (§4.2), collude across interfaces
-//! (§4.2) or abuse join/leave latency. Before this crate those adversaries
-//! were scattered ad-hoc flags: `mcc_flid::Behavior` held inflate and
-//! ignore-decrease, the guessing attacker lived inside the receiver, and
-//! collusion existed only as a router test. This crate makes *attacker
+//! (§4.2) or abuse join/leave latency. This crate makes *attacker
 //! composition* a first-class, enumerable axis:
 //!
 //! * [`Adversary`] — the trait every attack strategy implements, with four
@@ -20,11 +17,10 @@
 //!   [`JoinLeaveFlap`], and the composable [`Timed`] / [`All`] /
 //!   [`staggered`] schedulers,
 //! * [`AttackPlan`] — a cloneable handle used by scenario specs
-//!   (`mcc_core::dumbbell::ReceiverSpec::adversary`).
-//!
-//! The legacy `mcc_flid::Behavior` enum survives as a thin alias whose
-//! variants compile down to plans from this library; the ported plans
-//! reproduce the historical Figure 1/7 runs byte for byte.
+//!   (`mcc_core::ReceiverSpec::adversary`) and handed to every receiver's
+//!   `with_adversary` constructor. The Figure 1/7 attacker is
+//!   `Timed(at, All[InflateTo::all(), KeyGuess { rate: 10 }])`
+//!   (`ReceiverSpec::inflate_at`).
 
 pub mod strategies;
 

@@ -2,7 +2,7 @@
 //! fourteen per-figure binaries.
 //!
 //! ```text
-//! figures                      # regenerate all twelve figures (like all_figures)
+//! figures                      # regenerate all twelve figures
 //! figures --list               # enumerate every registered experiment
 //! figures --only fig07,fig08a  # a subset, by id or figure prefix
 //! figures --only ablations     # the three design-choice ablations
@@ -376,7 +376,7 @@ pub fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
     Ok(Some(path))
 }
 
-/// Binary entry point shared by `figures` and the `all_figures` alias.
+/// Binary entry point of `figures`.
 pub fn main_with_args(args: &[String]) {
     let cli = match Cli::parse(args) {
         Ok(cli) => cli,

@@ -12,9 +12,8 @@
 //! cargo run --release -p mcc-bench --bin figures -- --sweep seed=1,2,3
 //! ```
 //!
-//! The flagless run writes `results/BENCH_all_figures.json`, byte-identical
-//! to the historical `all_figures` binary (which survives as a thin alias).
-//! The per-figure binaries (`fig01_attack` … `fig09b_overhead_slot`,
+//! The flagless run writes `results/BENCH_all_figures.json`. The
+//! per-figure binaries (`fig01_attack` … `fig09b_overhead_slot`,
 //! `ablations`) are gone — `figures --only <id>` replaces them; see
 //! `DESIGN.md` for the deprecation table.
 //!

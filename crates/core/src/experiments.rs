@@ -7,16 +7,18 @@
 //! records paper-versus-measured shapes.
 
 use crate::config::Params;
-use crate::dumbbell::{CbrSpec, Dumbbell, McastSessionSpec, ReceiverSpec, SessionHandle};
 use crate::metrics::{damage, Damage, Series};
 use crate::scenario::{Scenario, Units, Variant};
-use crate::topology::{BuiltTopology, Topology, TopologySpec};
+use crate::topology::{
+    BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SessionHandle, Topology, TopologySpec,
+    SIGMA_SLOT,
+};
 use mcc_attack::{
     All, AttackPlan, Colluders, CollusionSet, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess,
     Placement, Timed,
 };
 use mcc_delta::overhead::{delta_overhead, sigma_overhead, OverheadParams};
-use mcc_flid::{Behavior, FlidConfig};
+use mcc_flid::FlidConfig;
 use mcc_netsim::{FlowId, GroupAddr};
 use mcc_simcore::{SimDuration, SimTime};
 
@@ -324,7 +326,7 @@ pub fn overhead_vs_slot(slots_ms: &[u64], duration_secs: u64, seed: u64) -> Vec<
 }
 
 /// Convenience: the session handle of session `i`.
-pub fn session(d: &Dumbbell, i: usize) -> &SessionHandle {
+pub fn session(d: &BuiltTopology, i: usize) -> &SessionHandle {
     &d.sessions[i]
 }
 
@@ -481,9 +483,9 @@ fn matrix_run(
     let tcp_bps = (d.throughput_bps(d.tcp[0].sink, from, duration_secs)
         + d.throughput_bps(d.tcp[1].sink, from, duration_secs))
         / 2.0;
-    let (rejected_keys, raw_igmp_blocked, detection_secs) = match d.sigma() {
+    let (rejected_keys, raw_igmp_blocked, detection_secs) = match d.sigmas().next() {
         Some(m) => {
-            let slot_secs = crate::dumbbell::SIGMA_SLOT.as_secs_f64();
+            let slot_secs = SIGMA_SLOT.as_secs_f64();
             let detection = [m.stats.first_lockout_slot, m.stats.first_guess_alarm_slot]
                 .into_iter()
                 .flatten()
@@ -714,8 +716,8 @@ fn churn_run(
         session_joins: 0,
         detection_secs: None,
     };
-    if let Some(m) = d.sigma() {
-        let slot_secs = crate::dumbbell::SIGMA_SLOT.as_secs_f64();
+    if let Some(m) = d.sigmas().next() {
+        let slot_secs = SIGMA_SLOT.as_secs_f64();
         run.rejected_keys = m.stats.rejected_keys;
         run.guard_false_positives = m.stats.guard_false_positives;
         run.tuples_installed = m.stats.tuples_installed;
@@ -935,7 +937,7 @@ fn tree_run(
                 .groups(n_groups)
                 .with_receivers((0..leaves).map(|_| ReceiverSpec::new())),
         )
-        .build_net();
+        .build();
     t.run_secs(duration_secs);
     let attacker_bps = t.throughput_bps(t.sessions[0].receivers[0], onset_secs, duration_secs);
     let from = onset_secs + 5;
@@ -1104,7 +1106,7 @@ fn parking_lot_run(
                 .groups(n_groups)
                 .with_receivers((0..bottlenecks).map(|_| ReceiverSpec::new())),
         )
-        .build_net();
+        .build();
     t.run_secs(duration_secs);
     let attacker_bps = t.throughput_bps(t.sessions[0].receivers[0], onset_secs, duration_secs);
     let from = onset_secs + 5;
@@ -1545,10 +1547,10 @@ pub fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> {
             );
             let r = sim.add_agent(
                 h,
-                Box::new(FlidReceiver::new(
+                Box::new(FlidReceiver::with_adversary(
                     cfg.clone(),
                     FlidMode::Ds { router: b },
-                    Behavior::Honest,
+                    AttackPlan::honest(),
                 )),
                 SimTime::from_millis(5),
             );
@@ -1647,10 +1649,10 @@ pub struct PerfRow {
 /// that dominates large-population scenarios. Deterministic in `seed`
 /// except for the wall-clock fields.
 pub fn perf_events(receivers: usize, duration_secs: u64, seed: u64) -> PerfRow {
-    let mut spec = crate::dumbbell::DumbbellSpec::new(seed, 10_000_000);
+    let mut spec = TopologySpec::new(Topology::Dumbbell, seed, 10_000_000);
     spec.mcast = vec![McastSessionSpec::honest(Variant::FlidDl, receivers)];
     spec.tcp = 2;
-    let mut d = Dumbbell::build(spec);
+    let mut d = spec.build();
     // detlint: allow(wall-clock) — events/sec reporting; never feeds sim state
     let wall = std::time::Instant::now();
     d.sim.run_until(SimTime::from_secs(duration_secs));
@@ -1681,10 +1683,10 @@ pub fn perf_events_sharded(
     seed: u64,
     workers: usize,
 ) -> (PerfRow, Vec<u64>) {
-    let mut spec = crate::dumbbell::DumbbellSpec::new(seed, 10_000_000);
+    let mut spec = TopologySpec::new(Topology::Dumbbell, seed, 10_000_000);
     spec.mcast = vec![McastSessionSpec::honest(Variant::FlidDl, receivers)];
     spec.tcp = 2;
-    let mut d = Dumbbell::build(spec);
+    let mut d = spec.build();
     // detlint: allow(wall-clock) — events/sec reporting; never feeds sim state
     let wall = std::time::Instant::now();
     let per_shard = mcc_netsim::shard::run_until_sharded_stats(

@@ -8,12 +8,10 @@
 //!   fluent [`Scenario`] builder,
 //! * [`topology`] — the generic topology layer: [`Topology`] shapes
 //!   (dumbbell, parking lot, star, balanced tree), [`TopologySpec`] and
-//!   the one builder every scenario goes through, with placement-aware
+//!   the one builder every scenario goes through (any mix of multicast
+//!   sessions, TCP Reno cross traffic and on-off CBR, with per-receiver
+//!   join times, access delays and misbehaviour), with placement-aware
 //!   receiver attachment,
-//! * [`dumbbell`] — the single-bottleneck topology (§5.1) as a thin
-//!   wrapper over [`topology`]: any mix of FLID-DL / FLID-DS sessions,
-//!   TCP Reno cross traffic and on-off CBR, with per-receiver join
-//!   times, access delays and misbehaviour,
 //! * [`workload`] — the event-driven membership workload engine:
 //!   synthetic and trace-driven arrival processes (Poisson join/leave,
 //!   Zipf session popularity, flash crowds), heterogeneous access
@@ -46,7 +44,6 @@
 //! ```
 
 pub mod config;
-pub mod dumbbell;
 pub mod experiments;
 pub mod metrics;
 pub mod obs;
@@ -57,9 +54,6 @@ pub mod topology;
 pub mod workload;
 
 pub use config::{set_shard_workers, set_trace, shard_workers, trace_spec, Params, RunConfig};
-pub use dumbbell::{
-    CbrSpec, Dumbbell, DumbbellSpec, McastSessionSpec, ReceiverSpec, SessionHandle, TcpHandle,
-};
 pub use mcc_obs::TraceSpec;
 pub use metrics::{ascii_chart, damage, series_csv, write_series_csv, Damage, Series, Table};
 pub use registry::{registry, Experiment, ExperimentDef, ExperimentOutput};
@@ -67,5 +61,8 @@ pub use runner::{
     figure_experiments, run_parallel, run_serial, ExperimentRecord, ExperimentSpec, Json, Report,
 };
 pub use scenario::{Scenario, Units, Variant};
-pub use topology::{cohort_receiver, BuiltTopology, Topology, TopologySpec};
+pub use topology::{
+    cohort_receiver, BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SessionHandle,
+    TcpHandle, Topology, TopologySpec,
+};
 pub use workload::{Arrivals, Dist, FlashCrowd, Popularity, WorkloadSpec};

@@ -3,8 +3,8 @@
 //!
 //! The figure experiments in [`crate::experiments`] are embarrassingly
 //! parallel — each one is a self-contained simulation deterministic in its
-//! own seed — yet the seed `all_figures` binary ran them strictly in
-//! sequence, like re-running NS-2 scripts one by one. This module runs them
+//! own seed — so running them strictly in sequence, like re-running NS-2
+//! scripts one by one, wastes the machine. This module runs them
 //! across a thread pool instead (in the spirit of the batched
 //! point-to-multipoint evaluations of Fahmy et al.), while keeping the
 //! output *byte-identical* to a serial run:
@@ -20,7 +20,7 @@
 //!
 //! `run_serial` and `run_parallel` therefore produce the same
 //! `BENCH_*.json` payload — a property pinned by this module's tests and
-//! relied on by `crates/bench/src/bin/all_figures.rs`.
+//! relied on by the `figures` CLI (`crates/bench/src/cli.rs`).
 
 use std::io;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

@@ -1,5 +1,5 @@
 //! The declarative scenario layer: typed protocol variants, unit-suffix
-//! literals and fluent builders over [`crate::dumbbell`].
+//! literals and fluent builders over [`crate::topology`].
 //!
 //! A scenario is *data*, not a function signature. Instead of threading
 //! positional `bool`/`u64` arguments through bespoke free functions, the
@@ -15,7 +15,7 @@
 //!     .sessions(1, Variant::FlidDs)
 //!     .attacker_at(50.secs())
 //!     .tcp(2)
-//!     .spec();
+//!     .topology_spec();
 //! assert_eq!(spec.mcast.len(), 2);
 //! ```
 //!
@@ -23,10 +23,10 @@
 //! surface: `Variant::FlidDl` is the original (attackable) protocol,
 //! `Variant::FlidDs` the DELTA + SIGMA hardened one.
 
-use crate::dumbbell::{CbrSpec, Dumbbell, DumbbellSpec, McastSessionSpec, ReceiverSpec};
-use crate::topology::{BuiltTopology, Topology, TopologySpec};
-use mcc_attack::AttackPlan;
-use mcc_flid::Behavior;
+use crate::topology::{
+    BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, Topology, TopologySpec,
+};
+use mcc_attack::{All, AttackPlan, IgnoreDecrease, InflateTo, KeyGuess, Timed};
 use mcc_simcore::{SimDuration, SimTime};
 
 /// Which congestion-control protocol (and defence level) a multicast
@@ -159,20 +159,28 @@ impl ReceiverSpec {
     }
 
     /// Misbehave: run `plan`'s adversary strategy (the general form; the
-    /// two legacy shorthands below compile down to it).
+    /// two shorthands below build their plans and call it).
     pub fn adversary(mut self, plan: AttackPlan) -> ReceiverSpec {
         self.adversary = plan;
         self
     }
 
-    /// Misbehave: inflate the subscription to every group at `at`.
+    /// Misbehave: inflate the subscription to every group at `at` — the
+    /// composite the paper's §4.2 attacker runs: grab everything, keep
+    /// hammering raw joins, and guess ten keys per group per slot.
     pub fn inflate_at(self, at: SimTime) -> ReceiverSpec {
-        self.adversary(Behavior::Inflate { at }.plan())
+        self.adversary(AttackPlan::new(Timed::boxed(
+            at,
+            Box::new(All::of(vec![
+                Box::new(InflateTo::all()),
+                Box::new(KeyGuess { rate: 10 }),
+            ])),
+        )))
     }
 
     /// Misbehave: stop obeying decrease rules at `at`.
     pub fn ignore_decrease_at(self, at: SimTime) -> ReceiverSpec {
-        self.adversary(Behavior::IgnoreDecrease { at }.plan())
+        self.adversary(AttackPlan::new(Timed::at(at, IgnoreDecrease)))
     }
 
     /// Represent `n` statistically identical receivers behind one edge
@@ -370,27 +378,14 @@ impl Scenario {
         self
     }
 
-    /// The assembled [`DumbbellSpec`] (the dumbbell view; use
-    /// [`Scenario::topology_spec`] to keep a non-dumbbell shape).
-    pub fn spec(self) -> DumbbellSpec {
-        self.spec.into()
-    }
-
-    /// The assembled generic [`TopologySpec`].
+    /// The assembled [`TopologySpec`].
     pub fn topology_spec(self) -> TopologySpec {
         self.spec
     }
 
-    /// Build the simulation behind the classic single-edge [`Dumbbell`]
-    /// handle (`edge`/`bottleneck` are the first attachment router and
-    /// bottleneck link; use [`Scenario::build_net`] for the full
-    /// multi-router handles).
-    pub fn build(self) -> Dumbbell {
-        Dumbbell::from_built(self.spec.build())
-    }
-
-    /// Build the simulation with the full [`BuiltTopology`] handles.
-    pub fn build_net(self) -> BuiltTopology {
+    /// Build the simulation (the dumbbell's edge router and bottleneck
+    /// link are `attach[0]` and `bottlenecks[0]`).
+    pub fn build(self) -> BuiltTopology {
         self.spec.build()
     }
 }
@@ -422,7 +417,7 @@ mod tests {
             .sessions(1, Variant::FlidDl)
             .attacker_at(100.secs())
             .tcp(2)
-            .spec();
+            .topology_spec();
         assert_eq!(spec.seed, 1);
         assert_eq!(spec.bottleneck_bps, 1_000_000);
         assert_eq!(spec.mcast.len(), 2);

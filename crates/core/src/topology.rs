@@ -5,12 +5,11 @@
 //! but its robustness claims are about multicast *trees*: how much damage
 //! an inflated-subscription attacker does depends on its placement
 //! relative to the bottleneck links it shares with honest receivers. This
-//! module generalizes the hard-wired dumbbell into a family of
-//! parameterized topologies built by one code path:
+//! module builds a family of parameterized topologies by one code path:
 //!
-//! * [`Topology::Dumbbell`] — the paper's shape; `Dumbbell::build` in
-//!   [`crate::dumbbell`] is now a thin wrapper over this builder and
-//!   produces byte-identical runs,
+//! * [`Topology::Dumbbell`] — the paper's shape (§5.1): senders behind
+//!   `A`, one 20 ms bottleneck `A ═ B`, receivers behind the edge router
+//!   `B` (`attach[0]`, where protected sessions install SIGMA),
 //! * [`Topology::ParkingLot`] — `N` chained bottleneck links with
 //!   cross-traffic CBRs entering and leaving at each hop (the classic
 //!   multi-bottleneck fairness shape),
@@ -205,8 +204,7 @@ impl Topology {
 }
 
 /// The whole scenario: a [`Topology`] plus link parameters and the
-/// session population — the generic form of the historical
-/// `DumbbellSpec`.
+/// session population.
 #[derive(Clone, Debug)]
 pub struct TopologySpec {
     /// The core graph shape.
@@ -374,8 +372,7 @@ impl TopologySpec {
         };
 
         // The core graph. Node and link creation order per shape is part
-        // of the byte-compat contract (the dumbbell arm reproduces the
-        // historical `Dumbbell::build` exactly).
+        // of the byte-compat contract (goldens pin it).
         let core = match spec.topology {
             Topology::Dumbbell => {
                 let a = sim.add_node();
@@ -772,9 +769,7 @@ impl TopologySpec {
 }
 
 /// Average delivered throughput of an agent over `[from, to)` seconds —
-/// the one measurement-window convention shared by every handle type
-/// ([`BuiltTopology`] and [`crate::dumbbell::Dumbbell`] both delegate
-/// here).
+/// the one measurement-window convention.
 pub fn throughput_bps(sim: &Sim, agent: AgentId, from: u64, to: u64) -> f64 {
     sim.monitor()
         .agent_throughput_bps(agent, SimTime::from_secs(from), SimTime::from_secs(to))
@@ -884,6 +879,57 @@ mod tests {
         let mut spec = TopologySpec::new(Topology::BalancedTree { depth, fanout }, 1, 500.kbps());
         spec.mcast = vec![McastSessionSpec::honest(Variant::FlidDs, receivers)];
         spec
+    }
+
+    fn dumbbell_spec(seed: u64, sessions: &[Variant]) -> TopologySpec {
+        let mut spec = TopologySpec::new(Topology::Dumbbell, seed, 1.mbps());
+        spec.mcast = sessions
+            .iter()
+            .map(|&v| McastSessionSpec::honest(v, 1))
+            .collect();
+        spec
+    }
+
+    #[test]
+    fn builds_paper_figure1_shape() {
+        let mut spec = dumbbell_spec(1, &[Variant::FlidDl, Variant::FlidDl]);
+        spec.tcp = 2;
+        let d = spec.build();
+        assert_eq!(d.sessions.len(), 2);
+        assert_eq!(d.tcp.len(), 2);
+        assert_eq!((d.attach.len(), d.bottlenecks.len()), (1, 1));
+        assert!(
+            d.sigmas().next().is_none(),
+            "unprotected: classic IGMP edge"
+        );
+    }
+
+    #[test]
+    fn sessions_do_not_share_group_addresses() {
+        let d = dumbbell_spec(1, &[Variant::FlidDl, Variant::FlidDl]).build();
+        let g0: std::collections::HashSet<_> = d.sessions[0].cfg.groups.iter().copied().collect();
+        assert!(d.sessions[1].cfg.groups.iter().all(|g| !g0.contains(g)));
+    }
+
+    #[test]
+    fn protected_session_installs_sigma() {
+        let d = dumbbell_spec(1, &[Variant::FlidDs]).build();
+        assert!(d.sigma_at(d.attach[0]).is_some());
+    }
+
+    #[test]
+    fn short_mixed_run_delivers_traffic_everywhere() {
+        let mut spec = dumbbell_spec(3, &[Variant::FlidDs]);
+        spec.tcp = 1;
+        spec.cbr = Some(CbrSpec::steady(100_000).window(SimTime::ZERO, SimTime::from_secs(30)));
+        let mut d = spec.build();
+        d.run_secs(20);
+        let mc = d.throughput_bps(d.sessions[0].receivers[0], 5, 20);
+        let tcp = d.throughput_bps(d.tcp[0].sink, 5, 20);
+        let cbr = d.throughput_bps(d.cbr_sink.unwrap(), 5, 20);
+        assert!(mc > 50_000.0, "multicast {mc}");
+        assert!(tcp > 50_000.0, "tcp {tcp}");
+        assert!((cbr - 100_000.0).abs() < 15_000.0, "cbr {cbr}");
     }
 
     #[test]

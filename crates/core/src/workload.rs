@@ -28,8 +28,7 @@
 //! zero-churn inertness contract (enforced by proptest in
 //! `tests/workload_inert.rs`).
 
-use crate::dumbbell::{CbrSpec, ReceiverSpec};
-use crate::topology::TopologySpec;
+use crate::topology::{CbrSpec, ReceiverSpec, TopologySpec};
 use mcc_simcore::{DetRng, SimDuration, SimTime};
 
 /// Salt mixed into the scenario seed for the workload RNG root, so the

@@ -37,7 +37,8 @@
 //! interface.
 
 use crate::config::FlidConfig;
-use crate::receiver::{FlidReceiver, Mode, ReceiverStats, ATTACK, DEPART, PROCESS, RETX};
+use crate::layered::FlidReceiver;
+use crate::receiver::{Mode, ReceiverStats, ATTACK, DEPART, PROCESS, RETX, RETX_AFTER};
 use mcc_attack::{Adversary, AttackPlan};
 use mcc_netsim::prelude::*;
 use mcc_sigma::{ProtectedData, SubscriptionAck};
@@ -467,7 +468,7 @@ impl CohortReceiver {
         // the ~60 ms phase is approximate (σ-level: it only matters if the
         // in-flight ack was lost during the split window).
         if self.buckets[idx].rx.pending_sub_slot().is_some() {
-            ctx.timer_in(SimDuration::from_millis(60), bucket_base(idx) + RETX);
+            ctx.timer_in(RETX_AFTER, bucket_base(idx) + RETX);
         }
         // The source bucket's DEPART timer stays in the source namespace;
         // a clone with a finite lifetime re-arms its own.

@@ -12,9 +12,12 @@
 //! * [`config::FlidConfig`] — session parameters (paper §5.1 defaults),
 //! * [`sender::FlidSender`] — slotted transmission, DELTA fields, SIGMA
 //!   key announcements, overhead counters for Figure 9,
-//! * [`receiver::FlidReceiver`] — the well-behaved state machine plus the
-//!   [`receiver::Behavior`] misbehaviour models (inflate, ignore-decrease)
-//!   used in Figures 1 and 7,
+//! * [`receiver::Receiver`] — the one receiver shell: lifecycle, SIGMA
+//!   control plane, membership ledger and [`mcc_attack`] dispatch, generic
+//!   over a [`receiver::Policy`] (the session structure's key rule),
+//! * [`layered`] — the cumulative policy; [`FlidReceiver`] is its
+//!   instantiation (misbehaviour is an [`mcc_attack::AttackPlan`] handed
+//!   to `with_adversary`),
 //! * [`replicated`] — a destination-set-grouping style replicated
 //!   multicast protocol protected by the Figure-5 DELTA instantiation,
 //! * [`threshold_proto`] — an RLM-style loss-threshold protocol protected
@@ -25,6 +28,7 @@
 
 pub mod cohort;
 pub mod config;
+pub mod layered;
 pub mod receiver;
 pub mod replicated;
 pub mod rogue;
@@ -33,127 +37,161 @@ pub mod threshold_proto;
 
 pub use cohort::{CohortMember, CohortReceiver};
 pub use config::FlidConfig;
-pub use receiver::{Behavior, FlidReceiver, Mode, ReceiverStats};
+pub use layered::FlidReceiver;
+pub use receiver::{Mode, ReceiverStats};
 pub use replicated::{ReplicatedReceiver, ReplicatedSender};
 pub use rogue::RogueState;
 pub use sender::{FlidSender, OverheadCounters};
 pub use threshold_proto::{ThresholdReceiver, ThresholdSender};
 
+/// Test scaffolding shared by this crate's unit tests: the paper's
+/// single-bottleneck path for one session, S — A =bottleneck= B(edge) —
+/// receiver hosts.
 #[cfg(test)]
-mod integration {
+pub(crate) mod testrig {
     use super::*;
+    use mcc_attack::AttackPlan;
     use mcc_netsim::prelude::*;
     use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
     use mcc_simcore::{SimDuration, SimTime};
 
-    /// The paper's single-bottleneck topology for one multicast session:
-    /// sender S — A =bottleneck= B(edge) — receivers.
-    struct Dumbbell {
-        sim: Sim,
-        edge: NodeId,
-        receivers: Vec<AgentId>,
+    pub(crate) struct Rig {
+        pub sim: Sim,
+        pub cfg: FlidConfig,
+        source: NodeId,
+        /// The edge router `B` (SIGMA installed when `cfg.protected`).
+        pub edge: NodeId,
+        /// The bottleneck link `A → B`.
+        pub bottleneck: LinkId,
     }
 
-    fn dumbbell(
+    /// Paper-default session over groups `1..=n` (control group 0).
+    pub(crate) fn session(n: u32, flow: u32, protected: bool) -> FlidConfig {
+        let groups = (1..=n).map(GroupAddr).collect();
+        FlidConfig::paper(groups, GroupAddr(0), FlowId(flow), protected)
+    }
+
+    fn side_link(sim: &mut Sim, from: NodeId, to: NodeId) {
+        let q = || Queue::drop_tail(1_000_000);
+        sim.add_duplex_link(from, to, 10_000_000, SimDuration::from_millis(10), q(), q());
+    }
+
+    impl Rig {
+        pub(crate) fn new(seed: u64, bottleneck_bps: u64, cfg: FlidConfig) -> Rig {
+            let mut sim = Sim::new(seed, SimDuration::from_secs(1));
+            let [source, a, edge] = [(); 3].map(|()| sim.add_node());
+            side_link(&mut sim, source, a);
+            // Buffer = 2 × (capacity × 80 ms end-to-end RTT), as per §5.1.
+            let buf = (2.0 * bottleneck_bps as f64 * 0.080 / 8.0) as u64;
+            let q = || Queue::drop_tail(buf);
+            let delay = SimDuration::from_millis(20);
+            let (bottleneck, _) = sim.add_duplex_link(a, edge, bottleneck_bps, delay, q(), q());
+            for g in cfg.groups.iter().chain([&cfg.control_group]) {
+                sim.register_group(*g, source);
+            }
+            if cfg.protected {
+                let sigma = SigmaEdgeModule::new(SigmaConfig::new(cfg.slot));
+                sim.set_edge_module(edge, Box::new(sigma));
+            }
+            Rig {
+                sim,
+                cfg,
+                source,
+                edge,
+                bottleneck,
+            }
+        }
+
+        /// The SIGMA router receivers talk to, when protected.
+        pub(crate) fn router(&self) -> Option<NodeId> {
+            self.cfg.protected.then_some(self.edge)
+        }
+
+        /// Attach `agent` on a fresh host behind the edge (start: 5 ms).
+        pub(crate) fn receiver(&mut self, agent: impl Agent) -> AgentId {
+            let host = self.sim.add_node();
+            side_link(&mut self.sim, self.edge, host);
+            self.sim
+                .add_agent(host, Box::new(agent), SimTime::from_millis(5))
+        }
+
+        /// Attach a FLID receiver running `plan`.
+        pub(crate) fn flid_receiver(&mut self, plan: AttackPlan) -> AgentId {
+            let mode = self.router().map_or(Mode::Dl, |router| Mode::Ds { router });
+            self.receiver(FlidReceiver::with_adversary(self.cfg.clone(), mode, plan))
+        }
+
+        /// Attach the session's `sender` at S, finalize, run `secs`.
+        pub(crate) fn run(&mut self, sender: impl Agent, secs: u64) {
+            self.sim
+                .add_agent(self.source, Box::new(sender), SimTime::ZERO);
+            self.sim.finalize();
+            self.sim.run_until(SimTime::from_secs(secs));
+        }
+
+        pub(crate) fn goodput_bps(&self, r: AgentId, from: u64, to: u64) -> f64 {
+            let (from, to) = (SimTime::from_secs(from), SimTime::from_secs(to));
+            self.sim.monitor().agent_throughput_bps(r, from, to)
+        }
+    }
+
+    /// One FLID session run for `secs`: `n_receivers` receivers, the first
+    /// `plans.len()` of them adversarial.
+    pub(crate) fn flid_dumbbell(
+        (seed, secs): (u64, u64),
         protected: bool,
         bottleneck_bps: u64,
         n_receivers: usize,
-        behaviors: &[Behavior],
-    ) -> Dumbbell {
-        let mut sim = Sim::new(77, SimDuration::from_secs(1));
-        let s = sim.add_node();
-        let a = sim.add_node();
-        let b = sim.add_node();
-        sim.add_duplex_link(
-            s,
-            a,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        // Buffer = 2 × (capacity × 80 ms end-to-end RTT), as per §5.1.
-        let buf = (2.0 * bottleneck_bps as f64 * 0.080 / 8.0) as u64;
-        sim.add_duplex_link(
-            a,
-            b,
-            bottleneck_bps,
-            SimDuration::from_millis(20),
-            Queue::drop_tail(buf),
-            Queue::drop_tail(buf),
-        );
-        let cfg = FlidConfig::paper(
-            (1..=10).map(GroupAddr).collect(),
-            GroupAddr(0),
-            FlowId(1),
-            protected,
-        );
-        for g in cfg.groups.iter().chain([&cfg.control_group]) {
-            sim.register_group(*g, s);
-        }
-        if protected {
-            sim.set_edge_module(
-                b,
-                Box::new(SigmaEdgeModule::new(SigmaConfig::new(cfg.slot))),
-            );
-        }
-        let mut receivers = Vec::new();
-        for i in 0..n_receivers {
-            let h = sim.add_node();
-            sim.add_duplex_link(
-                b,
-                h,
-                10_000_000,
-                SimDuration::from_millis(10),
-                Queue::drop_tail(1_000_000),
-                Queue::drop_tail(1_000_000),
-            );
-            let mode = if protected {
-                Mode::Ds { router: b }
-            } else {
-                Mode::Dl
-            };
-            let behavior = behaviors.get(i).copied().unwrap_or(Behavior::Honest);
-            let r = sim.add_agent(
-                h,
-                Box::new(FlidReceiver::new(cfg.clone(), mode, behavior)),
-                SimTime::from_millis(5),
-            );
-            receivers.push(r);
-        }
-        sim.add_agent(s, Box::new(FlidSender::new(cfg)), SimTime::ZERO);
-        sim.finalize();
-        Dumbbell {
-            sim,
-            edge: b,
-            receivers,
-        }
+        plans: &[AttackPlan],
+    ) -> (Rig, Vec<AgentId>) {
+        let mut d = Rig::new(seed, bottleneck_bps, session(10, 1, protected));
+        let receivers = (0..n_receivers)
+            .map(|i| d.flid_receiver(plans.get(i).cloned().unwrap_or_else(AttackPlan::honest)))
+            .collect();
+        d.run(FlidSender::new(d.cfg.clone()), secs);
+        (d, receivers)
     }
 
-    fn goodput_bps(d: &Dumbbell, r: AgentId, from: u64, to: u64) -> f64 {
-        d.sim
-            .monitor()
-            .agent_throughput_bps(r, SimTime::from_secs(from), SimTime::from_secs(to))
+    pub(crate) fn flid(d: &Rig, r: AgentId) -> &FlidReceiver {
+        d.sim.agent_as::<FlidReceiver>(r).unwrap()
+    }
+}
+
+#[cfg(test)]
+mod integration {
+    use super::testrig::{flid, flid_dumbbell};
+    use mcc_attack::{All, AttackPlan, InflateTo, KeyGuess, Timed};
+    use mcc_sigma::SigmaEdgeModule;
+    use mcc_simcore::SimTime;
+
+    /// The paper's §4.2 attacker: grab everything, keep hammering raw
+    /// joins, and guess ten keys per group per slot, from `at` on.
+    fn inflate_at(at: SimTime) -> AttackPlan {
+        AttackPlan::new(Timed::boxed(
+            at,
+            Box::new(All::of(vec![
+                Box::new(InflateTo::all()),
+                Box::new(KeyGuess { rate: 10 }),
+            ])),
+        ))
     }
 
     #[test]
     fn honest_ds_receiver_converges_to_fair_level() {
         // 1 Mbps private bottleneck: cumulative level 6 = 759 kbps fits,
         // level 7 = 1.14 Mbps does not.
-        let mut d = dumbbell(true, 1_000_000, 1, &[]);
-        d.sim.run_until(SimTime::from_secs(60));
-        let r = d.receivers[0];
-        let level = d.sim.agent_as::<FlidReceiver>(r).unwrap().level();
+        let (d, rs) = flid_dumbbell((77, 60), true, 1_000_000, 1, &[]);
+        let level = flid(&d, rs[0]).level();
         assert!(
             (5..=7).contains(&level),
             "level {level} should oscillate around 6"
         );
-        let g = goodput_bps(&d, r, 20, 60);
+        let g = d.goodput_bps(rs[0], 20, 60);
         assert!(
             g > 500_000.0 && g < 1_000_000.0,
             "goodput {g} should approach the 1 Mbps bottleneck"
         );
-        let stats = &d.sim.agent_as::<FlidReceiver>(r).unwrap().stats;
+        let stats = &flid(&d, rs[0]).stats;
         assert!(stats.subscriptions > 100, "{stats:?}");
         assert!(stats.rejoins <= 8, "{stats:?}");
         assert!(stats.acks > 0);
@@ -161,12 +199,10 @@ mod integration {
 
     #[test]
     fn honest_dl_receiver_also_converges() {
-        let mut d = dumbbell(false, 1_000_000, 1, &[]);
-        d.sim.run_until(SimTime::from_secs(60));
-        let r = d.receivers[0];
-        let level = d.sim.agent_as::<FlidReceiver>(r).unwrap().level();
+        let (d, rs) = flid_dumbbell((77, 60), false, 1_000_000, 1, &[]);
+        let level = flid(&d, rs[0]).level();
         assert!((5..=7).contains(&level), "level {level}");
-        let g = goodput_bps(&d, r, 20, 60);
+        let g = d.goodput_bps(rs[0], 20, 60);
         assert!(g > 500_000.0, "goodput {g}");
     }
 
@@ -174,17 +210,10 @@ mod integration {
     fn dl_attacker_inflates_successfully() {
         // Two receivers on a 500 kbps bottleneck; fair ≈ 250 kbps each.
         // The attacker joins everything at t = 20 s.
-        let mut d = dumbbell(
-            false,
-            500_000,
-            2,
-            &[Behavior::Inflate {
-                at: SimTime::from_secs(20),
-            }],
-        );
-        d.sim.run_until(SimTime::from_secs(60));
-        let attacker = goodput_bps(&d, d.receivers[0], 30, 60);
-        let victim = goodput_bps(&d, d.receivers[1], 30, 60);
+        let plans = [inflate_at(SimTime::from_secs(20))];
+        let (d, rs) = flid_dumbbell((77, 60), false, 500_000, 2, &plans);
+        let attacker = d.goodput_bps(rs[0], 30, 60);
+        let victim = d.goodput_bps(rs[1], 30, 60);
         assert!(
             attacker > 2.0 * victim,
             "FLID-DL attack must pay off: {attacker} vs {victim}"
@@ -197,17 +226,10 @@ mod integration {
 
     #[test]
     fn ds_attacker_fails_to_inflate() {
-        let mut d = dumbbell(
-            true,
-            500_000,
-            2,
-            &[Behavior::Inflate {
-                at: SimTime::from_secs(20),
-            }],
-        );
-        d.sim.run_until(SimTime::from_secs(60));
-        let attacker = goodput_bps(&d, d.receivers[0], 30, 60);
-        let victim = goodput_bps(&d, d.receivers[1], 30, 60);
+        let plans = [inflate_at(SimTime::from_secs(20))];
+        let (d, rs) = flid_dumbbell((77, 60), true, 500_000, 2, &plans);
+        let attacker = d.goodput_bps(rs[0], 30, 60);
+        let victim = d.goodput_bps(rs[1], 30, 60);
         assert!(
             attacker < 1.6 * victim.max(50_000.0),
             "DS must neutralize the attack: {attacker} vs {victim}"
@@ -215,44 +237,28 @@ mod integration {
         let module = d.sim.edge_as::<SigmaEdgeModule>(d.edge).unwrap();
         assert!(module.stats.raw_igmp_blocked > 0, "{:?}", module.stats);
         assert!(module.stats.rejected_keys > 0, "{:?}", module.stats);
-        let attacker_stats = &d
-            .sim
-            .agent_as::<FlidReceiver>(d.receivers[0])
-            .unwrap()
-            .stats;
-        assert!(attacker_stats.guess_subscriptions > 10);
+        assert!(flid(&d, rs[0]).stats.guess_subscriptions > 10);
     }
 
     #[test]
     fn two_honest_ds_receivers_share_fairly_and_converge() {
-        let mut d = dumbbell(true, 500_000, 2, &[]);
-        d.sim.run_until(SimTime::from_secs(80));
-        let g0 = goodput_bps(&d, d.receivers[0], 40, 80);
-        let g1 = goodput_bps(&d, d.receivers[1], 40, 80);
+        let (d, rs) = flid_dumbbell((77, 80), true, 500_000, 2, &[]);
+        let g0 = d.goodput_bps(rs[0], 40, 80);
+        let g1 = d.goodput_bps(rs[1], 40, 80);
         // Same session behind the same bottleneck: both receivers see the
         // same stream, so their goodputs must be nearly identical.
         assert!((g0 - g1).abs() / g0.max(g1) < 0.1, "{g0} vs {g1}");
-        let l0 = d
-            .sim
-            .agent_as::<FlidReceiver>(d.receivers[0])
-            .unwrap()
-            .level();
-        let l1 = d
-            .sim
-            .agent_as::<FlidReceiver>(d.receivers[1])
-            .unwrap()
-            .level();
+        let (l0, l1) = (flid(&d, rs[0]).level(), flid(&d, rs[1]).level());
         assert!(l0.abs_diff(l1) <= 1, "levels converge: {l0} vs {l1}");
     }
 
     #[test]
     fn deterministic_replay() {
         let run = || {
-            let mut d = dumbbell(true, 1_000_000, 1, &[]);
-            d.sim.run_until(SimTime::from_secs(20));
+            let (d, rs) = flid_dumbbell((77, 20), true, 1_000_000, 1, &[]);
             (
                 d.sim.world.processed_events(),
-                goodput_bps(&d, d.receivers[0], 5, 20) as u64,
+                d.goodput_bps(rs[0], 5, 20) as u64,
             )
         };
         assert_eq!(run(), run());
@@ -261,83 +267,31 @@ mod integration {
 
 #[cfg(test)]
 mod diag {
-    use super::*;
-    use mcc_netsim::prelude::*;
-    use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
-    use mcc_simcore::{SimDuration, SimTime};
+    use super::testrig::{flid, flid_dumbbell};
+    use mcc_sigma::SigmaEdgeModule;
+    use mcc_simcore::SimTime;
 
     #[test]
     #[ignore]
     fn trace_ds_convergence() {
-        let mut sim = Sim::new(77, SimDuration::from_secs(1));
-        let s = sim.add_node();
-        let a = sim.add_node();
-        let b = sim.add_node();
-        sim.add_duplex_link(
-            s,
-            a,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let buf = (2.0 * 1_000_000.0_f64 * 0.080 / 8.0) as u64;
-        let (bl, _) = sim.add_duplex_link(
-            a,
-            b,
-            1_000_000,
-            SimDuration::from_millis(20),
-            Queue::drop_tail(buf),
-            Queue::drop_tail(buf),
-        );
-        let cfg = FlidConfig::paper(
-            (1..=10).map(GroupAddr).collect(),
-            GroupAddr(0),
-            FlowId(1),
-            true,
-        );
-        for g in cfg.groups.iter().chain([&cfg.control_group]) {
-            sim.register_group(*g, s);
-        }
-        sim.set_edge_module(
-            b,
-            Box::new(SigmaEdgeModule::new(SigmaConfig::new(cfg.slot))),
-        );
-        let h = sim.add_node();
-        sim.add_duplex_link(
-            b,
-            h,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let r = sim.add_agent(
-            h,
-            Box::new(FlidReceiver::new(
-                cfg.clone(),
-                Mode::Ds { router: b },
-                Behavior::Honest,
-            )),
-            SimTime::from_millis(5),
-        );
-        sim.add_agent(s, Box::new(FlidSender::new(cfg)), SimTime::ZERO);
-        sim.finalize();
-        sim.run_until(SimTime::from_secs(60));
-        let rec = sim.agent_as::<FlidReceiver>(r).unwrap();
+        let (d, rs) = flid_dumbbell((77, 60), true, 1_000_000, 1, &[]);
+        let rec = flid(&d, rs[0]);
         println!("stats: {:?}", rec.stats);
         println!("final level {}", rec.level());
         for (t, l) in &rec.level_trace {
             println!("t={t:.2} level={l}");
         }
-        let m = sim.edge_as::<SigmaEdgeModule>(b).unwrap();
+        let m = d.sim.edge_as::<SigmaEdgeModule>(d.edge).unwrap();
         println!("module: {:?}", m.stats);
+        let bottleneck = d.sim.world.link_stats(d.bottleneck);
         println!(
             "bottleneck drops {} tx {}",
-            sim.world.link_stats(bl).drops,
-            sim.world.link_stats(bl).tx_packets
+            bottleneck.drops, bottleneck.tx_packets
         );
-        let series = sim.monitor().agent_series_bps(r, SimTime::from_secs(60));
+        let series = d
+            .sim
+            .monitor()
+            .agent_series_bps(rs[0], SimTime::from_secs(60));
         for (i, v) in series.iter().enumerate() {
             println!("sec {i}: {:.0}", v);
         }
@@ -346,10 +300,9 @@ mod diag {
 
 #[cfg(test)]
 mod enforcement {
-    use super::*;
-    use mcc_netsim::prelude::*;
-    use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
-    use mcc_simcore::{SimDuration, SimTime};
+    use super::testrig::{flid, flid_dumbbell};
+    use mcc_attack::{AttackPlan, IgnoreDecrease, Timed};
+    use mcc_simcore::SimTime;
 
     /// The paper's §3.2.2 bound, verified directly: "a congested receiver
     /// is forced to drop a group within two time slots after congestion."
@@ -358,66 +311,11 @@ mod enforcement {
     /// last top-group packet is at most two slots plus propagation.
     #[test]
     fn decrease_enforced_within_two_slots() {
-        let mut sim = Sim::new(99, SimDuration::from_secs(1));
-        let s = sim.add_node();
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let h = sim.add_node();
-        sim.add_duplex_link(
-            s,
-            a,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let buf = (2.0 * 1_000_000.0 * 0.08 / 8.0) as u64;
-        sim.add_duplex_link(
-            a,
-            b,
-            1_000_000,
-            SimDuration::from_millis(20),
-            Queue::drop_tail(buf),
-            Queue::drop_tail(buf),
-        );
-        sim.add_duplex_link(
-            b,
-            h,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let cfg = FlidConfig::paper(
-            (1..=10).map(GroupAddr).collect(),
-            GroupAddr(0),
-            FlowId(1),
-            true,
-        );
-        for g in cfg.groups.iter().chain([&cfg.control_group]) {
-            sim.register_group(*g, s);
-        }
-        sim.set_edge_module(
-            b,
-            Box::new(SigmaEdgeModule::new(SigmaConfig::new(cfg.slot))),
-        );
-        let r = sim.add_agent(
-            h,
-            Box::new(FlidReceiver::new(
-                cfg.clone(),
-                Mode::Ds { router: b },
-                Behavior::Honest,
-            )),
-            SimTime::from_millis(5),
-        );
-        sim.add_agent(s, Box::new(FlidSender::new(cfg)), SimTime::ZERO);
-        sim.finalize();
-        sim.run_until(SimTime::from_secs(60));
-
+        let (d, rs) = flid_dumbbell((99, 60), true, 1_000_000, 1, &[]);
         // Reconstruct per-level windows from the receiver's level trace:
         // after each decrease at time t, the dropped group's packets must
         // stop being *delivered* within 2 slots + one-way delay.
-        let rec = sim.agent_as::<FlidReceiver>(r).unwrap();
+        let rec = flid(&d, rs[0]);
         let trace = &rec.level_trace;
         let mut decreases = 0;
         for w in trace.windows(2) {
@@ -442,9 +340,7 @@ mod enforcement {
         // session must not be pinned at the maximal level (enforcement
         // exists), yet goodput stays healthy (enforcement is not overkill).
         assert!(rec.level() < 10);
-        let g =
-            sim.monitor()
-                .agent_throughput_bps(r, SimTime::from_secs(20), SimTime::from_secs(60));
+        let g = d.goodput_bps(rs[0], 20, 60);
         assert!(g > 450_000.0, "goodput {g}");
     }
 
@@ -453,73 +349,13 @@ mod enforcement {
     /// tests/attack_and_protection.rs).
     #[test]
     fn ignore_decrease_pays_off_without_protection() {
-        let mut sim = Sim::new(101, SimDuration::from_secs(1));
-        let s = sim.add_node();
-        let a = sim.add_node();
-        let b = sim.add_node();
-        sim.add_duplex_link(
-            s,
-            a,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let buf = (2.0 * 500_000.0 * 0.08 / 8.0) as u64;
-        sim.add_duplex_link(
-            a,
-            b,
-            500_000,
-            SimDuration::from_millis(20),
-            Queue::drop_tail(buf),
-            Queue::drop_tail(buf),
-        );
-        let cfg = FlidConfig::paper(
-            (1..=10).map(GroupAddr).collect(),
-            GroupAddr(0),
-            FlowId(1),
-            false,
-        );
-        for g in cfg.groups.iter().chain([&cfg.control_group]) {
-            sim.register_group(*g, s);
-        }
-        let mut receivers = Vec::new();
-        for i in 0..2 {
-            let h = sim.add_node();
-            sim.add_duplex_link(
-                b,
-                h,
-                10_000_000,
-                SimDuration::from_millis(10),
-                Queue::drop_tail(1_000_000),
-                Queue::drop_tail(1_000_000),
-            );
-            let behavior = if i == 0 {
-                Behavior::IgnoreDecrease {
-                    at: SimTime::from_secs(15),
-                }
-            } else {
-                Behavior::Honest
-            };
-            receivers.push(sim.add_agent(
-                h,
-                Box::new(FlidReceiver::new(cfg.clone(), Mode::Dl, behavior)),
-                SimTime::from_millis(5),
-            ));
-        }
-        sim.add_agent(s, Box::new(FlidSender::new(cfg)), SimTime::ZERO);
-        sim.finalize();
-        sim.run_until(SimTime::from_secs(60));
-        let cheat = sim.monitor().agent_throughput_bps(
-            receivers[0],
-            SimTime::from_secs(25),
-            SimTime::from_secs(60),
-        );
-        let honest = sim.monitor().agent_throughput_bps(
-            receivers[1],
-            SimTime::from_secs(25),
-            SimTime::from_secs(60),
-        );
+        let plans = [AttackPlan::new(Timed::at(
+            SimTime::from_secs(15),
+            IgnoreDecrease,
+        ))];
+        let (d, rs) = flid_dumbbell((101, 60), false, 500_000, 2, &plans);
+        let cheat = d.goodput_bps(rs[0], 25, 60);
+        let honest = d.goodput_bps(rs[1], 25, 60);
         assert!(
             cheat > 1.2 * honest,
             "without SIGMA, refusing to decrease pays: cheat {cheat} vs honest {honest}"

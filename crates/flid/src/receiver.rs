@@ -1,38 +1,34 @@
-//! FLID receivers: the well-behaved FLID-DL / FLID-DS state machines and
-//! the misbehaving variants used by the paper's attack experiments.
+//! The receiver shell: one lifecycle, one SIGMA control plane and one
+//! attack dispatch under every subscription policy.
 //!
-//! At the end of every slot `s` (plus a small guard for in-flight packets)
-//! the receiver examines what it saw of groups `1..=level`:
+//! The paper's §3.1.2 point is that DELTA changes only the *key rule* per
+//! session structure (cumulative layers, replicated groups, loss
+//! thresholds) while SIGMA's control plane is protocol-independent.
+//! [`Receiver<P>`] is that independent part, written once:
 //!
-//! * **FLID-DL** (no protection): any loss ⇒ drop the top group (one-slot
-//!   deaf period avoids over-reacting to a single congestion episode, as
-//!   in the FLID-DL design); a clean slot whose increase signal authorizes
-//!   `level+1` ⇒ join it. Nothing stops a receiver from ignoring these
-//!   rules — that is the vulnerability of Figure 1.
-//! * **FLID-DS**: the same decisions, but expressed through DELTA key
-//!   reconstruction ([`mcc_delta::decide_layered`]) and SIGMA subscription
-//!   messages for slot `s+2`; the edge router enforces them, so ignoring
-//!   the rules is useless (Figure 7).
+//! * **lifecycle** — session join at start, the end-of-slot `PROCESS`
+//!   chain (fired one control round-trip short of the `s+2` boundary,
+//!   paper Figure 2), the optional `DEPART` instant after which the
+//!   receiver is inert,
+//! * **membership ledger** — every join and leave (honest, raw, smuggled)
+//!   goes through [`Receiver::join`] / [`Receiver::leave`], so departure
+//!   leaves exactly what was joined and a cohort can read the intent,
+//! * **SIGMA control senders** — session-join, subscription (optionally
+//!   retransmitted until acked) and unsubscription,
+//! * **attack dispatch** — the [`mcc_attack::Adversary`] hooks: activation
+//!   timers, per-slot actions, congestion-signal vetoes,
+//! * **trace events** — `Join`, `Leave`, `FlidLayer`.
 //!
-//! Misbehaviour is pluggable: the receiver executes an
-//! [`mcc_attack::Adversary`] strategy through its hooks (activation
-//! timers, per-slot actions, congestion-signal vetoes, subscription
-//! overrides). The legacy [`Behavior`] enum survives as a thin alias whose
-//! variants compile down to `mcc-attack` plans:
-//!
-//! * [`Behavior::Inflate`] — `Timed(at, InflateTo::all() + KeyGuess(10))`:
-//!   joins every group and stops decreasing; under FLID-DS it also keeps
-//!   attempting raw IGMP joins and submits random guessed keys each slot
-//!   (the §4.2 guessing attack),
-//! * [`Behavior::IgnoreDecrease`] — `Timed(at, IgnoreDecrease)`: the
-//!   receiver refuses to lower its subscription when congested.
+//! A [`Policy`] supplies only what differs: how a data packet is observed,
+//! how a closed slot is judged, what "level" means, how an
+//! [`AttackAction`] executes against its session structure, and what to
+//! tell the router on departure. Dispatch is static (`Receiver<P>` is
+//! monomorphised per policy): `observe` runs once per delivered data
+//! packet, 2,000 receivers wide in the fan-out workload.
 
 use crate::config::FlidConfig;
-use mcc_attack::{
-    Adversary, All, AttackAction, AttackEnv, AttackPlan, IgnoreDecrease as IgnoreDecreases,
-    InflateTo, KeyGuess, Timed,
-};
-use mcc_delta::{decide_layered, Eligibility, Key, SlotObservation};
+use mcc_attack::{Adversary, AttackAction, AttackEnv, AttackPlan};
+use mcc_delta::{DeltaFields, Key};
 use mcc_netsim::prelude::*;
 use mcc_netsim::TraceEvent;
 use mcc_sigma::{ProtectedData, SessionJoin, Subscription, SubscriptionAck, Unsubscription};
@@ -41,8 +37,10 @@ use mcc_simcore::{SimDuration, SimTime};
 pub(crate) const PROCESS: u64 = 0;
 pub(crate) const RETX: u64 = 1;
 pub(crate) const ATTACK: u64 = 2;
-const REJOIN: u64 = 3;
-pub(crate) const DEPART: u64 = 4;
+pub(crate) const DEPART: u64 = 3;
+
+/// How long an unacked subscription waits before it is sent again.
+pub(crate) const RETX_AFTER: SimDuration = SimDuration::from_millis(60);
 
 /// Whether the receiver runs bare FLID-DL or SIGMA-protected FLID-DS.
 #[derive(Clone, Copy, Debug)]
@@ -56,46 +54,10 @@ pub enum Mode {
     },
 }
 
-/// Legacy receiver behaviour model — a thin, deprecated alias over the
-/// `mcc-attack` strategy library. New code should build an [`AttackPlan`]
-/// directly; these variants remain so the historical call sites (and the
-/// Figure 1/7 experiments) keep compiling and running byte-identically.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Behavior {
-    /// Follows the protocol.
-    Honest,
-    /// Inflates its subscription to the maximal level at `at`.
-    Inflate {
-        /// Attack start time.
-        at: SimTime,
-    },
-    /// Stops decreasing on congestion at `at`.
-    IgnoreDecrease {
-        /// Misbehaviour start time.
-        at: SimTime,
-    },
-}
-
-impl Behavior {
-    /// The equivalent `mcc-attack` plan. `Inflate` is the composite the
-    /// paper's §4.2 attacker runs: grab everything, keep hammering raw
-    /// joins, and guess ten keys per group per slot.
-    pub fn plan(self) -> AttackPlan {
-        match self {
-            Behavior::Honest => AttackPlan::honest(),
-            Behavior::Inflate { at } => AttackPlan::new(Timed::boxed(
-                at,
-                Box::new(All::of(vec![
-                    Box::new(InflateTo::all()),
-                    Box::new(KeyGuess { rate: 10 }),
-                ])),
-            )),
-            Behavior::IgnoreDecrease { at } => AttackPlan::new(Timed::at(at, IgnoreDecreases)),
-        }
-    }
-}
-
-/// Counters for tests and experiment reports.
+/// Counters for tests and experiment reports. The shell counts the
+/// control plane (`subscriptions`, `retransmissions`, `acks`); the rest
+/// are the layered policy's decisions (the single-group policies keep
+/// their own `rejoins` / `key_failures` / `rogue` counters).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReceiverStats {
     /// Level decreases taken.
@@ -116,43 +78,70 @@ pub struct ReceiverStats {
     pub colluder_submissions: u64,
 }
 
-/// A FLID receiver agent.
+/// The key rule of one session structure — everything a receiver does
+/// that is *not* lifecycle, control plane or attack dispatch.
+///
+/// The state-only half (`observe`, `level`) takes `&mut self`; the rules
+/// that act on the world take the whole [`Receiver`] so they can reach
+/// the shell's ledger and senders while updating `rx.policy`.
+pub trait Policy: Sized + Send + 'static {
+    /// Record one data packet of the session (`marked`: it carried an ECN
+    /// congestion mark); `false` when it is not part of the subscription
+    /// (stale traffic of a group just left). The per-packet path: no
+    /// shell access, no `Ctx`.
+    fn observe(&mut self, fields: &DeltaFields, marked: bool) -> bool;
+
+    /// The current honest subscription level (layered) or group
+    /// (single-group policies).
+    fn level(&self) -> u32;
+
+    /// The shell has joined the minimal group and sent the session-join:
+    /// record the initial level.
+    fn started(rx: &mut Receiver<Self>, ctx: &mut Ctx);
+
+    /// Slot `slot` has closed (and the session has delivered at least
+    /// once): judge it, subscribe for `slot + 2`, move between groups,
+    /// and run the adversary's per-slot actions.
+    fn evaluate(rx: &mut Receiver<Self>, ctx: &mut Ctx, slot: u64);
+
+    /// Execute adversary actions against this session structure. `slot`
+    /// is the protocol slot the actions refer to (the evaluated slot for
+    /// per-slot actions, the current slot for activations).
+    fn apply(rx: &mut Receiver<Self>, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>);
+
+    /// The shell has left every group in the ledger (`left`, in group
+    /// order): reset the policy's state and unsubscribe what the router
+    /// should forget.
+    fn wind_down(rx: &mut Receiver<Self>, ctx: &mut Ctx, left: Vec<GroupAddr>);
+}
+
+/// A multicast receiver agent: the shell around a subscription
+/// [`Policy`]. The three instantiations are [`crate::FlidReceiver`],
+/// [`crate::ReplicatedReceiver`] and [`crate::ThresholdReceiver`]; the
+/// policy's public fields read through the receiver (`rx.level_trace`,
+/// `rx.group`, …).
 ///
 /// `Clone` exists for the cohort expansion path ([`crate::cohort`]): a
 /// diverging member is split off as a byte-for-byte copy of the bucket
 /// it rode in. Adversaries with shared state clone correctly through
 /// [`Adversary::clone_box`].
 #[derive(Clone, Debug)]
-pub struct FlidReceiver {
+pub struct Receiver<P> {
     /// Session configuration (must match the sender's).
     pub cfg: FlidConfig,
-    mode: Mode,
-    adversary: Box<dyn Adversary>,
-    /// Current subscription level (number of groups).
-    level: u32,
-    /// Per group (index `g-1`): the slot during which it was joined;
-    /// `None` when not subscribed. A group only takes part in decisions
-    /// from its first *complete* slot onward.
-    joined_slot: Vec<Option<u64>>,
-    /// Per-slot DELTA/loss observations, keyed by slot number. Only the
-    /// three-slot pipeline window is ever live, so a tiny association list
-    /// beats a hash map on the per-packet path.
-    obs: Vec<(u64, SlotObservation)>,
-    /// Slots before this one skip the decrease decision (FLID-DL deaf
-    /// period).
-    deaf_until: u64,
+    /// Counters.
+    pub stats: ReceiverStats,
+    /// The SIGMA edge router; `None` runs over classic IGMP.
+    router: Option<NodeId>,
+    pub(crate) adversary: Box<dyn Adversary>,
     /// Delay after a slot boundary before the slot is evaluated.
     guard: SimDuration,
-    /// Outstanding (unacked) subscription, with retry count.
-    pending: Option<(Subscription, u32)>,
-    /// Set by [`AttackAction::Inflate`]: the receiver has grabbed groups
-    /// beyond its entitlement and ignores the well-behaved control law.
-    inflated: bool,
-    ever_received: bool,
-    out_of_session: bool,
-    /// Slots in which a congestion-marked packet arrived (ECN variant);
-    /// same tiny-window reasoning as `obs`.
-    marked_slots: Vec<u64>,
+    /// When this receiver leaves the session for good ([`SimTime::MAX`]
+    /// for the static-membership default — no timer is ever scheduled).
+    leave_at: SimTime,
+    /// Departure has executed: all groups left, every timer chain dead.
+    /// The receiver is inert from here on.
+    departed: bool,
     /// Added to every timer token this receiver schedules (and subtracted
     /// on dispatch). Zero for a standalone agent; a cohort gives each
     /// bucket a disjoint base so one agent can multiplex many receivers'
@@ -162,33 +151,34 @@ pub struct FlidReceiver {
     /// (the union over buckets), so joins/leaves only record into
     /// `desired` instead of reaching the `Ctx`.
     managed: bool,
-    /// Desired membership per group index — what this receiver *wants*
+    /// The membership ledger: per group index, what this receiver *wants*
     /// joined. Maintained in both modes so state digests line up across
     /// standalone and cohort instances of the same receiver.
     desired: Vec<bool>,
-    /// When this receiver leaves the session for good ([`SimTime::MAX`]
-    /// for the static-membership default — no timer is ever scheduled).
-    leave_at: SimTime,
-    /// Departure has executed: all groups left, unsubscribed, every timer
-    /// chain dead. The receiver is inert from here on.
-    departed: bool,
-    /// `(time, level)` trace for the convergence figures.
-    pub level_trace: Vec<(f64, u32)>,
-    /// Counters.
-    pub stats: ReceiverStats,
+    /// Outstanding (unacked) subscription, with retry count.
+    pending: Option<(Subscription, u32)>,
+    /// A data packet of the subscription has arrived; until then the
+    /// session-join is re-sent every fourth slot.
+    ever_received: bool,
+    pub(crate) policy: P,
 }
 
-impl FlidReceiver {
-    /// Build a receiver from a legacy [`Behavior`] (thin alias over
-    /// [`FlidReceiver::with_adversary`]).
-    pub fn new(cfg: FlidConfig, mode: Mode, behavior: Behavior) -> Self {
-        FlidReceiver::with_adversary(cfg, mode, behavior.plan())
+impl<P> std::ops::Deref for Receiver<P> {
+    type Target = P;
+    fn deref(&self) -> &P {
+        &self.policy
     }
+}
 
-    /// Build a receiver running `plan`'s adversary strategy
-    /// ([`AttackPlan::honest`] for a well-behaved receiver).
-    pub fn with_adversary(cfg: FlidConfig, mode: Mode, plan: AttackPlan) -> Self {
-        let n = cfg.n() as usize;
+impl<P: Policy> Receiver<P> {
+    /// A receiver for `cfg` behind `router` running `plan`'s adversary
+    /// strategy under `policy`.
+    pub(crate) fn build(
+        cfg: FlidConfig,
+        router: Option<NodeId>,
+        plan: AttackPlan,
+        policy: P,
+    ) -> Self {
         // Paper Figure 2: slot s+1 exists to give receivers time to
         // reconstruct keys and submit them before slot s+2 traffic arrives.
         // Evaluating slot s as late as possible — one control round-trip
@@ -196,27 +186,21 @@ impl FlidReceiver {
         // tails without misreading them as losses, while the subscription
         // still reaches the router in time.
         let guard = cfg.slot - SimDuration::from_millis(30);
-        FlidReceiver {
+        let n = cfg.n() as usize;
+        Receiver {
             cfg,
-            mode,
+            stats: ReceiverStats::default(),
+            router,
             adversary: plan.build(),
-            level: 1,
-            joined_slot: vec![None; n],
-            obs: Vec::new(),
-            deaf_until: 0,
             guard,
-            pending: None,
-            inflated: false,
-            ever_received: false,
-            out_of_session: false,
-            marked_slots: Vec::new(),
+            leave_at: SimTime::MAX,
+            departed: false,
             token_base: 0,
             managed: false,
             desired: vec![false; n],
-            leave_at: SimTime::MAX,
-            departed: false,
-            level_trace: Vec::new(),
-            stats: ReceiverStats::default(),
+            pending: None,
+            ever_received: false,
+            policy,
         }
     }
 
@@ -238,17 +222,9 @@ impl FlidReceiver {
         self.leave_at
     }
 
-    /// The current subscription level.
+    /// The current subscription level (single-group policies: the group).
     pub fn level(&self) -> u32 {
-        self.level
-    }
-
-    /// The SIGMA edge router, when running FLID-DS.
-    fn router(&self) -> Option<NodeId> {
-        match self.mode {
-            Mode::Ds { router } => Some(router),
-            Mode::Dl => None,
-        }
+        self.policy.level()
     }
 
     /// Tell the receiver how far (one-way) it sits from its edge router.
@@ -268,451 +244,172 @@ impl FlidReceiver {
         };
     }
 
-    fn slot_of(&self, t: SimTime) -> u64 {
+    /// Whether the session runs under SIGMA protection.
+    pub(crate) fn protected(&self) -> bool {
+        self.router.is_some()
+    }
+
+    pub(crate) fn slot_of(&self, t: SimTime) -> u64 {
         t.as_nanos() / self.cfg.slot.as_nanos()
     }
 
-    fn trace(&mut self, ctx: &mut Ctx) {
-        let from = self.level_trace.last().map_or(u32::MAX, |&(_, l)| l);
-        self.level_trace.push((ctx.now().as_secs_f64(), self.level));
-        // Flight-recorder event only on an actual layer transition (the
-        // local `level_trace` keeps every sample for the figures).
-        if self.level != from && ctx.trace_on() {
-            ctx.trace(TraceEvent::FlidLayer {
-                agent: ctx.agent.0,
-                from_layer: from,
-                to_layer: self.level,
-                slot: self.slot_of(ctx.now()),
-            });
-        }
-    }
-
-    fn addr(&self, g: u32) -> GroupAddr {
+    pub(crate) fn addr(&self, g: u32) -> GroupAddr {
         self.cfg.groups[(g - 1) as usize]
     }
+
+    // -- membership ledger --------------------------------------------------
 
     /// Group-membership chokepoint: every join goes through here. A
     /// standalone agent joins on the `Ctx` directly; in cohort mode the
     /// intent is only recorded and the enclosing agent syncs the union.
-    fn group_join(&mut self, ctx: &mut Ctx, g: u32) {
+    pub(crate) fn join(&mut self, ctx: &mut Ctx, g: u32) {
         self.desired[(g - 1) as usize] = true;
         if !self.managed {
             ctx.join_group(self.addr(g));
         }
     }
 
-    fn group_leave(&mut self, ctx: &mut Ctx, g: u32) {
+    pub(crate) fn leave(&mut self, ctx: &mut Ctx, g: u32) {
         self.desired[(g - 1) as usize] = false;
         if !self.managed {
             ctx.leave_group(self.addr(g));
         }
     }
 
-    fn join_level(&mut self, ctx: &mut Ctx, g: u32) {
-        self.group_join(ctx, g);
-        // `u64::MAX` = joined, awaiting the first packet; the real slot is
-        // latched on arrival. Counting from the *join* time would treat the
-        // graft-latency head of the first slot as loss.
-        self.joined_slot[(g - 1) as usize] = Some(u64::MAX);
-    }
+    // -- SIGMA control senders ----------------------------------------------
 
-    fn leave_level(&mut self, ctx: &mut Ctx, g: u32) {
-        self.group_leave(ctx, g);
-        self.joined_slot[(g - 1) as usize] = None;
-    }
-
-    fn send_session_join(&mut self, ctx: &mut Ctx) {
-        if let Mode::Ds { router } = self.mode {
-            let join = SessionJoin {
-                minimal_group: self.cfg.groups[0],
-                control_group: self.cfg.control_group,
-            };
-            let pkt = Packet::app(
-                join.size_bits(),
+    /// Send one control message to the edge router (dropped on the floor
+    /// without one: plain IGMP has no control plane).
+    fn send_control(&self, ctx: &mut Ctx, size_bits: u64, body: impl AppBody + 'static) {
+        if let Some(router) = self.router {
+            ctx.send(Packet::app(
+                size_bits,
                 self.cfg.flow,
                 ctx.agent,
                 Dest::Router(router),
-                join,
-            );
-            ctx.send(pkt);
+                body,
+            ));
         }
     }
 
-    fn send_subscription(&mut self, ctx: &mut Ctx, sub: Subscription) {
-        let Mode::Ds { router } = self.mode else {
-            return;
+    pub(crate) fn session_join(&self, ctx: &mut Ctx) {
+        let join = SessionJoin {
+            minimal_group: self.cfg.groups[0],
+            control_group: self.cfg.control_group,
         };
-        let pkt = Packet::app(
-            sub.size_bits(),
-            self.cfg.flow,
-            ctx.agent,
-            Dest::Router(router),
-            sub.clone(),
-        );
-        ctx.send(pkt);
-        self.stats.subscriptions += 1;
-        self.pending = Some((sub, 0));
-        ctx.timer_in(SimDuration::from_millis(60), self.token_base + RETX);
+        self.send_control(ctx, join.size_bits(), join);
     }
 
-    fn send_unsubscription(&mut self, ctx: &mut Ctx, groups: Vec<GroupAddr>) {
-        if let Mode::Ds { router } = self.mode {
+    /// Tell the router to forget `groups` (nothing to forget: no packet).
+    pub(crate) fn unsubscribe(&self, ctx: &mut Ctx, groups: Vec<GroupAddr>) {
+        if !groups.is_empty() {
             let unsub = Unsubscription { groups };
-            let pkt = Packet::app(
-                unsub.size_bits(),
-                self.cfg.flow,
-                ctx.agent,
-                Dest::Router(router),
-                unsub,
-            );
-            ctx.send(pkt);
+            self.send_control(ctx, unsub.size_bits(), unsub);
         }
     }
 
-    /// Groups that were fully subscribed for the whole of slot `s`.
-    fn decision_level(&self, s: u64) -> u32 {
-        let mut d = 0;
-        for g in 1..=self.level {
-            match self.joined_slot[(g - 1) as usize] {
-                Some(j) if j < s => d = g,
-                _ => break,
-            }
-        }
-        d
+    /// The one place a subscription packet is built: protocol
+    /// subscriptions, their retransmissions and the attack library's
+    /// guessed / smuggled ones all leave through here.
+    pub(crate) fn send_subscription(&self, ctx: &mut Ctx, sub: Subscription) {
+        self.send_control(ctx, sub.size_bits(), sub);
     }
+
+    /// Submit `key` for the single group `group` in subscription slot
+    /// `slot`, fire-and-forget (the single-group policies' subscription).
+    pub(crate) fn subscribe_one(&mut self, ctx: &mut Ctx, slot: u64, group: u32, key: Key) {
+        let pairs = vec![(self.addr(group), key)];
+        self.subscribe(ctx, Subscription { slot, pairs }, false);
+    }
+
+    /// Submit the protocol's own subscription. With `reliable` it stays
+    /// pending and is retransmitted until the router acks its slot.
+    pub(crate) fn subscribe(&mut self, ctx: &mut Ctx, sub: Subscription, reliable: bool) {
+        if !self.protected() {
+            return;
+        }
+        self.stats.subscriptions += 1;
+        if reliable {
+            self.pending = Some((sub, 0));
+            self.send_pending(ctx);
+        } else {
+            self.send_subscription(ctx, sub);
+        }
+    }
+
+    /// (Re)send the pending subscription and arm its retransmit timer.
+    fn send_pending(&mut self, ctx: &mut Ctx) {
+        if let Some((sub, _)) = &self.pending {
+            self.send_subscription(ctx, sub.clone());
+            ctx.timer_in(RETX_AFTER, self.token_base + RETX);
+        }
+    }
+
+    // -- attack dispatch ----------------------------------------------------
 
     /// The world snapshot handed to every adversary hook.
-    fn attack_env(&self, now: SimTime, slot: u64) -> AttackEnv {
+    pub(crate) fn attack_env(&self, now: SimTime, slot: u64) -> AttackEnv {
         AttackEnv {
             now,
             slot,
             n_groups: self.cfg.n(),
-            level: self.level,
-            protected: matches!(self.mode, Mode::Ds { .. }),
+            level: self.policy.level(),
+            protected: self.protected(),
         }
     }
 
     /// Does the adversary veto the decrease about to happen for slot `s`?
-    fn decrease_vetoed(&mut self, now: SimTime, s: u64) -> bool {
+    pub(crate) fn decrease_vetoed(&mut self, now: SimTime, s: u64) -> bool {
         let env = self.attack_env(now, s);
         self.adversary.on_congestion_signal(&env)
     }
 
-    /// Execute adversary actions. `slot` is the protocol slot the actions
-    /// refer to (the evaluated slot for per-slot actions, the current slot
-    /// for activations).
-    fn apply_actions(&mut self, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
-        for action in actions {
-            match action {
-                AttackAction::Inflate { layer } => {
-                    self.inflated = true;
-                    // Inflation never *lowers* the claim: a layer below the
-                    // honest level would strand already-joined groups.
-                    let to = layer.min(self.cfg.n()).max(self.level);
-                    for g in 1..=to {
-                        self.group_join(ctx, g);
-                        self.joined_slot[(g - 1) as usize].get_or_insert(slot);
-                    }
-                    self.level = to;
-                    self.trace(ctx);
-                }
-                AttackAction::RawJoins { layer } => {
-                    // Keep hammering: raw IGMP joins (ignored by SIGMA).
-                    let to = layer.min(self.cfg.n());
-                    for g in 1..=to {
-                        self.group_join(ctx, g);
-                    }
-                }
-                AttackAction::GuessKeys { per_group, layer } => {
-                    // "Numerous random keys in a hope that one of these
-                    // keys is correct" (paper §4.2) — what trips the
-                    // router's tally. Meaningless without a router.
-                    if crate::rogue::send_guesses(
-                        ctx,
-                        &self.cfg,
-                        self.router(),
-                        per_group,
-                        layer,
-                        slot,
-                    ) {
-                        self.stats.guess_subscriptions += 1;
-                    }
-                }
-                AttackAction::LeaveHigh => {
-                    let top = self.level;
-                    for g in 2..=top {
-                        self.leave_level(ctx, g);
-                    }
-                    self.level = 1;
-                    self.inflated = false;
-                    self.trace(ctx);
-                }
-                AttackAction::SubmitKeys { slot, pairs } => {
-                    if self.router().is_none() {
-                        continue; // Smuggled keys mean nothing to plain IGMP.
-                    }
-                    // Join first so the graft is in flight before the
-                    // subscription reaches the router.
-                    for &(g, _) in &pairs {
-                        if (1..=self.cfg.n()).contains(&g) {
-                            self.group_join(ctx, g);
-                        }
-                    }
-                    if crate::rogue::send_smuggled(ctx, &self.cfg, self.router(), slot, &pairs)
-                        .is_some()
-                    {
-                        self.stats.colluder_submissions += 1;
-                    }
-                }
-            }
+    /// Fire the adversary's activation hook for the current instant and
+    /// arm the timer for its next one.
+    fn activate(&mut self, ctx: &mut Ctx) {
+        let now = ctx.now();
+        let slot = self.slot_of(now);
+        let env = self.attack_env(now, slot);
+        let actions = self.adversary.on_activation(&env);
+        P::apply(self, ctx, slot, actions);
+        if let Some(at) = self.adversary.next_activation(now) {
+            ctx.timer_at(at, self.token_base + ATTACK);
         }
     }
 
-    /// Execute the permanent departure: leave every joined group, send one
-    /// unsubscription covering them (FLID-DS), and go silent. Idempotent.
-    fn depart(&mut self, ctx: &mut Ctx) {
-        if self.departed {
-            return;
+    // -- trace events -------------------------------------------------------
+
+    /// Flight-recorder event for a layer transition.
+    pub(crate) fn layer_event(&self, ctx: &mut Ctx, from: u32, to: u32) {
+        if ctx.trace_on() {
+            ctx.trace(TraceEvent::FlidLayer {
+                agent: ctx.agent.0,
+                from_layer: from,
+                to_layer: to,
+                slot: self.slot_of(ctx.now()),
+            });
         }
+    }
+
+    /// Execute the permanent departure: leave every group in the ledger,
+    /// let the policy unsubscribe, and go silent.
+    fn depart(&mut self, ctx: &mut Ctx) {
         self.departed = true;
         let mut left: Vec<GroupAddr> = Vec::new();
         for gi in 0..self.desired.len() {
             if self.desired[gi] {
                 let g = gi as u32 + 1;
                 left.push(self.addr(g));
-                self.group_leave(ctx, g);
+                self.leave(ctx, g);
             }
-            self.joined_slot[gi] = None;
-        }
-        if !left.is_empty() {
-            self.send_unsubscription(ctx, left);
         }
         self.pending = None;
-        self.out_of_session = true;
-        self.level = 0;
-        self.trace(ctx);
+        P::wind_down(self, ctx, left);
         if ctx.trace_on() {
             ctx.trace(TraceEvent::Leave {
                 agent: ctx.agent.0,
                 group: self.cfg.groups[0].0,
             });
-        }
-    }
-
-    /// Take slot `s`'s observation out of the window, if present.
-    fn obs_remove(&mut self, s: u64) -> Option<SlotObservation> {
-        let i = self.obs.iter().position(|&(k, _)| k == s)?;
-        Some(self.obs.swap_remove(i).1)
-    }
-
-    /// Slot `s`'s observation, created fresh if absent.
-    fn obs_entry(&mut self, s: u64, n: u32) -> &mut SlotObservation {
-        let i = match self.obs.iter().position(|&(k, _)| k == s) {
-            Some(i) => i,
-            None => {
-                self.obs.push((s, SlotObservation::new(s, n)));
-                self.obs.len() - 1
-            }
-        };
-        &mut self.obs[i].1
-    }
-
-    fn handle_slot(&mut self, ctx: &mut Ctx, s: u64) {
-        if self.out_of_session || !self.ever_received {
-            self.obs_remove(s);
-            // Watchdog: a lost session-join (or an expired keyless grace)
-            // would otherwise leave the receiver waiting forever.
-            if !self.out_of_session && s % 4 == 3 {
-                self.send_session_join(ctx);
-            }
-            return;
-        }
-        let obs = self
-            .obs_remove(s)
-            .unwrap_or_else(|| SlotObservation::new(s, self.cfg.n()));
-        let marked = match self.marked_slots.iter().position(|&k| k == s) {
-            Some(i) => {
-                self.marked_slots.swap_remove(i);
-                true
-            }
-            None => false,
-        };
-        // Drop any stale observations.
-        self.obs.retain(|&(k, _)| k > s);
-        self.marked_slots.retain(|&k| k > s);
-        let dlevel = self.decision_level(s);
-        if dlevel == 0 {
-            return;
-        }
-        let env = self.attack_env(ctx.now(), s);
-        let attack_actions = self.adversary.on_slot(&env);
-        if self.inflated {
-            match self.mode {
-                // FLID-DL attacker: joined everything, ignores all signals.
-                Mode::Dl => {}
-                // FLID-DS attacker: the rational strategy is to keep the
-                // honest machinery running (that is all the bandwidth its
-                // keys can open — the paper's F1 stays at its fair share)
-                // while stacking inflation attempts on top.
-                Mode::Ds { .. } => {
-                    self.handle_slot_ds(ctx, s, &obs, dlevel);
-                }
-            }
-        } else {
-            match self.mode {
-                Mode::Dl => {
-                    if marked {
-                        self.ecn_decrease_dl(ctx, s);
-                    } else {
-                        self.handle_slot_dl(ctx, s, &obs, dlevel)
-                    }
-                }
-                Mode::Ds { .. } => {
-                    if marked {
-                        self.ecn_decrease_ds(ctx, s, &obs, dlevel);
-                    } else {
-                        self.handle_slot_ds(ctx, s, &obs, dlevel)
-                    }
-                }
-            }
-        }
-        self.apply_actions(ctx, s, attack_actions);
-    }
-
-    /// ECN congestion response, FLID-DL side: one-level decrease with the
-    /// usual deaf period.
-    fn ecn_decrease_dl(&mut self, ctx: &mut Ctx, s: u64) {
-        if self.decrease_vetoed(ctx.now(), s) {
-            return;
-        }
-        if s >= self.deaf_until && self.level > 1 {
-            let top = self.level;
-            self.leave_level(ctx, top);
-            self.level -= 1;
-            self.deaf_until = s + 2;
-            self.stats.decreases += 1;
-            self.trace(ctx);
-        }
-    }
-
-    /// ECN congestion response, FLID-DS side: the marked packets'
-    /// components were scrambled at the edge, so top keys are
-    /// unreachable by construction; step down with the (intact) decrease
-    /// keys read from the decrease fields.
-    fn ecn_decrease_ds(&mut self, ctx: &mut Ctx, s: u64, obs: &SlotObservation, dlevel: u32) {
-        let mut keys: Vec<(GroupAddr, Key)> = Vec::new();
-        let mut level = 0;
-        for j in 1..dlevel {
-            match obs.groups[j as usize].decrease_field {
-                Some(d) => {
-                    keys.push((self.addr(j), d));
-                    level = j;
-                }
-                None => break,
-            }
-        }
-        if level == 0 {
-            self.stats.rejoins += 1;
-            self.level = 1;
-            self.send_session_join(ctx);
-            self.trace(ctx);
-            return;
-        }
-        self.send_subscription(
-            ctx,
-            Subscription {
-                slot: s + 2,
-                pairs: keys,
-            },
-        );
-        if level < self.level && !self.decrease_vetoed(ctx.now(), s) {
-            for g in (level + 1)..=self.level {
-                self.leave_level(ctx, g);
-            }
-            self.level = level;
-            self.stats.decreases += 1;
-            self.trace(ctx);
-        }
-    }
-
-    fn handle_slot_dl(&mut self, ctx: &mut Ctx, s: u64, obs: &SlotObservation, dlevel: u32) {
-        let congested = obs.complete_prefix(dlevel) < dlevel;
-        if congested {
-            if self.decrease_vetoed(ctx.now(), s) {
-                return;
-            }
-            if s >= self.deaf_until && self.level > 1 {
-                let top = self.level;
-                self.leave_level(ctx, top);
-                self.level -= 1;
-                self.deaf_until = s + 2;
-                self.stats.decreases += 1;
-                self.trace(ctx);
-            }
-        } else if self.level == dlevel
-            && self.level < self.cfg.n()
-            && obs.upgrades.authorized(self.level + 1)
-        {
-            let next = self.level + 1;
-            self.join_level(ctx, next);
-            self.level = next;
-            self.stats.increases += 1;
-            self.trace(ctx);
-        }
-    }
-
-    fn handle_slot_ds(&mut self, ctx: &mut Ctx, s: u64, obs: &SlotObservation, dlevel: u32) {
-        match decide_layered(obs, dlevel, self.cfg.n()) {
-            Eligibility::Subscribe { level: lvl, keys } => {
-                // Colluders publish reconstructed keys out-of-band here.
-                let env = self.attack_env(ctx.now(), s);
-                self.adversary.on_key_packet(&env, s + 2, &keys);
-                // A stealthy adversary may claim less than it could; more
-                // than the keys reach is impossible by construction.
-                let claimed = self.adversary.subscription_override(&env, lvl).min(lvl);
-                let pairs: Vec<(GroupAddr, Key)> = keys
-                    .into_iter()
-                    .filter(|&(g, _)| g <= claimed)
-                    .map(|(g, k)| (self.addr(g), k))
-                    .collect();
-                self.send_subscription(ctx, Subscription { slot: s + 2, pairs });
-                if lvl < dlevel {
-                    // Forced decrease (keys only reach level `lvl`).
-                    if !self.decrease_vetoed(ctx.now(), s) {
-                        for g in (lvl + 1)..=self.level {
-                            self.leave_level(ctx, g);
-                        }
-                        self.level = lvl;
-                        self.stats.decreases += 1;
-                        self.trace(ctx);
-                    }
-                } else if lvl == dlevel + 1 && self.level == dlevel {
-                    // Fresh authorized upgrade: join before packets flow.
-                    self.join_level(ctx, lvl);
-                    self.level = lvl;
-                    self.stats.increases += 1;
-                    self.trace(ctx);
-                }
-                // lvl == dlevel with a pending newer group: nothing to do —
-                // the grace period covers it until its first full slot.
-            }
-            Eligibility::Rejoin => {
-                // Paper Fig. 4: a congested minimal-level receiver has no
-                // key to stay ("n ← null"); SIGMA's session-join is its
-                // continuous keyless path back into the minimal group
-                // (§3.2.2). Groups above the minimal one are abandoned.
-                let left: Vec<GroupAddr> = (2..=self.level).map(|g| self.addr(g)).collect();
-                for g in 2..=self.level {
-                    self.leave_level(ctx, g);
-                }
-                if !left.is_empty() {
-                    self.send_unsubscription(ctx, left);
-                }
-                self.stats.rejoins += 1;
-                self.level = 1;
-                self.send_session_join(ctx);
-                self.trace(ctx);
-            }
         }
     }
 }
@@ -721,7 +418,7 @@ impl FlidReceiver {
 // Cohort support (crate-internal): what `crate::cohort` needs to multiplex
 // many receiver state machines behind one agent.
 // ---------------------------------------------------------------------------
-impl FlidReceiver {
+impl<P: Policy> Receiver<P> {
     /// Put the receiver under cohort management: timers are namespaced
     /// under `token_base` and group membership is recorded, not issued.
     pub(crate) fn set_cohort_mode(&mut self, token_base: u64) {
@@ -784,40 +481,22 @@ impl FlidReceiver {
         SimTime::from_nanos(k * slot + guard)
     }
 
-    /// A digest of every decision-relevant field. Two buckets with equal
-    /// digests (and provably inert adversaries) will behave identically
-    /// forever, so the cohort may merge them. Window vectors are sorted
-    /// because `swap_remove` order is history- but not state-relevant;
-    /// stats and traces are deliberately excluded (reporting, not state).
-    pub(crate) fn state_digest(&self) -> String {
-        let mut obs: Vec<&(u64, SlotObservation)> = self.obs.iter().collect();
-        obs.sort_by_key(|&&(s, _)| s);
-        let mut marked = self.marked_slots.clone();
-        marked.sort_unstable();
+    /// The shell's share of a state digest (see
+    /// [`crate::FlidReceiver::state_digest`]). The scheduled lifetime is
+    /// state: a bucket that will depart at t is NOT equivalent to one
+    /// that stays — merging them would hand the absorbed members the
+    /// survivor's future.
+    pub(crate) fn shell_digest(&self) -> String {
         format!(
-            "{}|{:?}|{:?}|{}|{:?}|{}|{}|{}|{:?}|{:?}|{}|{:?}",
-            self.level,
-            self.joined_slot,
-            obs,
-            self.deaf_until,
-            self.pending,
-            self.inflated,
-            self.ever_received,
-            self.out_of_session,
-            marked,
-            self.desired,
-            self.departed,
-            // The scheduled lifetime is state: a bucket that will depart
-            // at t is NOT equivalent to one that stays — merging them
-            // would hand the absorbed members the survivor's future.
-            self.leave_at,
+            "{:?}|{:?}|{}|{:?}|{}",
+            self.pending, self.desired, self.departed, self.leave_at, self.ever_received
         )
     }
 }
 
-impl Agent for FlidReceiver {
-    // The receiver itself never draws from the world RNG and keeps all
-    // state local, so its shard eligibility is exactly its adversary's:
+impl<P: Policy> Agent for Receiver<P> {
+    // The shell and the policies never draw from the world RNG and keep
+    // all state local, so shard eligibility is exactly the adversary's:
     // key-guessing (RNG) and colluding (shared pool) strategies pin the
     // host to the root shard.
     fn parallel_safe(&self) -> bool {
@@ -825,9 +504,9 @@ impl Agent for FlidReceiver {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx) {
-        self.join_level(ctx, 1);
-        self.send_session_join(ctx);
-        self.trace(ctx);
+        self.join(ctx, 1);
+        self.session_join(ctx);
+        P::started(self, ctx);
         if ctx.trace_on() {
             ctx.trace(TraceEvent::Join {
                 agent: ctx.agent.0,
@@ -843,12 +522,7 @@ impl Agent for FlidReceiver {
         ctx.timer_at(next, self.token_base + PROCESS);
         // Adversary: immediately-active strategies fire now; scheduled
         // ones get their activation timer.
-        let env = self.attack_env(ctx.now(), s);
-        let actions = self.adversary.on_activation(&env);
-        self.apply_actions(ctx, s, actions);
-        if let Some(at) = self.adversary.next_activation(ctx.now()) {
-            ctx.timer_at(at, self.token_base + ATTACK);
-        }
+        self.activate(ctx);
     }
 
     fn on_packet(&mut self, _ctx: &mut Ctx, pkt: Packet) {
@@ -858,31 +532,11 @@ impl Agent for FlidReceiver {
             return;
         }
         if let Some(pd) = pkt.body_as::<ProtectedData>() {
-            self.ever_received = true;
-            let slot = pd.fields.slot;
-            if pkt.ecn == Ecn::Marked {
-                // ECN-driven congestion signal (paper §3.1.2): the edge
-                // router has already scrambled this packet's component.
-                if !self.marked_slots.contains(&slot) {
-                    self.marked_slots.push(slot);
-                }
-            }
-            let n = self.cfg.n();
-            let gi = (pd.fields.group - 1) as usize;
-            if let Some(j) = self.joined_slot.get_mut(gi) {
-                if *j == Some(u64::MAX) {
-                    // First packet after a join: decisions start with the
-                    // next (first complete) slot.
-                    *j = Some(slot);
-                }
-            }
-            self.obs_entry(slot, n).observe(&pd.fields);
+            // A marked packet is an ECN congestion signal (paper §3.1.2):
+            // the edge router has already scrambled its component.
+            self.ever_received |= self.policy.observe(&pd.fields, pkt.ecn == Ecn::Marked);
         } else if let Some(ack) = pkt.body_as::<SubscriptionAck>() {
-            if self
-                .pending
-                .as_ref()
-                .is_some_and(|(sub, _)| sub.slot == ack.slot)
-            {
+            if self.pending_sub_slot() == Some(ack.slot) {
                 self.pending = None;
             }
             self.stats.acks += 1;
@@ -895,54 +549,216 @@ impl Agent for FlidReceiver {
             return;
         }
         match token.wrapping_sub(self.token_base) {
-            DEPART => {
-                self.depart(ctx);
-            }
+            DEPART => self.depart(ctx),
             PROCESS => {
                 let now = ctx.now();
                 // This fires at (s+1)·slot + guard for slot s.
                 let s = self.slot_of(now - self.guard).saturating_sub(1);
                 ctx.timer_at(now + self.cfg.slot, self.token_base + PROCESS);
-                self.handle_slot(ctx, s);
-            }
-            RETX => {
-                if let Some((sub, tries)) = self.pending.take() {
-                    if tries < 3 {
-                        if let Mode::Ds { router } = self.mode {
-                            let pkt = Packet::app(
-                                sub.size_bits(),
-                                self.cfg.flow,
-                                ctx.agent,
-                                Dest::Router(router),
-                                sub.clone(),
-                            );
-                            ctx.send(pkt);
-                            self.stats.retransmissions += 1;
-                            self.pending = Some((sub, tries + 1));
-                            ctx.timer_in(SimDuration::from_millis(60), self.token_base + RETX);
-                        }
-                    }
+                if self.ever_received {
+                    P::evaluate(self, ctx, s);
+                } else if s % 4 == 3 {
+                    // Watchdog: a lost session-join (or an expired keyless
+                    // grace) would otherwise leave the receiver waiting
+                    // forever.
+                    self.session_join(ctx);
                 }
             }
-            ATTACK => {
-                let now = ctx.now();
-                let slot_now = self.slot_of(now);
-                let env = self.attack_env(now, slot_now);
-                let actions = self.adversary.on_activation(&env);
-                self.apply_actions(ctx, slot_now, actions);
-                if let Some(at) = self.adversary.next_activation(now) {
-                    ctx.timer_at(at, self.token_base + ATTACK);
+            RETX => match &mut self.pending {
+                Some((_, tries)) if *tries < 3 => {
+                    *tries += 1;
+                    self.stats.retransmissions += 1;
+                    self.send_pending(ctx);
                 }
-            }
-            REJOIN => {
-                self.out_of_session = false;
-                self.ever_received = false;
-                self.level = 1;
-                self.join_level(ctx, 1);
-                self.send_session_join(ctx);
-                self.trace(ctx);
-            }
+                // Acked meanwhile, or out of tries: give up on this slot.
+                _ => self.pending = None,
+            },
+            ATTACK => self.activate(ctx),
             _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testrig::{session, Rig};
+    use crate::{
+        FlidReceiver, FlidSender, ReplicatedReceiver, ReplicatedSender, ThresholdReceiver,
+        ThresholdSender,
+    };
+    use mcc_attack::{InflateTo, Timed};
+    use mcc_delta::UpgradeMask;
+    use std::fmt::Debug;
+
+    const POKE: u64 = 1 << 40;
+    const THETA: f64 = 0.25;
+
+    /// Hosts a receiver and, at `poke_at`, hands it every timer and a data
+    /// packet directly — what a departed receiver must ignore.
+    #[derive(Debug)]
+    struct Probe<P> {
+        rx: Receiver<P>,
+        poke_at: SimTime,
+        /// Receiver timers that fired after the poke: a chain it re-armed.
+        late_timers: u32,
+    }
+
+    impl<P: Policy + Debug> Agent for Probe<P> {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.timer_at(self.poke_at, POKE);
+            self.rx.on_start(ctx);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            self.rx.on_packet(ctx, pkt);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+            if token != POKE {
+                self.late_timers += u32::from(ctx.now() > self.poke_at);
+                return self.rx.on_timer(ctx, token);
+            }
+            for t in [PROCESS, ATTACK, RETX] {
+                self.rx.on_timer(ctx, t);
+            }
+            let fields = DeltaFields {
+                slot: self.rx.slot_of(ctx.now()),
+                group: 1,
+                seq_in_slot: 0,
+                last_in_slot: true,
+                count_in_slot: 1,
+                component: Key(7),
+                decrease: None,
+                upgrades: UpgradeMask::NONE,
+            };
+            let cfg = &self.rx.cfg;
+            let data = ProtectedData { fields };
+            let pkt = Packet::app(
+                cfg.packet_bits,
+                cfg.flow,
+                ctx.agent,
+                Dest::Agent(ctx.agent),
+                data,
+            );
+            self.rx.on_packet(ctx, pkt);
+        }
+    }
+
+    /// What a test reads back from the probe.
+    struct View {
+        departed: bool,
+        late_timers: u32,
+        /// The receiver's whole state, `Debug`-rendered.
+        state: String,
+    }
+
+    struct Case {
+        name: &'static str,
+        rig: Rig,
+        probe: AgentId,
+        view: fn(&Sim, AgentId) -> View,
+    }
+
+    impl Case {
+        fn run_until(&mut self, secs: u64) -> View {
+            self.rig.sim.run_until(SimTime::from_secs(secs));
+            (self.view)(&self.rig.sim, self.probe)
+        }
+    }
+
+    fn view<P: Policy + Debug>(sim: &Sim, id: AgentId) -> View {
+        let p = sim.agent_as::<Probe<P>>(id).expect("the probe");
+        View {
+            departed: p.rx.departed(),
+            late_timers: p.late_timers,
+            state: format!("{:?}", p.rx),
+        }
+    }
+
+    /// A 500 kbps session with one probed receiver (leaving at `leave_at`,
+    /// poked at `poke_at`) and its sender, finalized at t = 0.
+    fn case<P: Policy + Debug, S: Agent>(
+        name: &'static str,
+        (protected, leave_at, poke_at): (bool, u64, u64),
+        receiver: impl FnOnce(FlidConfig, Option<NodeId>) -> Receiver<P>,
+        sender: impl FnOnce(FlidConfig) -> S,
+    ) -> Case {
+        let cfg = session(6, 1, protected);
+        let mut rig = Rig::new(41, 500_000, cfg.clone());
+        let mut rx = receiver(cfg.clone(), rig.router());
+        rx.set_leave_at(SimTime::from_secs(leave_at));
+        let probe = rig.receiver(Probe {
+            rx,
+            poke_at: SimTime::from_secs(poke_at),
+            late_timers: 0,
+        });
+        rig.run(sender(cfg), 0);
+        Case {
+            name,
+            rig,
+            probe,
+            view: view::<P>,
+        }
+    }
+
+    /// One case per receiver instantiation, each running `plan` under
+    /// `(protected, leave_at, poke_at)`.
+    fn instantiations(setup: (bool, u64, u64), plan: &AttackPlan) -> [Case; 3] {
+        [
+            case(
+                "layered",
+                setup,
+                |cfg, router| {
+                    let mode = router.map_or(Mode::Dl, |router| Mode::Ds { router });
+                    FlidReceiver::with_adversary(cfg, mode, plan.clone())
+                },
+                FlidSender::new,
+            ),
+            case(
+                "replicated",
+                setup,
+                |cfg, router| ReplicatedReceiver::with_adversary(cfg, router, plan.clone()),
+                ReplicatedSender::new,
+            ),
+            case(
+                "threshold",
+                setup,
+                |cfg, router| ThresholdReceiver::with_adversary(cfg, THETA, router, plan.clone()),
+                |cfg| ThresholdSender::new(cfg, THETA),
+            ),
+        ]
+    }
+
+    /// Departure leaves every group the agent joined — honest, raw or
+    /// smuggled — so nothing keeps flowing to a receiver that has left.
+    #[test]
+    fn departure_leaves_every_joined_group() {
+        let inflate = AttackPlan::new(Timed::at(SimTime::from_secs(5), InflateTo::all()));
+        for mut c in instantiations((false, 10, 30), &inflate) {
+            let name = c.name;
+            assert!(c.run_until(20).departed, "{name}: departed");
+            let world = &c.rig.sim.world;
+            let host = world.agent_nodes[c.probe.index()];
+            for g in &c.rig.cfg.groups {
+                let on_tree = world.group_entry(host, *g).is_some_and(|e| e.on_tree());
+                assert!(!on_tree, "{name}: host still holds {g:?} after leaving");
+            }
+            let bps = c.rig.goodput_bps(c.probe, 12, 20);
+            assert_eq!(bps, 0.0, "{name}: delivered after departure");
+        }
+    }
+
+    /// After `leave_at` the receiver is inert: timers and data packets
+    /// change nothing (level, traces, counters, ledger) and re-arm nothing.
+    #[test]
+    fn a_departed_receiver_ignores_timers_and_packets() {
+        for mut c in instantiations((true, 6, 9), &AttackPlan::honest()) {
+            let name = c.name;
+            assert!(!c.run_until(5).departed, "{name}: still a member at 5 s");
+            let before = c.run_until(8);
+            assert!(before.departed, "{name}: departed after leave_at");
+            let after = c.run_until(12);
+            assert_eq!(before.state, after.state, "{name}: state moved");
+            assert_eq!(after.late_timers, 0, "{name}: a timer chain survived");
         }
     }
 }

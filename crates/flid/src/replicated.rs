@@ -12,22 +12,21 @@
 //! is the *previous* group's top key (paper Eq. 6).
 
 use crate::config::FlidConfig;
+use crate::receiver::{Policy, Receiver};
 use crate::rogue::RogueState;
-use mcc_attack::{Adversary, AttackAction, AttackEnv, AttackPlan};
+use crate::sender::{pace_slot, Paced};
+use mcc_attack::{AttackAction, AttackPlan};
 use mcc_delta::{
     decide_replicated, DeltaFields, GroupObservation, ReplicatedEligibility, ReplicatedKeySchedule,
     UpgradeMask,
 };
 use mcc_netsim::prelude::*;
-use mcc_sigma::{build_announcement, replicated_tuples, ProtectedData, SessionJoin, Subscription};
-use mcc_simcore::{SimDuration, SimTime};
+use mcc_sigma::{build_announcement, replicated_tuples, ProtectedData};
+use mcc_simcore::SimTime;
 use std::collections::HashMap;
 
 const TICK: u64 = 0;
 const EMIT: u64 = 1;
-const PROCESS: u64 = 2;
-const ATTACK: u64 = 3;
-const DEPART: u64 = 4;
 
 /// Sender of a replicated multicast session. Reuses [`FlidConfig`], with
 /// `cumulative_rate(g)` read as group `g`'s own full-content rate.
@@ -38,7 +37,7 @@ pub struct ReplicatedSender {
     credits: Vec<f64>,
     schedules: HashMap<u64, ReplicatedKeySchedule>,
     streams: Vec<Option<mcc_delta::ComponentStream>>,
-    pending: Vec<(SimTime, u32, u32, bool, u32)>,
+    pending: Vec<Paced>,
     /// Slots elapsed (diagnostics).
     pub slots: u64,
 }
@@ -74,26 +73,20 @@ impl ReplicatedSender {
         let mask = UpgradeMask::from_groups(&authorized);
         let sched = ReplicatedKeySchedule::generate(ctx.rng(), n, mask);
 
-        let slot_secs = self.cfg.slot.as_secs_f64();
-        self.pending.clear();
         for g in 1..=n {
-            let gi = (g - 1) as usize;
-            // Replicated: each group carries the whole content at its rate.
-            self.credits[gi] +=
-                self.cfg.cumulative_rate(g) * slot_secs / self.cfg.packet_bits as f64;
-            let count = (self.credits[gi].floor() as u32).max(1);
-            self.credits[gi] -= count as f64;
-            self.streams[gi] = Some(sched.component_stream(g));
-            for p in 0..count {
-                let frac = (p as f64 + (g as f64) / (n as f64 + 1.0)) / count as f64;
-                let at = slot_start + SimDuration::from_secs_f64(slot_secs * frac.min(0.999));
-                self.pending.push((at, g, p, p + 1 == count, count));
-            }
+            self.streams[(g - 1) as usize] = Some(sched.component_stream(g));
         }
-        self.pending.sort_by_key(|e| e.0);
-        let times: Vec<SimTime> = self.pending.iter().map(|e| e.0).collect();
-        for t in times {
-            ctx.timer_at(t, EMIT);
+        // Replicated: each group carries the whole content at its rate.
+        self.pending = pace_slot(
+            &self.cfg,
+            &mut self.credits,
+            slot_start,
+            FlidConfig::cumulative_rate,
+            1,
+        );
+        self.pending.sort_by_key(|e| e.at);
+        for e in &self.pending {
+            ctx.timer_at(e.at, EMIT);
         }
 
         if self.cfg.protected {
@@ -119,29 +112,15 @@ impl ReplicatedSender {
     fn emit_due(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
         let s = self.slot_of(now);
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 > now {
-                break;
-            }
-            let (_, g, p, last, count) = self.pending[i];
-            i += 1;
+        let due = self.pending.iter().take_while(|e| e.at <= now).count();
+        for e in self.pending.drain(..due) {
             let sched = &self.schedules[&(s + 2)];
-            let gi = (g - 1) as usize;
+            let gi = (e.group - 1) as usize;
             let component = self.streams[gi]
                 .as_mut()
                 .expect("stream set at slot start")
-                .next(ctx.rng(), last);
-            let fields = DeltaFields {
-                slot: s,
-                group: g,
-                seq_in_slot: p,
-                last_in_slot: last,
-                count_in_slot: if last { count } else { 0 },
-                component,
-                decrease: sched.decrease_field(g),
-                upgrades: sched.upgrades,
-            };
+                .next(ctx.rng(), e.last);
+            let fields = e.fields(s, component, sched.decrease_field(e.group), sched.upgrades);
             ctx.send(Packet::app(
                 self.cfg.packet_bits,
                 self.cfg.flow,
@@ -150,7 +129,6 @@ impl ReplicatedSender {
                 ProtectedData { fields },
             ));
         }
-        self.pending.drain(..i);
     }
 }
 
@@ -167,19 +145,14 @@ impl Agent for ReplicatedSender {
     }
 }
 
-/// Receiver of a replicated session: subscribes to exactly one group.
+/// State of the replicated key rule (paper Figure 5): the receiver
+/// subscribes to exactly one group.
 #[derive(Debug)]
-pub struct ReplicatedReceiver {
-    /// Session parameters.
-    pub cfg: FlidConfig,
-    /// SIGMA router when protected; `None` runs over classic IGMP.
-    router: Option<NodeId>,
+pub struct Replicated {
     /// Current (1-based) group.
     pub group: u32,
     obs: HashMap<u64, GroupObservation>,
     upgrades: HashMap<u64, UpgradeMask>,
-    guard: SimDuration,
-    ever_received: bool,
     /// Slot during which the current group was joined; decisions wait for
     /// the first complete slot after a switch.
     joined_slot: u64,
@@ -187,359 +160,161 @@ pub struct ReplicatedReceiver {
     pub trace: Vec<(f64, u32)>,
     /// Session rejoins after total blackout.
     pub rejoins: u64,
-    /// When this receiver leaves the session for good ([`SimTime::MAX`]
-    /// for the static-membership default — no timer is ever scheduled).
-    leave_at: SimTime,
-    /// Departure has executed: group left, every timer chain dead.
-    departed: bool,
     /// Out-of-protocol attack state and counters.
     pub rogue: RogueState,
-    adversary: Box<dyn Adversary>,
 }
 
-impl ReplicatedReceiver {
-    /// Build an honest receiver starting in the minimal group.
+/// Receiver of a replicated session.
+pub type ReplicatedReceiver = Receiver<Replicated>;
+
+impl Receiver<Replicated> {
+    /// Build an honest receiver starting in the minimal group. `router`
+    /// is the SIGMA router when protected; `None` runs over classic IGMP.
     pub fn new(cfg: FlidConfig, router: Option<NodeId>) -> Self {
         ReplicatedReceiver::with_adversary(cfg, router, AttackPlan::honest())
     }
 
     /// Build a receiver running `plan`'s adversary strategy.
     pub fn with_adversary(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Self {
-        let guard = cfg.slot - SimDuration::from_millis(30);
-        ReplicatedReceiver {
-            cfg,
-            router,
+        let policy = Replicated {
             group: 1,
             obs: HashMap::new(),
             upgrades: HashMap::new(),
-            guard,
-            ever_received: false,
             joined_slot: 0,
             trace: Vec::new(),
             rejoins: 0,
-            leave_at: SimTime::MAX,
-            departed: false,
             rogue: RogueState::default(),
-            adversary: plan.build(),
+        };
+        Receiver::build(cfg, router, plan, policy)
+    }
+
+    /// Move the single subscription to group `to`.
+    fn switch(&mut self, ctx: &mut Ctx, to: u32) {
+        if to != self.policy.group {
+            self.leave(ctx, self.policy.group);
+            self.join(ctx, to);
+            self.policy.group = to;
+            self.policy.joined_slot = u64::MAX; // latched on first packet
+            self.policy.trace.push((ctx.now().as_secs_f64(), to));
         }
     }
+}
 
-    /// Schedule the receiver's permanent departure: at `at` it leaves its
-    /// group and goes silent. [`SimTime::MAX`] (the default) means
-    /// "member forever" — no timer is scheduled and the receiver runs the
-    /// exact pre-churn code path.
-    pub fn set_leave_at(&mut self, at: SimTime) {
-        self.leave_at = at;
-    }
-
-    /// Has the receiver permanently left the session?
-    pub fn departed(&self) -> bool {
-        self.departed
-    }
-
-    /// Execute the permanent departure: leave the current group and go
-    /// silent. Idempotent.
-    fn depart(&mut self, ctx: &mut Ctx) {
-        if self.departed {
-            return;
+impl Policy for Replicated {
+    fn observe(&mut self, fields: &DeltaFields, _marked: bool) -> bool {
+        if fields.group != self.group {
+            return false; // Stale traffic from a group we just left.
         }
-        self.departed = true;
-        ctx.leave_group(self.addr(self.group));
-        self.trace.push((ctx.now().as_secs_f64(), 0));
-        if ctx.trace_on() {
-            ctx.trace(mcc_netsim::TraceEvent::Leave {
-                agent: ctx.agent.0,
-                group: self.cfg.groups[0].0,
-            });
+        if self.joined_slot == u64::MAX {
+            self.joined_slot = fields.slot;
         }
+        self.obs.entry(fields.slot).or_default().observe(fields);
+        let mask = self
+            .upgrades
+            .entry(fields.slot)
+            .or_insert(UpgradeMask::NONE);
+        *mask = UpgradeMask(mask.0 | fields.upgrades.0);
+        true
     }
 
-    fn addr(&self, g: u32) -> GroupAddr {
-        self.cfg.groups[(g - 1) as usize]
+    fn level(&self) -> u32 {
+        self.group
     }
 
-    fn slot_of(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.cfg.slot.as_nanos()
+    fn started(rx: &mut ReplicatedReceiver, ctx: &mut Ctx) {
+        rx.policy.trace.push((ctx.now().as_secs_f64(), 1));
     }
 
-    fn session_join(&mut self, ctx: &mut Ctx) {
-        if let Some(router) = self.router {
-            let join = SessionJoin {
-                minimal_group: self.addr(1),
-                control_group: self.cfg.control_group,
-            };
-            let pkt = Packet::app(
-                join.size_bits(),
-                self.cfg.flow,
-                ctx.agent,
-                Dest::Router(router),
-                join,
-            );
-            ctx.send(pkt);
-        }
-    }
-
-    fn subscribe(&mut self, ctx: &mut Ctx, slot: u64, group: u32, key: mcc_delta::Key) {
-        if let Some(router) = self.router {
-            let sub = Subscription {
-                slot,
-                pairs: vec![(self.addr(group), key)],
-            };
-            let pkt = Packet::app(
-                sub.size_bits(),
-                self.cfg.flow,
-                ctx.agent,
-                Dest::Router(router),
-                sub,
-            );
-            ctx.send(pkt);
-        }
-    }
-
-    fn attack_env(&self, now: SimTime, slot: u64) -> AttackEnv {
-        AttackEnv {
-            now,
-            slot,
-            n_groups: self.cfg.n(),
-            level: self.group,
-            protected: self.router.is_some(),
-        }
-    }
-
-    fn decrease_vetoed(&mut self, now: SimTime, s: u64) -> bool {
-        let env = self.attack_env(now, s);
-        self.adversary.on_congestion_signal(&env)
-    }
-
-    /// Execute adversary actions against this replicated session.
-    fn apply_actions(&mut self, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
-        self.rogue
-            .apply(ctx, &self.cfg, self.router, self.group, slot, actions);
-    }
-
-    fn handle_slot(&mut self, ctx: &mut Ctx, s: u64) {
-        let obs = self.obs.remove(&s).unwrap_or_default();
-        let upgrades = self.upgrades.remove(&s).unwrap_or(UpgradeMask::NONE);
+    fn evaluate(rx: &mut ReplicatedReceiver, ctx: &mut Ctx, s: u64) {
+        let p = &mut rx.policy;
+        let obs = p.obs.remove(&s).unwrap_or_default();
+        let upgrades = p.upgrades.remove(&s).unwrap_or(UpgradeMask::NONE);
         // detlint: sorted — retain with a pure per-key predicate; order-independent
-        self.obs.retain(|&k, _| k > s);
+        p.obs.retain(|&k, _| k > s);
         // detlint: sorted — retain with a pure per-key predicate; order-independent
-        self.upgrades.retain(|&k, _| k > s);
-        if !self.ever_received {
-            if s % 4 == 3 {
-                self.session_join(ctx);
-            }
-            return;
-        }
-        if self.joined_slot >= s {
+        p.upgrades.retain(|&k, _| k > s);
+        if p.joined_slot >= s {
             // The current group was joined mid-slot: wait for its first
             // complete slot before judging congestion.
             return;
         }
-        let env = self.attack_env(ctx.now(), s);
-        let attack_actions = self.adversary.on_slot(&env);
-        match decide_replicated(&obs, upgrades, self.group, self.cfg.n()) {
+        let current = p.group;
+        let env = rx.attack_env(ctx.now(), s);
+        let attack_actions = rx.adversary.on_slot(&env);
+        match decide_replicated(&obs, upgrades, current, rx.cfg.n()) {
             ReplicatedEligibility::Subscribe { group, key } => {
-                self.adversary.on_key_packet(&env, s + 2, &[(group, key)]);
-                self.subscribe(ctx, s + 2, group, key);
-                if group != self.group {
-                    if group < self.group && self.decrease_vetoed(ctx.now(), s) {
-                        // The adversary clings to the faster group; without
-                        // its key the router stops the traffic regardless.
-                    } else {
-                        ctx.leave_group(self.addr(self.group));
-                        ctx.join_group(self.addr(group));
-                        self.group = group;
-                        self.joined_slot = u64::MAX; // latched on first packet
-                        self.trace.push((ctx.now().as_secs_f64(), group));
-                    }
+                rx.adversary.on_key_packet(&env, s + 2, &[(group, key)]);
+                rx.subscribe_one(ctx, s + 2, group, key);
+                // A vetoed switch down: the adversary clings to the
+                // faster group; without its key the router stops the
+                // traffic regardless.
+                if group > current || (group < current && !rx.decrease_vetoed(ctx.now(), s)) {
+                    rx.switch(ctx, group);
                 }
             }
             ReplicatedEligibility::Rejoin => {
-                if self.group != 1 {
-                    ctx.leave_group(self.addr(self.group));
-                    ctx.join_group(self.addr(1));
-                    self.group = 1;
-                    self.joined_slot = u64::MAX; // latched on first packet
-                    self.trace.push((ctx.now().as_secs_f64(), 1));
-                }
-                self.rejoins += 1;
-                self.session_join(ctx);
+                rx.switch(ctx, 1);
+                rx.policy.rejoins += 1;
+                rx.session_join(ctx);
             }
         }
-        self.apply_actions(ctx, s, attack_actions);
-    }
-}
-
-impl Agent for ReplicatedReceiver {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.join_group(self.addr(1));
-        self.session_join(ctx);
-        self.trace.push((ctx.now().as_secs_f64(), 1));
-        if ctx.trace_on() {
-            ctx.trace(mcc_netsim::TraceEvent::Join {
-                agent: ctx.agent.0,
-                group: self.cfg.groups[0].0,
-            });
-        }
-        if self.leave_at < SimTime::MAX {
-            ctx.timer_at(self.leave_at.max(ctx.now()), DEPART);
-        }
-        let s = self.slot_of(ctx.now());
-        let next = SimTime::from_nanos((s + 1) * self.cfg.slot.as_nanos()) + self.guard;
-        ctx.timer_at(next, PROCESS);
-        let env = self.attack_env(ctx.now(), s);
-        let actions = self.adversary.on_activation(&env);
-        self.apply_actions(ctx, s, actions);
-        if let Some(at) = self.adversary.next_activation(ctx.now()) {
-            ctx.timer_at(at, ATTACK);
-        }
+        Self::apply(rx, ctx, s, attack_actions);
     }
 
-    fn on_packet(&mut self, _ctx: &mut Ctx, pkt: Packet) {
-        if self.departed {
-            // In-flight packets racing the departure are dropped on the
-            // floor; the receiver is no longer part of the session.
-            return;
-        }
-        let Some(pd) = pkt.body_as::<ProtectedData>() else {
-            return;
-        };
-        if pd.fields.group != self.group {
-            return; // Stale traffic from a group we just left.
-        }
-        self.ever_received = true;
-        if self.joined_slot == u64::MAX {
-            self.joined_slot = pd.fields.slot;
-        }
-        self.obs
-            .entry(pd.fields.slot)
-            .or_default()
-            .observe(&pd.fields);
-        let mask = self
-            .upgrades
-            .entry(pd.fields.slot)
-            .or_insert(UpgradeMask::NONE);
-        *mask = UpgradeMask(mask.0 | pd.fields.upgrades.0);
+    fn apply(rx: &mut ReplicatedReceiver, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
+        // The executor acts on the shell, so it cannot stay borrowed from it.
+        let mut rogue = std::mem::take(&mut rx.policy.rogue);
+        rogue.apply(rx, ctx, slot, actions);
+        rx.policy.rogue = rogue;
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        if self.departed {
-            // Every timer chain dies here; nothing is rescheduled.
-            return;
-        }
-        match token {
-            DEPART => {
-                self.depart(ctx);
-            }
-            PROCESS => {
-                let now = ctx.now();
-                let s = self.slot_of(now - self.guard).saturating_sub(1);
-                ctx.timer_at(now + self.cfg.slot, PROCESS);
-                self.handle_slot(ctx, s);
-            }
-            ATTACK => {
-                let now = ctx.now();
-                let s = self.slot_of(now);
-                let env = self.attack_env(now, s);
-                let actions = self.adversary.on_activation(&env);
-                self.apply_actions(ctx, s, actions);
-                if let Some(at) = self.adversary.next_activation(now) {
-                    ctx.timer_at(at, ATTACK);
-                }
-            }
-            _ => {}
-        }
+    /// The router learns nothing: its grant for the group simply expires.
+    fn wind_down(rx: &mut ReplicatedReceiver, ctx: &mut Ctx, _left: Vec<GroupAddr>) {
+        rx.policy.trace.push((ctx.now().as_secs_f64(), 0));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
+    use crate::testrig::{session, Rig};
+    use mcc_simcore::SimDuration;
 
     /// S — A =bottleneck= B — H, replicated session.
-    fn run(protected: bool, bottleneck: u64, secs: u64) -> (Sim, AgentId) {
-        let mut sim = Sim::new(21, SimDuration::from_secs(1));
-        let s = sim.add_node();
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let h = sim.add_node();
-        sim.add_duplex_link(
-            s,
-            a,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let buf = (2.0 * bottleneck as f64 * 0.08 / 8.0) as u64;
-        sim.add_duplex_link(
-            a,
-            b,
-            bottleneck,
-            SimDuration::from_millis(20),
-            Queue::drop_tail(buf),
-            Queue::drop_tail(buf),
-        );
-        sim.add_duplex_link(
-            b,
-            h,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let mut cfg = FlidConfig::paper(
-            (1..=6).map(GroupAddr).collect(),
-            GroupAddr(0),
-            FlowId(2),
-            protected,
-        );
+    fn run(protected: bool, bottleneck: u64, secs: u64) -> (Rig, AgentId) {
+        let mut cfg = session(6, 2, protected);
         cfg.slot = SimDuration::from_millis(250);
-        for g in cfg.groups.iter().chain([&cfg.control_group]) {
-            sim.register_group(*g, s);
-        }
-        if protected {
-            sim.set_edge_module(
-                b,
-                Box::new(SigmaEdgeModule::new(SigmaConfig::new(cfg.slot))),
-            );
-        }
-        let router = protected.then_some(b);
-        let r = sim.add_agent(
-            h,
-            Box::new(ReplicatedReceiver::new(cfg.clone(), router)),
-            SimTime::from_millis(5),
-        );
-        sim.add_agent(s, Box::new(ReplicatedSender::new(cfg)), SimTime::ZERO);
-        sim.finalize();
-        sim.run_until(SimTime::from_secs(secs));
-        (sim, r)
+        let mut d = Rig::new(21, bottleneck, cfg.clone());
+        let r = d.receiver(ReplicatedReceiver::new(cfg.clone(), d.router()));
+        d.run(ReplicatedSender::new(cfg), secs);
+        (d, r)
+    }
+
+    fn replicated(d: &Rig, r: AgentId) -> &ReplicatedReceiver {
+        d.sim.agent_as::<ReplicatedReceiver>(r).unwrap()
     }
 
     #[test]
     fn receiver_climbs_to_capacity_group() {
         // 1 Mbps bottleneck: group 6 (759 kbps) fits; the receiver should
         // end high in the group ladder.
-        let (sim, r) = run(true, 1_000_000, 40);
-        let rec = sim.agent_as::<ReplicatedReceiver>(r).unwrap();
+        let (d, r) = run(true, 1_000_000, 40);
+        let rec = replicated(&d, r);
         assert!(
             (4..=6).contains(&rec.group),
             "group {} (trace {:?})",
             rec.group,
             rec.trace
         );
-        let bps =
-            sim.monitor()
-                .agent_throughput_bps(r, SimTime::from_secs(20), SimTime::from_secs(40));
+        let bps = d.goodput_bps(r, 20, 40);
         assert!(bps > 300_000.0, "replicated goodput {bps}");
     }
 
     #[test]
     fn tight_bottleneck_caps_the_group() {
         // 250 kbps: group 3 (225 kbps) is the largest that fits.
-        let (sim, r) = run(true, 250_000, 40);
-        let rec = sim.agent_as::<ReplicatedReceiver>(r).unwrap();
+        let (d, r) = run(true, 250_000, 40);
+        let rec = replicated(&d, r);
         assert!(
             (2..=4).contains(&rec.group),
             "group {} (trace {:?})",
@@ -550,8 +325,8 @@ mod tests {
 
     #[test]
     fn works_unprotected_too() {
-        let (sim, r) = run(false, 1_000_000, 30);
-        let rec = sim.agent_as::<ReplicatedReceiver>(r).unwrap();
+        let (d, r) = run(false, 1_000_000, 30);
+        let rec = replicated(&d, r);
         assert!(
             rec.group >= 3,
             "group {} (trace {:?})",
@@ -559,72 +334,16 @@ mod tests {
             rec.trace
         );
     }
-}
-
-#[cfg(test)]
-mod diag {
-    use super::*;
-    use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
 
     #[test]
     #[ignore]
     fn trace_replicated() {
-        let mut sim = Sim::new(21, SimDuration::from_secs(1));
-        let s = sim.add_node();
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let h = sim.add_node();
-        sim.add_duplex_link(
-            s,
-            a,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let buf = (2.0 * 1_000_000.0f64 * 0.08 / 8.0) as u64;
-        let (bl, _) = sim.add_duplex_link(
-            a,
-            b,
-            1_000_000,
-            SimDuration::from_millis(20),
-            Queue::drop_tail(buf),
-            Queue::drop_tail(buf),
-        );
-        sim.add_duplex_link(
-            b,
-            h,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let mut cfg = FlidConfig::paper(
-            (1..=6).map(GroupAddr).collect(),
-            GroupAddr(0),
-            FlowId(2),
-            true,
-        );
-        cfg.slot = SimDuration::from_millis(250);
-        for g in cfg.groups.iter().chain([&cfg.control_group]) {
-            sim.register_group(*g, s);
-        }
-        sim.set_edge_module(
-            b,
-            Box::new(SigmaEdgeModule::new(SigmaConfig::new(cfg.slot))),
-        );
-        let r = sim.add_agent(
-            h,
-            Box::new(ReplicatedReceiver::new(cfg.clone(), Some(b))),
-            SimTime::from_millis(5),
-        );
-        sim.add_agent(s, Box::new(ReplicatedSender::new(cfg)), SimTime::ZERO);
-        sim.finalize();
-        sim.run_until(SimTime::from_secs(10));
-        let m = sim.edge_as::<SigmaEdgeModule>(b).unwrap();
+        let (d, r) = run(true, 1_000_000, 10);
+        let m = d.sim.edge_as::<mcc_sigma::SigmaEdgeModule>(d.edge).unwrap();
         println!("module: {:?}", m.stats);
-        println!("bottleneck drops {}", sim.world.link_stats(bl).drops);
-        let rec = sim.agent_as::<ReplicatedReceiver>(r).unwrap();
+        let drops = d.sim.world.link_stats(d.bottleneck).drops;
+        println!("bottleneck drops {drops}");
+        let rec = replicated(&d, r);
         println!("rejoins {} trace {:?}", rec.rejoins, rec.trace);
     }
 }

@@ -17,7 +17,7 @@
 //! grafts without keys, is what protects the bottleneck.
 
 use crate::config::FlidConfig;
-use mcc_delta::{DeltaFields, LayeredKeySchedule, UpgradeMask};
+use mcc_delta::{DeltaFields, Key, LayeredKeySchedule, UpgradeMask};
 use mcc_netsim::prelude::*;
 use mcc_sigma::{build_announcement, layered_tuples, ProtectedData};
 use mcc_simcore::{SimDuration, SimTime};
@@ -93,15 +93,83 @@ impl OverheadCounters {
     }
 }
 
+/// One data packet of a slot's pacing plan.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Paced {
+    /// Emission instant.
+    pub at: SimTime,
+    /// 1-based group.
+    pub group: u32,
+    /// Sequence number within the group's slot.
+    pub seq: u32,
+    /// The group's closing packet of the slot.
+    pub last: bool,
+    /// Packets the group sends this slot.
+    pub count: u32,
+}
+
+impl Paced {
+    /// The packet's DELTA header for slot `slot`; the group's packet
+    /// count rides on its closing packet only.
+    pub fn fields(
+        &self,
+        slot: u64,
+        component: Key,
+        decrease: Option<Key>,
+        upgrades: UpgradeMask,
+    ) -> DeltaFields {
+        DeltaFields {
+            slot,
+            group: self.group,
+            seq_in_slot: self.seq,
+            last_in_slot: self.last,
+            count_in_slot: if self.last { self.count } else { 0 },
+            component,
+            decrease,
+            upgrades,
+        }
+    }
+}
+
+/// Plan one slot's data emissions for every group, in `(group, seq)`
+/// order: top up each group's fractional `credits` at `rate(cfg, g)`
+/// bit/s (carrying remainders across slots keeps long-run rates exact),
+/// send at least `min_count` packets (the closing component and the
+/// decrease field ride on packets), and space them evenly with a
+/// per-group phase so groups interleave. Draws nothing from the RNG.
+pub(crate) fn pace_slot(
+    cfg: &FlidConfig,
+    credits: &mut [f64],
+    slot_start: SimTime,
+    rate: fn(&FlidConfig, u32) -> f64,
+    min_count: u32,
+) -> Vec<Paced> {
+    let n = cfg.n();
+    let slot_secs = cfg.slot.as_secs_f64();
+    let mut plan = Vec::new();
+    for g in 1..=n {
+        let gi = (g - 1) as usize;
+        credits[gi] += rate(cfg, g) * slot_secs / cfg.packet_bits as f64;
+        let count = (credits[gi].floor() as u32).max(min_count);
+        credits[gi] -= count as f64;
+        for p in 0..count {
+            let frac = (p as f64 + (g as f64) / (n as f64 + 1.0)) / count as f64;
+            plan.push(Paced {
+                at: slot_start + SimDuration::from_secs_f64(slot_secs * frac.min(0.999)),
+                group: g,
+                seq: p,
+                last: p + 1 == count,
+                count,
+            });
+        }
+    }
+    plan
+}
+
 /// A packet emission scheduled within the current slot.
 #[derive(Debug)]
 enum Emission {
-    Data {
-        group: u32,
-        seq: u32,
-        last: bool,
-        count: u32,
-    },
+    Data(Paced),
     Special(Packet),
 }
 
@@ -168,31 +236,20 @@ impl FlidSender {
 
         // 2. Plan this slot's data emissions (components encode s+2 keys).
         let slot_secs = self.cfg.slot.as_secs_f64();
-        let mut plan: Vec<(SimTime, Emission)> = Vec::new();
         for g in 1..=n {
-            let gi = (g - 1) as usize;
-            self.credits[gi] +=
-                self.cfg.incremental_rate(g) * slot_secs / self.cfg.packet_bits as f64;
-            // Every group must carry at least one packet per slot: the
-            // closing component and the decrease field ride on packets.
-            let count = (self.credits[gi].floor() as u32).max(1);
-            self.credits[gi] -= count as f64;
-            self.streams[gi] = Some(sched.component_stream(g));
-            for p in 0..count {
-                // Even spacing with a per-group phase so groups interleave.
-                let frac = (p as f64 + (g as f64) / (n as f64 + 1.0)) / count as f64;
-                let at = slot_start + SimDuration::from_secs_f64(slot_secs * frac.min(0.999));
-                plan.push((
-                    at,
-                    Emission::Data {
-                        group: g,
-                        seq: p,
-                        last: p + 1 == count,
-                        count,
-                    },
-                ));
-            }
+            self.streams[(g - 1) as usize] = Some(sched.component_stream(g));
         }
+        let paced = pace_slot(
+            &self.cfg,
+            &mut self.credits,
+            slot_start,
+            FlidConfig::incremental_rate,
+            1,
+        );
+        let mut plan: Vec<(SimTime, Emission)> = paced
+            .into_iter()
+            .map(|e| (e.at, Emission::Data(e)))
+            .collect();
 
         // 3. SIGMA announcement for s+2.
         if self.cfg.protected {
@@ -238,28 +295,16 @@ impl FlidSender {
             }
             let (_, emission) = self.pending.pop_front().expect("peeked");
             match emission {
-                Emission::Data {
-                    group,
-                    seq,
-                    last,
-                    count,
-                } => {
+                Emission::Data(e) => {
+                    let group = e.group;
                     let sched = &self.schedules[&(s + 2)];
                     let gi = (group - 1) as usize;
                     let component = self.streams[gi]
                         .as_mut()
                         .expect("stream initialized at slot start")
-                        .next(ctx.rng(), last);
-                    let fields = DeltaFields {
-                        slot: s,
-                        group,
-                        seq_in_slot: seq,
-                        last_in_slot: last,
-                        count_in_slot: if last { count } else { 0 },
-                        component,
-                        decrease: sched.decrease_field(group),
-                        upgrades: sched.upgrades,
-                    };
+                        .next(ctx.rng(), e.last);
+                    let fields =
+                        e.fields(s, component, sched.decrease_field(group), sched.upgrades);
                     let mut pkt = Packet::app(
                         self.cfg.packet_bits,
                         self.cfg.flow,

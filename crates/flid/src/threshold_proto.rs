@@ -19,21 +19,20 @@
 //! 3's generality.
 
 use crate::config::FlidConfig;
+use crate::receiver::{Policy, Receiver};
 use crate::rogue::RogueState;
-use mcc_attack::{Adversary, AttackAction, AttackEnv, AttackPlan};
+use crate::sender::{pace_slot, Paced};
+use mcc_attack::{AttackAction, AttackPlan};
 use mcc_delta::threshold::{reconstruct, Share, ThresholdLevelKeys};
 use mcc_delta::{DeltaFields, Key, UpgradeMask};
 use mcc_netsim::prelude::*;
 use mcc_sigma::keytable::KeyTuple;
-use mcc_sigma::{build_announcement, ProtectedData, SessionJoin, Subscription};
-use mcc_simcore::{SimDuration, SimTime};
+use mcc_sigma::{build_announcement, ProtectedData};
+use mcc_simcore::SimTime;
 use std::collections::HashMap;
 
 const TICK: u64 = 0;
 const EMIT: u64 = 1;
-const PROCESS: u64 = 2;
-const ATTACK: u64 = 3;
-const DEPART: u64 = 4;
 
 /// Pack a Shamir share into a 64-bit component field.
 pub fn pack_share(s: Share) -> Key {
@@ -64,7 +63,7 @@ pub struct ThresholdSender {
     pub theta: f64,
     credits: Vec<f64>,
     keys: HashMap<u64, Vec<GroupSlotKeys>>,
-    pending: Vec<(SimTime, u32, u32, bool, u32)>,
+    pending: Vec<Paced>,
     /// Slots elapsed.
     pub slots: u64,
 }
@@ -92,28 +91,23 @@ impl ThresholdSender {
         let s = self.slot_of(ctx.now());
         let slot_start = SimTime::from_nanos(s * self.cfg.slot.as_nanos());
         let n = self.cfg.n();
-        let slot_secs = self.cfg.slot.as_secs_f64();
 
-        // Packet counts first: Shamir needs n before splitting.
-        self.pending.clear();
+        // Packet counts first: Shamir needs n before splitting (and at
+        // least two packets for a meaningful split).
+        self.pending = pace_slot(
+            &self.cfg,
+            &mut self.credits,
+            slot_start,
+            FlidConfig::cumulative_rate,
+            2,
+        );
         let mut counts = vec![0u32; n as usize];
-        for g in 1..=n {
-            let gi = (g - 1) as usize;
-            self.credits[gi] +=
-                self.cfg.cumulative_rate(g) * slot_secs / self.cfg.packet_bits as f64;
-            let count = (self.credits[gi].floor() as u32).max(2);
-            self.credits[gi] -= count as f64;
-            counts[gi] = count;
-            for p in 0..count {
-                let frac = (p as f64 + (g as f64) / (n as f64 + 1.0)) / count as f64;
-                let at = slot_start + SimDuration::from_secs_f64(slot_secs * frac.min(0.999));
-                self.pending.push((at, g, p, p + 1 == count, count));
-            }
+        for e in &self.pending {
+            counts[(e.group - 1) as usize] = e.count;
         }
-        self.pending.sort_by_key(|e| e.0);
-        let times: Vec<SimTime> = self.pending.iter().map(|e| e.0).collect();
-        for t in times {
-            ctx.timer_at(t, EMIT);
+        self.pending.sort_by_key(|e| e.at);
+        for e in &self.pending {
+            ctx.timer_at(e.at, EMIT);
         }
 
         // Keys for slot s+2: a Shamir-split secret per group + a decrease
@@ -168,26 +162,12 @@ impl ThresholdSender {
     fn emit_due(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
         let s = self.slot_of(now);
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 > now {
-                break;
-            }
-            let (_, g, p, last, count) = self.pending[i];
-            i += 1;
-            let gi = (g - 1) as usize;
-            let keys = &self.keys[&(s + 2)];
-            let share = keys[gi].level.shares[p as usize];
-            let fields = DeltaFields {
-                slot: s,
-                group: g,
-                seq_in_slot: p,
-                last_in_slot: last,
-                count_in_slot: if last { count } else { 0 },
-                component: pack_share(share),
-                decrease: Some(keys[gi].decrease),
-                upgrades: UpgradeMask::NONE,
-            };
+        let due = self.pending.iter().take_while(|e| e.at <= now).count();
+        for e in self.pending.drain(..due) {
+            let gi = (e.group - 1) as usize;
+            let keys = &self.keys[&(s + 2)][gi];
+            let share = pack_share(keys.level.shares[e.seq as usize]);
+            let fields = e.fields(s, share, Some(keys.decrease), UpgradeMask::NONE);
             ctx.send(Packet::app(
                 self.cfg.packet_bits,
                 self.cfg.flow,
@@ -196,7 +176,6 @@ impl ThresholdSender {
                 ProtectedData { fields },
             ));
         }
-        self.pending.drain(..i);
     }
 }
 
@@ -222,21 +201,16 @@ struct ThresholdObs {
     decrease: Option<Key>,
 }
 
-/// Receiver of the threshold session. Climbs one group per slot while its
+/// State of the threshold key rule. Climbs one group per slot while the
 /// loss rate stays within θ (an RLM-like probe policy driven by the
 /// reconstruction bound itself).
 #[derive(Debug)]
-pub struct ThresholdReceiver {
-    /// Session parameters.
-    pub cfg: FlidConfig,
+pub struct Threshold {
     /// Loss threshold θ (must match the sender's).
     pub theta: f64,
-    router: Option<NodeId>,
     /// Current group.
     pub group: u32,
     obs: HashMap<u64, ThresholdObs>,
-    guard: SimDuration,
-    ever_received: bool,
     /// Slot during which the current group was joined; decisions wait for
     /// the first complete slot after a switch.
     joined_slot: u64,
@@ -244,17 +218,14 @@ pub struct ThresholdReceiver {
     pub trace: Vec<(f64, u32)>,
     /// Slots where the key could not be reconstructed.
     pub key_failures: u64,
-    /// When this receiver leaves the session for good ([`SimTime::MAX`]
-    /// for the static-membership default — no timer is ever scheduled).
-    leave_at: SimTime,
-    /// Departure has executed: group left, every timer chain dead.
-    departed: bool,
     /// Out-of-protocol attack state and counters.
     pub rogue: RogueState,
-    adversary: Box<dyn Adversary>,
 }
 
-impl ThresholdReceiver {
+/// Receiver of the threshold session.
+pub type ThresholdReceiver = Receiver<Threshold>;
+
+impl Receiver<Threshold> {
     /// Build an honest receiver.
     pub fn new(cfg: FlidConfig, theta: f64, router: Option<NodeId>) -> Self {
         ThresholdReceiver::with_adversary(cfg, theta, router, AttackPlan::honest())
@@ -267,276 +238,126 @@ impl ThresholdReceiver {
         router: Option<NodeId>,
         plan: AttackPlan,
     ) -> Self {
-        let guard = cfg.slot - SimDuration::from_millis(30);
-        ThresholdReceiver {
-            cfg,
+        let policy = Threshold {
             theta,
-            router,
             group: 1,
             obs: HashMap::new(),
-            guard,
-            ever_received: false,
             joined_slot: 0,
             trace: Vec::new(),
             key_failures: 0,
-            leave_at: SimTime::MAX,
-            departed: false,
             rogue: RogueState::default(),
-            adversary: plan.build(),
-        }
+        };
+        Receiver::build(cfg, router, plan, policy)
     }
 
-    /// Schedule the receiver's permanent departure: at `at` it leaves its
-    /// group and goes silent. [`SimTime::MAX`] (the default) means
-    /// "member forever" — no timer is scheduled and the receiver runs the
-    /// exact pre-churn code path.
-    pub fn set_leave_at(&mut self, at: SimTime) {
-        self.leave_at = at;
-    }
-
-    /// Has the receiver permanently left the session?
-    pub fn departed(&self) -> bool {
-        self.departed
-    }
-
-    /// Execute the permanent departure: leave the current group and go
-    /// silent. Idempotent.
-    fn depart(&mut self, ctx: &mut Ctx) {
-        if self.departed {
-            return;
-        }
-        self.departed = true;
-        ctx.leave_group(self.addr(self.group));
-        self.trace.push((ctx.now().as_secs_f64(), 0));
-        if ctx.trace_on() {
-            ctx.trace(mcc_netsim::TraceEvent::Leave {
-                agent: ctx.agent.0,
-                group: self.cfg.groups[0].0,
-            });
-        }
-    }
-
-    fn addr(&self, g: u32) -> GroupAddr {
-        self.cfg.groups[(g - 1) as usize]
-    }
-
-    fn slot_of(&self, t: SimTime) -> u64 {
-        t.as_nanos() / self.cfg.slot.as_nanos()
-    }
-
-    fn session_join(&mut self, ctx: &mut Ctx) {
-        if let Some(router) = self.router {
-            let join = SessionJoin {
-                minimal_group: self.addr(1),
-                control_group: self.cfg.control_group,
-            };
-            let pkt = Packet::app(
-                join.size_bits(),
-                self.cfg.flow,
-                ctx.agent,
-                Dest::Router(router),
-                join,
-            );
-            ctx.send(pkt);
-        }
-    }
-
-    fn subscribe(&mut self, ctx: &mut Ctx, slot: u64, group: u32, key: Key) {
-        if let Some(router) = self.router {
-            let sub = Subscription {
-                slot,
-                pairs: vec![(self.addr(group), key)],
-            };
-            let pkt = Packet::app(
-                sub.size_bits(),
-                self.cfg.flow,
-                ctx.agent,
-                Dest::Router(router),
-                sub,
-            );
-            ctx.send(pkt);
-        }
-    }
-
+    /// Move the single subscription to group `to`.
     fn switch(&mut self, ctx: &mut Ctx, to: u32) {
-        if to != self.group {
-            ctx.leave_group(self.addr(self.group));
-            ctx.join_group(self.addr(to));
-            self.group = to;
-            self.joined_slot = u64::MAX; // latched on first packet
-            self.trace.push((ctx.now().as_secs_f64(), to));
+        if to != self.policy.group {
+            self.leave(ctx, self.policy.group);
+            self.join(ctx, to);
+            self.policy.group = to;
+            self.policy.joined_slot = u64::MAX; // latched on first packet
+            self.policy.trace.push((ctx.now().as_secs_f64(), to));
         }
     }
+}
 
-    fn attack_env(&self, now: SimTime, slot: u64) -> AttackEnv {
-        AttackEnv {
-            now,
-            slot,
-            n_groups: self.cfg.n(),
-            level: self.group,
-            protected: self.router.is_some(),
+impl Policy for Threshold {
+    fn observe(&mut self, fields: &DeltaFields, _marked: bool) -> bool {
+        if fields.group != self.group {
+            return false;
         }
+        if self.joined_slot == u64::MAX {
+            self.joined_slot = fields.slot;
+        }
+        let o = self.obs.entry(fields.slot).or_default();
+        o.shares.push(unpack_share(fields.component));
+        if fields.last_in_slot {
+            o.saw_last = true;
+            o.expected = fields.count_in_slot;
+        }
+        if let Some(d) = fields.decrease {
+            o.decrease = Some(d);
+        }
+        true
     }
 
-    fn decrease_vetoed(&mut self, now: SimTime, s: u64) -> bool {
-        let env = self.attack_env(now, s);
-        self.adversary.on_congestion_signal(&env)
+    fn level(&self) -> u32 {
+        self.group
     }
 
-    /// Execute adversary actions against this threshold session.
-    fn apply_actions(&mut self, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
-        self.rogue
-            .apply(ctx, &self.cfg, self.router, self.group, slot, actions);
+    fn started(rx: &mut ThresholdReceiver, ctx: &mut Ctx) {
+        rx.policy.trace.push((ctx.now().as_secs_f64(), 1));
     }
 
-    fn handle_slot(&mut self, ctx: &mut Ctx, s: u64) {
-        let obs = self.obs.remove(&s).unwrap_or_default();
+    fn evaluate(rx: &mut ThresholdReceiver, ctx: &mut Ctx, s: u64) {
+        let p = &mut rx.policy;
+        let obs = p.obs.remove(&s).unwrap_or_default();
         // detlint: sorted — retain with a pure per-key predicate; order-independent
-        self.obs.retain(|&k, _| k > s);
-        if !self.ever_received {
-            if s % 4 == 3 {
-                self.session_join(ctx);
-            }
-            return;
-        }
-        if self.joined_slot >= s {
+        p.obs.retain(|&k, _| k > s);
+        if p.joined_slot >= s {
             // Wait for the first complete slot after a switch.
             return;
         }
-        let env = self.attack_env(ctx.now(), s);
-        let attack_actions = self.adversary.on_slot(&env);
+        let (group, theta) = (p.group, p.theta);
+        let env = rx.attack_env(ctx.now(), s);
+        let attack_actions = rx.adversary.on_slot(&env);
         // Loss rate over the slot; a missing final packet means the
         // expected count is unknown — treat conservatively as over
         // threshold unless enough shares arrived anyway.
         let received = obs.shares.len() as u32;
         let within_threshold =
-            obs.saw_last && received as f64 >= (1.0 - self.theta) * obs.expected as f64;
+            obs.saw_last && received as f64 >= (1.0 - theta) * obs.expected as f64;
         if within_threshold {
             // Reconstruct the group key from the shares.
-            let secret = reconstruct(&obs.shares);
-            let key = Key(secret as u64);
-            self.adversary
-                .on_key_packet(&env, s + 2, &[(self.group, key)]);
-            if self.group < self.cfg.n() {
+            let key = Key(reconstruct(&obs.shares) as u64);
+            rx.adversary.on_key_packet(&env, s + 2, &[(group, key)]);
+            if group < rx.cfg.n() {
                 // Probe upward: the reconstructed key doubles as the
                 // increase key of the next group.
-                self.subscribe(ctx, s + 2, self.group + 1, key);
-                self.switch(ctx, self.group + 1);
+                rx.subscribe_one(ctx, s + 2, group + 1, key);
+                rx.switch(ctx, group + 1);
             } else {
-                self.subscribe(ctx, s + 2, self.group, key);
-            }
-        } else if received > 0 {
-            self.key_failures += 1;
-            match (self.group, obs.decrease) {
-                (1, _) => self.session_join(ctx),
-                (_, Some(d)) => {
-                    self.subscribe(ctx, s + 2, self.group - 1, d);
-                    if !self.decrease_vetoed(ctx.now(), s) {
-                        let to = self.group - 1;
-                        self.switch(ctx, to);
-                    }
-                }
-                (_, None) => {
-                    self.switch(ctx, 1);
-                    self.session_join(ctx);
-                }
+                rx.subscribe_one(ctx, s + 2, group, key);
             }
         } else {
-            // Total blackout.
-            self.key_failures += 1;
-            self.switch(ctx, 1);
-            self.session_join(ctx);
-        }
-        self.apply_actions(ctx, s, attack_actions);
-    }
-}
-
-impl Agent for ThresholdReceiver {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.join_group(self.addr(1));
-        self.session_join(ctx);
-        self.trace.push((ctx.now().as_secs_f64(), 1));
-        if ctx.trace_on() {
-            ctx.trace(mcc_netsim::TraceEvent::Join {
-                agent: ctx.agent.0,
-                group: self.cfg.groups[0].0,
-            });
-        }
-        if self.leave_at < SimTime::MAX {
-            ctx.timer_at(self.leave_at.max(ctx.now()), DEPART);
-        }
-        let s = self.slot_of(ctx.now());
-        let next = SimTime::from_nanos((s + 1) * self.cfg.slot.as_nanos()) + self.guard;
-        ctx.timer_at(next, PROCESS);
-        let env = self.attack_env(ctx.now(), s);
-        let actions = self.adversary.on_activation(&env);
-        self.apply_actions(ctx, s, actions);
-        if let Some(at) = self.adversary.next_activation(ctx.now()) {
-            ctx.timer_at(at, ATTACK);
-        }
-    }
-
-    fn on_packet(&mut self, _ctx: &mut Ctx, pkt: Packet) {
-        if self.departed {
-            // In-flight packets racing the departure are dropped on the
-            // floor; the receiver is no longer part of the session.
-            return;
-        }
-        let Some(pd) = pkt.body_as::<ProtectedData>() else {
-            return;
-        };
-        if pd.fields.group != self.group {
-            return;
-        }
-        self.ever_received = true;
-        if self.joined_slot == u64::MAX {
-            self.joined_slot = pd.fields.slot;
-        }
-        let o = self.obs.entry(pd.fields.slot).or_default();
-        o.shares.push(unpack_share(pd.fields.component));
-        if pd.fields.last_in_slot {
-            o.saw_last = true;
-            o.expected = pd.fields.count_in_slot;
-        }
-        if let Some(d) = pd.fields.decrease {
-            o.decrease = Some(d);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        if self.departed {
-            // Every timer chain dies here; nothing is rescheduled.
-            return;
-        }
-        match token {
-            DEPART => {
-                self.depart(ctx);
-            }
-            PROCESS => {
-                let now = ctx.now();
-                let s = self.slot_of(now - self.guard).saturating_sub(1);
-                ctx.timer_at(now + self.cfg.slot, PROCESS);
-                self.handle_slot(ctx, s);
-            }
-            ATTACK => {
-                let now = ctx.now();
-                let s = self.slot_of(now);
-                let env = self.attack_env(now, s);
-                let actions = self.adversary.on_activation(&env);
-                self.apply_actions(ctx, s, actions);
-                if let Some(at) = self.adversary.next_activation(now) {
-                    ctx.timer_at(at, ATTACK);
+            rx.policy.key_failures += 1;
+            match (group, obs.decrease) {
+                (2.., Some(d)) if received > 0 => {
+                    rx.subscribe_one(ctx, s + 2, group - 1, d);
+                    if !rx.decrease_vetoed(ctx.now(), s) {
+                        rx.switch(ctx, group - 1);
+                    }
+                }
+                // At the minimal group, without a decrease key, or in a
+                // total blackout: back to keyless re-admission.
+                _ => {
+                    rx.switch(ctx, 1);
+                    rx.session_join(ctx);
                 }
             }
-            _ => {}
         }
+        Self::apply(rx, ctx, s, attack_actions);
+    }
+
+    fn apply(rx: &mut ThresholdReceiver, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
+        // The executor acts on the shell, so it cannot stay borrowed from it.
+        let mut rogue = std::mem::take(&mut rx.policy.rogue);
+        rogue.apply(rx, ctx, slot, actions);
+        rx.policy.rogue = rogue;
+    }
+
+    /// The router learns nothing: its grant for the group simply expires.
+    fn wind_down(rx: &mut ThresholdReceiver, ctx: &mut Ctx, _left: Vec<GroupAddr>) {
+        rx.policy.trace.push((ctx.now().as_secs_f64(), 0));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
+    use crate::testrig::{session, Rig};
+    use mcc_simcore::SimDuration;
 
     #[test]
     fn share_packing_round_trips() {
@@ -544,82 +365,33 @@ mod tests {
         assert_eq!(unpack_share(pack_share(s)), s);
     }
 
-    fn run(bottleneck: u64, secs: u64) -> (Sim, AgentId) {
-        let mut sim = Sim::new(31, SimDuration::from_secs(1));
-        let s = sim.add_node();
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let h = sim.add_node();
-        sim.add_duplex_link(
-            s,
-            a,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let buf = (2.0 * bottleneck as f64 * 0.08 / 8.0) as u64;
-        sim.add_duplex_link(
-            a,
-            b,
-            bottleneck,
-            SimDuration::from_millis(20),
-            Queue::drop_tail(buf),
-            Queue::drop_tail(buf),
-        );
-        sim.add_duplex_link(
-            b,
-            h,
-            10_000_000,
-            SimDuration::from_millis(10),
-            Queue::drop_tail(1_000_000),
-            Queue::drop_tail(1_000_000),
-        );
-        let mut cfg = FlidConfig::paper(
-            (1..=6).map(GroupAddr).collect(),
-            GroupAddr(0),
-            FlowId(3),
-            true,
-        );
+    fn run(bottleneck: u64, secs: u64) -> (Rig, AgentId) {
+        let mut cfg = session(6, 3, true);
         cfg.slot = SimDuration::from_millis(250);
-        for g in cfg.groups.iter().chain([&cfg.control_group]) {
-            sim.register_group(*g, s);
-        }
-        sim.set_edge_module(
-            b,
-            Box::new(SigmaEdgeModule::new(SigmaConfig::new(cfg.slot))),
-        );
-        let r = sim.add_agent(
-            h,
-            Box::new(ThresholdReceiver::new(cfg.clone(), 0.25, Some(b))),
-            SimTime::from_millis(5),
-        );
-        sim.add_agent(s, Box::new(ThresholdSender::new(cfg, 0.25)), SimTime::ZERO);
-        sim.finalize();
-        sim.run_until(SimTime::from_secs(secs));
-        (sim, r)
+        let mut d = Rig::new(31, bottleneck, cfg.clone());
+        let r = d.receiver(ThresholdReceiver::new(cfg.clone(), 0.25, d.router()));
+        d.run(ThresholdSender::new(cfg, 0.25), secs);
+        (d, r)
     }
 
     #[test]
     fn receiver_climbs_and_reconstructs_keys() {
-        let (sim, r) = run(1_000_000, 40);
-        let rec = sim.agent_as::<ThresholdReceiver>(r).unwrap();
+        let (d, r) = run(1_000_000, 40);
+        let rec = d.sim.agent_as::<ThresholdReceiver>(r).unwrap();
         assert!(
             rec.group >= 4,
             "group {} (trace {:?})",
             rec.group,
             rec.trace
         );
-        let bps =
-            sim.monitor()
-                .agent_throughput_bps(r, SimTime::from_secs(20), SimTime::from_secs(40));
+        let bps = d.goodput_bps(r, 20, 40);
         assert!(bps > 250_000.0, "threshold goodput {bps}");
     }
 
     #[test]
     fn tight_bottleneck_limits_group() {
-        let (sim, r) = run(250_000, 40);
-        let rec = sim.agent_as::<ThresholdReceiver>(r).unwrap();
+        let (d, r) = run(250_000, 40);
+        let rec = d.sim.agent_as::<ThresholdReceiver>(r).unwrap();
         assert!(
             rec.group <= 4,
             "group {} should be capped (trace {:?})",

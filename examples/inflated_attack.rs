@@ -73,7 +73,7 @@ fn main() {
                 (avg - fair) / fair * 100.0
             );
         }
-        if let Some(sigma) = d.sigma() {
+        if let Some(sigma) = d.sigmas().next() {
             println!(
                 "  router: {} keys rejected, {} raw IGMP joins ignored",
                 sigma.stats.rejected_keys, sigma.stats.raw_igmp_blocked

@@ -39,7 +39,7 @@ fn main() {
         attacker.stats.guess_subscriptions
     );
 
-    let sigma = d.sigma().expect("SIGMA installed");
+    let sigma = d.sigmas().next().expect("SIGMA installed");
     println!("router rejected keys: {}", sigma.stats.rejected_keys);
     println!(
         "router blocked raw IGMP joins: {}",

@@ -36,6 +36,6 @@ fn main() {
     println!("final level: {} of 10", receiver.level());
     println!("subscriptions sent: {}", receiver.stats.subscriptions);
 
-    let sigma = d.sigma().expect("protected session installs SIGMA");
+    let sigma = d.sigmas().next().expect("protected session installs SIGMA");
     println!("\nSIGMA edge-router counters: {:?}", sigma.stats);
 }

@@ -57,7 +57,7 @@ fn colluders_smuggle_keys_until_the_guard_blocks_them() {
             .build();
         d.run_secs(40);
         let freeloader_stats = d.receiver(d.sessions[0].receivers[0]).stats.clone();
-        let sigma = d.sigma().expect("protected variants install SIGMA");
+        let sigma = d.sigmas().next().expect("protected variants install SIGMA");
         (freeloader_stats, sigma.stats.clone())
     };
 
@@ -103,7 +103,10 @@ fn replicated_and_threshold_variants_contain_inflation() {
             )
             .build();
         d.run_secs(40);
-        let sigma = d.sigma().expect("both variants are SIGMA-protected");
+        let sigma = d
+            .sigmas()
+            .next()
+            .expect("both variants are SIGMA-protected");
         assert!(
             sigma.stats.raw_igmp_blocked > 0,
             "{variant:?}: raw joins ignored: {:?}",

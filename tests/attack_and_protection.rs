@@ -4,7 +4,7 @@
 
 use robust_multicast::core::experiments::attack_experiment;
 use robust_multicast::core::{
-    Dumbbell, DumbbellSpec, McastSessionSpec, Params, ReceiverSpec, Units, Variant,
+    McastSessionSpec, Params, ReceiverSpec, Topology, TopologySpec, Units, Variant,
 };
 use robust_multicast::sigma::SigmaEdgeModule;
 
@@ -40,15 +40,15 @@ fn figure7_shape_protection_restores_fairness() {
 
 #[test]
 fn the_attack_is_visible_in_router_counters() {
-    let mut spec = DumbbellSpec::new(3, 500_000);
+    let mut spec = TopologySpec::new(Topology::Dumbbell, 3, 500_000);
     spec.mcast = vec![McastSessionSpec {
         variant: Variant::FlidDs,
         n_groups: 10,
         receivers: vec![ReceiverSpec::new().inflate_at(10.secs())],
     }];
-    let mut d = Dumbbell::build(spec);
+    let mut d = spec.build();
     d.run_secs(40);
-    let sigma: &SigmaEdgeModule = d.sigma().expect("protected edge");
+    let sigma: &SigmaEdgeModule = d.sigmas().next().expect("protected edge");
     assert!(sigma.stats.raw_igmp_blocked > 0, "{:?}", sigma.stats);
     assert!(sigma.stats.rejected_keys > 0, "{:?}", sigma.stats);
     // The guessing tally flags some interface.
@@ -64,7 +64,7 @@ fn the_attack_is_visible_in_router_counters() {
 #[test]
 fn ignore_decrease_misbehaviour_is_not_profitable_under_ds() {
     // Two receivers; one stops obeying decrease rules at t = 15 s.
-    let mut spec = DumbbellSpec::new(9, 500_000);
+    let mut spec = TopologySpec::new(Topology::Dumbbell, 9, 500_000);
     spec.mcast = vec![McastSessionSpec {
         variant: Variant::FlidDs,
         n_groups: 10,
@@ -73,7 +73,7 @@ fn ignore_decrease_misbehaviour_is_not_profitable_under_ds() {
             ReceiverSpec::default(),
         ],
     }];
-    let mut d = Dumbbell::build(spec);
+    let mut d = spec.build();
     d.run_secs(60);
     let cheat = d.throughput_bps(d.sessions[0].receivers[0], 20, 60);
     let honest = d.throughput_bps(d.sessions[0].receivers[1], 20, 60);

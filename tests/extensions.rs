@@ -2,10 +2,11 @@
 //! the collusion guard, incremental deployment, and the protocol variants
 //! (replicated / threshold), all end to end.
 
+use robust_multicast::attack::AttackPlan;
 use robust_multicast::delta::Key;
 use robust_multicast::flid::replicated::{ReplicatedReceiver, ReplicatedSender};
 use robust_multicast::flid::threshold_proto::{ThresholdReceiver, ThresholdSender};
-use robust_multicast::flid::{Behavior, FlidConfig, FlidReceiver, FlidSender, Mode};
+use robust_multicast::flid::{FlidConfig, FlidReceiver, FlidSender, Mode};
 use robust_multicast::netsim::prelude::*;
 use robust_multicast::sigma::{SigmaConfig, SigmaEdgeModule, Subscription};
 use robust_multicast::simcore::{SimDuration, SimTime};
@@ -84,10 +85,10 @@ fn ecn_variant_controls_without_drops() {
     );
     let r = sim.add_agent(
         hosts[0],
-        Box::new(FlidReceiver::new(
+        Box::new(FlidReceiver::with_adversary(
             cfg.clone(),
             Mode::Ds { router: b },
-            Behavior::Honest,
+            AttackPlan::honest(),
         )),
         SimTime::from_millis(5),
     );
@@ -131,10 +132,10 @@ fn collusion_guard_preserves_honest_operation() {
         .map(|&h| {
             sim.add_agent(
                 h,
-                Box::new(FlidReceiver::new(
+                Box::new(FlidReceiver::with_adversary(
                     cfg.clone(),
                     Mode::Ds { router: b },
-                    Behavior::Honest,
+                    AttackPlan::honest(),
                 )),
                 SimTime::from_millis(5),
             )
@@ -206,10 +207,10 @@ fn raw_upper_keys_fail_under_the_collusion_guard() {
     sim.set_edge_module(b, Box::new(SigmaEdgeModule::new(sigma_cfg)));
     sim.add_agent(
         hosts[0],
-        Box::new(FlidReceiver::new(
+        Box::new(FlidReceiver::with_adversary(
             cfg.clone(),
             Mode::Ds { router: b },
-            Behavior::Honest,
+            AttackPlan::honest(),
         )),
         SimTime::from_millis(5),
     );

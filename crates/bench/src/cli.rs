@@ -123,17 +123,7 @@ impl Cli {
         let mut defs: Vec<ExperimentDef> = Vec::new();
         for token in tokens {
             let matched = match token.as_str() {
-                // `all` deliberately excludes Kind::Perf: its payload
-                // carries wall-clock fields, so folding it into a shared
-                // parallel run would both break the report's byte
-                // reproducibility and measure thread contention instead
-                // of simulator speed. Select it explicitly
-                // (`--only perf_events`) or use the `perf_events` binary.
-                "all" => registry::REGISTRY
-                    .iter()
-                    .filter(|d| d.kind() != Kind::Perf)
-                    .copied()
-                    .collect(),
+                "all" => registry::REGISTRY.to_vec(),
                 "figures" => registry::figures(),
                 "ablations" => registry::ablations(),
                 "topologies" => registry::topologies(),
@@ -213,7 +203,7 @@ fn prefix_edit_distance(token: &str, candidate: &str) -> usize {
 }
 
 fn usage() -> String {
-    let mut s = String::from(
+    format!(
         "figures — registry-driven figure and ablation regeneration\n\
          \n\
          USAGE: figures [OPTIONS]\n\
@@ -227,27 +217,27 @@ fn usage() -> String {
          \x20 -j, --threads N      worker threads (also: MCC_THREADS)\n\
          \x20     --serial         run on one thread, no pool\n\
          \x20 -o, --out DIR        output directory (default results, also: MCC_OUT)\n\
-         \x20     --sweep K=A,B,C  re-run the selection once per override;\n\
-         \x20                      keys: seed, smoothing, quick\n\
+         \x20     --sweep K=A,B,C  re-run the selection once per override; keys:\n\
+         \x20                      {}\n\
          \x20     --trace SPEC     sim-time trace sinks (also: MCC_TRACE);\n\
          \x20                      SPEC = jsonl|pcapng|all[:DIR], e.g. all:results/tr\n\
-         \x20 -h, --help           this message\n",
-    );
-    s.push_str("\nDefault: regenerate all twelve figures into results/BENCH_all_figures.json.\n");
-    s
+         \x20 -h, --help           this message\n\
+         \n\
+         Default: regenerate all twelve figures into results/BENCH_all_figures.json.\n",
+        Params::SWEEP_KEYS.join(", ")
+    )
 }
 
 /// Render `--list`.
 pub fn list() -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{} registered experiments ({} figures, {} ablations, {} matrices, {} topologies, {} perf):\n\n",
+        "{} registered experiments ({} figures, {} ablations, {} matrices, {} topologies):\n\n",
         registry::REGISTRY.len(),
         registry::figures().len(),
         registry::ablations().len(),
         registry::matrices().len(),
-        registry::topologies().len(),
-        registry::perfs().len()
+        registry::topologies().len()
     ));
     out.push_str(&format!(
         "  {:<24} {:<10} {:>4}  {}\n",
@@ -259,7 +249,6 @@ pub fn list() -> String {
             Kind::Ablation => "ablation",
             Kind::Matrix => "matrix",
             Kind::Topology => "topology",
-            Kind::Perf => "perf",
         };
         out.push_str(&format!(
             "  {:<24} {:<10} {:>4}  {}\n",
@@ -487,14 +476,9 @@ mod tests {
             .unwrap();
         assert_eq!(abl.len(), 3);
 
-        // `all` covers everything except the perf macro-benchmark, whose
-        // wall-clock payload would break report reproducibility.
+        // `all` is the registry: every entry is byte-reproducible.
         let all = parse(&["--only", "all"]).unwrap().selection().unwrap();
-        assert_eq!(
-            all.len(),
-            registry::REGISTRY.len() - registry::perfs().len()
-        );
-        assert!(all.iter().all(|d| d.kind() != Kind::Perf));
+        assert_eq!(all.len(), registry::REGISTRY.len());
 
         // Duplicates collapse; unknowns fail loudly.
         let dup = parse(&["--only", "fig01,fig01_attack"])

@@ -1,8 +1,10 @@
-//! # mcc-bench — the `figures` CLI and micro-benchmarks
+//! # mcc-bench — the `figures` CLI and the `trace` summarizer
 //!
 //! The experiment surface is registry-driven (`mcc_core::registry`): one
-//! [`cli`] front end enumerates and runs all twelve paper figures and the
-//! three design-choice ablations.
+//! [`cli`] front end enumerates and runs every registered experiment — the
+//! twelve paper figures, three design-choice ablations, two robustness
+//! matrices and two topology experiments — each byte-reproducible from its
+//! seed. [`trace`] summarizes the JSONL sinks `--trace` writes.
 //!
 //! ```text
 //! cargo run --release -p mcc-bench --bin figures -- --list
@@ -17,43 +19,8 @@
 //! `ablations`) are gone — `figures --only <id>` replaces them; see
 //! `DESIGN.md` for the deprecation table.
 //!
-//! Criterion benches (`cargo bench`) cover the mechanism costs the paper
-//! argues are negligible: key precomputation and reconstruction, Shamir
-//! share generation/interpolation, SIGMA validation and filtering, FEC
-//! encoding, and raw simulator event throughput.
-
-use std::path::PathBuf;
-
-use mcc_core::RunConfig;
+//! Nothing here reads a clock for a result: speed and memory are measured
+//! by the standalone `benchmark/` package (see `benchmark/README.md`).
 
 pub mod cli;
-pub mod perf_log;
 pub mod trace;
-
-/// Where reports and CSVs land (`MCC_OUT`, else `results`), created on
-/// first use.
-pub fn out_dir() -> PathBuf {
-    let p = RunConfig::from_env().out_dir;
-    std::fs::create_dir_all(&p).expect("create results dir");
-    p
-}
-
-/// Whether shortened runs were requested. Delegates to
-/// [`RunConfig::from_env`] — the single `MCC_QUICK` reader.
-pub fn quick_mode() -> bool {
-    RunConfig::from_env().quick
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_handling_is_centralized() {
-        // The bench helpers and the core RunConfig must agree — they are
-        // the same parse.
-        let cfg = RunConfig::from_env();
-        assert_eq!(quick_mode(), cfg.quick);
-        assert_eq!(out_dir(), cfg.out_dir);
-    }
-}

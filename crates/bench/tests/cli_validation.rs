@@ -1,63 +1,53 @@
-//! CLI bounds validation of the perf binaries: numeric flags must be
-//! ≥ 1, and violations exit with status 1 (not a panic, not a
-//! "successful" run of a meaningless zero-size benchmark).
+//! `--sweep` bounds validation of the `figures` binary: a `churn_rate` /
+//! `flash_factor` that cannot fit the workload arrival cap exits with
+//! status 1 and one line naming the key, the value and the cap — before
+//! any experiment runs, and never as a panic.
 
 use std::process::Command;
 
-fn run(bin: &str, args: &[&str]) -> std::process::Output {
-    Command::new(bin)
-        .args(args)
+fn sweep(value: &str) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--only", "churn_robustness", "--sweep", value])
+        .env("MCC_QUICK", "1")
         .env("MCC_OUT", std::env::temp_dir().join("mcc_cli_validation"))
         .output()
-        .expect("spawn binary")
+        .expect("spawn figures")
 }
 
-#[test]
-fn perf_events_rejects_zero_receivers() {
-    let out = run(env!("CARGO_BIN_EXE_perf_events"), &["--receivers", "0"]);
+fn assert_rejected(key: &str, value: &str) {
+    let out = sweep(&format!("{key}={value}"));
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("--receivers must be an integer >= 1"),
-        "stderr names the flag and the bound: {err}"
+        err.contains(key) && err.contains(value) && err.contains("100000-arrival"),
+        "stderr names the key, the value and the cap: {err}"
     );
-}
-
-#[test]
-fn perf_events_rejects_zero_secs_and_garbage() {
-    let out = run(env!("CARGO_BIN_EXE_perf_events"), &["--secs", "0"]);
-    assert_eq!(out.status.code(), Some(1));
-    let out = run(env!("CARGO_BIN_EXE_perf_events"), &["--secs", "ten"]);
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--secs"), "stderr names the flag: {err}");
-}
-
-#[test]
-fn perf_events_rejects_zero_shard_workers() {
-    let out = run(env!("CARGO_BIN_EXE_perf_events"), &["--shard-workers", "0"]);
-    assert_eq!(out.status.code(), Some(1));
-}
-
-#[test]
-fn scale_sweep_rejects_zero_secs() {
-    let out = run(env!("CARGO_BIN_EXE_scale_sweep"), &["--secs", "0"]);
-    assert_eq!(out.status.code(), Some(1));
-    let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        err.contains("--secs must be an integer >= 1"),
-        "stderr names the flag and the bound: {err}"
+        !err.contains("panicked"),
+        "a typed error, not a panic: {err}"
     );
+    assert_eq!(err.lines().count(), 1, "one line: {err}");
+    assert!(out.stdout.is_empty(), "rejected before any experiment ran");
 }
 
 #[test]
-fn unknown_flags_exit_with_usage_error() {
-    for bin in [
-        env!("CARGO_BIN_EXE_perf_events"),
-        env!("CARGO_BIN_EXE_scale_sweep"),
-    ] {
-        let out = run(bin, &["--bogus"]);
-        assert_eq!(out.status.code(), Some(2));
-        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
-    }
+fn figures_rejects_a_churn_rate_over_the_arrival_cap() {
+    assert_rejected("churn_rate", "100000");
+}
+
+#[test]
+fn figures_rejects_a_flash_factor_over_the_arrival_cap() {
+    assert_rejected("flash_factor", "1000000");
+}
+
+#[test]
+fn figures_still_runs_an_in_range_churn_rate() {
+    let out = sweep("churn_rate=1");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("churn_robustness@churn_rate=1"));
 }

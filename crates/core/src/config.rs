@@ -1,14 +1,13 @@
 //! Run-wide configuration: one place that reads the environment, one
 //! typed bag of knobs that every experiment receives.
 //!
-//! Before this module, `MCC_QUICK` was parsed in `mcc_bench::quick_mode`,
-//! `MCC_THREADS` in `runner::default_threads`, and the quick-mode duration
-//! scaling re-derived at every call site. [`RunConfig::from_env`] is now
-//! the single reader of those variables, and [`Params`] is the value the
-//! registry hands to every [`crate::registry::Experiment`] — so a figure
-//! run and a test run agree on seeds, durations and smoothing *by
+//! [`RunConfig::from_env`] is the single reader of `MCC_QUICK`,
+//! `MCC_THREADS`, `MCC_OUT` and `MCC_TRACE`, and [`Params`] is the value
+//! the registry hands to every [`crate::registry::Experiment`] — so a
+//! figure run and a test run agree on seeds, durations and smoothing *by
 //! construction*.
 
+use crate::workload::MAX_ARRIVALS;
 use mcc_obs::TraceSpec;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -277,7 +276,7 @@ impl Params {
     /// quick mode.
     pub fn duration(&self, full: u64) -> u64 {
         if self.quick {
-            (full / 4).max(30)
+            (full / 4).max(MIN_DURATION_SECS)
         } else {
             full
         }
@@ -297,8 +296,11 @@ impl Params {
         self.seed_override.unwrap_or(base)
     }
 
-    /// Apply one `--sweep key=value` override. Supported keys: `seed`
-    /// (u64), `smoothing` (bins), `quick` (0/1).
+    /// Apply one `--sweep key=value` override. Supported keys
+    /// ([`Params::SWEEP_KEYS`]): `seed` (u64), `smoothing` (bins), `quick`
+    /// (0/1), `churn_rate` (arrivals/s) and `flash_factor` (× the standing
+    /// population) — the last two finite, non-negative and small enough to
+    /// fit the workload arrival cap.
     pub fn with_override(&self, key: &str, value: &str) -> Result<Params, String> {
         let mut p = self.clone();
         match key {
@@ -314,10 +316,13 @@ impl Params {
                 p.quick = value != "0";
             }
             "churn_rate" => {
-                p.churn_rate = Some(parse_rate("churn_rate", value)?);
+                // Poisson arrivals over the shortest run any experiment makes.
+                let shortest = MIN_DURATION_SECS as f64;
+                p.churn_rate = Some(parse_rate("churn_rate", value, shortest)?);
             }
             "flash_factor" => {
-                p.flash_factor = Some(parse_rate("flash_factor", value)?);
+                // The crowd multiplies a standing population of at least one.
+                p.flash_factor = Some(parse_rate("flash_factor", value, 1.0)?);
             }
             other => {
                 return Err(format!(
@@ -330,13 +335,25 @@ impl Params {
     }
 }
 
-/// Parse a non-negative finite rate/factor sweep value. Rejecting NaN and
-/// infinities here keeps them out of workload sampling (where they would
-/// produce degenerate arrival streams instead of a loud error).
-fn parse_rate(key: &str, value: &str) -> Result<f64, String> {
+/// The shortest run [`Params::duration`] hands any experiment, seconds.
+const MIN_DURATION_SECS: u64 = 30;
+
+/// Parse a non-negative finite rate/factor sweep value that generates at
+/// least `min_arrivals_per_unit` workload arrivals per unit. Rejecting NaN
+/// and infinities here keeps them out of workload sampling (where they
+/// would produce degenerate arrival streams instead of a loud error);
+/// rejecting a value that cannot fit [`MAX_ARRIVALS`] turns the panic in
+/// `WorkloadSpec::apply` into a parse error.
+fn parse_rate(key: &str, value: &str, min_arrivals_per_unit: f64) -> Result<f64, String> {
     let v: f64 = value.parse().map_err(|e| format!("{key} {value:?}: {e}"))?;
     if !v.is_finite() || v < 0.0 {
         return Err(format!("{key} {value:?}: must be finite and non-negative"));
+    }
+    let arrivals = v * min_arrivals_per_unit;
+    if arrivals > MAX_ARRIVALS as f64 {
+        return Err(format!(
+            "{key} {value:?}: at least {arrivals:.0} arrivals, over the {MAX_ARRIVALS}-arrival workload cap"
+        ));
     }
     Ok(v)
 }
@@ -394,6 +411,16 @@ mod tests {
             assert!(p.with_override("churn_rate", bad).is_err(), "{bad}");
             assert!(p.with_override("flash_factor", bad).is_err(), "{bad}");
         }
+        // A value that cannot fit the arrival cap names key, value and cap.
+        for (key, bad) in [("churn_rate", "100000"), ("flash_factor", "1000000")] {
+            let err = p.with_override(key, bad).unwrap_err();
+            assert!(
+                err.contains(key) && err.contains(bad) && err.contains("100000-arrival"),
+                "{err}"
+            );
+        }
+        assert!(p.with_override("churn_rate", "3333").is_ok());
+        assert!(p.with_override("flash_factor", "100000").is_ok());
     }
 
     /// `SWEEP_KEYS` (what the CLI validates against) and `with_override`'s

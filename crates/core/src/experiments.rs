@@ -10,8 +10,7 @@ use crate::config::Params;
 use crate::metrics::{damage, Damage, Series};
 use crate::scenario::{Scenario, Units, Variant};
 use crate::topology::{
-    BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SessionHandle, Topology, TopologySpec,
-    SIGMA_SLOT,
+    BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SessionHandle, SIGMA_SLOT,
 };
 use mcc_attack::{
     All, AttackPlan, Colluders, CollusionSet, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess,
@@ -398,6 +397,19 @@ struct CellPlans {
     extra: Option<AttackPlan>,
 }
 
+/// The matrix's "inflate" strategy (InflateTo::all + key guessing)
+/// activated at `onset` — also the attacker of the churn sweep and, with
+/// a [`Placement`], of the tree experiment.
+fn inflate_plan_at(onset: SimTime) -> AttackPlan {
+    AttackPlan::new(Timed::boxed(
+        onset,
+        Box::new(All::of(vec![
+            Box::new(InflateTo::all()),
+            Box::new(KeyGuess { rate: 10 }),
+        ])),
+    ))
+}
+
 fn strategy_cell_plans(name: &str, onset: SimTime) -> CellPlans {
     let at_start = |attacker| CellPlans {
         attacker,
@@ -405,13 +417,7 @@ fn strategy_cell_plans(name: &str, onset: SimTime) -> CellPlans {
         extra: None,
     };
     match name {
-        "inflate" => at_start(AttackPlan::new(Timed::boxed(
-            onset,
-            Box::new(All::of(vec![
-                Box::new(InflateTo::all()),
-                Box::new(KeyGuess { rate: 10 }),
-            ])),
-        ))),
+        "inflate" => at_start(inflate_plan_at(onset)),
         "ignore_decrease" => at_start(AttackPlan::new(Timed::at(onset, IgnoreDecrease))),
         "key_guess" => at_start(AttackPlan::new(Timed::at(onset, KeyGuess { rate: 10 }))),
         "colluders" => {
@@ -484,15 +490,11 @@ fn matrix_run(
         + d.throughput_bps(d.tcp[1].sink, from, duration_secs))
         / 2.0;
     let (rejected_keys, raw_igmp_blocked, detection_secs) = match d.sigmas().next() {
-        Some(m) => {
-            let slot_secs = SIGMA_SLOT.as_secs_f64();
-            let detection = [m.stats.first_lockout_slot, m.stats.first_guess_alarm_slot]
-                .into_iter()
-                .flatten()
-                .min()
-                .map(|s| s as f64 * slot_secs);
-            (m.stats.rejected_keys, m.stats.raw_igmp_blocked, detection)
-        }
+        Some(m) => (
+            m.stats.rejected_keys,
+            m.stats.raw_igmp_blocked,
+            m.stats.detection_secs(SIGMA_SLOT),
+        ),
         None => (0, 0, None),
     };
     CellRun {
@@ -717,16 +719,11 @@ fn churn_run(
         detection_secs: None,
     };
     if let Some(m) = d.sigmas().next() {
-        let slot_secs = SIGMA_SLOT.as_secs_f64();
         run.rejected_keys = m.stats.rejected_keys;
         run.guard_false_positives = m.stats.guard_false_positives;
         run.tuples_installed = m.stats.tuples_installed;
         run.session_joins = m.stats.session_joins;
-        run.detection_secs = [m.stats.first_lockout_slot, m.stats.first_guess_alarm_slot]
-            .into_iter()
-            .flatten()
-            .min()
-            .map(|s| s as f64 * slot_secs);
+        run.detection_secs = m.stats.detection_secs(SIGMA_SLOT);
     }
     run
 }
@@ -770,16 +767,9 @@ pub fn churn_robustness(
                 onset_secs,
                 column_seed,
             );
-            let attacker = AttackPlan::new(Timed::boxed(
-                onset,
-                Box::new(All::of(vec![
-                    Box::new(InflateTo::all()),
-                    Box::new(KeyGuess { rate: 10 }),
-                ])),
-            ));
             let run = churn_run(
                 variant,
-                attacker,
+                inflate_plan_at(onset),
                 rate,
                 flash_at(flash),
                 duration_secs,
@@ -837,19 +827,6 @@ fn variant_groups(variant: Variant) -> u32 {
         Variant::Replicated | Variant::Threshold => 6,
         _ => 10,
     }
-}
-
-/// The matrix's "inflate" strategy (InflateTo::all + key guessing)
-/// activated at `onset`, targeted at `placement`.
-fn inflate_plan_at(onset: SimTime, placement: Placement) -> AttackPlan {
-    AttackPlan::new(Timed::boxed(
-        onset,
-        Box::new(All::of(vec![
-            Box::new(InflateTo::all()),
-            Box::new(KeyGuess { rate: 10 }),
-        ])),
-    ))
-    .at(placement)
 }
 
 /// Goodput loss of `bps` against `baseline_bps`, percent (0 when the
@@ -991,7 +968,7 @@ pub fn tree_placement(
                 variant,
                 depth,
                 fanout,
-                inflate_plan_at(onset_secs.secs(), placement),
+                inflate_plan_at(onset_secs.secs()).at(placement),
                 duration_secs,
                 onset_secs,
                 column_seed,
@@ -1617,146 +1594,10 @@ pub fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> {
         .collect()
 }
 
-/// The registered seed of the `perf_events` experiment.
-pub const PERF_SEED: u64 = 42;
-/// Full-size `perf_events` scenario: `(receivers, simulated seconds)`.
-pub const PERF_FULL: (usize, u64) = (2000, 30);
-/// Quick-mode (CI smoke) `perf_events` scenario.
-pub const PERF_QUICK: (usize, u64) = (300, 10);
-
-/// Result of the [`perf_events`] macro-benchmark: raw simulator speed on
-/// a wide-dumbbell fan-out, the hot path behind every figure.
-#[derive(Clone, Debug)]
-pub struct PerfRow {
-    /// Receiver population of the single FLID-DL session.
-    pub receivers: usize,
-    /// Simulated horizon in seconds.
-    pub sim_secs: u64,
-    /// Events the loop processed.
-    pub events: u64,
-    /// The deepest the future event list ever got.
-    pub peak_queue_depth: usize,
-    /// Wall-clock spent inside `run_until` (excludes scenario assembly).
-    pub wall_secs: f64,
-    /// `events / wall_secs` — the headline throughput number.
-    pub events_per_sec: f64,
-}
-
-/// Macro-benchmark: one FLID-DL session fanning out to `receivers` hosts
-/// across a 10 Mbps dumbbell, plus two TCP flows. Nothing throttles the
-/// receivers, so every data packet crossing the bottleneck is replicated
-/// onto every access link — the multicast branching and event-queue churn
-/// that dominates large-population scenarios. Deterministic in `seed`
-/// except for the wall-clock fields.
-pub fn perf_events(receivers: usize, duration_secs: u64, seed: u64) -> PerfRow {
-    let mut spec = TopologySpec::new(Topology::Dumbbell, seed, 10_000_000);
-    spec.mcast = vec![McastSessionSpec::honest(Variant::FlidDl, receivers)];
-    spec.tcp = 2;
-    let mut d = spec.build();
-    // detlint: allow(wall-clock) — events/sec reporting; never feeds sim state
-    let wall = std::time::Instant::now();
-    d.sim.run_until(SimTime::from_secs(duration_secs));
-    let wall = wall.elapsed().as_secs_f64();
-    let events = d.sim.world.processed_events();
-    PerfRow {
-        receivers,
-        sim_secs: duration_secs,
-        events,
-        peak_queue_depth: d.sim.world.peak_pending_events(),
-        wall_secs: wall,
-        events_per_sec: events as f64 / wall.max(1e-9),
-    }
-}
-
-/// Sharded counterpart of [`perf_events`]: the identical scenario driven
-/// through the conservative parallel-in-time core. `workers == 1`
-/// executes the shards sequentially on the calling thread (pure
-/// cache-blocking, no thread spawns); `workers > 1` fans the shards out
-/// over that many scoped threads per window. The second return value is
-/// the per-shard executed-event counts (index 0 = root shard); its length
-/// is the shard count the automatic partitioner picked (length 1 means it
-/// declined and the run fell back to the serial loop). The `events` count
-/// is bit-identical to the serial run's by construction.
-pub fn perf_events_sharded(
-    receivers: usize,
-    duration_secs: u64,
-    seed: u64,
-    workers: usize,
-) -> (PerfRow, Vec<u64>) {
-    let mut spec = TopologySpec::new(Topology::Dumbbell, seed, 10_000_000);
-    spec.mcast = vec![McastSessionSpec::honest(Variant::FlidDl, receivers)];
-    spec.tcp = 2;
-    let mut d = spec.build();
-    // detlint: allow(wall-clock) — events/sec reporting; never feeds sim state
-    let wall = std::time::Instant::now();
-    let per_shard = mcc_netsim::shard::run_until_sharded_stats(
-        &mut d.sim,
-        SimTime::from_secs(duration_secs),
-        workers,
-    );
-    let wall = wall.elapsed().as_secs_f64();
-    let events = d.sim.world.processed_events();
-    let row = PerfRow {
-        receivers,
-        sim_secs: duration_secs,
-        events,
-        peak_queue_depth: d.sim.world.peak_pending_events(),
-        wall_secs: wall,
-        events_per_sec: events as f64 / wall.max(1e-9),
-    };
-    (row, per_shard)
-}
-
-/// The registered seed of the `scale_sweep` experiment.
-pub const SCALE_SEED: u64 = 47;
-/// Full-size `scale_sweep` receiver populations, in ascending order (the
-/// sweep relies on monotone ordering for its peak-RSS deltas).
-pub const SCALE_FULL: &[u64] = &[1_000, 10_000, 100_000, 1_000_000];
-/// Quick-mode (CI smoke) populations.
-pub const SCALE_QUICK: &[u64] = &[1_000, 10_000];
-/// Simulated horizon of every sweep point, seconds.
-pub const SCALE_SECS: u64 = 10;
-/// Cohort hosts per point: `min(SCALE_HOSTS, receivers)` edge interfaces,
-/// each carrying a cohort of `receivers / hosts` members.
-pub const SCALE_HOSTS: u64 = 100;
-
-/// One point of the [`scale_point`] sweep.
-#[derive(Clone, Debug)]
-pub struct ScaleRow {
-    /// Modeled receiver population (sum of cohort counts).
-    pub receivers: u64,
-    /// Cohort hosts (edge interfaces) carrying that population.
-    pub hosts: u64,
-    /// Simulated horizon in seconds.
-    pub sim_secs: u64,
-    /// Events the loop processed.
-    pub events: u64,
-    /// Wall-clock spent inside `run_until` (excludes scenario assembly).
-    pub wall_secs: f64,
-    /// `events / wall_secs`.
-    pub events_per_sec: f64,
-    /// `VmHWM` after the point ran (0 where `/proc` is unavailable).
-    pub peak_rss_bytes: u64,
-    /// How much this point raised the process peak (its memory bill; a
-    /// lower bound when an earlier peak already covered it).
-    pub rss_delta_bytes: u64,
-    /// `rss_delta_bytes / receivers` — the headline O(1)-per-receiver
-    /// claim, asserted against [`scale_ceiling_bytes_per_receiver`].
-    pub bytes_per_receiver: f64,
-    /// SIGMA grant state at the end of the run: host-facing interfaces
-    /// holding grants…
-    pub grant_ifaces: u64,
-    /// …and *distinct* interned tables behind them (the slab win).
-    pub grant_tables: u64,
-    /// Count-weighted mean per-receiver goodput over the second half of
-    /// the horizon, bit/s — a sanity anchor that the scaled world still
-    /// simulates the protocol rather than an empty loop.
-    pub mean_receiver_bps: f64,
-}
-
 /// Process peak resident set (`VmHWM`) in bytes, from
 /// `/proc/self/status`. Returns 0 on platforms without procfs — callers
-/// treat 0 as "unmeasured", and the memory-ceiling asserts are skipped.
+/// treat 0 as "unmeasured". No experiment calls it; it lives here because
+/// the `benchmark/` package imports it at this path.
 pub fn peak_rss_bytes() -> u64 {
     #[cfg(target_os = "linux")]
     {
@@ -1775,75 +1616,4 @@ pub fn peak_rss_bytes() -> u64 {
         }
     }
     0
-}
-
-/// Memory ceiling asserted for a sweep point, bytes per modeled receiver.
-/// Cohorts make per-receiver state O(distinct behaviours), so the budget
-/// *falls* by roughly a decade per population decade: the fixed world
-/// cost (hosts, links, queues, monitor bins) amortizes over ever more
-/// receivers. The small-population ceilings are deliberately loose —
-/// allocator warm-up and procfs granularity dominate there.
-pub fn scale_ceiling_bytes_per_receiver(receivers: u64) -> f64 {
-    match receivers {
-        0..=9_999 => 1_048_576.0,      // 1 MiB — sanity only
-        10_000..=99_999 => 131_072.0,  // 128 KiB
-        100_000..=999_999 => 16_384.0, // 16 KiB
-        _ => 2_048.0,                  // 2 KiB at a million receivers
-    }
-}
-
-/// One point of the million-receiver scale sweep: a paper dumbbell with
-/// `min(SCALE_HOSTS, receivers)` cohort hosts behind the bottleneck, each
-/// a [`CohortReceiver`](mcc_flid::CohortReceiver) of `receivers / hosts`
-/// synchronized honest members, FLID-DS with full DELTA + SIGMA edge
-/// enforcement, plus two TCP Reno flows. Event count and every protocol
-/// byte are deterministic in `seed`; wall-clock and RSS fields are not.
-///
-/// Simulation work scales with *hosts* (packet replication per edge
-/// interface) while modeled receivers scale with cohort counts — so
-/// events/sec stays flat and bytes/receiver collapses as the population
-/// grows. That separation is the tentpole claim this sweep charts.
-pub fn scale_point(receivers: u64, duration_secs: u64, seed: u64) -> ScaleRow {
-    let hosts = receivers.min(SCALE_HOSTS);
-    let base = receivers / hosts;
-    let extra = receivers % hosts;
-    let rss_before = peak_rss_bytes();
-    let mut spec = TopologySpec::new(Topology::Dumbbell, seed, 10_000_000);
-    let mut session = McastSessionSpec::new(Variant::FlidDs);
-    for h in 0..hosts {
-        let count = base + u64::from(h < extra);
-        session = session.receiver(ReceiverSpec::new().cohort(count));
-    }
-    spec.mcast = vec![session];
-    spec.tcp = 2;
-    let mut t = spec.build();
-    // detlint: allow(wall-clock) — events/sec reporting; never feeds sim state
-    let wall = std::time::Instant::now();
-    t.run_secs(duration_secs);
-    let wall = wall.elapsed().as_secs_f64();
-    let events = t.sim.world.processed_events();
-    let (grant_ifaces, grant_tables) = t
-        .sigmas()
-        .map(|s| s.grant_interning())
-        .fold((0u64, 0u64), |(i, d), (si, sd)| {
-            (i + si as u64, d + sd as u64)
-        });
-    let mean_receiver_bps =
-        t.session_mean_receiver_bps(&t.sessions[0], duration_secs / 2, duration_secs);
-    let rss_after = peak_rss_bytes();
-    let rss_delta = rss_after.saturating_sub(rss_before);
-    ScaleRow {
-        receivers,
-        hosts,
-        sim_secs: duration_secs,
-        events,
-        wall_secs: wall,
-        events_per_sec: events as f64 / wall.max(1e-9),
-        peak_rss_bytes: rss_after,
-        rss_delta_bytes: rss_delta,
-        bytes_per_receiver: rss_delta as f64 / receivers.max(1) as f64,
-        grant_ifaces,
-        grant_tables,
-        mean_receiver_bps,
-    }
 }

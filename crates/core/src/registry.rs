@@ -31,10 +31,6 @@ pub enum Kind {
     /// A non-dumbbell topology experiment (trees, parking lots): scenario
     /// diversity beyond the paper's §5.1 shape.
     Topology,
-    /// A performance macro-benchmark (simulator speed, not paper data).
-    /// Its JSON includes wall-clock fields, so — unlike every other kind —
-    /// the payload is not byte-stable across runs.
-    Perf,
 }
 
 /// The outcome of running one registered experiment.
@@ -528,127 +524,14 @@ fn parking_lot_body(p: &Params, seed: u64) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Perf bodies
-// ---------------------------------------------------------------------------
-
-/// Canonical JSON of one [`experiments::PerfRow`] — shared by the
-/// registry body below and the `perf_events` binary in `mcc-bench`, so
-/// the two reports cannot drift apart.
-pub fn perf_row_json(r: &experiments::PerfRow) -> Json {
-    Json::obj([
-        ("receivers", Json::U64(r.receivers as u64)),
-        ("sim_secs", Json::U64(r.sim_secs)),
-        ("events", Json::U64(r.events)),
-        ("peak_queue_depth", Json::U64(r.peak_queue_depth as u64)),
-        ("wall_secs", Json::Num(r.wall_secs)),
-        ("events_per_sec", Json::Num(r.events_per_sec)),
-    ])
-}
-
-/// Canonical JSON of a sharded [`experiments::PerfRow`]: the row fields
-/// plus the shard layout — worker threads, and executed events per shard
-/// (index 0 = root shard), whose length is the shard count the
-/// partitioner picked.
-pub fn sharded_row_json(r: &experiments::PerfRow, per_shard: &[u64], workers: usize) -> Json {
-    Json::obj([
-        ("shards", Json::U64(per_shard.len() as u64)),
-        ("workers", Json::U64(workers as u64)),
-        ("events", Json::U64(r.events)),
-        (
-            "per_shard_events",
-            Json::Arr(per_shard.iter().map(|&e| Json::U64(e)).collect()),
-        ),
-        ("peak_queue_depth", Json::U64(r.peak_queue_depth as u64)),
-        ("wall_secs", Json::Num(r.wall_secs)),
-        ("events_per_sec", Json::Num(r.events_per_sec)),
-    ])
-}
-
-/// Canonical JSON of one [`experiments::ScaleRow`] — shared by the
-/// registry body below and the `scale_sweep` binary in `mcc-bench`.
-pub fn scale_row_json(r: &experiments::ScaleRow) -> Json {
-    Json::obj([
-        ("receivers", Json::U64(r.receivers)),
-        ("hosts", Json::U64(r.hosts)),
-        ("sim_secs", Json::U64(r.sim_secs)),
-        ("events", Json::U64(r.events)),
-        ("wall_secs", Json::Num(r.wall_secs)),
-        ("events_per_sec", Json::Num(r.events_per_sec)),
-        ("peak_rss_bytes", Json::U64(r.peak_rss_bytes)),
-        ("rss_delta_bytes", Json::U64(r.rss_delta_bytes)),
-        ("bytes_per_receiver", Json::Num(r.bytes_per_receiver)),
-        ("grant_ifaces", Json::U64(r.grant_ifaces)),
-        ("grant_tables", Json::U64(r.grant_tables)),
-        ("mean_receiver_bps", Json::Num(r.mean_receiver_bps)),
-    ])
-}
-
-/// Run one sweep point and enforce its memory ceiling. RSS deltas are
-/// only meaningful when procfs is available and the point actually
-/// raised the process peak; a zero reading is "unmeasured", not "free".
-pub fn scale_point_checked(n: u64, secs: u64, seed: u64) -> experiments::ScaleRow {
-    let row = experiments::scale_point(n, secs, seed);
-    let ceiling = experiments::scale_ceiling_bytes_per_receiver(n);
-    if row.peak_rss_bytes > 0 {
-        assert!(
-            row.bytes_per_receiver <= ceiling,
-            "scale_sweep: {} receivers cost {:.1} bytes/receiver (ceiling {:.0})",
-            n,
-            row.bytes_per_receiver,
-            ceiling
-        );
-    }
-    row
-}
-
-fn scale_sweep_body(p: &Params, seed: u64) -> Json {
-    let points = if p.quick {
-        experiments::SCALE_QUICK
-    } else {
-        experiments::SCALE_FULL
-    };
-    Json::obj([
-        ("hosts", Json::U64(experiments::SCALE_HOSTS)),
-        (
-            "points",
-            Json::Arr(
-                points
-                    .iter()
-                    .map(|&n| {
-                        scale_row_json(&scale_point_checked(n, experiments::SCALE_SECS, seed))
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn perf_events_body(p: &Params, seed: u64) -> Json {
-    let (receivers, secs) = if p.quick {
-        experiments::PERF_QUICK
-    } else {
-        experiments::PERF_FULL
-    };
-    let serial = experiments::perf_events(receivers, secs, seed);
-    let workers = crate::config::shard_workers().max(2);
-    let (sharded, per_shard) = experiments::perf_events_sharded(receivers, secs, seed, workers);
-    assert_eq!(
-        serial.events, sharded.events,
-        "sharded run diverged from serial ({} vs {} events)",
-        sharded.events, serial.events
-    );
-    Json::obj([
-        ("serial", perf_row_json(&serial)),
-        ("sharded", sharded_row_json(&sharded, &per_shard, workers)),
-    ])
-}
-
-// ---------------------------------------------------------------------------
 // The registry
 // ---------------------------------------------------------------------------
 
 /// Every registered experiment: the twelve §5 figures in suite order,
-/// then the three ablations.
+/// then the three ablations, the two robustness matrices and the two
+/// topology experiments. Every payload is byte-reproducible from its seed
+/// — nothing registered here reads a clock (speed and memory are measured
+/// by the standalone `benchmark/` package).
 pub static REGISTRY: &[ExperimentDef] = &[
     ExperimentDef {
         id: "fig01_attack",
@@ -802,23 +685,6 @@ pub static REGISTRY: &[ExperimentDef] = &[
         seed: 23,
         body: parking_lot_body,
     },
-    ExperimentDef {
-        id: "perf_events",
-        figure: "",
-        describe: "macro-benchmark: events/sec on a wide-dumbbell FLID fan-out",
-        kind: Kind::Perf,
-        seed: experiments::PERF_SEED,
-        body: perf_events_body,
-    },
-    ExperimentDef {
-        id: "scale_sweep",
-        figure: "",
-        describe:
-            "macro-benchmark: cohort receivers 10^3..10^6 — events/sec, peak RSS, bytes/receiver",
-        kind: Kind::Perf,
-        seed: experiments::SCALE_SEED,
-        body: scale_sweep_body,
-    },
 ];
 
 /// All registered experiments as trait objects.
@@ -861,15 +727,6 @@ pub fn topologies() -> Vec<ExperimentDef> {
     REGISTRY
         .iter()
         .filter(|d| d.kind == Kind::Topology)
-        .copied()
-        .collect()
-}
-
-/// The performance macro-benchmark entries.
-pub fn perfs() -> Vec<ExperimentDef> {
-    REGISTRY
-        .iter()
-        .filter(|d| d.kind == Kind::Perf)
         .copied()
         .collect()
 }
@@ -917,15 +774,15 @@ mod tests {
 
     #[test]
     fn registry_enumerates_figures_ablations_and_matrices() {
-        assert!(
-            REGISTRY.len() >= 21,
-            "12 figures + 3 ablations + 2 matrices + 2 topologies + 2 perf"
+        assert_eq!(
+            REGISTRY.len(),
+            19,
+            "12 figures + 3 ablations + 2 matrices + 2 topologies"
         );
         assert_eq!(figures().len(), 12);
         assert_eq!(ablations().len(), 3);
         assert_eq!(matrices().len(), 2);
         assert_eq!(topologies().len(), 2);
-        assert_eq!(perfs().len(), 2);
         let mut ids: Vec<&str> = REGISTRY.iter().map(|d| d.id).collect();
         ids.sort_unstable();
         ids.dedup();
@@ -949,24 +806,6 @@ mod tests {
         }
         assert_eq!(matching("tree").len(), 1, "prefix selector works");
         assert_eq!(matching("parking_lot").len(), 1);
-    }
-
-    #[test]
-    fn perf_entry_is_selectable_but_not_a_default_figure() {
-        let def = find("perf_events").expect("registered");
-        assert_eq!(def.kind(), Kind::Perf);
-        assert_eq!(def.seed(), experiments::PERF_SEED);
-        assert!(figures().iter().all(|d| d.id() != "perf_events"));
-        assert_eq!(matching("perf").len(), 1, "prefix selector works");
-    }
-
-    #[test]
-    fn scale_entry_is_selectable_but_not_a_default_figure() {
-        let def = find("scale_sweep").expect("registered");
-        assert_eq!(def.kind(), Kind::Perf);
-        assert_eq!(def.seed(), experiments::SCALE_SEED);
-        assert!(figures().iter().all(|d| d.id() != "scale_sweep"));
-        assert_eq!(matching("scale").len(), 1, "prefix selector works");
     }
 
     #[test]

@@ -981,6 +981,42 @@ mod tests {
         );
     }
 
+    /// Simulated work is independent of the modeled population: 100 cohort
+    /// hosts behind a 10 Mbps dumbbell cost the same events and deliver
+    /// the same per-receiver goodput whether they stand for 10³ or 10⁶
+    /// receivers, and the edge interns their grants into a few tables.
+    #[test]
+    fn modeled_population_does_not_change_simulated_work() {
+        let run = |receivers: u64| {
+            let hosts = 100;
+            let mut spec = TopologySpec::new(Topology::Dumbbell, 47, 10_000_000);
+            spec.mcast = vec![McastSessionSpec::new(Variant::FlidDs)
+                .with_receivers((0..hosts).map(|_| ReceiverSpec::new().cohort(receivers / hosts)))];
+            spec.tcp = 2;
+            let mut t = spec.build();
+            t.run_secs(5);
+            let (ifaces, tables) = t
+                .sigmas()
+                .map(|s| s.grant_interning())
+                .fold((0, 0), |(i, d), (si, sd)| (i + si, d + sd));
+            assert_eq!(ifaces, hosts as usize, "every cohort host holds a grant");
+            assert!(
+                tables * 10 <= ifaces,
+                "{tables} tables behind {ifaces} interfaces"
+            );
+            (
+                t.sim.world.processed_events(),
+                t.session_mean_receiver_bps(&t.sessions[0], 2, 5),
+            )
+        };
+        let (thousand, million) = (run(1_000), run(1_000_000));
+        assert!(
+            thousand.1 > 100_000.0,
+            "the scaled world still simulates FLID"
+        );
+        assert_eq!(thousand, million);
+    }
+
     #[test]
     fn interior_placement_resolves_to_the_leaf_ancestor() {
         let mut spec = tree_spec(2, 2, 2);

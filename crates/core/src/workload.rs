@@ -43,7 +43,7 @@ const STREAM_BACKGROUND: u64 = 4;
 
 /// Hard cap on generated arrivals — a mis-set rate fails loudly instead
 /// of building a million-agent sim by accident (use cohorts for scale).
-const MAX_ARRIVALS: usize = 100_000;
+pub(crate) const MAX_ARRIVALS: usize = 100_000;
 
 /// The receiver arrival process.
 #[derive(Clone, Debug, PartialEq)]

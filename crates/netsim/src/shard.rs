@@ -66,9 +66,9 @@ use std::collections::BTreeMap;
 
 /// ## Root-shard load (why shard 0 is the heaviest and stays that way)
 ///
-/// On the `perf_events` wide dumbbell (2000 receivers, 2 TCP flows) the
-/// per-shard event counts come out ~10.4M on shard 0 versus ~2.8M per
-/// leaf. That skew is **not** leftover host blocks: the partitioner has
+/// On the wide dumbbell of the benchmark's `fanout_dl` workload (2000
+/// receivers, 2 TCP flows) the per-shard event counts come out ~10.4M
+/// on shard 0 versus ~2.8M per leaf. That skew is **not** leftover host blocks: the partitioner has
 /// already moved every eligible host — what remains on shard 0 is the
 /// two routers, the sender host (it roots the multicast group) and the
 /// four TCP endpoints (no `parallel_safe` claim). The load is the
@@ -241,7 +241,7 @@ pub fn run_until_sharded(sim: &mut Sim, t: SimTime, workers: usize) -> usize {
 
 /// [`run_until_sharded`], reporting how many events each shard executed
 /// during this call (index 0 = root shard). The serial fallback yields a
-/// single entry. Feeds the per-shard column of the perf trajectory.
+/// single entry. Feeds the benchmark's `netsim.shard.root_shard_share`.
 pub fn run_until_sharded_stats(sim: &mut Sim, t: SimTime, workers: usize) -> Vec<u64> {
     match Partition::auto(sim) {
         Some(p) => run_partitioned(sim, t, &p, workers),

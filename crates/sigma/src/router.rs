@@ -111,6 +111,19 @@ pub struct SigmaStats {
     pub first_guess_alarm_slot: Option<u64>,
 }
 
+impl SigmaStats {
+    /// When the edge first caught the misbehaviour — the earlier of the
+    /// first lockout and the first guess alarm — in seconds, for slots of
+    /// length `slot`.
+    pub fn detection_secs(&self, slot: SimDuration) -> Option<f64> {
+        [self.first_lockout_slot, self.first_guess_alarm_slot]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(|s| s as f64 * slot.as_secs_f64())
+    }
+}
+
 /// Grace state for one (interface, group).
 #[derive(Clone, Copy, Debug)]
 struct Grace {

@@ -9,8 +9,8 @@ use robust_multicast::core::runner::{run_serial, series_json, Json};
 use robust_multicast::core::{Params, Variant};
 
 /// The figure → id rows of DESIGN.md's experiment index, plus the three
-/// ablations and the robustness matrix. Editing either side without the
-/// other fails this test.
+/// ablations, the two matrices and the two topology experiments. Editing
+/// either side without the other fails this test.
 const DESIGN_INDEX: &[(&str, &str)] = &[
     ("Figure 1", "fig01_attack"),
     ("Figure 7", "fig07_protection"),
@@ -31,8 +31,6 @@ const DESIGN_INDEX: &[(&str, &str)] = &[
     ("", "churn_robustness"),
     ("", "tree_placement"),
     ("", "parking_lot_fairness"),
-    ("", "perf_events"),
-    ("", "scale_sweep"),
 ];
 
 #[test]
@@ -47,8 +45,6 @@ fn every_design_index_row_resolves_to_a_registered_experiment() {
             Kind::Matrix
         } else if id.starts_with("tree") || id.starts_with("parking") {
             Kind::Topology
-        } else if id.starts_with("perf") || id.starts_with("scale") {
-            Kind::Perf
         } else {
             Kind::Ablation
         };

@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 
 use mcc_core::registry::{self, Experiment, ExperimentDef, Kind};
-use mcc_core::runner::{run_parallel, run_serial, ExperimentSpec};
+use mcc_core::runner::{run_parallel, ExperimentSpec};
 use mcc_core::{Params, RunConfig, TraceSpec};
 
 /// The suite name of the combined figure report (unchanged across the
@@ -33,7 +33,6 @@ pub struct Cli {
     list: bool,
     only: Option<Vec<String>>,
     quick: bool,
-    serial: bool,
     threads: Option<usize>,
     shard_workers: Option<usize>,
     out: Option<PathBuf>,
@@ -55,7 +54,6 @@ impl Cli {
             match arg.as_str() {
                 "--list" | "-l" => cli.list = true,
                 "--quick" | "-q" => cli.quick = true,
-                "--serial" => cli.serial = true,
                 "--only" => {
                     let v = value("--only", &mut it)?;
                     cli.only = Some(v.split(',').map(|s| s.trim().to_string()).collect());
@@ -126,6 +124,7 @@ impl Cli {
                 "all" => registry::REGISTRY.to_vec(),
                 "figures" => registry::figures(),
                 "ablations" => registry::ablations(),
+                "matrices" => registry::matrices(),
                 "topologies" => registry::topologies(),
                 t => registry::matching(t),
             };
@@ -171,7 +170,7 @@ fn suggestions(token: &str) -> Vec<&'static str> {
     let mut scored: Vec<(usize, bool, &'static str)> = registry::REGISTRY
         .iter()
         .map(|d| d.id())
-        .chain(["figures", "ablations", "topologies", "all"])
+        .chain(["figures", "ablations", "matrices", "topologies", "all"])
         .filter_map(|id| {
             let d = prefix_edit_distance(token, id);
             (d <= threshold).then_some((d, !subseq(id), id))
@@ -212,10 +211,9 @@ fn usage() -> String {
          \x20 -l, --list           list registered experiments and exit\n\
          \x20     --only IDS       comma-separated ids or figure prefixes\n\
          \x20                      (fig01, fig08a_dl_throughput, matrix_robustness,\n\
-         \x20                      tree_placement, ablations, topologies, all)\n\
+         \x20                      tree_placement, ablations, matrices, topologies, all)\n\
          \x20 -q, --quick          shortened runs (also: MCC_QUICK=1)\n\
          \x20 -j, --threads N      worker threads (also: MCC_THREADS)\n\
-         \x20     --serial         run on one thread, no pool\n\
          \x20 -o, --out DIR        output directory (default results, also: MCC_OUT)\n\
          \x20     --sweep K=A,B,C  re-run the selection once per override; keys:\n\
          \x20                      {}\n\
@@ -275,11 +273,7 @@ pub fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
 
     let env = RunConfig::from_env();
     let quick = cli.quick || env.quick;
-    let threads = if cli.serial {
-        1
-    } else {
-        cli.threads.unwrap_or(env.threads)
-    };
+    let threads = cli.threads.unwrap_or(env.threads);
     // Pin the shard-level worker count before any experiment runs; the
     // environment's AxB split is the default when the flag is absent.
     mcc_core::set_shard_workers(cli.shard_workers.unwrap_or(env.shard_workers));
@@ -311,14 +305,11 @@ pub fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
             let mut specs = Vec::new();
             for value in values {
                 let swept = params.with_override(key, value)?;
-                for def in &selection {
-                    let (def, p) = (*def, swept.clone());
-                    specs.push(ExperimentSpec::new(
-                        format!("{}@{key}={value}", def.id()),
-                        swept.seed_for(def.seed()),
-                        move |_seed| def.run(&p).data,
-                    ));
+                let mut batch = registry::specs(&selection, &swept);
+                for spec in &mut batch {
+                    spec.name = format!("{}@{key}={value}", spec.name);
                 }
+                specs.append(&mut batch);
             }
             (specs, format!("BENCH_sweep_{key}.json"))
         }
@@ -338,14 +329,11 @@ pub fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
         mode
     );
 
-    // detlint: allow(wall-clock) — suite wall/cpu reporting only
-    let wall = std::time::Instant::now();
-    let report = if threads <= 1 {
-        run_serial(SUITE, mode, &specs)
-    } else {
-        run_parallel(SUITE, mode, &specs, threads)
-    };
-    let wall = wall.elapsed();
+    #[expect(clippy::disallowed_methods, reason = "suite wall/cpu reporting only")]
+    let start = std::time::Instant::now();
+    let report = run_parallel(SUITE, mode, &specs, threads);
+    #[expect(clippy::disallowed_methods, reason = "suite wall/cpu reporting only")]
+    let wall = start.elapsed();
 
     for r in &report.records {
         println!("  {:<28} seed {:<3} {:>8.2?}", r.name, r.seed, r.elapsed);
@@ -476,6 +464,11 @@ mod tests {
             .unwrap();
         assert_eq!(abl.len(), 3);
 
+        // Every group `--list` counts is a selector, `matrices` included.
+        let mx = parse(&["--only", "matrices"]).unwrap().selection().unwrap();
+        let ids: Vec<&str> = mx.iter().map(|d| d.id()).collect();
+        assert_eq!(ids, ["matrix_robustness", "churn_robustness"]);
+
         // `all` is the registry: every entry is byte-reproducible.
         let all = parse(&["--only", "all"]).unwrap().selection().unwrap();
         assert_eq!(all.len(), registry::REGISTRY.len());
@@ -545,5 +538,22 @@ mod tests {
         for def in registry::REGISTRY {
             assert!(text.contains(def.id()), "--list must mention {}", def.id());
         }
+    }
+
+    /// DESIGN.md's "Experiment index" shows `--list` verbatim: editing the
+    /// registry without the document (or the reverse) fails here.
+    #[test]
+    fn design_md_experiment_index_is_the_list_output() {
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split_once("## Experiment index")
+            .expect("DESIGN.md has an experiment index")
+            .1;
+        let block = section
+            .split_once("```\n")
+            .and_then(|(_, rest)| rest.split_once("```"))
+            .expect("the index holds a fenced block")
+            .0;
+        assert_eq!(block, list());
     }
 }

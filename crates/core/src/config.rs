@@ -137,12 +137,16 @@ fn trace_from(var: Option<&str>) -> (Option<TraceSpec>, Option<String>) {
 }
 
 /// The single audited environment read of the simulation crates —
-/// `detlint`'s `env-read` rule keeps every other crate away from
-/// `std::env`, so auditing determinism means auditing the callers of
+/// `clippy.toml` disallows `std::env::{var, vars, var_os}` everywhere
+/// else, so auditing determinism means auditing the callers of
 /// this one function. An unset *or empty* variable is `None`: a sweep
 /// script clearing a knob with `MCC_QUICK= cmd` must behave like unset,
 /// not like "quick mode on" (the raw reads this replaces treated empty
 /// as set).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one audited environment chokepoint; every caller is in this file"
+)]
 fn env_var(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|v| !v.is_empty())
 }

@@ -25,7 +25,7 @@
 //! * [`registry`] — every figure and ablation as a registered
 //!   [`Experiment`](registry::Experiment) object; the source of truth for
 //!   the `figures` CLI in `mcc-bench`,
-//! * [`metrics`] — series/tables, CSV output and quick ASCII charts,
+//! * [`metrics`] — series, damage/containment metrics and quick ASCII charts,
 //! * [`obs`] — the observability layer's experiment-level face:
 //!   `--trace`/`MCC_TRACE` capture lifecycle, canonical JSONL/pcapng
 //!   rendering and the `OBS_*.json` metrics registry,
@@ -55,8 +55,8 @@ pub mod workload;
 
 pub use config::{set_shard_workers, set_trace, shard_workers, trace_spec, Params, RunConfig};
 pub use mcc_obs::TraceSpec;
-pub use metrics::{ascii_chart, damage, series_csv, write_series_csv, Damage, Series, Table};
-pub use registry::{registry, Experiment, ExperimentDef, ExperimentOutput};
+pub use metrics::{ascii_chart, damage, Damage, Series};
+pub use registry::{Experiment, ExperimentDef};
 pub use runner::{
     figure_experiments, run_parallel, run_serial, ExperimentRecord, ExperimentSpec, Json, Report,
 };

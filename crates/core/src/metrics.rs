@@ -1,9 +1,7 @@
-//! Result containers, CSV output, ASCII charts and the per-attack
-//! damage/containment metrics for the experiments.
+//! Result series, ASCII charts and the per-attack damage/containment
+//! metrics for the experiments.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 /// Damage and containment of one attack run, relative to an
 /// honest-baseline run of the same scenario — the per-cell metrics of the
@@ -115,87 +113,6 @@ impl Series {
     }
 }
 
-/// A rectangular result table.
-#[derive(Clone, Debug, Default)]
-pub struct Table {
-    /// Column names.
-    pub headers: Vec<String>,
-    /// Row values.
-    pub rows: Vec<Vec<f64>>,
-}
-
-impl Table {
-    /// A table with the given headers.
-    pub fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Append a row (must match the header count).
-    pub fn push(&mut self, row: Vec<f64>) {
-        assert_eq!(row.len(), self.headers.len(), "row width");
-        self.rows.push(row);
-    }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            let line: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Write the CSV to `path`, creating parent directories.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        if let Some(parent) = path.as_ref().parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_csv())
-    }
-}
-
-/// Serialize several series into a wide CSV (shared x column; series are
-/// sampled at their own x values, which coincide for our experiments).
-pub fn series_csv(series: &[Series]) -> String {
-    let mut out = String::from("x");
-    for s in series {
-        let _ = write!(out, ",{}", s.label);
-    }
-    out.push('\n');
-    let n = series.iter().map(|s| s.points.len()).max().unwrap_or(0);
-    for i in 0..n {
-        let x = series
-            .iter()
-            .find_map(|s| s.points.get(i).map(|p| p.0))
-            .unwrap_or(i as f64);
-        let _ = write!(out, "{x}");
-        for s in series {
-            match s.points.get(i) {
-                Some(p) => {
-                    let _ = write!(out, ",{}", p.1);
-                }
-                None => out.push(','),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Write several series as CSV to `path`.
-pub fn write_series_csv(series: &[Series], path: impl AsRef<Path>) -> io::Result<()> {
-    if let Some(parent) = path.as_ref().parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, series_csv(series))
-}
-
 /// A quick ASCII line chart (one glyph per series), for terminal output of
 /// the figure regenerators.
 pub fn ascii_chart(series: &[Series], width: usize, height: usize, y_label: &str) -> String {
@@ -282,30 +199,6 @@ mod tests {
             .smoothed(5)
             .points
             .is_empty());
-    }
-
-    #[test]
-    fn table_round_trip() {
-        let mut t = Table::new(&["n", "avg"]);
-        t.push(vec![1.0, 250.5]);
-        t.push(vec![2.0, 248.0]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("n,avg\n1,250.5\n2,248\n"), "{csv}");
-    }
-
-    #[test]
-    #[should_panic(expected = "row width")]
-    fn table_rejects_ragged_rows() {
-        let mut t = Table::new(&["a", "b"]);
-        t.push(vec![1.0]);
-    }
-
-    #[test]
-    fn series_csv_layout() {
-        let a = Series::from_values("a", 0.0, 1.0, &[1.0, 2.0]);
-        let b = Series::from_values("b", 0.0, 1.0, &[3.0, 4.0]);
-        let csv = series_csv(&[a, b]);
-        assert_eq!(csv, "x,a,b\n0,1,3\n1,2,4\n");
     }
 
     #[test]

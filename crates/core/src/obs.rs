@@ -94,7 +94,7 @@ pub fn run_sim(sim: &mut Sim, until: SimTime) {
     }
     sim.world.attach_tracer(Recorder::new(0, DEFAULT_RING_CAP));
     let before = sim.world.processed_events();
-    // detlint: allow(wall-clock) — run busy timing, reporting only
+    #[expect(clippy::disallowed_methods, reason = "run busy timing, reporting only")]
     let t0 = std::time::Instant::now();
     let sharded = if workers > 1 {
         mcc_netsim::shard::run_until_sharded(sim, until, workers) > 1
@@ -102,7 +102,7 @@ pub fn run_sim(sim: &mut Sim, until: SimTime) {
         sim.run_until(until);
         false
     };
-    // detlint: allow(wall-clock) — run busy timing, reporting only
+    #[expect(clippy::disallowed_methods, reason = "run busy timing, reporting only")]
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
     let mut rec = sim
         .world

@@ -2,10 +2,10 @@
 //! as a registered, enumerable object.
 //!
 //! Each entry implements [`Experiment`] — an `id`, the paper figure it
-//! reproduces, a one-line description, a registered seed, and a
-//! `run(&Params)` that maps the parameter bag to canonical JSON. The
-//! [`registry`] is the single source of truth consumed by
-//! `runner::figure_experiments`, the `figures` CLI in `mcc-bench`, and
+//! reproduces, a one-line description and a registered seed — and carries
+//! a body that maps the parameter bag to canonical JSON; [`specs`] is the
+//! one way to run it. [`REGISTRY`] is the single source of truth consumed
+//! by `runner::figure_experiments`, the `figures` CLI in `mcc-bench`, and
 //! the registry tests; adding a scenario is one [`ExperimentDef`] row
 //! here instead of a new binary.
 //!
@@ -33,17 +33,8 @@ pub enum Kind {
     Topology,
 }
 
-/// The outcome of running one registered experiment.
-pub struct ExperimentOutput {
-    /// The experiment's registry id.
-    pub id: &'static str,
-    /// The seed the run used (registered seed unless overridden).
-    pub seed: u64,
-    /// Canonical JSON payload (the `data` field of `BENCH_*.json`).
-    pub data: Json,
-}
-
-/// A registered experiment: enumerable metadata plus a parameterized run.
+/// A registered experiment's enumerable metadata; [`specs`] turns rows
+/// into runnable [`ExperimentSpec`]s.
 pub trait Experiment: Send + Sync {
     /// Unique registry id, e.g. `fig08a_dl_throughput`.
     fn id(&self) -> &'static str;
@@ -55,9 +46,6 @@ pub trait Experiment: Send + Sync {
     fn kind(&self) -> Kind;
     /// The registered (default) seed.
     fn seed(&self) -> u64;
-    /// Run under `params`, honoring quick mode, seed overrides and the
-    /// smoothing window.
-    fn run(&self, params: &Params) -> ExperimentOutput;
 }
 
 /// A registry row: plain data plus a function pointer, so entries are
@@ -87,14 +75,6 @@ impl Experiment for ExperimentDef {
     }
     fn seed(&self) -> u64 {
         self.seed
-    }
-    fn run(&self, params: &Params) -> ExperimentOutput {
-        let seed = params.seed_for(self.seed);
-        ExperimentOutput {
-            id: self.id,
-            seed,
-            data: (self.body)(params, seed),
-        }
     }
 }
 
@@ -687,14 +667,6 @@ pub static REGISTRY: &[ExperimentDef] = &[
     },
 ];
 
-/// All registered experiments as trait objects.
-pub fn registry() -> Vec<Box<dyn Experiment>> {
-    REGISTRY
-        .iter()
-        .map(|d| Box::new(*d) as Box<dyn Experiment>)
-        .collect()
-}
-
 /// The figure entries, in suite order.
 pub fn figures() -> Vec<ExperimentDef> {
     REGISTRY
@@ -821,18 +793,17 @@ mod tests {
     #[test]
     fn seed_override_flows_into_outputs() {
         let def = find("ablation_sharing").expect("registered");
-        let out = def.run(&Params::default());
-        assert_eq!(out.seed, 0);
+        assert_eq!(specs(&[def], &Params::default())[0].seed, 0);
         let p = Params::default().with_override("seed", "77").unwrap();
-        assert_eq!(def.run(&p).seed, 77);
+        assert_eq!(specs(&[def], &p)[0].seed, 77);
     }
 
     /// The analytic ablation is cheap enough to run in tests and pins the
     /// §3.1.1 claim: sharing beats the naive layout at every group count.
     #[test]
     fn sharing_ablation_reports_the_telescope_win() {
-        let out = find("ablation_sharing").unwrap().run(&Params::default());
-        let Json::Arr(rows) = out.data else {
+        let def = find("ablation_sharing").unwrap();
+        let Json::Arr(rows) = (def.body)(&Params::default(), def.seed) else {
             panic!("array payload")
         };
         assert_eq!(rows.len(), 4);

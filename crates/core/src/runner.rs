@@ -234,8 +234,11 @@ impl Report {
 // Execution
 // ---------------------------------------------------------------------------
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "per-experiment elapsed reporting only"
+)]
 fn run_spec(spec: &ExperimentSpec) -> ExperimentRecord {
-    // detlint: allow(wall-clock) — per-experiment elapsed reporting only
     let start = Instant::now();
     // Tracing capture brackets the body on this worker thread; both are
     // no-ops unless `--trace`/`MCC_TRACE` is set.
@@ -314,19 +317,6 @@ pub fn run_parallel(suite: &str, mode: &str, specs: &[ExperimentSpec], threads: 
 // The figure suite (registry-driven)
 // ---------------------------------------------------------------------------
 
-/// Experiment duration: `full` seconds normally, a shortened run in quick
-/// mode. Delegates to [`crate::config::Params`], the single source of
-/// truth, so the `figures` CLI and the tests cannot drift.
-pub fn duration_for(full: u64, quick: bool) -> u64 {
-    crate::config::Params::quick(quick).duration(full)
-}
-
-/// The session counts swept by Figures 8a-8d (see
-/// [`crate::config::Params::session_counts`]).
-pub fn session_counts_for(quick: bool) -> Vec<u32> {
-    crate::config::Params::quick(quick).session_counts()
-}
-
 /// The full figure-regeneration suite (Figures 1, 7, 8a-8h, 9a, 9b):
 /// every `Kind::Figure` entry of [`crate::registry`], in suite order,
 /// with its registered seed. Independent by construction, so safe for
@@ -334,12 +324,6 @@ pub fn session_counts_for(quick: bool) -> Vec<u32> {
 pub fn figure_experiments(quick: bool) -> Vec<ExperimentSpec> {
     let params = crate::config::Params::quick(quick);
     crate::registry::specs(&crate::registry::figures(), &params)
-}
-
-/// A sensible worker count: `MCC_THREADS` if set, else the machine's
-/// available parallelism (via [`crate::config::RunConfig::from_env`]).
-pub fn default_threads() -> usize {
-    crate::config::RunConfig::from_env().threads
 }
 
 #[cfg(test)]

@@ -34,7 +34,6 @@ use mcc_flid::{
     ReplicatedSender, ThresholdReceiver, ThresholdSender,
 };
 use mcc_netsim::prelude::*;
-use mcc_netsim::topology::{nary_parent, nary_tree_size};
 use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
 use mcc_simcore::{SimDuration, SimTime};
 use mcc_tcp::{RenoConfig, RenoSender, TcpSink};
@@ -258,6 +257,17 @@ impl TopologySpec {
             monitor_bin: SimDuration::from_secs(1),
         }
     }
+}
+
+/// Number of nodes in a balanced `fanout`-ary tree of the given `depth`
+/// (depth 0 = just the root), laid out breadth-first.
+fn nary_tree_size(depth: u32, fanout: u32) -> usize {
+    (0..=depth).map(|d| (fanout as usize).pow(d)).sum()
+}
+
+/// The breadth-first index of a node's parent (`i >= 1`).
+fn nary_parent(i: usize, fanout: u32) -> usize {
+    (i - 1) / fanout as usize
 }
 
 /// The assembled core (router) graph, before sessions are attached.
@@ -930,6 +940,13 @@ mod tests {
         assert!(mc > 50_000.0, "multicast {mc}");
         assert!(tcp > 50_000.0, "tcp {tcp}");
         assert!((cbr - 100_000.0).abs() < 15_000.0, "cbr {cbr}");
+    }
+
+    #[test]
+    fn nary_tree_arithmetic() {
+        assert_eq!(nary_tree_size(2, 3), 13);
+        assert_eq!(nary_tree_size(0, 4), 1);
+        assert_eq!(nary_parent(4, 3), 1);
     }
 
     #[test]

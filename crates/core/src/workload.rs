@@ -20,8 +20,8 @@
 //! deterministic sim events (agent start times and FLID `DEPART`
 //! timers), so workload runs are byte-identical across
 //! `MCC_THREADS=1/2/1x4` like every other run. No wall clock, no global
-//! RNG — `detlint` holds this module to the same rules as the
-//! simulator core.
+//! RNG — the workspace lint gate (`clippy.toml`) holds this module to
+//! the same rules as the simulator core.
 //!
 //! A workload that generates nothing (rate 0, no flash, no background)
 //! leaves the spec byte-identical to the static scenario — the

@@ -103,7 +103,10 @@ impl ReplicatedSender {
             }
         }
         self.schedules.insert(s + 2, sched);
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         self.schedules.retain(|&k, _| k + 3 > s);
         self.slots += 1;
         ctx.timer_at(slot_start + self.cfg.slot, TICK);
@@ -229,9 +232,15 @@ impl Policy for Replicated {
         let p = &mut rx.policy;
         let obs = p.obs.remove(&s).unwrap_or_default();
         let upgrades = p.upgrades.remove(&s).unwrap_or(UpgradeMask::NONE);
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         p.obs.retain(|&k, _| k > s);
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         p.upgrades.retain(|&k, _| k > s);
         if p.joined_slot >= s {
             // The current group was joined mid-slot: wait for its first

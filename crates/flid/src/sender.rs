@@ -273,7 +273,10 @@ impl FlidSender {
         }
 
         self.schedules.insert(s + 2, sched);
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         self.schedules.retain(|&k, _| k + 3 > s);
         self.overhead.slots += 1;
 
@@ -439,9 +442,9 @@ mod tests {
     fn every_group_has_exactly_one_last_packet_per_slot() {
         let (sim, tap, _sender, _) = run(false, 5);
         let tap_ref = sim.agent_as::<Tap>(tap).unwrap();
-        use std::collections::HashMap;
-        let mut lasts: HashMap<(u64, u32), u32> = HashMap::new();
-        let mut counts: HashMap<(u64, u32), u32> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut lasts: BTreeMap<(u64, u32), u32> = BTreeMap::new();
+        let mut counts: BTreeMap<(u64, u32), u32> = BTreeMap::new();
         for d in &tap_ref.data {
             *counts.entry((d.fields.slot, d.fields.group)).or_insert(0) += 1;
             if d.fields.last_in_slot {

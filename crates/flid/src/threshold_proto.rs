@@ -153,7 +153,10 @@ impl ThresholdSender {
         }
 
         self.keys.insert(s + 2, group_keys);
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         self.keys.retain(|&k, _| k + 3 > s);
         self.slots += 1;
         ctx.timer_at(slot_start + self.cfg.slot, TICK);
@@ -293,7 +296,10 @@ impl Policy for Threshold {
     fn evaluate(rx: &mut ThresholdReceiver, ctx: &mut Ctx, s: u64) {
         let p = &mut rx.policy;
         let obs = p.obs.remove(&s).unwrap_or_default();
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         p.obs.retain(|&k, _| k > s);
         if p.joined_slot >= s {
             // Wait for the first complete slot after a switch.

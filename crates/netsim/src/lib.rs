@@ -59,7 +59,6 @@ pub mod packet;
 pub mod queue;
 pub mod shard;
 pub mod sim;
-pub mod topology;
 
 /// One-stop imports for scenario and protocol code.
 pub mod prelude {

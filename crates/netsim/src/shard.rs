@@ -43,7 +43,7 @@
 //!
 //! Cross-shard arrivals harvested at a barrier are delivered in
 //! `(arrival time, source shard, source sequence)` order
-//! ([`merge_stamped`]). Source sequences are FIFO per shard, and shards
+//! ([`Outbox::harvest`]). Source sequences are FIFO per shard, and shards
 //! are contiguous agent-id blocks, so simultaneous waves (a slot's
 //! worth of grafts from two thousand receivers) enter the destination
 //! queue in the same relative order the serial simulator would have
@@ -61,7 +61,7 @@ use crate::node::Node;
 use crate::queue::Queue;
 use crate::sim::{Agent, Event, ShardRouting, Sim, World};
 use mcc_obs::{Recorder, TraceEvent, DEFAULT_RING_CAP};
-use mcc_simcore::{merge_stamped, DetRng, Outbox, ShardClock, ShardId, SimDuration, SimTime};
+use mcc_simcore::{DetRng, Outbox, ShardClock, ShardId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// ## Root-shard load (why shard 0 is the heaviest and stays that way)
@@ -293,20 +293,34 @@ pub fn run_partitioned(
     // Reporting-only (lands in the root recorder's `WallTimes`, never in
     // the byte-compared trace sinks); kept in statements that never touch
     // a `TraceEvent`.
-    // detlint: allow(wall-clock) — observability phase timing, reporting only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observability phase timing, reporting only"
+    )]
     let clock = sim.world.tracing().then(std::time::Instant::now);
     let mut shards = split(sim, partition);
-    // detlint: allow(wall-clock) — observability phase timing, reporting only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observability phase timing, reporting only"
+    )]
     let split_done = clock.map(|_| std::time::Instant::now());
     window_loop(&mut shards, t, partition, workers.max(1));
-    // detlint: allow(wall-clock) — observability phase timing, reporting only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "observability phase timing, reporting only"
+    )]
     let run_done = clock.map(|_| std::time::Instant::now());
     let per_shard = merge(sim, shards, t, partition);
     if let (Some(t0), Some(t1), Some(t2)) = (clock, split_done, run_done) {
         if let Some(rec) = sim.world.tracer.as_mut() {
             rec.wall.split_ns += (t1 - t0).as_nanos() as u64;
             rec.wall.run_ns += (t2 - t1).as_nanos() as u64;
-            rec.wall.merge_ns += t2.elapsed().as_nanos() as u64;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "observability phase timing, reporting only"
+            )]
+            let merge_wall = t2.elapsed();
+            rec.wall.merge_ns += merge_wall.as_nanos() as u64;
         }
     }
     per_shard
@@ -573,15 +587,13 @@ fn window_loop(shards: &mut [Sim], t: SimTime, partition: &Partition, workers: u
         }
 
         // Barrier: harvest and deliver cross arrivals deterministically.
-        let mut crossing = Vec::new();
-        for shard in shards.iter_mut() {
-            let routing = shard
+        let crossing = Outbox::harvest(shards.iter_mut().map(|shard| {
+            &mut shard
                 .shard
                 .as_deref_mut()
-                .expect("shard sims carry routing");
-            crossing.append(&mut routing.outbox.take());
-        }
-        merge_stamped(&mut crossing);
+                .expect("shard sims carry routing")
+                .outbox
+        }));
         // Exchange volume per directed shard pair, recorded as exec-class
         // events on the root recorder. Tallied from the merged (ordered)
         // vector, so the events are identical for every worker count.
@@ -631,10 +643,16 @@ fn run_window_traced(shard: &mut Sim, bound: SimTime) {
         return;
     }
     let before = shard.world.events.processed();
-    // detlint: allow(wall-clock) — per-shard busy time, reporting only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-shard busy time, reporting only"
+    )]
     let t0 = std::time::Instant::now();
     shard.run_window(bound);
-    // detlint: allow(wall-clock) — per-shard busy time, reporting only
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-shard busy time, reporting only"
+    )]
     let busy = t0.elapsed().as_nanos() as u64;
     let executed = shard.world.events.processed() - before;
     let me = shard.shard.as_ref().expect("shard sims carry routing").me;
@@ -781,6 +799,7 @@ mod tests {
     use crate::addr::{AgentId, FlowId, GroupAddr};
     use crate::packet::{Dest, Packet};
     use crate::sim::Ctx;
+    use mcc_simcore::merge_stamped;
 
     /// Multicast source: `count` packets to `group`, one every `gap`.
     /// Deliberately NOT `parallel_safe` (and it roots the group), so it

@@ -407,7 +407,9 @@ impl World {
         // Leaf-host fast path — the overwhelmingly common case in wide
         // fan-outs: no downstream interfaces, no edge module, just local
         // members. Deliver straight from the entry without staging
-        // through the scratch buffers.
+        // through the scratch buffers. Ablated in ISSUE 15: without it
+        // the three multicast benchmark workloads are 9 %, 9 % and 14 %
+        // slower, in 4 of 4 alternating pairs each.
         if !pkt.router_alert
             && entry.ifaces().is_empty()
             && !entry.members().is_empty()

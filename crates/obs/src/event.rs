@@ -4,8 +4,10 @@
 //! state, no strings — so recording is a couple of stores and the recorder
 //! ring stays cache-friendly. Events are stamped with [`SimTime`] by the
 //! recorder; **nothing in this module may ever capture wall-clock time**
-//! (detlint's `trace-wall-clock` rule enforces this at every construction
-//! site in the workspace).
+//! (`Instant`/`SystemTime` reads are disallowed workspace-wide by
+//! `clippy.toml`; a value from a justified reporting site that leaked into
+//! an event would change `TRACE_*.jsonl` between two runs, which
+//! `tests/trace_determinism.rs` and the CI trace `cmp` step catch).
 //!
 //! Events split into two classes:
 //!

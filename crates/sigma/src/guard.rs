@@ -169,7 +169,10 @@ impl CollusionGuard {
 
     /// Drop accumulators for data slots older than `min_slot`.
     pub fn gc(&mut self, min_slot: u64) {
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         self.comp_accum.retain(|&(_, s), _| s >= min_slot);
     }
 }

@@ -64,7 +64,10 @@ impl KeyTable {
     /// Drop tuples for slots older than `min_slot` (bounded state at the
     /// router; old keys are useless by construction).
     pub fn gc(&mut self, min_slot: u64) {
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         self.entries.retain(|&(_, s), _| s >= min_slot);
     }
 

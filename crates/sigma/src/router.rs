@@ -193,18 +193,24 @@ impl SigmaEdgeModule {
 
     /// Is a guessing attack suspected on `iface` (any tally over the
     /// alarm threshold)?
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "existential .any(); order-independent"
+    )]
     pub fn suspected_guessing(&self, iface: LinkId) -> bool {
         self.tally
-            // detlint: sorted — existential .any(); order-independent
             .iter()
             .any(|(&(i, _, _), keys)| i == iface && keys.len() as u32 >= self.cfg.guess_alarm)
     }
 
     /// The largest distinct-invalid-key tally currently held against
     /// `iface` (over all groups and slots).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = ".max() reduction; order-independent"
+    )]
     pub fn guess_tally(&self, iface: LinkId) -> u32 {
         self.tally
-            // detlint: sorted — .max() reduction; order-independent
             .iter()
             .filter(|(&(i, _, _), _)| i == iface)
             .map(|(_, keys)| keys.len() as u32)
@@ -526,8 +532,11 @@ impl EdgeModule for SigmaEdgeModule {
         }
         // Expired graces without grants (e.g. session-join never followed
         // by data or keys).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "snapshot collected, then sorted on the next line"
+        )]
         let mut grace_snapshot: Vec<((LinkId, GroupAddr), Grace)> =
-            // detlint: sorted — snapshot collected, then sorted on the next line
             self.grace.iter().map(|(k, v)| (*k, *v)).collect();
         grace_snapshot.sort_unstable_by_key(|(k, _)| *k);
         for (key, g) in grace_snapshot {
@@ -538,9 +547,15 @@ impl EdgeModule for SigmaEdgeModule {
             }
         }
         self.table.gc(cur);
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         self.tally.retain(|&(_, _, s), _| s + 2 >= cur);
-        // detlint: sorted — retain with a pure per-key predicate; order-independent
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-key predicate; order-independent"
+        )]
         self.lockout.retain(|_, &mut until| until + 2 >= cur);
         if let Some(guard) = &mut self.guard {
             guard.gc(cur.saturating_sub(3));

@@ -122,9 +122,12 @@ impl GrantSlab {
     /// Every `(iface, group)` pair currently present, **sorted** — safe to
     /// drive event emission directly.
     pub fn entries(&self) -> Vec<(LinkId, GroupAddr)> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected into `out` and sorted before return"
+        )]
         let mut out: Vec<(LinkId, GroupAddr)> = self
             .tables
-            // detlint: sorted — collected into `out` and sorted before return
             .iter()
             .flat_map(|(&iface, t)| t.slots.keys().map(move |&g| (iface, g)))
             .collect();
@@ -135,12 +138,11 @@ impl GrantSlab {
     /// Interfaces → distinct tables: the interning win. `(N, distinct)`
     /// with `distinct ≤ N`; synchronized populations keep `distinct` tiny.
     pub fn interning(&self) -> (usize, usize) {
-        let mut seen: Vec<*const GrantTable> = self
-            .tables
-            // detlint: sorted — pointer identity only feeds a dedup count
-            .values()
-            .map(Arc::as_ptr)
-            .collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pointer identity only feeds a dedup count"
+        )]
+        let mut seen: Vec<*const GrantTable> = self.tables.values().map(Arc::as_ptr).collect();
         seen.sort_unstable();
         seen.dedup();
         (self.tables.len(), seen.len())
@@ -168,13 +170,11 @@ impl GrantSlab {
     /// remapped to the shared result.
     pub fn sweep(&mut self, min_keep: u64) {
         let mut remap: HashMap<*const GrantTable, Arc<GrantTable>> = HashMap::new();
-        let mut ifaces: Vec<LinkId> = self
-            .tables
-            // detlint: sorted — collected and sorted on the next line; the
-            // sweep visits interfaces in LinkId order
-            .keys()
-            .copied()
-            .collect();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collected and sorted on the next line; the sweep visits interfaces in LinkId order"
+        )]
+        let mut ifaces: Vec<LinkId> = self.tables.keys().copied().collect();
         ifaces.sort_unstable();
         for iface in ifaces {
             let old = self.tables[&iface].clone();
@@ -224,7 +224,10 @@ impl GrantSlab {
 
     /// Drop interned tables no interface references any more.
     fn vacuum(&mut self) {
-        // detlint: sorted — retain with a pure per-entry predicate
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "retain with a pure per-entry predicate"
+        )]
         self.index.retain(|_, bucket| {
             bucket.retain(|a| Arc::strong_count(a) > 1);
             !bucket.is_empty()

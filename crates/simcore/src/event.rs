@@ -24,27 +24,34 @@
 //! slab slot assignment) — swapping the container cannot change
 //! simulation results.
 //!
-//! Two push patterns get dedicated fast paths, both justified by the same
-//! argument — a new push carries the largest sequence number, so among
-//! events with equal timestamps it always pops last, and a FIFO ordered by
-//! insertion is exactly heap order:
+//! One push pattern gets a dedicated fast path. A new push carries the
+//! largest sequence number, so among events with equal timestamps it
+//! always pops last, and a FIFO ordered by insertion is exactly heap
+//! order. **Runs of pushes sharing a timestamp** (a multicast fan-out
+//! scheduling thousands of departures at the same serialization finish,
+//! then thousands of arrivals at the same propagation delay; a delivery to
+//! a co-located agent "now") therefore accumulate in a bounded set of
+//! [`MAX_RUNS`] deques, each keyed by one timestamp, so interleaved
+//! produce/consume streams coexist without touching the heap. When all
+//! runs are occupied, the least-recently-extended one is spilled into the
+//! heap; in the degenerate case (every push a new time) this costs one
+//! extra move per event, while in fan-out-heavy workloads it eliminates
+//! almost all heap traffic.
 //!
-//! * events scheduled **exactly at the current instant** (the time of the
-//!   last pop — e.g. a simulator delivering a packet to a co-located agent
-//!   "now") go to the `fifo` deque;
-//! * **runs of pushes sharing a future timestamp** (a multicast fan-out
-//!   scheduling thousands of departures at the same serialization finish,
-//!   then thousands of arrivals at the same propagation delay) accumulate
-//!   in a bounded set of [`MAX_RUNS`] deques, each keyed by one timestamp,
-//!   so interleaved produce/consume streams coexist without touching the
-//!   heap. When all runs are occupied, the least-recently-extended one is
-//!   spilled into the heap; in the degenerate case (every push a new
-//!   time) this costs one extra move per event, while in fan-out-heavy
-//!   workloads it eliminates almost all heap traffic.
+//! `pop` takes the minimum `(at, seq)` over the two source fronts (first
+//! run, heap top); each source is internally sorted by that key, so the
+//! minimum of fronts is the global minimum.
 //!
-//! `pop` takes the minimum `(at, seq)` over all source fronts; each source
-//! is internally sorted by that key, so the minimum of fronts is the
-//! global minimum.
+//! What each part buys was ablated with the repo benchmark (ISSUE 15:
+//! `benchmark -- --workload W --seed 42 --seconds 10 --trace 0`,
+//! alternating order, every `sim_digest` identical; table in DESIGN.md
+//! "Simulator hot path"). Without the run deques `fanout_dl` takes 4.15 s
+//! against 2.89 s (+44 %) — but `unicast_mix`, where every timestamp is
+//! distinct, runs 2x *faster* without them (1.62 s vs 3.35 s; open item in
+//! ROADMAP.md). Without `run_memo` the multicast workloads are 2-6 %
+//! slower. A push at the instant of the last pop needs no front of its
+//! own — it is a push to the run keyed by that instant, and a dedicated
+//! deque for it made no resolvable difference on any workload.
 
 use crate::time::SimTime;
 use std::collections::VecDeque;
@@ -102,12 +109,7 @@ pub struct EventQueue<E> {
     slab: Vec<Option<E>>,
     /// Recycled slab slots.
     free: Vec<u32>,
-    /// Events scheduled exactly at [`fifo_at`](Self::fifo_at), in insertion
-    /// order — the same order the heap would yield, at deque cost.
-    fifo: VecDeque<(u64, E)>,
-    /// The shared timestamp of every event in `fifo`.
-    fifo_at: SimTime,
-    /// Live future-timestamp runs, sorted ascending by `at` (unique).
+    /// Live same-timestamp runs, sorted ascending by `at` (unique).
     /// A deque because drained runs leave at the front while fresh
     /// timestamps usually enter at the back.
     runs: VecDeque<Run<E>>,
@@ -121,7 +123,7 @@ pub struct EventQueue<E> {
     run_memo: usize,
     /// The instant of the most recent pop (`ZERO` before the first).
     current: SimTime,
-    /// Total pending events across heap, fifo and runs.
+    /// Total pending events across heap and runs.
     count: usize,
     next_seq: u64,
     popped: u64,
@@ -129,7 +131,7 @@ pub struct EventQueue<E> {
     /// Debug-build watermark: a key strictly below every pending key, so
     /// every pop must return something strictly above it. Advancing it to
     /// each popped key pins both time order and the FIFO tie-break (same
-    /// instant ⇒ rising seq) against heap/run/fifo regressions. A push
+    /// instant ⇒ rising seq) against heap/run regressions. A push
     /// earlier than the floor rewinds it (the raw queue permits past
     /// pushes even though the simulation never issues them), and
     /// [`Self::take_all`] resets it: after a shard split/merge the queue
@@ -151,8 +153,6 @@ impl<E> EventQueue<E> {
             heap: Vec::new(),
             slab: Vec::new(),
             free: Vec::new(),
-            fifo: VecDeque::new(),
-            fifo_at: SimTime::ZERO,
             runs: VecDeque::new(),
             spare_runs: Vec::new(),
             run_memo: 0,
@@ -180,14 +180,7 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.count += 1;
         self.high_water = self.high_water.max(self.count);
-        if at == self.current && (self.fifo.is_empty() || self.fifo_at == at) {
-            // Same-instant fast path: this event's seq is larger than every
-            // pending one's, so FIFO order equals heap order.
-            self.fifo_at = at;
-            self.fifo.push_back((seq, event));
-            return;
-        }
-        // Same-future-instant fast path: extend the run carrying this
+        // Same-instant fast path: extend the run carrying this
         // timestamp, or open a new one. When the table is full the victim
         // is the smallest, stalest run: lone-timestamp traffic (a TCP
         // stream's per-packet times) spills for the price of an ordinary
@@ -272,17 +265,13 @@ impl<E> EventQueue<E> {
     /// `pop` pair an event loop with a horizon would otherwise issue, so
     /// the source fronts are scanned once per event instead of twice.
     pub fn pop_until(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        // The minimum (at, seq) over the three source fronts: each source
+        // The minimum (at, seq) over the two source fronts: each source
         // is sorted by that key (runs are sorted by time and hold unique
         // timestamps, so only the first run can hold the minimum), making
         // the minimum of fronts the global minimum. Branchy rather than
         // iterator-combined: this runs once per simulated event and the
-        // common case (fifo or front run wins) should cost two compares.
+        // common case (the front run wins) should cost one compare.
         const NONE: (SimTime, u64) = (SimTime::from_nanos(u64::MAX), u64::MAX);
-        let fifo_ord = match self.fifo.front() {
-            Some(&(seq, _)) => (self.fifo_at, seq),
-            None => NONE,
-        };
         let run_ord = match self.runs.front() {
             Some(r) => (r.at, r.dq.front().expect("runs are never empty").0),
             None => NONE,
@@ -291,7 +280,7 @@ impl<E> EventQueue<E> {
             Some(k) => k.ord(),
             None => NONE,
         };
-        let best = fifo_ord.min(run_ord).min(heap_ord);
+        let best = run_ord.min(heap_ord);
         if best == NONE || best.0 > t {
             return None;
         }
@@ -316,10 +305,6 @@ impl<E> EventQueue<E> {
             }
             return Some((best.0, event));
         }
-        if fifo_ord == best {
-            let (_, event) = self.fifo.pop_front().expect("checked front");
-            return Some((best.0, event));
-        }
         let k = *self.heap.first().expect("checked front");
         let last = self.heap.len() - 1;
         self.heap.swap(0, last);
@@ -334,14 +319,11 @@ impl<E> EventQueue<E> {
 
     /// The time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let mut t = self.heap.first().map(|k| k.at);
-        if !self.fifo.is_empty() {
-            t = Some(t.map_or(self.fifo_at, |x| x.min(self.fifo_at)));
+        let heap = self.heap.first().map(|k| k.at);
+        match self.runs.front() {
+            Some(run) => Some(heap.map_or(run.at, |t| t.min(run.at))),
+            None => heap,
         }
-        if let Some(run) = self.runs.front() {
-            t = Some(t.map_or(run.at, |x| x.min(run.at)));
-        }
-        t
     }
 
     /// Number of pending events.
@@ -522,7 +504,7 @@ mod tests {
     }
 
     /// `take_all` drains in `(at, seq)` order but leaves the processed
-    /// counter and the same-instant fast-path anchor untouched, so a
+    /// counter and the current instant untouched, so a
     /// split/merge round trip cannot skew diagnostics or tie-breaking.
     #[test]
     fn take_all_drains_in_order_without_counting() {
@@ -530,14 +512,14 @@ mod tests {
         q.push(SimTime::from_millis(2), 'b');
         q.push(SimTime::from_millis(1), 'a');
         assert_eq!(q.pop().unwrap().1, 'a');
-        q.push(SimTime::from_millis(1), 'c'); // same-instant fifo
+        q.push(SimTime::from_millis(1), 'c'); // at the instant of the last pop
         q.push(SimTime::from_millis(3), 'd');
         let drained = q.take_all();
         let order: Vec<char> = drained.iter().map(|&(_, e)| e).collect();
         assert_eq!(order, vec!['c', 'b', 'd']);
         assert!(q.is_empty());
         assert_eq!(q.processed(), 1, "take_all is not processing");
-        // The queue stays usable: the same-instant anchor is preserved.
+        // The queue stays usable at the instant it was drained at.
         q.push(SimTime::from_millis(1), 'e');
         assert_eq!(q.pop().unwrap(), (SimTime::from_millis(1), 'e'));
         q.add_processed(10);
@@ -549,7 +531,7 @@ mod tests {
     }
 
     /// `pop_until` only surfaces events inside the horizon and leaves
-    /// later ones untouched, across all three internal sources.
+    /// later ones untouched, across both internal sources.
     #[test]
     fn pop_until_respects_the_horizon() {
         let mut q = EventQueue::new();
@@ -557,7 +539,7 @@ mod tests {
         q.push(SimTime::from_secs(3), 'c');
         assert_eq!(q.pop_until(SimTime::from_millis(500)), None);
         assert_eq!(q.pop_until(SimTime::from_secs(1)).unwrap().1, 'a');
-        q.push(SimTime::from_secs(1), 'b'); // same-instant fifo
+        q.push(SimTime::from_secs(1), 'b'); // at the instant of the last pop
         assert_eq!(q.pop_until(SimTime::from_secs(2)).unwrap().1, 'b');
         assert_eq!(q.pop_until(SimTime::from_secs(2)), None);
         assert_eq!(q.len(), 1, "the out-of-horizon event stays");
@@ -565,24 +547,24 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// The same-instant fast path: events pushed at the time of the last
-    /// pop interleave correctly with heap events at the same and later
-    /// instants, in global (time, seq) order.
+    /// Events pushed at the time of the last pop interleave correctly
+    /// with pending events at the same and later instants, in global
+    /// (time, seq) order.
     #[test]
     fn same_instant_pushes_pop_in_seq_order() {
         let mut q = EventQueue::new();
         let t1 = SimTime::from_millis(1);
         let t2 = SimTime::from_millis(2);
-        q.push(t1, "a"); // heap
-        q.push(t2, "e"); // heap
+        q.push(t1, "a"); // run t1
+        q.push(t2, "e"); // run t2
         assert_eq!(q.pop().unwrap(), (t1, "a"));
-        q.push(t1, "b"); // fifo (at == last pop time)
-        q.push(t2, "f"); // heap
-        q.push(t1, "c"); // fifo
+        q.push(t1, "b"); // at == last pop time: a fresh run t1
+        q.push(t2, "f"); // run t2
+        q.push(t1, "c"); // run t1
         assert_eq!(q.peek_time(), Some(t1));
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop().unwrap(), (t1, "b"));
-        q.push(t1, "d"); // fifo again after a fifo pop
+        q.push(t1, "d"); // run t1 again after popping from it
         assert_eq!(q.pop().unwrap(), (t1, "c"));
         assert_eq!(q.pop().unwrap(), (t1, "d"));
         assert_eq!(q.pop().unwrap(), (t2, "e"));

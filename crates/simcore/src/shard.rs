@@ -18,9 +18,10 @@
 //!
 //! Determinism across shard counts and worker counts rests on the mailbox
 //! discipline: every cross-shard message is stamped `(arrival time, source
-//! shard, source sequence)` by [`Outbox::push`], and [`merge_stamped`]
-//! orders a barrier's harvest by exactly that key before the messages are
-//! fed to the destination queues. Two runs with the same partition
+//! shard, source sequence)` by [`Outbox::push`], and [`Outbox::harvest`]
+//! — the only way to drain a box — orders a barrier's harvest by exactly
+//! that key ([`merge_stamped`]) before the messages are fed to the
+//! destination queues. Two runs with the same partition
 //! therefore insert cross messages in the same order no matter how many
 //! worker threads executed the window — the same seed-per-slot and
 //! FIFO-tie reasoning the serial [`EventQueue`] is built on.
@@ -168,9 +169,26 @@ impl<M> Outbox<M> {
     }
 
     /// Staged messages, clearing the box (sequence numbers keep rising, so
-    /// FIFO order survives across windows).
-    pub fn take(&mut self) -> Vec<Stamped<M>> {
+    /// FIFO order survives across windows). Private: the only way out of
+    /// an outbox is [`Outbox::harvest`], which merges.
+    fn take(&mut self) -> Vec<Stamped<M>> {
         std::mem::take(&mut self.items)
+    }
+
+    /// A barrier's harvest: empty every box and return the messages in the
+    /// deterministic drain order of [`merge_stamped`]. This is the only
+    /// drain, so a cross-shard exchange that skips the merge cannot be
+    /// written.
+    pub fn harvest<'a>(outboxes: impl IntoIterator<Item = &'a mut Self>) -> Vec<Stamped<M>>
+    where
+        M: 'a,
+    {
+        let mut all = Vec::new();
+        for outbox in outboxes {
+            all.append(&mut outbox.take());
+        }
+        merge_stamped(&mut all);
+        all
     }
 
     /// True when nothing is staged.
@@ -264,9 +282,7 @@ mod tests {
         b.push(0, t1, 21);
         a.push(0, t1, 10);
         a.push(0, t2, 11);
-        let mut all = b.take();
-        all.extend(a.take());
-        merge_stamped(&mut all);
+        let all = Outbox::harvest([&mut b, &mut a]);
         let order: Vec<u32> = all.iter().map(|s| s.msg).collect();
         // t1 first; at t1 shard 1 before shard 2; then t2 likewise.
         assert_eq!(order, vec![10, 21, 11, 20]);
@@ -296,9 +312,7 @@ mod proptests {
             for (i, &t) in times.iter().enumerate() {
                 boxes[i % 3].push(0, SimTime::from_millis(t), i as u32);
             }
-            let mut canonical: Vec<Stamped<u32>> =
-                boxes.iter_mut().flat_map(|b| b.take()).collect();
-            merge_stamped(&mut canonical);
+            let canonical = Outbox::harvest(&mut boxes);
             // The merged order is strictly ascending: keys are unique, so
             // there is exactly one valid drain order.
             for w in canonical.windows(2) {

@@ -222,6 +222,10 @@ pub mod prelude {
 }
 
 /// Number of cases each property runs (`PROPTEST_CASES`, default 64).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test-harness knob mirroring upstream proptest; never linked into a simulation"
+)]
 pub fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()

@@ -114,6 +114,50 @@ fn parking_lot_fairness_quick_json_is_byte_pinned() {
     assert_quick_json_pinned("parking_lot_fairness");
 }
 
+/// Byte pins of the cheap figure and ablation payloads (under a second of
+/// release-mode simulation together): generated on the code that still
+/// hand-wrote every encoder, so a row type that renders itself must
+/// reproduce these bytes. Regenerate deliberately with `MCC_BLESS=1 cargo
+/// test --test registry figures_and_ablations_quick`.
+#[test]
+fn figures_and_ablations_quick_json_is_byte_pinned() {
+    for id in [
+        "fig01_attack",
+        "fig07_protection",
+        "fig08e_responsiveness",
+        "fig08f_rtt",
+        "fig08g_convergence_dl",
+        "fig08h_convergence_ds",
+        "fig09a_overhead_groups",
+        "fig09b_overhead_slot",
+        "ablation_fec",
+        "ablation_slot",
+    ] {
+        assert_quick_json_pinned(id);
+    }
+}
+
+/// Pins that need an optimised build; CI runs them with `cargo test
+/// --release --test registry -- --ignored`. The four session-count sweeps
+/// take a minute unoptimised. `ablation_sharing` is analytic and instant,
+/// but its `naive` column at N = 5 differs in the last digit between
+/// optimised and unoptimised builds (LLVM folds `powi` over the constant
+/// group counts at compile time), and the pin holds the bytes the release
+/// `figures` binary writes.
+#[test]
+#[ignore = "needs --release: a minute unoptimised, and ablation_sharing's last digit is build-profile dependent"]
+fn release_only_quick_json_is_byte_pinned() {
+    for id in [
+        "fig08a_dl_throughput",
+        "fig08b_ds_throughput",
+        "fig08c_avg_no_cross",
+        "fig08d_avg_cross",
+        "ablation_sharing",
+    ] {
+        assert_quick_json_pinned(id);
+    }
+}
+
 /// A spec carries the effective seed: the registered one, or the
 /// `Params` override.
 #[test]

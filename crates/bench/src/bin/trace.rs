@@ -5,7 +5,7 @@
 //! trace --top 20 results/TRACE_tree_placement.jsonl
 //! ```
 
-use mcc_bench::trace::summarize;
+use mcc_bench::trace::{obs_sibling, overflow_warning, summarize};
 
 fn usage() -> String {
     "trace — summarize a TRACE_*.jsonl flight-recorder file\n\
@@ -58,6 +58,13 @@ fn main() {
         eprintln!("trace: read {file}: {e}");
         std::process::exit(1);
     });
+    // A missing or unreadable sibling says nothing either way.
+    let warning = obs_sibling(std::path::Path::new(&file))
+        .and_then(|obs| std::fs::read_to_string(obs).ok())
+        .and_then(|obs| overflow_warning(&obs));
+    if let Some(warning) = warning {
+        println!("{warning}");
+    }
     let summary = summarize(&input);
     print!("{file}:\n{}", summary.render(top));
 }

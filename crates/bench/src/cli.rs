@@ -120,13 +120,11 @@ impl Cli {
         };
         let mut defs: Vec<ExperimentDef> = Vec::new();
         for token in tokens {
-            let matched = match token.as_str() {
-                "all" => registry::REGISTRY.to_vec(),
-                "figures" => registry::figures(),
-                "ablations" => registry::ablations(),
-                "matrices" => registry::matrices(),
-                "topologies" => registry::topologies(),
-                t => registry::matching(t),
+            let group = Kind::ALL.into_iter().find(|k| k.group() == token);
+            let matched = match group {
+                Some(kind) => registry::of_kind(kind),
+                None if token == "all" => registry::REGISTRY.to_vec(),
+                None => registry::matching(token),
             };
             if matched.is_empty() {
                 let near = suggestions(token);
@@ -170,7 +168,8 @@ fn suggestions(token: &str) -> Vec<&'static str> {
     let mut scored: Vec<(usize, bool, &'static str)> = registry::REGISTRY
         .iter()
         .map(|d| d.id())
-        .chain(["figures", "ablations", "matrices", "topologies", "all"])
+        .chain(Kind::ALL.map(Kind::group))
+        .chain(["all"])
         .filter_map(|id| {
             let d = prefix_edit_distance(token, id);
             (d <= threshold).then_some((d, !subseq(id), id))
@@ -229,24 +228,20 @@ fn usage() -> String {
 /// Render `--list`.
 pub fn list() -> String {
     let mut out = String::new();
+    let groups = Kind::ALL.map(|k| format!("{} {}", registry::of_kind(k).len(), k.group()));
     out.push_str(&format!(
-        "{} registered experiments ({} figures, {} ablations, {} matrices, {} topologies):\n\n",
+        "{} registered experiments ({}):\n\n",
         registry::REGISTRY.len(),
-        registry::figures().len(),
-        registry::ablations().len(),
-        registry::matrices().len(),
-        registry::topologies().len()
+        groups.join(", ")
     ));
     out.push_str(&format!(
         "  {:<24} {:<10} {:>4}  {}\n",
         "id", "figure", "seed", "description"
     ));
     for def in registry::REGISTRY {
-        let figure = match def.kind() {
-            Kind::Figure => def.figure(),
-            Kind::Ablation => "ablation",
-            Kind::Matrix => "matrix",
-            Kind::Topology => "topology",
+        let figure = match def.figure() {
+            "" => def.kind().label(),
+            figure => figure,
         };
         out.push_str(&format!(
             "  {:<24} {:<10} {:>4}  {}\n",
@@ -305,6 +300,7 @@ pub fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
             let mut specs = Vec::new();
             for value in values {
                 let swept = params.with_override(key, value)?;
+                registry::check_params(&swept)?;
                 let mut batch = registry::specs(&selection, &swept);
                 for spec in &mut batch {
                     spec.name = format!("{}@{key}={value}", spec.name);
@@ -371,7 +367,6 @@ pub fn main_with_args(args: &[String]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcc_core::registry::Kind;
 
     fn parse(args: &[&str]) -> Result<Cli, String> {
         Cli::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())

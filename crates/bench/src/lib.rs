@@ -14,10 +14,7 @@
 //! cargo run --release -p mcc-bench --bin figures -- --sweep seed=1,2,3
 //! ```
 //!
-//! The flagless run writes `results/BENCH_all_figures.json`. The
-//! per-figure binaries (`fig01_attack` … `fig09b_overhead_slot`,
-//! `ablations`) are gone — `figures --only <id>` replaces them; see
-//! `DESIGN.md` for the deprecation table.
+//! The flagless run writes `results/BENCH_all_figures.json`.
 //!
 //! Nothing here reads a clock for a result: speed and memory are measured
 //! by the standalone `benchmark/` package (see `benchmark/README.md`).

@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// Aggregates of one trace file. All counters are sim-time-derived, so a
 /// summary is as deterministic as the trace it came from.
@@ -55,6 +56,27 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let i = line.find(&pat)? + pat.len();
     let rest = &line[i..];
     rest.split('"').next()
+}
+
+/// The `OBS_<id>.json` a run writes beside its `TRACE_<id>.jsonl`.
+pub fn obs_sibling(trace: &Path) -> Option<PathBuf> {
+    let id = trace
+        .file_name()?
+        .to_str()?
+        .strip_prefix("TRACE_")?
+        .strip_suffix(".jsonl")?;
+    Some(trace.with_file_name(format!("OBS_{id}.json")))
+}
+
+/// The warning a truncated trace earns: `obs` is the sibling
+/// `OBS_<id>.json`, whose first `"trace_overflow"` is the run total of
+/// events the flight recorder's ring evicted. `None` when nothing was.
+pub fn overflow_warning(obs: &str) -> Option<String> {
+    let evicted = field_u64(obs, "trace_overflow").filter(|&n| n > 0)?;
+    Some(format!(
+        "warning: truncated trace — the flight recorder evicted {evicted} older events \
+         (\"trace_overflow\"); the summary covers only what was kept"
+    ))
 }
 
 /// Fold a trace file (or any concatenation of canonical lines) into a
@@ -195,6 +217,50 @@ not json\n";
         assert_eq!(field_u64(line, "until_slot"), Some(12));
         assert_eq!(field_u64(line, "missing"), None);
         assert_eq!(field_str(line, "ev"), Some("pkt_drop"));
+    }
+
+    /// A 2-slot ring fed five events keeps two and counts three evicted;
+    /// the OBS payload rendered beside the trace carries the count.
+    #[test]
+    fn overflowed_ring_earns_a_warning() {
+        use mcc_obs::{PktRef, Recorder, TraceEvent};
+        let record = |cap: usize| {
+            let mut rec = Recorder::new(0, cap);
+            for flow in 1..=5 {
+                let pkt = PktRef {
+                    node: 0,
+                    link: 1,
+                    flow,
+                    src: 3,
+                    group: 4,
+                    agent: u32::MAX,
+                    size_bits: 8,
+                };
+                rec.record(
+                    mcc_simcore::SimTime::from_nanos(flow.into()),
+                    TraceEvent::PktEnqueue(pkt),
+                );
+            }
+            mcc_core::obs::render_runs("ring", &mut [rec])
+        };
+        let out = record(2);
+        assert_eq!(
+            summarize(&out.jsonl).lines,
+            2,
+            "the file holds the kept two"
+        );
+        let warning = overflow_warning(&out.obs.to_string()).expect("overflow warns");
+        assert!(warning.contains("evicted 3 "), "{warning}");
+        assert_eq!(overflow_warning(&record(8).obs.to_string()), None);
+    }
+
+    #[test]
+    fn obs_sibling_swaps_prefix_and_extension() {
+        assert_eq!(
+            obs_sibling(Path::new("/tmp/t1/TRACE_fig01_attack.jsonl")),
+            Some(PathBuf::from("/tmp/t1/OBS_fig01_attack.json"))
+        );
+        assert_eq!(obs_sibling(Path::new("notes.jsonl")), None);
     }
 
     #[test]

@@ -6,16 +6,25 @@
 use std::process::Command;
 
 fn sweep(value: &str) -> std::process::Output {
+    sweep_in_mode(value, "1")
+}
+
+/// `quick` is the `MCC_QUICK` value: `"0"` runs the full-length 60 s sweep.
+fn sweep_in_mode(value: &str, quick: &str) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_figures"))
         .args(["--only", "churn_robustness", "--sweep", value])
-        .env("MCC_QUICK", "1")
+        .env("MCC_QUICK", quick)
         .env("MCC_OUT", std::env::temp_dir().join("mcc_cli_validation"))
         .output()
         .expect("spawn figures")
 }
 
 fn assert_rejected(key: &str, value: &str) {
-    let out = sweep(&format!("{key}={value}"));
+    assert_rejected_in_mode(key, value, "1");
+}
+
+fn assert_rejected_in_mode(key: &str, value: &str, quick: &str) {
+    let out = sweep_in_mode(&format!("{key}={value}"), quick);
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -38,6 +47,19 @@ fn figures_rejects_a_churn_rate_over_the_arrival_cap() {
 #[test]
 fn figures_rejects_a_flash_factor_over_the_arrival_cap() {
     assert_rejected("flash_factor", "1000000");
+}
+
+/// 2000/s fits a 30 s quick run but not the 60 s full-length one: the
+/// bound is checked against the run the composed parameters really make.
+#[test]
+fn figures_rejects_a_churn_rate_over_the_cap_at_full_length() {
+    assert_rejected_in_mode("churn_rate", "2000", "0");
+}
+
+/// The crowd multiplies the churn runs' standing population of two.
+#[test]
+fn figures_rejects_a_flash_factor_over_the_cap_for_two_standing_receivers() {
+    assert_rejected("flash_factor", "60000");
 }
 
 #[test]

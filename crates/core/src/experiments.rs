@@ -8,28 +8,31 @@
 
 use crate::config::Params;
 use crate::metrics::{damage, Damage, Series};
+use crate::runner::record;
 use crate::scenario::{Scenario, Units, Variant};
-use crate::topology::{
-    BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SessionHandle, SIGMA_SLOT,
-};
+use crate::topology::{BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SIGMA_SLOT};
 use mcc_attack::{
     All, AttackPlan, Colluders, CollusionSet, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess,
     Placement, Timed,
 };
 use mcc_delta::overhead::{delta_overhead, sigma_overhead, OverheadParams};
 use mcc_flid::FlidConfig;
-use mcc_netsim::{FlowId, GroupAddr};
+use mcc_netsim::{AgentId, FlowId, GroupAddr};
 use mcc_simcore::{SimDuration, SimTime};
 
-/// Result of the attack experiments (Figures 1 and 7): throughput-vs-time
-/// of the misbehaving receiver F1, the honest receiver F2 and the TCP
-/// receivers T1/T2.
-#[derive(Clone, Debug)]
-pub struct AttackResult {
-    /// `F1, F2, T1, T2` series (bit/s, smoothed like the paper's plots).
-    pub series: Vec<Series>,
-    /// Average throughput of each flow after the attack begins.
-    pub post_attack_avg_bps: Vec<f64>,
+record! {
+    /// Result of the attack experiments (Figures 1 and 7): throughput-vs-time
+    /// of the misbehaving receiver F1, the honest receiver F2 and the TCP
+    /// receivers T1/T2.
+    #[derive(Clone, Debug)]
+    pub struct AttackResult {
+        /// When F1 starts inflating, seconds.
+        pub attack_at_secs: u64,
+        /// `F1, F2, T1, T2` series (bit/s, smoothed like the paper's plots).
+        pub series: Vec<Series>,
+        /// Average throughput of each flow after the attack begins.
+        pub post_attack_avg_bps: Vec<f64>,
+    }
 }
 
 /// Figures 1 & 7: two multicast + two TCP sessions on a 1 Mbps bottleneck;
@@ -67,20 +70,23 @@ pub fn attack_experiment(
         .map(|(_, a)| d.throughput_bps(*a, attack_at_secs + 5, duration_secs))
         .collect();
     AttackResult {
+        attack_at_secs,
         series,
         post_attack_avg_bps,
     }
 }
 
-/// One row of the Figure 8a–8d sweeps.
-#[derive(Clone, Debug)]
-pub struct SessionsRow {
-    /// Number of multicast sessions.
-    pub n: u32,
-    /// Per-receiver average throughput, bit/s.
-    pub individual_bps: Vec<f64>,
-    /// Mean of the individual rates.
-    pub avg_bps: f64,
+record! {
+    /// One row of the Figure 8a–8d sweeps.
+    #[derive(Clone, Debug)]
+    pub struct SessionsRow {
+        /// Number of multicast sessions.
+        pub n: u32,
+        /// Mean of the individual rates.
+        pub avg_bps: f64,
+        /// Per-receiver average throughput, bit/s.
+        pub individual_bps: Vec<f64>,
+    }
 }
 
 /// Figures 8a/8b (and the multicast half of 8d): `n` multicast sessions,
@@ -114,8 +120,8 @@ pub fn throughput_vs_sessions(
             let avg_bps = individual_bps.iter().sum::<f64>() / individual_bps.len() as f64;
             SessionsRow {
                 n,
-                individual_bps,
                 avg_bps,
+                individual_bps,
             }
         })
         .collect()
@@ -171,13 +177,15 @@ pub fn rtt_experiment(variant: Variant, duration_secs: u64, seed: u64) -> Vec<(f
         .collect()
 }
 
-/// Result of the convergence experiments (Figures 8g/8h).
-#[derive(Clone, Debug)]
-pub struct ConvergenceResult {
-    /// Per-receiver throughput series.
-    pub throughput: Vec<Series>,
-    /// Per-receiver `(t, level)` traces.
-    pub levels: Vec<Series>,
+record! {
+    /// Result of the convergence experiments (Figures 8g/8h).
+    #[derive(Clone, Debug)]
+    pub struct ConvergenceResult {
+        /// Per-receiver throughput series.
+        pub throughput: Vec<Series>,
+        /// Per-receiver `(t, level)` traces.
+        pub levels: Vec<Series>,
+    }
 }
 
 /// Figures 8g/8h: four receivers of one session joining at 0/10/20/30 s
@@ -212,19 +220,21 @@ pub fn convergence(variant: Variant, duration_secs: u64, seed: u64) -> Convergen
     ConvergenceResult { throughput, levels }
 }
 
-/// One row of the Figure 9 overhead sweeps.
-#[derive(Clone, Debug)]
-pub struct OverheadRow {
-    /// Swept variable: group count (9a) or slot seconds (9b).
-    pub x: f64,
-    /// DELTA overhead, closed form (paper §5.4).
-    pub delta_analytic: f64,
-    /// SIGMA overhead, closed form with measured `f_g`, `z`, `h`.
-    pub sigma_analytic: f64,
-    /// DELTA overhead measured from sender counters.
-    pub delta_measured: f64,
-    /// SIGMA overhead measured from sender counters.
-    pub sigma_measured: f64,
+record! {
+    /// One row of the Figure 9 overhead sweeps.
+    #[derive(Clone, Debug)]
+    pub struct OverheadRow {
+        /// Swept variable: group count (9a) or slot seconds (9b).
+        pub x: f64,
+        /// DELTA overhead, closed form (paper §5.4).
+        pub delta_analytic: f64,
+        /// SIGMA overhead, closed form with measured `f_g`, `z`, `h`.
+        pub sigma_analytic: f64,
+        /// DELTA overhead measured from sender counters.
+        pub delta_measured: f64,
+        /// SIGMA overhead measured from sender counters.
+        pub sigma_measured: f64,
+    }
 }
 
 /// The paper's Figure-9 session: `R = 4 Mbps`, `r = 100 Kbps`, 500-byte
@@ -324,11 +334,6 @@ pub fn overhead_vs_slot(slots_ms: &[u64], duration_secs: u64, seed: u64) -> Vec<
         .collect()
 }
 
-/// Convenience: the session handle of session `i`.
-pub fn session(d: &BuiltTopology, i: usize) -> &SessionHandle {
-    &d.sessions[i]
-}
-
 // ---------------------------------------------------------------------------
 // The robustness matrix: adversary strategies × defense variants
 // ---------------------------------------------------------------------------
@@ -343,45 +348,49 @@ pub const MATRIX_STRATEGIES: &[&str] = &[
     "join_leave_flap",
 ];
 
-/// One cell of the robustness matrix: one adversary strategy attacking
-/// one defense variant.
-#[derive(Clone, Debug)]
-pub struct MatrixCell {
-    /// Defense label ([`Variant::label`]).
-    pub defense: &'static str,
-    /// Strategy name (one of [`MATRIX_STRATEGIES`]).
-    pub strategy: &'static str,
-    /// Attacker goodput over the post-onset window, bit/s.
-    pub attacker_bps: f64,
-    /// Honest receiver goodput under attack, bit/s.
-    pub honest_bps: f64,
-    /// Mean TCP cross-traffic goodput under attack, bit/s.
-    pub tcp_bps: f64,
-    /// Honest receiver goodput in the attack-free baseline run, bit/s.
-    pub baseline_honest_bps: f64,
-    /// Damage/containment metrics relative to the baseline.
-    pub damage: Damage,
-    /// Keys the edge router rejected (0 when unprotected).
-    pub rejected_keys: u64,
-    /// Raw IGMP joins the edge router ignored (0 when unprotected).
-    pub raw_igmp_blocked: u64,
+record! {
+    /// One cell of the robustness matrix: one adversary strategy attacking
+    /// one defense variant.
+    #[derive(Clone, Debug)]
+    pub struct MatrixCell {
+        /// Defense label ([`Variant::label`]).
+        pub defense: &'static str,
+        /// Strategy name (one of [`MATRIX_STRATEGIES`]).
+        pub strategy: &'static str,
+        /// Attacker goodput over the post-onset window, bit/s.
+        pub attacker_bps: f64,
+        /// Honest receiver goodput under attack, bit/s.
+        pub honest_bps: f64,
+        /// Mean TCP cross-traffic goodput under attack, bit/s.
+        pub tcp_bps: f64,
+        /// Honest receiver goodput in the attack-free baseline run, bit/s.
+        pub baseline_honest_bps: f64,
+        /// Damage/containment metrics relative to the baseline.
+        @splice pub damage: Damage,
+        /// Keys the edge router rejected (0 when unprotected).
+        pub rejected_keys: u64,
+        /// Raw IGMP joins the edge router ignored (0 when unprotected).
+        pub raw_igmp_blocked: u64,
+    }
 }
 
-/// The full matrix.
-#[derive(Clone, Debug)]
-pub struct MatrixResult {
-    /// Attack onset, seconds.
-    pub onset_secs: u64,
-    /// Run duration, seconds.
-    pub duration_secs: u64,
-    /// Fair share of each of the four competing flows, bit/s.
-    pub fair_share_bps: f64,
-    /// Defense column labels, in cell order.
-    pub defenses: Vec<&'static str>,
-    /// Strategy row labels, in cell order.
-    pub strategies: Vec<&'static str>,
-    /// Cells, defense-major then strategy.
-    pub cells: Vec<MatrixCell>,
+record! {
+    /// The full matrix.
+    #[derive(Clone, Debug)]
+    pub struct MatrixResult {
+        /// Attack onset, seconds.
+        pub onset_secs: u64,
+        /// Run duration, seconds.
+        pub duration_secs: u64,
+        /// Fair share of each of the four competing flows, bit/s.
+        pub fair_share_bps: f64,
+        /// Defense column labels, in cell order.
+        pub defenses: Vec<&'static str>,
+        /// Strategy row labels, in cell order.
+        pub strategies: Vec<&'static str>,
+        /// Cells, defense-major then strategy.
+        pub cells: Vec<MatrixCell>,
+    }
 }
 
 /// Plans for one strategy cell: the attacker's plan and join time plus,
@@ -436,20 +445,78 @@ fn strategy_cell_plans(name: &str, onset: SimTime) -> CellPlans {
     }
 }
 
-/// Raw measurements of one matrix run.
-#[derive(Clone)]
-struct CellRun {
+/// What one attack (or attack-free baseline) run reports, under the one
+/// window convention every attack-vs-baseline experiment shares.
+#[derive(Default)]
+struct Measured {
+    /// Goodput of the (possibly attacking) receiver 0 of session 0, bit/s.
     attacker_bps: f64,
-    honest_bps: f64,
-    tcp_bps: f64,
+    /// Goodput of each victim, bit/s, in the order they were named.
+    victims_bps: Vec<f64>,
+    /// SIGMA counters summed over the edge routers (zero when unprotected).
     rejected_keys: u64,
     raw_igmp_blocked: u64,
+    guard_false_positives: u64,
+    tuples_installed: u64,
+    session_joins: u64,
+    /// When an edge first caught the misbehaviour, seconds into the run.
     detection_secs: Option<f64>,
+}
+
+impl Measured {
+    /// Damage and containment of this attack run against its attack-free
+    /// `baseline`, for the first victim. The attacker's entitlement — "what
+    /// the misbehaviour bought" — is the same receiver behaving honestly,
+    /// not the static fair share (honest multicast already over-shares).
+    fn damage_against(&self, baseline: &Measured, onset_secs: u64) -> Damage {
+        damage(
+            baseline.victims_bps[0],
+            self.victims_bps[0],
+            self.attacker_bps,
+            baseline.attacker_bps,
+            self.detection_secs,
+            onset_secs as f64,
+        )
+    }
+}
+
+/// Read a finished run out. The attacker is measured from the onset
+/// itself — a strategy whose whole payoff is skipping the honest ramp
+/// (collusion) shows up in those first seconds. The victims get a settling
+/// margin so their loss reflects the sustained attack, not the transition.
+fn measure(
+    t: &BuiltTopology,
+    onset_secs: u64,
+    duration_secs: u64,
+    victims: &[AgentId],
+) -> Measured {
+    let from = onset_secs + 5;
+    let mut m = Measured {
+        attacker_bps: t.throughput_bps(t.sessions[0].receivers[0], onset_secs, duration_secs),
+        victims_bps: victims
+            .iter()
+            .map(|&v| t.throughput_bps(v, from, duration_secs))
+            .collect(),
+        ..Measured::default()
+    };
+    for edge in t.sigmas() {
+        m.rejected_keys += edge.stats.rejected_keys;
+        m.raw_igmp_blocked += edge.stats.raw_igmp_blocked;
+        m.guard_false_positives += edge.stats.guard_false_positives;
+        m.tuples_installed += edge.stats.tuples_installed;
+        m.session_joins += edge.stats.session_joins;
+        m.detection_secs = [m.detection_secs, edge.stats.detection_secs(SIGMA_SLOT)]
+            .into_iter()
+            .flatten()
+            .reduce(f64::min);
+    }
+    m
 }
 
 /// One matrix run: two sessions of `variant` (session 0 holds the
 /// attacker, session 1 an honest receiver) plus two TCP flows on a 1 Mbps
 /// bottleneck — the Figure-1/7 population, generalized over variants.
+/// Victims: the honest receiver, then the two TCP sinks.
 fn matrix_run(
     variant: Variant,
     attacker: AttackPlan,
@@ -458,7 +525,7 @@ fn matrix_run(
     duration_secs: u64,
     onset_secs: u64,
     seed: u64,
-) -> CellRun {
+) -> Measured {
     let n_groups = variant_groups(variant);
     let mut attack_session = McastSessionSpec::new(variant).groups(n_groups).receiver(
         ReceiverSpec::new()
@@ -479,32 +546,8 @@ fn matrix_run(
         .tcp(2)
         .build();
     d.run_secs(duration_secs);
-    // The attacker is measured from the onset itself — a strategy whose
-    // whole payoff is skipping the honest ramp (collusion) shows up in
-    // those first seconds. The victim flows get a settling margin so
-    // their loss reflects the sustained attack, not the transition.
-    let attacker_bps = d.throughput_bps(d.sessions[0].receivers[0], onset_secs, duration_secs);
-    let from = onset_secs + 5;
-    let honest_bps = d.throughput_bps(d.sessions[1].receivers[0], from, duration_secs);
-    let tcp_bps = (d.throughput_bps(d.tcp[0].sink, from, duration_secs)
-        + d.throughput_bps(d.tcp[1].sink, from, duration_secs))
-        / 2.0;
-    let (rejected_keys, raw_igmp_blocked, detection_secs) = match d.sigmas().next() {
-        Some(m) => (
-            m.stats.rejected_keys,
-            m.stats.raw_igmp_blocked,
-            m.stats.detection_secs(SIGMA_SLOT),
-        ),
-        None => (0, 0, None),
-    };
-    CellRun {
-        attacker_bps,
-        honest_bps,
-        tcp_bps,
-        rejected_keys,
-        raw_igmp_blocked,
-        detection_secs,
-    }
+    let victims = [d.sessions[1].receivers[0], d.tcp[0].sink, d.tcp[1].sink];
+    measure(&d, onset_secs, duration_secs, &victims)
 }
 
 /// The registered `matrix_robustness` experiment: sweep every
@@ -518,65 +561,41 @@ pub fn robustness_matrix(duration_secs: u64, onset_secs: u64, seed: u64) -> Matr
         // One seed per defense column: a cell and its baseline differ
         // only in the adversary — never in the seed or the topology.
         let column_seed = seed ^ ((di as u64 + 1) << 24);
-        let baseline = matrix_run(
-            variant,
-            AttackPlan::honest(),
-            SimTime::ZERO,
-            None,
-            duration_secs,
-            onset_secs,
-            column_seed,
-        );
-        // Strategy cells with an extra (feeder) receiver get their own
-        // topology-matched baseline (same receiver count and join times,
-        // everyone honest), computed lazily.
-        let mut two_receiver_baseline: Option<CellRun> = None;
-        for &name in MATRIX_STRATEGIES {
-            let plans = strategy_cell_plans(name, onset_secs.secs());
-            let base = if plans.extra.is_some() {
-                two_receiver_baseline
-                    .get_or_insert_with(|| {
-                        matrix_run(
-                            variant,
-                            AttackPlan::honest(),
-                            plans.attacker_join_at,
-                            Some(AttackPlan::honest()),
-                            duration_secs,
-                            onset_secs,
-                            column_seed,
-                        )
-                    })
-                    .clone()
-            } else {
-                baseline.clone()
-            };
-            let run = matrix_run(
+        let run_with = |attacker, join_at, extra| {
+            matrix_run(
                 variant,
-                plans.attacker,
-                plans.attacker_join_at,
-                plans.extra,
+                attacker,
+                join_at,
+                extra,
                 duration_secs,
                 onset_secs,
                 column_seed,
-            );
+            )
+        };
+        let baseline = run_with(AttackPlan::honest(), SimTime::ZERO, None);
+        // Strategy cells with an extra (feeder) receiver get their own
+        // topology-matched baseline (same receiver count and join times,
+        // everyone honest), computed lazily.
+        let mut two_receiver_baseline: Option<Measured> = None;
+        for &name in MATRIX_STRATEGIES {
+            let plans = strategy_cell_plans(name, onset_secs.secs());
+            let base = if plans.extra.is_some() {
+                two_receiver_baseline.get_or_insert_with(|| {
+                    let honest = Some(AttackPlan::honest());
+                    run_with(AttackPlan::honest(), plans.attacker_join_at, honest)
+                })
+            } else {
+                &baseline
+            };
+            let run = run_with(plans.attacker, plans.attacker_join_at, plans.extra);
             cells.push(MatrixCell {
                 defense: variant.label(),
                 strategy: name,
                 attacker_bps: run.attacker_bps,
-                honest_bps: run.honest_bps,
-                tcp_bps: run.tcp_bps,
-                baseline_honest_bps: base.honest_bps,
-                damage: damage(
-                    base.honest_bps,
-                    run.honest_bps,
-                    run.attacker_bps,
-                    // "What the misbehaviour bought": the counterfactual is
-                    // the same receiver behaving honestly, not the static
-                    // fair share (honest multicast already over-shares).
-                    base.attacker_bps,
-                    run.detection_secs,
-                    onset_secs as f64,
-                ),
+                honest_bps: run.victims_bps[0],
+                tcp_bps: (run.victims_bps[1] + run.victims_bps[2]) / 2.0,
+                baseline_honest_bps: base.victims_bps[0],
+                damage: run.damage_against(base, onset_secs),
                 rejected_keys: run.rejected_keys,
                 raw_igmp_blocked: run.raw_igmp_blocked,
             });
@@ -600,6 +619,10 @@ pub fn robustness_matrix(duration_secs: u64, onset_secs: u64, seed: u64) -> Matr
 /// distributed around this).
 pub const CHURN_DWELL_SECS: u64 = 15;
 
+/// Standing (non-churn) receivers of a churn run: the attacker and the
+/// permanent honest receiver.
+const CHURN_STANDING: u64 = 2;
+
 /// The default churn-rate sweep, arrivals/second (`Params::churn_rate`
 /// overrides it with a single point).
 pub const CHURN_RATES: &[f64] = &[0.0, 0.5, 2.0];
@@ -608,74 +631,67 @@ pub const CHURN_RATES: &[f64] = &[0.0, 0.5, 2.0];
 /// (`Params::flash_factor` overrides it).
 pub const CHURN_FLASH_FACTOR: f64 = 10.0;
 
-/// One cell of the churn sweep: one defense under the inflate attacker
-/// at one churn rate.
-#[derive(Clone, Debug)]
-pub struct ChurnCell {
-    /// Defense label ([`Variant::label`]).
-    pub defense: &'static str,
-    /// Poisson arrival rate of the churn receivers, per second.
-    pub churn_rate: f64,
-    /// Whether a flash crowd hit at the attack onset.
-    pub flash: bool,
-    /// Churn receivers the workload generated (joins over the run).
-    pub churn_receivers: u64,
-    /// Attacker goodput over the post-onset window, bit/s.
-    pub attacker_bps: f64,
-    /// Permanent honest receiver's goodput under attack, bit/s.
-    pub honest_bps: f64,
-    /// Same receiver's goodput in the attack-free run at the same churn.
-    pub baseline_honest_bps: f64,
-    /// Damage/containment metrics relative to that baseline.
-    pub damage: Damage,
-    /// Keys the edge router rejected (0 when unprotected).
-    pub rejected_keys: u64,
-    /// Guard rejections of keys the plain table would have accepted —
-    /// honest collateral of the collusion guard under churn.
-    pub guard_false_positives: u64,
-    /// Key tuples installed at the edge — the per-join control-plane
-    /// load the churn generates.
-    pub tuples_installed: u64,
-    /// Session-join messages the edge processed.
-    pub session_joins: u64,
+record! {
+    /// One cell of the churn sweep: one defense under the inflate attacker
+    /// at one churn rate.
+    #[derive(Clone, Debug)]
+    pub struct ChurnCell {
+        /// Defense label ([`Variant::label`]).
+        pub defense: &'static str,
+        /// Poisson arrival rate of the churn receivers, per second.
+        pub churn_rate: f64,
+        /// Whether a flash crowd hit at the attack onset.
+        pub flash: bool,
+        /// Churn receivers the workload generated (joins over the run).
+        pub churn_receivers: u64,
+        /// Attacker goodput over the post-onset window, bit/s.
+        pub attacker_bps: f64,
+        /// Permanent honest receiver's goodput under attack, bit/s.
+        pub honest_bps: f64,
+        /// Same receiver's goodput in the attack-free run at the same churn.
+        pub baseline_honest_bps: f64,
+        /// Damage/containment metrics relative to that baseline.
+        @splice pub damage: Damage,
+        /// Keys the edge router rejected (0 when unprotected).
+        pub rejected_keys: u64,
+        /// Guard rejections of keys the plain table would have accepted —
+        /// honest collateral of the collusion guard under churn.
+        pub guard_false_positives: u64,
+        /// Key tuples installed at the edge — the per-join control-plane
+        /// load the churn generates.
+        pub tuples_installed: u64,
+        /// Session-join messages the edge processed.
+        pub session_joins: u64,
+    }
 }
 
-/// The full churn sweep.
-#[derive(Clone, Debug)]
-pub struct ChurnResult {
-    /// Attack onset, seconds.
-    pub onset_secs: u64,
-    /// Run duration, seconds.
-    pub duration_secs: u64,
-    /// Mean churn dwell time, seconds.
-    pub mean_dwell_secs: u64,
-    /// Flash-crowd multiplier used at the top churn point.
-    pub flash_factor: f64,
-    /// Defense column labels, in cell order.
-    pub defenses: Vec<&'static str>,
-    /// Churn-rate row labels, in cell order.
-    pub churn_rates: Vec<f64>,
-    /// Cells, defense-major then churn rate.
-    pub cells: Vec<ChurnCell>,
-}
-
-/// Raw measurements of one churn run.
-#[derive(Clone)]
-struct ChurnRun {
-    attacker_bps: f64,
-    honest_bps: f64,
-    churn_receivers: u64,
-    rejected_keys: u64,
-    guard_false_positives: u64,
-    tuples_installed: u64,
-    session_joins: u64,
-    detection_secs: Option<f64>,
+record! {
+    /// The full churn sweep.
+    #[derive(Clone, Debug)]
+    pub struct ChurnResult {
+        /// Attack onset, seconds.
+        pub onset_secs: u64,
+        /// Run duration, seconds.
+        pub duration_secs: u64,
+        /// Mean churn dwell time, seconds.
+        pub mean_dwell_secs: u64,
+        /// Flash-crowd multiplier used at the top churn point.
+        pub flash_factor: f64,
+        /// Defense column labels, in cell order.
+        pub defenses: Vec<&'static str>,
+        /// Churn-rate row labels, in cell order.
+        pub churn_rates: Vec<f64>,
+        /// Cells, defense-major then churn rate.
+        pub cells: Vec<ChurnCell>,
+    }
 }
 
 /// One churn run: a session of `variant` holding the attacker and a
-/// permanent honest receiver, two TCP flows, and a Poisson churn
-/// workload (plus an optional flash crowd) joining and leaving the same
-/// session — the matrix population under dynamic membership.
+/// permanent honest receiver (the one victim), two TCP flows, and a
+/// Poisson churn workload (plus an optional flash crowd) joining and
+/// leaving the same session — the matrix population under dynamic
+/// membership. Returns the read-out and the number of churn receivers the
+/// workload generated.
 fn churn_run(
     variant: Variant,
     attacker: AttackPlan,
@@ -684,7 +700,7 @@ fn churn_run(
     duration_secs: u64,
     onset_secs: u64,
     seed: u64,
-) -> ChurnRun {
+) -> (Measured, u64) {
     let n_groups = variant_groups(variant);
     let mut w = crate::workload::WorkloadSpec::none(SimDuration::from_secs(duration_secs))
         .poisson(churn_rate, SimDuration::from_secs(CHURN_DWELL_SECS));
@@ -704,28 +720,39 @@ fn churn_run(
         .build();
     // Spec order survives the workload expansion: receiver 0 is the
     // attacker, 1 the permanent honest receiver, the rest are churners.
-    let churn_receivers = d.sessions[0].receivers.len() as u64 - 2;
+    let receivers = &d.sessions[0].receivers;
+    let (honest, churn_receivers) = (receivers[1], receivers.len() as u64 - CHURN_STANDING);
     d.run_secs(duration_secs);
-    let attacker_bps = d.throughput_bps(d.sessions[0].receivers[0], onset_secs, duration_secs);
-    let honest_bps = d.throughput_bps(d.sessions[0].receivers[1], onset_secs + 5, duration_secs);
-    let mut run = ChurnRun {
-        attacker_bps,
-        honest_bps,
+    (
+        measure(&d, onset_secs, duration_secs, &[honest]),
         churn_receivers,
-        rejected_keys: 0,
-        guard_false_positives: 0,
-        tuples_installed: 0,
-        session_joins: 0,
-        detection_secs: None,
-    };
-    if let Some(m) = d.sigmas().next() {
-        run.rejected_keys = m.stats.rejected_keys;
-        run.guard_false_positives = m.stats.guard_false_positives;
-        run.tuples_installed = m.stats.tuples_installed;
-        run.session_joins = m.stats.session_joins;
-        run.detection_secs = m.stats.detection_secs(SIGMA_SLOT);
-    }
-    run
+    )
+}
+
+/// Whether point `ri` of an `n`-point rate sweep carries the flash crowd:
+/// the top point of a multi-point sweep only — the cell answers "does the
+/// defense still contain the attacker when the group 10×es in seconds".
+fn flash_rides(ri: usize, n: usize) -> bool {
+    ri + 1 == n && n > 1
+}
+
+/// The most arrivals any single run of [`churn_robustness`] asks of the
+/// workload engine — a rate point's expected Poisson arrivals plus its
+/// flash crowd. `registry::check_params` holds it against the arrival cap.
+pub fn churn_peak_arrivals(duration_secs: u64, rates: &[f64], flash_factor: f64) -> f64 {
+    let crowd = (flash_factor * CHURN_STANDING as f64).ceil();
+    rates
+        .iter()
+        .enumerate()
+        .map(|(ri, &rate)| {
+            let flash = if flash_rides(ri, rates.len()) {
+                crowd
+            } else {
+                0.0
+            };
+            rate * duration_secs as f64 + flash
+        })
+        .fold(0.0, f64::max)
 }
 
 /// The registered `churn_robustness` experiment: the matrix's "inflate"
@@ -754,48 +781,33 @@ pub fn churn_robustness(
     for (di, &variant) in Variant::DEFENSES.iter().enumerate() {
         let column_seed = seed ^ ((di as u64 + 1) << 24);
         for (ri, &rate) in rates.iter().enumerate() {
-            // The flash crowd rides the top churn point only: the cell
-            // answers "does the defense still contain the attacker when
-            // the group 10×es in seconds".
-            let flash = ri + 1 == rates.len() && rates.len() > 1;
-            let baseline = churn_run(
-                variant,
-                AttackPlan::honest(),
-                rate,
-                flash_at(flash),
-                duration_secs,
-                onset_secs,
-                column_seed,
-            );
-            let run = churn_run(
-                variant,
-                inflate_plan_at(onset),
-                rate,
-                flash_at(flash),
-                duration_secs,
-                onset_secs,
-                column_seed,
-            );
+            let flash = flash_rides(ri, rates.len());
+            let run_with = |attacker| {
+                churn_run(
+                    variant,
+                    attacker,
+                    rate,
+                    flash_at(flash),
+                    duration_secs,
+                    onset_secs,
+                    column_seed,
+                )
+            };
+            let (baseline, baseline_churners) = run_with(AttackPlan::honest());
+            let (run, churn_receivers) = run_with(inflate_plan_at(onset));
             assert_eq!(
-                baseline.churn_receivers, run.churn_receivers,
+                baseline_churners, churn_receivers,
                 "workload expansion must not depend on the adversary"
             );
             cells.push(ChurnCell {
                 defense: variant.label(),
                 churn_rate: rate,
                 flash,
-                churn_receivers: run.churn_receivers,
+                churn_receivers,
                 attacker_bps: run.attacker_bps,
-                honest_bps: run.honest_bps,
-                baseline_honest_bps: baseline.honest_bps,
-                damage: damage(
-                    baseline.honest_bps,
-                    run.honest_bps,
-                    run.attacker_bps,
-                    baseline.attacker_bps,
-                    run.detection_secs,
-                    onset_secs as f64,
-                ),
+                honest_bps: run.victims_bps[0],
+                baseline_honest_bps: baseline.victims_bps[0],
+                damage: run.damage_against(&baseline, onset_secs),
                 rejected_keys: run.rejected_keys,
                 guard_false_positives: run.guard_false_positives,
                 tuples_installed: run.tuples_installed,
@@ -839,58 +851,55 @@ fn loss_pct(baseline_bps: f64, bps: f64) -> f64 {
     }
 }
 
-/// One row of the `tree_placement` experiment: one defense variant versus
-/// the inflate attacker attached at one depth of the tree.
-#[derive(Clone, Debug)]
-pub struct TreePlacementRow {
-    /// Defense label ([`Variant::label`]).
-    pub defense: &'static str,
-    /// Depth of the attacker's attachment router (tree depth = a leaf).
-    pub attacker_depth: u32,
-    /// Attacker goodput over the post-onset window, bit/s.
-    pub attacker_bps: f64,
-    /// The same receiver's goodput when behaving honestly, bit/s.
-    pub attacker_baseline_bps: f64,
-    /// Mean honest-leaf goodput under attack, bit/s.
-    pub honest_mean_bps: f64,
-    /// Mean honest-leaf goodput in the attack-free baseline, bit/s.
-    pub baseline_mean_bps: f64,
-    /// Mean honest loss across every leaf, percent of baseline.
-    pub honest_loss_pct: f64,
-    /// Mean loss of the leaves sharing the attacker's depth-1 subtree.
-    pub subtree_loss_pct: f64,
-    /// Mean loss of the leaves outside that subtree (collateral beyond
-    /// the attacker's branch — near zero when damage is local).
-    pub outside_loss_pct: f64,
-    /// Guessed keys the edge routers rejected (0 when unprotected).
-    pub rejected_keys: u64,
+record! {
+    /// One row of the `tree_placement` experiment: one defense variant versus
+    /// the inflate attacker attached at one depth of the tree.
+    #[derive(Clone, Debug)]
+    pub struct TreePlacementRow {
+        /// Defense label ([`Variant::label`]).
+        pub defense: &'static str,
+        /// Depth of the attacker's attachment router (tree depth = a leaf).
+        pub attacker_depth: u32,
+        /// Attacker goodput over the post-onset window, bit/s.
+        pub attacker_bps: f64,
+        /// The same receiver's goodput when behaving honestly, bit/s.
+        pub attacker_baseline_bps: f64,
+        /// Mean honest-leaf goodput under attack, bit/s.
+        pub honest_mean_bps: f64,
+        /// Mean honest-leaf goodput in the attack-free baseline, bit/s.
+        pub baseline_mean_bps: f64,
+        /// Mean honest loss across every leaf, percent of baseline.
+        pub honest_loss_pct: f64,
+        /// Mean loss of the leaves sharing the attacker's depth-1 subtree.
+        pub subtree_loss_pct: f64,
+        /// Mean loss of the leaves outside that subtree (collateral beyond
+        /// the attacker's branch — near zero when damage is local).
+        pub outside_loss_pct: f64,
+        /// Guessed keys the edge routers rejected (0 when unprotected).
+        pub rejected_keys: u64,
+    }
 }
 
-/// The full `tree_placement` result.
-#[derive(Clone, Debug)]
-pub struct TreePlacementResult {
-    /// Tree depth (levels below the root).
-    pub depth: u32,
-    /// Children per interior router.
-    pub fanout: u32,
-    /// Attack onset, seconds.
-    pub onset_secs: u64,
-    /// Run duration, seconds.
-    pub duration_secs: u64,
-    /// Rows, defense-major then attacker depth `1..=depth`.
-    pub rows: Vec<TreePlacementRow>,
-}
-
-/// Raw measurements of one tree run.
-struct TreeRun {
-    attacker_bps: f64,
-    honest_bps: Vec<f64>,
-    rejected_keys: u64,
+record! {
+    /// The full `tree_placement` result.
+    #[derive(Clone, Debug)]
+    pub struct TreePlacementResult {
+        /// Tree depth (levels below the root).
+        pub depth: u32,
+        /// Children per interior router.
+        pub fanout: u32,
+        /// Attack onset, seconds.
+        pub onset_secs: u64,
+        /// Run duration, seconds.
+        pub duration_secs: u64,
+        /// Rows, defense-major then attacker depth `1..=depth`.
+        pub rows: Vec<TreePlacementRow>,
+    }
 }
 
 /// One tree run: session 0 holds the (possibly attacking) placed
-/// receiver, session 1 one honest receiver per leaf, both of `variant`,
-/// over a 500 kbps balanced tree.
+/// receiver, session 1 one honest receiver per leaf (the victims), both of
+/// `variant`, over a 500 kbps balanced tree.
 fn tree_run(
     variant: Variant,
     depth: u32,
@@ -899,7 +908,7 @@ fn tree_run(
     duration_secs: u64,
     onset_secs: u64,
     seed: u64,
-) -> TreeRun {
+) -> Measured {
     let n_groups = variant_groups(variant);
     let leaves = (fanout as usize).pow(depth);
     let mut t = Scenario::balanced_tree(depth, fanout, 500.kbps())
@@ -916,19 +925,7 @@ fn tree_run(
         )
         .build();
     t.run_secs(duration_secs);
-    let attacker_bps = t.throughput_bps(t.sessions[0].receivers[0], onset_secs, duration_secs);
-    let from = onset_secs + 5;
-    let honest_bps = t.sessions[1]
-        .receivers
-        .iter()
-        .map(|&r| t.throughput_bps(r, from, duration_secs))
-        .collect();
-    let rejected_keys = t.sigmas().map(|m| m.stats.rejected_keys).sum();
-    TreeRun {
-        attacker_bps,
-        honest_bps,
-        rejected_keys,
-    }
+    measure(&t, onset_secs, duration_secs, &t.sessions[1].receivers)
 }
 
 /// The registered `tree_placement` experiment: on a balanced
@@ -955,26 +952,22 @@ pub fn tree_placement(
             let placement = Placement::Interior { depth: d, leaf: 0 };
             // The baseline shares seed, topology and placement with the
             // attack run — they differ only in the adversary.
-            let base = tree_run(
-                variant,
-                depth,
-                fanout,
-                AttackPlan::honest().at(placement),
-                duration_secs,
-                onset_secs,
-                column_seed,
-            );
-            let run = tree_run(
-                variant,
-                depth,
-                fanout,
-                inflate_plan_at(onset_secs.secs()).at(placement),
-                duration_secs,
-                onset_secs,
-                column_seed,
-            );
-            let honest_mean_bps = mean(&run.honest_bps);
-            let baseline_mean_bps = mean(&base.honest_bps);
+            let run_with = |attacker: AttackPlan| {
+                tree_run(
+                    variant,
+                    depth,
+                    fanout,
+                    attacker.at(placement),
+                    duration_secs,
+                    onset_secs,
+                    column_seed,
+                )
+            };
+            let base = run_with(AttackPlan::honest());
+            let run = run_with(inflate_plan_at(onset_secs.secs()));
+            let (honest, baseline) = (&run.victims_bps, &base.victims_bps);
+            let honest_mean_bps = mean(honest);
+            let baseline_mean_bps = mean(baseline);
             rows.push(TreePlacementRow {
                 defense: variant.label(),
                 attacker_depth: d,
@@ -983,14 +976,8 @@ pub fn tree_placement(
                 honest_mean_bps,
                 baseline_mean_bps,
                 honest_loss_pct: loss_pct(baseline_mean_bps, honest_mean_bps),
-                subtree_loss_pct: loss_pct(
-                    mean(&base.honest_bps[..subtree]),
-                    mean(&run.honest_bps[..subtree]),
-                ),
-                outside_loss_pct: loss_pct(
-                    mean(&base.honest_bps[subtree..]),
-                    mean(&run.honest_bps[subtree..]),
-                ),
+                subtree_loss_pct: loss_pct(mean(&baseline[..subtree]), mean(&honest[..subtree])),
+                outside_loss_pct: loss_pct(mean(&baseline[subtree..]), mean(&honest[subtree..])),
                 rejected_keys: run.rejected_keys,
             });
         }
@@ -1004,62 +991,62 @@ pub fn tree_placement(
     }
 }
 
-/// Per-hop measurements of the `parking_lot_fairness` experiment.
-#[derive(Clone, Debug)]
-pub struct ParkingLotHop {
-    /// 1-based hop index: the honest receiver behind this many
-    /// bottlenecks.
-    pub hop: u32,
-    /// Its goodput under attack, bit/s.
-    pub honest_bps: f64,
-    /// Its goodput in the attack-free baseline, bit/s.
-    pub baseline_bps: f64,
-    /// Goodput loss, percent of baseline.
-    pub honest_loss_pct: f64,
-    /// The hop's local cross-traffic CBR goodput under attack, bit/s.
-    pub cbr_bps: f64,
-    /// The same CBR's goodput in the baseline, bit/s.
-    pub cbr_baseline_bps: f64,
+record! {
+    /// Per-hop measurements of the `parking_lot_fairness` experiment.
+    #[derive(Clone, Debug)]
+    pub struct ParkingLotHop {
+        /// 1-based hop index: the honest receiver behind this many
+        /// bottlenecks.
+        pub hop: u32,
+        /// Its goodput under attack, bit/s.
+        pub honest_bps: f64,
+        /// Its goodput in the attack-free baseline, bit/s.
+        pub baseline_bps: f64,
+        /// Goodput loss, percent of baseline.
+        pub honest_loss_pct: f64,
+        /// The hop's local cross-traffic CBR goodput under attack, bit/s.
+        pub cbr_bps: f64,
+        /// The same CBR's goodput in the baseline, bit/s.
+        pub cbr_baseline_bps: f64,
+    }
 }
 
-/// One defense variant's share breakdown.
-#[derive(Clone, Debug)]
-pub struct ParkingLotVariantRows {
-    /// Variant label ([`Variant::label`]).
-    pub variant: &'static str,
-    /// Attacker goodput over the post-onset window, bit/s.
-    pub attacker_bps: f64,
-    /// The same receiver's honest-baseline goodput, bit/s.
-    pub attacker_baseline_bps: f64,
-    /// Per-hop honest and cross-traffic shares.
-    pub hops: Vec<ParkingLotHop>,
+record! {
+    /// One defense variant's share breakdown.
+    #[derive(Clone, Debug)]
+    pub struct ParkingLotVariantRows {
+        /// Variant label ([`Variant::label`]).
+        pub variant: &'static str,
+        /// Attacker goodput over the post-onset window, bit/s.
+        pub attacker_bps: f64,
+        /// The same receiver's honest-baseline goodput, bit/s.
+        pub attacker_baseline_bps: f64,
+        /// Per-hop honest and cross-traffic shares.
+        pub hops: Vec<ParkingLotHop>,
+    }
 }
 
-/// The full `parking_lot_fairness` result.
-#[derive(Clone, Debug)]
-pub struct ParkingLotResult {
-    /// Number of chained bottlenecks.
-    pub bottlenecks: usize,
-    /// Per-hop cross-traffic CBR rate, bit/s.
-    pub per_hop_cbr_bps: u64,
-    /// Attack onset, seconds.
-    pub onset_secs: u64,
-    /// Run duration, seconds.
-    pub duration_secs: u64,
-    /// One entry per [`Variant::BOTH`] variant, DL first.
-    pub variants: Vec<ParkingLotVariantRows>,
-}
-
-/// Raw measurements of one parking-lot run.
-struct ParkingLotRun {
-    attacker_bps: f64,
-    honest_bps: Vec<f64>,
-    cbr_bps: Vec<f64>,
+record! {
+    /// The full `parking_lot_fairness` result.
+    #[derive(Clone, Debug)]
+    pub struct ParkingLotResult {
+        /// Number of chained bottlenecks.
+        pub bottlenecks: usize,
+        /// Per-hop cross-traffic CBR rate, bit/s.
+        pub per_hop_cbr_bps: u64,
+        /// Attack onset, seconds.
+        pub onset_secs: u64,
+        /// Run duration, seconds.
+        pub duration_secs: u64,
+        /// One entry per [`Variant::BOTH`] variant, DL first.
+        pub variants: Vec<ParkingLotVariantRows>,
+    }
 }
 
 /// One parking-lot run: the attacker session's receiver sits behind the
 /// last bottleneck (its traffic crosses every hop), the honest session
 /// has one receiver per hop, and a CBR enters and leaves at each hop.
+/// Victims: the per-hop honest receivers, then the per-hop CBR sinks.
 fn parking_lot_run(
     variant: Variant,
     bottlenecks: usize,
@@ -1068,7 +1055,7 @@ fn parking_lot_run(
     duration_secs: u64,
     onset_secs: u64,
     seed: u64,
-) -> ParkingLotRun {
+) -> Measured {
     let n_groups = variant_groups(variant);
     let mut t = Scenario::parking_lot(bottlenecks, 1.mbps())
         .per_hop_cbr(per_hop_cbr_bps)
@@ -1085,21 +1072,8 @@ fn parking_lot_run(
         )
         .build();
     t.run_secs(duration_secs);
-    let attacker_bps = t.throughput_bps(t.sessions[0].receivers[0], onset_secs, duration_secs);
-    let from = onset_secs + 5;
-    let measure = |agents: &[mcc_netsim::AgentId], t: &BuiltTopology| -> Vec<f64> {
-        agents
-            .iter()
-            .map(|&a| t.throughput_bps(a, from, duration_secs))
-            .collect()
-    };
-    let honest_bps = measure(&t.sessions[1].receivers, &t);
-    let cbr_bps = measure(&t.hop_cbr_sinks, &t);
-    ParkingLotRun {
-        attacker_bps,
-        honest_bps,
-        cbr_bps,
-    }
+    let victims = [&t.sessions[1].receivers[..], &t.hop_cbr_sinks[..]].concat();
+    measure(&t, onset_secs, duration_secs, &victims)
 }
 
 /// The registered `parking_lot_fairness` experiment: per-hop goodput
@@ -1134,11 +1108,11 @@ pub fn parking_lot_fairness(
         let hops = (0..bottlenecks)
             .map(|h| ParkingLotHop {
                 hop: h as u32 + 1,
-                honest_bps: run.honest_bps[h],
-                baseline_bps: base.honest_bps[h],
-                honest_loss_pct: loss_pct(base.honest_bps[h], run.honest_bps[h]),
-                cbr_bps: run.cbr_bps[h],
-                cbr_baseline_bps: base.cbr_bps[h],
+                honest_bps: run.victims_bps[h],
+                baseline_bps: base.victims_bps[h],
+                honest_loss_pct: loss_pct(base.victims_bps[h], run.victims_bps[h]),
+                cbr_bps: run.victims_bps[bottlenecks + h],
+                cbr_baseline_bps: base.victims_bps[bottlenecks + h],
             })
             .collect();
         variants.push(ParkingLotVariantRows {
@@ -1155,6 +1129,245 @@ pub fn parking_lot_fairness(
         duration_secs,
         variants,
     }
+}
+
+record! {
+    /// One row of the FEC-repetition ablation.
+    #[derive(Clone, Debug)]
+    pub struct FecAblationRow {
+        /// Repetition factor `z`.
+        pub repeat: u32,
+        /// Loss probability applied to special packets.
+        pub loss: f64,
+        /// Fraction of slots whose key tuples failed to reach the router
+        /// completely.
+        pub slot_miss_rate: f64,
+        /// Bit-expansion factor actually paid.
+        pub expansion: f64,
+    }
+}
+
+/// Ablation: FEC repetition factor versus key-table miss rate under
+/// random special-packet loss (the `z` the paper sizes against 50 % loss
+/// in §5.4). Monte-Carlo over `slots` independent slots of a 10-group
+/// announcement.
+pub fn fec_ablation(repeats: &[u32], losses: &[f64], slots: u32, seed: u64) -> Vec<FecAblationRow> {
+    use mcc_delta::Key;
+    use mcc_sigma::fec::{chunk_tuples, encode_with_repeats, FecAccounting};
+    use mcc_sigma::KeyTuple;
+    use mcc_simcore::DetRng;
+
+    let mut rng = DetRng::new(seed);
+    let tuples: Vec<(GroupAddr, KeyTuple)> = (0..10)
+        .map(|i| {
+            (
+                GroupAddr(i),
+                KeyTuple {
+                    top: Key(i as u64),
+                    decrease: Some(Key(100 + i as u64)),
+                    increase: None,
+                },
+            )
+        })
+        .collect();
+    let mut rows = Vec::new();
+    for &repeat in repeats {
+        for &loss in losses {
+            let chunks = chunk_tuples(0, tuples.clone());
+            let mut missed = 0u32;
+            let mut acc = FecAccounting::default();
+            for _ in 0..slots {
+                let coded = encode_with_repeats(&chunks, repeat);
+                acc = FecAccounting::measure(&chunks, &coded);
+                // A slot is served iff every distinct chunk survives in
+                // at least one copy.
+                let survivors: Vec<u32> = coded
+                    .iter()
+                    .filter(|_| !rng.chance(loss))
+                    .map(|c| c.index)
+                    .collect();
+                let all = chunks.iter().all(|c| survivors.contains(&c.index));
+                if !all {
+                    missed += 1;
+                }
+            }
+            rows.push(FecAblationRow {
+                repeat,
+                loss,
+                slot_miss_rate: missed as f64 / slots as f64,
+                expansion: acc.expansion(),
+            });
+        }
+    }
+    rows
+}
+
+record! {
+    /// One row of the slot-duration ablation.
+    #[derive(Clone, Debug)]
+    pub struct SlotAblationRow {
+        /// Slot duration in milliseconds.
+        pub slot_ms: u64,
+        /// Steady-state receiver goodput on a 1 Mbps private bottleneck.
+        pub goodput_bps: f64,
+        /// Seconds from burst onset until throughput first halves
+        /// (responsiveness; smaller is faster).
+        pub reaction_secs: f64,
+        /// Analytic SIGMA overhead at this slot duration.
+        pub sigma_overhead: f64,
+    }
+}
+
+/// Ablation: the FLID-DS slot duration trades responsiveness against
+/// SIGMA overhead — the paper sets 250 ms to match FLID-DL's 500 ms
+/// granularity through SIGMA's two-slot enforcement.
+pub fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> {
+    use mcc_flid::{FlidReceiver, FlidSender, Mode as FlidMode};
+    use mcc_netsim::prelude::*;
+    use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
+
+    slot_ms
+        .iter()
+        .map(|&ms| {
+            // A hand-built dumbbell (the shared builder pins 250 ms slots).
+            let mut sim = Sim::new(seed ^ ms, SimDuration::from_secs(1));
+            let s = sim.add_node();
+            let a = sim.add_node();
+            let b = sim.add_node();
+            let h = sim.add_node();
+            sim.add_duplex_link(
+                s,
+                a,
+                10_000_000,
+                SimDuration::from_millis(10),
+                Queue::drop_tail(1_000_000),
+                Queue::drop_tail(1_000_000),
+            );
+            let buf = (2.0 * 1_000_000.0 * 0.08 / 8.0) as u64;
+            sim.add_duplex_link(
+                a,
+                b,
+                1_000_000,
+                SimDuration::from_millis(20),
+                Queue::drop_tail(buf),
+                Queue::drop_tail(buf),
+            );
+            sim.add_duplex_link(
+                b,
+                h,
+                10_000_000,
+                SimDuration::from_millis(10),
+                Queue::drop_tail(1_000_000),
+                Queue::drop_tail(1_000_000),
+            );
+            let mut cfg = FlidConfig::paper(
+                (1..=10).map(GroupAddr).collect(),
+                GroupAddr(0),
+                FlowId(1),
+                true,
+            );
+            cfg.slot = SimDuration::from_millis(ms);
+            for g in cfg.groups.iter().chain([&cfg.control_group]) {
+                sim.register_group(*g, s);
+            }
+            sim.set_edge_module(
+                b,
+                Box::new(SigmaEdgeModule::new(SigmaConfig::new(cfg.slot))),
+            );
+            let r = sim.add_agent(
+                h,
+                Box::new(FlidReceiver::with_adversary(
+                    cfg.clone(),
+                    FlidMode::Ds { router: b },
+                    AttackPlan::honest(),
+                )),
+                SimTime::from_millis(5),
+            );
+            // An 800 kbps burst at t = 40 s probes the reaction time.
+            use mcc_traffic::{CbrConfig, CbrSource, CountingSink};
+            let cs = sim.add_node();
+            let cr = sim.add_node();
+            sim.add_duplex_link(
+                cs,
+                a,
+                10_000_000,
+                SimDuration::from_millis(10),
+                Queue::drop_tail(1_000_000),
+                Queue::drop_tail(1_000_000),
+            );
+            sim.add_duplex_link(
+                b,
+                cr,
+                10_000_000,
+                SimDuration::from_millis(10),
+                Queue::drop_tail(1_000_000),
+                Queue::drop_tail(1_000_000),
+            );
+            let cbr_sink = sim.add_agent(cr, Box::new(CountingSink::default()), SimTime::ZERO);
+            sim.add_agent(
+                cs,
+                Box::new(CbrSource::new(CbrConfig::steady(
+                    800_000,
+                    576 * 8,
+                    Dest::Agent(cbr_sink),
+                    FlowId(2),
+                    SimTime::from_secs(40),
+                    SimTime::from_secs(60),
+                ))),
+                SimTime::ZERO,
+            );
+            sim.add_agent(s, Box::new(FlidSender::new(cfg)), SimTime::ZERO);
+            sim.finalize();
+            sim.run_until(SimTime::from_secs(60));
+
+            let series = sim.monitor().agent_series_bps(r, SimTime::from_secs(60));
+            let steady: f64 = series[20..38].iter().sum::<f64>() / 18.0;
+            let reaction = series[40..]
+                .iter()
+                .position(|&v| v < steady / 2.0)
+                .map(|i| i as f64 + 0.5)
+                .unwrap_or(f64::INFINITY);
+            let params = OverheadParams {
+                n_groups: 10,
+                data_bits_per_packet: 4608,
+                key_bits: 16,
+                slot_number_bits: 8,
+                base_rate_bps: 100_000.0,
+                session_rate_bps: 3_844_335.937_5,
+                slot_secs: ms as f64 / 1000.0,
+            };
+            SlotAblationRow {
+                slot_ms: ms,
+                goodput_bps: steady,
+                reaction_secs: reaction,
+                sigma_overhead: sigma_overhead(&params, 2.0, 2.0, 512.0),
+            }
+        })
+        .collect()
+}
+
+/// Process peak resident set (`VmHWM`) in bytes, from
+/// `/proc/self/status`. Returns 0 on platforms without procfs — callers
+/// treat 0 as "unmeasured". No experiment calls it; it lives here because
+/// the `benchmark/` package imports it at this path.
+pub fn peak_rss_bytes() -> u64 {
+    #[cfg(target_os = "linux")]
+    {
+        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
+            for line in status.lines() {
+                if let Some(rest) = line.strip_prefix("VmHWM:") {
+                    let kb: u64 = rest
+                        .trim()
+                        .trim_end_matches("kB")
+                        .trim()
+                        .parse()
+                        .unwrap_or(0);
+                    return kb * 1024;
+                }
+            }
+        }
+    }
+    0
 }
 
 #[cfg(test)]
@@ -1381,239 +1594,4 @@ mod tests {
             );
         }
     }
-}
-
-/// One row of the FEC-repetition ablation.
-#[derive(Clone, Debug)]
-pub struct FecAblationRow {
-    /// Repetition factor `z`.
-    pub repeat: u32,
-    /// Loss probability applied to special packets.
-    pub loss: f64,
-    /// Fraction of slots whose key tuples failed to reach the router
-    /// completely.
-    pub slot_miss_rate: f64,
-    /// Bit-expansion factor actually paid.
-    pub expansion: f64,
-}
-
-/// Ablation: FEC repetition factor versus key-table miss rate under
-/// random special-packet loss (the `z` the paper sizes against 50 % loss
-/// in §5.4). Monte-Carlo over `slots` independent slots of a 10-group
-/// announcement.
-pub fn fec_ablation(repeats: &[u32], losses: &[f64], slots: u32, seed: u64) -> Vec<FecAblationRow> {
-    use mcc_delta::Key;
-    use mcc_sigma::fec::{chunk_tuples, encode_with_repeats, FecAccounting};
-    use mcc_sigma::KeyTuple;
-    use mcc_simcore::DetRng;
-
-    let mut rng = DetRng::new(seed);
-    let tuples: Vec<(GroupAddr, KeyTuple)> = (0..10)
-        .map(|i| {
-            (
-                GroupAddr(i),
-                KeyTuple {
-                    top: Key(i as u64),
-                    decrease: Some(Key(100 + i as u64)),
-                    increase: None,
-                },
-            )
-        })
-        .collect();
-    let mut rows = Vec::new();
-    for &repeat in repeats {
-        for &loss in losses {
-            let chunks = chunk_tuples(0, tuples.clone());
-            let mut missed = 0u32;
-            let mut acc = FecAccounting::default();
-            for _ in 0..slots {
-                let coded = encode_with_repeats(&chunks, repeat);
-                acc = FecAccounting::measure(&chunks, &coded);
-                // A slot is served iff every distinct chunk survives in
-                // at least one copy.
-                let survivors: Vec<u32> = coded
-                    .iter()
-                    .filter(|_| !rng.chance(loss))
-                    .map(|c| c.index)
-                    .collect();
-                let all = chunks.iter().all(|c| survivors.contains(&c.index));
-                if !all {
-                    missed += 1;
-                }
-            }
-            rows.push(FecAblationRow {
-                repeat,
-                loss,
-                slot_miss_rate: missed as f64 / slots as f64,
-                expansion: acc.expansion(),
-            });
-        }
-    }
-    rows
-}
-
-/// One row of the slot-duration ablation.
-#[derive(Clone, Debug)]
-pub struct SlotAblationRow {
-    /// Slot duration in milliseconds.
-    pub slot_ms: u64,
-    /// Steady-state receiver goodput on a 1 Mbps private bottleneck.
-    pub goodput_bps: f64,
-    /// Seconds from burst onset until throughput first halves
-    /// (responsiveness; smaller is faster).
-    pub reaction_secs: f64,
-    /// Analytic SIGMA overhead at this slot duration.
-    pub sigma_overhead: f64,
-}
-
-/// Ablation: the FLID-DS slot duration trades responsiveness against
-/// SIGMA overhead — the paper sets 250 ms to match FLID-DL's 500 ms
-/// granularity through SIGMA's two-slot enforcement.
-pub fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> {
-    use mcc_flid::{FlidReceiver, FlidSender, Mode as FlidMode};
-    use mcc_netsim::prelude::*;
-    use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
-
-    slot_ms
-        .iter()
-        .map(|&ms| {
-            // A hand-built dumbbell (the shared builder pins 250 ms slots).
-            let mut sim = Sim::new(seed ^ ms, SimDuration::from_secs(1));
-            let s = sim.add_node();
-            let a = sim.add_node();
-            let b = sim.add_node();
-            let h = sim.add_node();
-            sim.add_duplex_link(
-                s,
-                a,
-                10_000_000,
-                SimDuration::from_millis(10),
-                Queue::drop_tail(1_000_000),
-                Queue::drop_tail(1_000_000),
-            );
-            let buf = (2.0 * 1_000_000.0 * 0.08 / 8.0) as u64;
-            sim.add_duplex_link(
-                a,
-                b,
-                1_000_000,
-                SimDuration::from_millis(20),
-                Queue::drop_tail(buf),
-                Queue::drop_tail(buf),
-            );
-            sim.add_duplex_link(
-                b,
-                h,
-                10_000_000,
-                SimDuration::from_millis(10),
-                Queue::drop_tail(1_000_000),
-                Queue::drop_tail(1_000_000),
-            );
-            let mut cfg = FlidConfig::paper(
-                (1..=10).map(GroupAddr).collect(),
-                GroupAddr(0),
-                FlowId(1),
-                true,
-            );
-            cfg.slot = SimDuration::from_millis(ms);
-            for g in cfg.groups.iter().chain([&cfg.control_group]) {
-                sim.register_group(*g, s);
-            }
-            sim.set_edge_module(
-                b,
-                Box::new(SigmaEdgeModule::new(SigmaConfig::new(cfg.slot))),
-            );
-            let r = sim.add_agent(
-                h,
-                Box::new(FlidReceiver::with_adversary(
-                    cfg.clone(),
-                    FlidMode::Ds { router: b },
-                    AttackPlan::honest(),
-                )),
-                SimTime::from_millis(5),
-            );
-            // An 800 kbps burst at t = 40 s probes the reaction time.
-            use mcc_traffic::{CbrConfig, CbrSource, CountingSink};
-            let cs = sim.add_node();
-            let cr = sim.add_node();
-            sim.add_duplex_link(
-                cs,
-                a,
-                10_000_000,
-                SimDuration::from_millis(10),
-                Queue::drop_tail(1_000_000),
-                Queue::drop_tail(1_000_000),
-            );
-            sim.add_duplex_link(
-                b,
-                cr,
-                10_000_000,
-                SimDuration::from_millis(10),
-                Queue::drop_tail(1_000_000),
-                Queue::drop_tail(1_000_000),
-            );
-            let cbr_sink = sim.add_agent(cr, Box::new(CountingSink::default()), SimTime::ZERO);
-            sim.add_agent(
-                cs,
-                Box::new(CbrSource::new(CbrConfig::steady(
-                    800_000,
-                    576 * 8,
-                    Dest::Agent(cbr_sink),
-                    FlowId(2),
-                    SimTime::from_secs(40),
-                    SimTime::from_secs(60),
-                ))),
-                SimTime::ZERO,
-            );
-            sim.add_agent(s, Box::new(FlidSender::new(cfg)), SimTime::ZERO);
-            sim.finalize();
-            sim.run_until(SimTime::from_secs(60));
-
-            let series = sim.monitor().agent_series_bps(r, SimTime::from_secs(60));
-            let steady: f64 = series[20..38].iter().sum::<f64>() / 18.0;
-            let reaction = series[40..]
-                .iter()
-                .position(|&v| v < steady / 2.0)
-                .map(|i| i as f64 + 0.5)
-                .unwrap_or(f64::INFINITY);
-            let params = OverheadParams {
-                n_groups: 10,
-                data_bits_per_packet: 4608,
-                key_bits: 16,
-                slot_number_bits: 8,
-                base_rate_bps: 100_000.0,
-                session_rate_bps: 3_844_335.937_5,
-                slot_secs: ms as f64 / 1000.0,
-            };
-            SlotAblationRow {
-                slot_ms: ms,
-                goodput_bps: steady,
-                reaction_secs: reaction,
-                sigma_overhead: sigma_overhead(&params, 2.0, 2.0, 512.0),
-            }
-        })
-        .collect()
-}
-
-/// Process peak resident set (`VmHWM`) in bytes, from
-/// `/proc/self/status`. Returns 0 on platforms without procfs — callers
-/// treat 0 as "unmeasured". No experiment calls it; it lives here because
-/// the `benchmark/` package imports it at this path.
-pub fn peak_rss_bytes() -> u64 {
-    #[cfg(target_os = "linux")]
-    {
-        if let Ok(status) = std::fs::read_to_string("/proc/self/status") {
-            for line in status.lines() {
-                if let Some(rest) = line.strip_prefix("VmHWM:") {
-                    let kb: u64 = rest
-                        .trim()
-                        .trim_end_matches("kB")
-                        .trim()
-                        .parse()
-                        .unwrap_or(0);
-                    return kb * 1024;
-                }
-            }
-        }
-    }
-    0
 }

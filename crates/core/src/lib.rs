@@ -58,7 +58,7 @@ pub use mcc_obs::TraceSpec;
 pub use metrics::{ascii_chart, damage, Damage, Series};
 pub use registry::{Experiment, ExperimentDef};
 pub use runner::{
-    figure_experiments, run_parallel, run_serial, ExperimentRecord, ExperimentSpec, Json, Report,
+    run_parallel, run_serial, ExperimentRecord, ExperimentSpec, Json, Report, ToJson,
 };
 pub use scenario::{Scenario, Units, Variant};
 pub use topology::{

@@ -1,26 +1,29 @@
 //! Result series, ASCII charts and the per-attack damage/containment
 //! metrics for the experiments.
 
+use crate::runner::record;
 use std::fmt::Write as _;
 
-/// Damage and containment of one attack run, relative to an
-/// honest-baseline run of the same scenario — the per-cell metrics of the
-/// `matrix_robustness` experiment.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Damage {
-    /// Honest-goodput loss in percent of the baseline: positive when the
-    /// attack hurt the honest receiver, near zero when contained
-    /// (negative values mean the honest flow did *better* under attack —
-    /// run-to-run noise).
-    pub honest_loss_pct: f64,
-    /// Attacker throughput in percent above its entitlement — the goodput
-    /// the same receiver earned in the honest-baseline run (or a static
-    /// fair share when no baseline exists): what the misbehaviour bought.
-    pub attacker_excess_pct: f64,
-    /// Seconds from attack onset until the edge router first locked the
-    /// attacker out or flagged its guessing tally; `None` when no
-    /// detection fired (e.g. unprotected variants).
-    pub time_to_lockout_secs: Option<f64>,
+record! {
+    /// Damage and containment of one attack run, relative to an
+    /// honest-baseline run of the same scenario — the per-cell metrics of the
+    /// `matrix_robustness` experiment.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Damage {
+        /// Honest-goodput loss in percent of the baseline: positive when the
+        /// attack hurt the honest receiver, near zero when contained
+        /// (negative values mean the honest flow did *better* under attack —
+        /// run-to-run noise).
+        pub honest_loss_pct: f64,
+        /// Attacker throughput in percent above its entitlement — the goodput
+        /// the same receiver earned in the honest-baseline run (or a static
+        /// fair share when no baseline exists): what the misbehaviour bought.
+        pub attacker_excess_pct: f64,
+        /// Seconds from attack onset until the edge router first locked the
+        /// attacker out or flagged its guessing tally; `None` when no
+        /// detection fired (e.g. unprotected variants).
+        pub time_to_lockout_secs: Option<f64>,
+    }
 }
 
 /// Compute [`Damage`] from raw throughputs.
@@ -57,13 +60,15 @@ pub fn damage(
     }
 }
 
-/// A labeled time/value series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Series {
-    /// Legend label (e.g. "F1").
-    pub label: String,
-    /// `(x, y)` points.
-    pub points: Vec<(f64, f64)>,
+record! {
+    /// A labeled time/value series.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct Series {
+        /// Legend label (e.g. "F1").
+        pub label: String,
+        /// `(x, y)` points.
+        pub points: Vec<(f64, f64)>,
+    }
 }
 
 impl Series {

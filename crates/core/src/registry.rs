@@ -5,19 +5,21 @@
 //! reproduces, a one-line description and a registered seed — and carries
 //! a body that maps the parameter bag to canonical JSON; [`specs`] is the
 //! one way to run it. [`REGISTRY`] is the single source of truth consumed
-//! by `runner::figure_experiments`, the `figures` CLI in `mcc-bench`, and
-//! the registry tests; adding a scenario is one [`ExperimentDef`] row
-//! here instead of a new binary.
+//! by the `figures` CLI in `mcc-bench`, the repo benchmark and the
+//! registry tests; adding a scenario is one [`ExperimentDef`] row here
+//! instead of a new binary.
 //!
-//! The twelve figure entries reproduce the exact names, seeds and JSON
-//! bodies of the pre-registry `figure_experiments` suite, so a default
-//! run stays byte-identical to the historical
-//! `results/BENCH_all_figures.json` (pinned by `tests/registry.rs`).
+//! What an experiment reports is declared with its result type in
+//! [`crate::experiments`] (`record!` renders a struct's fields, in order,
+//! under their own names); a body here only picks the quick/full
+//! parameters. Every payload is pinned byte for byte by
+//! `tests/golden/<id>_quick.json` (`tests/registry.rs`).
 
 use crate::config::Params;
 use crate::experiments;
-use crate::runner::{series_json, ExperimentSpec, Json};
+use crate::runner::{ExperimentSpec, Json, ToJson};
 use crate::scenario::Variant;
+use crate::workload::MAX_ARRIVALS;
 
 /// What a registry entry reproduces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,6 +33,33 @@ pub enum Kind {
     /// A non-dumbbell topology experiment (trees, parking lots): scenario
     /// diversity beyond the paper's §5.1 shape.
     Topology,
+}
+
+impl Kind {
+    /// Every kind, in registry order.
+    pub const ALL: [Kind; 4] = [Kind::Figure, Kind::Ablation, Kind::Matrix, Kind::Topology];
+
+    /// The kind's group name: its `figures --only` selector and its
+    /// heading in `--list`.
+    pub fn group(self) -> &'static str {
+        match self {
+            Kind::Figure => "figures",
+            Kind::Ablation => "ablations",
+            Kind::Matrix => "matrices",
+            Kind::Topology => "topologies",
+        }
+    }
+
+    /// What one entry of this kind is called — `--list` shows it in the
+    /// figure column of entries that reproduce no paper figure.
+    pub fn label(self) -> &'static str {
+        match self {
+            Kind::Figure => "figure",
+            Kind::Ablation => "ablation",
+            Kind::Matrix => "matrix",
+            Kind::Topology => "topology",
+        }
+    }
 }
 
 /// A registered experiment's enumerable metadata; [`specs`] turns rows
@@ -79,148 +108,54 @@ impl Experiment for ExperimentDef {
 }
 
 // ---------------------------------------------------------------------------
-// JSON encodings shared by the figure entries
-// ---------------------------------------------------------------------------
-
-fn sessions_rows_json(rows: &[experiments::SessionsRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("n", Json::U64(r.n as u64)),
-                    ("avg_bps", Json::Num(r.avg_bps)),
-                    (
-                        "individual_bps",
-                        Json::nums(r.individual_bps.iter().copied()),
-                    ),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn overhead_rows_json(rows: &[experiments::OverheadRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("x", Json::Num(r.x)),
-                    ("delta_analytic", Json::Num(r.delta_analytic)),
-                    ("sigma_analytic", Json::Num(r.sigma_analytic)),
-                    ("delta_measured", Json::Num(r.delta_measured)),
-                    ("sigma_measured", Json::Num(r.sigma_measured)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn attack_json(r: &experiments::AttackResult, attack_at: u64) -> Json {
-    Json::obj([
-        ("attack_at_secs", Json::U64(attack_at)),
-        (
-            "series",
-            Json::Arr(r.series.iter().map(series_json).collect()),
-        ),
-        (
-            "post_attack_avg_bps",
-            Json::nums(r.post_attack_avg_bps.iter().copied()),
-        ),
-    ])
-}
-
-fn convergence_json(r: &experiments::ConvergenceResult) -> Json {
-    Json::obj([
-        (
-            "throughput",
-            Json::Arr(r.throughput.iter().map(series_json).collect()),
-        ),
-        (
-            "levels",
-            Json::Arr(r.levels.iter().map(series_json).collect()),
-        ),
-    ])
-}
-
-// ---------------------------------------------------------------------------
 // Figure bodies
 // ---------------------------------------------------------------------------
 
 fn attack_body(variant: Variant, p: &Params, seed: u64) -> Json {
     let dur = p.duration(200);
-    let attack_at = dur / 2;
-    attack_json(
-        &experiments::attack_experiment(variant, dur, attack_at, seed, p),
-        attack_at,
-    )
+    experiments::attack_experiment(variant, dur, dur / 2, seed, p).to_json()
 }
 
 fn sessions_body(variant: Variant, cross: bool, p: &Params, seed: u64) -> Json {
-    sessions_rows_json(&experiments::throughput_vs_sessions(
-        variant,
-        &p.session_counts(),
-        cross,
-        p.duration(200),
-        seed,
-    ))
+    experiments::throughput_vs_sessions(variant, &p.session_counts(), cross, p.duration(200), seed)
+        .to_json()
 }
 
-fn sessions_pair_body(cross: bool, p: &Params, seed: u64) -> Json {
+/// The same experiment once per variant, under the keys of Figures 8c,
+/// 8d and 8f.
+fn dl_ds_pair(body: impl Fn(Variant) -> Json) -> Json {
     Json::obj([
-        ("flid_dl", sessions_body(Variant::FlidDl, cross, p, seed)),
-        ("flid_ds", sessions_body(Variant::FlidDs, cross, p, seed)),
+        ("flid_dl", body(Variant::FlidDl)),
+        ("flid_ds", body(Variant::FlidDs)),
     ])
 }
 
 fn responsiveness_body(p: &Params, seed: u64) -> Json {
     let dur = p.duration(100);
     let (from, to) = (dur * 45 / 100, dur * 75 / 100);
+    let series: Vec<_> = Variant::BOTH
+        .iter()
+        .map(|&v| experiments::responsiveness(v, dur, from, to, seed, p))
+        .collect();
     Json::obj([
-        (
-            "burst_secs",
-            Json::Arr(vec![Json::U64(from), Json::U64(to)]),
-        ),
-        (
-            "series",
-            Json::Arr(
-                Variant::BOTH
-                    .iter()
-                    .map(|&v| series_json(&experiments::responsiveness(v, dur, from, to, seed, p)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn rtt_body(p: &Params, seed: u64) -> Json {
-    let dur = p.duration(200);
-    let pairs = |variant| {
-        Json::Arr(
-            experiments::rtt_experiment(variant, dur, seed)
-                .into_iter()
-                .map(|(rtt, bps)| Json::Arr(vec![Json::Num(rtt), Json::Num(bps)]))
-                .collect(),
-        )
-    };
-    Json::obj([
-        ("flid_dl", pairs(Variant::FlidDl)),
-        ("flid_ds", pairs(Variant::FlidDs)),
+        ("burst_secs", vec![from, to].to_json()),
+        ("series", series.to_json()),
     ])
 }
 
 fn convergence_body(variant: Variant, p: &Params, seed: u64) -> Json {
     let dur = p.duration(40).max(40);
-    convergence_json(&experiments::convergence(variant, dur, seed))
+    experiments::convergence(variant, dur, seed).to_json()
 }
 
 fn overhead_groups_body(p: &Params, seed: u64) -> Json {
     let ns: Vec<u32> = (1..=10).map(|i| 2 * i).collect();
-    overhead_rows_json(&experiments::overhead_vs_groups(&ns, p.duration(60), seed))
+    experiments::overhead_vs_groups(&ns, p.duration(60), seed).to_json()
 }
 
 fn overhead_slot_body(p: &Params, seed: u64) -> Json {
     let slots = [200u64, 300, 400, 500, 600, 700, 800, 900, 1000];
-    overhead_rows_json(&experiments::overhead_vs_slot(&slots, p.duration(60), seed))
+    experiments::overhead_vs_slot(&slots, p.duration(60), seed).to_json()
 }
 
 // ---------------------------------------------------------------------------
@@ -246,19 +181,7 @@ fn ablation_sharing_body(_p: &Params, _seed: u64) -> Json {
 
 fn ablation_fec_body(p: &Params, seed: u64) -> Json {
     let slots = if p.quick { 500 } else { 2000 };
-    let rows = experiments::fec_ablation(&[1, 2, 3], &[0.1, 0.3, 0.5], slots, seed);
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("repeat", Json::U64(r.repeat as u64)),
-                    ("loss", Json::Num(r.loss)),
-                    ("slot_miss_rate", Json::Num(r.slot_miss_rate)),
-                    ("expansion", Json::Num(r.expansion)),
-                ])
-            })
-            .collect(),
-    )
+    experiments::fec_ablation(&[1, 2, 3], &[0.1, 0.3, 0.5], slots, seed).to_json()
 }
 
 fn ablation_slot_body(p: &Params, seed: u64) -> Json {
@@ -267,240 +190,72 @@ fn ablation_slot_body(p: &Params, seed: u64) -> Json {
     } else {
         &[125, 250, 500, 1000]
     };
-    let rows = experiments::slot_ablation(slots, seed);
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj([
-                    ("slot_ms", Json::U64(r.slot_ms)),
-                    ("goodput_bps", Json::Num(r.goodput_bps)),
-                    ("reaction_secs", Json::Num(r.reaction_secs)),
-                    ("sigma_overhead", Json::Num(r.sigma_overhead)),
-                ])
-            })
-            .collect(),
-    )
+    experiments::slot_ablation(slots, seed).to_json()
 }
 
 // ---------------------------------------------------------------------------
-// Matrix bodies
+// Matrix and topology bodies: 60 s runs, attack onset a third of the way in
 // ---------------------------------------------------------------------------
 
 fn matrix_robustness_body(p: &Params, seed: u64) -> Json {
     let dur = p.duration(60);
-    let onset = dur / 3;
-    let m = experiments::robustness_matrix(dur, onset, seed);
-    Json::obj([
-        ("onset_secs", Json::U64(m.onset_secs)),
-        ("duration_secs", Json::U64(m.duration_secs)),
-        ("fair_share_bps", Json::Num(m.fair_share_bps)),
-        (
-            "defenses",
-            Json::Arr(
-                m.defenses
-                    .iter()
-                    .map(|d| Json::Str(d.to_string()))
-                    .collect(),
-            ),
-        ),
-        (
-            "strategies",
-            Json::Arr(
-                m.strategies
-                    .iter()
-                    .map(|s| Json::Str(s.to_string()))
-                    .collect(),
-            ),
-        ),
-        (
-            "cells",
-            Json::Arr(
-                m.cells
-                    .iter()
-                    .map(|c| {
-                        Json::obj([
-                            ("defense", Json::Str(c.defense.to_string())),
-                            ("strategy", Json::Str(c.strategy.to_string())),
-                            ("attacker_bps", Json::Num(c.attacker_bps)),
-                            ("honest_bps", Json::Num(c.honest_bps)),
-                            ("tcp_bps", Json::Num(c.tcp_bps)),
-                            ("baseline_honest_bps", Json::Num(c.baseline_honest_bps)),
-                            ("honest_loss_pct", Json::Num(c.damage.honest_loss_pct)),
-                            (
-                                "attacker_excess_pct",
-                                Json::Num(c.damage.attacker_excess_pct),
-                            ),
-                            (
-                                "time_to_lockout_secs",
-                                c.damage
-                                    .time_to_lockout_secs
-                                    .map(Json::Num)
-                                    .unwrap_or(Json::Null),
-                            ),
-                            ("rejected_keys", Json::U64(c.rejected_keys)),
-                            ("raw_igmp_blocked", Json::U64(c.raw_igmp_blocked)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    experiments::robustness_matrix(dur, dur / 3, seed).to_json()
 }
 
-fn churn_robustness_body(p: &Params, seed: u64) -> Json {
-    let dur = p.duration(60);
-    let onset = dur / 3;
-    // `--set churn_rate=R` pins the sweep to one point; `--set
-    // flash_factor=F` rescales the flash crowd (which rides the top
-    // point of a multi-point sweep only).
-    let rates: Vec<f64> = match p.churn_rate {
+/// The duration, rate points and flash-crowd factor `churn_robustness`
+/// runs under `p`: `--sweep churn_rate=R` pins the sweep to one point;
+/// `--sweep flash_factor=F` rescales the flash crowd (which rides the top
+/// point of a multi-point sweep only).
+fn churn_axes(p: &Params) -> (u64, Vec<f64>, f64) {
+    let rates = match p.churn_rate {
         Some(r) => vec![r],
         None => experiments::CHURN_RATES.to_vec(),
     };
     let flash_factor = p.flash_factor.unwrap_or(experiments::CHURN_FLASH_FACTOR);
-    let m = experiments::churn_robustness(dur, onset, seed, &rates, flash_factor);
-    Json::obj([
-        ("onset_secs", Json::U64(m.onset_secs)),
-        ("duration_secs", Json::U64(m.duration_secs)),
-        ("mean_dwell_secs", Json::U64(m.mean_dwell_secs)),
-        ("flash_factor", Json::Num(m.flash_factor)),
-        (
-            "defenses",
-            Json::Arr(
-                m.defenses
-                    .iter()
-                    .map(|d| Json::Str(d.to_string()))
-                    .collect(),
-            ),
-        ),
-        (
-            "churn_rates",
-            Json::Arr(m.churn_rates.iter().map(|&r| Json::Num(r)).collect()),
-        ),
-        (
-            "cells",
-            Json::Arr(
-                m.cells
-                    .iter()
-                    .map(|c| {
-                        Json::obj([
-                            ("defense", Json::Str(c.defense.to_string())),
-                            ("churn_rate", Json::Num(c.churn_rate)),
-                            ("flash", Json::Bool(c.flash)),
-                            ("churn_receivers", Json::U64(c.churn_receivers)),
-                            ("attacker_bps", Json::Num(c.attacker_bps)),
-                            ("honest_bps", Json::Num(c.honest_bps)),
-                            ("baseline_honest_bps", Json::Num(c.baseline_honest_bps)),
-                            ("honest_loss_pct", Json::Num(c.damage.honest_loss_pct)),
-                            (
-                                "attacker_excess_pct",
-                                Json::Num(c.damage.attacker_excess_pct),
-                            ),
-                            (
-                                "time_to_lockout_secs",
-                                c.damage
-                                    .time_to_lockout_secs
-                                    .map(Json::Num)
-                                    .unwrap_or(Json::Null),
-                            ),
-                            ("rejected_keys", Json::U64(c.rejected_keys)),
-                            ("guard_false_positives", Json::U64(c.guard_false_positives)),
-                            ("tuples_installed", Json::U64(c.tuples_installed)),
-                            ("session_joins", Json::U64(c.session_joins)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    (p.duration(60), rates, flash_factor)
 }
 
-// ---------------------------------------------------------------------------
-// Topology bodies
-// ---------------------------------------------------------------------------
+fn churn_robustness_body(p: &Params, seed: u64) -> Json {
+    let (dur, rates, flash_factor) = churn_axes(p);
+    experiments::churn_robustness(dur, dur / 3, seed, &rates, flash_factor).to_json()
+}
 
 fn tree_placement_body(p: &Params, seed: u64) -> Json {
     let (depth, fanout) = if p.quick { (2, 2) } else { (3, 2) };
     let dur = p.duration(60);
-    let onset = dur / 3;
-    let r = experiments::tree_placement(depth, fanout, dur, onset, seed);
-    Json::obj([
-        ("depth", Json::U64(r.depth as u64)),
-        ("fanout", Json::U64(r.fanout as u64)),
-        ("onset_secs", Json::U64(r.onset_secs)),
-        ("duration_secs", Json::U64(r.duration_secs)),
-        (
-            "rows",
-            Json::Arr(
-                r.rows
-                    .iter()
-                    .map(|row| {
-                        Json::obj([
-                            ("defense", Json::Str(row.defense.to_string())),
-                            ("attacker_depth", Json::U64(row.attacker_depth as u64)),
-                            ("attacker_bps", Json::Num(row.attacker_bps)),
-                            (
-                                "attacker_baseline_bps",
-                                Json::Num(row.attacker_baseline_bps),
-                            ),
-                            ("honest_mean_bps", Json::Num(row.honest_mean_bps)),
-                            ("baseline_mean_bps", Json::Num(row.baseline_mean_bps)),
-                            ("honest_loss_pct", Json::Num(row.honest_loss_pct)),
-                            ("subtree_loss_pct", Json::Num(row.subtree_loss_pct)),
-                            ("outside_loss_pct", Json::Num(row.outside_loss_pct)),
-                            ("rejected_keys", Json::U64(row.rejected_keys)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    experiments::tree_placement(depth, fanout, dur, dur / 3, seed).to_json()
 }
 
 fn parking_lot_body(p: &Params, seed: u64) -> Json {
     let bottlenecks = if p.quick { 2 } else { 3 };
     let dur = p.duration(60);
-    let onset = dur / 3;
-    let r = experiments::parking_lot_fairness(bottlenecks, 100_000, dur, onset, seed);
-    Json::obj([
-        ("bottlenecks", Json::U64(r.bottlenecks as u64)),
-        ("per_hop_cbr_bps", Json::U64(r.per_hop_cbr_bps)),
-        ("onset_secs", Json::U64(r.onset_secs)),
-        ("duration_secs", Json::U64(r.duration_secs)),
-        (
-            "variants",
-            Json::Arr(
-                r.variants
-                    .iter()
-                    .map(|v| {
-                        Json::obj([
-                            ("variant", Json::Str(v.variant.to_string())),
-                            ("attacker_bps", Json::Num(v.attacker_bps)),
-                            ("attacker_baseline_bps", Json::Num(v.attacker_baseline_bps)),
-                            (
-                                "hops",
-                                Json::Arr(
-                                    v.hops
-                                        .iter()
-                                        .map(|h| {
-                                            Json::obj([
-                                                ("hop", Json::U64(h.hop as u64)),
-                                                ("honest_bps", Json::Num(h.honest_bps)),
-                                                ("baseline_bps", Json::Num(h.baseline_bps)),
-                                                ("honest_loss_pct", Json::Num(h.honest_loss_pct)),
-                                                ("cbr_bps", Json::Num(h.cbr_bps)),
-                                                ("cbr_baseline_bps", Json::Num(h.cbr_baseline_bps)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    experiments::parking_lot_fairness(bottlenecks, 100_000, dur, dur / 3, seed).to_json()
+}
+
+/// Check the composed `params` — every override applied, since quick mode
+/// halves the run a `churn_rate` is multiplied by — against what the
+/// workload-driven experiments will ask of the workload engine, so an
+/// oversized `churn_rate` / `flash_factor` is an error before anything
+/// runs instead of a panic in `WorkloadSpec::apply`. Expected arrivals may
+/// use nine tenths of the cap: at 90,000 the Poisson tail would need a
+/// 33-sigma excursion to reach the engine's assert.
+pub fn check_params(params: &Params) -> Result<(), String> {
+    let (key, value) = match (params.churn_rate, params.flash_factor) {
+        // A pinned rate is a one-point sweep, which no flash crowd rides.
+        (Some(rate), _) => ("churn_rate", rate),
+        (None, Some(factor)) => ("flash_factor", factor),
+        (None, None) => return Ok(()),
+    };
+    let (dur, rates, flash_factor) = churn_axes(params);
+    let arrivals = experiments::churn_peak_arrivals(dur, &rates, flash_factor);
+    let fits = MAX_ARRIVALS as f64 * 0.9;
+    if arrivals > fits {
+        return Err(format!(
+            "{key} {value}: about {arrivals:.0} workload arrivals in a {dur} s run, over the \
+             {fits:.0} that safely fit the {MAX_ARRIVALS}-arrival workload cap"
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -551,7 +306,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
         describe: "average throughput, DL vs DS, no cross traffic",
         kind: Kind::Figure,
         seed: 8,
-        body: |p, s| sessions_pair_body(false, p, s),
+        body: |p, s| dl_ds_pair(|v| sessions_body(v, false, p, s)),
     },
     ExperimentDef {
         id: "fig08d_avg_cross",
@@ -559,7 +314,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
         describe: "average throughput with TCP + on-off CBR cross traffic",
         kind: Kind::Figure,
         seed: 8,
-        body: |p, s| sessions_pair_body(true, p, s),
+        body: |p, s| dl_ds_pair(|v| sessions_body(v, true, p, s)),
     },
     ExperimentDef {
         id: "fig08e_responsiveness",
@@ -575,7 +330,7 @@ pub static REGISTRY: &[ExperimentDef] = &[
         describe: "throughput under heterogeneous round-trip times",
         kind: Kind::Figure,
         seed: 13,
-        body: rtt_body,
+        body: |p, s| dl_ds_pair(|v| experiments::rtt_experiment(v, p.duration(200), s).to_json()),
     },
     ExperimentDef {
         id: "fig08g_convergence_dl",
@@ -667,40 +422,33 @@ pub static REGISTRY: &[ExperimentDef] = &[
     },
 ];
 
-/// The figure entries, in suite order.
-pub fn figures() -> Vec<ExperimentDef> {
+/// The entries of one kind, in registry order.
+pub fn of_kind(kind: Kind) -> Vec<ExperimentDef> {
     REGISTRY
         .iter()
-        .filter(|d| d.kind == Kind::Figure)
+        .filter(|d| d.kind == kind)
         .copied()
         .collect()
+}
+
+/// The figure entries, in suite order.
+pub fn figures() -> Vec<ExperimentDef> {
+    of_kind(Kind::Figure)
 }
 
 /// The ablation entries.
 pub fn ablations() -> Vec<ExperimentDef> {
-    REGISTRY
-        .iter()
-        .filter(|d| d.kind == Kind::Ablation)
-        .copied()
-        .collect()
+    of_kind(Kind::Ablation)
 }
 
 /// The robustness-matrix entries.
 pub fn matrices() -> Vec<ExperimentDef> {
-    REGISTRY
-        .iter()
-        .filter(|d| d.kind == Kind::Matrix)
-        .copied()
-        .collect()
+    of_kind(Kind::Matrix)
 }
 
 /// The non-dumbbell topology entries.
 pub fn topologies() -> Vec<ExperimentDef> {
-    REGISTRY
-        .iter()
-        .filter(|d| d.kind == Kind::Topology)
-        .copied()
-        .collect()
+    of_kind(Kind::Topology)
 }
 
 /// Look an experiment up by exact id.

@@ -29,8 +29,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::metrics::Series;
-
 // ---------------------------------------------------------------------------
 // Canonical JSON
 // ---------------------------------------------------------------------------
@@ -130,21 +128,116 @@ impl std::fmt::Display for Json {
     }
 }
 
-/// A [`Series`] as `{label, points: [[x, y], ...]}`.
-pub fn series_json(s: &Series) -> Json {
-    Json::obj([
-        ("label", Json::Str(s.label.clone())),
-        (
-            "points",
-            Json::Arr(
-                s.points
-                    .iter()
-                    .map(|&(x, y)| Json::Arr(vec![Json::Num(x), Json::Num(y)]))
-                    .collect(),
-            ),
-        ),
-    ])
+/// A value that renders its own canonical JSON. Result rows get their
+/// impl from [`record!`], so what an experiment reports — which fields,
+/// under which names, in which order — is declared once, with the struct.
+pub trait ToJson {
+    fn to_json(&self) -> Json;
 }
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+}
+
+impl ToJson for u64 {
+    fn to_json(&self) -> Json {
+        Json::U64(*self)
+    }
+}
+
+impl ToJson for u32 {
+    fn to_json(&self) -> Json {
+        Json::U64(u64::from(*self))
+    }
+}
+
+impl ToJson for usize {
+    fn to_json(&self) -> Json {
+        Json::U64(*self as u64)
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl ToJson for &'static str {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+/// An `(x, y)` point as a two-element array.
+impl ToJson for (f64, f64) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![Json::Num(self.0), Json::Num(self.1)])
+    }
+}
+
+/// The value, or `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+}
+
+/// Declare a result struct and its JSON rendering in one place: the object
+/// has one key per field, named like the field, in declaration order. A
+/// field marked `@splice` is itself a record whose keys land inline, in
+/// its place, instead of under the field's name.
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $(@$splice:ident)? $fvis:vis $field:ident : $ty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field : $ty ),*
+        }
+
+        impl $crate::runner::ToJson for $name {
+            fn to_json(&self) -> $crate::runner::Json {
+                $crate::runner::Json::Obj(
+                    std::iter::empty()
+                        $( .chain($crate::runner::record!(@field $($splice)? $field, self.$field)) )*
+                        .collect(),
+                )
+            }
+        }
+    };
+    // The `(key, value)` pairs one field contributes.
+    (@field splice $field:ident, $value:expr) => {
+        match $crate::runner::ToJson::to_json(&$value) {
+            $crate::runner::Json::Obj(inner) => inner,
+            other => vec![(stringify!($field).to_string(), other)],
+        }
+    };
+    (@field $field:ident, $value:expr) => {
+        [(
+            stringify!($field).to_string(),
+            $crate::runner::ToJson::to_json(&$value),
+        )]
+    };
+}
+pub(crate) use record;
 
 // ---------------------------------------------------------------------------
 // Specs, records, reports
@@ -313,23 +406,42 @@ pub fn run_parallel(suite: &str, mode: &str, specs: &[ExperimentSpec], threads: 
     }
 }
 
-// ---------------------------------------------------------------------------
-// The figure suite (registry-driven)
-// ---------------------------------------------------------------------------
-
-/// The full figure-regeneration suite (Figures 1, 7, 8a-8h, 9a, 9b):
-/// every `Kind::Figure` entry of [`crate::registry`], in suite order,
-/// with its registered seed. Independent by construction, so safe for
-/// [`run_parallel`].
-pub fn figure_experiments(quick: bool) -> Vec<ExperimentSpec> {
-    let params = crate::config::Params::quick(quick);
-    crate::registry::specs(&crate::registry::figures(), &params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments;
+    use crate::config::Params;
+    use crate::{experiments, registry};
+
+    record! {
+        /// A record spliced into [`Outer`].
+        struct Inner {
+            b: u64,
+            c: Option<f64>,
+        }
+    }
+
+    record! {
+        struct Outer {
+            a: &'static str,
+            @splice inner: Inner,
+            d: Vec<(f64, f64)>,
+        }
+    }
+
+    /// `record!`'s contract: keys in declaration order, a spliced record's
+    /// keys inline in its place, `None` as `null`.
+    #[test]
+    fn record_renders_fields_in_declaration_order() {
+        let v = Outer {
+            a: "x",
+            inner: Inner { b: 7, c: None },
+            d: vec![(0.5, 2.0)],
+        };
+        assert_eq!(
+            v.to_json().to_string(),
+            r#"{"a":"x","b":7,"c":null,"d":[[0.5,2]]}"#
+        );
+    }
 
     fn toy_specs() -> Vec<ExperimentSpec> {
         // Bodies of very different cost, so parallel completion order is
@@ -383,41 +495,16 @@ mod tests {
     /// subset: the two overhead sweeps shortened to a few seconds).
     #[test]
     fn real_experiments_serial_vs_parallel() {
-        fn rows_json(rows: &[experiments::OverheadRow]) -> Json {
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("x", Json::Num(r.x)),
-                            ("delta_measured", Json::Num(r.delta_measured)),
-                            ("sigma_measured", Json::Num(r.sigma_measured)),
-                        ])
-                    })
-                    .collect(),
-            )
-        }
         let specs = || {
             vec![
                 ExperimentSpec::new("overhead_groups", 5, |seed| {
-                    rows_json(&experiments::overhead_vs_groups(&[2, 6], 5, seed))
+                    experiments::overhead_vs_groups(&[2, 6], 5, seed).to_json()
                 }),
                 ExperimentSpec::new("overhead_slot", 5, |seed| {
-                    rows_json(&experiments::overhead_vs_slot(&[250, 500], 5, seed))
+                    experiments::overhead_vs_slot(&[250, 500], 5, seed).to_json()
                 }),
                 ExperimentSpec::new("fec_ablation", 9, |seed| {
-                    let rows = experiments::fec_ablation(&[1, 2], &[0.25, 0.5], 200, seed);
-                    Json::Arr(
-                        rows.iter()
-                            .map(|r| {
-                                Json::obj([
-                                    ("repeat", Json::U64(r.repeat as u64)),
-                                    ("loss", Json::Num(r.loss)),
-                                    ("slot_miss_rate", Json::Num(r.slot_miss_rate)),
-                                    ("expansion", Json::Num(r.expansion)),
-                                ])
-                            })
-                            .collect(),
-                    )
+                    experiments::fec_ablation(&[1, 2], &[0.25, 0.5], 200, seed).to_json()
                 }),
             ]
         };
@@ -440,7 +527,7 @@ mod tests {
 
     #[test]
     fn figure_suite_is_complete_and_uniquely_named() {
-        let specs = figure_experiments(true);
+        let specs = registry::specs(&registry::figures(), &Params::quick(true));
         assert_eq!(specs.len(), 12);
         let mut names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
         names.sort_unstable();

@@ -1,57 +1,11 @@
 //! The experiment registry's contract, exercised through the umbrella
-//! crate: registry-driven runs reproduce the pre-registry entry points
-//! and the golden files byte for byte. (`DESIGN.md`'s experiment index is
+//! crate: every registered experiment's quick-mode payload reproduces
+//! its golden file byte for byte. (`DESIGN.md`'s experiment index is
 //! checked against `figures --list` in `mcc-bench`'s `cli` tests.)
 
-use robust_multicast::core::experiments::attack_experiment;
 use robust_multicast::core::registry;
-use robust_multicast::core::runner::{run_serial, series_json, Json};
-use robust_multicast::core::{Params, Variant};
-
-/// Back-compat pin: a quick-mode registry run of `fig01` serializes byte
-/// for byte like calling the old entry point (`attack_experiment` plus
-/// the hand-built JSON of the pre-registry suite) directly.
-#[test]
-fn fig01_registry_run_matches_the_old_entry_point() {
-    let params = Params::quick(true);
-
-    // The registry path, through the same runner the `figures` CLI uses.
-    let def = registry::find("fig01_attack").expect("registered");
-    let specs = registry::specs(&[def], &params);
-    let via_registry = run_serial("pin", "quick", &specs).to_json_string();
-
-    // The old entry point: explicit duration arithmetic, seed 1, the
-    // attack JSON layout of the pre-registry `figure_experiments`.
-    let dur = params.duration(200);
-    let attack_at = dur / 2;
-    let r = attack_experiment(Variant::FlidDl, dur, attack_at, 1, &params);
-    let data = Json::obj([
-        ("attack_at_secs", Json::U64(attack_at)),
-        (
-            "series",
-            Json::Arr(r.series.iter().map(series_json).collect()),
-        ),
-        (
-            "post_attack_avg_bps",
-            Json::nums(r.post_attack_avg_bps.iter().copied()),
-        ),
-    ]);
-    let by_hand = Json::obj([
-        ("suite", Json::Str("pin".into())),
-        ("mode", Json::Str("quick".into())),
-        (
-            "experiments",
-            Json::Arr(vec![Json::obj([
-                ("name", Json::Str("fig01_attack".into())),
-                ("seed", Json::U64(1)),
-                ("data", data),
-            ])]),
-        ),
-    ])
-    .to_string();
-
-    assert_eq!(via_registry, by_hand, "fig01 byte-compat pin broke");
-}
+use robust_multicast::core::runner::run_serial;
+use robust_multicast::core::Params;
 
 /// Compare one experiment's quick-mode serial JSON against its golden
 /// file, regenerating the pin when `MCC_BLESS` is set.
@@ -116,8 +70,8 @@ fn parking_lot_fairness_quick_json_is_byte_pinned() {
 
 /// Byte pins of the cheap figure and ablation payloads (under a second of
 /// release-mode simulation together): generated on the code that still
-/// hand-wrote every encoder, so a row type that renders itself must
-/// reproduce these bytes. Regenerate deliberately with `MCC_BLESS=1 cargo
+/// hand-wrote every encoder, so the row types that now render themselves
+/// reproduce those bytes. Regenerate deliberately with `MCC_BLESS=1 cargo
 /// test --test registry figures_and_ablations_quick`.
 #[test]
 fn figures_and_ablations_quick_json_is_byte_pinned() {

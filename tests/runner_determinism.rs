@@ -5,7 +5,7 @@
 //! scheduling out of both results and report order).
 
 use robust_multicast::core::experiments::{attack_experiment, overhead_vs_groups};
-use robust_multicast::core::runner::{run_parallel, run_serial, ExperimentSpec, Json};
+use robust_multicast::core::runner::{run_parallel, run_serial, ExperimentSpec, Json, ToJson};
 use robust_multicast::core::{Params, Variant};
 
 /// A fast mixed workload: one real simulation (a shortened Figure-1
@@ -14,28 +14,10 @@ use robust_multicast::core::{Params, Variant};
 fn specs() -> Vec<ExperimentSpec> {
     let mut v = vec![
         ExperimentSpec::new("attack_short", 42, |seed| {
-            let r = attack_experiment(Variant::FlidDl, 12, 6, seed, &Params::default());
-            Json::obj([
-                (
-                    "post_attack_avg_bps",
-                    Json::nums(r.post_attack_avg_bps.iter().copied()),
-                ),
-                ("n_series", Json::U64(r.series.len() as u64)),
-            ])
+            attack_experiment(Variant::FlidDl, 12, 6, seed, &Params::default()).to_json()
         }),
         ExperimentSpec::new("overhead", 5, |seed| {
-            let rows = overhead_vs_groups(&[2, 4], 5, seed);
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("x", Json::Num(r.x)),
-                            ("delta_measured", Json::Num(r.delta_measured)),
-                            ("sigma_measured", Json::Num(r.sigma_measured)),
-                        ])
-                    })
-                    .collect(),
-            )
+            overhead_vs_groups(&[2, 4], 5, seed).to_json()
         }),
     ];
     for i in 0..6u64 {

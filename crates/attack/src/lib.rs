@@ -148,16 +148,6 @@ pub trait Adversary: std::fmt::Debug + Send {
         honest_level
     }
 
-    /// True when this strategy keeps its receiver eligible for the
-    /// parallel-in-time core: it never draws from the world RNG and
-    /// shares no state with receivers on other hosts. [`KeyGuess`]
-    /// (random key trials) and [`Colluders`] (a shared key pool) must
-    /// stay on the root shard, so the default is the safe `false`;
-    /// composites delegate to their members.
-    fn parallel_safe(&self) -> bool {
-        false
-    }
-
     /// True when, from `after` onward, every hook is guaranteed to stay a
     /// no-op forever: no activations, no per-slot actions, no vetoes, no
     /// overrides. Receiver cohorts use this to *contract*: a diverged

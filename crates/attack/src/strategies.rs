@@ -27,9 +27,6 @@ impl Adversary for Honest {
     fn clone_box(&self) -> Box<dyn Adversary> {
         Box::new(*self)
     }
-    fn parallel_safe(&self) -> bool {
-        true
-    }
     fn is_inert(&self, _after: SimTime) -> bool {
         true
     }
@@ -86,9 +83,6 @@ impl Adversary for InflateTo {
     fn subscription_override(&self, _env: &AttackEnv, honest_level: u32) -> u32 {
         honest_level.max(self.layer)
     }
-    fn parallel_safe(&self) -> bool {
-        true
-    }
 }
 
 /// Refuse to lower the subscription when congested (paper §2's second
@@ -104,9 +98,6 @@ impl Adversary for IgnoreDecrease {
         Box::new(*self)
     }
     fn on_congestion_signal(&mut self, _env: &AttackEnv) -> bool {
-        true
-    }
-    fn parallel_safe(&self) -> bool {
         true
     }
 }
@@ -183,9 +174,6 @@ impl Adversary for JoinLeaveFlap {
     fn on_congestion_signal(&mut self, _env: &AttackEnv) -> bool {
         // While flapped up, congestion signals are ignored wholesale.
         self.grid.is_up()
-    }
-    fn parallel_safe(&self) -> bool {
-        true
     }
 }
 
@@ -393,9 +381,6 @@ impl Adversary for Timed {
             honest_level
         }
     }
-    fn parallel_safe(&self) -> bool {
-        self.inner.parallel_safe()
-    }
     fn is_inert(&self, after: SimTime) -> bool {
         // Before the onset the wrapper still has its activation ahead of
         // it; afterwards the question is the inner strategy's alone.
@@ -462,9 +447,6 @@ impl Adversary for All {
         self.0
             .iter()
             .fold(honest_level, |lvl, a| a.subscription_override(env, lvl))
-    }
-    fn parallel_safe(&self) -> bool {
-        self.0.iter().all(|a| a.parallel_safe())
     }
     fn is_inert(&self, after: SimTime) -> bool {
         self.0.iter().all(|a| a.is_inert(after))

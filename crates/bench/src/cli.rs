@@ -34,7 +34,6 @@ pub struct Cli {
     only: Option<Vec<String>>,
     quick: bool,
     threads: Option<usize>,
-    shard_workers: Option<usize>,
     out: Option<PathBuf>,
     sweep: Option<(String, Vec<String>)>,
     trace: Option<TraceSpec>,
@@ -60,24 +59,13 @@ impl Cli {
                 }
                 "--threads" | "-j" => {
                     let v = value("--threads", &mut it)?;
-                    // Either a plain count or the AxB split (A experiment
-                    // workers, B shard workers), same grammar as MCC_THREADS.
-                    let (a, b) = match v.split_once(['x', 'X']) {
-                        Some((a, b)) => (
-                            a.trim()
-                                .parse()
-                                .map_err(|e| format!("--threads {v:?}: {e} (expected e.g. 4x2)"))?,
-                            b.trim()
-                                .parse()
-                                .map_err(|e| format!("--threads {v:?}: {e} (expected e.g. 4x2)"))?,
-                        ),
-                        None => (v.parse().map_err(|e| format!("--threads {v:?}: {e}"))?, 1),
-                    };
-                    if a == 0 || b == 0 {
-                        return Err("--threads halves must be at least 1".into());
+                    let n: usize = v
+                        .parse()
+                        .map_err(|e| format!("--threads {v:?}: {e} (expected a worker count)"))?;
+                    if n == 0 {
+                        return Err("--threads must be at least 1".into());
                     }
-                    cli.threads = Some(a);
-                    cli.shard_workers = Some(b);
+                    cli.threads = Some(n);
                 }
                 "--out" | "-o" => cli.out = Some(PathBuf::from(value("--out", &mut it)?)),
                 "--trace" => {
@@ -269,12 +257,9 @@ pub fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
     let env = RunConfig::from_env();
     let quick = cli.quick || env.quick;
     let threads = cli.threads.unwrap_or(env.threads);
-    // Pin the shard-level worker count before any experiment runs; the
-    // environment's AxB split is the default when the flag is absent.
-    mcc_core::set_shard_workers(cli.shard_workers.unwrap_or(env.shard_workers));
-    // Same first-set-wins discipline for tracing: the flag beats the
-    // `MCC_TRACE` environment, and whatever is pinned here is what every
-    // experiment body sees.
+    // Pin tracing before any experiment runs (first set wins): the flag
+    // beats the `MCC_TRACE` environment, and whatever is pinned here is
+    // what every experiment body sees.
     mcc_core::set_trace(cli.trace.clone().or_else(|| env.trace.clone()));
     let out_dir = cli.out.clone().unwrap_or(env.out_dir);
     let params = Params::quick(quick);
@@ -389,7 +374,6 @@ mod tests {
         assert_eq!(cli.only.as_deref().unwrap(), ["fig07", "fig08a"]);
         assert!(cli.quick);
         assert_eq!(cli.threads, Some(3));
-        assert_eq!(cli.shard_workers, Some(1), "plain count means serial core");
         assert_eq!(cli.out.as_deref().unwrap().to_str().unwrap(), "/tmp/x");
         let (key, values) = cli.sweep.unwrap();
         assert_eq!(key, "seed");
@@ -400,20 +384,12 @@ mod tests {
     fn rejects_malformed_invocations() {
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
+        for split in ["4x2", "1x4"] {
+            let err = parse(&["--threads", split]).unwrap_err();
+            assert!(err.contains("--threads") && err.contains(split), "{err}");
+        }
         assert!(parse(&["--sweep", "seed"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
-    }
-
-    #[test]
-    fn threads_accepts_the_axb_split() {
-        let cli = parse(&["--threads", "4x2"]).unwrap();
-        assert_eq!(cli.threads, Some(4));
-        assert_eq!(cli.shard_workers, Some(2));
-        let cli = parse(&["--threads", "1X4"]).unwrap();
-        assert_eq!((cli.threads, cli.shard_workers), (Some(1), Some(4)));
-        assert!(parse(&["--threads", "4x0"]).is_err());
-        assert!(parse(&["--threads", "0x2"]).is_err());
-        assert!(parse(&["--threads", "axb"]).is_err());
     }
 
     /// Satellite contract: an unknown `--sweep` key fails at parse time —

@@ -53,18 +53,17 @@ fn read(dir: &Path, name: &str) -> Vec<u8> {
     std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("{}/{name}: {e}", dir.display()))
 }
 
-/// The tentpole's end-to-end guarantee: `figures --quick --only fig01
-/// --trace` writes byte-identical `TRACE_fig01_attack.jsonl` and
-/// `.pcapng` files whether the run executed on one thread, on two
-/// experiment workers, or on four shard workers (`MCC_THREADS=1x4`) —
-/// three separate processes, compared byte for byte.
+/// The end-to-end guarantee: `figures --quick --only fig01 --trace`
+/// writes byte-identical `TRACE_fig01_attack.jsonl` and `.pcapng` files
+/// whether the run executed on one thread or on two experiment workers —
+/// two separate processes, compared byte for byte.
 #[test]
 fn trace_files_are_byte_identical_across_thread_modes() {
-    let modes = ["1", "2", "1x4"];
+    let modes = ["1", "2"];
     let mut jsonls: Vec<Vec<u8>> = Vec::new();
     let mut pcaps: Vec<Vec<u8>> = Vec::new();
     for mode in modes {
-        let scratch = Scratch::new(&format!("mode{}", mode.replace('x', "_")));
+        let scratch = Scratch::new(&format!("mode{mode}"));
         let dir = scratch.path();
         let trace = format!("all:{}", dir.display());
         run_ok(
@@ -77,10 +76,7 @@ fn trace_files_are_byte_identical_across_thread_modes() {
                 .env_remove("MCC_QUICK"),
         );
         let jsonl = read(dir, "TRACE_fig01_attack.jsonl");
-        assert!(
-            !jsonl.is_empty(),
-            "MCC_THREADS={mode}: empty sim-class trace"
-        );
+        assert!(!jsonl.is_empty(), "MCC_THREADS={mode}: empty trace");
         let pcap = read(dir, "TRACE_fig01_attack.pcapng");
         // pcapng sanity: SHB magic, then the byte-order magic little-endian.
         assert_eq!(&pcap[0..4], &[0x0a, 0x0d, 0x0d, 0x0a], "MCC_THREADS={mode}");

@@ -19,15 +19,9 @@ use std::sync::OnceLock;
 pub struct RunConfig {
     /// Shortened runs (`MCC_QUICK` set non-empty to anything but `0`).
     pub quick: bool,
-    /// Experiment-level worker threads (`MCC_THREADS`, or the `A` of an
-    /// `MCC_THREADS=AxB` split; else available parallelism).
+    /// Experiment-level worker threads (`MCC_THREADS`, else available
+    /// parallelism). Each simulation runs on one of them.
     pub threads: usize,
-    /// Shard-level workers inside one simulation (the `B` of
-    /// `MCC_THREADS=AxB`; plain `MCC_THREADS=N` means `B = 1`). Values
-    /// above 1 route `run_secs` through the conservative parallel-in-
-    /// time core — results are bit-identical either way, only the
-    /// events/sec changes.
-    pub shard_workers: usize,
     /// Where reports and CSVs land (`MCC_OUT`, else `results`).
     pub out_dir: PathBuf,
     /// Flight-recorder tracing (`MCC_TRACE`, or the figures CLI's
@@ -37,23 +31,17 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Parse the environment once. `MCC_QUICK=1` requests shortened
-    /// runs, `MCC_OUT=DIR` redirects output, and `MCC_THREADS` splits
-    /// the worker budget:
+    /// runs, `MCC_OUT=DIR` redirects output, and `MCC_THREADS=N` runs
+    /// `N` experiments in flight.
     ///
-    /// * `MCC_THREADS=N` — `N` experiment-level workers, serial core
-    ///   (exactly the pre-split behaviour);
-    /// * `MCC_THREADS=AxB` — `A` experiment-level workers, each
-    ///   simulation sharded over `B` workers (`4x2` = 4 experiments in
-    ///   flight, 2 shard workers each).
-    ///
-    /// A malformed `MCC_THREADS` (non-numeric, `0`, or a bad `AxB`
-    /// half) is rejected *loudly*: a stderr warning names the bad value
-    /// before the available-parallelism/serial-core fallback kicks in,
-    /// so a typo in a sweep script cannot silently run at the wrong
-    /// parallelism. It never panics.
+    /// A malformed `MCC_THREADS` (non-numeric, such as `4x2`, or `0`) is
+    /// rejected *loudly*: a stderr warning names the bad value before the
+    /// available-parallelism fallback kicks in, so a typo in a sweep
+    /// script cannot silently run at the wrong parallelism. It never
+    /// panics.
     pub fn from_env() -> RunConfig {
         let quick = quick_from(env_var("MCC_QUICK").as_deref());
-        let (threads, shard_workers, warning) = threads_from(env_var("MCC_THREADS").as_deref());
+        let (threads, warning) = threads_from(env_var("MCC_THREADS").as_deref());
         if let Some(warning) = warning {
             eprintln!("warning: {warning}");
         }
@@ -65,7 +53,6 @@ impl RunConfig {
         RunConfig {
             quick,
             threads,
-            shard_workers,
             out_dir,
             trace,
         }
@@ -80,26 +67,6 @@ impl RunConfig {
     }
 }
 
-/// The shard-level worker count (the `B` of `MCC_THREADS=AxB`), read
-/// once per process and cached. `run_secs`-style hot paths call this on
-/// every invocation, so it must not re-read the environment each time;
-/// the first caller pins the value for the process lifetime. Malformed
-/// values fall back to 1 (serial core) here — [`RunConfig::from_env`]
-/// owns the loud warning.
-pub fn shard_workers() -> usize {
-    *SHARD_WORKERS.get_or_init(|| threads_from(env_var("MCC_THREADS").as_deref()).1)
-}
-
-/// Pin the shard-level worker count before any simulation runs — the
-/// `figures` CLI's `--threads AxB` override. A no-op once
-/// [`shard_workers`] has been read (first setting wins, matching the
-/// OnceLock semantics); call it before launching experiments.
-pub fn set_shard_workers(workers: usize) {
-    let _ = SHARD_WORKERS.set(workers.max(1));
-}
-
-static SHARD_WORKERS: OnceLock<usize> = OnceLock::new();
-
 /// The process-wide trace specification, read once and cached — the
 /// `run_spec` hook consults this on every experiment, so it must not
 /// re-read the environment each time. `None` = tracing off (the
@@ -112,8 +79,8 @@ pub fn trace_spec() -> Option<&'static TraceSpec> {
 }
 
 /// Pin the trace specification before any experiment runs — the
-/// `figures` CLI's `--trace` override. First setting wins (matching
-/// [`set_shard_workers`]); a no-op once [`trace_spec`] has been read.
+/// `figures` CLI's `--trace` override. First setting wins (the
+/// `OnceLock` semantics); a no-op once [`trace_spec`] has been read.
 pub fn set_trace(spec: Option<TraceSpec>) {
     let _ = TRACE.set(spec);
 }
@@ -170,47 +137,28 @@ pub fn out_dir() -> PathBuf {
     out_dir_from(env_var("MCC_OUT").as_deref())
 }
 
-/// The `(experiment workers, shard workers)` implied by an
-/// `MCC_THREADS` value (`None` = unset), plus the warning to print when
-/// the value was present but malformed. Split from
-/// [`RunConfig::from_env`] so the rejection paths are unit testable
-/// without touching the process environment.
-fn threads_from(var: Option<&str>) -> (usize, usize, Option<String>) {
+/// The experiment worker count implied by an `MCC_THREADS` value
+/// (`None` = unset), plus the warning to print when the value was present
+/// but malformed. Split from [`RunConfig::from_env`] so the rejection
+/// paths are unit testable without touching the process environment.
+fn threads_from(var: Option<&str>) -> (usize, Option<String>) {
     let fallback = || {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
     };
     match var {
-        None => (fallback(), 1, None),
-        // The AxB split: A experiment workers, B shard workers each.
-        Some(v) if v.contains(['x', 'X']) => {
-            let (a, b) = v.split_once(['x', 'X']).expect("checked above");
-            match (a.trim().parse::<usize>(), b.trim().parse::<usize>()) {
-                (Ok(a), Ok(b)) if a > 0 && b > 0 => (a, b, None),
-                _ => (
-                    fallback(),
-                    1,
-                    Some(format!(
-                        "MCC_THREADS={v:?} is not an AxB worker split (both halves \
-                         must be counts of at least 1, e.g. 4x2); using available \
-                         parallelism with a serial core"
-                    )),
-                ),
-            }
-        }
+        None => (fallback(), None),
         Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => (n, 1, None),
+            Ok(n) if n > 0 => (n, None),
             Ok(_) => (
                 fallback(),
-                1,
                 Some(format!(
                     "MCC_THREADS={v:?} must be at least 1; using available parallelism"
                 )),
             ),
             Err(e) => (
                 fallback(),
-                1,
                 Some(format!(
                     "MCC_THREADS={v:?} is not a thread count ({e}); using available parallelism"
                 )),
@@ -445,55 +393,28 @@ mod tests {
         }
     }
 
-    /// Malformed `MCC_THREADS` values fall back to available parallelism
-    /// *with* a warning naming the bad value — never silently.
+    /// Malformed `MCC_THREADS` values — `AxB` splits among them — fall
+    /// back to available parallelism *with* one warning naming the bad
+    /// value, never silently as something else.
     #[test]
     fn malformed_thread_counts_warn_and_fall_back() {
-        let (n, b, warn) = threads_from(Some("abc"));
-        assert!(n >= 1);
-        assert_eq!(b, 1);
-        let warn = warn.expect("non-numeric value must warn");
-        assert!(warn.contains("abc"), "{warn}");
+        for bad in ["abc", "1x4", "4x2"] {
+            let (n, warn) = threads_from(Some(bad));
+            assert!(n >= 1, "{bad}");
+            let warn = warn.unwrap_or_else(|| panic!("{bad:?} must warn"));
+            assert!(warn.contains(bad), "warning must name the value: {warn}");
+            assert!(!warn.contains('\n'), "one line: {warn}");
+        }
 
-        let (n, _, warn) = threads_from(Some("0"));
+        let (n, warn) = threads_from(Some("0"));
         assert!(n >= 1);
         let warn = warn.expect("zero must warn");
         assert!(warn.contains("at least 1"), "{warn}");
 
-        assert_eq!(threads_from(Some("3")), (3, 1, None), "valid values pin");
-        let (n, _, warn) = threads_from(None);
+        assert_eq!(threads_from(Some("3")), (3, None), "valid values pin");
+        let (n, warn) = threads_from(None);
         assert!(n >= 1);
         assert!(warn.is_none(), "unset is not an error");
-    }
-
-    /// The `AxB` split: well-formed values pin both halves, malformed
-    /// halves warn (naming the expected shape) and fall back to a
-    /// serial core — never a panic.
-    #[test]
-    fn axb_thread_splits_parse_and_fall_back() {
-        assert_eq!(threads_from(Some("4x2")), (4, 2, None));
-        assert_eq!(threads_from(Some("1X4")), (1, 4, None), "capital X works");
-        assert_eq!(threads_from(Some(" 2 x 3 ")), (2, 3, None), "spaces ok");
-
-        for bad in ["4x0", "0x2", "x2", "4x", "axb", "4x2x1", "-1x2"] {
-            let (n, b, warn) = threads_from(Some(bad));
-            assert!(n >= 1, "{bad}");
-            assert_eq!(b, 1, "{bad} must fall back to a serial core");
-            let warn = warn.unwrap_or_else(|| panic!("{bad:?} must warn"));
-            assert!(warn.contains(bad), "warning must name the value: {warn}");
-            assert!(warn.contains("4x2"), "warning must show the shape: {warn}");
-        }
-    }
-
-    /// The cached accessor agrees with a fresh parse of the same
-    /// environment (whatever it is) and holds its floor.
-    #[test]
-    fn shard_workers_accessor_is_sane() {
-        let cached = shard_workers();
-        assert!(cached >= 1);
-        assert_eq!(cached, shard_workers(), "cached value is stable");
-        let (_, fresh, _) = threads_from(env_var("MCC_THREADS").as_deref());
-        assert_eq!(cached, fresh);
     }
 
     /// The pure halves of `from_env`: quick-mode parsing treats `"0"` as
@@ -530,7 +451,7 @@ mod tests {
     }
 
     /// The cached accessor agrees with a fresh parse of the same
-    /// environment, like `shard_workers`.
+    /// environment.
     #[test]
     fn trace_spec_accessor_is_stable() {
         let cached = trace_spec();

@@ -53,7 +53,7 @@ pub mod scenario;
 pub mod topology;
 pub mod workload;
 
-pub use config::{set_shard_workers, set_trace, shard_workers, trace_spec, Params, RunConfig};
+pub use config::{set_trace, trace_spec, Params, RunConfig};
 pub use mcc_obs::TraceSpec;
 pub use metrics::{ascii_chart, damage, Damage, Series};
 pub use registry::{Experiment, ExperimentDef};

@@ -1,26 +1,21 @@
 //! The experiment-level face of the observability layer: capture
 //! lifecycle, canonical rendering, and file sinks.
 //!
-//! `mcc-obs` owns the event taxonomy and the per-shard flight recorder;
-//! this module owns everything that needs the core crate — the runner
-//! hook (`begin`/`finish` around each experiment body), the `run_secs`
+//! `mcc-obs` owns the event taxonomy and the flight recorder; this module
+//! owns everything that needs the core crate — the runner hook
+//! (`begin`/`finish` around each experiment body), the `run_secs`
 //! chokepoint ([`run_sim`]), JSON serialization through the runner's
 //! canonical [`Json`] writer, and the output files:
 //!
-//! * `TRACE_<experiment>.jsonl` — sim-class events in canonical order.
-//! * `TRACE_<experiment>.exec.jsonl` — exec-class (shard lifecycle)
-//!   events; describes the executor, excluded from byte comparison.
+//! * `TRACE_<experiment>.jsonl` — every event in canonical order.
 //! * `TRACE_<experiment>.pcapng` — packet-lifecycle events as pcapng.
 //! * `OBS_<experiment>.json` — the counter metrics registry plus
-//!   wall-clock phase timing (reporting-only).
+//!   wall-clock run timing (reporting-only).
 //!
-//! Canonical order is the pivot of the byte-identity contract: each run's
-//! events go through [`merge_stamped`] (the same discipline cross-shard
-//! packet exchange trusts), then a global stable sort on `(run, sim-time,
-//! rendered line)`. Rendered lines carry no shard, source-shard, sequence
-//! or uid fields, so a serial and a sharded execution of the same scenario
-//! render the same multiset of lines at every instant — and therefore the
-//! same file bytes. The pcapng sink walks the *same* sorted sequence.
+//! Canonical order is `(run, sim-time, rendered line)`. Rendered lines
+//! carry no sequence or uid fields, so the order of same-instant events
+//! is fixed by their content. The pcapng sink walks the *same* sorted
+//! sequence.
 //!
 //! The capture state is thread-local: the runner executes each experiment
 //! body on exactly one worker thread, so `begin`/`run_sim`/`finish` always
@@ -30,9 +25,8 @@ use crate::config;
 use crate::runner::Json;
 use mcc_netsim::Sim;
 use mcc_obs::{jsonl, pcapng, Metrics, Recorder, TraceEvent, TraceSpec, DEFAULT_RING_CAP};
-use mcc_simcore::{merge_stamped, ShardId, SimTime};
+use mcc_simcore::SimTime;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 thread_local! {
@@ -73,8 +67,8 @@ pub(crate) fn finish(name: &str) {
     }
 }
 
-/// Run `sim` to `until`, honoring `MCC_THREADS` — and, when a capture is
-/// active on this thread, ride a flight recorder on the run.
+/// Run `sim` to `until` — and, when a capture is active on this thread,
+/// ride a flight recorder on the run.
 ///
 /// This is the scenario chokepoint: `run_secs` in every topology builder
 /// routes here, so `--trace` covers each figure experiment without the
@@ -82,44 +76,25 @@ pub(crate) fn finish(name: &str) {
 /// traced branch is never entered and the run is byte-for-byte the
 /// pre-observability code path.
 pub fn run_sim(sim: &mut Sim, until: SimTime) {
-    let workers = config::shard_workers();
     let tracing = ACTIVE.with(|a| a.borrow().is_some());
     if !tracing {
-        if workers > 1 {
-            mcc_netsim::shard::run_until_sharded(sim, until, workers);
-        } else {
-            sim.run_until(until);
-        }
+        sim.run_until(until);
         return;
     }
     sim.world.attach_tracer(Recorder::new(0, DEFAULT_RING_CAP));
     let before = sim.world.processed_events();
     #[expect(clippy::disallowed_methods, reason = "run busy timing, reporting only")]
     let t0 = std::time::Instant::now();
-    let sharded = if workers > 1 {
-        mcc_netsim::shard::run_until_sharded(sim, until, workers) > 1
-    } else {
-        sim.run_until(until);
-        false
-    };
+    sim.run_until(until);
     #[expect(clippy::disallowed_methods, reason = "run busy timing, reporting only")]
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
     let mut rec = sim
         .world
         .take_tracer()
         .expect("the recorder survives the run it rode on");
-    if !sharded {
-        // The sharded executor accounts window timing and executed-event
-        // counts itself; a serial run (or the serial fallback when the
-        // topology is too small to shard) accounts here.
-        rec.metrics.events_executed += sim.world.processed_events() - before;
-        rec.metrics.busy_ns += elapsed_ns;
-        rec.wall.run_ns += elapsed_ns;
-    }
-    rec.metrics.queue_high_water = rec
-        .metrics
-        .queue_high_water
-        .max(sim.world.peak_pending_events() as u64);
+    rec.metrics.events_executed = sim.world.processed_events() - before;
+    rec.metrics.busy_ns = elapsed_ns;
+    rec.metrics.queue_high_water = sim.world.peak_pending_events() as u64;
     ACTIVE.with(|a| {
         if let Some(cap) = a.borrow_mut().as_mut() {
             cap.runs.push(rec);
@@ -130,15 +105,13 @@ pub fn run_sim(sim: &mut Sim, until: SimTime) {
 /// The rendered sinks of one capture — what [`finish`] writes to disk and
 /// what [`capture`] hands back to in-process tests.
 pub struct TraceOutput {
-    /// Canonical sim-class JSONL (byte-compared across thread modes).
+    /// Canonical JSONL (byte-compared across thread modes).
     pub jsonl: String,
-    /// Exec-class JSONL (shard lifecycle; excluded from byte comparison).
-    pub exec_jsonl: String,
     /// pcapng stream over the packet-lifecycle subset, same canonical
     /// order as `jsonl`.
     pub pcapng: Vec<u8>,
-    /// The `OBS_<experiment>.json` payload (counters, per-shard metrics,
-    /// wall-clock phase timing).
+    /// The `OBS_<experiment>.json` payload (counters, wall-clock run
+    /// timing).
     pub obs: Json,
 }
 
@@ -161,48 +134,34 @@ pub fn capture<R>(label: &str, f: impl FnOnce() -> R) -> (R, TraceOutput) {
 
 /// Render recorders through the exact canonical pipeline the file sinks
 /// use — the hook the workspace determinism tests use to compare sink
-/// bytes across shard layouts without touching the filesystem.
+/// bytes without touching the filesystem.
 pub fn render_runs(label: &str, runs: &mut [Recorder]) -> TraceOutput {
     render(label, runs)
 }
 
 fn render(label: &str, runs: &mut [Recorder]) -> TraceOutput {
-    let mut sim_events: Vec<(u32, SimTime, String, TraceEvent)> = Vec::new();
-    let mut exec_lines: Vec<String> = Vec::new();
+    let mut events: Vec<(u32, SimTime, String, TraceEvent)> = Vec::new();
     for (i, rec) in runs.iter_mut().enumerate() {
         let run = i as u32;
-        let mut evs = rec.take_sim();
-        merge_stamped(&mut evs);
-        for s in &evs {
-            sim_events.push((run, s.at, jsonl::render(run, s.at, &s.msg), s.msg));
-        }
-        let mut evs = rec.take_exec();
-        merge_stamped(&mut evs);
-        for s in &evs {
-            exec_lines.push(jsonl::render_exec(run, s.src, s.at, &s.msg));
+        for s in rec.take_events() {
+            events.push((run, s.at, jsonl::render(run, s.at, &s.msg), s.msg));
         }
     }
-    // Global canonical order; the per-run merge above already sorted by
-    // time, so this is a layout-independence sort, not a correctness one.
-    sim_events.sort_by(|a, b| (a.0, a.1, a.2.as_str()).cmp(&(b.0, b.1, b.2.as_str())));
+    // Canonical order: each ring is already in time order, and the line
+    // breaks ties between same-instant events by content.
+    events.sort_by(|a, b| (a.0, a.1, a.2.as_str()).cmp(&(b.0, b.1, b.2.as_str())));
 
     let mut jsonl_out = String::new();
     let mut pcapng_out = pcapng::header();
-    for (run, at, line, ev) in &sim_events {
+    for (run, at, line, ev) in &events {
         jsonl_out.push_str(line);
         jsonl_out.push('\n');
         if let Some(record) = pcapng::record(*run, ev) {
             pcapng::push_packet(&mut pcapng_out, *at, &record);
         }
     }
-    let mut exec_out = String::new();
-    for line in &exec_lines {
-        exec_out.push_str(line);
-        exec_out.push('\n');
-    }
     TraceOutput {
         jsonl: jsonl_out,
-        exec_jsonl: exec_out,
         pcapng: pcapng_out,
         obs: obs_json(label, runs),
     }
@@ -217,55 +176,20 @@ fn metrics_obj(m: &Metrics) -> Json {
     )
 }
 
-/// The `OBS_<experiment>.json` payload: totals, per-shard metrics (keyed
-/// by shard id across all runs), and wall-clock phase timing. The wall
-/// and `busy_ns` figures are reporting-only and vary run to run — this
-/// file is deliberately *not* part of the byte-identity contract.
+/// The `OBS_<experiment>.json` payload: metrics totalled over the runs,
+/// and the wall-clock time spent running them (`wall_ns.run`, the total
+/// `busy_ns`). The wall figures are reporting-only and vary run to run —
+/// this file is deliberately *not* part of the byte-identity contract.
 fn obs_json(label: &str, runs: &[Recorder]) -> Json {
     let mut total = Metrics::default();
-    let mut per_shard: BTreeMap<ShardId, Metrics> = BTreeMap::new();
-    let mut split_ns = 0u64;
-    let mut run_ns = 0u64;
-    let mut merge_ns = 0u64;
     for rec in runs {
-        total.add(&rec.total_metrics());
-        per_shard.entry(rec.shard()).or_default().add(&rec.metrics);
-        for (id, m) in &rec.shards {
-            per_shard.entry(*id).or_default().add(m);
-        }
-        split_ns += rec.wall.split_ns;
-        run_ns += rec.wall.run_ns;
-        merge_ns += rec.wall.merge_ns;
+        total.add(&rec.metrics);
     }
     Json::obj([
         ("experiment", Json::Str(label.to_string())),
         ("runs", Json::U64(runs.len() as u64)),
         ("metrics", metrics_obj(&total)),
-        (
-            "shards",
-            Json::Arr(
-                per_shard
-                    .iter()
-                    .map(|(id, m)| {
-                        let mut obj = vec![("shard".to_string(), Json::U64(*id as u64))];
-                        obj.extend(
-                            m.pairs()
-                                .into_iter()
-                                .map(|(k, v)| (k.to_string(), Json::U64(v))),
-                        );
-                        Json::Obj(obj)
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "wall_ns",
-            Json::obj([
-                ("split", Json::U64(split_ns)),
-                ("run", Json::U64(run_ns)),
-                ("merge", Json::U64(merge_ns)),
-            ]),
-        ),
+        ("wall_ns", Json::obj([("run", Json::U64(total.busy_ns))])),
     ])
 }
 
@@ -295,12 +219,6 @@ fn write_outputs(name: &str, spec: &TraceSpec, out: &TraceOutput) -> std::io::Re
     let stem = sanitize(name);
     if spec.jsonl {
         std::fs::write(dir.join(format!("TRACE_{stem}.jsonl")), &out.jsonl)?;
-        if !out.exec_jsonl.is_empty() {
-            std::fs::write(
-                dir.join(format!("TRACE_{stem}.exec.jsonl")),
-                &out.exec_jsonl,
-            )?;
-        }
     }
     if spec.pcapng {
         std::fs::write(dir.join(format!("TRACE_{stem}.pcapng")), &out.pcapng)?;
@@ -339,36 +257,35 @@ mod tests {
         let mut rec = Recorder::new(0, 64);
         rec.record(SimTime::from_nanos(20), pkt(1));
         rec.record(SimTime::from_nanos(10), pkt(2));
-        rec.record(SimTime::from_nanos(5), TraceEvent::ShardSplit { shards: 2 });
+        rec.record(
+            SimTime::from_nanos(5),
+            TraceEvent::Join { agent: 1, group: 4 },
+        );
         let out = render("t", &mut [rec]);
         let lines: Vec<&str> = out.jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"t\":10"), "time-sorted: {}", lines[0]);
-        assert!(lines[1].contains("\"t\":20"));
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].contains("\"t\":5"), "time-sorted: {}", lines[0]);
+        assert!(lines[1].contains("\"t\":10"));
+        assert!(lines[2].contains("\"t\":20"));
         assert_eq!(
             out.pcapng.len(),
             pcapng::HEADER_LEN + 2 * pcapng::EPB_LEN,
             "one EPB per packet event"
         );
-        assert_eq!(out.exec_jsonl.lines().count(), 1);
     }
 
     #[test]
-    fn obs_json_folds_totals_and_shards() {
-        let mut root = Recorder::new(0, 64);
-        root.record(SimTime::from_nanos(1), pkt(1));
-        let mut leaf = Recorder::new(2, 64);
-        leaf.record(SimTime::from_nanos(2), pkt(2));
-        leaf.record(SimTime::from_nanos(3), pkt(3));
-        root.absorb(leaf);
-        let json = obs_json("x", &[root]).to_string();
-        assert!(json.starts_with(r#"{"experiment":"x","runs":1,"metrics":{"#));
-        assert!(
-            json.contains(r#""enqueues":3"#),
-            "total folds shards: {json}"
-        );
-        assert!(json.contains(r#""shard":0"#) && json.contains(r#""shard":2"#));
-        assert!(json.contains(r#""wall_ns":{"split":0,"run":0,"merge":0}"#));
+    fn obs_json_folds_totals_across_runs() {
+        let mut first = Recorder::new(0, 64);
+        first.record(SimTime::from_nanos(1), pkt(1));
+        let mut second = Recorder::new(0, 64);
+        second.record(SimTime::from_nanos(2), pkt(2));
+        second.record(SimTime::from_nanos(3), pkt(3));
+        second.metrics.busy_ns = 7;
+        let json = obs_json("x", &[first, second]).to_string();
+        assert!(json.starts_with(r#"{"experiment":"x","runs":2,"metrics":{"#));
+        assert!(json.contains(r#""enqueues":3"#), "total folds runs: {json}");
+        assert!(json.ends_with(r#""wall_ns":{"run":7}}"#), "{json}");
     }
 
     /// The forcing API captures a run without `MCC_TRACE`, and the

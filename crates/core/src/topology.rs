@@ -810,11 +810,8 @@ pub fn cohort_receiver(sim: &Sim, id: AgentId) -> &CohortReceiver {
 }
 
 impl BuiltTopology {
-    /// Run until `secs` of simulated time. With `MCC_THREADS=AxB`
-    /// (`B > 1`) the run goes through the conservative parallel-in-time
-    /// core — automatically partitioned, bit-identical results, serial
-    /// fallback when the scenario is too small to shard. With `--trace` a
-    /// flight recorder rides the run (see `crate::obs`).
+    /// Run until `secs` of simulated time. With `--trace` a flight
+    /// recorder rides the run (see `crate::obs`).
     pub fn run_secs(&mut self, secs: u64) {
         crate::obs::run_sim(&mut self.sim, SimTime::from_secs(secs));
     }

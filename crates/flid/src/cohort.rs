@@ -171,9 +171,6 @@ pub struct CohortReceiver {
     member_now: Vec<bool>,
     /// Applied to every bucket's receiver at creation.
     control_delay: Option<SimDuration>,
-    /// Conjunction over all member adversaries, frozen at construction
-    /// (shard assignment may query it before `on_start`).
-    all_parallel_safe: bool,
 }
 
 impl CohortReceiver {
@@ -182,13 +179,11 @@ impl CohortReceiver {
     /// member order.
     pub fn new(cfg: FlidConfig, mode: Mode, members: Vec<CohortMember>) -> Self {
         assert!(!members.is_empty(), "a cohort needs at least one member");
-        let mut all_parallel_safe = true;
         let strata = members
             .into_iter()
             .filter(|m| m.count > 0)
             .map(|m| {
                 let adversary = m.plan.build();
-                all_parallel_safe &= adversary.parallel_safe();
                 match adversary.dormant_until() {
                     Some(t) if t == SimTime::MAX => Stratum::Honest {
                         count: m.count,
@@ -233,7 +228,6 @@ impl CohortReceiver {
             splits: Vec::new(),
             member_now: vec![false; n],
             control_delay: None,
-            all_parallel_safe,
         }
     }
 
@@ -481,12 +475,6 @@ impl CohortReceiver {
 }
 
 impl Agent for CohortReceiver {
-    // Frozen conjunction over the population's adversaries: one colluding
-    // or key-guessing member pins the whole cohort host to the root shard.
-    fn parallel_safe(&self) -> bool {
-        self.all_parallel_safe
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
         // Materialize the classified population, in member order. Base

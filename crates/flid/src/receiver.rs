@@ -495,14 +495,6 @@ impl<P: Policy> Receiver<P> {
 }
 
 impl<P: Policy> Agent for Receiver<P> {
-    // The shell and the policies never draw from the world RNG and keep
-    // all state local, so shard eligibility is exactly the adversary's:
-    // key-guessing (RNG) and colluding (shared pool) strategies pin the
-    // host to the root shard.
-    fn parallel_safe(&self) -> bool {
-        self.adversary.parallel_safe()
-    }
-
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.join(ctx, 1);
         self.session_join(ctx);

@@ -73,7 +73,6 @@ pub mod prelude {
 pub use addr::{AgentId, FlowId, GroupAddr, LinkId, NodeId};
 pub use packet::{Body, Dest, Ecn, Packet};
 pub use queue::Queue;
-pub use shard::{run_until_sharded, run_until_with_shards, Partition};
 pub use sim::{Agent, Ctx, Sim, World};
 
 // Re-exported so protocol crates can emit trace events through

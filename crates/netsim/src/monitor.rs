@@ -162,52 +162,6 @@ impl Monitor {
         out.into_iter().map(|b| b as f64 / secs).collect()
     }
 
-    /// Fold another monitor's records into this one (the merge step of a
-    /// sharded run: each shard records its own agents' deliveries into a
-    /// private monitor, and ownership is disjoint).
-    ///
-    /// The merge is exact, not approximate: records are kept per agent,
-    /// an agent's flows stay in its own first-seen order, and when both
-    /// sides hold the same (agent, flow) — an agent that received traffic
-    /// before the split and again after — the counters add, the bins add
-    /// element-wise, and first/last timestamps take the min/max. A serial
-    /// run appending to one monitor produces byte-identical state.
-    pub fn merge_from(&mut self, other: Monitor) {
-        assert_eq!(self.bin, other.bin, "monitors must share the bin width");
-        for (ai, flows) in other.by_agent.into_iter().enumerate() {
-            if flows.is_empty() {
-                continue;
-            }
-            if self.by_agent.len() <= ai {
-                self.by_agent.resize_with(ai + 1, Vec::new);
-            }
-            let mine = &mut self.by_agent[ai];
-            for (flow, rec) in flows {
-                match mine.iter_mut().find(|(f, _)| *f == flow) {
-                    Some((_, existing)) => {
-                        existing.bits += rec.bits;
-                        existing.packets += rec.packets;
-                        if existing.bins.len() < rec.bins.len() {
-                            existing.bins.resize(rec.bins.len(), 0);
-                        }
-                        for (i, b) in rec.bins.into_iter().enumerate() {
-                            existing.bins[i] += b;
-                        }
-                        existing.first = match (existing.first, rec.first) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, b) => a.or(b),
-                        };
-                        existing.last = match (existing.last, rec.last) {
-                            (Some(a), Some(b)) => Some(a.max(b)),
-                            (a, b) => a.or(b),
-                        };
-                    }
-                    None => mine.push((flow, rec)),
-                }
-            }
-        }
-    }
-
     /// All (agent, flow) pairs seen.
     pub fn pairs(&self) -> Vec<(AgentId, FlowId)> {
         let mut v: Vec<(AgentId, FlowId)> = self
@@ -300,37 +254,6 @@ mod tests {
         mon.record(SimTime::from_millis(200), a, FlowId(1), 200);
         assert_eq!(mon.agent_bits(a), 300);
         assert_eq!(mon.pairs().len(), 2);
-    }
-
-    #[test]
-    fn merge_is_exact_for_disjoint_and_overlapping_records() {
-        // Disjoint agents: merging equals recording into one monitor.
-        let mut serial = m();
-        let mut a = m();
-        let mut b = m();
-        serial.record(SimTime::from_millis(100), AgentId(0), FlowId(0), 100);
-        serial.record(SimTime::from_millis(1200), AgentId(2), FlowId(1), 200);
-        a.record(SimTime::from_millis(100), AgentId(0), FlowId(0), 100);
-        b.record(SimTime::from_millis(1200), AgentId(2), FlowId(1), 200);
-        a.merge_from(b);
-        assert_eq!(a.pairs(), serial.pairs());
-        for &(ag, fl) in &serial.pairs() {
-            let (x, y) = (a.get(ag, fl).unwrap(), serial.get(ag, fl).unwrap());
-            assert_eq!((x.bits, x.packets, &x.bins), (y.bits, y.packets, &y.bins));
-        }
-        // Overlap (same agent+flow before and after a split): counters
-        // add, bins add element-wise, first/last take min/max.
-        let mut pre = m();
-        pre.record(SimTime::from_millis(500), AgentId(1), FlowId(0), 1000);
-        let mut post = m();
-        post.record(SimTime::from_millis(2500), AgentId(1), FlowId(0), 2000);
-        pre.merge_from(post);
-        let rec = pre.get(AgentId(1), FlowId(0)).unwrap();
-        assert_eq!(rec.bits, 3000);
-        assert_eq!(rec.packets, 2);
-        assert_eq!(rec.bins, vec![1000, 0, 2000]);
-        assert_eq!(rec.first, Some(SimTime::from_millis(500)));
-        assert_eq!(rec.last, Some(SimTime::from_millis(2500)));
     }
 
     #[test]

@@ -96,17 +96,6 @@ pub trait Agent: Any + Send {
     fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
     /// A timer set through [`Ctx::timer_in`]/[`Ctx::timer_at`] fired.
     fn on_timer(&mut self, _ctx: &mut Ctx, _token: u64) {}
-    /// Whether this agent's host may be moved off the root shard by the
-    /// parallel-in-time executor (see `crate::shard`).
-    ///
-    /// Returning `true` is a promise: the agent never draws from
-    /// [`Ctx::rng`] and shares no mutable state with agents on other
-    /// hosts, so replaying its event stream in isolation reproduces the
-    /// serial run bit for bit. The default is the safe `false`; only
-    /// leaf-receiver-style agents that audit their hooks should opt in.
-    fn parallel_safe(&self) -> bool {
-        false
-    }
 }
 
 /// The capabilities an agent has over the outside world.
@@ -799,26 +788,11 @@ impl World {
     }
 }
 
-/// Cross-shard routing state carried by a shard's `Sim` during a
-/// parallel-in-time run (see `crate::shard`). `None` on ordinary serial
-/// simulators: the event loop then behaves exactly as before.
-pub(crate) struct ShardRouting {
-    /// This shard's id.
-    pub(crate) me: mcc_simcore::ShardId,
-    /// Owner shard of every link's `to` node, indexed by [`LinkId`]: the
-    /// one lookup the departure hot path needs to spot a cut link.
-    pub(crate) arrival_owner: Vec<mcc_simcore::ShardId>,
-    /// Staged cross-shard arrivals, stamped for the deterministic merge.
-    pub(crate) outbox: mcc_simcore::Outbox<(LinkId, Packet)>,
-}
-
 /// The simulator: a [`World`] plus the boxed agents and the event loop.
 pub struct Sim {
     /// The network state; public for scenario assembly and inspection.
     pub world: World,
-    pub(crate) agents: Vec<Option<Box<dyn Agent>>>,
-    /// Set only while this `Sim` is one shard of a parallel run.
-    pub(crate) shard: Option<Box<ShardRouting>>,
+    agents: Vec<Option<Box<dyn Agent>>>,
 }
 
 impl Sim {
@@ -827,7 +801,6 @@ impl Sim {
         Sim {
             world: World::new(seed, monitor_bin),
             agents: Vec::new(),
-            shard: None,
         }
     }
 
@@ -941,16 +914,6 @@ impl Sim {
         self.world.now = t;
     }
 
-    /// One conservative window: process every pending event at or before
-    /// `bound` without fast-forwarding `world.now` past the last event.
-    /// Only the sharded executor calls this; `bound` is its safe horizon.
-    pub(crate) fn run_window(&mut self, bound: SimTime) {
-        while let Some((at, ev)) = self.world.events.pop_until(bound) {
-            self.world.now = at;
-            self.handle(ev);
-        }
-    }
-
     fn handle(&mut self, ev: Event) {
         match ev {
             Event::Departure(l) => {
@@ -977,17 +940,7 @@ impl Sim {
                     }
                     None => None,
                 };
-                // The one place an event can cross shards: a packet
-                // leaving a cut link arrives on the neighbour's shard.
-                // Stage it in the stamped outbox instead of the local
-                // queue; the barrier merge delivers it deterministically.
-                match self.shard.as_deref_mut() {
-                    Some(sc) if sc.arrival_owner[l.index()] != sc.me => {
-                        sc.outbox
-                            .push(sc.arrival_owner[l.index()], now + delay, (l, pkt));
-                    }
-                    _ => self.world.events.push(now + delay, Event::Arrival(l, pkt)),
-                }
+                self.world.events.push(now + delay, Event::Arrival(l, pkt));
                 if let Some(tx) = next_tx {
                     self.world.events.push(now + tx, Event::Departure(l));
                 }

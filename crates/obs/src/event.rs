@@ -9,16 +9,10 @@
 //! an event would change `TRACE_*.jsonl` between two runs, which
 //! `tests/trace_determinism.rs` and the CI trace `cmp` step catch).
 //!
-//! Events split into two classes:
-//!
-//! * **sim-class** — packet lifecycle, SIGMA guard decisions, FLID layer
-//!   transitions. These are functions of the simulation alone, so the
-//!   merged trace is byte-identical across `MCC_THREADS=1/2/1x4`. They are
-//!   what the JSONL and pcapng sinks export.
-//! * **exec-class** ([`TraceEvent::is_exec`]) — shard split/window/merge
-//!   and cross-shard exchange volumes. These describe the *executor*, only
-//!   exist in sharded runs, and go to a separate `.exec.jsonl` sink that is
-//!   deliberately excluded from the byte-identity contract.
+//! Every event — packet lifecycle, SIGMA guard decisions, FLID layer
+//! transitions, membership churn — is a function of the simulation alone,
+//! so the trace is byte-identical across `MCC_THREADS` values. The JSONL
+//! sink exports all of them, the pcapng sink the packet-lifecycle subset.
 
 /// Group-address sentinel for unicast packets (`group` field of packet
 /// events): `u32::MAX` means "not a multicast packet".
@@ -61,12 +55,11 @@ pub struct PktRef {
     /// Wire size in bits.
     pub size_bits: u64,
 }
-// Deliberately absent: the simulator's packet `uid`. Uids are allocated
-// per shard world, so their values depend on the shard layout — putting
-// one in a trace event would silently void the cross-`MCC_THREADS`
-// byte-identity contract.
+// Deliberately absent: the simulator's packet `uid`. The trace names a
+// packet by where it is and what it carries, so a trace stays comparable
+// across changes that only renumber packets.
 
-/// One structured trace event. Sim-class unless noted.
+/// One structured trace event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceEvent {
     /// Packet accepted into a link queue (or straight into service).
@@ -118,40 +111,9 @@ pub enum TraceEvent {
     /// SIGMA installed a fresh key tuple for `(group, slot)` at a router —
     /// the per-join control-plane load a flash crowd generates.
     KeyInstall { node: u32, group: u32, slot: u64 },
-    /// Exec-class: the world was split into `shards` shard worlds.
-    ShardSplit { shards: u32 },
-    /// Exec-class: one LBTS window ran on `shard` up to `bound_ns`,
-    /// executing `events` events.
-    ShardWindow {
-        shard: u32,
-        bound_ns: u64,
-        events: u64,
-    },
-    /// Exec-class: cross-shard messages exchanged at a window barrier.
-    ShardExchange {
-        src_shard: u32,
-        dst_shard: u32,
-        msgs: u64,
-        bits: u64,
-    },
-    /// Exec-class: shard worlds merged back; `events` executed in total.
-    ShardMerge { shards: u32, events: u64 },
 }
 
 impl TraceEvent {
-    /// Executor-infrastructure event (shard lifecycle), as opposed to a
-    /// simulation event? Exec-class events are routed to the `.exec.jsonl`
-    /// sink and excluded from cross-thread-mode byte-identity.
-    pub fn is_exec(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::ShardSplit { .. }
-                | TraceEvent::ShardWindow { .. }
-                | TraceEvent::ShardExchange { .. }
-                | TraceEvent::ShardMerge { .. }
-        )
-    }
-
     /// Short stable kind tag (the `"ev"` field of the JSONL sink and the
     /// `kind` byte of the pcapng record, see [`crate::pcapng`]).
     pub fn kind(&self) -> &'static str {
@@ -168,10 +130,6 @@ impl TraceEvent {
             TraceEvent::Join { .. } => "join",
             TraceEvent::Leave { .. } => "leave",
             TraceEvent::KeyInstall { .. } => "key_install",
-            TraceEvent::ShardSplit { .. } => "shard_split",
-            TraceEvent::ShardWindow { .. } => "shard_window",
-            TraceEvent::ShardExchange { .. } => "shard_exchange",
-            TraceEvent::ShardMerge { .. } => "shard_merge",
         }
     }
 
@@ -205,45 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn exec_classification() {
-        assert!(!TraceEvent::PktEnqueue(p()).is_exec());
-        assert!(!TraceEvent::SigmaFilter {
-            node: 0,
-            iface: 0,
-            group: 0,
-            layer: 0,
-            allowed: true
-        }
-        .is_exec());
-        assert!(!TraceEvent::FlidLayer {
-            agent: 0,
-            from_layer: 1,
-            to_layer: 2,
-            slot: 3
-        }
-        .is_exec());
-        assert!(TraceEvent::ShardSplit { shards: 4 }.is_exec());
-        assert!(TraceEvent::ShardWindow {
-            shard: 0,
-            bound_ns: 1,
-            events: 2
-        }
-        .is_exec());
-        assert!(TraceEvent::ShardExchange {
-            src_shard: 0,
-            dst_shard: 1,
-            msgs: 2,
-            bits: 3
-        }
-        .is_exec());
-        assert!(TraceEvent::ShardMerge {
-            shards: 2,
-            events: 9
-        }
-        .is_exec());
-    }
-
-    #[test]
     fn kind_tags_are_unique() {
         let kinds = [
             TraceEvent::PktEnqueue(p()).kind(),
@@ -264,6 +183,6 @@ mod tests {
             TraceEvent::PktDrop(p(), DropReason::EdgeFilter).pkt(),
             Some(&p())
         );
-        assert_eq!(TraceEvent::ShardSplit { shards: 2 }.pkt(), None);
+        assert_eq!(TraceEvent::Join { agent: 1, group: 2 }.pkt(), None);
     }
 }

@@ -1,19 +1,13 @@
 //! Canonical JSONL rendering of trace events.
 //!
 //! One event renders to exactly one line with fixed key order and integer
-//! fields only — so equal events render to equal bytes, which is the pivot
-//! of the cross-thread-mode byte-identity contract: the canonical trace
-//! order is `(run, sim-time, rendered line)`, and because the line carries
-//! **no shard, source-shard or sequence fields**, a serial and a sharded
-//! run of the same scenario produce the same multiset of lines at every
-//! instant and therefore the same file bytes.
-//!
-//! Exec-class events (shard lifecycle) use [`render_exec`], which *does*
-//! include the recording shard — those lines go to a separate
-//! `.exec.jsonl` sink excluded from byte comparison.
+//! fields only — so equal events render to equal bytes. The canonical
+//! trace order is `(run, sim-time, rendered line)`, and because the line
+//! carries **no sequence or uid fields**, it depends only on what happened
+//! at each instant, not on the order the simulator happened to record it.
 
 use crate::event::{PktRef, TraceEvent, GROUP_NONE};
-use mcc_simcore::{ShardId, SimTime};
+use mcc_simcore::SimTime;
 
 fn push_field(out: &mut String, key: &str, val: u64) {
     out.push_str(",\"");
@@ -38,11 +32,10 @@ fn push_pkt(out: &mut String, p: &PktRef) {
     push_field(out, "bits", p.size_bits);
 }
 
-/// Render one sim-class event as a canonical JSONL line (no trailing
-/// newline). `run` is the index of the `run_secs` call within the
-/// experiment, so multi-phase experiments keep their phases apart.
+/// Render one event as a canonical JSONL line (no trailing newline).
+/// `run` is the index of the `run_secs` call within the experiment, so
+/// multi-phase experiments keep their phases apart.
 pub fn render(run: u32, at: SimTime, ev: &TraceEvent) -> String {
-    debug_assert!(!ev.is_exec(), "exec-class events use render_exec");
     let mut out = String::with_capacity(96);
     out.push_str("{\"run\":");
     out.push_str(&run.to_string());
@@ -118,55 +111,6 @@ pub fn render(run: u32, at: SimTime, ev: &TraceEvent) -> String {
             push_field(&mut out, "group", *group as u64);
             push_field(&mut out, "slot", *slot);
         }
-        TraceEvent::ShardSplit { .. }
-        | TraceEvent::ShardWindow { .. }
-        | TraceEvent::ShardExchange { .. }
-        | TraceEvent::ShardMerge { .. } => unreachable!("exec-class"),
-    }
-    out.push('}');
-    out
-}
-
-/// Render one exec-class event (shard lifecycle) with the recording shard
-/// included. These lines describe the executor, not the simulation.
-pub fn render_exec(run: u32, shard: ShardId, at: SimTime, ev: &TraceEvent) -> String {
-    debug_assert!(ev.is_exec(), "sim-class events use render");
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"run\":");
-    out.push_str(&run.to_string());
-    out.push_str(",\"t\":");
-    out.push_str(&at.as_nanos().to_string());
-    out.push_str(",\"ev\":\"");
-    out.push_str(ev.kind());
-    out.push('"');
-    push_field(&mut out, "rec_shard", shard as u64);
-    match ev {
-        TraceEvent::ShardSplit { shards } => push_field(&mut out, "shards", *shards as u64),
-        TraceEvent::ShardWindow {
-            shard,
-            bound_ns,
-            events,
-        } => {
-            push_field(&mut out, "shard", *shard as u64);
-            push_field(&mut out, "bound_ns", *bound_ns);
-            push_field(&mut out, "events", *events);
-        }
-        TraceEvent::ShardExchange {
-            src_shard,
-            dst_shard,
-            msgs,
-            bits,
-        } => {
-            push_field(&mut out, "src_shard", *src_shard as u64);
-            push_field(&mut out, "dst_shard", *dst_shard as u64);
-            push_field(&mut out, "msgs", *msgs);
-            push_field(&mut out, "bits", *bits);
-        }
-        TraceEvent::ShardMerge { shards, events } => {
-            push_field(&mut out, "shards", *shards as u64);
-            push_field(&mut out, "events", *events);
-        }
-        _ => unreachable!("sim-class"),
     }
     out.push('}');
     out
@@ -294,25 +238,6 @@ mod tests {
         assert_eq!(
             k,
             r#"{"run":0,"t":5,"ev":"key_install","node":2,"group":901,"slot":7}"#
-        );
-    }
-
-    #[test]
-    fn exec_lines_carry_recording_shard() {
-        let line = render_exec(
-            0,
-            2,
-            SimTime::from_nanos(77),
-            &TraceEvent::ShardExchange {
-                src_shard: 2,
-                dst_shard: 0,
-                msgs: 5,
-                bits: 40_000,
-            },
-        );
-        assert_eq!(
-            line,
-            r#"{"run":0,"t":77,"ev":"shard_exchange","rec_shard":2,"src_shard":2,"dst_shard":0,"msgs":5,"bits":40000}"#
         );
     }
 

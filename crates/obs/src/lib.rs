@@ -5,20 +5,20 @@
 //! only cost at an instrumentation site is one `Option::is_some` branch,
 //! and when tracing *is* on, every event is stamped with
 //! [`mcc_simcore::SimTime`] — never wall clock — so traces are
-//! byte-identical across `MCC_THREADS=1/2/1x4` (see DESIGN.md,
+//! byte-identical across `MCC_THREADS` values (see DESIGN.md,
 //! "Observability layer").
 //!
 //! Pieces:
 //!
 //! * [`event::TraceEvent`] — the typed event taxonomy (packet lifecycle,
-//!   SIGMA guard decisions, FLID layer transitions, shard lifecycle).
-//! * [`recorder::Recorder`] — the per-shard ring-buffer flight recorder
+//!   SIGMA guard decisions, FLID layer transitions, membership churn).
+//! * [`recorder::Recorder`] — the per-run ring-buffer flight recorder
 //!   plus the [`recorder::Metrics`] counter registry.
 //! * [`jsonl`] / [`pcapng`] — the two trace sinks.
 //! * [`TraceSpec`] — the parsed `--trace <spec>` / `MCC_TRACE` surface.
 //!
 //! This crate deliberately depends only on `mcc-simcore` (for time and the
-//! `Stamped`/`merge_stamped` discipline) so any crate in the workspace can
+//! `Stamped` ring entry) so any crate in the workspace can
 //! emit events without dependency cycles; file I/O and JSON serialization
 //! stay in `mcc-core`'s `obs` module.
 
@@ -28,7 +28,7 @@ pub mod pcapng;
 pub mod recorder;
 
 pub use event::{DropReason, PktRef, TraceEvent, GROUP_NONE};
-pub use recorder::{Metrics, Recorder, WallTimes, DEFAULT_RING_CAP};
+pub use recorder::{Metrics, Recorder, DEFAULT_RING_CAP};
 
 /// What to trace and where to put it: the parsed form of
 /// `--trace <spec>` / `MCC_TRACE`.

@@ -25,8 +25,8 @@
 //! | 40  | 4    | receiving agent (`0xffff_ffff` unless deliver) |
 //! | 44  | 4    | session layer (`0xffff_ffff` = unknown; reserved for a capture that learns the session layout) |
 //!
-//! No packet uid: uids are per-shard-world allocation artifacts, so any
-//! uid field would break byte-identity across `MCC_THREADS` modes.
+//! No packet uid, like the JSONL sink: a record says where a packet is and
+//! what it carries, not which allocation it was.
 //!
 //! Determinism: blocks are appended in the caller-supplied order (the
 //! canonical `(run, time, record bytes)` order established by the core
@@ -111,7 +111,7 @@ fn kind_byte(ev: &TraceEvent) -> Option<(u8, u8)> {
 }
 
 /// The 48-byte record for a packet-lifecycle event, or `None` for
-/// protocol/exec events (which have no packet to encode).
+/// protocol events (which have no packet to encode).
 pub fn record(run: u32, ev: &TraceEvent) -> Option<[u8; RECORD_LEN]> {
     let (kind, reason) = kind_byte(ev)?;
     let p = ev.pkt()?;
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn non_packet_events_have_no_record() {
-        assert!(record(0, &TraceEvent::ShardSplit { shards: 2 }).is_none());
+        assert!(record(0, &TraceEvent::Join { agent: 1, group: 2 }).is_none());
         assert!(record(
             0,
             &TraceEvent::SigmaAlarm {

@@ -1,33 +1,23 @@
-//! The per-shard flight recorder and the counter metrics registry.
+//! The flight recorder and the counter metrics registry.
 //!
-//! One [`Recorder`] rides inside each shard's `World` (and inside the root
-//! world of a serial run). Recording is append-to-ring plus a counter
-//! bump — no allocation after warm-up, no locking, no I/O — so a recorder
-//! on the hot path costs one branch when tracing is off and a few stores
-//! when it is on.
-//!
-//! After a sharded run the executor calls [`Recorder::absorb`] on the root
-//! recorder for every shard recorder, which concatenates the rings and
-//! files the shard's [`Metrics`] under its shard id. The absorbed event
-//! set is *unordered* at this point; sinks establish the canonical order
-//! (see `mcc-core`'s `obs` module) with [`mcc_simcore::merge_stamped`] and
-//! a content sort, reusing the exact discipline cross-shard packet
-//! exchange already trusts.
+//! One [`Recorder`] rides inside the `World` of a traced run. Recording is
+//! append-to-ring plus a counter bump — no allocation after warm-up, no
+//! locking, no I/O — so a recorder on the hot path costs one branch when
+//! tracing is off and a few stores when it is on. Sinks establish the
+//! canonical event order (see `mcc-core`'s `obs` module).
 
 use crate::event::TraceEvent;
-use mcc_simcore::{ShardId, SimTime, Stamped};
-use std::collections::BTreeMap;
+use mcc_simcore::{SimTime, Stamped};
 
 /// Default ring capacity per recorder (events). At ~72 bytes per stamped
-/// event this bounds a shard's flight recorder at ~300 MiB; quick-mode
+/// event this bounds a run's flight recorder at ~300 MiB; quick-mode
 /// figure runs stay far below it. Overflow evicts the oldest events and
 /// is counted in [`Metrics::trace_overflow`] — an overflowed trace is
-/// still deterministic for a fixed shard layout but voids the
-/// cross-thread-mode byte-identity claim, so sinks surface the counter.
+/// still deterministic but no longer complete, so sinks surface the
+/// counter.
 pub const DEFAULT_RING_CAP: usize = 1 << 22;
 
-/// Monotonic counters (and one high-water mark) for one shard — or, on the
-/// root recorder, for the serial portions of the run.
+/// Monotonic counters (and one high-water mark) for one traced run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Simulator events executed (queue pops).
@@ -52,17 +42,12 @@ pub struct Metrics {
     pub leaves: u64,
     /// SIGMA key tuples installed at routers.
     pub key_installs: u64,
-    /// Cross-shard exchange volume (messages / payload bits).
-    pub exchange_msgs: u64,
-    pub exchange_bits: u64,
-    /// LBTS windows this shard ran.
-    pub windows: u64,
     /// Events evicted from a full ring.
     pub trace_overflow: u64,
-    /// Wall-clock nanoseconds this shard spent executing windows (or the
-    /// serial run spent in `run_until`). Reporting-only: measured by the
-    /// executor through the audited wall-clock allow channel, never by
-    /// event-recording code.
+    /// Wall-clock nanoseconds the run spent in `run_until`.
+    /// Reporting-only: measured by the caller through the audited
+    /// wall-clock allow channel, never by event-recording code, and
+    /// written to `OBS_*.json`, never to the byte-compared trace sinks.
     pub busy_ns: u64,
 }
 
@@ -86,12 +71,6 @@ impl Metrics {
             TraceEvent::Join { .. } => self.joins += 1,
             TraceEvent::Leave { .. } => self.leaves += 1,
             TraceEvent::KeyInstall { .. } => self.key_installs += 1,
-            TraceEvent::ShardExchange { msgs, bits, .. } => {
-                self.exchange_msgs += msgs;
-                self.exchange_bits += bits;
-            }
-            TraceEvent::ShardWindow { .. } => self.windows += 1,
-            TraceEvent::ShardSplit { .. } | TraceEvent::ShardMerge { .. } => {}
         }
     }
 
@@ -112,9 +91,6 @@ impl Metrics {
         self.joins += other.joins;
         self.leaves += other.leaves;
         self.key_installs += other.key_installs;
-        self.exchange_msgs += other.exchange_msgs;
-        self.exchange_bits += other.exchange_bits;
-        self.windows += other.windows;
         self.trace_overflow += other.trace_overflow;
         self.busy_ns += other.busy_ns;
     }
@@ -138,24 +114,10 @@ impl Metrics {
             ("joins", self.joins),
             ("leaves", self.leaves),
             ("key_installs", self.key_installs),
-            ("exchange_msgs", self.exchange_msgs),
-            ("exchange_bits", self.exchange_bits),
-            ("windows", self.windows),
             ("trace_overflow", self.trace_overflow),
             ("busy_ns", self.busy_ns),
         ]
     }
-}
-
-/// Wall-clock phase timing for one traced run (split / windows / merge).
-/// Root-recorder only; filled by the executor through the audited
-/// wall-clock allow channel. Reporting-only: lands in `OBS_*.json`, never
-/// in the byte-compared trace sinks.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WallTimes {
-    pub split_ns: u64,
-    pub run_ns: u64,
-    pub merge_ns: u64,
 }
 
 /// A simple bounded ring over `Stamped<TraceEvent>`.
@@ -187,99 +149,55 @@ impl Ring {
     }
 }
 
-/// Per-shard flight recorder: two rings (sim-class / exec-class events),
-/// the shard's [`Metrics`], and — after [`Recorder::absorb`] — the metrics
-/// of every absorbed shard, keyed by shard id.
+/// The flight recorder of one run: a ring of stamped events plus the
+/// run's [`Metrics`].
 #[derive(Debug)]
 pub struct Recorder {
-    shard: ShardId,
     seq: u64,
     cap: usize,
-    sim: Ring,
-    exec: Ring,
-    /// Counters for events recorded *by this recorder*.
+    ring: Ring,
+    /// Counters for every event recorded.
     pub metrics: Metrics,
-    /// Phase timing (root recorder of a traced run).
-    pub wall: WallTimes,
-    /// Metrics of absorbed shard recorders, keyed by shard id. BTreeMap so
-    /// iteration (and therefore serialization) is ordered.
-    pub shards: BTreeMap<ShardId, Metrics>,
 }
 
 impl Recorder {
-    pub fn new(shard: ShardId, cap: usize) -> Self {
+    /// A recorder whose ring holds at most `cap` events. The first
+    /// argument is ignored; it keeps the signature `benchmark/` calls.
+    pub fn new(_stream: u32, cap: usize) -> Self {
         Recorder {
-            shard,
             seq: 0,
             cap: cap.max(1),
-            sim: Ring::default(),
-            exec: Ring::default(),
+            ring: Ring::default(),
             metrics: Metrics::default(),
-            wall: WallTimes::default(),
-            shards: BTreeMap::new(),
         }
     }
 
-    /// The shard this recorder rides on.
-    pub fn shard(&self) -> ShardId {
-        self.shard
-    }
-
-    /// Record one event at sim-time `at`. Sim-class and exec-class events
-    /// go to separate rings so executor noise can never perturb the
-    /// byte-compared simulation trace.
+    /// Record one event at sim-time `at`.
     #[inline]
     pub fn record(&mut self, at: SimTime, ev: TraceEvent) {
         self.metrics.count(&ev);
         self.seq += 1;
-        let stamped = Stamped {
-            at,
-            dst: self.shard,
-            src: self.shard,
-            seq: self.seq,
-            msg: ev,
-        };
-        if ev.is_exec() {
-            self.exec.push(self.cap, stamped);
-        } else {
-            self.sim.push(self.cap, stamped);
-        }
-        self.metrics.trace_overflow = self.sim.evicted + self.exec.evicted;
+        self.ring.push(
+            self.cap,
+            Stamped {
+                at,
+                dst: 0,
+                src: 0,
+                seq: self.seq,
+                msg: ev,
+            },
+        );
+        self.metrics.trace_overflow = self.ring.evicted;
     }
 
-    /// Fold a shard recorder into this (root) recorder: concatenate both
-    /// rings and file the shard's metrics under its id. Ring capacity is
-    /// not enforced on absorb — the merged set may exceed one shard's cap.
-    pub fn absorb(&mut self, mut other: Recorder) {
-        self.sim.buf.append(&mut other.sim.drain());
-        self.exec.buf.append(&mut other.exec.drain());
-        let mut m = other.metrics.clone();
-        m.trace_overflow = other.sim.evicted + other.exec.evicted;
-        self.shards.insert(other.shard, m);
-        for (id, sm) in other.shards {
-            self.shards.insert(id, sm);
-        }
+    /// Take the events recorded so far, oldest surviving first.
+    pub fn take_events(&mut self) -> Vec<Stamped<TraceEvent>> {
+        self.ring.drain()
     }
 
-    /// Take the sim-class events recorded (and absorbed) so far, in
-    /// arbitrary inter-shard order. Callers canonicalize with
-    /// [`mcc_simcore::merge_stamped`].
-    pub fn take_sim(&mut self) -> Vec<Stamped<TraceEvent>> {
-        self.sim.drain()
-    }
-
-    /// Take the exec-class events, same contract as [`Self::take_sim`].
-    pub fn take_exec(&mut self) -> Vec<Stamped<TraceEvent>> {
-        self.exec.drain()
-    }
-
-    /// Total metrics across this recorder and every absorbed shard.
+    /// The run's metrics (a copy of [`Self::metrics`]).
     pub fn total_metrics(&self) -> Metrics {
-        let mut total = self.metrics.clone();
-        for m in self.shards.values() {
-            total.add(m);
-        }
-        total
+        self.metrics.clone()
     }
 }
 
@@ -287,7 +205,6 @@ impl Recorder {
 mod tests {
     use super::*;
     use crate::event::{DropReason, PktRef};
-    use mcc_simcore::merge_stamped;
 
     fn pkt(flow: u32) -> TraceEvent {
         TraceEvent::PktEnqueue(PktRef {
@@ -320,11 +237,14 @@ mod tests {
                 DropReason::QueueFull,
             ),
         );
-        r.record(SimTime::from_nanos(7), TraceEvent::ShardSplit { shards: 2 });
+        r.record(
+            SimTime::from_nanos(7),
+            TraceEvent::Join { agent: 1, group: 4 },
+        );
         assert_eq!(r.metrics.enqueues, 1);
         assert_eq!(r.metrics.drops, 1);
-        assert_eq!(r.take_sim().len(), 2);
-        assert_eq!(r.take_exec().len(), 1);
+        assert_eq!(r.metrics.joins, 1);
+        assert_eq!(r.take_events().len(), 3);
     }
 
     #[test]
@@ -335,33 +255,11 @@ mod tests {
         }
         assert_eq!(r.metrics.trace_overflow, 2);
         let kept: Vec<u32> = r
-            .take_sim()
+            .take_events()
             .iter()
             .map(|s| s.msg.pkt().expect("packet event").flow)
             .collect();
         assert_eq!(kept, vec![3, 4, 5], "oldest events evicted first");
-    }
-
-    #[test]
-    fn absorb_merges_rings_and_files_metrics_by_shard() {
-        let mut root = Recorder::new(0, 8);
-        root.record(SimTime::from_nanos(1), pkt(10));
-        let mut a = Recorder::new(1, 8);
-        a.record(SimTime::from_nanos(2), pkt(20));
-        a.record(SimTime::from_nanos(2), pkt(21));
-        let mut b = Recorder::new(2, 8);
-        b.record(SimTime::from_nanos(1), pkt(30));
-        root.absorb(a);
-        root.absorb(b);
-        assert_eq!(root.shards.len(), 2);
-        assert_eq!(root.shards[&1].enqueues, 2);
-        assert_eq!(root.shards[&2].enqueues, 1);
-        assert_eq!(root.total_metrics().enqueues, 4);
-
-        let mut evs = root.take_sim();
-        merge_stamped(&mut evs);
-        let order: Vec<(u64, u32)> = evs.iter().map(|s| (s.at.as_nanos(), s.src)).collect();
-        assert_eq!(order, vec![(1, 0), (1, 2), (2, 1), (2, 1)]);
     }
 
     #[test]
@@ -389,7 +287,7 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), names.len());
         assert!(names.contains(&"events_executed"));
-        assert!(names.contains(&"exchange_bits"));
+        assert!(names.contains(&"trace_overflow"));
         assert!(names.contains(&"busy_ns"));
     }
 }

@@ -121,8 +121,6 @@ pub struct EventQueue<E> {
     /// (run timestamps are unique), so a stale index is a miss, never a
     /// wrong answer.
     run_memo: usize,
-    /// The instant of the most recent pop (`ZERO` before the first).
-    current: SimTime,
     /// Total pending events across heap and runs.
     count: usize,
     next_seq: u64,
@@ -133,9 +131,7 @@ pub struct EventQueue<E> {
     /// each popped key pins both time order and the FIFO tie-break (same
     /// instant ⇒ rising seq) against heap/run regressions. A push
     /// earlier than the floor rewinds it (the raw queue permits past
-    /// pushes even though the simulation never issues them), and
-    /// [`Self::take_all`] resets it: after a shard split/merge the queue
-    /// legitimately revisits earlier instants with fresh sequences.
+    /// pushes even though the simulation never issues them).
     #[cfg(debug_assertions)]
     pop_floor: (SimTime, u64),
 }
@@ -156,7 +152,6 @@ impl<E> EventQueue<E> {
             runs: VecDeque::new(),
             spare_runs: Vec::new(),
             run_memo: 0,
-            current: SimTime::ZERO,
             count: 0,
             next_seq: 0,
             popped: 0,
@@ -295,7 +290,6 @@ impl<E> EventQueue<E> {
         }
         self.popped += 1;
         self.count -= 1;
-        self.current = best.0;
         if run_ord == best {
             let run = &mut self.runs[0];
             let (_, event) = run.dq.pop_front().expect("checked front");
@@ -344,46 +338,6 @@ impl<E> EventQueue<E> {
     /// The deepest the queue has ever been (diagnostics/benchmarks).
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Remove every pending event in `(at, seq)` order **without**
-    /// counting them as processed or advancing the current instant.
-    ///
-    /// This is the redistribution primitive of the sharded executor: a
-    /// split drains the global queue and re-pushes each event into its
-    /// owner shard's queue, and a merge does the reverse with the
-    /// leftovers. Draining in key order means per-shard relative order —
-    /// including FIFO ties — survives both trips.
-    pub fn take_all(&mut self) -> Vec<(SimTime, E)> {
-        let popped = self.popped;
-        let current = self.current;
-        let mut out = Vec::with_capacity(self.count);
-        while let Some(entry) = self.pop() {
-            out.push(entry);
-        }
-        self.popped = popped;
-        self.current = current;
-        #[cfg(debug_assertions)]
-        {
-            // The drain advanced the floor to the queue's maximum key;
-            // events re-pushed after a split/merge carry fresh (higher)
-            // sequences but may land at earlier instants, so rewind the
-            // floor alongside the logical clock.
-            self.pop_floor = (current, 0);
-        }
-        out
-    }
-
-    /// Fold another queue's processed count into this one (a merge after
-    /// a sharded run keeps the aggregate event count meaningful).
-    pub fn add_processed(&mut self, n: u64) {
-        self.popped += n;
-    }
-
-    /// Raise the high-water mark to at least `depth` (merge accounting:
-    /// the aggregate peak of a sharded run is the sum of shard peaks).
-    pub fn raise_high_water(&mut self, depth: usize) {
-        self.high_water = self.high_water.max(depth);
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -501,33 +455,6 @@ mod tests {
         q.push(SimTime::from_millis(99), 99);
         assert_eq!(q.high_water(), 10, "peak, not current, depth");
         assert_eq!(q.len(), 1);
-    }
-
-    /// `take_all` drains in `(at, seq)` order but leaves the processed
-    /// counter and the current instant untouched, so a
-    /// split/merge round trip cannot skew diagnostics or tie-breaking.
-    #[test]
-    fn take_all_drains_in_order_without_counting() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(2), 'b');
-        q.push(SimTime::from_millis(1), 'a');
-        assert_eq!(q.pop().unwrap().1, 'a');
-        q.push(SimTime::from_millis(1), 'c'); // at the instant of the last pop
-        q.push(SimTime::from_millis(3), 'd');
-        let drained = q.take_all();
-        let order: Vec<char> = drained.iter().map(|&(_, e)| e).collect();
-        assert_eq!(order, vec!['c', 'b', 'd']);
-        assert!(q.is_empty());
-        assert_eq!(q.processed(), 1, "take_all is not processing");
-        // The queue stays usable at the instant it was drained at.
-        q.push(SimTime::from_millis(1), 'e');
-        assert_eq!(q.pop().unwrap(), (SimTime::from_millis(1), 'e'));
-        q.add_processed(10);
-        assert_eq!(q.processed(), 12);
-        q.raise_high_water(40);
-        assert_eq!(q.high_water(), 40);
-        q.raise_high_water(5);
-        assert_eq!(q.high_water(), 40, "raise never lowers");
     }
 
     /// `pop_until` only surfaces events inside the horizon and leaves

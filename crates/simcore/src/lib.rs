@@ -11,7 +11,9 @@
 //!   (SplitMix64 core), so every experiment in `EXPERIMENTS.md` is exactly
 //!   reproducible from its scenario seed,
 //! * [`FxHashMap`]/[`FxHashSet`] — hot-path hash containers with a cheap
-//!   multiplicative hasher (simulation keys are never adversarial input).
+//!   multiplicative hasher (simulation keys are never adversarial input),
+//! * [`Stamped`] / [`merge_stamped`] — time-stamped messages with a total
+//!   drain order (the flight recorder's ring entries).
 //!
 //! The engine is intentionally synchronous and single-threaded, in the spirit
 //! of event-driven network stacks such as smoltcp: simplicity and determinism
@@ -32,11 +34,11 @@
 pub mod event;
 pub mod fx;
 pub mod rng;
-pub mod shard;
+pub mod stamped;
 pub mod time;
 
 pub use event::EventQueue;
 pub use fx::{FxHashMap, FxHashSet};
 pub use rng::DetRng;
-pub use shard::{merge_stamped, Outbox, ShardClock, ShardId, Stamped};
+pub use stamped::{merge_stamped, Stamped};
 pub use time::{OnOffGrid, SimDuration, SimTime};

@@ -17,9 +17,6 @@ impl Agent for CountingSink {
         self.packets += 1;
         self.bits += pkt.size_bits;
     }
-    fn parallel_safe(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

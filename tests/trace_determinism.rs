@@ -4,9 +4,9 @@
 //! 1. **Inert**: turning the flight recorder on does not perturb the
 //!    simulation — a traced registry run serializes byte for byte like
 //!    the untraced run the golden pins cover.
-//! 2. **Layout-independent**: the canonical sinks (sim-class JSONL and
-//!    the pcapng stream) are byte-identical whether a run executed
-//!    serially or sharded, for any random topology the builder accepts.
+//! 2. **Inert and reproducible on any topology**: on random trees and
+//!    parking lots, a traced run delivers exactly the bits an untraced
+//!    run does, and two traced runs render identical JSONL and pcapng.
 
 use proptest::prelude::*;
 use robust_multicast::core::obs::{capture, render_runs};
@@ -14,7 +14,6 @@ use robust_multicast::core::registry::{self};
 use robust_multicast::core::runner::run_serial;
 use robust_multicast::core::topology::{McastSessionSpec, Topology, TopologySpec};
 use robust_multicast::core::{Params, Variant};
-use robust_multicast::netsim::shard::run_until_with_shards;
 use robust_multicast::obs::{Recorder, DEFAULT_RING_CAP};
 use robust_multicast::simcore::SimTime;
 
@@ -47,7 +46,7 @@ fn traced_registry_run_is_byte_identical_to_untraced() {
         out.jsonl
             .lines()
             .all(|l| l.starts_with('{') && l.ends_with('}')),
-        "sim-class JSONL lines must be flat JSON objects"
+        "JSONL lines must be flat JSON objects"
     );
     // The pcapng stream covers the packet-lifecycle subset of the same
     // events; a run with traffic must produce more than the bare header.
@@ -59,28 +58,25 @@ fn traced_registry_run_is_byte_identical_to_untraced() {
 }
 
 /// Build a single-session FLID-DL scenario over `topology` with `k`
-/// honest receivers, a tracer attached, run it to `horizon` (serially or
-/// sharded), and hand back the merged recorder plus the monitor's
-/// per-receiver bit totals (the simulation-side digest).
-fn traced_run(
+/// honest receivers, run it to `horizon` (with a tracer attached when
+/// `traced`), and hand back the recorder plus the monitor's per-receiver
+/// bit totals (the simulation-side digest).
+fn run(
     topology: Topology,
     k: usize,
     horizon: SimTime,
-    shards: Option<(usize, usize)>,
-) -> (Recorder, Vec<u64>) {
+    traced: bool,
+) -> (Option<Recorder>, Vec<u64>) {
     let mut spec = TopologySpec::new(topology, 1, 400_000);
     spec.mcast = vec![McastSessionSpec::honest(Variant::FlidDl, k)];
     let mut t = spec.build();
-    t.sim
-        .world
-        .attach_tracer(Recorder::new(0, DEFAULT_RING_CAP));
-    match shards {
-        Some((leaf_shards, workers)) => {
-            run_until_with_shards(&mut t.sim, horizon, leaf_shards, workers);
-        }
-        None => t.sim.run_until(horizon),
+    if traced {
+        t.sim
+            .world
+            .attach_tracer(Recorder::new(0, DEFAULT_RING_CAP));
     }
-    let rec = t.sim.world.take_tracer().expect("tracer survives the run");
+    t.sim.run_until(horizon);
+    let rec = t.sim.world.take_tracer();
     let bits = t.sessions[0]
         .receivers
         .iter()
@@ -92,19 +88,17 @@ fn traced_run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// Contract 2: for any random tree or parking lot, the canonical
-    /// sinks rendered from a sharded run are byte-identical to the
-    /// serial reference — the trace is a function of the simulation,
-    /// not of the shard layout that executed it.
+    /// Contract 2: for any random tree or parking lot, the recorder does
+    /// not perturb the simulation, and the canonical sinks are a
+    /// function of the scenario alone — two traced runs render the same
+    /// bytes.
     #[test]
-    fn trace_sinks_are_byte_identical_across_shard_layouts(
+    fn trace_sinks_are_inert_and_reproducible_on_random_topologies(
         tree in prop::bool::weighted(0.5),
         depth in 1u32..=3,
         fanout in 2u32..=3,
         hops in 1usize..=3,
         receivers in 2usize..=6,
-        leaf_shards in 2usize..=4,
-        workers in 1usize..=2,
     ) {
         let horizon = SimTime::from_secs(4);
         let topology = if tree {
@@ -113,19 +107,15 @@ proptest! {
             Topology::ParkingLot { bottlenecks: hops, per_hop_cbr: None }
         };
 
-        let (serial_rec, serial_bits) = traced_run(topology, receivers, horizon, None);
-        let (sharded_rec, sharded_bits) =
-            traced_run(topology, receivers, horizon, Some((leaf_shards, workers)));
-        prop_assert_eq!(serial_bits, sharded_bits, "simulation bytes diverged");
+        let (_, plain_bits) = run(topology, receivers, horizon, false);
+        let (first_rec, first_bits) = run(topology, receivers, horizon, true);
+        let (second_rec, _) = run(topology, receivers, horizon, true);
+        prop_assert_eq!(plain_bits, first_bits, "tracing changed the simulation");
 
-        let serial = render_runs("prop", &mut [serial_rec]);
-        let sharded = render_runs("prop", &mut [sharded_rec]);
-        prop_assert!(!serial.jsonl.is_empty(), "vacuous: no events recorded");
-        prop_assert_eq!(&serial.jsonl, &sharded.jsonl, "sim-class JSONL diverged");
-        prop_assert_eq!(&serial.pcapng, &sharded.pcapng, "pcapng bytes diverged");
-        // Exec-class events legitimately differ (the serial run has no
-        // shard lifecycle at all) — they live in a separate sink.
-        prop_assert!(serial.exec_jsonl.is_empty());
-        prop_assert!(!sharded.exec_jsonl.is_empty());
+        let first = render_runs("prop", &mut [first_rec.expect("traced")]);
+        let second = render_runs("prop", &mut [second_rec.expect("traced")]);
+        prop_assert!(!first.jsonl.is_empty(), "vacuous: no events recorded");
+        prop_assert_eq!(&first.jsonl, &second.jsonl, "JSONL diverged");
+        prop_assert_eq!(&first.pcapng, &second.pcapng, "pcapng bytes diverged");
     }
 }

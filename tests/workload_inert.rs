@@ -18,7 +18,7 @@ const HORIZON_SECS: u64 = 8;
 /// Run one dumbbell scenario to the horizon inside a forced trace
 /// capture and digest everything observable: the bit-exact per-receiver
 /// monitor series, every SIGMA module's stats, and the canonical trace
-/// sinks (sim-class JSONL + pcapng).
+/// sinks (JSONL + pcapng).
 fn digest(
     idle_workload: bool,
     variant: Variant,
@@ -83,7 +83,7 @@ proptest! {
         let idle = digest(true, variant, receivers, cohort, seed);
         prop_assert_eq!(&stat.0, &idle.0, "monitor series diverged");
         prop_assert_eq!(&stat.1, &idle.1, "SIGMA stats diverged");
-        prop_assert_eq!(&stat.2, &idle.2, "sim-class trace JSONL diverged");
+        prop_assert_eq!(&stat.2, &idle.2, "trace JSONL diverged");
         prop_assert_eq!(&stat.3, &idle.3, "pcapng bytes diverged");
         prop_assert!(!stat.2.is_empty(), "vacuous: no trace events recorded");
     }

@@ -1222,7 +1222,7 @@ record! {
 /// SIGMA overhead — the paper sets 250 ms to match FLID-DL's 500 ms
 /// granularity through SIGMA's two-slot enforcement.
 pub fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> {
-    use mcc_flid::{FlidReceiver, FlidSender, Mode as FlidMode};
+    use mcc_flid::{FlidReceiver, FlidSender};
     use mcc_netsim::prelude::*;
     use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
 
@@ -1278,7 +1278,7 @@ pub fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> {
                 h,
                 Box::new(FlidReceiver::with_adversary(
                     cfg.clone(),
-                    FlidMode::Ds { router: b },
+                    Some(b),
                     AttackPlan::honest(),
                 )),
                 SimTime::from_millis(5),

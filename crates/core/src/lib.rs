@@ -23,7 +23,7 @@
 //! * [`experiments`] — one function per figure of the paper (1, 7, 8a–8h,
 //!   9a/9b), thin wrappers over the builders, deterministic in their seeds,
 //! * [`registry`] — every figure and ablation as a registered
-//!   [`Experiment`](registry::Experiment) object; the source of truth for
+//!   [`Experiment`] object; the source of truth for
 //!   the `figures` CLI in `mcc-bench`,
 //! * [`metrics`] — series, damage/containment metrics and quick ASCII charts,
 //! * [`obs`] — the observability layer's experiment-level face:

@@ -102,7 +102,7 @@ pub fn run_sim(sim: &mut Sim, until: SimTime) {
     });
 }
 
-/// The rendered sinks of one capture — what [`finish`] writes to disk and
+/// The rendered sinks of one capture — what `finish` writes to disk and
 /// what [`capture`] hands back to in-process tests.
 pub struct TraceOutput {
     /// Canonical JSONL (byte-compared across thread modes).

@@ -129,7 +129,7 @@ impl std::fmt::Display for Json {
 }
 
 /// A value that renders its own canonical JSON. Result rows get their
-/// impl from [`record!`], so what an experiment reports — which fields,
+/// impl from `record!`, so what an experiment reports — which fields,
 /// under which names, in which order — is declared once, with the struct.
 pub trait ToJson {
     fn to_json(&self) -> Json;

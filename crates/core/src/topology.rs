@@ -17,7 +17,7 @@
 //! * [`Topology::BalancedTree`] — a balanced `fanout`-ary distribution
 //!   tree with receivers at the leaves and configurable attacker
 //!   placement (leaf versus interior subtree) via
-//!   [`Placement`](mcc_attack::Placement).
+//!   [`Placement`].
 //!
 //! A [`TopologySpec`] holds the shape plus the session population
 //! ([`McastSessionSpec`], TCP count, optional CBR); [`TopologySpec::build`]
@@ -30,8 +30,8 @@
 use crate::scenario::Variant;
 use mcc_attack::{AttackPlan, Placement};
 use mcc_flid::{
-    CohortReceiver, FlidConfig, FlidReceiver, FlidSender, Mode, ReplicatedReceiver,
-    ReplicatedSender, ThresholdReceiver, ThresholdSender,
+    CohortReceiver, FlidConfig, FlidReceiver, FlidSender, ReplicatedReceiver, ReplicatedSender,
+    ThresholdReceiver, ThresholdSender,
 };
 use mcc_netsim::prelude::*;
 use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
@@ -568,10 +568,6 @@ impl TopologySpec {
                 let router = m.variant.protected().then_some(edge);
                 let agent: Box<dyn Agent> = match m.variant {
                     Variant::FlidDl | Variant::FlidDs | Variant::FlidDsGuard => {
-                        let mode = match router {
-                            Some(edge) => Mode::Ds { router: edge },
-                            None => Mode::Dl,
-                        };
                         if r.cohort > 1 {
                             // `uniform` with an explicit lifetime: one
                             // stratum, all members sharing the spec's
@@ -580,7 +576,7 @@ impl TopologySpec {
                             // relative to it).
                             let mut agent = CohortReceiver::new(
                                 cfg.clone(),
-                                mode,
+                                router,
                                 vec![mcc_flid::CohortMember {
                                     count: r.cohort,
                                     join_at: SimTime::ZERO,
@@ -593,7 +589,7 @@ impl TopologySpec {
                         } else {
                             let mut agent = FlidReceiver::with_adversary(
                                 cfg.clone(),
-                                mode,
+                                router,
                                 r.adversary.clone(),
                             );
                             agent.set_leave_at(r.leave_at);

@@ -25,12 +25,18 @@ use crate::key::{xor_all, Key};
 use mcc_simcore::DetRng;
 
 /// All keys of one session for one time slot (sender/SIGMA view).
+///
+/// Both session structures share it: [`LayeredKeySchedule::generate`]
+/// builds the cumulative layered key set, [`LayeredKeySchedule::replicated`]
+/// the replicated one (paper Eq. 6). They make the same draws; only the
+/// top keys differ.
 #[derive(Clone, Debug)]
 pub struct LayeredKeySchedule {
     n: u32,
     /// `C_g`: the precomputed XOR aggregate of group `g`'s components.
     group_nonces: Vec<Key>,
-    /// `γ_g` (prefix XOR of `C_1..C_g`).
+    /// `γ_g`: the prefix XOR of `C_1..C_g` (layered) or `C_g` itself
+    /// (replicated).
     top: Vec<Key>,
     /// `δ_g` for `g = 1..N-1`.
     decrease: Vec<Key>,
@@ -57,6 +63,18 @@ impl LayeredKeySchedule {
             decrease,
             upgrades,
         }
+    }
+
+    /// Precompute the key set for one slot of an `n`-group *replicated*
+    /// session, where every group carries the whole content and a receiver
+    /// holds exactly one: the draws of [`LayeredKeySchedule::generate`],
+    /// but each top key covers its own group's components only
+    /// (`γ_g = C_g`), so the increase key `ι_g = γ_{g-1}` is the previous
+    /// group's own key.
+    pub fn replicated(rng: &mut DetRng, n: u32, upgrades: UpgradeMask) -> Self {
+        let mut sched = Self::generate(rng, n, upgrades);
+        sched.top.clone_from(&sched.group_nonces);
+        sched
     }
 
     /// Number of groups in the session.
@@ -120,12 +138,6 @@ pub struct ComponentStream {
 }
 
 impl ComponentStream {
-    /// Build a stream whose whole-slot XOR telescopes to `aggregate`
-    /// (shared with the replicated instantiation).
-    pub(crate) fn from_acc(aggregate: Key) -> Self {
-        ComponentStream { acc: aggregate }
-    }
-
     /// Produce the component for the next packet. Pass `is_last = true` for
     /// the slot's final packet of the group.
     pub fn next(&mut self, rng: &mut DetRng, is_last: bool) -> Key {
@@ -487,6 +499,30 @@ mod tests {
         assert_eq!(sched.valid_keys(2).len(), 3);
         // Group N: top only... plus increase if authorized (not here).
         assert_eq!(sched.valid_keys(N).len(), 1);
+    }
+
+    /// The replicated constructor draws what `generate` draws, in the same
+    /// order, and differs only in the top keys: the layered `γ_g` is the
+    /// XOR of the replicated per-group keys `1..=g`.
+    #[test]
+    fn replicated_constructor_shares_the_layered_draws() {
+        let upgrades = UpgradeMask::from_groups(&[2, 4]);
+        let (mut r1, mut r2) = (DetRng::new(11), DetRng::new(11));
+        let layered = LayeredKeySchedule::generate(&mut r1, N, upgrades);
+        let replicated = LayeredKeySchedule::replicated(&mut r2, N, upgrades);
+        assert_eq!(r1.next_u64(), r2.next_u64(), "same number of draws");
+        assert_eq!(layered.group_nonces, replicated.group_nonces);
+        assert_eq!(layered.decrease, replicated.decrease);
+        let mut prefix = Key::ZERO;
+        for g in 1..=N {
+            prefix = prefix ^ replicated.top_key(g);
+            assert_eq!(layered.top_key(g), prefix, "γ_{g}");
+            assert_eq!(
+                replicated.top_key(g),
+                replicated.group_nonces[(g - 1) as usize]
+            );
+            assert_eq!(layered.decrease_field(g), replicated.decrease_field(g));
+        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use layered::{
     decide_layered, ComponentStream, Eligibility, GroupObservation, LayeredKeySchedule,
     SlotObservation,
 };
-pub use replicated::{decide_replicated, ReplicatedEligibility, ReplicatedKeySchedule};
+pub use replicated::{decide_replicated, ReplicatedEligibility};
 
 #[cfg(test)]
 mod proptests {

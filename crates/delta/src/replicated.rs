@@ -14,83 +14,13 @@
 //! field from any received packet of its own group and move to `g-1`; a
 //! clean receiver rebuilds `γ_g` (stay) which doubles as `ι_{g+1}` (move up
 //! when authorized).
+//!
+//! The sender's key set is [`crate::LayeredKeySchedule::replicated`];
+//! this module holds the receiver algorithm.
 
 use crate::fields::UpgradeMask;
 use crate::key::Key;
-use crate::layered::{ComponentStream, GroupObservation};
-use mcc_simcore::DetRng;
-
-/// All keys of one replicated session for one time slot.
-#[derive(Clone, Debug)]
-pub struct ReplicatedKeySchedule {
-    n: u32,
-    /// `C_g = γ_g`: per-group component aggregates.
-    group_nonces: Vec<Key>,
-    /// `δ_g` for `g = 1..N-1`.
-    decrease: Vec<Key>,
-    /// Upgrade authorizations in force for this key set.
-    pub upgrades: UpgradeMask,
-}
-
-impl ReplicatedKeySchedule {
-    /// Precompute the key set for one slot of an `n`-group session.
-    pub fn generate(rng: &mut DetRng, n: u32, upgrades: UpgradeMask) -> Self {
-        assert!((1..=32).contains(&n), "1..=32 groups supported");
-        ReplicatedKeySchedule {
-            n,
-            group_nonces: (0..n).map(|_| Key::nonce(rng)).collect(),
-            decrease: (1..n).map(|_| Key::nonce(rng)).collect(),
-            upgrades,
-        }
-    }
-
-    /// Number of groups.
-    pub fn n(&self) -> u32 {
-        self.n
-    }
-
-    /// Top key `γ_g` (XOR of group `g`'s own components).
-    pub fn top_key(&self, g: u32) -> Key {
-        assert!((1..=self.n).contains(&g));
-        self.group_nonces[(g - 1) as usize]
-    }
-
-    /// Decrease key `δ_g`; `None` for the maximal group.
-    pub fn decrease_key(&self, g: u32) -> Option<Key> {
-        assert!((1..=self.n).contains(&g));
-        (g < self.n).then(|| self.decrease[(g - 1) as usize])
-    }
-
-    /// Increase key `ι_g = γ_{g-1}` for authorized upgrades to groups ≥ 2.
-    pub fn increase_key(&self, g: u32) -> Option<Key> {
-        assert!((1..=self.n).contains(&g));
-        (g >= 2 && self.upgrades.authorized(g)).then(|| self.top_key(g - 1))
-    }
-
-    /// The SIGMA tuple for group `g` this slot.
-    pub fn valid_keys(&self, g: u32) -> Vec<Key> {
-        let mut v = vec![self.top_key(g)];
-        if let Some(d) = self.decrease_key(g) {
-            v.push(d);
-        }
-        if let Some(i) = self.increase_key(g) {
-            v.push(i);
-        }
-        v
-    }
-
-    /// The decrease field `d_g = δ_{g-1}` for packets of group `g`.
-    pub fn decrease_field(&self, g: u32) -> Option<Key> {
-        assert!((1..=self.n).contains(&g));
-        (g >= 2).then(|| self.decrease[(g - 2) as usize])
-    }
-
-    /// Real-time component generator for group `g`.
-    pub fn component_stream(&self, g: u32) -> ComponentStream {
-        assert!((1..=self.n).contains(&g));
-        ComponentStream::from_acc(self.group_nonces[(g - 1) as usize])
-    }
-}
+use crate::layered::GroupObservation;
 
 /// The replicated receiver's verdict for the next slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -146,9 +76,11 @@ pub fn decide_replicated(
 mod tests {
     use super::*;
     use crate::fields::DeltaFields;
+    use crate::layered::LayeredKeySchedule;
+    use mcc_simcore::DetRng;
 
     fn observe_group(
-        sched: &ReplicatedKeySchedule,
+        sched: &LayeredKeySchedule,
         rng: &mut DetRng,
         g: u32,
         count: u32,
@@ -176,9 +108,9 @@ mod tests {
         obs
     }
 
-    fn setup(upgrades: UpgradeMask) -> (ReplicatedKeySchedule, DetRng) {
+    fn setup(upgrades: UpgradeMask) -> (LayeredKeySchedule, DetRng) {
         let mut rng = DetRng::new(7);
-        let sched = ReplicatedKeySchedule::generate(&mut rng, 4, upgrades);
+        let sched = LayeredKeySchedule::replicated(&mut rng, 4, upgrades);
         (sched, rng)
     }
 

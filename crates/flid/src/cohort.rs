@@ -22,7 +22,7 @@
 //!   have fired. Members whose adversary cannot prove dormancy get their
 //!   own bucket from the start.
 //! * *Contraction (merge)*: after each end-of-slot evaluation, buckets
-//!   with equal state digests ([`FlidReceiver::state_digest`]) whose
+//!   with equal state digests (the layered policy's `state_digest`) whose
 //!   adversaries are provably burnt out ([`Adversary::is_inert`]) fold
 //!   back together — the survivor absorbs the count, the retired bucket's
 //!   timer chains die on the floor.
@@ -38,7 +38,7 @@
 
 use crate::config::FlidConfig;
 use crate::layered::FlidReceiver;
-use crate::receiver::{Mode, ReceiverStats, ATTACK, DEPART, PROCESS, RETX, RETX_AFTER};
+use crate::receiver::{ReceiverStats, ATTACK, DEPART, PROCESS, RETX, RETX_AFTER};
 use mcc_attack::{Adversary, AttackPlan};
 use mcc_netsim::prelude::*;
 use mcc_sigma::{ProtectedData, SubscriptionAck};
@@ -161,7 +161,8 @@ enum Stratum {
 #[derive(Debug)]
 pub struct CohortReceiver {
     cfg: FlidConfig,
-    mode: Mode,
+    /// The SIGMA edge router; `None` runs plain FLID-DL.
+    router: Option<NodeId>,
     /// Classified population; drained into buckets at `on_start`.
     strata: Vec<Stratum>,
     buckets: Vec<Bucket>,
@@ -176,8 +177,9 @@ pub struct CohortReceiver {
 impl CohortReceiver {
     /// Build a cohort from its population. Member order is preserved:
     /// buckets are created (and therefore act, on ties) in first-use
-    /// member order.
-    pub fn new(cfg: FlidConfig, mode: Mode, members: Vec<CohortMember>) -> Self {
+    /// member order. `router` is the SIGMA edge router; `None` runs plain
+    /// FLID-DL.
+    pub fn new(cfg: FlidConfig, router: Option<NodeId>, members: Vec<CohortMember>) -> Self {
         assert!(!members.is_empty(), "a cohort needs at least one member");
         let strata = members
             .into_iter()
@@ -222,7 +224,7 @@ impl CohortReceiver {
         let n = cfg.n() as usize;
         CohortReceiver {
             cfg,
-            mode,
+            router,
             strata,
             buckets: Vec::new(),
             splits: Vec::new(),
@@ -233,10 +235,10 @@ impl CohortReceiver {
 
     /// A cohort of `count` receivers all running `plan` and joining when
     /// the agent starts.
-    pub fn uniform(cfg: FlidConfig, mode: Mode, count: u64, plan: &AttackPlan) -> Self {
+    pub fn uniform(cfg: FlidConfig, router: Option<NodeId>, count: u64, plan: &AttackPlan) -> Self {
         CohortReceiver::new(
             cfg,
-            mode,
+            router,
             vec![CohortMember::permanent(count, SimTime::ZERO, plan.clone())],
         )
     }
@@ -346,7 +348,7 @@ impl CohortReceiver {
     ) -> usize {
         let idx = self.buckets.len();
         let mut rx =
-            FlidReceiver::with_adversary(self.cfg.clone(), self.mode, AttackPlan::honest());
+            FlidReceiver::with_adversary(self.cfg.clone(), self.router, AttackPlan::honest());
         rx.install_adversary(adversary);
         rx.set_leave_at(leave_at);
         if let Some(d) = self.control_delay {

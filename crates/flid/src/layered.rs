@@ -14,13 +14,15 @@
 //!   the rules is useless (Figure 7).
 //!
 //! Misbehaviour is pluggable: the shell runs an [`mcc_attack::Adversary`]
-//! strategy through its hooks, and this policy executes the resulting
-//! [`AttackAction`]s against the layered structure (an inflated receiver
-//! *claims* the grabbed level, so the actions move `level` and the trace).
+//! strategy through its hooks and executes the resulting actions; this
+//! policy executes the two that move the claimed level against the layered
+//! structure (an inflated receiver *claims* the grabbed level, so
+//! [`mcc_attack::AttackAction::Inflate`] and `LeaveHigh` move `level` and
+//! the trace).
 
 use crate::config::FlidConfig;
-use crate::receiver::{Mode, Policy, Receiver};
-use mcc_attack::{AttackAction, AttackPlan};
+use crate::receiver::{Policy, Receiver, SlotWindow};
+use mcc_attack::AttackPlan;
 use mcc_delta::{decide_layered, DeltaFields, Eligibility, Key, SlotObservation};
 use mcc_netsim::prelude::*;
 use mcc_sigma::Subscription;
@@ -34,19 +36,16 @@ pub struct Layered {
     /// `None` when not subscribed. A group only takes part in decisions
     /// from its first *complete* slot onward.
     joined_slot: Vec<Option<u64>>,
-    /// Per-slot DELTA/loss observations, keyed by slot number. Only the
-    /// three-slot pipeline window is ever live, so a tiny association list
-    /// beats a hash map on the per-packet path.
-    obs: Vec<(u64, SlotObservation)>,
+    /// Per-slot DELTA/loss observations.
+    obs: SlotWindow<SlotObservation>,
     /// Slots before this one skip the decrease decision (FLID-DL deaf
     /// period).
     deaf_until: u64,
-    /// Set by [`AttackAction::Inflate`]: the receiver has grabbed groups
+    /// Set by `AttackAction::Inflate`: the receiver has grabbed groups
     /// beyond its entitlement and ignores the well-behaved control law.
     inflated: bool,
-    /// Slots in which a congestion-marked packet arrived (ECN variant);
-    /// same tiny-window reasoning as `obs`.
-    marked_slots: Vec<u64>,
+    /// Slots in which a congestion-marked packet arrived (ECN variant).
+    marked_slots: SlotWindow<()>,
     /// `(time, level)` trace for the convergence figures.
     pub level_trace: Vec<(f64, u32)>,
 }
@@ -56,20 +55,18 @@ pub type FlidReceiver = Receiver<Layered>;
 
 impl Receiver<Layered> {
     /// Build a receiver running `plan`'s adversary strategy
-    /// ([`AttackPlan::honest`] for a well-behaved receiver).
-    pub fn with_adversary(cfg: FlidConfig, mode: Mode, plan: AttackPlan) -> Self {
+    /// ([`AttackPlan::honest`] for a well-behaved receiver). `router` is
+    /// the SIGMA edge router for FLID-DS; `None` runs plain FLID-DL over
+    /// classic IGMP.
+    pub fn with_adversary(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Self {
         let policy = Layered {
             level: 1,
             joined_slot: vec![None; cfg.n() as usize],
-            obs: Vec::new(),
+            obs: SlotWindow::default(),
             deaf_until: 0,
             inflated: false,
-            marked_slots: Vec::new(),
+            marked_slots: SlotWindow::default(),
             level_trace: Vec::new(),
-        };
-        let router = match mode {
-            Mode::Ds { router } => Some(router),
-            Mode::Dl => None,
         };
         Receiver::build(cfg, router, plan, policy)
     }
@@ -224,23 +221,18 @@ impl Receiver<Layered> {
 
     /// A digest of every decision-relevant field. Two buckets with equal
     /// digests (and provably inert adversaries) will behave identically
-    /// forever, so the cohort may merge them. Window vectors are sorted
-    /// because `swap_remove` order is history- but not state-relevant;
-    /// stats and traces are deliberately excluded (reporting, not state).
+    /// forever, so the cohort may merge them. Stats and traces are
+    /// deliberately excluded (reporting, not state).
     pub(crate) fn state_digest(&self) -> String {
         let p = &self.policy;
-        let mut obs: Vec<&(u64, SlotObservation)> = p.obs.iter().collect();
-        obs.sort_by_key(|&&(s, _)| s);
-        let mut marked = p.marked_slots.clone();
-        marked.sort_unstable();
         format!(
             "{}|{:?}|{:?}|{}|{}|{:?}|{}",
             p.level,
             p.joined_slot,
-            obs,
+            p.obs,
             p.deaf_until,
             p.inflated,
-            marked,
+            p.marked_slots,
             self.shell_digest(),
         )
     }
@@ -258,32 +250,13 @@ impl Layered {
         }
         d
     }
-
-    /// Take slot `s`'s observation out of the window, if present.
-    fn obs_remove(&mut self, s: u64) -> Option<SlotObservation> {
-        let i = self.obs.iter().position(|&(k, _)| k == s)?;
-        Some(self.obs.swap_remove(i).1)
-    }
-
-    /// Slot `s`'s observation, created fresh if absent.
-    fn obs_entry(&mut self, s: u64) -> &mut SlotObservation {
-        let i = match self.obs.iter().position(|&(k, _)| k == s) {
-            Some(i) => i,
-            None => {
-                let n = self.joined_slot.len() as u32;
-                self.obs.push((s, SlotObservation::new(s, n)));
-                self.obs.len() - 1
-            }
-        };
-        &mut self.obs[i].1
-    }
 }
 
 impl Policy for Layered {
     fn observe(&mut self, fields: &DeltaFields, marked: bool) -> bool {
         let slot = fields.slot;
-        if marked && !self.marked_slots.contains(&slot) {
-            self.marked_slots.push(slot);
+        if marked {
+            self.marked_slots.entry(slot, || ());
         }
         if let Some(j) = self.joined_slot.get_mut((fields.group - 1) as usize) {
             if *j == Some(u64::MAX) {
@@ -292,7 +265,10 @@ impl Policy for Layered {
                 *j = Some(slot);
             }
         }
-        self.obs_entry(slot).observe(fields);
+        let n = self.joined_slot.len() as u32;
+        self.obs
+            .entry(slot, || SlotObservation::new(slot, n))
+            .observe(fields);
         true
     }
 
@@ -308,13 +284,8 @@ impl Policy for Layered {
     fn evaluate(rx: &mut FlidReceiver, ctx: &mut Ctx, s: u64) {
         let p = &mut rx.policy;
         let n = p.joined_slot.len() as u32;
-        let obs = p
-            .obs_remove(s)
-            .unwrap_or_else(|| SlotObservation::new(s, n));
-        let marked = p.marked_slots.contains(&s);
-        // Drop slot `s` and any stale observations.
-        p.obs.retain(|&(k, _)| k > s);
-        p.marked_slots.retain(|&k| k > s);
+        let obs = p.obs.close(s).unwrap_or_else(|| SlotObservation::new(s, n));
+        let marked = p.marked_slots.close(s).is_some();
         let dlevel = p.decision_level(s);
         if dlevel == 0 {
             return;
@@ -333,57 +304,28 @@ impl Policy for Layered {
             // while stacking inflation attempts on top.
             (true, _) => rx.handle_slot_ds(ctx, s, &obs, dlevel),
         }
-        Self::apply(rx, ctx, s, attack_actions);
+        rx.execute(ctx, s, attack_actions);
     }
 
-    fn apply(rx: &mut FlidReceiver, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
-        for action in actions {
-            match action {
-                AttackAction::Inflate { layer } => {
-                    rx.policy.inflated = true;
-                    // Inflation never *lowers* the claim: a layer below the
-                    // honest level would strand already-joined groups.
-                    let to = layer.min(rx.cfg.n()).max(rx.policy.level);
-                    for g in 1..=to {
-                        rx.join(ctx, g);
-                        rx.policy.joined_slot[(g - 1) as usize].get_or_insert(slot);
-                    }
-                    rx.policy.level = to;
-                    rx.trace(ctx);
-                }
-                AttackAction::RawJoins { layer } => {
-                    // Keep hammering: raw IGMP joins (ignored by SIGMA).
-                    for g in 1..=layer.min(rx.cfg.n()) {
-                        rx.join(ctx, g);
-                    }
-                }
-                AttackAction::GuessKeys { per_group, layer } => {
-                    if rx.send_guesses(ctx, per_group, layer, slot) {
-                        rx.stats.guess_subscriptions += 1;
-                    }
-                }
-                AttackAction::LeaveHigh => {
-                    rx.drop_to(ctx, 1);
-                    rx.policy.inflated = false;
-                    rx.trace(ctx);
-                }
-                AttackAction::SubmitKeys { slot, pairs } => {
-                    if !rx.protected() {
-                        continue; // Smuggled keys mean nothing to plain IGMP.
-                    }
-                    // Join first so the graft is in flight before the
-                    // subscription reaches the router.
-                    for &(g, _) in &pairs {
-                        if (1..=rx.cfg.n()).contains(&g) {
-                            rx.join(ctx, g);
-                        }
-                    }
-                    if rx.send_smuggled(ctx, slot, &pairs) {
-                        rx.stats.colluder_submissions += 1;
-                    }
-                }
-            }
+    /// Grab `1..=layer` and *claim* it: the receiver stops following the
+    /// control law. Inflation never lowers the claim — a layer below the
+    /// honest level would strand already-joined groups.
+    fn inflate(rx: &mut FlidReceiver, ctx: &mut Ctx, slot: u64, layer: u32) {
+        rx.policy.inflated = true;
+        let to = layer.min(rx.cfg.n()).max(rx.policy.level);
+        for g in 1..=to {
+            rx.join(ctx, g);
+            rx.policy.joined_slot[(g - 1) as usize].get_or_insert(slot);
         }
+        rx.policy.level = to;
+        rx.trace(ctx);
+    }
+
+    /// Drop back to the minimal group and resume the control law.
+    fn leave_high(rx: &mut FlidReceiver, ctx: &mut Ctx) {
+        rx.drop_to(ctx, 1);
+        rx.policy.inflated = false;
+        rx.trace(ctx);
     }
 
     /// One unsubscription covers every group the shell just left.

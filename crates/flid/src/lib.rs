@@ -10,18 +10,25 @@
 //! them (paper §5).
 //!
 //! * [`config::FlidConfig`] — session parameters (paper §5.1 defaults),
-//! * [`sender::FlidSender`] — slotted transmission, DELTA fields, SIGMA
-//!   key announcements, overhead counters for Figure 9,
+//! * [`sender::Sender`] — the one sender shell: slot timing, pacing, DELTA
+//!   fields, SIGMA key announcements and the overhead counters for
+//!   Figure 9, generic over a [`sender::KeyRule`] (the session structure's
+//!   rates and keys); [`FlidSender`] is the cumulative-layer instantiation,
 //! * [`receiver::Receiver`] — the one receiver shell: lifecycle, SIGMA
-//!   control plane, membership ledger and [`mcc_attack`] dispatch, generic
-//!   over a [`receiver::Policy`] (the session structure's key rule),
+//!   control plane, membership ledger and [`mcc_attack`] dispatch and
+//!   execution, generic over a [`receiver::Policy`] (the session
+//!   structure's subscription rule),
 //! * [`layered`] — the cumulative policy; [`FlidReceiver`] is its
 //!   instantiation (misbehaviour is an [`mcc_attack::AttackPlan`] handed
 //!   to `with_adversary`),
 //! * [`replicated`] — a destination-set-grouping style replicated
-//!   multicast protocol protected by the Figure-5 DELTA instantiation,
+//!   multicast protocol protected by the Figure-5 DELTA instantiation:
+//!   [`ReplicatedSender`] and [`ReplicatedReceiver`],
 //! * [`threshold_proto`] — an RLM-style loss-threshold protocol protected
-//!   by Shamir-share key distribution (§3.1.2).
+//!   by Shamir-share key distribution (§3.1.2): [`ThresholdSender`] and
+//!   [`ThresholdReceiver`],
+//! * [`cohort`] — [`CohortReceiver`], count-weighted buckets of layered
+//!   receivers behind one interface.
 //!
 //! The substitution from FLID-DL's *dynamic layering* to static layers
 //! with explicit IGMP leave latency is documented in `DESIGN.md`.
@@ -31,16 +38,14 @@ pub mod config;
 pub mod layered;
 pub mod receiver;
 pub mod replicated;
-pub mod rogue;
 pub mod sender;
 pub mod threshold_proto;
 
 pub use cohort::{CohortMember, CohortReceiver};
 pub use config::FlidConfig;
 pub use layered::FlidReceiver;
-pub use receiver::{Mode, ReceiverStats};
+pub use receiver::ReceiverStats;
 pub use replicated::{ReplicatedReceiver, ReplicatedSender};
-pub use rogue::RogueState;
 pub use sender::{FlidSender, OverheadCounters};
 pub use threshold_proto::{ThresholdReceiver, ThresholdSender};
 
@@ -117,8 +122,8 @@ pub(crate) mod testrig {
 
         /// Attach a FLID receiver running `plan`.
         pub(crate) fn flid_receiver(&mut self, plan: AttackPlan) -> AgentId {
-            let mode = self.router().map_or(Mode::Dl, |router| Mode::Ds { router });
-            self.receiver(FlidReceiver::with_adversary(self.cfg.clone(), mode, plan))
+            let router = self.router();
+            self.receiver(FlidReceiver::with_adversary(self.cfg.clone(), router, plan))
         }
 
         /// Attach the session's `sender` at S, finalize, run `secs`.

@@ -1,5 +1,5 @@
 //! The receiver shell: one lifecycle, one SIGMA control plane and one
-//! attack dispatch under every subscription policy.
+//! attack executor under every subscription policy.
 //!
 //! The paper's §3.1.2 point is that DELTA changes only the *key rule* per
 //! session structure (cumulative layers, replicated groups, loss
@@ -11,20 +11,23 @@
 //!   paper Figure 2), the optional `DEPART` instant after which the
 //!   receiver is inert,
 //! * **membership ledger** — every join and leave (honest, raw, smuggled)
-//!   goes through [`Receiver::join`] / [`Receiver::leave`], so departure
+//!   goes through `Receiver::join` / `Receiver::leave`, so departure
 //!   leaves exactly what was joined and a cohort can read the intent,
 //! * **SIGMA control senders** — session-join, subscription (optionally
 //!   retransmitted until acked) and unsubscription,
 //! * **attack dispatch** — the [`mcc_attack::Adversary`] hooks: activation
 //!   timers, per-slot actions, congestion-signal vetoes,
+//! * **attack execution** — every [`AttackAction`] that does not touch the
+//!   claimed level: guessed-key floods, smuggled-key submissions and raw
+//!   joins, counted into [`ReceiverStats`],
 //! * **trace events** — `Join`, `Leave`, `FlidLayer`.
 //!
 //! A [`Policy`] supplies only what differs: how a data packet is observed,
-//! how a closed slot is judged, what "level" means, how an
-//! [`AttackAction`] executes against its session structure, and what to
-//! tell the router on departure. Dispatch is static (`Receiver<P>` is
-//! monomorphised per policy): `observe` runs once per delivered data
-//! packet, 2,000 receivers wide in the fan-out workload.
+//! how a closed slot is judged, what "level" means, how
+//! [`AttackAction::Inflate`] and [`AttackAction::LeaveHigh`] move its
+//! claimed level, and what to tell the router on departure. Dispatch is
+//! static (`Receiver<P>` is monomorphised per policy): `observe` runs once
+//! per delivered data packet, 2,000 receivers wide in the fan-out workload.
 
 use crate::config::FlidConfig;
 use mcc_attack::{Adversary, AttackAction, AttackEnv, AttackPlan};
@@ -42,22 +45,11 @@ pub(crate) const DEPART: u64 = 3;
 /// How long an unacked subscription waits before it is sent again.
 pub(crate) const RETX_AFTER: SimDuration = SimDuration::from_millis(60);
 
-/// Whether the receiver runs bare FLID-DL or SIGMA-protected FLID-DS.
-#[derive(Clone, Copy, Debug)]
-pub enum Mode {
-    /// Plain FLID-DL over classic IGMP.
-    Dl,
-    /// FLID-DS: subscriptions go to the edge router at `router`.
-    Ds {
-        /// The local SIGMA edge router.
-        router: NodeId,
-    },
-}
-
 /// Counters for tests and experiment reports. The shell counts the
-/// control plane (`subscriptions`, `retransmissions`, `acks`); the rest
-/// are the layered policy's decisions (the single-group policies keep
-/// their own `rejoins` / `key_failures` / `rogue` counters).
+/// control plane (`subscriptions`, `retransmissions`, `acks`) and the
+/// attack traffic (`guess_subscriptions`, `colluder_submissions`); the
+/// rest are the layered policy's decisions (the single-group policies
+/// keep their own `rejoins` / `key_failures`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReceiverStats {
     /// Level decreases taken.
@@ -101,18 +93,61 @@ pub trait Policy: Sized + Send + 'static {
 
     /// Slot `slot` has closed (and the session has delivered at least
     /// once): judge it, subscribe for `slot + 2`, move between groups,
-    /// and run the adversary's per-slot actions.
+    /// and run the adversary's per-slot actions (`Receiver::execute`).
     fn evaluate(rx: &mut Receiver<Self>, ctx: &mut Ctx, slot: u64);
 
-    /// Execute adversary actions against this session structure. `slot`
-    /// is the protocol slot the actions refer to (the evaluated slot for
-    /// per-slot actions, the current slot for activations).
-    fn apply(rx: &mut Receiver<Self>, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>);
+    /// Execute [`AttackAction::Inflate`] for protocol slot `slot`. The
+    /// default is the single-group reading: a receiver entitled to exactly
+    /// one group grabs `1..=layer` raw — grabbing several *is* inflation.
+    fn inflate(rx: &mut Receiver<Self>, ctx: &mut Ctx, _slot: u64, layer: u32) {
+        rx.raw_joins(ctx, layer);
+    }
+
+    /// Execute [`AttackAction::LeaveHigh`]. The default undoes the raw
+    /// grabs, keeping the honest group.
+    fn leave_high(rx: &mut Receiver<Self>, ctx: &mut Ctx) {
+        for g in std::mem::take(&mut rx.raw_joined) {
+            if g != rx.level() {
+                rx.leave(ctx, g);
+            }
+        }
+    }
 
     /// The shell has left every group in the ledger (`left`, in group
     /// order): reset the policy's state and unsubscribe what the router
     /// should forget.
     fn wind_down(rx: &mut Receiver<Self>, ctx: &mut Ctx, left: Vec<GroupAddr>);
+}
+
+/// A policy's per-slot state over the open slots — at most the `s..=s+2`
+/// pipeline — kept sorted by slot in a small vector: on the per-packet
+/// path a scan of three entries beats hashing, and the order is a function
+/// of the contents, so a state digest can print it as it stands.
+#[derive(Clone, Debug)]
+pub(crate) struct SlotWindow<T>(Vec<(u64, T)>);
+
+impl<T> Default for SlotWindow<T> {
+    fn default() -> Self {
+        SlotWindow(Vec::new())
+    }
+}
+
+impl<T> SlotWindow<T> {
+    /// Slot `slot`'s entry, created by `init` if absent.
+    pub(crate) fn entry(&mut self, slot: u64, init: impl FnOnce() -> T) -> &mut T {
+        let i = self.0.partition_point(|&(k, _)| k < slot);
+        if self.0.get(i).is_none_or(|&(k, _)| k != slot) {
+            self.0.insert(i, (slot, init()));
+        }
+        &mut self.0[i].1
+    }
+
+    /// Close slot `slot`: drop it and every older entry, returning its own.
+    pub(crate) fn close(&mut self, slot: u64) -> Option<T> {
+        let end = self.0.partition_point(|&(k, _)| k <= slot);
+        let last = self.0.drain(..end).last()?;
+        (last.0 == slot).then_some(last.1)
+    }
 }
 
 /// A multicast receiver agent: the shell around a subscription
@@ -155,6 +190,9 @@ pub struct Receiver<P> {
     /// joined. Maintained in both modes so state digests line up across
     /// standalone and cohort instances of the same receiver.
     desired: Vec<bool>,
+    /// Groups joined out of protocol (raw or smuggled), in first-join
+    /// order, for [`Policy::leave_high`] to undo.
+    raw_joined: Vec<u32>,
     /// Outstanding (unacked) subscription, with retry count.
     pending: Option<(Subscription, u32)>,
     /// A data packet of the subscription has arrived; until then the
@@ -198,6 +236,7 @@ impl<P: Policy> Receiver<P> {
             token_base: 0,
             managed: false,
             desired: vec![false; n],
+            raw_joined: Vec::new(),
             pending: None,
             ever_received: false,
             policy,
@@ -371,10 +410,104 @@ impl<P: Policy> Receiver<P> {
         let slot = self.slot_of(now);
         let env = self.attack_env(now, slot);
         let actions = self.adversary.on_activation(&env);
-        P::apply(self, ctx, slot, actions);
+        self.execute(ctx, slot, actions);
         if let Some(at) = self.adversary.next_activation(now) {
             ctx.timer_at(at, self.token_base + ATTACK);
         }
+    }
+
+    // -- attack execution ---------------------------------------------------
+
+    /// Execute adversary actions. `slot` is the protocol slot they refer
+    /// to (the evaluated slot for per-slot actions, the current slot for
+    /// activations). The two that move the claimed level go to the policy.
+    pub(crate) fn execute(&mut self, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
+        let n = self.cfg.n();
+        for action in actions {
+            match action {
+                AttackAction::Inflate { layer } => P::inflate(self, ctx, slot, layer),
+                AttackAction::LeaveHigh => P::leave_high(self, ctx),
+                AttackAction::RawJoins { layer } => self.raw_joins(ctx, layer),
+                AttackAction::GuessKeys { per_group, layer } => {
+                    if self.send_guesses(ctx, per_group, layer, slot) {
+                        self.stats.guess_subscriptions += 1;
+                    }
+                }
+                AttackAction::SubmitKeys { slot, pairs } => {
+                    if !self.protected() {
+                        continue; // Smuggled keys mean nothing to plain IGMP.
+                    }
+                    // Join first so the graft is in flight before the
+                    // subscription reaches the router.
+                    for &(g, _) in &pairs {
+                        if (1..=n).contains(&g) {
+                            self.raw_join(ctx, g);
+                        }
+                    }
+                    if self.send_smuggled(ctx, slot, &pairs) {
+                        self.stats.colluder_submissions += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Join group `g` out of protocol, remembering it for `LeaveHigh`.
+    fn raw_join(&mut self, ctx: &mut Ctx, g: u32) {
+        if !self.raw_joined.contains(&g) {
+            self.raw_joined.push(g);
+        }
+        self.join(ctx, g);
+    }
+
+    /// Raw IGMP joins of groups `1..=layer` (ignored by SIGMA).
+    pub(crate) fn raw_joins(&mut self, ctx: &mut Ctx, layer: u32) {
+        for g in 1..=layer.min(self.cfg.n()) {
+            self.raw_join(ctx, g);
+        }
+    }
+
+    /// Send a guessed-key subscription: `per_group` random keys for every
+    /// group up to `layer`, for subscription slot `slot + 2` — "numerous
+    /// random keys in a hope that one of these keys is correct" (paper
+    /// §4.2), which is what trips the router's tally. Returns `false` (no
+    /// packet) when the session has no router.
+    fn send_guesses(&self, ctx: &mut Ctx, per_group: u32, layer: u32, slot: u64) -> bool {
+        if !self.protected() {
+            return false;
+        }
+        let mut pairs: Vec<(GroupAddr, Key)> = Vec::new();
+        for g in 1..=layer.min(self.cfg.n()) {
+            for _ in 0..per_group {
+                pairs.push((self.addr(g), Key(ctx.rng().next_u64())));
+            }
+        }
+        let sub = Subscription {
+            slot: slot + 2,
+            pairs,
+        };
+        self.send_subscription(ctx, sub);
+        true
+    }
+
+    /// Map smuggled `(1-based group, key)` pairs onto addresses and send
+    /// them as a subscription for `slot`. Returns whether a packet went
+    /// out.
+    fn send_smuggled(&self, ctx: &mut Ctx, slot: u64, pairs: &[(u32, Key)]) -> bool {
+        let mapped: Vec<(GroupAddr, Key)> = pairs
+            .iter()
+            .filter(|&&(g, _)| (1..=self.cfg.n()).contains(&g))
+            .map(|&(g, k)| (self.addr(g), k))
+            .collect();
+        if !self.protected() || mapped.is_empty() {
+            return false;
+        }
+        let sub = Subscription {
+            slot,
+            pairs: mapped,
+        };
+        self.send_subscription(ctx, sub);
+        true
     }
 
     // -- trace events -------------------------------------------------------
@@ -481,11 +614,12 @@ impl<P: Policy> Receiver<P> {
         SimTime::from_nanos(k * slot + guard)
     }
 
-    /// The shell's share of a state digest (see
-    /// [`crate::FlidReceiver::state_digest`]). The scheduled lifetime is
-    /// state: a bucket that will depart at t is NOT equivalent to one
-    /// that stays — merging them would hand the absorbed members the
-    /// survivor's future.
+    /// The shell's share of a state digest (see the layered policy's
+    /// `state_digest`). The scheduled lifetime is state: a bucket that will
+    /// depart at t is NOT equivalent to one that stays — merging them would
+    /// hand the absorbed members the survivor's future. `raw_joined` is
+    /// not: only the single-group `LeaveHigh` reads it, and cohorts bucket
+    /// layered receivers.
     pub(crate) fn shell_digest(&self) -> String {
         format!(
             "{:?}|{:?}|{}|{:?}|{}",
@@ -699,10 +833,7 @@ mod tests {
             case(
                 "layered",
                 setup,
-                |cfg, router| {
-                    let mode = router.map_or(Mode::Dl, |router| Mode::Ds { router });
-                    FlidReceiver::with_adversary(cfg, mode, plan.clone())
-                },
+                |cfg, router| FlidReceiver::with_adversary(cfg, router, plan.clone()),
                 FlidSender::new,
             ),
             case(

@@ -12,150 +12,34 @@
 //! is the *previous* group's top key (paper Eq. 6).
 
 use crate::config::FlidConfig;
-use crate::receiver::{Policy, Receiver};
-use crate::rogue::RogueState;
-use crate::sender::{pace_slot, Paced};
-use mcc_attack::{AttackAction, AttackPlan};
+use crate::receiver::{Policy, Receiver, SlotWindow};
+use crate::sender::{Layers, Sender};
+use mcc_attack::AttackPlan;
 use mcc_delta::{
-    decide_replicated, DeltaFields, GroupObservation, ReplicatedEligibility, ReplicatedKeySchedule,
-    UpgradeMask,
+    decide_replicated, DeltaFields, GroupObservation, ReplicatedEligibility, UpgradeMask,
 };
 use mcc_netsim::prelude::*;
-use mcc_sigma::{build_announcement, replicated_tuples, ProtectedData};
-use mcc_simcore::SimTime;
-use std::collections::HashMap;
-
-const TICK: u64 = 0;
-const EMIT: u64 = 1;
 
 /// Sender of a replicated multicast session. Reuses [`FlidConfig`], with
 /// `cumulative_rate(g)` read as group `g`'s own full-content rate.
-#[derive(Debug)]
-pub struct ReplicatedSender {
-    /// Session parameters.
-    pub cfg: FlidConfig,
-    credits: Vec<f64>,
-    schedules: HashMap<u64, ReplicatedKeySchedule>,
-    streams: Vec<Option<mcc_delta::ComponentStream>>,
-    pending: Vec<Paced>,
-    /// Slots elapsed (diagnostics).
-    pub slots: u64,
-}
+pub type ReplicatedSender = Sender<Layers<true>>;
 
 impl ReplicatedSender {
     /// Build a sender.
     pub fn new(cfg: FlidConfig) -> Self {
-        let n = cfg.n() as usize;
-        ReplicatedSender {
-            cfg,
-            credits: vec![0.0; n],
-            schedules: HashMap::new(),
-            streams: vec![None; n],
-            pending: Vec::new(),
-            slots: 0,
-        }
-    }
-
-    fn slot_of(&self, now: SimTime) -> u64 {
-        now.as_nanos() / self.cfg.slot.as_nanos()
-    }
-
-    fn begin_slot(&mut self, ctx: &mut Ctx) {
-        let s = self.slot_of(ctx.now());
-        let slot_start = SimTime::from_nanos(s * self.cfg.slot.as_nanos());
-        let n = self.cfg.n();
-        let mut authorized = Vec::new();
-        for g in 2..=n {
-            if ctx.rng().chance(self.cfg.upgrade_probability(g)) {
-                authorized.push(g);
-            }
-        }
-        let mask = UpgradeMask::from_groups(&authorized);
-        let sched = ReplicatedKeySchedule::generate(ctx.rng(), n, mask);
-
-        for g in 1..=n {
-            self.streams[(g - 1) as usize] = Some(sched.component_stream(g));
-        }
-        // Replicated: each group carries the whole content at its rate.
-        self.pending = pace_slot(
-            &self.cfg,
-            &mut self.credits,
-            slot_start,
-            FlidConfig::cumulative_rate,
-            1,
-        );
-        self.pending.sort_by_key(|e| e.at);
-        for e in &self.pending {
-            ctx.timer_at(e.at, EMIT);
-        }
-
-        if self.cfg.protected {
-            let ann = build_announcement(
-                s + 2,
-                replicated_tuples(&sched, &self.cfg.groups),
-                self.cfg.control_group,
-                ctx.agent,
-                self.cfg.flow,
-                self.cfg.fec_repeat,
-            );
-            for pkt in ann.packets {
-                ctx.send(pkt);
-            }
-        }
-        self.schedules.insert(s + 2, sched);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "retain with a pure per-key predicate; order-independent"
-        )]
-        self.schedules.retain(|&k, _| k + 3 > s);
-        self.slots += 1;
-        ctx.timer_at(slot_start + self.cfg.slot, TICK);
-    }
-
-    fn emit_due(&mut self, ctx: &mut Ctx) {
-        let now = ctx.now();
-        let s = self.slot_of(now);
-        let due = self.pending.iter().take_while(|e| e.at <= now).count();
-        for e in self.pending.drain(..due) {
-            let sched = &self.schedules[&(s + 2)];
-            let gi = (e.group - 1) as usize;
-            let component = self.streams[gi]
-                .as_mut()
-                .expect("stream set at slot start")
-                .next(ctx.rng(), e.last);
-            let fields = e.fields(s, component, sched.decrease_field(e.group), sched.upgrades);
-            ctx.send(Packet::app(
-                self.cfg.packet_bits,
-                self.cfg.flow,
-                ctx.agent,
-                Dest::Group(self.cfg.groups[gi]),
-                ProtectedData { fields },
-            ));
-        }
+        Sender::build(cfg, Layers)
     }
 }
 
-impl Agent for ReplicatedSender {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.begin_slot(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match token {
-            TICK => self.begin_slot(ctx),
-            EMIT => self.emit_due(ctx),
-            _ => {}
-        }
-    }
-}
-
-/// State of the replicated key rule (paper Figure 5): the receiver
+/// State of the replicated subscription policy (paper Figure 5): the receiver
 /// subscribes to exactly one group.
 #[derive(Debug)]
 pub struct Replicated {
     /// Current (1-based) group.
     pub group: u32,
-    obs: HashMap<u64, GroupObservation>,
-    upgrades: HashMap<u64, UpgradeMask>,
+    /// Per slot: what arrived of the group, and the upgrade authorizations
+    /// its headers carried.
+    obs: SlotWindow<(GroupObservation, UpgradeMask)>,
     /// Slot during which the current group was joined; decisions wait for
     /// the first complete slot after a switch.
     joined_slot: u64,
@@ -163,8 +47,6 @@ pub struct Replicated {
     pub trace: Vec<(f64, u32)>,
     /// Session rejoins after total blackout.
     pub rejoins: u64,
-    /// Out-of-protocol attack state and counters.
-    pub rogue: RogueState,
 }
 
 /// Receiver of a replicated session.
@@ -181,12 +63,10 @@ impl Receiver<Replicated> {
     pub fn with_adversary(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Self {
         let policy = Replicated {
             group: 1,
-            obs: HashMap::new(),
-            upgrades: HashMap::new(),
+            obs: SlotWindow::default(),
             joined_slot: 0,
             trace: Vec::new(),
             rejoins: 0,
-            rogue: RogueState::default(),
         };
         Receiver::build(cfg, router, plan, policy)
     }
@@ -211,12 +91,9 @@ impl Policy for Replicated {
         if self.joined_slot == u64::MAX {
             self.joined_slot = fields.slot;
         }
-        self.obs.entry(fields.slot).or_default().observe(fields);
-        let mask = self
-            .upgrades
-            .entry(fields.slot)
-            .or_insert(UpgradeMask::NONE);
-        *mask = UpgradeMask(mask.0 | fields.upgrades.0);
+        let (obs, upgrades) = self.obs.entry(fields.slot, Default::default);
+        obs.observe(fields);
+        *upgrades = UpgradeMask(upgrades.0 | fields.upgrades.0);
         true
     }
 
@@ -230,18 +107,7 @@ impl Policy for Replicated {
 
     fn evaluate(rx: &mut ReplicatedReceiver, ctx: &mut Ctx, s: u64) {
         let p = &mut rx.policy;
-        let obs = p.obs.remove(&s).unwrap_or_default();
-        let upgrades = p.upgrades.remove(&s).unwrap_or(UpgradeMask::NONE);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "retain with a pure per-key predicate; order-independent"
-        )]
-        p.obs.retain(|&k, _| k > s);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "retain with a pure per-key predicate; order-independent"
-        )]
-        p.upgrades.retain(|&k, _| k > s);
+        let (obs, upgrades) = p.obs.close(s).unwrap_or_default();
         if p.joined_slot >= s {
             // The current group was joined mid-slot: wait for its first
             // complete slot before judging congestion.
@@ -267,14 +133,7 @@ impl Policy for Replicated {
                 rx.session_join(ctx);
             }
         }
-        Self::apply(rx, ctx, s, attack_actions);
-    }
-
-    fn apply(rx: &mut ReplicatedReceiver, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
-        // The executor acts on the shell, so it cannot stay borrowed from it.
-        let mut rogue = std::mem::take(&mut rx.policy.rogue);
-        rogue.apply(rx, ctx, slot, actions);
-        rx.policy.rogue = rogue;
+        rx.execute(ctx, s, attack_actions);
     }
 
     /// The router learns nothing: its grant for the group simply expires.

@@ -19,20 +19,14 @@
 //! 3's generality.
 
 use crate::config::FlidConfig;
-use crate::receiver::{Policy, Receiver};
-use crate::rogue::RogueState;
-use crate::sender::{pace_slot, Paced};
-use mcc_attack::{AttackAction, AttackPlan};
+use crate::receiver::{Policy, Receiver, SlotWindow};
+use crate::sender::{KeyRule, Paced, Sender};
+use mcc_attack::AttackPlan;
 use mcc_delta::threshold::{reconstruct, Share, ThresholdLevelKeys};
 use mcc_delta::{DeltaFields, Key, UpgradeMask};
 use mcc_netsim::prelude::*;
 use mcc_sigma::keytable::KeyTuple;
-use mcc_sigma::{build_announcement, ProtectedData};
-use mcc_simcore::SimTime;
-use std::collections::HashMap;
-
-const TICK: u64 = 0;
-const EMIT: u64 = 1;
+use mcc_simcore::DetRng;
 
 /// Pack a Shamir share into a 64-bit component field.
 pub fn pack_share(s: Share) -> Key {
@@ -49,149 +43,74 @@ pub fn unpack_share(k: Key) -> Share {
 
 /// Per-slot keys of one group of the threshold session.
 #[derive(Debug, Clone)]
-struct GroupSlotKeys {
+pub struct GroupSlotKeys {
     level: ThresholdLevelKeys,
     decrease: Key,
 }
 
-/// Sender of the threshold-protected session.
+/// The threshold key rule: per group and slot, a Shamir-split secret (one
+/// share per packet) and a decrease nonce carried in the group's decrease
+/// fields. Groups run replicated-style, at cumulative rates.
 #[derive(Debug)]
-pub struct ThresholdSender {
-    /// Session parameters (replicated-style rates).
-    pub cfg: FlidConfig,
+pub struct Shares {
     /// Loss-rate threshold θ (RLM default 0.25).
     pub theta: f64,
-    credits: Vec<f64>,
-    keys: HashMap<u64, Vec<GroupSlotKeys>>,
-    pending: Vec<Paced>,
-    /// Slots elapsed.
-    pub slots: u64,
 }
+
+impl KeyRule for Shares {
+    type Keys = Vec<GroupSlotKeys>;
+    /// Shamir needs at least two packets for a meaningful split.
+    const MIN_PACKETS: u32 = 2;
+    const PACED_ANNOUNCEMENT: bool = false;
+
+    fn rate(cfg: &FlidConfig, g: u32) -> f64 {
+        cfg.cumulative_rate(g)
+    }
+
+    fn draw(&self, _cfg: &FlidConfig, rng: &mut DetRng, counts: &[u32]) -> Self::Keys {
+        counts
+            .iter()
+            .map(|&count| GroupSlotKeys {
+                level: ThresholdLevelKeys::generate(count, self.theta, rng),
+                decrease: Key::nonce(rng),
+            })
+            .collect()
+    }
+
+    fn upgrades(_keys: &Self::Keys) -> UpgradeMask {
+        UpgradeMask::NONE
+    }
+
+    fn tuples(keys: &Self::Keys, groups: &[GroupAddr]) -> Vec<(GroupAddr, KeyTuple)> {
+        let secret = |gi: usize| Key(keys[gi].level.secret as u64);
+        (0..keys.len())
+            .map(|gi| {
+                let tuple = KeyTuple {
+                    top: secret(gi),
+                    // δ_{g}: nonce in group g+1's decrease fields.
+                    decrease: keys.get(gi + 1).map(|k| k.decrease),
+                    // ι_g = previous group's secret (upgrade path).
+                    increase: (gi >= 1).then(|| secret(gi - 1)),
+                };
+                (groups[gi], tuple)
+            })
+            .collect()
+    }
+
+    fn stamp(keys: &mut Self::Keys, _rng: &mut DetRng, p: &Paced) -> (Key, Option<Key>) {
+        let k = &keys[(p.group - 1) as usize];
+        (pack_share(k.level.shares[p.seq as usize]), Some(k.decrease))
+    }
+}
+
+/// Sender of the threshold-protected session.
+pub type ThresholdSender = Sender<Shares>;
 
 impl ThresholdSender {
     /// Build a sender with loss threshold `theta`.
     pub fn new(cfg: FlidConfig, theta: f64) -> Self {
         assert!((0.0..1.0).contains(&theta));
-        let n = cfg.n() as usize;
-        ThresholdSender {
-            cfg,
-            theta,
-            credits: vec![0.0; n],
-            keys: HashMap::new(),
-            pending: Vec::new(),
-            slots: 0,
-        }
-    }
-
-    fn slot_of(&self, now: SimTime) -> u64 {
-        now.as_nanos() / self.cfg.slot.as_nanos()
-    }
-
-    fn begin_slot(&mut self, ctx: &mut Ctx) {
-        let s = self.slot_of(ctx.now());
-        let slot_start = SimTime::from_nanos(s * self.cfg.slot.as_nanos());
-        let n = self.cfg.n();
-
-        // Packet counts first: Shamir needs n before splitting (and at
-        // least two packets for a meaningful split).
-        self.pending = pace_slot(
-            &self.cfg,
-            &mut self.credits,
-            slot_start,
-            FlidConfig::cumulative_rate,
-            2,
-        );
-        let mut counts = vec![0u32; n as usize];
-        for e in &self.pending {
-            counts[(e.group - 1) as usize] = e.count;
-        }
-        self.pending.sort_by_key(|e| e.at);
-        for e in &self.pending {
-            ctx.timer_at(e.at, EMIT);
-        }
-
-        // Keys for slot s+2: a Shamir-split secret per group + a decrease
-        // nonce carried in the group's decrease fields.
-        let group_keys: Vec<GroupSlotKeys> = (1..=n)
-            .map(|g| GroupSlotKeys {
-                level: ThresholdLevelKeys::generate(
-                    counts[(g - 1) as usize],
-                    self.theta,
-                    ctx.rng(),
-                ),
-                decrease: Key::nonce(ctx.rng()),
-            })
-            .collect();
-
-        if self.cfg.protected {
-            let tuples: Vec<(GroupAddr, KeyTuple)> = (1..=n)
-                .map(|g| {
-                    let gi = (g - 1) as usize;
-                    (
-                        self.cfg.groups[gi],
-                        KeyTuple {
-                            top: Key(group_keys[gi].level.secret as u64),
-                            // δ_{g}: nonce in group g+1's decrease fields.
-                            decrease: (g < n).then(|| group_keys[gi + 1].decrease),
-                            // ι_g = previous group's secret (upgrade path).
-                            increase: (g >= 2).then(|| Key(group_keys[gi - 1].level.secret as u64)),
-                        },
-                    )
-                })
-                .collect();
-            let ann = build_announcement(
-                s + 2,
-                tuples,
-                self.cfg.control_group,
-                ctx.agent,
-                self.cfg.flow,
-                self.cfg.fec_repeat,
-            );
-            for pkt in ann.packets {
-                ctx.send(pkt);
-            }
-        }
-
-        self.keys.insert(s + 2, group_keys);
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "retain with a pure per-key predicate; order-independent"
-        )]
-        self.keys.retain(|&k, _| k + 3 > s);
-        self.slots += 1;
-        ctx.timer_at(slot_start + self.cfg.slot, TICK);
-    }
-
-    fn emit_due(&mut self, ctx: &mut Ctx) {
-        let now = ctx.now();
-        let s = self.slot_of(now);
-        let due = self.pending.iter().take_while(|e| e.at <= now).count();
-        for e in self.pending.drain(..due) {
-            let gi = (e.group - 1) as usize;
-            let keys = &self.keys[&(s + 2)][gi];
-            let share = pack_share(keys.level.shares[e.seq as usize]);
-            let fields = e.fields(s, share, Some(keys.decrease), UpgradeMask::NONE);
-            ctx.send(Packet::app(
-                self.cfg.packet_bits,
-                self.cfg.flow,
-                ctx.agent,
-                Dest::Group(self.cfg.groups[gi]),
-                ProtectedData { fields },
-            ));
-        }
-    }
-}
-
-impl Agent for ThresholdSender {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.begin_slot(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        match token {
-            TICK => self.begin_slot(ctx),
-            EMIT => self.emit_due(ctx),
-            _ => {}
-        }
+        Sender::build(cfg, Shares { theta })
     }
 }
 
@@ -204,7 +123,7 @@ struct ThresholdObs {
     decrease: Option<Key>,
 }
 
-/// State of the threshold key rule. Climbs one group per slot while the
+/// State of the threshold subscription policy. Climbs one group per slot while the
 /// loss rate stays within θ (an RLM-like probe policy driven by the
 /// reconstruction bound itself).
 #[derive(Debug)]
@@ -213,7 +132,7 @@ pub struct Threshold {
     pub theta: f64,
     /// Current group.
     pub group: u32,
-    obs: HashMap<u64, ThresholdObs>,
+    obs: SlotWindow<ThresholdObs>,
     /// Slot during which the current group was joined; decisions wait for
     /// the first complete slot after a switch.
     joined_slot: u64,
@@ -221,8 +140,6 @@ pub struct Threshold {
     pub trace: Vec<(f64, u32)>,
     /// Slots where the key could not be reconstructed.
     pub key_failures: u64,
-    /// Out-of-protocol attack state and counters.
-    pub rogue: RogueState,
 }
 
 /// Receiver of the threshold session.
@@ -244,11 +161,10 @@ impl Receiver<Threshold> {
         let policy = Threshold {
             theta,
             group: 1,
-            obs: HashMap::new(),
+            obs: SlotWindow::default(),
             joined_slot: 0,
             trace: Vec::new(),
             key_failures: 0,
-            rogue: RogueState::default(),
         };
         Receiver::build(cfg, router, plan, policy)
     }
@@ -273,7 +189,7 @@ impl Policy for Threshold {
         if self.joined_slot == u64::MAX {
             self.joined_slot = fields.slot;
         }
-        let o = self.obs.entry(fields.slot).or_default();
+        let o = self.obs.entry(fields.slot, ThresholdObs::default);
         o.shares.push(unpack_share(fields.component));
         if fields.last_in_slot {
             o.saw_last = true;
@@ -295,12 +211,7 @@ impl Policy for Threshold {
 
     fn evaluate(rx: &mut ThresholdReceiver, ctx: &mut Ctx, s: u64) {
         let p = &mut rx.policy;
-        let obs = p.obs.remove(&s).unwrap_or_default();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "retain with a pure per-key predicate; order-independent"
-        )]
-        p.obs.retain(|&k, _| k > s);
+        let obs = p.obs.close(s).unwrap_or_default();
         if p.joined_slot >= s {
             // Wait for the first complete slot after a switch.
             return;
@@ -343,14 +254,7 @@ impl Policy for Threshold {
                 }
             }
         }
-        Self::apply(rx, ctx, s, attack_actions);
-    }
-
-    fn apply(rx: &mut ThresholdReceiver, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
-        // The executor acts on the shell, so it cannot stay borrowed from it.
-        let mut rogue = std::mem::take(&mut rx.policy.rogue);
-        rogue.apply(rx, ctx, slot, actions);
-        rx.policy.rogue = rogue;
+        rx.execute(ctx, s, attack_actions);
     }
 
     /// The router learns nothing: its grant for the group simply expires.

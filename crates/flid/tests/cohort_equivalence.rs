@@ -14,7 +14,7 @@
 //! match exactly — which is what these tests pin.
 
 use mcc_attack::{AttackPlan, Honest, IgnoreDecrease, Timed};
-use mcc_flid::{CohortMember, CohortReceiver, FlidConfig, FlidReceiver, Mode};
+use mcc_flid::{CohortMember, CohortReceiver, FlidConfig, FlidReceiver};
 use mcc_netsim::prelude::*;
 use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
 use mcc_simcore::{SimDuration, SimTime};
@@ -81,7 +81,7 @@ fn dumbbell_n(bottleneck_bps: u64, n_groups: u32, pop: Population<'_>) -> Rig {
         b,
         Box::new(SigmaEdgeModule::new(SigmaConfig::new(cfg.slot))),
     );
-    let mode = Mode::Ds { router: b };
+    let router = Some(b);
     let host = |sim: &mut Sim| {
         let h = sim.add_node();
         sim.add_duplex_link(
@@ -103,7 +103,7 @@ fn dumbbell_n(bottleneck_bps: u64, n_groups: u32, pop: Population<'_>) -> Rig {
                     h,
                     Box::new(FlidReceiver::with_adversary(
                         cfg.clone(),
-                        mode,
+                        router,
                         plan.clone(),
                     )),
                     SimTime::from_millis(5),
@@ -117,7 +117,7 @@ fn dumbbell_n(bottleneck_bps: u64, n_groups: u32, pop: Population<'_>) -> Rig {
                     h,
                     Box::new(FlidReceiver::with_adversary(
                         cfg.clone(),
-                        mode,
+                        router,
                         plan.clone(),
                     )),
                     SimTime::from_millis(5),
@@ -131,7 +131,7 @@ fn dumbbell_n(bottleneck_bps: u64, n_groups: u32, pop: Population<'_>) -> Rig {
                     h,
                     Box::new(FlidReceiver::with_adversary(
                         cfg.clone(),
-                        mode,
+                        router,
                         plan.clone(),
                     )),
                     SimTime::from_millis(5).max(*start),
@@ -141,7 +141,7 @@ fn dumbbell_n(bottleneck_bps: u64, n_groups: u32, pop: Population<'_>) -> Rig {
         Population::SharedHostSpan(plans) => {
             let h = host(&mut sim);
             for (plan, start, leave) in plans {
-                let mut rx = FlidReceiver::with_adversary(cfg.clone(), mode, plan.clone());
+                let mut rx = FlidReceiver::with_adversary(cfg.clone(), router, plan.clone());
                 rx.set_leave_at(*leave);
                 agents.push(sim.add_agent(h, Box::new(rx), SimTime::from_millis(5).max(*start)));
             }
@@ -150,7 +150,7 @@ fn dumbbell_n(bottleneck_bps: u64, n_groups: u32, pop: Population<'_>) -> Rig {
             let h = host(&mut sim);
             agents.push(sim.add_agent(
                 h,
-                Box::new(CohortReceiver::new(cfg.clone(), mode, members)),
+                Box::new(CohortReceiver::new(cfg.clone(), router, members)),
                 SimTime::from_millis(5),
             ));
         }

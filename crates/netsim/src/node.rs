@@ -10,7 +10,7 @@
 //! Per-node state is **flat**: unicast routes are a dense
 //! `Vec<Option<LinkId>>` indexed by destination [`NodeId`] (built by
 //! `Sim::finalize`), and multicast state is a slab of [`GroupEntry`] slots
-//! indexed by [`GroupIdx`](crate::addr::GroupIdx) — the dense index the
+//! indexed by [`GroupIdx`] — the dense index the
 //! `World` interns per [`GroupAddr`](crate::addr::GroupAddr). The forwarding
 //! hot path therefore costs two array indexings per hop, no hash lookups.
 

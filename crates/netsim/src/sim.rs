@@ -23,7 +23,7 @@
 //!   time they are registered or joined, so per-node multicast state is a
 //!   slab (`Vec<Option<GroupEntry>>`) and routing tables are dense
 //!   `Vec<Option<LinkId>>`s — array indexing, not hashing, per hop;
-//! * [`World::forward_multicast`] snapshots the fan-out into scratch
+//! * `World::forward_multicast` snapshots the fan-out into scratch
 //!   buffers owned by the `World` (taken with `mem::take` so re-entrant
 //!   forwarding triggered by edge actions cannot alias them, and restored
 //!   afterwards), instead of allocating fresh `Vec`s per packet;

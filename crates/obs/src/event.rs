@@ -2,8 +2,9 @@
 //!
 //! Every event is a small POD of raw ids — no references into simulator
 //! state, no strings — so recording is a couple of stores and the recorder
-//! ring stays cache-friendly. Events are stamped with [`SimTime`] by the
-//! recorder; **nothing in this module may ever capture wall-clock time**
+//! ring stays cache-friendly. Events are stamped with
+//! [`SimTime`](mcc_simcore::SimTime) by the recorder; **nothing in this
+//! module may ever capture wall-clock time**
 //! (`Instant`/`SystemTime` reads are disallowed workspace-wide by
 //! `clippy.toml`; a value from a justified reporting site that leaked into
 //! an event would change `TRACE_*.jsonl` between two runs, which

@@ -8,33 +8,13 @@
 
 use crate::fec::{chunk_tuples, encode_with_repeats, FecAccounting, KeyChunk};
 use crate::keytable::KeyTuple;
-use mcc_delta::{LayeredKeySchedule, ReplicatedKeySchedule};
+use mcc_delta::LayeredKeySchedule;
 use mcc_netsim::prelude::*;
 
-/// Construct the labeled tuples of a layered schedule, in group order.
-/// `addrs[g-1]` is the address of (1-based) group `g`.
+/// Construct the labeled tuples of a layered or replicated schedule, in
+/// group order. `addrs[g-1]` is the address of (1-based) group `g`.
 pub fn layered_tuples(
     sched: &LayeredKeySchedule,
-    addrs: &[GroupAddr],
-) -> Vec<(GroupAddr, KeyTuple)> {
-    assert_eq!(addrs.len() as u32, sched.n(), "one address per group");
-    (1..=sched.n())
-        .map(|g| {
-            (
-                addrs[(g - 1) as usize],
-                KeyTuple {
-                    top: sched.top_key(g),
-                    decrease: sched.decrease_key(g),
-                    increase: sched.increase_key(g),
-                },
-            )
-        })
-        .collect()
-}
-
-/// Construct the labeled tuples of a replicated schedule, in group order.
-pub fn replicated_tuples(
-    sched: &ReplicatedKeySchedule,
     addrs: &[GroupAddr],
 ) -> Vec<(GroupAddr, KeyTuple)> {
     assert_eq!(addrs.len() as u32, sched.n(), "one address per group");
@@ -126,9 +106,9 @@ mod tests {
     #[test]
     fn replicated_announcement_tuples() {
         let mut rng = DetRng::new(4);
-        let sched = ReplicatedKeySchedule::generate(&mut rng, 3, UpgradeMask::from_groups(&[2]));
+        let sched = LayeredKeySchedule::replicated(&mut rng, 3, UpgradeMask::from_groups(&[2]));
         let addrs: Vec<GroupAddr> = (20..23).map(GroupAddr).collect();
-        let tuples = replicated_tuples(&sched, &addrs);
+        let tuples = layered_tuples(&sched, &addrs);
         assert_eq!(tuples[0].1.top, sched.top_key(1));
         assert_eq!(tuples[1].1.increase, Some(sched.top_key(1)));
     }

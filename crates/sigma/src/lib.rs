@@ -34,7 +34,7 @@ pub mod slab;
 
 pub use data::ProtectedData;
 pub use guard::CollusionGuard;
-pub use keydist::{build_announcement, layered_tuples, replicated_tuples, Announcement};
+pub use keydist::{build_announcement, layered_tuples, Announcement};
 pub use keytable::{KeyTable, KeyTuple};
 pub use messages::{SessionJoin, Subscription, SubscriptionAck, Unsubscription};
 pub use router::{SigmaConfig, SigmaEdgeModule, SigmaStats};

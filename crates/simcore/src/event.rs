@@ -31,7 +31,7 @@
 //! scheduling thousands of departures at the same serialization finish,
 //! then thousands of arrivals at the same propagation delay; a delivery to
 //! a co-located agent "now") therefore accumulate in a bounded set of
-//! [`MAX_RUNS`] deques, each keyed by one timestamp, so interleaved
+//! `MAX_RUNS` deques, each keyed by one timestamp, so interleaved
 //! produce/consume streams coexist without touching the heap. When all
 //! runs are occupied, the least-recently-extended one is spilled into the
 //! heap; in the degenerate case (every push a new time) this costs one

@@ -97,7 +97,7 @@ pub mod prop {
     pub mod collection {
         use crate::{Strategy, TestRng};
 
-        /// Size specification for [`vec`]: an exact length or a half-open
+        /// Size specification for [`vec()`]: an exact length or a half-open
         /// range of lengths.
         #[derive(Clone, Copy, Debug)]
         pub struct SizeRange {

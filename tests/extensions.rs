@@ -6,7 +6,7 @@ use robust_multicast::attack::AttackPlan;
 use robust_multicast::delta::Key;
 use robust_multicast::flid::replicated::{ReplicatedReceiver, ReplicatedSender};
 use robust_multicast::flid::threshold_proto::{ThresholdReceiver, ThresholdSender};
-use robust_multicast::flid::{FlidConfig, FlidReceiver, FlidSender, Mode};
+use robust_multicast::flid::{FlidConfig, FlidReceiver, FlidSender};
 use robust_multicast::netsim::prelude::*;
 use robust_multicast::sigma::{SigmaConfig, SigmaEdgeModule, Subscription};
 use robust_multicast::simcore::{SimDuration, SimTime};
@@ -87,7 +87,7 @@ fn ecn_variant_controls_without_drops() {
         hosts[0],
         Box::new(FlidReceiver::with_adversary(
             cfg.clone(),
-            Mode::Ds { router: b },
+            Some(b),
             AttackPlan::honest(),
         )),
         SimTime::from_millis(5),
@@ -134,7 +134,7 @@ fn collusion_guard_preserves_honest_operation() {
                 h,
                 Box::new(FlidReceiver::with_adversary(
                     cfg.clone(),
-                    Mode::Ds { router: b },
+                    Some(b),
                     AttackPlan::honest(),
                 )),
                 SimTime::from_millis(5),
@@ -209,7 +209,7 @@ fn raw_upper_keys_fail_under_the_collusion_guard() {
         hosts[0],
         Box::new(FlidReceiver::with_adversary(
             cfg.clone(),
-            Mode::Ds { router: b },
+            Some(b),
             AttackPlan::honest(),
         )),
         SimTime::from_millis(5),

@@ -32,23 +32,29 @@
 //! then thousands of arrivals at the same propagation delay; a delivery to
 //! a co-located agent "now") therefore accumulate in a bounded set of
 //! `MAX_RUNS` deques, each keyed by one timestamp, so interleaved
-//! produce/consume streams coexist without touching the heap. When all
-//! runs are occupied, the least-recently-extended one is spilled into the
-//! heap; in the degenerate case (every push a new time) this costs one
-//! extra move per event, while in fan-out-heavy workloads it eliminates
-//! almost all heap traffic.
+//! produce/consume streams coexist without touching the heap.
+//!
+//! Which timestamps earn a run is read off the push stream itself, with no
+//! knob: a push whose timestamp has no run goes straight to the heap, and
+//! only a *second* push at that same timestamp opens one. A stream of
+//! distinct timestamps (TCP's per-packet times) thus costs exactly one
+//! heap insert per event and never touches the run table, while a fan-out
+//! wave leaves its first event in the heap and queues the rest in a run;
+//! the first, holding the lower sequence number, still pops first. When
+//! all runs are occupied the furthest one is spilled into the heap.
 //!
 //! `pop` takes the minimum `(at, seq)` over the two source fronts (first
 //! run, heap top); each source is internally sorted by that key, so the
 //! minimum of fronts is the global minimum.
 //!
-//! What each part buys was ablated with the repo benchmark (ISSUE 15:
-//! `benchmark -- --workload W --seed 42 --seconds 10 --trace 0`,
+//! What each part buys was ablated with the repo benchmark
+//! (`benchmark -- --workload W --seed 42 --seconds 10 --trace 0`,
 //! alternating order, every `sim_digest` identical; table in DESIGN.md
 //! "Simulator hot path"). Without the run deques `fanout_dl` takes 4.15 s
-//! against 2.89 s (+44 %) — but `unicast_mix`, where every timestamp is
-//! distinct, runs 2x *faster* without them (1.62 s vs 3.35 s; open item in
-//! ROADMAP.md). Without `run_memo` the multicast workloads are 2-6 %
+//! against 2.89 s (+44 %). Opening a run on every new timestamp instead
+//! of on its second push makes `unicast_mix`, where 97 % of pushes carry
+//! a timestamp of their own, take 1.97 s against 1.06 s, and leaves
+//! `fanout_dl` flat. Without `run_memo` the multicast workloads are 2-6 %
 //! slower. A push at the instant of the last pop needs no front of its
 //! own — it is a push to the run keyed by that instant, and a dedicated
 //! deque for it made no resolvable difference on any workload.
@@ -70,8 +76,6 @@ const MAX_RUNS: usize = 64;
 struct Run<E> {
     at: SimTime,
     dq: VecDeque<(u64, E)>,
-    /// Sequence number of the last push, as an LRU clock for spills.
-    last_use: u64,
 }
 
 /// One heap entry: the ordering key plus the slab slot of its event.
@@ -121,6 +125,10 @@ pub struct EventQueue<E> {
     /// (run timestamps are unique), so a stale index is a miss, never a
     /// wrong answer.
     run_memo: usize,
+    /// Timestamp of the last push that had no run and went to the heap: a
+    /// further push there opens one. Only steers which source an event
+    /// lands in, never pop order.
+    lone_at: SimTime,
     /// Total pending events across heap and runs.
     count: usize,
     next_seq: u64,
@@ -152,6 +160,7 @@ impl<E> EventQueue<E> {
             runs: VecDeque::new(),
             spare_runs: Vec::new(),
             run_memo: 0,
+            lone_at: SimTime::from_nanos(u64::MAX),
             count: 0,
             next_seq: 0,
             popped: 0,
@@ -175,59 +184,46 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         self.count += 1;
         self.high_water = self.high_water.max(self.count);
-        // Same-instant fast path: extend the run carrying this
-        // timestamp, or open a new one. When the table is full the victim
-        // is the smallest, stalest run: lone-timestamp traffic (a TCP
-        // stream's per-packet times) spills for the price of an ordinary
-        // heap insert, while the wide fan-out waves worth protecting are
-        // exactly the runs that keep growing.
+        // Same-instant fast path: extend the run carrying this timestamp.
+        // A timestamp without a run goes to the heap on its first push
+        // (a TCP stream's per-packet times never come back) and opens a
+        // run only on its second, when it has shown itself to be a wave;
+        // its first event stays in the heap and, holding the lower seq,
+        // pops first. When the table is full the furthest run spills: it
+        // is the one whose events wait longest anyway.
         if let Some(r) = self.runs.get_mut(self.run_memo) {
             if r.at == at {
                 r.dq.push_back((seq, event));
-                r.last_use = seq;
                 return;
             }
         }
         match self.runs.binary_search_by(|r| r.at.cmp(&at)) {
             Ok(i) => {
                 self.runs[i].dq.push_back((seq, event));
-                self.runs[i].last_use = seq;
                 self.run_memo = i;
             }
-            Err(i) => {
-                let mut i = i;
+            Err(i) if at == self.lone_at => {
                 if self.runs.len() >= MAX_RUNS {
-                    let victim = self
-                        .runs
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, r)| (r.dq.len(), r.last_use))
-                        .map(|(j, _)| j)
-                        .expect("runs non-empty");
-                    self.spill_run(victim);
-                    if victim < i {
-                        i -= 1;
-                    }
+                    self.spill_back();
                 }
+                // The new run may itself lie past the one just spilled.
+                let i = i.min(self.runs.len());
                 let mut dq = self.spare_runs.pop().unwrap_or_default();
                 dq.push_back((seq, event));
-                self.runs.insert(
-                    i,
-                    Run {
-                        at,
-                        dq,
-                        last_use: seq,
-                    },
-                );
+                self.runs.insert(i, Run { at, dq });
                 self.run_memo = i;
+            }
+            Err(_) => {
+                self.lone_at = at;
+                self.heap_insert(at, seq, event);
             }
         }
     }
 
-    /// Move every event of run `i` into the heap (its timestamp lost the
-    /// recency race) and recycle its deque.
-    fn spill_run(&mut self, i: usize) {
-        let mut run = self.runs.remove(i).expect("index in range");
+    /// Move every event of the furthest run into the heap and recycle its
+    /// deque.
+    fn spill_back(&mut self) {
+        let mut run = self.runs.pop_back().expect("table is full");
         let at = run.at;
         for (seq, event) in run.dq.drain(..) {
             self.heap_insert(at, seq, event);
@@ -256,9 +252,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Remove and return the earliest event **scheduled at or before
-    /// `t`**, if any; later events stay put. This fuses the `peek_time` +
-    /// `pop` pair an event loop with a horizon would otherwise issue, so
-    /// the source fronts are scanned once per event instead of twice.
+    /// `t`**, if any; later events stay put. An event loop with a horizon
+    /// needs no separate peek: the source fronts are scanned once per
+    /// event, and the same scan both tests the horizon and pops.
     pub fn pop_until(&mut self, t: SimTime) -> Option<(SimTime, E)> {
         // The minimum (at, seq) over the two source fronts: each source
         // is sorted by that key (runs are sorted by time and hold unique
@@ -309,15 +305,6 @@ impl<E> EventQueue<E> {
         let event = self.slab[k.slot as usize].take().expect("slot occupied");
         self.free.push(k.slot);
         Some((k.at, event))
-    }
-
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let heap = self.heap.first().map(|k| k.at);
-        match self.runs.front() {
-            Some(run) => Some(heap.map_or(run.at, |t| t.min(run.at))),
-            None => heap,
-        }
     }
 
     /// Number of pending events.
@@ -433,12 +420,13 @@ mod tests {
     fn counters_and_peek() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop_until(SimTime::from_secs(1)), None);
         let t0 = SimTime::ZERO + SimDuration::from_millis(1);
         q.push(t0, ());
         assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(t0));
-        q.pop();
+        assert_eq!(q.pop_until(SimTime::from_micros(999)), None);
+        assert_eq!(q.len(), 1, "an event past the horizon stays");
+        assert_eq!(q.pop_until(t0), Some((t0, ())));
         assert_eq!(q.processed(), 1);
         assert!(q.is_empty());
     }
@@ -482,22 +470,84 @@ mod tests {
         let mut q = EventQueue::new();
         let t1 = SimTime::from_millis(1);
         let t2 = SimTime::from_millis(2);
-        q.push(t1, "a"); // run t1
-        q.push(t2, "e"); // run t2
+        q.push(t1, "a"); // lone t1: heap
+        q.push(t2, "e"); // lone t2: heap
         assert_eq!(q.pop().unwrap(), (t1, "a"));
-        q.push(t1, "b"); // at == last pop time: a fresh run t1
-        q.push(t2, "f"); // run t2
-        q.push(t1, "c"); // run t1
-        assert_eq!(q.peek_time(), Some(t1));
+        q.push(t1, "b"); // at == last pop time, lone again: heap
+        q.push(t1, "c"); // second push at t1: opens run t1, "b" stays put
+        q.push(t2, "f"); // lone t2: heap
         assert_eq!(q.len(), 4);
-        assert_eq!(q.pop().unwrap(), (t1, "b"));
-        q.push(t1, "d"); // run t1 again after popping from it
+        assert_eq!(q.pop_until(t1).unwrap(), (t1, "b"), "heap front, lower seq");
+        q.push(t1, "d"); // run t1 again after popping at its instant
         assert_eq!(q.pop().unwrap(), (t1, "c"));
         assert_eq!(q.pop().unwrap(), (t1, "d"));
         assert_eq!(q.pop().unwrap(), (t2, "e"));
         assert_eq!(q.pop().unwrap(), (t2, "f"));
         assert!(q.pop().is_none());
         assert_eq!(q.processed(), 6);
+    }
+
+    /// A timestamp's first push goes to the heap; only a second push at it
+    /// opens a run, and the split wave still pops in seq order.
+    #[test]
+    fn lone_timestamps_bypass_the_run_table() {
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.push(SimTime::from_micros(10 * i), i);
+        }
+        assert!(q.runs.is_empty(), "distinct timestamps open no run");
+        assert_eq!(q.heap.len(), 100);
+        let t = SimTime::from_micros(5);
+        q.push(t, 100);
+        assert!(q.runs.is_empty());
+        q.push(t, 101);
+        assert_eq!(q.runs.len(), 1, "the second push opens the run");
+        assert_eq!((q.runs[0].at, q.runs[0].dq.len()), (t, 1));
+        assert_eq!(q.heap.len(), 101, "the first event stays in the heap");
+        assert_eq!(q.pop().unwrap(), (SimTime::ZERO, 0));
+        assert_eq!(q.pop().unwrap(), (t, 100));
+        assert_eq!(q.pop().unwrap(), (t, 101));
+        assert!(q.runs.is_empty(), "the drained run leaves the table");
+        for i in 1..100u64 {
+            assert_eq!(q.pop().unwrap(), (SimTime::from_micros(10 * i), i));
+        }
+        assert!(q.is_empty());
+    }
+
+    /// More paired timestamps than `MAX_RUNS`: each overflow spills the
+    /// furthest run to the heap — also when the new run is itself the
+    /// furthest — and the drain is still in (time, seq) order.
+    #[test]
+    fn full_run_table_spills_the_furthest_run() {
+        const N: u64 = MAX_RUNS as u64 + 8;
+        /// Two pushes at each of `times`, then the run table's timestamps.
+        fn paired(times: impl Iterator<Item = u64>) -> (EventQueue<(u64, u8)>, Vec<u64>) {
+            let mut q = EventQueue::new();
+            for t in times {
+                q.push(SimTime::from_millis(t), (t, 0));
+                q.push(SimTime::from_millis(t), (t, 1));
+            }
+            let runs = q.runs.iter().map(|r| r.at.as_nanos() / 1_000_000).collect();
+            (q, runs)
+        }
+        fn assert_drains_in_order(mut q: EventQueue<(u64, u8)>) {
+            // Every first push went to the heap, plus one event per spill.
+            assert_eq!(q.heap.len(), 2 * N as usize - MAX_RUNS);
+            let all: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            let want: Vec<_> = (0..N).flat_map(|t| [(t, 0), (t, 1)]).collect();
+            assert_eq!(all, want);
+        }
+
+        // Nearer and nearer pairs: the furthest runs spill, the nearest stay.
+        let (q, runs) = paired((0..N).rev());
+        assert_eq!(runs, (0..MAX_RUNS as u64).collect::<Vec<_>>());
+        assert_drains_in_order(q);
+
+        // Further and further pairs: each new run replaces the last one.
+        let (q, runs) = paired(0..N);
+        let kept: Vec<u64> = (0..MAX_RUNS as u64 - 1).chain([N - 1]).collect();
+        assert_eq!(runs, kept);
+        assert_drains_in_order(q);
     }
 
     /// A deep heap exercises multi-level sift-down paths (4 levels at
@@ -598,6 +648,42 @@ mod proptests {
                 prop_assert_eq!(q.pop(), Some((at, s)), "drain diverged");
             }
             prop_assert!(q.pop().is_none(), "4-ary heap held extra events");
+        }
+
+        /// The same reference on bursty traffic: `Some(v)` pushes a burst
+        /// of `v % 4 + 1` events at `v / 4` ms (0..200 ms), `None` pops.
+        /// Lone timestamps, runs opened by a burst's second event and, with
+        /// often more than `MAX_RUNS` paired timestamps live, spilled runs
+        /// all occur.
+        #[test]
+        #[cfg_attr(miri, ignore)] // property loops are slow under Miri; unit tests cover the paths
+        fn bursty_pushes_match_reference(
+            ops in prop::collection::vec(prop::option::weighted(0.6, 0u64..800), 1..600),
+        ) {
+            let mut q = EventQueue::new();
+            let mut reference: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
+            let mut seq = 0u64;
+            for op in ops {
+                match op {
+                    Some(v) => {
+                        let at = SimTime::from_millis(v / 4);
+                        for _ in 0..=v % 4 {
+                            q.push(at, seq);
+                            reference.push(Reverse((at, seq)));
+                            seq += 1;
+                        }
+                    }
+                    None => {
+                        let got = q.pop();
+                        let want = reference.pop().map(|Reverse((at, s))| (at, s));
+                        prop_assert_eq!(got, want, "pop diverged from reference");
+                    }
+                }
+            }
+            while let Some(Reverse((at, s))) = reference.pop() {
+                prop_assert_eq!(q.pop(), Some((at, s)), "drain diverged");
+            }
+            prop_assert!(q.pop().is_none(), "queue held extra events");
         }
     }
 }

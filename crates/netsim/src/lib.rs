@@ -402,7 +402,7 @@ mod tests {
     }
 
     /// A payload that counts its deep clones through a shared counter.
-    /// `clone_box` (the copy-on-write path) goes through `Clone`, so the
+    /// `clone_arc` (the copy-on-write path) goes through `Clone`, so the
     /// counter observes exactly the payload copies the simulator makes.
     #[derive(Debug)]
     struct CountingBody {

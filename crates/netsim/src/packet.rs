@@ -11,10 +11,10 @@
 //! Payloads are **reference-counted with copy-on-write**: [`Body::App`]
 //! holds an `Arc<dyn AppBody>`, so cloning a packet (multicast fan-out
 //! copies one per branch) is a pointer bump, not a heap clone. The payload
-//! is only deep-cloned — via [`AppBody::clone_box`], at most once per
-//! shared packet — when someone actually mutates it through
-//! [`Packet::body_as_mut`] (e.g. the SIGMA edge module scrambling the ECN
-//! component fields of a marked packet).
+//! is only deep-cloned — via [`AppBody::clone_arc`], straight into a fresh
+//! `Arc` and at most once per shared packet — when someone actually
+//! mutates it through [`Packet::body_as_mut`] (e.g. the SIGMA edge module
+//! scrambling the ECN component fields of a marked packet).
 
 use crate::addr::{AgentId, FlowId, GroupAddr, NodeId};
 use std::any::Any;
@@ -51,10 +51,11 @@ pub enum Ecn {
 /// 'static` type by the blanket impl below (`Sync` because the payload
 /// sits behind an `Arc` shared across fan-out branches).
 pub trait AppBody: fmt::Debug + Send + Sync {
-    /// Deep-clone into a fresh box. Called only on copy-on-write — when a
-    /// shared payload is mutated through [`Packet::body_as_mut`] — never
-    /// on plain packet clones or multicast fan-out.
-    fn clone_box(&self) -> Box<dyn AppBody>;
+    /// Deep-clone into a fresh `Arc` (one allocation). Called only on
+    /// copy-on-write — when a shared payload is mutated through
+    /// [`Packet::body_as_mut`] — never on plain packet clones or multicast
+    /// fan-out.
+    fn clone_arc(&self) -> Arc<dyn AppBody>;
     /// Downcast support.
     fn as_any(&self) -> &dyn Any;
     /// Mutable downcast support (ECN component scrambling mutates bodies).
@@ -62,8 +63,8 @@ pub trait AppBody: fmt::Debug + Send + Sync {
 }
 
 impl<T: Clone + fmt::Debug + Send + Sync + Any> AppBody for T {
-    fn clone_box(&self) -> Box<dyn AppBody> {
-        Box::new(self.clone())
+    fn clone_arc(&self) -> Arc<dyn AppBody> {
+        Arc::new(self.clone())
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -165,7 +166,7 @@ impl Packet {
     ///
     /// Copy-on-write: when the payload is shared (the packet was cloned,
     /// e.g. by multicast fan-out), it is deep-cloned via
-    /// [`AppBody::clone_box`] exactly once before the mutable borrow is
+    /// [`AppBody::clone_arc`] exactly once before the mutable borrow is
     /// handed out — other holders keep the unmutated original. A failed
     /// downcast never clones.
     pub fn body_as_mut<T: Any>(&mut self) -> Option<&mut T> {
@@ -173,7 +174,7 @@ impl Packet {
             Body::App(b) => {
                 (**b).as_any().downcast_ref::<T>()?;
                 if Arc::get_mut(b).is_none() {
-                    *b = Arc::from((**b).clone_box());
+                    *b = (**b).clone_arc();
                 }
                 Arc::get_mut(b)
                     .expect("unique after copy-on-write")
@@ -258,7 +259,7 @@ mod tests {
     }
 
     /// A payload whose clone count is observable: every deep clone
-    /// (`clone_box` goes through `Clone` via the blanket impl) bumps the
+    /// (`clone_arc` goes through `Clone` via the blanket impl) bumps the
     /// shared counter.
     #[derive(Debug)]
     struct Counting {

@@ -19,8 +19,7 @@
 use crate::keytable::KeyTable;
 use mcc_delta::{DeltaFields, Key};
 use mcc_netsim::{GroupAddr, LinkId};
-use mcc_simcore::DetRng;
-use std::collections::HashMap;
+use mcc_simcore::{DetRng, FxHashMap};
 
 /// Deterministic per-(interface, slot, group) decrease-field perturbation.
 ///
@@ -38,43 +37,37 @@ fn decrease_perturbation(secret: u64, slot: u64, group: GroupAddr) -> Key {
 /// The collusion guard state for one edge router.
 #[derive(Debug)]
 pub struct CollusionGuard {
-    /// Session groups in cumulative-layer order (index 0 = minimal group).
+    /// Session groups in cumulative-layer order (index 0 = minimal group);
+    /// a handful of entries, so lookups scan it.
     groups: Vec<GroupAddr>,
-    /// `group → 1-based layer index`.
-    order: HashMap<GroupAddr, u32>,
     /// Per (iface, data-slot): accumulated component perturbations per
     /// layer index (XOR of all `h` values applied).
-    comp_accum: HashMap<(LinkId, u64), Vec<Key>>,
+    comp_accum: FxHashMap<(LinkId, u64), Vec<Key>>,
     /// Per-interface PRF secrets, lazily drawn.
-    secrets: HashMap<LinkId, u64>,
+    secrets: FxHashMap<LinkId, u64>,
 }
 
 impl CollusionGuard {
     /// Build a guard for a session whose groups, in layer order, are
     /// `groups`.
     pub fn new(groups: Vec<GroupAddr>) -> Self {
-        let order = groups
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, i as u32 + 1))
-            .collect();
         CollusionGuard {
             groups,
-            order,
-            comp_accum: HashMap::new(),
-            secrets: HashMap::new(),
+            comp_accum: FxHashMap::default(),
+            secrets: FxHashMap::default(),
         }
     }
 
     /// The 1-based layer index of `group`, if it belongs to the session.
     pub fn layer_of(&self, group: GroupAddr) -> Option<u32> {
-        self.order.get(&group).copied()
+        let i = self.groups.iter().position(|&g| g == group)?;
+        Some(i as u32 + 1)
     }
 
     /// Whether `group` belongs to the session this guard was configured
     /// with (foreign groups must fall back to plain validation).
     pub fn covers(&self, group: GroupAddr) -> bool {
-        self.order.contains_key(&group)
+        self.groups.contains(&group)
     }
 
     fn secret_for(&mut self, iface: LinkId, rng: &mut DetRng) -> u64 {

@@ -8,7 +8,7 @@
 
 use mcc_delta::Key;
 use mcc_netsim::GroupAddr;
-use std::collections::HashMap;
+use mcc_simcore::FxHashMap;
 
 /// The keys opening one group during one slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,7 +36,7 @@ impl KeyTuple {
 /// Slot-indexed key store with a bounded retention window.
 #[derive(Debug, Default)]
 pub struct KeyTable {
-    entries: HashMap<(GroupAddr, u64), KeyTuple>,
+    entries: FxHashMap<(GroupAddr, u64), KeyTuple>,
 }
 
 impl KeyTable {

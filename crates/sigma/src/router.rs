@@ -31,8 +31,7 @@ use crate::slab::GrantSlab;
 use mcc_delta::{ecn::scramble_marked_component, Key};
 use mcc_netsim::prelude::*;
 use mcc_netsim::TraceEvent;
-use mcc_simcore::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
+use mcc_simcore::{FxHashMap, FxHashSet, SimDuration, SimTime};
 
 /// Timer token for the slot-maintenance tick.
 const TICK: u64 = 0;
@@ -142,15 +141,15 @@ pub struct SigmaEdgeModule {
     /// per-interface tables are stored once (see [`crate::slab`]).
     grants: GrantSlab,
     /// Active grace periods.
-    grace: HashMap<(LinkId, GroupAddr), Grace>,
+    grace: FxHashMap<(LinkId, GroupAddr), Grace>,
     /// Keyless-access lockouts: (iface, group) → first slot allowed again.
-    lockout: HashMap<(LinkId, GroupAddr), u64>,
+    lockout: FxHashMap<(LinkId, GroupAddr), u64>,
     /// Groups known to be key-protected (seen in specials, joins, or
     /// carrying DELTA fields); all other groups pass untouched, giving the
     /// paper's incremental-deployment semantics (§3.2.3).
-    protected: HashSet<GroupAddr>,
+    protected: FxHashSet<GroupAddr>,
     /// Distinct invalid keys per (iface, group, slot).
-    tally: HashMap<(LinkId, GroupAddr, u64), HashSet<Key>>,
+    tally: FxHashMap<(LinkId, GroupAddr, u64), FxHashSet<Key>>,
     guard: Option<CollusionGuard>,
     ticking: bool,
     current_slot: u64,
@@ -166,10 +165,10 @@ impl SigmaEdgeModule {
             cfg,
             table: KeyTable::new(),
             grants: GrantSlab::new(),
-            grace: HashMap::new(),
-            lockout: HashMap::new(),
-            protected: HashSet::new(),
-            tally: HashMap::new(),
+            grace: FxHashMap::default(),
+            lockout: FxHashMap::default(),
+            protected: FxHashSet::default(),
+            tally: FxHashMap::default(),
             guard,
             ticking: false,
             current_slot: 0,
@@ -252,6 +251,7 @@ impl SigmaEdgeModule {
         let sub = pkt.body_as::<Subscription>().expect("checked by caller");
         self.stats.subscriptions += 1;
         let mut accepted = Vec::new();
+        let mut granted = Vec::new();
         for &(group, key) in &sub.pairs {
             // The collusion guard is protocol-specific: it only judges the
             // session whose layering it was configured with; foreign
@@ -265,9 +265,13 @@ impl SigmaEdgeModule {
             };
             if ok {
                 self.stats.accepted_keys += 1;
+                // Grants land after the loop, so `has_slots` sees the
+                // pre-message state; a repeat of a group this message
+                // already accepted finds those slots or the grace opened
+                // for it below — never new either way.
                 let newly = !self.grants.has_slots(iface, group)
                     && !self.grace.contains_key(&(iface, group));
-                self.grants.insert(iface, group, sub.slot);
+                granted.push(group);
                 if newly {
                     // "The edge router marks the local interface as
                     // expecting the group" — two complete slots of
@@ -302,6 +306,7 @@ impl SigmaEdgeModule {
                 }
             }
         }
+        self.grants.insert_all(iface, &granted, sub.slot);
         if !accepted.is_empty() {
             let ack = SubscriptionAck {
                 slot: sub.slot,
@@ -363,7 +368,9 @@ impl EdgeModule for SigmaEdgeModule {
             return !self.protected.contains(&group);
         };
         // DELTA fields mark the group as protected from now on.
-        self.protected.insert(group);
+        if !self.protected.contains(&group) {
+            self.protected.insert(group);
+        }
         let pkt_slot = pd.fields.slot;
 
         let granted = self.grants.contains(iface, group, pkt_slot);
@@ -663,6 +670,59 @@ mod tests {
             }
         }
         assert!(saw_graft && saw_ack);
+    }
+
+    /// One message, several pairs: each group is granted and graced once,
+    /// however often it repeats; grafts and the ack follow message order.
+    #[test]
+    fn multi_pair_subscription_grants_and_graces_each_group_once() {
+        let mut m = module();
+        let mut rng = DetRng::new(14);
+        let (a, b) = (GroupAddr(5), GroupAddr(6));
+        let iface = LinkId(3);
+        install_tuple(&mut m, a, 10, Key(77));
+        install_tuple(&mut m, b, 10, Key(88));
+        let sub = Subscription {
+            slot: 10,
+            pairs: vec![(a, Key(77)), (b, Key(88)), (a, Key(77)), (b, Key(99))],
+        };
+        let sp = Packet::app(
+            sub.size_bits(),
+            FlowId(1),
+            AgentId(7),
+            Dest::Router(NodeId(0)),
+            sub,
+        );
+        let mut e = env(&mut rng, SimTime::from_secs(2));
+        m.on_message(&mut e, iface, &sp);
+        assert!(m.has_grant(iface, a, 10) && m.has_grant(iface, b, 10));
+        assert_eq!(m.stats.accepted_keys, 3);
+        assert_eq!(m.grace.len(), 2, "one grace per newly granted group");
+        assert!(m.grace.contains_key(&(iface, a)) && m.grace.contains_key(&(iface, b)));
+        let grafts: Vec<GroupAddr> = e
+            .actions
+            .iter()
+            .filter_map(|act| match act {
+                EdgeAction::GraftIface(g, i) if *i == iface => Some(*g),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(grafts, vec![a, b, a]);
+        let acks: Vec<&SubscriptionAck> = e
+            .actions
+            .iter()
+            .filter_map(|act| match act {
+                EdgeAction::Send(p) => p.body_as::<SubscriptionAck>(),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks.len(), 1);
+        assert_eq!(
+            acks[0].accepted,
+            vec![(a, Key(77)), (b, Key(88)), (a, Key(77))]
+        );
+        assert_eq!(m.stats.rejected_keys, 1);
+        assert_eq!(m.guess_tally(iface), 1, "the invalid key is tallied");
     }
 
     #[test]

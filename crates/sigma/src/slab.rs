@@ -11,61 +11,67 @@
 //! [`GrantSlab`] exploits that: each interface points to an immutable,
 //! reference-counted [`GrantTable`]; tables are interned by content, so
 //! equal tables are stored once. Mutation is copy-on-write — the content
-//! is cloned, changed, and re-interned, which either finds the table
+//! is copied, changed, and re-interned, which either finds the table
 //! another interface already produced (the synchronized case: everyone
 //! converges onto the same new table, paying one allocation per *distinct*
 //! state, not per interface) or creates a fresh one (the diverged case).
 //! Memory is O(distinct layer-sets), exactly the cohort argument of
 //! `mcc-flid` applied to router state.
 //!
-//! Determinism: interning is keyed by an FNV-1a content digest with an
-//! equality-checked collision bucket. No iteration order of the internal
-//! hash maps ever reaches a caller — enumeration endpoints return sorted
-//! or caller-sorted data, and the garbage-collect sweep visits each
-//! distinct table once with a pure per-table transform.
+//! Layout: interfaces index a dense `Vec` by [`LinkId::index`], and a
+//! table is two sorted `Vec`s, so a lookup is an array index plus a binary
+//! search and a copy-on-write copies two flat vectors. A subscription
+//! message granting several groups pays one copy for all of them
+//! ([`GrantSlab::insert_all`]).
+//!
+//! Determinism: the intern index is a hash set probed by content and never
+//! iterated for a result; every enumeration walks the dense interface
+//! vector, so it comes out in `LinkId` order.
 
 use mcc_netsim::prelude::{GroupAddr, LinkId};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use mcc_simcore::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
-/// One interface's granted slots per group. An entry may hold an empty
-/// slot set: "the interface is known for this group but currently has no
-/// live slot" is distinct from "the group was never granted" (the prune
-/// logic in the router relies on the difference while a grace is live).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// One interface's granted slots per group. A group may be present with no
+/// slot: "the interface is known for this group but currently has no live
+/// slot" is distinct from "the group was never granted" (the prune logic in
+/// the router relies on the difference while a grace is live).
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct GrantTable {
-    slots: BTreeMap<GroupAddr, BTreeSet<u64>>,
+    /// Groups present, ascending.
+    groups: Vec<GroupAddr>,
+    /// Granted `(group, slot)` pairs, ascending; every group is in `groups`.
+    slots: Vec<(GroupAddr, u64)>,
 }
 
 impl GrantTable {
-    /// Granted slots for `group`, if the group is present at all.
-    pub fn group(&self, group: GroupAddr) -> Option<&BTreeSet<u64>> {
-        self.slots.get(&group)
-    }
-
     /// Groups present in this table, in address order.
     pub fn groups(&self) -> impl Iterator<Item = GroupAddr> + '_ {
-        self.slots.keys().copied()
+        self.groups.iter().copied()
     }
 
-    fn digest(&self) -> u64 {
-        // FNV-1a over the canonical (group, slot) sequence; BTreeMap order
-        // makes the byte stream deterministic.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        for (g, slots) in &self.slots {
-            eat(g.0 as u64);
-            eat(slots.len() as u64);
-            for &s in slots {
-                eat(s);
-            }
+    fn has_group(&self, group: GroupAddr) -> bool {
+        self.groups.binary_search(&group).is_ok()
+    }
+
+    fn contains(&self, group: GroupAddr, slot: u64) -> bool {
+        self.slots.binary_search(&(group, slot)).is_ok()
+    }
+
+    /// `group`'s slots, ascending.
+    fn slots_of(&self, group: GroupAddr) -> &[(GroupAddr, u64)] {
+        let lo = self.slots.partition_point(|&(g, _)| g < group);
+        let hi = lo + self.slots[lo..].partition_point(|&(g, _)| g == group);
+        &self.slots[lo..hi]
+    }
+
+    fn insert(&mut self, group: GroupAddr, slot: u64) {
+        if let Err(i) = self.groups.binary_search(&group) {
+            self.groups.insert(i, group);
         }
-        h
+        if let Err(i) = self.slots.binary_search(&(group, slot)) {
+            self.slots.insert(i, (group, slot));
+        }
     }
 }
 
@@ -73,10 +79,11 @@ impl GrantTable {
 /// interfaces of one edge router.
 #[derive(Debug, Default)]
 pub struct GrantSlab {
-    /// What each interface currently holds.
-    tables: HashMap<LinkId, Arc<GrantTable>>,
-    /// Intern index: content digest → tables with that digest.
-    index: HashMap<u64, Vec<Arc<GrantTable>>>,
+    /// What each interface currently holds, indexed by [`LinkId::index`];
+    /// `None` for an interface with no group.
+    tables: Vec<Option<Arc<GrantTable>>>,
+    /// Intern index: every live table, probed by content.
+    index: FxHashSet<Arc<GrantTable>>,
 }
 
 impl GrantSlab {
@@ -85,140 +92,137 @@ impl GrantSlab {
         GrantSlab::default()
     }
 
-    /// Does `iface` hold a grant for `(group, slot)`?
-    pub fn contains(&self, iface: LinkId, group: GroupAddr, slot: u64) -> bool {
-        self.tables
-            .get(&iface)
-            .and_then(|t| t.slots.get(&group))
-            .is_some_and(|s| s.contains(&slot))
+    fn table(&self, iface: LinkId) -> Option<&GrantTable> {
+        self.tables.get(iface.index())?.as_deref()
     }
 
-    /// Is `group` present for `iface` (even with an empty slot set)?
+    /// Does `iface` hold a grant for `(group, slot)`?
+    pub fn contains(&self, iface: LinkId, group: GroupAddr, slot: u64) -> bool {
+        self.table(iface).is_some_and(|t| t.contains(group, slot))
+    }
+
+    /// Is `group` present for `iface` (even with no slot)?
     pub fn has_group(&self, iface: LinkId, group: GroupAddr) -> bool {
-        self.tables
-            .get(&iface)
-            .is_some_and(|t| t.slots.contains_key(&group))
+        self.table(iface).is_some_and(|t| t.has_group(group))
     }
 
     /// Does `iface` hold at least one granted slot for `group`?
     pub fn has_slots(&self, iface: LinkId, group: GroupAddr) -> bool {
-        self.tables
-            .get(&iface)
-            .and_then(|t| t.slots.get(&group))
-            .is_some_and(|s| !s.is_empty())
+        self.table(iface)
+            .is_some_and(|t| !t.slots_of(group).is_empty())
     }
 
     /// The highest granted slot for `(iface, group)`.
     pub fn max_slot(&self, iface: LinkId, group: GroupAddr) -> Option<u64> {
-        self.tables
-            .get(&iface)?
-            .slots
-            .get(&group)?
-            .iter()
-            .next_back()
-            .copied()
+        self.table(iface)?.slots_of(group).last().map(|&(_, s)| s)
     }
 
     /// Every `(iface, group)` pair currently present, **sorted** — safe to
     /// drive event emission directly.
     pub fn entries(&self) -> Vec<(LinkId, GroupAddr)> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "collected into `out` and sorted before return"
-        )]
-        let mut out: Vec<(LinkId, GroupAddr)> = self
-            .tables
-            .iter()
-            .flat_map(|(&iface, t)| t.slots.keys().map(move |&g| (iface, g)))
-            .collect();
-        out.sort_unstable();
-        out
+        self.iter()
+            .flat_map(|(iface, t)| t.groups().map(move |g| (iface, g)))
+            .collect()
     }
 
     /// Interfaces → distinct tables: the interning win. `(N, distinct)`
     /// with `distinct ≤ N`; synchronized populations keep `distinct` tiny.
     pub fn interning(&self) -> (usize, usize) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "pointer identity only feeds a dedup count"
-        )]
-        let mut seen: Vec<*const GrantTable> = self.tables.values().map(Arc::as_ptr).collect();
+        let mut seen: Vec<*const GrantTable> = self.iter().map(|(_, t)| Arc::as_ptr(t)).collect();
+        let ifaces = seen.len();
         seen.sort_unstable();
         seen.dedup();
-        (self.tables.len(), seen.len())
+        (ifaces, seen.len())
     }
 
     /// Grant `(group, slot)` to `iface`.
     pub fn insert(&mut self, iface: LinkId, group: GroupAddr, slot: u64) {
-        self.mutate(iface, |t| {
-            t.slots.entry(group).or_default().insert(slot);
-        });
+        self.insert_all(iface, &[group], slot);
+    }
+
+    /// Grant `(group, slot)` to `iface` for every group in `groups`, with
+    /// one copy-on-write for the lot.
+    pub fn insert_all(&mut self, iface: LinkId, groups: &[GroupAddr], slot: u64) {
+        let old = self.table(iface);
+        if groups
+            .iter()
+            .all(|&g| old.is_some_and(|t| t.contains(g, slot)))
+        {
+            return;
+        }
+        let mut content = old.cloned().unwrap_or_default();
+        for &g in groups {
+            content.insert(g, slot);
+        }
+        self.set(iface, content);
     }
 
     /// Drop `group` from `iface` entirely (unsubscription / prune).
     pub fn remove_group(&mut self, iface: LinkId, group: GroupAddr) {
-        if !self.has_group(iface, group) {
+        let Some(old) = self.table(iface).filter(|t| t.has_group(group)) else {
             return;
-        }
-        self.mutate(iface, |t| {
-            t.slots.remove(&group);
-        });
+        };
+        let mut content = old.clone();
+        content.groups.retain(|&g| g != group);
+        content.slots.retain(|&(g, _)| g != group);
+        self.set(iface, content);
     }
 
     /// Garbage-collect: drop every granted slot below `min_keep`. Each
     /// *distinct* table is transformed once; all interfaces sharing it are
     /// remapped to the shared result.
     pub fn sweep(&mut self, min_keep: u64) {
-        let mut remap: HashMap<*const GrantTable, Arc<GrantTable>> = HashMap::new();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "collected and sorted on the next line; the sweep visits interfaces in LinkId order"
-        )]
-        let mut ifaces: Vec<LinkId> = self.tables.keys().copied().collect();
-        ifaces.sort_unstable();
-        for iface in ifaces {
-            let old = self.tables[&iface].clone();
+        let mut remap: FxHashMap<*const GrantTable, Arc<GrantTable>> = FxHashMap::default();
+        for i in 0..self.tables.len() {
+            let Some(old) = self.tables[i].clone() else {
+                continue;
+            };
             let ptr = Arc::as_ptr(&old);
             let new = match remap.get(&ptr) {
                 Some(a) => a.clone(),
                 None => {
                     let mut content = (*old).clone();
-                    for slots in content.slots.values_mut() {
-                        slots.retain(|&s| s >= min_keep);
-                    }
+                    content.slots.retain(|&(_, s)| s >= min_keep);
                     let interned = self.intern(content);
                     remap.insert(ptr, interned.clone());
                     interned
                 }
             };
-            self.tables.insert(iface, new);
+            self.tables[i] = Some(new);
         }
         self.vacuum();
     }
 
-    fn mutate(&mut self, iface: LinkId, f: impl FnOnce(&mut GrantTable)) {
-        let mut content = self
-            .tables
-            .get(&iface)
-            .map(|a| (**a).clone())
-            .unwrap_or_default();
-        f(&mut content);
-        if content.slots.is_empty() {
-            self.tables.remove(&iface);
-        } else {
-            let interned = self.intern(content);
-            self.tables.insert(iface, interned);
+    /// Occupied interfaces with their tables, in `LinkId` order.
+    fn iter(&self) -> impl Iterator<Item = (LinkId, &Arc<GrantTable>)> + '_ {
+        self.tables
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| Some((LinkId(i as u32), t.as_ref()?)))
+    }
+
+    /// Point `iface` at the interned `content`, or clear it when empty.
+    fn set(&mut self, iface: LinkId, content: GrantTable) {
+        let i = iface.index();
+        if content.groups.is_empty() {
+            if let Some(entry) = self.tables.get_mut(i) {
+                *entry = None;
+            }
+            return;
         }
+        let interned = self.intern(content);
+        if i >= self.tables.len() {
+            self.tables.resize(i + 1, None);
+        }
+        self.tables[i] = Some(interned);
     }
 
     fn intern(&mut self, content: GrantTable) -> Arc<GrantTable> {
-        let d = content.digest();
-        let bucket = self.index.entry(d).or_default();
-        if let Some(existing) = bucket.iter().find(|a| ***a == content) {
+        if let Some(existing) = self.index.get(&content) {
             return existing.clone();
         }
         let arc = Arc::new(content);
-        bucket.push(arc.clone());
+        self.index.insert(arc.clone());
         arc
     }
 
@@ -228,16 +232,15 @@ impl GrantSlab {
             clippy::disallowed_methods,
             reason = "retain with a pure per-entry predicate"
         )]
-        self.index.retain(|_, bucket| {
-            bucket.retain(|a| Arc::strong_count(a) > 1);
-            !bucket.is_empty()
-        });
+        self.index.retain(|a| Arc::strong_count(a) > 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     const G1: GroupAddr = GroupAddr(1);
     const G2: GroupAddr = GroupAddr(2);
@@ -286,7 +289,7 @@ mod tests {
         }
         let (_, distinct) = slab.interning();
         assert_eq!(distinct, 1);
-        // The empty-set entry survives the sweep: "known but no live slot"
+        // The slotless group survives the sweep: "known but no live slot"
         // must remain distinguishable from "never granted".
         slab.sweep(100);
         assert!(slab.has_group(LinkId(7), G1));
@@ -314,5 +317,98 @@ mod tests {
             slab.entries(),
             vec![(LinkId(2), G1), (LinkId(2), G2), (LinkId(9), G1)]
         );
+    }
+
+    /// Sparse interface ids, the large ones forcing the dense vector to grow.
+    const LINKS: [u32; 8] = [0, 1, 2, 5, 63, 64, 1_000, 40_000];
+    const GROUPS: u32 = 6;
+    const SLOTS: u64 = 20;
+
+    type Reference = BTreeMap<LinkId, BTreeMap<GroupAddr, BTreeSet<u64>>>;
+
+    fn check(slab: &GrantSlab, reference: &Reference) {
+        for &l in &LINKS {
+            let iface = LinkId(l);
+            let table = reference.get(&iface);
+            for g in (0..GROUPS).map(GroupAddr) {
+                let slots = table.and_then(|t| t.get(&g));
+                assert_eq!(slab.has_group(iface, g), slots.is_some());
+                assert_eq!(
+                    slab.has_slots(iface, g),
+                    slots.is_some_and(|s| !s.is_empty())
+                );
+                assert_eq!(
+                    slab.max_slot(iface, g),
+                    slots.and_then(|s| s.last().copied())
+                );
+                for s in 0..SLOTS {
+                    assert_eq!(
+                        slab.contains(iface, g, s),
+                        slots.is_some_and(|set| set.contains(&s))
+                    );
+                }
+            }
+        }
+        let entries: Vec<(LinkId, GroupAddr)> = reference
+            .iter()
+            .flat_map(|(&i, t)| t.keys().map(move |&g| (i, g)))
+            .collect();
+        assert_eq!(slab.entries(), entries);
+        let distinct: BTreeSet<&BTreeMap<GroupAddr, BTreeSet<u64>>> = reference.values().collect();
+        assert_eq!(slab.interning(), (reference.len(), distinct.len()));
+    }
+
+    proptest! {
+        /// Random `insert` / `insert_all` / `remove_group` / `sweep`
+        /// sequences agree with a plain nested-`BTreeMap` reference after
+        /// every operation, and interning stores each distinct table once.
+        #[test]
+        fn grant_slab_matches_reference(
+            ops in prop::collection::vec(0u64..u64::MAX, 1..120),
+        ) {
+            let mut slab = GrantSlab::new();
+            let mut reference = Reference::new();
+            for op in ops {
+                // Decode one op from the word's bit fields.
+                let iface = LinkId(LINKS[(op >> 8) as usize % LINKS.len()]);
+                let group = GroupAddr((op >> 16) as u32 % GROUPS);
+                let slot = (op >> 24) % SLOTS;
+                match op % 8 {
+                    0..=2 => {
+                        slab.insert(iface, group, slot);
+                        reference.entry(iface).or_default().entry(group).or_default().insert(slot);
+                    }
+                    3 | 4 => {
+                        // Up to four groups, duplicates allowed.
+                        let n = (op >> 32) % 5;
+                        let groups: Vec<GroupAddr> = (0..n)
+                            .map(|k| GroupAddr((op >> (36 + 3 * k)) as u32 % GROUPS))
+                            .collect();
+                        slab.insert_all(iface, &groups, slot);
+                        for g in groups {
+                            reference.entry(iface).or_default().entry(g).or_default().insert(slot);
+                        }
+                    }
+                    5 | 6 => {
+                        slab.remove_group(iface, group);
+                        if let Some(t) = reference.get_mut(&iface) {
+                            t.remove(&group);
+                            if t.is_empty() {
+                                reference.remove(&iface);
+                            }
+                        }
+                    }
+                    _ => {
+                        slab.sweep(slot);
+                        for t in reference.values_mut() {
+                            for s in t.values_mut() {
+                                s.retain(|&x| x >= slot);
+                            }
+                        }
+                    }
+                }
+                check(&slab, &reference);
+            }
+        }
     }
 }

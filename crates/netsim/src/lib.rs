@@ -597,4 +597,97 @@ mod tests {
         sim.run_until(SimTime::from_millis(1));
         assert_eq!(sim.agent_as::<Recv>(recv).unwrap().got, 1);
     }
+
+    /// Add a 10 Mbps, 5 ms duplex link; returns the `a → b` direction.
+    fn link(sim: &mut Sim, a: NodeId, b: NodeId) -> LinkId {
+        let (ab, _) = sim.add_duplex_link(
+            a,
+            b,
+            10_000_000,
+            SimDuration::from_millis(5),
+            Queue::drop_tail(100_000),
+            Queue::drop_tail(100_000),
+        );
+        ab
+    }
+
+    #[test]
+    fn only_multi_link_nodes_hold_route_tables() {
+        use crate::node::Routes;
+        let mut sim = Sim::new(1, SimDuration::from_secs(1));
+        let router = sim.add_node();
+        let hosts: Vec<NodeId> = (0..500).map(|_| sim.add_node()).collect();
+        let access: Vec<LinkId> = hosts.iter().map(|&h| link(&mut sim, h, router)).collect();
+        sim.finalize();
+        let nodes = &sim.world.nodes;
+        let tables: Vec<usize> = nodes
+            .iter()
+            .filter_map(|n| match &n.routes {
+                Routes::Table(t) => Some(t.len()),
+                Routes::Via(_) => None,
+            })
+            .collect();
+        assert_eq!(tables, [nodes.len()], "only the router holds a table");
+        for (i, (&h, &up)) in hosts.iter().zip(&access).enumerate() {
+            let host = &nodes[h.index()];
+            let neighbour = hosts[(i + 1) % hosts.len()];
+            assert_eq!(host.route_to(router), Some(up));
+            assert_eq!(host.route_to(neighbour), Some(up));
+            assert_eq!(host.route_to(h), None);
+        }
+    }
+
+    #[test]
+    fn disconnected_graph_keeps_exact_unreachability() {
+        #[derive(Debug)]
+        struct Hello {
+            to: AgentId,
+        }
+        impl Agent for Hello {
+            fn on_start(&mut self, ctx: &mut Ctx) {
+                ctx.send(Packet::opaque(
+                    512,
+                    FlowId(0),
+                    ctx.agent,
+                    Dest::Agent(self.to),
+                ));
+            }
+        }
+        #[derive(Debug)]
+        struct Quiet;
+        impl Agent for Quiet {}
+
+        // Two components: h1 — r1 — h2 and h3 — r2.
+        let mut sim = Sim::new(1, SimDuration::from_secs(1));
+        let [h1, r1, h2, h3, r2] = [(); 5].map(|_| sim.add_node());
+        let up = link(&mut sim, h1, r1);
+        link(&mut sim, r1, h2);
+        link(&mut sim, h3, r2);
+        let far = sim.add_agent(h3, Box::new(Quiet), SimTime::ZERO);
+        sim.add_agent(h1, Box::new(Hello { to: far }), SimTime::ZERO);
+        sim.finalize();
+
+        let host = &sim.world.nodes[h1.index()];
+        assert_eq!(host.route_to(h3), None, "no route into the other component");
+        assert_eq!(host.route_to(r2), None);
+        assert_eq!(host.route_to(h1), None);
+        assert_eq!(host.route_to(h2), Some(up), "own component still routed");
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(
+            sim.world.link_stats(up).tx_packets,
+            0,
+            "an unroutable packet never enters the access link"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot add nodes after finalize")]
+    fn add_node_after_finalize_panics() {
+        let mut sim = Sim::new(1, SimDuration::from_secs(1));
+        let a = sim.add_node();
+        let b = sim.add_node();
+        link(&mut sim, a, b);
+        sim.finalize();
+        sim.add_node();
+    }
 }

@@ -7,12 +7,15 @@
 //! anchor; joining propagates hop-by-hop grafts toward the source and
 //! the last leave propagates a prune.
 //!
-//! Per-node state is **flat**: unicast routes are a dense
-//! `Vec<Option<LinkId>>` indexed by destination [`NodeId`] (built by
-//! `Sim::finalize`), and multicast state is a slab of [`GroupEntry`] slots
-//! indexed by [`GroupIdx`] — the dense index the
-//! `World` interns per [`GroupAddr`](crate::addr::GroupAddr). The forwarding
-//! hot path therefore costs two array indexings per hop, no hash lookups.
+//! Per-node state is **flat**. Unicast routes (built by `Sim::finalize`)
+//! are either one default out-link or a table indexed by destination
+//! [`NodeId`]. A node with a single out-link in a connected graph reaches
+//! every other node through that link, so only routers — nodes with
+//! several out-links — hold a table, and route memory grows with routers
+//! × nodes rather than nodes². Multicast state is a slab of [`GroupEntry`]
+//! slots indexed by [`GroupIdx`] — the dense index the `World` interns per
+//! [`GroupAddr`](crate::addr::GroupAddr). The forwarding hot path
+//! therefore costs two array indexings per hop, no hash lookups.
 
 use crate::addr::{AgentId, GroupIdx, LinkId, NodeId};
 use crate::edge::EdgeModule;
@@ -178,6 +181,18 @@ impl GroupEntry {
     }
 }
 
+/// A node's unicast next hops, filled by `Sim::finalize` with
+/// shortest-delay routes.
+#[derive(Debug)]
+pub(crate) enum Routes {
+    /// Every other node is reached through this, the node's only
+    /// out-link (set only when the graph is connected).
+    Via(LinkId),
+    /// Indexed by destination `NodeId`: the out-link toward it, `None`
+    /// when unreachable or the node itself.
+    Table(Box<[Option<LinkId>]>),
+}
+
 /// A router/host in the topology.
 #[derive(Debug)]
 pub struct Node {
@@ -185,10 +200,8 @@ pub struct Node {
     pub id: NodeId,
     /// All out-links originating here.
     pub out_links: Vec<LinkId>,
-    /// Unicast next hop, indexed by destination `NodeId`: `routes[d]` is
-    /// the out-link toward node `d`, `None` when unreachable (or `d` is
-    /// this node). Filled by `Sim::finalize` with shortest-delay routes.
-    pub routes: Vec<Option<LinkId>>,
+    /// Unicast next hops; read through [`Node::route_to`].
+    pub(crate) routes: Routes,
     /// Multicast forwarding state: a slab indexed by [`GroupIdx`], grown
     /// lazily. `None` slots mean "not on the tree for that group".
     pub groups: Vec<Option<GroupEntry>>,
@@ -207,7 +220,7 @@ impl Node {
         Node {
             id,
             out_links: Vec::new(),
-            routes: Vec::new(),
+            routes: Routes::Table(Box::default()),
             groups: Vec::new(),
             local_agents: Vec::new(),
             edge: None,
@@ -223,7 +236,10 @@ impl Node {
     /// The out-link toward `dst`, if one was computed.
     #[inline]
     pub fn route_to(&self, dst: NodeId) -> Option<LinkId> {
-        self.routes.get(dst.index()).copied().flatten()
+        match &self.routes {
+            Routes::Via(l) => (dst != self.id).then_some(*l),
+            Routes::Table(t) => t.get(dst.index()).copied().flatten(),
+        }
     }
 
     /// Current group entry, if the node is on the tree for the group at

@@ -21,8 +21,9 @@
 //!
 //! * group addresses are interned to dense [`GroupIdx`] slots the first
 //!   time they are registered or joined, so per-node multicast state is a
-//!   slab (`Vec<Option<GroupEntry>>`) and routing tables are dense
-//!   `Vec<Option<LinkId>>`s — array indexing, not hashing, per hop;
+//!   slab (`Vec<Option<GroupEntry>>`) and a unicast next hop is a
+//!   one-link node's default route or an index into a router's dense
+//!   table — array indexing, not hashing, per hop;
 //! * `World::forward_multicast` snapshots the fan-out into scratch
 //!   buffers owned by the `World` (taken with `mem::take` so re-entrant
 //!   forwarding triggered by edge actions cannot alias them, and restored
@@ -35,7 +36,7 @@ use crate::addr::{AgentId, FlowId, GroupAddr, GroupIdx, LinkId, NodeId};
 use crate::edge::{EdgeAction, EdgeEnv, EdgeModule};
 use crate::link::{Link, LinkStats};
 use crate::monitor::Monitor;
-use crate::node::{GroupEntry, Node};
+use crate::node::{GroupEntry, Node, Routes};
 use crate::packet::{Body, Dest, Packet};
 use crate::queue::{EnqueueOutcome, Queue};
 use mcc_obs::{DropReason, PktRef, Recorder, TraceEvent, GROUP_NONE};
@@ -806,6 +807,7 @@ impl Sim {
 
     /// Add a node; returns its id.
     pub fn add_node(&mut self) -> NodeId {
+        assert!(!self.world.finalized, "cannot add nodes after finalize");
         let id = NodeId(self.world.nodes.len() as u32);
         self.world.nodes.push(Node::new(id));
         id
@@ -886,11 +888,19 @@ impl Sim {
     ///
     /// Must be called after topology assembly and before [`Sim::run_until`].
     pub fn finalize(&mut self) {
-        let n = self.world.nodes.len();
-        // Dijkstra from every node (topologies here are small).
-        for src in 0..n {
-            let first_hop = dijkstra(&self.world, NodeId(src as u32));
-            self.world.nodes[src].routes = first_hop;
+        // In a connected graph a node with one out-link reaches every
+        // other node, and every path out of it starts on that link, so
+        // its Dijkstra table would hold that link for every destination
+        // but itself: a default route says the same. Only the other nodes
+        // (routers) need Dijkstra. In a disconnected graph every node
+        // keeps a table, so an unreachable destination stays `None`.
+        let connected = is_connected(&self.world);
+        for src in 0..self.world.nodes.len() {
+            let routes = match self.world.nodes[src].out_links[..] {
+                [only] if connected => Routes::Via(only),
+                _ => Routes::Table(dijkstra(&self.world, NodeId(src as u32)).into_boxed_slice()),
+            };
+            self.world.nodes[src].routes = routes;
         }
         for l in 0..self.world.links.len() {
             let to = self.world.links[l].to;
@@ -1051,6 +1061,27 @@ impl Sim {
     pub fn monitor(&self) -> &Monitor {
         &self.world.monitor
     }
+}
+
+/// Whether every node is reachable from node 0. Links come in duplex
+/// pairs, so this is also whether every node reaches every other.
+fn is_connected(world: &World) -> bool {
+    let mut seen = vec![false; world.nodes.len()];
+    let Some(first) = seen.first_mut() else {
+        return true;
+    };
+    *first = true;
+    let mut stack = vec![0];
+    while let Some(u) = stack.pop() {
+        for &l in &world.nodes[u].out_links {
+            let v = world.links[l.index()].to.index();
+            if !seen[v] {
+                seen[v] = true;
+                stack.push(v);
+            }
+        }
+    }
+    seen.iter().all(|&s| s)
 }
 
 /// Shortest-delay first-hop table from `src` to every node: `table[v]` is

@@ -1,15 +1,17 @@
 //! Property-based invariants of the generic topology layer
 //! (`mcc_core::topology`): for any balanced tree or parking lot the
-//! builder can produce, routing is complete, multicast membership matches
-//! the receiver set, and delivery never exceeds what the bottleneck links
-//! could have carried.
+//! builder can produce, routing is complete and equal to an all-pairs
+//! Dijkstra, multicast membership matches the receiver set, and delivery
+//! never exceeds what the bottleneck links could have carried.
 
 use proptest::prelude::*;
 use robust_multicast::attack::{
     AttackPlan, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess, Placement,
 };
 use robust_multicast::core::topology::{BuiltTopology, McastSessionSpec, Topology, TopologySpec};
+use robust_multicast::core::workload::{Dist, WorkloadSpec};
 use robust_multicast::core::{Units, Variant};
+use robust_multicast::netsim::{LinkId, NodeId, World};
 use robust_multicast::simcore::{SimDuration, SimTime};
 
 /// Build a single-session FLID-DL scenario over `topology` with `k`
@@ -135,6 +137,98 @@ proptest! {
         routes_are_complete(&t);
         membership_matches_receivers(&t);
         delivery_respects_capacity(&t, bps, secs);
+    }
+}
+
+/// Reference routing: the shortest-delay first-hop table from `src` to
+/// every node, `None` for `src` itself and unreachable nodes. The same
+/// heap Dijkstra, over the same link order, that `Sim::finalize` runs, so
+/// ties break identically.
+fn dijkstra(world: &World, src: NodeId) -> Vec<Option<LinkId>> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    let n = world.nodes.len();
+    let mut dist = vec![u64::MAX; n];
+    let mut first_hop: Vec<Option<LinkId>> = vec![None; n];
+    let mut heap = BinaryHeap::new();
+    dist[src.index()] = 0;
+    heap.push(Reverse((0u64, src.0)));
+    while let Some(Reverse((d, u))) = heap.pop() {
+        let ui = u as usize;
+        if d > dist[ui] {
+            continue;
+        }
+        for &l in &world.nodes[ui].out_links {
+            let link = &world.links[l.index()];
+            let v = link.to.index();
+            let w = link.delay.as_nanos().max(1);
+            let nd = d.saturating_add(w);
+            if nd < dist[v] {
+                dist[v] = nd;
+                // The first hop toward v goes through u's own first hop,
+                // unless u is the source (then it is this very link).
+                first_hop[v] = if ui == src.index() {
+                    Some(l)
+                } else {
+                    first_hop[ui]
+                };
+                heap.push(Reverse((nd, v as u32)));
+            }
+        }
+    }
+    first_hop
+}
+
+proptest! {
+    /// One-link nodes' default routes are exact: on every shape the
+    /// builder produces — balanced trees, parking lots with and without
+    /// per-hop CBR, stars, and a churned dumbbell whose access delays are
+    /// drawn per receiver — every node's next hop toward every node
+    /// equals a Dijkstra from that node. Build only; nothing runs.
+    #[test]
+    fn default_routes_match_all_pairs_dijkstra(
+        shape in 0u32..5,
+        size in 1u32..=3,
+        fanout in 1u32..=3,
+        receivers in 1usize..=6,
+        tcp in 0usize..=2,
+        seed in 0u64..1_000,
+        churn_hz in 1u64..=3,
+        delay_hi_ms in 1u64..=60,
+    ) {
+        let topology = match shape {
+            0 => Topology::BalancedTree { depth: size, fanout },
+            1 => Topology::ParkingLot { bottlenecks: size as usize, per_hop_cbr: None },
+            2 => Topology::ParkingLot { bottlenecks: size as usize, per_hop_cbr: Some(100_000) },
+            3 => Topology::Star { arms: (size + fanout) as usize },
+            _ => Topology::Dumbbell,
+        };
+        let mut spec = TopologySpec::new(topology, seed, 1.mbps());
+        spec.mcast = vec![McastSessionSpec::honest(Variant::FlidDl, receivers)];
+        spec.tcp = tcp;
+        if topology == Topology::Dumbbell {
+            spec.workload = Some(
+                WorkloadSpec::none(SimDuration::from_secs(10))
+                    .poisson(churn_hz as f64, SimDuration::from_secs(3))
+                    .access_delays_ms(Dist::Uniform { lo: 0.5, hi: delay_hi_ms as f64 }),
+            );
+        }
+        let t = spec.build();
+        let world = &t.sim.world;
+        for src in &world.nodes {
+            let want = dijkstra(world, src.id);
+            for dst in &world.nodes {
+                prop_assert_eq!(
+                    src.route_to(dst.id),
+                    want[dst.id.index()],
+                    "{:?} -> {:?} on {}",
+                    src.id,
+                    dst.id,
+                    topology.label()
+                );
+            }
+        }
     }
 }
 

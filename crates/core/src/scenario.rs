@@ -184,9 +184,9 @@ impl ReceiverSpec {
     }
 
     /// Represent `n` statistically identical receivers behind one edge
-    /// interface with a single cohort agent (FLID variants only): state
-    /// and events stay O(distinct layer-sets) instead of O(n), metrics
-    /// are count-weighted and exact for synchronized slots.
+    /// interface with a single cohort agent: state and events stay
+    /// O(distinct layer-sets) instead of O(n), metrics are count-weighted
+    /// and exact for synchronized slots.
     pub fn cohort(mut self, n: u64) -> ReceiverSpec {
         assert!(n >= 1, "cohort multiplier must be at least 1");
         self.cohort = n;

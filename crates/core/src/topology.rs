@@ -29,9 +29,13 @@
 
 use crate::scenario::Variant;
 use mcc_attack::{AttackPlan, Placement};
+use mcc_flid::layered::Layered;
+use mcc_flid::receiver::{Policy, Receiver};
+use mcc_flid::replicated::Replicated;
+use mcc_flid::threshold_proto::Threshold;
 use mcc_flid::{
-    CohortReceiver, FlidConfig, FlidReceiver, FlidSender, ReplicatedReceiver, ReplicatedSender,
-    ThresholdReceiver, ThresholdSender,
+    CohortMember, CohortReceiver, FlidConfig, FlidReceiver, FlidSender, ReplicatedReceiver,
+    ReplicatedSender, ThresholdReceiver, ThresholdSender,
 };
 use mcc_netsim::prelude::*;
 use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
@@ -74,8 +78,7 @@ pub struct ReceiverSpec {
     /// Population multiplier: `1` builds one full receiver agent; `n > 1`
     /// builds a [`CohortReceiver`] representing `n` statistically
     /// identical receivers behind one edge interface — O(buckets) state
-    /// and events, count-weighted metrics, exact for synchronized slots
-    /// (FLID variants only).
+    /// and events, count-weighted metrics, exact for synchronized slots.
     pub cohort: u64,
 }
 
@@ -351,6 +354,41 @@ pub struct BuiltTopology {
     pub hop_cbr_sinks: Vec<AgentId>,
 }
 
+/// One session's receiver constructor: a spec, the session configuration
+/// and the edge router (`None` when unprotected) in, the agent out.
+type ReceiverFactory = fn(&ReceiverSpec, FlidConfig, Option<NodeId>) -> Box<dyn Agent>;
+
+/// The one receiver construction path, the same for every policy: `make`
+/// builds a `Receiver<P>` running a plan; the spec's leave time and
+/// access delay are applied to it, and a `cohort(n)` spec wraps it as the
+/// honest template of a [`CohortReceiver`] whose members run the spec's
+/// plan.
+fn build_receiver<P: Policy>(
+    r: &ReceiverSpec,
+    make: impl FnOnce(AttackPlan) -> Receiver<P>,
+) -> Box<dyn Agent> {
+    let cohort = r.cohort > 1;
+    let mut rx = make(if cohort {
+        AttackPlan::honest()
+    } else {
+        r.adversary.clone()
+    });
+    rx.set_leave_at(r.leave_at);
+    rx.set_control_delay(r.access_delay);
+    if !cohort {
+        return Box::new(rx);
+    }
+    // One stratum sharing the spec's lifetime: the agent itself starts at
+    // `join_at`, so its members join at 0 relative to it.
+    let member = CohortMember {
+        count: r.cohort,
+        join_at: SimTime::ZERO,
+        leave_at: r.leave_at,
+        plan: r.adversary.clone(),
+    };
+    Box::new(CohortReceiver::new(rx, vec![member]))
+}
+
 impl TopologySpec {
     /// Assemble the scenario. Construction order (nodes, links, agents,
     /// group registrations) is a function of the spec alone, so equal
@@ -538,12 +576,30 @@ impl TopologySpec {
             for g in cfg.groups.iter().chain([&cfg.control_group]) {
                 sim.register_group(*g, sender_host);
             }
-            let sender_agent: Box<dyn Agent> = match m.variant {
+            // The session structure: its key rule (the sender) and its
+            // subscription policy (every receiver).
+            let (sender_agent, receiver): (Box<dyn Agent>, ReceiverFactory) = match m.variant {
                 Variant::FlidDl | Variant::FlidDs | Variant::FlidDsGuard => {
-                    Box::new(FlidSender::new(cfg.clone()))
+                    (Box::new(FlidSender::new(cfg.clone())), |r, cfg, router| {
+                        build_receiver(r, |plan| FlidReceiver::with_adversary(cfg, router, plan))
+                    })
                 }
-                Variant::Replicated => Box::new(ReplicatedSender::new(cfg.clone())),
-                Variant::Threshold => Box::new(ThresholdSender::new(cfg.clone(), THRESHOLD_THETA)),
+                Variant::Replicated => (
+                    Box::new(ReplicatedSender::new(cfg.clone())),
+                    |r, cfg, router| {
+                        build_receiver(r, |plan| {
+                            ReplicatedReceiver::with_adversary(cfg, router, plan)
+                        })
+                    },
+                ),
+                Variant::Threshold => (
+                    Box::new(ThresholdSender::new(cfg.clone(), THRESHOLD_THETA)),
+                    |r, cfg, router| {
+                        build_receiver(r, |plan| {
+                            ThresholdReceiver::with_adversary(cfg, THRESHOLD_THETA, router, plan)
+                        })
+                    },
+                ),
             };
             let sender = sim.add_agent(sender_host, sender_agent, SimTime::ZERO);
             let mut receivers = Vec::new();
@@ -565,68 +621,7 @@ impl TopologySpec {
                     Queue::drop_tail(access_buffer),
                     Queue::drop_tail(access_buffer),
                 );
-                let router = m.variant.protected().then_some(edge);
-                let agent: Box<dyn Agent> = match m.variant {
-                    Variant::FlidDl | Variant::FlidDs | Variant::FlidDsGuard => {
-                        if r.cohort > 1 {
-                            // `uniform` with an explicit lifetime: one
-                            // stratum, all members sharing the spec's
-                            // join/leave instants (the agent itself
-                            // starts at `join_at`, so members join at 0
-                            // relative to it).
-                            let mut agent = CohortReceiver::new(
-                                cfg.clone(),
-                                router,
-                                vec![mcc_flid::CohortMember {
-                                    count: r.cohort,
-                                    join_at: SimTime::ZERO,
-                                    leave_at: r.leave_at,
-                                    plan: r.adversary.clone(),
-                                }],
-                            );
-                            agent.set_control_delay(r.access_delay);
-                            Box::new(agent)
-                        } else {
-                            let mut agent = FlidReceiver::with_adversary(
-                                cfg.clone(),
-                                router,
-                                r.adversary.clone(),
-                            );
-                            agent.set_leave_at(r.leave_at);
-                            agent.set_control_delay(r.access_delay);
-                            Box::new(agent)
-                        }
-                    }
-                    Variant::Replicated => {
-                        assert_eq!(
-                            r.cohort, 1,
-                            "cohort receivers are FLID-only; expand Replicated \
-                             receivers individually"
-                        );
-                        let mut agent = ReplicatedReceiver::with_adversary(
-                            cfg.clone(),
-                            router,
-                            r.adversary.clone(),
-                        );
-                        agent.set_leave_at(r.leave_at);
-                        Box::new(agent)
-                    }
-                    Variant::Threshold => {
-                        assert_eq!(
-                            r.cohort, 1,
-                            "cohort receivers are FLID-only; expand Threshold \
-                             receivers individually"
-                        );
-                        let mut agent = ThresholdReceiver::with_adversary(
-                            cfg.clone(),
-                            THRESHOLD_THETA,
-                            router,
-                            r.adversary.clone(),
-                        );
-                        agent.set_leave_at(r.leave_at);
-                        Box::new(agent)
-                    }
-                };
+                let agent = receiver(r, cfg.clone(), m.variant.protected().then_some(edge));
                 receivers.push(sim.add_agent(h, agent, r.join_at));
                 weights.push(r.cohort);
             }
@@ -851,9 +846,17 @@ impl BuiltTopology {
     pub fn session_mean_receiver_bps(&self, session: &SessionHandle, from: u64, to: u64) -> f64 {
         let mut num = 0.0;
         let mut den = 0u64;
+        // A cohort's policy is not in the handle: try each.
+        fn cohort_bps<P: Policy>(sim: &Sim, id: AgentId, from: u64, to: u64) -> Option<f64> {
+            let cohort = sim.agent_as::<CohortReceiver<P>>(id)?;
+            Some(cohort.weighted_throughput_bps(from, to))
+        }
         for (&id, &w) in session.receivers.iter().zip(&session.weights) {
             let per_receiver = if w > 1 {
-                self.cohort(id).weighted_throughput_bps(from, to)
+                cohort_bps::<Layered>(&self.sim, id, from, to)
+                    .or_else(|| cohort_bps::<Replicated>(&self.sim, id, from, to))
+                    .or_else(|| cohort_bps::<Threshold>(&self.sim, id, from, to))
+                    .expect("a weighted agent is a CohortReceiver")
             } else {
                 self.throughput_bps(id, from, to)
             };
@@ -959,36 +962,79 @@ mod tests {
 
     #[test]
     fn cohort_spec_builds_one_agent_with_count_weighted_metrics() {
-        let build = |cohort: bool| {
-            let mut spec = TopologySpec::new(Topology::Dumbbell, 1, 1_000_000);
-            let session = if cohort {
-                McastSessionSpec::new(Variant::FlidDs).receiver(ReceiverSpec::new().cohort(3))
-            } else {
-                McastSessionSpec::honest(Variant::FlidDs, 3)
+        /// `(receivers, live buckets)` of a policy-`P` cohort agent.
+        fn census<P: Policy>(t: &BuiltTopology, id: AgentId) -> Option<(u64, usize)> {
+            let cohort = t.sim.agent_as::<CohortReceiver<P>>(id)?;
+            Some((cohort.receiver_count(), cohort.bucket_count()))
+        }
+        for variant in Variant::DEFENSES {
+            let build = |cohort: bool| {
+                let mut spec = TopologySpec::new(Topology::Dumbbell, 1, 1_000_000);
+                let session = if cohort {
+                    McastSessionSpec::new(variant).receiver(ReceiverSpec::new().cohort(3))
+                } else {
+                    McastSessionSpec::honest(variant, 3)
+                };
+                spec.mcast = vec![session];
+                let mut t = spec.build();
+                t.run_secs(30);
+                t
             };
-            spec.mcast = vec![session];
-            let mut t = spec.build();
-            t.run_secs(30);
-            t
-        };
-        let ind = build(false);
-        let coh = build(true);
-        assert_eq!(coh.sessions[0].receivers.len(), 1);
-        assert_eq!(coh.sessions[0].weights, vec![3]);
-        assert_eq!(ind.sessions[0].weights, vec![1, 1, 1]);
-        let agent = coh.sessions[0].receivers[0];
-        let cohort = coh.cohort(agent);
-        assert_eq!(cohort.receiver_count(), 3);
-        assert_eq!(cohort.bucket_count(), 1);
-        // Count-weighted per-receiver throughput equals the expanded
-        // form's (synchronized receivers: every individual sees the same
-        // bytes, and the cohort's ledger is exactly that series).
-        let w_ind = ind.session_mean_receiver_bps(&ind.sessions[0], 10, 30);
-        let w_coh = coh.session_mean_receiver_bps(&coh.sessions[0], 10, 30);
-        assert!(
-            (w_ind - w_coh).abs() < 1.0,
-            "weighted per-receiver throughput: {w_ind} vs {w_coh}"
-        );
+            let ind = build(false);
+            let coh = build(true);
+            assert_eq!(coh.sessions[0].receivers.len(), 1);
+            assert_eq!(coh.sessions[0].weights, vec![3]);
+            assert_eq!(ind.sessions[0].weights, vec![1, 1, 1]);
+            let agent = coh.sessions[0].receivers[0];
+            let census = census::<Layered>(&coh, agent)
+                .or_else(|| census::<Replicated>(&coh, agent))
+                .or_else(|| census::<Threshold>(&coh, agent));
+            assert_eq!(census, Some((3, 1)), "{variant:?}: receivers, buckets");
+            // One bucket: the count-weighted ledger is the agent's own
+            // delivered series.
+            let w_coh = coh.session_mean_receiver_bps(&coh.sessions[0], 10, 30);
+            let monitor = coh.throughput_bps(agent, 10, 30);
+            assert!(
+                (w_coh - monitor).abs() < 1.0,
+                "{variant:?}: ledger {w_coh} vs monitor {monitor}"
+            );
+            // And it equals the expanded form's (synchronized receivers:
+            // every individual sees the same bytes). The collusion guard
+            // draws a secret per interface from the router's RNG, so three
+            // interfaces and one take different draws: no exact match.
+            if variant != Variant::FlidDsGuard {
+                let w_ind = ind.session_mean_receiver_bps(&ind.sessions[0], 10, 30);
+                assert!(
+                    (w_ind - w_coh).abs() < 1.0,
+                    "{variant:?}: weighted per-receiver throughput {w_ind} vs {w_coh}"
+                );
+            }
+        }
+    }
+
+    /// Every policy evaluates a slot early enough for its subscription to
+    /// cross a long access link before slot s+2 traffic reaches the router
+    /// (paper Figure 2): on an uncongested dumbbell an 80 ms receiver keeps
+    /// the goodput of a 10 ms one. Evaluating as late as a 10 ms receiver,
+    /// a replicated receiver falls back to the minimal group and a
+    /// threshold receiver loses keys.
+    #[test]
+    fn long_access_links_subscribe_in_time_under_every_policy() {
+        for variant in [Variant::FlidDs, Variant::Replicated, Variant::Threshold] {
+            let goodput = |delay_ms| {
+                let mut spec = TopologySpec::new(Topology::Dumbbell, 5, 10.mbps());
+                let r = ReceiverSpec::new().access_delay(SimDuration::from_millis(delay_ms));
+                spec.mcast = vec![McastSessionSpec::new(variant).receiver(r)];
+                let mut t = spec.build();
+                t.run_secs(30);
+                t.throughput_bps(t.sessions[0].receivers[0], 10, 30)
+            };
+            let (near, far) = (goodput(10), goodput(80));
+            assert!(
+                far > 0.95 * near,
+                "{variant:?}: 80 ms receiver {far} bps vs 10 ms receiver {near} bps"
+            );
+        }
     }
 
     /// Simulated work is independent of the modeled population: 100 cohort

@@ -1,13 +1,13 @@
-//! Receiver cohorts: many statistically identical FLID receivers behind
-//! one edge interface, tracked as a count-weighted set of *buckets*
-//! instead of N full agents.
+//! Receiver cohorts: many statistically identical receivers of one
+//! subscription [`Policy`] behind one edge interface, tracked as a
+//! count-weighted set of *buckets* instead of N full agents.
 //!
 //! The scaling observation (ROADMAP item 2, and the feedback-consolidation
 //! line of related work): multicast delivers **one** packet copy per
 //! access interface no matter how many receivers sit behind it, and
-//! synchronized FLID receivers make **identical** per-slot decisions. So a
+//! synchronized receivers make **identical** per-slot decisions. So a
 //! bucket of `count` receivers that joined in the same slot and run the
-//! same (honest) policy is *exactly* one [`FlidReceiver`] state machine
+//! same (honest) strategy is *exactly* one [`Receiver<P>`] state machine
 //! plus a multiplicity — its level trace, slot observations, subscription
 //! messages and delivered-byte series are byte-for-byte those of each
 //! member. Event and memory cost become O(buckets), not O(receivers).
@@ -22,7 +22,7 @@
 //!   have fired. Members whose adversary cannot prove dormancy get their
 //!   own bucket from the start.
 //! * *Contraction (merge)*: after each end-of-slot evaluation, buckets
-//!   with equal state digests (the layered policy's `state_digest`) whose
+//!   with equal state digests ([`Policy::state_digest`]) whose
 //!   adversaries are provably burnt out ([`Adversary::is_inert`]) fold
 //!   back together — the survivor absorbs the count, the retired bucket's
 //!   timer chains die on the floor.
@@ -36,13 +36,12 @@
 //! whole, exactly as they would to individual receivers sharing that
 //! interface.
 
-use crate::config::FlidConfig;
-use crate::layered::FlidReceiver;
-use crate::receiver::{ReceiverStats, ATTACK, DEPART, PROCESS, RETX, RETX_AFTER};
+use crate::layered::Layered;
+use crate::receiver::{Policy, Receiver, ReceiverStats, ATTACK, DEPART, PROCESS, RETX, RETX_AFTER};
 use mcc_attack::{Adversary, AttackPlan};
 use mcc_netsim::prelude::*;
 use mcc_sigma::{ProtectedData, SubscriptionAck};
-use mcc_simcore::{SimDuration, SimTime};
+use mcc_simcore::SimTime;
 
 /// Bucket timer namespaces sit above 2³²; cohort-control tokens below.
 const BUCKET_SHIFT: u32 = 32;
@@ -71,21 +70,9 @@ pub struct CohortMember {
     pub plan: AttackPlan,
 }
 
-impl CohortMember {
-    /// A permanent member: joins at `join_at`, never departs.
-    pub fn permanent(count: u64, join_at: SimTime, plan: AttackPlan) -> Self {
-        CohortMember {
-            count,
-            join_at,
-            leave_at: SimTime::MAX,
-            plan,
-        }
-    }
-}
-
 /// One live stratum: a receiver state machine plus its multiplicity.
 #[derive(Debug)]
-struct Bucket {
+struct Bucket<P> {
     /// Receivers currently represented (riders included until they split).
     count: u64,
     /// `on_start` has run (deferred-join buckets start via timer).
@@ -97,13 +84,13 @@ struct Bucket {
     /// Merge target, for resolving split sources through tombstones.
     merged_into: Option<usize>,
     /// The state machine every member of this bucket replicates.
-    rx: FlidReceiver,
+    rx: Receiver<P>,
     /// Delivered bits per whole second, per member (each member of the
     /// bucket receives the same bytes). Feeds count-weighted metrics.
     bits: Vec<u64>,
 }
 
-impl Bucket {
+impl<P> Bucket<P> {
     fn live(&self) -> bool {
         self.started && !self.retired && self.count > 0
     }
@@ -131,124 +118,87 @@ struct PendingSplit {
 /// built exactly once (stateful strategies such as colluders register a
 /// clique member per build).
 #[derive(Debug)]
-enum Stratum {
+struct Stratum {
+    count: u64,
+    join_at: SimTime,
+    leave_at: SimTime,
+    role: Role,
+}
+
+/// How a stratum enters the cohort.
+#[derive(Debug)]
+enum Role {
     /// Honest forever: pure multiplicity on the base bucket.
-    Honest {
-        count: u64,
-        join_at: SimTime,
-        leave_at: SimTime,
-    },
+    Honest,
     /// Provably dormant until `split_at`: rides the base bucket, then
     /// splits.
     Deferred {
-        count: u64,
-        join_at: SimTime,
-        leave_at: SimTime,
         split_at: SimTime,
         adversary: Box<dyn Adversary>,
     },
     /// Active (or unprovable) from the start: own bucket immediately.
-    Immediate {
-        count: u64,
-        join_at: SimTime,
-        leave_at: SimTime,
-        adversary: Box<dyn Adversary>,
-    },
+    Immediate(Box<dyn Adversary>),
 }
 
-/// The cohort agent: N receivers behind one access interface, O(buckets)
-/// state and events.
+/// The cohort agent: N receivers of policy `P` behind one access
+/// interface, O(buckets) state and events.
 #[derive(Debug)]
-pub struct CohortReceiver {
-    cfg: FlidConfig,
-    /// The SIGMA edge router; `None` runs plain FLID-DL.
-    router: Option<NodeId>,
+pub struct CohortReceiver<P: Policy = Layered> {
+    /// The honest, unstarted receiver every new bucket is cloned from: it
+    /// carries the session configuration, edge router and control delay.
+    template: Receiver<P>,
     /// Classified population; drained into buckets at `on_start`.
     strata: Vec<Stratum>,
-    buckets: Vec<Bucket>,
+    buckets: Vec<Bucket<P>>,
     splits: Vec<PendingSplit>,
     /// Current interface membership per group index (what the `Ctx` has
     /// been told), diffed against the union of bucket subscriptions.
     member_now: Vec<bool>,
-    /// Applied to every bucket's receiver at creation.
-    control_delay: Option<SimDuration>,
 }
 
-impl CohortReceiver {
-    /// Build a cohort from its population. Member order is preserved:
+impl<P: Policy> CohortReceiver<P> {
+    /// Build a cohort of `members`, every bucket starting as a clone of
+    /// the honest, unstarted `template`. Member order is preserved:
     /// buckets are created (and therefore act, on ties) in first-use
-    /// member order. `router` is the SIGMA edge router; `None` runs plain
-    /// FLID-DL.
-    pub fn new(cfg: FlidConfig, router: Option<NodeId>, members: Vec<CohortMember>) -> Self {
+    /// member order.
+    pub fn new(template: Receiver<P>, members: Vec<CohortMember>) -> Self {
         assert!(!members.is_empty(), "a cohort needs at least one member");
         let strata = members
             .into_iter()
             .filter(|m| m.count > 0)
             .map(|m| {
                 let adversary = m.plan.build();
-                match adversary.dormant_until() {
-                    Some(t) if t == SimTime::MAX => Stratum::Honest {
-                        count: m.count,
-                        join_at: m.join_at,
-                        leave_at: m.leave_at,
-                    },
+                let role = match adversary.dormant_until() {
+                    Some(t) if t == SimTime::MAX => Role::Honest,
                     Some(t) => match adversary.next_activation(m.join_at) {
                         // Dormancy must cover the whole ride: honest-
                         // equivalent on [join, split_at), activation at
                         // split_at replayed on the clone. Departure before
                         // the split would desynchronize the ride, so a
                         // leaver gets its own bucket.
-                        Some(a) if a > m.join_at && t >= a && m.leave_at > a => Stratum::Deferred {
-                            count: m.count,
-                            join_at: m.join_at,
-                            leave_at: m.leave_at,
+                        Some(a) if a > m.join_at && t >= a && m.leave_at > a => Role::Deferred {
                             split_at: a,
                             adversary,
                         },
-                        _ => Stratum::Immediate {
-                            count: m.count,
-                            join_at: m.join_at,
-                            leave_at: m.leave_at,
-                            adversary,
-                        },
+                        _ => Role::Immediate(adversary),
                     },
-                    None => Stratum::Immediate {
-                        count: m.count,
-                        join_at: m.join_at,
-                        leave_at: m.leave_at,
-                        adversary,
-                    },
+                    None => Role::Immediate(adversary),
+                };
+                Stratum {
+                    count: m.count,
+                    join_at: m.join_at,
+                    leave_at: m.leave_at,
+                    role,
                 }
             })
             .collect();
-        let n = cfg.n() as usize;
+        let n = template.cfg.n() as usize;
         CohortReceiver {
-            cfg,
-            router,
+            template,
             strata,
             buckets: Vec::new(),
             splits: Vec::new(),
             member_now: vec![false; n],
-            control_delay: None,
-        }
-    }
-
-    /// A cohort of `count` receivers all running `plan` and joining when
-    /// the agent starts.
-    pub fn uniform(cfg: FlidConfig, router: Option<NodeId>, count: u64, plan: &AttackPlan) -> Self {
-        CohortReceiver::new(
-            cfg,
-            router,
-            vec![CohortMember::permanent(count, SimTime::ZERO, plan.clone())],
-        )
-    }
-
-    /// Access-link one-way delay, forwarded to every bucket's receiver
-    /// (see [`FlidReceiver::set_control_delay`]).
-    pub fn set_control_delay(&mut self, delay: SimDuration) {
-        self.control_delay = Some(delay);
-        for b in &mut self.buckets {
-            b.rx.set_control_delay(delay);
         }
     }
 
@@ -277,7 +227,7 @@ impl CohortReceiver {
 
     /// Per-bucket receiver handles: `(count, receiver)` for live buckets,
     /// in bucket order. The receiver *is* each member's state machine.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, &FlidReceiver)> {
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, &Receiver<P>)> {
         self.buckets
             .iter()
             .filter(|b| b.live())
@@ -347,13 +297,9 @@ impl CohortReceiver {
         adversary: Box<dyn Adversary>,
     ) -> usize {
         let idx = self.buckets.len();
-        let mut rx =
-            FlidReceiver::with_adversary(self.cfg.clone(), self.router, AttackPlan::honest());
+        let mut rx = self.template.clone();
         rx.install_adversary(adversary);
         rx.set_leave_at(leave_at);
-        if let Some(d) = self.control_delay {
-            rx.set_control_delay(d);
-        }
         rx.set_cohort_mode(bucket_base(idx));
         self.buckets.push(Bucket {
             count,
@@ -386,7 +332,7 @@ impl CohortReceiver {
                 .any(|b| b.live() && b.rx.wants_group(gi));
             if want != self.member_now[gi] {
                 self.member_now[gi] = want;
-                let addr = self.cfg.groups[gi];
+                let addr = self.template.cfg.groups[gi];
                 if want {
                     ctx.join_group(addr);
                 } else {
@@ -403,12 +349,12 @@ impl CohortReceiver {
             if !self.buckets[i].live() || !self.buckets[i].rx.adversary_inert(now) {
                 continue;
             }
-            let di = self.buckets[i].rx.state_digest();
+            let di = P::state_digest(&self.buckets[i].rx);
             for j in (i + 1)..len {
                 if !self.buckets[j].live() || !self.buckets[j].rx.adversary_inert(now) {
                     continue;
                 }
-                if self.buckets[j].rx.state_digest() == di {
+                if P::state_digest(&self.buckets[j].rx) == di {
                     let absorbed = self.buckets[j].count;
                     self.buckets[i].count += absorbed;
                     let b = &mut self.buckets[j];
@@ -476,7 +422,7 @@ impl CohortReceiver {
     }
 }
 
-impl Agent for CohortReceiver {
+impl<P: Policy> Agent for CohortReceiver<P> {
     fn on_start(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
         // Materialize the classified population, in member order. Base
@@ -504,34 +450,21 @@ impl Agent for CohortReceiver {
                 }
             };
         for s in strata {
-            match s {
-                Stratum::Honest {
-                    count,
-                    join_at,
-                    leave_at,
-                } => {
-                    let idx = base_bucket(self, join_at, leave_at, &mut join_of);
-                    self.buckets[idx].count += count;
+            match s.role {
+                Role::Immediate(adversary) => {
+                    self.push_bucket(s.count, s.leave_at, adversary);
+                    join_of.push(s.join_at);
                 }
-                Stratum::Deferred {
-                    count,
-                    join_at,
-                    leave_at,
-                    split_at,
-                    adversary,
-                } => {
-                    let idx = base_bucket(self, join_at, leave_at, &mut join_of);
-                    self.buckets[idx].count += count;
-                    deferred.push((idx, count, split_at, adversary));
-                }
-                Stratum::Immediate {
-                    count,
-                    join_at,
-                    leave_at,
-                    adversary,
-                } => {
-                    self.push_bucket(count, leave_at, adversary);
-                    join_of.push(join_at);
+                role => {
+                    let idx = base_bucket(self, s.join_at, s.leave_at, &mut join_of);
+                    self.buckets[idx].count += s.count;
+                    if let Role::Deferred {
+                        split_at,
+                        adversary,
+                    } = role
+                    {
+                        deferred.push((idx, s.count, split_at, adversary));
+                    }
                 }
             }
         }
@@ -569,19 +502,19 @@ impl Agent for CohortReceiver {
                 b.rx.on_packet(ctx, pkt.clone());
             }
         } else if let Some(ack) = pkt.body_as::<SubscriptionAck>() {
-            // Each bucket sent its own subscription and the router acks
-            // each one. Two buckets can pend on the *same* slot (e.g. a
-            // late joiner's first request racing the base bucket's level
-            // change), and ack sizes vary with the accepted list, so slot
-            // alone would let a wrong pick corrupt the per-bucket bits
-            // ledger. The router echoes the exact `(group, key)` pairs it
-            // validated — route to the bucket whose pending request they
-            // answer, preferring one answered in full; identical requests
-            // produce identical acks, so ties are harmless.
+            // Each bucket sent its own subscription — reliable or
+            // fire-and-forget — and the router acks each one. Two buckets
+            // can await an ack for the *same* slot (e.g. a late joiner's
+            // first request racing the base bucket's level change), and
+            // ack sizes vary with the accepted list, so slot alone would
+            // let a wrong pick corrupt the per-bucket bits ledger. The
+            // router echoes the exact `(group, key)` pairs it validated —
+            // route to the bucket whose request they answer, preferring
+            // one answered in full; identical requests produce identical
+            // acks, so ties are harmless.
             let (slot, accepted) = (ack.slot, ack.accepted.clone());
-            let answered = |b: &Bucket, exact: bool| {
-                b.live() && b.rx.pending_sub_answered_by(slot, &accepted, exact)
-            };
+            let answered =
+                |b: &Bucket<P>, exact: bool| b.live() && b.rx.answered_by(slot, &accepted, exact);
             if let Some(idx) = (0..self.buckets.len())
                 .find(|&i| answered(&self.buckets[i], true))
                 .or_else(|| (0..self.buckets.len()).find(|&i| answered(&self.buckets[i], false)))

@@ -218,24 +218,6 @@ impl Receiver<Layered> {
             }
         }
     }
-
-    /// A digest of every decision-relevant field. Two buckets with equal
-    /// digests (and provably inert adversaries) will behave identically
-    /// forever, so the cohort may merge them. Stats and traces are
-    /// deliberately excluded (reporting, not state).
-    pub(crate) fn state_digest(&self) -> String {
-        let p = &self.policy;
-        format!(
-            "{}|{:?}|{:?}|{}|{}|{:?}|{}",
-            p.level,
-            p.joined_slot,
-            p.obs,
-            p.deaf_until,
-            p.inflated,
-            p.marked_slots,
-            self.shell_digest(),
-        )
-    }
 }
 
 impl Layered {
@@ -334,5 +316,19 @@ impl Policy for Layered {
         rx.unsubscribe(ctx, left);
         rx.policy.level = 0;
         rx.trace(ctx);
+    }
+
+    fn state_digest(rx: &FlidReceiver) -> String {
+        let p = &rx.policy;
+        format!(
+            "{}|{:?}|{:?}|{}|{}|{:?}|{}",
+            p.level,
+            p.joined_slot,
+            p.obs,
+            p.deaf_until,
+            p.inflated,
+            p.marked_slots,
+            rx.shell_digest(),
+        )
     }
 }

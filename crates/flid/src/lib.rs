@@ -27,8 +27,8 @@
 //! * [`threshold_proto`] — an RLM-style loss-threshold protocol protected
 //!   by Shamir-share key distribution (§3.1.2): [`ThresholdSender`] and
 //!   [`ThresholdReceiver`],
-//! * [`cohort`] — [`CohortReceiver`], count-weighted buckets of layered
-//!   receivers behind one interface.
+//! * [`cohort`] — [`CohortReceiver`], count-weighted buckets of receivers
+//!   of any policy behind one interface.
 //!
 //! The substitution from FLID-DL's *dynamic layering* to static layers
 //! with explicit IGMP leave latency is documented in `DESIGN.md`.

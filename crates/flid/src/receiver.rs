@@ -75,8 +75,9 @@ pub struct ReceiverStats {
 ///
 /// The state-only half (`observe`, `level`) takes `&mut self`; the rules
 /// that act on the world take the whole [`Receiver`] so they can reach
-/// the shell's ledger and senders while updating `rx.policy`.
-pub trait Policy: Sized + Send + 'static {
+/// the shell's ledger and senders while updating `rx.policy`. `Clone`
+/// lets a cohort copy a receiver into a new bucket.
+pub trait Policy: Clone + Sized + Send + 'static {
     /// Record one data packet of the session (`marked`: it carried an ECN
     /// congestion mark); `false` when it is not part of the subscription
     /// (stale traffic of a group just left). The per-packet path: no
@@ -117,6 +118,13 @@ pub trait Policy: Sized + Send + 'static {
     /// order): reset the policy's state and unsubscribe what the router
     /// should forget.
     fn wind_down(rx: &mut Receiver<Self>, ctx: &mut Ctx, left: Vec<GroupAddr>);
+
+    /// A digest of every decision-relevant field of `rx`: the policy's
+    /// own, then the shell's share (`shell_digest`). Two cohort buckets
+    /// with equal digests (and provably inert adversaries) will behave
+    /// identically forever, so the cohort may merge them. Stats and traces
+    /// are deliberately excluded (reporting, not state).
+    fn state_digest(rx: &Receiver<Self>) -> String;
 }
 
 /// A policy's per-slot state over the open slots — at most the `s..=s+2`
@@ -156,10 +164,10 @@ impl<T> SlotWindow<T> {
 /// policy's public fields read through the receiver (`rx.level_trace`,
 /// `rx.group`, …).
 ///
-/// `Clone` exists for the cohort expansion path ([`crate::cohort`]): a
-/// diverging member is split off as a byte-for-byte copy of the bucket
-/// it rode in. Adversaries with shared state clone correctly through
-/// [`Adversary::clone_box`].
+/// `Clone` exists for the cohort ([`crate::cohort`]): every bucket starts
+/// as a copy of the cohort's template receiver, and a diverging member is
+/// split off as a byte-for-byte copy of the bucket it rode in. Adversaries
+/// with shared state clone correctly through [`Adversary::clone_box`].
 #[derive(Clone, Debug)]
 pub struct Receiver<P> {
     /// Session configuration (must match the sender's).
@@ -195,6 +203,9 @@ pub struct Receiver<P> {
     raw_joined: Vec<u32>,
     /// Outstanding (unacked) subscription, with retry count.
     pending: Option<(Subscription, u32)>,
+    /// The last fire-and-forget subscription, until its ack arrives.
+    /// Nothing resends it; a cohort routes the ack by it.
+    fired: Option<Subscription>,
     /// A data packet of the subscription has arrived; until then the
     /// session-join is re-sent every fourth slot.
     ever_received: bool,
@@ -238,6 +249,7 @@ impl<P: Policy> Receiver<P> {
             desired: vec![false; n],
             raw_joined: Vec::new(),
             pending: None,
+            fired: None,
             ever_received: false,
             policy,
         }
@@ -372,7 +384,8 @@ impl<P: Policy> Receiver<P> {
             self.pending = Some((sub, 0));
             self.send_pending(ctx);
         } else {
-            self.send_subscription(ctx, sub);
+            self.send_subscription(ctx, sub.clone());
+            self.fired = Some(sub);
         }
     }
 
@@ -581,18 +594,20 @@ impl<P: Policy> Receiver<P> {
         self.pending.as_ref().map(|(sub, _)| sub.slot)
     }
 
-    /// Does `accepted` answer this receiver's pending slot-`slot`
-    /// subscription? The router echoes the exact `(group, key)` pairs it
-    /// validated, so the accepted list identifies the request it answers.
-    /// With `exact` the router accepted every requested pair; without, a
-    /// subset (some keys rejected) still matches.
-    pub(crate) fn pending_sub_answered_by(
+    /// Does `accepted` answer this receiver's slot-`slot` subscription
+    /// awaiting an ack — the pending one, else the last fire-and-forget
+    /// one? The router echoes the exact `(group, key)` pairs it validated,
+    /// so the accepted list identifies the request it answers. With
+    /// `exact` the router accepted every requested pair; without, a subset
+    /// (some keys rejected) still matches.
+    pub(crate) fn answered_by(
         &self,
         slot: u64,
         accepted: &[(GroupAddr, Key)],
         exact: bool,
     ) -> bool {
-        self.pending.as_ref().is_some_and(|(sub, _)| {
+        let awaiting = self.pending.as_ref().map(|(sub, _)| sub);
+        awaiting.or(self.fired.as_ref()).is_some_and(|sub| {
             sub.slot == slot
                 && accepted.iter().all(|p| sub.pairs.contains(p))
                 && (!exact || accepted.len() == sub.pairs.len())
@@ -614,16 +629,21 @@ impl<P: Policy> Receiver<P> {
         SimTime::from_nanos(k * slot + guard)
     }
 
-    /// The shell's share of a state digest (see the layered policy's
-    /// `state_digest`). The scheduled lifetime is state: a bucket that will
-    /// depart at t is NOT equivalent to one that stays — merging them would
-    /// hand the absorbed members the survivor's future. `raw_joined` is
-    /// not: only the single-group `LeaveHigh` reads it, and cohorts bucket
-    /// layered receivers.
+    /// The shell's share of a state digest (see [`Policy::state_digest`]).
+    /// The scheduled lifetime is state: a bucket that will depart at t is
+    /// NOT equivalent to one that stays — merging them would hand the
+    /// absorbed members the survivor's future. `raw_joined` is not: only
+    /// an adversary action (`LeaveHigh`) reads it, and buckets merge only
+    /// once their adversaries are provably inert.
     pub(crate) fn shell_digest(&self) -> String {
         format!(
-            "{:?}|{:?}|{}|{:?}|{}",
-            self.pending, self.desired, self.departed, self.leave_at, self.ever_received
+            "{:?}|{:?}|{:?}|{}|{:?}|{}",
+            self.pending,
+            self.fired,
+            self.desired,
+            self.departed,
+            self.leave_at,
+            self.ever_received
         )
     }
 }
@@ -664,6 +684,9 @@ impl<P: Policy> Agent for Receiver<P> {
         } else if let Some(ack) = pkt.body_as::<SubscriptionAck>() {
             if self.pending_sub_slot() == Some(ack.slot) {
                 self.pending = None;
+            }
+            if self.fired.as_ref().is_some_and(|sub| sub.slot == ack.slot) {
+                self.fired = None;
             }
             self.stats.acks += 1;
         }

@@ -33,7 +33,7 @@ impl ReplicatedSender {
 
 /// State of the replicated subscription policy (paper Figure 5): the receiver
 /// subscribes to exactly one group.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Replicated {
     /// Current (1-based) group.
     pub group: u32,
@@ -139,6 +139,17 @@ impl Policy for Replicated {
     /// The router learns nothing: its grant for the group simply expires.
     fn wind_down(rx: &mut ReplicatedReceiver, ctx: &mut Ctx, _left: Vec<GroupAddr>) {
         rx.policy.trace.push((ctx.now().as_secs_f64(), 0));
+    }
+
+    fn state_digest(rx: &ReplicatedReceiver) -> String {
+        let p = &rx.policy;
+        format!(
+            "{}|{:?}|{}|{}",
+            p.group,
+            p.obs,
+            p.joined_slot,
+            rx.shell_digest()
+        )
     }
 }
 

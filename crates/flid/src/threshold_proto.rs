@@ -126,7 +126,7 @@ struct ThresholdObs {
 /// State of the threshold subscription policy. Climbs one group per slot while the
 /// loss rate stays within θ (an RLM-like probe policy driven by the
 /// reconstruction bound itself).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Threshold {
     /// Loss threshold θ (must match the sender's).
     pub theta: f64,
@@ -260,6 +260,18 @@ impl Policy for Threshold {
     /// The router learns nothing: its grant for the group simply expires.
     fn wind_down(rx: &mut ThresholdReceiver, ctx: &mut Ctx, _left: Vec<GroupAddr>) {
         rx.policy.trace.push((ctx.now().as_secs_f64(), 0));
+    }
+
+    /// θ is session configuration, equal in every bucket.
+    fn state_digest(rx: &ThresholdReceiver) -> String {
+        let p = &rx.policy;
+        format!(
+            "{}|{:?}|{}|{}",
+            p.group,
+            p.obs,
+            p.joined_slot,
+            rx.shell_digest()
+        )
     }
 }
 

@@ -1,12 +1,12 @@
 //! Cohort-of-N vs N-individuals equivalence: the scaling subsystem's
-//! correctness contract.
+//! correctness contract, under every subscription policy.
 //!
 //! A cohort bucket of `count` synchronized receivers must be byte-for-byte
-//! the state machine each individual member would run: same level trace,
-//! same delivered-byte series, same counters. Divergence (a deferred
-//! adversary activating) must split the bucket at exactly the instant the
-//! standalone receiver's ATTACK timer would fire, and burnt-out divergers
-//! must merge back without perturbing anything.
+//! the state machine each individual member would run: same trace, same
+//! delivered-byte series, same counters. Divergence (a deferred adversary
+//! activating) must split the bucket at exactly the instant the standalone
+//! receiver's ATTACK timer would fire, and burnt-out divergers must merge
+//! back without perturbing anything.
 //!
 //! Individual receivers each get their own access interface; a cohort
 //! shares one. For synchronized receivers the per-interface SIGMA state is
@@ -14,10 +14,65 @@
 //! match exactly — which is what these tests pin.
 
 use mcc_attack::{AttackPlan, Honest, IgnoreDecrease, Timed};
-use mcc_flid::{CohortMember, CohortReceiver, FlidConfig, FlidReceiver};
+use mcc_flid::layered::Layered;
+use mcc_flid::receiver::{Policy, Receiver};
+use mcc_flid::replicated::Replicated;
+use mcc_flid::threshold_proto::Threshold;
+use mcc_flid::{
+    CohortMember, CohortReceiver, FlidConfig, FlidReceiver, FlidSender, ReplicatedReceiver,
+    ReplicatedSender, ThresholdReceiver, ThresholdSender,
+};
 use mcc_netsim::prelude::*;
 use mcc_sigma::{SigmaConfig, SigmaEdgeModule};
 use mcc_simcore::{SimDuration, SimTime};
+use std::any::type_name;
+
+/// Loss threshold θ of the threshold sessions (RLM's default).
+const THETA: f64 = 0.25;
+
+/// One session structure under test: the sender of its key rule, the
+/// receiver of its subscription policy, and that policy's own trace.
+trait Structure: Policy {
+    fn sender(cfg: FlidConfig) -> Box<dyn Agent>;
+    fn receiver(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Receiver<Self>;
+    fn trace(rx: &Receiver<Self>) -> &[(f64, u32)];
+}
+
+impl Structure for Layered {
+    fn sender(cfg: FlidConfig) -> Box<dyn Agent> {
+        Box::new(FlidSender::new(cfg))
+    }
+    fn receiver(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> FlidReceiver {
+        FlidReceiver::with_adversary(cfg, router, plan)
+    }
+    fn trace(rx: &FlidReceiver) -> &[(f64, u32)] {
+        &rx.level_trace
+    }
+}
+
+impl Structure for Replicated {
+    fn sender(cfg: FlidConfig) -> Box<dyn Agent> {
+        Box::new(ReplicatedSender::new(cfg))
+    }
+    fn receiver(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> ReplicatedReceiver {
+        ReplicatedReceiver::with_adversary(cfg, router, plan)
+    }
+    fn trace(rx: &ReplicatedReceiver) -> &[(f64, u32)] {
+        &rx.trace
+    }
+}
+
+impl Structure for Threshold {
+    fn sender(cfg: FlidConfig) -> Box<dyn Agent> {
+        Box::new(ThresholdSender::new(cfg, THETA))
+    }
+    fn receiver(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> ThresholdReceiver {
+        ThresholdReceiver::with_adversary(cfg, THETA, router, plan)
+    }
+    fn trace(rx: &ThresholdReceiver) -> &[(f64, u32)] {
+        &rx.trace
+    }
+}
 
 /// Paper dumbbell: sender — A =bottleneck= B(edge) — receiver hosts.
 struct Rig {
@@ -43,10 +98,11 @@ enum Population<'a> {
 }
 
 fn dumbbell(bottleneck_bps: u64, pop: Population<'_>) -> Rig {
-    dumbbell_n(bottleneck_bps, 10, pop)
+    dumbbell_n::<Layered>(bottleneck_bps, 10, pop)
 }
 
-fn dumbbell_n(bottleneck_bps: u64, n_groups: u32, pop: Population<'_>) -> Rig {
+/// The dumbbell running a session of structure `S` over `n_groups`.
+fn dumbbell_n<S: Structure>(bottleneck_bps: u64, n_groups: u32, pop: Population<'_>) -> Rig {
     let mut sim = Sim::new(77, SimDuration::from_secs(1));
     let s = sim.add_node();
     let a = sim.add_node();
@@ -94,68 +150,43 @@ fn dumbbell_n(bottleneck_bps: u64, n_groups: u32, pop: Population<'_>) -> Rig {
         );
         h
     };
+    let receiver = |plan: &AttackPlan| S::receiver(cfg.clone(), router, plan.clone());
     let mut agents = Vec::new();
     match pop {
         Population::Individuals(plans) => {
             for plan in plans {
                 let h = host(&mut sim);
-                agents.push(sim.add_agent(
-                    h,
-                    Box::new(FlidReceiver::with_adversary(
-                        cfg.clone(),
-                        router,
-                        plan.clone(),
-                    )),
-                    SimTime::from_millis(5),
-                ));
+                agents.push(sim.add_agent(h, Box::new(receiver(plan)), SimTime::from_millis(5)));
             }
         }
         Population::SharedHost(plans) => {
             let h = host(&mut sim);
             for plan in plans {
-                agents.push(sim.add_agent(
-                    h,
-                    Box::new(FlidReceiver::with_adversary(
-                        cfg.clone(),
-                        router,
-                        plan.clone(),
-                    )),
-                    SimTime::from_millis(5),
-                ));
+                agents.push(sim.add_agent(h, Box::new(receiver(plan)), SimTime::from_millis(5)));
             }
         }
         Population::SharedHostAt(plans) => {
             let h = host(&mut sim);
             for (plan, start) in plans {
-                agents.push(sim.add_agent(
-                    h,
-                    Box::new(FlidReceiver::with_adversary(
-                        cfg.clone(),
-                        router,
-                        plan.clone(),
-                    )),
-                    SimTime::from_millis(5).max(*start),
-                ));
+                let start = SimTime::from_millis(5).max(*start);
+                agents.push(sim.add_agent(h, Box::new(receiver(plan)), start));
             }
         }
         Population::SharedHostSpan(plans) => {
             let h = host(&mut sim);
             for (plan, start, leave) in plans {
-                let mut rx = FlidReceiver::with_adversary(cfg.clone(), router, plan.clone());
+                let mut rx = receiver(plan);
                 rx.set_leave_at(*leave);
                 agents.push(sim.add_agent(h, Box::new(rx), SimTime::from_millis(5).max(*start)));
             }
         }
         Population::Cohort(members) => {
             let h = host(&mut sim);
-            agents.push(sim.add_agent(
-                h,
-                Box::new(CohortReceiver::new(cfg.clone(), router, members)),
-                SimTime::from_millis(5),
-            ));
+            let cohort = CohortReceiver::new(receiver(&AttackPlan::honest()), members);
+            agents.push(sim.add_agent(h, Box::new(cohort), SimTime::from_millis(5)));
         }
     }
-    sim.add_agent(s, Box::new(mcc_flid::FlidSender::new(cfg)), SimTime::ZERO);
+    sim.add_agent(s, S::sender(cfg), SimTime::ZERO);
     sim.finalize();
     Rig {
         sim,
@@ -173,18 +204,17 @@ fn series(rig: &Rig, agent: AgentId, secs: u64) -> Vec<u64> {
         .collect()
 }
 
-#[test]
-fn cohort_of_three_honest_matches_individuals_exactly() {
-    let plans = vec![
-        AttackPlan::honest(),
-        AttackPlan::honest(),
-        AttackPlan::honest(),
-    ];
-    let mut ind = dumbbell(1_000_000, Population::Individuals(&plans));
+/// Three honest receivers of structure `S`, run as individuals and as a
+/// `count: 3` cohort.
+fn cohort_of_three_honest<S: Structure>() {
+    let name = type_name::<S>();
+    let plans = vec![AttackPlan::honest(); 3];
+    let mut ind = dumbbell_n::<S>(1_000_000, 10, Population::Individuals(&plans));
     ind.sim.run_until(SimTime::from_secs(40));
 
-    let mut coh = dumbbell(
+    let mut coh = dumbbell_n::<S>(
         1_000_000,
+        10,
         Population::Cohort(vec![CohortMember {
             count: 3,
             join_at: SimTime::ZERO,
@@ -194,38 +224,55 @@ fn cohort_of_three_honest_matches_individuals_exactly() {
     );
     coh.sim.run_until(SimTime::from_secs(40));
 
-    let cohort = coh.sim.agent_as::<CohortReceiver>(coh.agents[0]).unwrap();
-    assert_eq!(cohort.receiver_count(), 3);
-    assert_eq!(cohort.bucket_count(), 1, "synchronized honest = one bucket");
+    let cohort = coh
+        .sim
+        .agent_as::<CohortReceiver<S>>(coh.agents[0])
+        .unwrap();
+    assert_eq!(cohort.receiver_count(), 3, "{name}");
+    assert_eq!(
+        cohort.bucket_count(),
+        1,
+        "{name}: synchronized honest = one bucket"
+    );
 
     let (count, bucket_rx) = cohort.buckets().next().unwrap();
     assert_eq!(count, 3);
     for &r in &ind.agents {
-        let rx = ind.sim.agent_as::<FlidReceiver>(r).unwrap();
-        assert_eq!(rx.level_trace, bucket_rx.level_trace, "level traces");
-        assert_eq!(rx.stats, bucket_rx.stats, "per-receiver counters");
+        let rx = ind.sim.agent_as::<Receiver<S>>(r).unwrap();
+        assert_eq!(S::trace(rx), S::trace(bucket_rx), "{name}: traces");
+        assert_eq!(rx.stats, bucket_rx.stats, "{name}: per-receiver counters");
     }
     // The cohort agent receives exactly one copy per delivered packet, so
     // its monitor series IS the per-receiver series.
     let ind_series = series(&ind, ind.agents[0], 40);
     let coh_series = series(&coh, coh.agents[0], 40);
-    assert_eq!(ind_series, coh_series, "delivered-byte series");
-    // Count-weighted internal accounting agrees with the monitor.
+    assert_eq!(ind_series, coh_series, "{name}: delivered-byte series");
+    // Count-weighted internal accounting agrees with the monitor: every
+    // ack, reliable or fire-and-forget, reached the bucket that asked.
     let weighted: Vec<u64> = cohort
         .weighted_series_bps(40)
         .into_iter()
         .map(|v| v.round() as u64)
         .collect();
-    assert_eq!(weighted, coh_series, "weighted series vs monitor");
+    assert_eq!(weighted, coh_series, "{name}: weighted series vs monitor");
     // Aggregate counters are 3× one member's.
     let ws = cohort.weighted_stats();
     let one = &ind
         .sim
-        .agent_as::<FlidReceiver>(ind.agents[0])
+        .agent_as::<Receiver<S>>(ind.agents[0])
         .unwrap()
         .stats;
-    assert_eq!(ws.decreases, 3 * one.decreases);
-    assert_eq!(ws.subscriptions, 3 * one.subscriptions);
+    assert!(one.acks > 0, "{name}: the router acked nothing");
+    assert_eq!(ws.decreases, 3 * one.decreases, "{name}");
+    assert_eq!(ws.subscriptions, 3 * one.subscriptions, "{name}");
+    assert_eq!(ws.acks, 3 * one.acks, "{name}");
+}
+
+#[test]
+fn cohort_of_three_honest_matches_individuals_exactly() {
+    cohort_of_three_honest::<Layered>();
+    cohort_of_three_honest::<Replicated>();
+    cohort_of_three_honest::<Threshold>();
 }
 
 #[test]
@@ -424,16 +471,98 @@ mod proptests {
 
     const BW: [u64; 4] = [250_000, 500_000, 1_000_000, 2_000_000];
 
+    /// One `cohort_matches_shared_host_individuals` case under structure
+    /// `S`: `honest` receivers plus, by `attack_kind`, nobody, an
+    /// `IgnoreDecrease` or a `Timed(Honest)` diverger from `onset_s`.
+    fn shared_host_case<S: Structure>(
+        n_groups: u32,
+        honest: u64,
+        onset_s: u64,
+        bw: u64,
+        attack_kind: u32,
+    ) {
+        let onset = SimTime::from_secs(onset_s);
+        let mut plans: Vec<AttackPlan> = (0..honest).map(|_| AttackPlan::honest()).collect();
+        match attack_kind {
+            1 => plans.push(AttackPlan::new(Timed::at(onset, IgnoreDecrease))),
+            2 => plans.push(AttackPlan::new(Timed::at(onset, Honest))),
+            _ => {}
+        }
+        let case = format!(
+            "{} (groups={n_groups}, bw={bw}, kind={attack_kind}, onset={onset_s}s)",
+            type_name::<S>()
+        );
+
+        let mut ind = dumbbell_n::<S>(bw, n_groups, Population::SharedHost(&plans));
+        ind.sim.run_until(SimTime::from_secs(40));
+
+        let mut members = vec![CohortMember {
+            count: honest,
+            join_at: SimTime::ZERO,
+            leave_at: SimTime::MAX,
+            plan: AttackPlan::honest(),
+        }];
+        if attack_kind > 0 {
+            members.push(CohortMember {
+                count: 1,
+                join_at: SimTime::ZERO,
+                leave_at: SimTime::MAX,
+                plan: plans.last().unwrap().clone(),
+            });
+        }
+        let mut coh = dumbbell_n::<S>(bw, n_groups, Population::Cohort(members));
+        coh.sim.run_until(SimTime::from_secs(40));
+
+        let cohort = coh
+            .sim
+            .agent_as::<CohortReceiver<S>>(coh.agents[0])
+            .unwrap();
+        let total = honest + u64::from(attack_kind > 0);
+        assert_eq!(cohort.receiver_count(), total, "{case}");
+
+        // Every individual must have a bucket running its exact state
+        // machine (honest members share one; a live attacker has its own;
+        // a merged-back Timed(Honest) shares the base again).
+        for (i, agent) in ind.agents.iter().enumerate() {
+            let rx = ind.sim.agent_as::<Receiver<S>>(*agent).unwrap();
+            let matched = cohort
+                .buckets()
+                .any(|(_, b)| S::trace(b) == S::trace(rx) && b.stats == rx.stats);
+            assert!(
+                matched,
+                "{case}: individual {i} has no byte-equivalent bucket; cohort levels {:?}",
+                cohort.levels()
+            );
+        }
+
+        // SIGMA's view of the shared interface agrees between worlds.
+        let ind_sigma = ind.sim.edge_as::<SigmaEdgeModule>(ind.edge).unwrap();
+        let coh_sigma = coh.sim.edge_as::<SigmaEdgeModule>(coh.edge).unwrap();
+        assert_eq!(
+            ind_sigma.stats.first_lockout_slot, coh_sigma.stats.first_lockout_slot,
+            "{case}: lockout onset"
+        );
+        assert_eq!(
+            ind_sigma.stats.first_guess_alarm_slot, coh_sigma.stats.first_guess_alarm_slot,
+            "{case}: guess-alarm onset"
+        );
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8))]
+        // Tier-1 runs a few debug cases; a release build runs the
+        // `PROPTEST_CASES` campaign.
+        #![proptest_config(ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 8 } else { ProptestConfig::default().cases }
+        ))]
 
         /// Expansion round-trip over random layer counts, bandwidths and
-        /// adversary onsets: a cohort that splits on adversary activation
-        /// (and, for the `Timed(Honest)` degenerate adversary, contracts
-        /// back) stays byte-equivalent to the same population run as
-        /// individual receivers on one shared host — level traces,
-        /// per-receiver counters and the SIGMA module's lockout and
-        /// guess-alarm onsets all agree.
+        /// adversary onsets, under every subscription policy: a cohort
+        /// that splits on adversary activation (and, for the
+        /// `Timed(Honest)` degenerate adversary, contracts back) stays
+        /// byte-equivalent to the same population run as individual
+        /// receivers on one shared host — the policy's trace, per-receiver
+        /// counters and the SIGMA module's lockout and guess-alarm onsets
+        /// all agree.
         #[test]
         fn cohort_matches_shared_host_individuals(
             n_groups in 4u32..10,
@@ -442,67 +571,10 @@ mod proptests {
             bw_step in 0usize..4,
             attack_kind in 0u32..3,
         ) {
-            let onset = SimTime::from_secs(onset_s);
-            let mut plans: Vec<AttackPlan> =
-                (0..honest).map(|_| AttackPlan::honest()).collect();
-            match attack_kind {
-                1 => plans.push(AttackPlan::new(Timed::at(onset, IgnoreDecrease))),
-                2 => plans.push(AttackPlan::new(Timed::at(onset, Honest))),
-                _ => {}
-            }
             let bw = BW[bw_step];
-
-            let mut ind = dumbbell_n(bw, n_groups, Population::SharedHost(&plans));
-            ind.sim.run_until(SimTime::from_secs(40));
-
-            let mut members = vec![CohortMember {
-                count: honest,
-                join_at: SimTime::ZERO,
-                leave_at: SimTime::MAX,
-                plan: AttackPlan::honest(),
-            }];
-            if attack_kind > 0 {
-                members.push(CohortMember {
-                    count: 1,
-                    join_at: SimTime::ZERO,
-                    leave_at: SimTime::MAX,
-                    plan: plans.last().unwrap().clone(),
-                });
-            }
-            let mut coh = dumbbell_n(bw, n_groups, Population::Cohort(members));
-            coh.sim.run_until(SimTime::from_secs(40));
-
-            let cohort = coh.sim.agent_as::<CohortReceiver>(coh.agents[0]).unwrap();
-            let total = honest + u64::from(attack_kind > 0);
-            prop_assert_eq!(cohort.receiver_count(), total);
-
-            // Every individual must have a bucket running its exact state
-            // machine (honest members share one; a live attacker has its
-            // own; a merged-back Timed(Honest) shares the base again).
-            for (i, agent) in ind.agents.iter().enumerate() {
-                let rx = ind.sim.agent_as::<FlidReceiver>(*agent).unwrap();
-                let matched = cohort.buckets().any(|(_, b)| {
-                    b.level_trace == rx.level_trace && b.stats == rx.stats
-                });
-                prop_assert!(
-                    matched,
-                    "individual {} (groups={}, bw={}, kind={}, onset={}s) has no \
-                     byte-equivalent bucket; cohort levels {:?}",
-                    i, n_groups, bw, attack_kind, onset_s, cohort.levels()
-                );
-            }
-
-            // SIGMA's view of the shared interface agrees between worlds.
-            let ind_sigma = ind.sim.edge_as::<SigmaEdgeModule>(ind.edge).unwrap();
-            let coh_sigma = coh.sim.edge_as::<SigmaEdgeModule>(coh.edge).unwrap();
-            prop_assert_eq!(
-                ind_sigma.stats.first_lockout_slot,
-                coh_sigma.stats.first_lockout_slot
-            );
-            prop_assert_eq!(
-                ind_sigma.stats.first_guess_alarm_slot,
-                coh_sigma.stats.first_guess_alarm_slot
-            );
+            shared_host_case::<Layered>(n_groups, honest, onset_s, bw, attack_kind);
+            shared_host_case::<Replicated>(n_groups, honest, onset_s, bw, attack_kind);
+            shared_host_case::<Threshold>(n_groups, honest, onset_s, bw, attack_kind);
         }
 
         /// Contraction round-trip over random join times: however the
@@ -526,7 +598,7 @@ mod proptests {
                 .map(|_| (AttackPlan::honest(), SimTime::ZERO))
                 .chain([(AttackPlan::honest(), late)])
                 .collect();
-            let mut ind = dumbbell_n(bw, n_groups, Population::SharedHostAt(&plans));
+            let mut ind = dumbbell_n::<Layered>(bw, n_groups, Population::SharedHostAt(&plans));
             ind.sim.run_until(SimTime::from_secs(horizon));
 
             let members = vec![
@@ -543,7 +615,7 @@ mod proptests {
                     plan: AttackPlan::honest(),
                 },
             ];
-            let mut coh = dumbbell_n(bw, n_groups, Population::Cohort(members));
+            let mut coh = dumbbell_n::<Layered>(bw, n_groups, Population::Cohort(members));
             coh.sim.run_until(SimTime::from_secs(horizon));
 
             let cohort = coh.sim.agent_as::<CohortReceiver>(coh.agents[0]).unwrap();
@@ -615,7 +687,7 @@ mod proptests {
                     (AttackPlan::honest(), SimTime::ZERO, early),
                 ])
                 .collect();
-            let mut ind = dumbbell_n(bw, n_groups, Population::SharedHostSpan(&spans));
+            let mut ind = dumbbell_n::<Layered>(bw, n_groups, Population::SharedHostSpan(&spans));
             ind.sim.run_until(SimTime::from_secs(horizon));
 
             let members = vec![
@@ -638,7 +710,7 @@ mod proptests {
                     plan: AttackPlan::honest(),
                 },
             ];
-            let mut coh = dumbbell_n(bw, n_groups, Population::Cohort(members));
+            let mut coh = dumbbell_n::<Layered>(bw, n_groups, Population::Cohort(members));
             coh.sim.run_until(SimTime::from_secs(horizon));
 
             let cohort = coh.sim.agent_as::<CohortReceiver>(coh.agents[0]).unwrap();

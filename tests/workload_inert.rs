@@ -29,12 +29,7 @@ fn digest(
     let ((series, sigma), trace) = capture("inert", move || {
         let mut spec = TopologySpec::new(Topology::Dumbbell, seed, 600_000);
         let mut session = McastSessionSpec::honest(variant, receivers);
-        if matches!(
-            variant,
-            Variant::FlidDl | Variant::FlidDs | Variant::FlidDsGuard
-        ) {
-            session.receivers[0].cohort = cohort;
-        }
+        session.receivers[0].cohort = cohort;
         spec.mcast = vec![session];
         spec.tcp = 1;
         if idle_workload {

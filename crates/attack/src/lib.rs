@@ -14,8 +14,8 @@
 //!   protocol variant (FLID, replicated, threshold),
 //! * [`strategies`] — the library: [`InflateTo`], [`IgnoreDecrease`],
 //!   [`KeyGuess`], [`Colluders`] (key sharing through a [`CollusionSet`]),
-//!   [`JoinLeaveFlap`], and the composable [`Timed`] / [`All`] /
-//!   [`staggered`] schedulers,
+//!   [`JoinLeaveFlap`], and the composable [`Timed`] / [`All`]
+//!   schedulers,
 //! * [`AttackPlan`] — a cloneable handle used by scenario specs
 //!   (`mcc_core::ReceiverSpec::adversary`) and handed to every receiver's
 //!   `with_adversary` constructor. The Figure 1/7 attacker is
@@ -25,8 +25,7 @@
 pub mod strategies;
 
 pub use strategies::{
-    staggered, All, Colluders, CollusionSet, Honest, IgnoreDecrease, InflateTo, JoinLeaveFlap,
-    KeyGuess, Timed,
+    All, Colluders, CollusionSet, Honest, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess, Timed,
 };
 
 use mcc_delta::Key;

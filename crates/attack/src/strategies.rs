@@ -3,8 +3,8 @@
 //!
 //! Primitive strategies — [`InflateTo`], [`IgnoreDecrease`], [`KeyGuess`],
 //! [`Colluders`], [`JoinLeaveFlap`] — are active from the moment the
-//! receiver starts; the [`Timed`] wrapper delays one, [`All`] composes
-//! several, and [`staggered`] fans a fleet of onsets across receivers.
+//! receiver starts; the [`Timed`] wrapper delays one and [`All`] composes
+//! several.
 
 use crate::{Adversary, AttackAction, AttackEnv};
 use mcc_delta::Key;
@@ -461,23 +461,6 @@ impl Adversary for All {
     }
 }
 
-/// Stagger a fleet: plan `i` activates at `start + i·gap`. The scheduler
-/// counterpart of a botnet joining in waves.
-pub fn staggered(
-    start: SimTime,
-    gap: SimDuration,
-    strategies: Vec<Box<dyn Adversary>>,
-) -> Vec<crate::AttackPlan> {
-    strategies
-        .into_iter()
-        .enumerate()
-        .map(|(i, inner)| {
-            let at = start + SimDuration::from_nanos(gap.as_nanos() * i as u64);
-            crate::AttackPlan::new(Timed::boxed(at, inner))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,23 +600,5 @@ mod tests {
             "an immediately-active member denies dormancy"
         );
         assert!(KeyGuess { rate: 1 }.dormant_until().is_none());
-    }
-
-    #[test]
-    fn staggered_fans_onsets_across_the_fleet() {
-        let plans = staggered(
-            SimTime::from_secs(10),
-            SimDuration::from_secs(5),
-            vec![Box::new(InflateTo::all()), Box::new(IgnoreDecrease)],
-        );
-        assert_eq!(plans.len(), 2);
-        assert_eq!(
-            plans[0].build().next_activation(SimTime::ZERO),
-            Some(SimTime::from_secs(10))
-        );
-        assert_eq!(
-            plans[1].build().next_activation(SimTime::ZERO),
-            Some(SimTime::from_secs(15))
-        );
     }
 }

@@ -62,7 +62,7 @@ pub use runner::{
 };
 pub use scenario::{Scenario, Units, Variant};
 pub use topology::{
-    cohort_receiver, BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SessionHandle,
-    TcpHandle, Topology, TopologySpec,
+    BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SessionHandle, TcpHandle, Topology,
+    TopologySpec,
 };
 pub use workload::{Arrivals, Dist, FlashCrowd, Popularity, WorkloadSpec};

@@ -31,8 +31,8 @@ use crate::scenario::Variant;
 use mcc_attack::{AttackPlan, Placement};
 use mcc_flid::layered::Layered;
 use mcc_flid::receiver::{Policy, Receiver};
-use mcc_flid::replicated::Replicated;
-use mcc_flid::threshold_proto::Threshold;
+use mcc_flid::replicated::{SingleGroup, Xor};
+use mcc_flid::threshold_proto::Shamir;
 use mcc_flid::{
     CohortMember, CohortReceiver, FlidConfig, FlidReceiver, FlidSender, ReplicatedReceiver,
     ReplicatedSender, ThresholdReceiver, ThresholdSender,
@@ -769,37 +769,6 @@ impl TopologySpec {
     }
 }
 
-/// Average delivered throughput of an agent over `[from, to)` seconds —
-/// the one measurement-window convention.
-pub fn throughput_bps(sim: &Sim, agent: AgentId, from: u64, to: u64) -> f64 {
-    sim.monitor()
-        .agent_throughput_bps(agent, SimTime::from_secs(from), SimTime::from_secs(to))
-}
-
-/// Per-bin throughput series of an agent out to `horizon` seconds.
-pub fn series_bps(sim: &Sim, agent: AgentId, horizon: u64) -> Vec<f64> {
-    sim.monitor()
-        .agent_series_bps(agent, SimTime::from_secs(horizon))
-}
-
-/// A receiver agent as its concrete FLID type.
-pub fn flid_receiver(sim: &Sim, id: AgentId) -> &FlidReceiver {
-    sim.agent_as::<FlidReceiver>(id)
-        .expect("agent is a FlidReceiver")
-}
-
-/// A sender agent as its concrete FLID type.
-pub fn flid_sender(sim: &Sim, id: AgentId) -> &FlidSender {
-    sim.agent_as::<FlidSender>(id)
-        .expect("agent is a FlidSender")
-}
-
-/// A cohort agent as its concrete type (a `cohort(n)` receiver spec).
-pub fn cohort_receiver(sim: &Sim, id: AgentId) -> &CohortReceiver {
-    sim.agent_as::<CohortReceiver>(id)
-        .expect("agent is a CohortReceiver (spec had cohort > 1)")
-}
-
 impl BuiltTopology {
     /// Run until `secs` of simulated time. With `--trace` a flight
     /// recorder rides the run (see `crate::obs`).
@@ -807,14 +776,21 @@ impl BuiltTopology {
         crate::obs::run_sim(&mut self.sim, SimTime::from_secs(secs));
     }
 
-    /// Average delivered throughput of an agent over `[from, to)` seconds.
+    /// Average delivered throughput of an agent over `[from, to)` seconds —
+    /// the one measurement-window convention.
     pub fn throughput_bps(&self, agent: AgentId, from: u64, to: u64) -> f64 {
-        throughput_bps(&self.sim, agent, from, to)
+        self.sim.monitor().agent_throughput_bps(
+            agent,
+            SimTime::from_secs(from),
+            SimTime::from_secs(to),
+        )
     }
 
     /// Per-bin throughput series of an agent out to `horizon` seconds.
     pub fn series_bps(&self, agent: AgentId, horizon: u64) -> Vec<f64> {
-        series_bps(&self.sim, agent, horizon)
+        self.sim
+            .monitor()
+            .agent_series_bps(agent, SimTime::from_secs(horizon))
     }
 
     /// The SIGMA module at one edge router, when installed.
@@ -827,15 +803,19 @@ impl BuiltTopology {
         self.edges.iter().filter_map(|&e| self.sigma_at(e))
     }
 
-    /// A receiver agent as its concrete type.
+    /// A receiver agent as its concrete FLID type.
     pub fn receiver(&self, id: AgentId) -> &FlidReceiver {
-        flid_receiver(&self.sim, id)
+        self.sim
+            .agent_as::<FlidReceiver>(id)
+            .expect("agent is a FlidReceiver")
     }
 
-    /// A cohort agent as its concrete type (panics for individual
+    /// A FLID cohort agent as its concrete type (panics for individual
     /// receivers — check the spec's `cohort` field first).
     pub fn cohort(&self, id: AgentId) -> &CohortReceiver {
-        cohort_receiver(&self.sim, id)
+        self.sim
+            .agent_as::<CohortReceiver>(id)
+            .expect("agent is a CohortReceiver (spec had cohort > 1)")
     }
 
     /// Count-weighted mean per-receiver throughput of a session over
@@ -854,8 +834,8 @@ impl BuiltTopology {
         for (&id, &w) in session.receivers.iter().zip(&session.weights) {
             let per_receiver = if w > 1 {
                 cohort_bps::<Layered>(&self.sim, id, from, to)
-                    .or_else(|| cohort_bps::<Replicated>(&self.sim, id, from, to))
-                    .or_else(|| cohort_bps::<Threshold>(&self.sim, id, from, to))
+                    .or_else(|| cohort_bps::<SingleGroup<Xor>>(&self.sim, id, from, to))
+                    .or_else(|| cohort_bps::<SingleGroup<Shamir>>(&self.sim, id, from, to))
                     .expect("a weighted agent is a CohortReceiver")
             } else {
                 self.throughput_bps(id, from, to)
@@ -870,9 +850,11 @@ impl BuiltTopology {
         }
     }
 
-    /// A sender agent as its concrete type.
+    /// A sender agent as its concrete FLID type.
     pub fn sender(&self, id: AgentId) -> &FlidSender {
-        flid_sender(&self.sim, id)
+        self.sim
+            .agent_as::<FlidSender>(id)
+            .expect("agent is a FlidSender")
     }
 }
 
@@ -987,8 +969,8 @@ mod tests {
             assert_eq!(ind.sessions[0].weights, vec![1, 1, 1]);
             let agent = coh.sessions[0].receivers[0];
             let census = census::<Layered>(&coh, agent)
-                .or_else(|| census::<Replicated>(&coh, agent))
-                .or_else(|| census::<Threshold>(&coh, agent));
+                .or_else(|| census::<SingleGroup<Xor>>(&coh, agent))
+                .or_else(|| census::<SingleGroup<Shamir>>(&coh, agent));
             assert_eq!(census, Some((3, 1)), "{variant:?}: receivers, buckets");
             // One bucket: the count-weighted ledger is the agent's own
             // delivered series.

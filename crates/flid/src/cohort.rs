@@ -298,7 +298,7 @@ impl<P: Policy> CohortReceiver<P> {
     ) -> usize {
         let idx = self.buckets.len();
         let mut rx = self.template.clone();
-        rx.install_adversary(adversary);
+        rx.adversary = adversary;
         rx.set_leave_at(leave_at);
         rx.set_cohort_mode(bucket_base(idx));
         self.buckets.push(Bucket {
@@ -345,13 +345,14 @@ impl<P: Policy> CohortReceiver<P> {
     /// Fold digest-equal buckets with burnt-out adversaries together.
     fn try_merge(&mut self, now: SimTime) {
         let len = self.buckets.len();
+        let mergeable = |b: &Bucket<P>| b.live() && b.rx.adversary.is_inert(now);
         for i in 0..len {
-            if !self.buckets[i].live() || !self.buckets[i].rx.adversary_inert(now) {
+            if !mergeable(&self.buckets[i]) {
                 continue;
             }
             let di = P::state_digest(&self.buckets[i].rx);
             for j in (i + 1)..len {
-                if !self.buckets[j].live() || !self.buckets[j].rx.adversary_inert(now) {
+                if !mergeable(&self.buckets[j]) {
                     continue;
                 }
                 if P::state_digest(&self.buckets[j].rx) == di {
@@ -379,7 +380,7 @@ impl<P: Policy> CohortReceiver<P> {
         let idx = self.buckets.len();
         let mut rx = self.buckets[src].rx.clone();
         rx.rebase_tokens(bucket_base(idx));
-        rx.install_adversary(adversary);
+        rx.adversary = adversary;
         let bits = self.buckets[src].bits.clone();
         self.buckets[src].count = self.buckets[src].count.saturating_sub(count);
         if self.buckets[src].count == 0 {

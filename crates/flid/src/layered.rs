@@ -25,6 +25,7 @@ use crate::receiver::{Policy, Receiver, SlotWindow};
 use mcc_attack::AttackPlan;
 use mcc_delta::{decide_layered, DeltaFields, Eligibility, Key, SlotObservation};
 use mcc_netsim::prelude::*;
+use mcc_netsim::TraceEvent;
 use mcc_sigma::Subscription;
 
 /// State of the layered key rule.
@@ -79,8 +80,13 @@ impl Receiver<Layered> {
             .push((ctx.now().as_secs_f64(), level));
         // Flight-recorder event only on an actual layer transition (the
         // local `level_trace` keeps every sample for the figures).
-        if level != from {
-            self.layer_event(ctx, from, level);
+        if level != from && ctx.trace_on() {
+            ctx.trace(TraceEvent::FlidLayer {
+                agent: ctx.agent.0,
+                from_layer: from,
+                to_layer: level,
+                slot: self.slot_of(ctx.now()),
+            });
         }
     }
 
@@ -220,21 +226,10 @@ impl Receiver<Layered> {
     }
 }
 
-impl Layered {
-    /// Groups that were fully subscribed for the whole of slot `s`.
-    fn decision_level(&self, s: u64) -> u32 {
-        let mut d = 0;
-        for g in 1..=self.level {
-            match self.joined_slot[(g - 1) as usize] {
-                Some(j) if j < s => d = g,
-                _ => break,
-            }
-        }
-        d
-    }
-}
-
 impl Policy for Layered {
+    /// The slot's observation, whether it was ECN-marked, its decision level.
+    type Closed = (SlotObservation, bool, u32);
+
     fn observe(&mut self, fields: &DeltaFields, marked: bool) -> bool {
         let slot = fields.slot;
         if marked {
@@ -263,17 +258,24 @@ impl Policy for Layered {
         rx.trace(ctx);
     }
 
-    fn evaluate(rx: &mut FlidReceiver, ctx: &mut Ctx, s: u64) {
-        let p = &mut rx.policy;
-        let n = p.joined_slot.len() as u32;
-        let obs = p.obs.close(s).unwrap_or_else(|| SlotObservation::new(s, n));
-        let marked = p.marked_slots.close(s).is_some();
-        let dlevel = p.decision_level(s);
-        if dlevel == 0 {
-            return;
-        }
-        let env = rx.attack_env(ctx.now(), s);
-        let attack_actions = rx.adversary.on_slot(&env);
+    /// The decision level counts the groups subscribed for the whole of
+    /// slot `s`; at level 0 the slot is not judged.
+    fn close(&mut self, s: u64) -> Option<Self::Closed> {
+        let n = self.joined_slot.len() as u32;
+        let obs = self
+            .obs
+            .close(s)
+            .unwrap_or_else(|| SlotObservation::new(s, n));
+        let marked = self.marked_slots.close(s).is_some();
+        let joined = &self.joined_slot[..self.level as usize];
+        let dlevel = joined
+            .iter()
+            .take_while(|j| j.is_some_and(|j| j < s))
+            .count() as u32;
+        (dlevel > 0).then_some((obs, marked, dlevel))
+    }
+
+    fn judge(rx: &mut FlidReceiver, ctx: &mut Ctx, s: u64, (obs, marked, dlevel): Self::Closed) {
         match (rx.protected(), rx.policy.inflated) {
             // FLID-DL attacker: joined everything, ignores all signals.
             (false, true) => {}
@@ -286,7 +288,6 @@ impl Policy for Layered {
             // while stacking inflation attempts on top.
             (true, _) => rx.handle_slot_ds(ctx, s, &obs, dlevel),
         }
-        rx.execute(ctx, s, attack_actions);
     }
 
     /// Grab `1..=layer` and *claim* it: the receiver stops following the

@@ -21,17 +21,17 @@
 //! * [`layered`] — the cumulative policy; [`FlidReceiver`] is its
 //!   instantiation (misbehaviour is an [`mcc_attack::AttackPlan`] handed
 //!   to `with_adversary`),
-//! * [`replicated`] — a destination-set-grouping style replicated
-//!   multicast protocol protected by the Figure-5 DELTA instantiation:
-//!   [`ReplicatedSender`] and [`ReplicatedReceiver`],
+//! * [`replicated`] — the single-group policy over a decoder, and a
+//!   replicated multicast protocol protected by the Figure-5 DELTA
+//!   instantiation: [`ReplicatedSender`] and [`ReplicatedReceiver`],
 //! * [`threshold_proto`] — an RLM-style loss-threshold protocol protected
 //!   by Shamir-share key distribution (§3.1.2): [`ThresholdSender`] and
 //!   [`ThresholdReceiver`],
 //! * [`cohort`] — [`CohortReceiver`], count-weighted buckets of receivers
 //!   of any policy behind one interface.
 //!
-//! The substitution from FLID-DL's *dynamic layering* to static layers
-//! with explicit IGMP leave latency is documented in `DESIGN.md`.
+//! FLID-DL's *dynamic layering* is modelled as static layers with no IGMP
+//! leave latency; `DESIGN.md` documents the substitution.
 
 pub mod cohort;
 pub mod config;

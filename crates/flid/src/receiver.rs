@@ -16,18 +16,20 @@
 //! * **SIGMA control senders** — session-join, subscription (optionally
 //!   retransmitted until acked) and unsubscription,
 //! * **attack dispatch** — the [`mcc_attack::Adversary`] hooks: activation
-//!   timers, per-slot actions, congestion-signal vetoes,
+//!   timers, per-slot actions (once per judged slot), congestion vetoes,
 //! * **attack execution** — every [`AttackAction`] that does not touch the
 //!   claimed level: guessed-key floods, smuggled-key submissions and raw
 //!   joins, counted into [`ReceiverStats`],
 //! * **trace events** — `Join`, `Leave`, `FlidLayer`.
 //!
-//! A [`Policy`] supplies only what differs: how a data packet is observed,
-//! how a closed slot is judged, what "level" means, how
-//! [`AttackAction::Inflate`] and [`AttackAction::LeaveHigh`] move its
-//! claimed level, and what to tell the router on departure. Dispatch is
-//! static (`Receiver<P>` is monomorphised per policy): `observe` runs once
-//! per delivered data packet, 2,000 receivers wide in the fan-out workload.
+//! A [`Policy`] — [`crate::layered::Layered`] or
+//! [`crate::replicated::SingleGroup`] — supplies only what differs: how a
+//! data packet is observed, whether and how a closed slot is judged, what
+//! "level" means, how [`AttackAction::Inflate`] and
+//! [`AttackAction::LeaveHigh`] move its claimed level, and what to tell
+//! the router on departure. Dispatch is static (`Receiver<P>` is
+//! monomorphised per policy): `observe` runs once per delivered data
+//! packet, 2,000 receivers wide in the fan-out workload.
 
 use crate::config::FlidConfig;
 use mcc_attack::{Adversary, AttackAction, AttackEnv, AttackPlan};
@@ -48,8 +50,8 @@ pub(crate) const RETX_AFTER: SimDuration = SimDuration::from_millis(60);
 /// Counters for tests and experiment reports. The shell counts the
 /// control plane (`subscriptions`, `retransmissions`, `acks`) and the
 /// attack traffic (`guess_subscriptions`, `colluder_submissions`); the
-/// rest are the layered policy's decisions (the single-group policies
-/// keep their own `rejoins` / `key_failures`).
+/// rest count the policies' decisions (only the layered policy counts
+/// `decreases` and `increases`).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ReceiverStats {
     /// Level decreases taken.
@@ -70,14 +72,18 @@ pub struct ReceiverStats {
     pub colluder_submissions: u64,
 }
 
-/// The key rule of one session structure — everything a receiver does
-/// that is *not* lifecycle, control plane or attack dispatch.
+/// The subscription rule of one session structure — everything a
+/// receiver does that is *not* lifecycle, control plane or attack
+/// dispatch.
 ///
-/// The state-only half (`observe`, `level`) takes `&mut self`; the rules
-/// that act on the world take the whole [`Receiver`] so they can reach
-/// the shell's ledger and senders while updating `rx.policy`. `Clone`
-/// lets a cohort copy a receiver into a new bucket.
+/// The state-only half (`observe`, `level`, `close`) takes `&mut self`;
+/// the rules that act on the world take the whole [`Receiver`] so they
+/// can reach the shell's ledger and senders while updating `rx.policy`.
+/// `Clone` lets a cohort copy a receiver into a new bucket.
 pub trait Policy: Clone + Sized + Send + 'static {
+    /// What a closed slot is judged on.
+    type Closed;
+
     /// Record one data packet of the session (`marked`: it carried an ECN
     /// congestion mark); `false` when it is not part of the subscription
     /// (stale traffic of a group just left). The per-packet path: no
@@ -85,17 +91,21 @@ pub trait Policy: Clone + Sized + Send + 'static {
     fn observe(&mut self, fields: &DeltaFields, marked: bool) -> bool;
 
     /// The current honest subscription level (layered) or group
-    /// (single-group policies).
+    /// (single-group policy).
     fn level(&self) -> u32;
 
     /// The shell has joined the minimal group and sent the session-join:
     /// record the initial level.
     fn started(rx: &mut Receiver<Self>, ctx: &mut Ctx);
 
-    /// Slot `slot` has closed (and the session has delivered at least
-    /// once): judge it, subscribe for `slot + 2`, move between groups,
-    /// and run the adversary's per-slot actions (`Receiver::execute`).
-    fn evaluate(rx: &mut Receiver<Self>, ctx: &mut Ctx, slot: u64);
+    /// Slot `slot` has closed (and the session has delivered): drop its
+    /// state, returning what it is judged on — `None` when no group was
+    /// subscribed for the whole slot.
+    fn close(&mut self, slot: u64) -> Option<Self::Closed>;
+
+    /// Judge closed slot `slot`: subscribe for `slot + 2` and move between
+    /// groups. The adversary's per-slot hook runs just before.
+    fn judge(rx: &mut Receiver<Self>, ctx: &mut Ctx, slot: u64, closed: Self::Closed);
 
     /// Execute [`AttackAction::Inflate`] for protocol slot `slot`. The
     /// default is the single-group reading: a receiver entitled to exactly
@@ -366,13 +376,6 @@ impl<P: Policy> Receiver<P> {
         self.send_control(ctx, sub.size_bits(), sub);
     }
 
-    /// Submit `key` for the single group `group` in subscription slot
-    /// `slot`, fire-and-forget (the single-group policies' subscription).
-    pub(crate) fn subscribe_one(&mut self, ctx: &mut Ctx, slot: u64, group: u32, key: Key) {
-        let pairs = vec![(self.addr(group), key)];
-        self.subscribe(ctx, Subscription { slot, pairs }, false);
-    }
-
     /// Submit the protocol's own subscription. With `reliable` it stays
     /// pending and is retransmitted until the router acks its slot.
     pub(crate) fn subscribe(&mut self, ctx: &mut Ctx, sub: Subscription, reliable: bool) {
@@ -432,34 +435,45 @@ impl<P: Policy> Receiver<P> {
     // -- attack execution ---------------------------------------------------
 
     /// Execute adversary actions. `slot` is the protocol slot they refer
-    /// to (the evaluated slot for per-slot actions, the current slot for
+    /// to (the judged slot for per-slot actions, the current slot for
     /// activations). The two that move the claimed level go to the policy.
-    pub(crate) fn execute(&mut self, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
+    fn execute(&mut self, ctx: &mut Ctx, slot: u64, actions: Vec<AttackAction>) {
         let n = self.cfg.n();
         for action in actions {
             match action {
                 AttackAction::Inflate { layer } => P::inflate(self, ctx, slot, layer),
                 AttackAction::LeaveHigh => P::leave_high(self, ctx),
                 AttackAction::RawJoins { layer } => self.raw_joins(ctx, layer),
+                // Keys mean nothing to plain IGMP.
+                AttackAction::GuessKeys { .. } | AttackAction::SubmitKeys { .. }
+                    if !self.protected() => {}
+                // "Numerous random keys in a hope that one of these keys is
+                // correct" (paper §4.2), for subscription slot `slot + 2`:
+                // what trips the router's tally.
                 AttackAction::GuessKeys { per_group, layer } => {
-                    if self.send_guesses(ctx, per_group, layer, slot) {
-                        self.stats.guess_subscriptions += 1;
+                    let mut pairs = Vec::new();
+                    for g in 1..=layer.min(n) {
+                        for _ in 0..per_group {
+                            pairs.push((self.addr(g), Key(ctx.rng().next_u64())));
+                        }
                     }
+                    let slot = slot + 2;
+                    self.send_subscription(ctx, Subscription { slot, pairs });
+                    self.stats.guess_subscriptions += 1;
                 }
-                AttackAction::SubmitKeys { slot, pairs } => {
-                    if !self.protected() {
-                        continue; // Smuggled keys mean nothing to plain IGMP.
+                AttackAction::SubmitKeys { slot, mut pairs } => {
+                    pairs.retain(|&(g, _)| (1..=n).contains(&g));
+                    if pairs.is_empty() {
+                        continue;
                     }
                     // Join first so the graft is in flight before the
                     // subscription reaches the router.
                     for &(g, _) in &pairs {
-                        if (1..=n).contains(&g) {
-                            self.raw_join(ctx, g);
-                        }
+                        self.raw_join(ctx, g);
                     }
-                    if self.send_smuggled(ctx, slot, &pairs) {
-                        self.stats.colluder_submissions += 1;
-                    }
+                    let pairs = pairs.iter().map(|&(g, k)| (self.addr(g), k)).collect();
+                    self.send_subscription(ctx, Subscription { slot, pairs });
+                    self.stats.colluder_submissions += 1;
                 }
             }
         }
@@ -477,63 +491,6 @@ impl<P: Policy> Receiver<P> {
     pub(crate) fn raw_joins(&mut self, ctx: &mut Ctx, layer: u32) {
         for g in 1..=layer.min(self.cfg.n()) {
             self.raw_join(ctx, g);
-        }
-    }
-
-    /// Send a guessed-key subscription: `per_group` random keys for every
-    /// group up to `layer`, for subscription slot `slot + 2` — "numerous
-    /// random keys in a hope that one of these keys is correct" (paper
-    /// §4.2), which is what trips the router's tally. Returns `false` (no
-    /// packet) when the session has no router.
-    fn send_guesses(&self, ctx: &mut Ctx, per_group: u32, layer: u32, slot: u64) -> bool {
-        if !self.protected() {
-            return false;
-        }
-        let mut pairs: Vec<(GroupAddr, Key)> = Vec::new();
-        for g in 1..=layer.min(self.cfg.n()) {
-            for _ in 0..per_group {
-                pairs.push((self.addr(g), Key(ctx.rng().next_u64())));
-            }
-        }
-        let sub = Subscription {
-            slot: slot + 2,
-            pairs,
-        };
-        self.send_subscription(ctx, sub);
-        true
-    }
-
-    /// Map smuggled `(1-based group, key)` pairs onto addresses and send
-    /// them as a subscription for `slot`. Returns whether a packet went
-    /// out.
-    fn send_smuggled(&self, ctx: &mut Ctx, slot: u64, pairs: &[(u32, Key)]) -> bool {
-        let mapped: Vec<(GroupAddr, Key)> = pairs
-            .iter()
-            .filter(|&&(g, _)| (1..=self.cfg.n()).contains(&g))
-            .map(|&(g, k)| (self.addr(g), k))
-            .collect();
-        if !self.protected() || mapped.is_empty() {
-            return false;
-        }
-        let sub = Subscription {
-            slot,
-            pairs: mapped,
-        };
-        self.send_subscription(ctx, sub);
-        true
-    }
-
-    // -- trace events -------------------------------------------------------
-
-    /// Flight-recorder event for a layer transition.
-    pub(crate) fn layer_event(&self, ctx: &mut Ctx, from: u32, to: u32) {
-        if ctx.trace_on() {
-            ctx.trace(TraceEvent::FlidLayer {
-                agent: ctx.agent.0,
-                from_layer: from,
-                to_layer: to,
-                slot: self.slot_of(ctx.now()),
-            });
         }
     }
 
@@ -579,11 +536,6 @@ impl<P: Policy> Receiver<P> {
         self.token_base = token_base;
     }
 
-    /// Install a different adversary (cohort split: the clone diverges).
-    pub(crate) fn install_adversary(&mut self, adversary: Box<dyn Adversary>) {
-        self.adversary = adversary;
-    }
-
     /// Does this receiver currently want group index `gi` (0-based) joined?
     pub(crate) fn wants_group(&self, gi: usize) -> bool {
         self.desired.get(gi).copied().unwrap_or(false)
@@ -612,11 +564,6 @@ impl<P: Policy> Receiver<P> {
                 && accepted.iter().all(|p| sub.pairs.contains(p))
                 && (!exact || accepted.len() == sub.pairs.len())
         })
-    }
-
-    /// From `after` onward, will the adversary never act again?
-    pub(crate) fn adversary_inert(&self, after: SimTime) -> bool {
-        self.adversary.is_inert(after)
     }
 
     /// The next instant of this receiver's end-of-slot evaluation grid
@@ -705,7 +652,13 @@ impl<P: Policy> Agent for Receiver<P> {
                 let s = self.slot_of(now - self.guard).saturating_sub(1);
                 ctx.timer_at(now + self.cfg.slot, self.token_base + PROCESS);
                 if self.ever_received {
-                    P::evaluate(self, ctx, s);
+                    let Some(closed) = self.policy.close(s) else {
+                        return;
+                    };
+                    let env = self.attack_env(now, s);
+                    let actions = self.adversary.on_slot(&env);
+                    P::judge(self, ctx, s, closed);
+                    self.execute(ctx, s, actions);
                 } else if s % 4 == 3 {
                     // Watchdog: a lost session-join (or an expired keyless
                     // grace) would otherwise leave the receiver waiting
@@ -739,6 +692,7 @@ mod tests {
     use mcc_attack::{InflateTo, Timed};
     use mcc_delta::UpgradeMask;
     use std::fmt::Debug;
+    use std::sync::{Arc, Mutex};
 
     const POKE: u64 = 1 << 40;
     const THETA: f64 = 0.25;
@@ -751,6 +705,25 @@ mod tests {
         poke_at: SimTime,
         /// Receiver timers that fired after the poke: a chain it re-armed.
         late_timers: u32,
+        /// Slots the policy could judge when their PROCESS timer fired.
+        judged: Vec<u64>,
+        /// Slots the policy declined although the session had delivered.
+        declined: u32,
+    }
+
+    impl<P: Policy> Probe<P> {
+        /// Ask a copy of the policy whether the PROCESS timer firing now
+        /// will judge its slot.
+        fn predict(&mut self, now: SimTime) {
+            if self.rx.departed || !self.rx.ever_received {
+                return;
+            }
+            let s = self.rx.slot_of(now - self.rx.guard).saturating_sub(1);
+            match self.rx.policy.clone().close(s) {
+                Some(_) => self.judged.push(s),
+                None => self.declined += 1,
+            }
+        }
     }
 
     impl<P: Policy + Debug> Agent for Probe<P> {
@@ -764,6 +737,9 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
             if token != POKE {
                 self.late_timers += u32::from(ctx.now() > self.poke_at);
+                if token == PROCESS {
+                    self.predict(ctx.now());
+                }
                 return self.rx.on_timer(ctx, token);
             }
             for t in [PROCESS, ATTACK, RETX] {
@@ -798,6 +774,8 @@ mod tests {
         late_timers: u32,
         /// The receiver's whole state, `Debug`-rendered.
         state: String,
+        judged: Vec<u64>,
+        declined: u32,
     }
 
     struct Case {
@@ -820,6 +798,8 @@ mod tests {
             departed: p.rx.departed(),
             late_timers: p.late_timers,
             state: format!("{:?}", p.rx),
+            judged: p.judged.clone(),
+            declined: p.declined,
         }
     }
 
@@ -839,6 +819,8 @@ mod tests {
             rx,
             poke_at: SimTime::from_secs(poke_at),
             late_timers: 0,
+            judged: Vec::new(),
+            declined: 0,
         });
         rig.run(sender(cfg), 0);
         Case {
@@ -905,6 +887,39 @@ mod tests {
             let after = c.run_until(12);
             assert_eq!(before.state, after.state, "{name}: state moved");
             assert_eq!(after.late_timers, 0, "{name}: a timer chain survived");
+        }
+    }
+
+    /// Logs every slot the shell hands the per-slot hook.
+    #[derive(Clone, Debug, Default)]
+    struct SlotLog(Arc<Mutex<Vec<u64>>>);
+
+    impl Adversary for SlotLog {
+        fn label(&self) -> String {
+            "slot_log".into()
+        }
+        fn clone_box(&self) -> Box<dyn Adversary> {
+            Box::new(self.clone())
+        }
+        fn on_slot(&mut self, env: &AttackEnv) -> Vec<AttackAction> {
+            self.0.lock().expect("unpoisoned").push(env.slot);
+            Vec::new()
+        }
+    }
+
+    /// The shell runs the per-slot hook exactly once for every slot its
+    /// policy judges, and never for a slot the policy declines: the
+    /// layered policy's decision level 0, the single-group join-slot guard.
+    #[test]
+    fn the_per_slot_hook_runs_once_per_judged_slot() {
+        let log = SlotLog::default();
+        for mut c in instantiations((true, 60, 60), &AttackPlan::new(log.clone())) {
+            let name = c.name;
+            let view = c.run_until(20);
+            let hooked = std::mem::take(&mut *log.0.lock().expect("unpoisoned"));
+            assert!(view.judged.len() > 20, "{name}: judged {:?}", view.judged);
+            assert!(view.declined > 0, "{name}: no slot was declined");
+            assert_eq!(hooked, view.judged, "{name}: hooked vs judged slots");
         }
     }
 }

@@ -1,5 +1,6 @@
 //! A replicated multicast protocol protected by the Figure-5 DELTA
-//! instantiation (paper §3.1.2, "Session structure").
+//! instantiation (paper §3.1.2, "Session structure"), and the
+//! single-group policy it shares with the threshold protocol.
 //!
 //! Every group of the session carries the *same* content at a different
 //! rate (destination-set grouping, Cheung/Ammar): group 1 is the slowest,
@@ -10,15 +11,22 @@
 //! The DELTA keys differ from the layered case only in scope: the top key
 //! covers a single group's components, and the increase key for group `g`
 //! is the *previous* group's top key (paper Eq. 6).
+//!
+//! [`SingleGroup<D>`] is the receiver policy of every one-group session;
+//! its [`Decoder`] — [`Xor`] here, [`crate::threshold_proto::Shamir`] for
+//! the threshold protocol — is the receiver-side twin of the sender's
+//! [`crate::sender::KeyRule`].
 
 use crate::config::FlidConfig;
 use crate::receiver::{Policy, Receiver, SlotWindow};
 use crate::sender::{Layers, Sender};
 use mcc_attack::AttackPlan;
 use mcc_delta::{
-    decide_replicated, DeltaFields, GroupObservation, ReplicatedEligibility, UpgradeMask,
+    decide_replicated, DeltaFields, GroupObservation, Key, ReplicatedEligibility, UpgradeMask,
 };
 use mcc_netsim::prelude::*;
+use mcc_sigma::Subscription;
+use std::fmt::Debug;
 
 /// Sender of a replicated multicast session. Reuses [`FlidConfig`], with
 /// `cumulative_rate(g)` read as group `g`'s own full-content rate.
@@ -31,46 +39,63 @@ impl ReplicatedSender {
     }
 }
 
-/// State of the replicated subscription policy (paper Figure 5): the receiver
-/// subscribes to exactly one group.
+/// How a single-group session's packets are read: everything a
+/// [`SingleGroup`] receiver does that depends on the key rule.
+pub trait Decoder: Clone + Debug + Send + 'static {
+    /// What one slot of the subscribed group delivered.
+    type Obs: Clone + Debug + Default + Send;
+
+    /// Fold one data packet of the subscribed group into its slot's
+    /// observation.
+    fn fold(obs: &mut Self::Obs, fields: &DeltaFields);
+
+    /// The verdict on a closed slot that delivered `obs` of `group`, in a
+    /// session of `n` groups.
+    fn verdict(&mut self, obs: Self::Obs, group: u32, n: u32) -> Verdict;
+}
+
+/// What a single-group receiver does after a judged slot.
+#[derive(Debug)]
+pub enum Verdict {
+    /// `Subscribe(group, key, publish)`: subscribe to `group` with `key`
+    /// for slot `s+2`, first handing the adversary `publish`, a pair
+    /// colluders may share. A lower group is a decrease it may veto.
+    Subscribe(u32, Key, Option<(u32, Key)>),
+    /// Back to the minimal group and keyless re-admission.
+    Rejoin,
+}
+
+/// State of the single-group subscription policy: the receiver holds
+/// exactly one group.
 #[derive(Clone, Debug)]
-pub struct Replicated {
+pub struct SingleGroup<D: Decoder> {
     /// Current (1-based) group.
     pub group: u32,
-    /// Per slot: what arrived of the group, and the upgrade authorizations
-    /// its headers carried.
-    obs: SlotWindow<(GroupObservation, UpgradeMask)>,
+    /// Per slot: what arrived of the group.
+    obs: SlotWindow<D::Obs>,
     /// Slot during which the current group was joined; decisions wait for
     /// the first complete slot after a switch.
     joined_slot: u64,
     /// `(t, group)` trace.
     pub trace: Vec<(f64, u32)>,
-    /// Session rejoins after total blackout.
-    pub rejoins: u64,
+    /// The session structure's packet reader.
+    pub decoder: D,
 }
 
-/// Receiver of a replicated session.
-pub type ReplicatedReceiver = Receiver<Replicated>;
-
-impl Receiver<Replicated> {
-    /// Build an honest receiver starting in the minimal group. `router`
-    /// is the SIGMA router when protected; `None` runs over classic IGMP.
-    pub fn new(cfg: FlidConfig, router: Option<NodeId>) -> Self {
-        ReplicatedReceiver::with_adversary(cfg, router, AttackPlan::honest())
-    }
-
-    /// Build a receiver running `plan`'s adversary strategy.
-    pub fn with_adversary(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Self {
-        let policy = Replicated {
+impl<D: Decoder> SingleGroup<D> {
+    /// The policy in the minimal group, reading packets with `decoder`.
+    pub(crate) fn new(decoder: D) -> Self {
+        SingleGroup {
             group: 1,
             obs: SlotWindow::default(),
             joined_slot: 0,
             trace: Vec::new(),
-            rejoins: 0,
-        };
-        Receiver::build(cfg, router, plan, policy)
+            decoder,
+        }
     }
+}
 
+impl<D: Decoder> Receiver<SingleGroup<D>> {
     /// Move the single subscription to group `to`.
     fn switch(&mut self, ctx: &mut Ctx, to: u32) {
         if to != self.policy.group {
@@ -83,7 +108,9 @@ impl Receiver<Replicated> {
     }
 }
 
-impl Policy for Replicated {
+impl<D: Decoder> Policy for SingleGroup<D> {
+    type Closed = D::Obs;
+
     fn observe(&mut self, fields: &DeltaFields, _marked: bool) -> bool {
         if fields.group != self.group {
             return false; // Stale traffic from a group we just left.
@@ -91,9 +118,7 @@ impl Policy for Replicated {
         if self.joined_slot == u64::MAX {
             self.joined_slot = fields.slot;
         }
-        let (obs, upgrades) = self.obs.entry(fields.slot, Default::default);
-        obs.observe(fields);
-        *upgrades = UpgradeMask(upgrades.0 | fields.upgrades.0);
+        D::fold(self.obs.entry(fields.slot, Default::default), fields);
         true
     }
 
@@ -101,25 +126,26 @@ impl Policy for Replicated {
         self.group
     }
 
-    fn started(rx: &mut ReplicatedReceiver, ctx: &mut Ctx) {
+    fn started(rx: &mut Receiver<Self>, ctx: &mut Ctx) {
         rx.policy.trace.push((ctx.now().as_secs_f64(), 1));
     }
 
-    fn evaluate(rx: &mut ReplicatedReceiver, ctx: &mut Ctx, s: u64) {
-        let p = &mut rx.policy;
-        let (obs, upgrades) = p.obs.close(s).unwrap_or_default();
-        if p.joined_slot >= s {
-            // The current group was joined mid-slot: wait for its first
-            // complete slot before judging congestion.
-            return;
-        }
-        let current = p.group;
-        let env = rx.attack_env(ctx.now(), s);
-        let attack_actions = rx.adversary.on_slot(&env);
-        match decide_replicated(&obs, upgrades, current, rx.cfg.n()) {
-            ReplicatedEligibility::Subscribe { group, key } => {
-                rx.adversary.on_key_packet(&env, s + 2, &[(group, key)]);
-                rx.subscribe_one(ctx, s + 2, group, key);
+    /// A group joined during slot `s` waits for its first complete slot.
+    fn close(&mut self, s: u64) -> Option<D::Obs> {
+        let obs = self.obs.close(s).unwrap_or_default();
+        (self.joined_slot < s).then_some(obs)
+    }
+
+    fn judge(rx: &mut Receiver<Self>, ctx: &mut Ctx, s: u64, obs: D::Obs) {
+        let current = rx.policy.group;
+        match rx.policy.decoder.verdict(obs, current, rx.cfg.n()) {
+            Verdict::Subscribe(group, key, publish) => {
+                if let Some(pair) = publish {
+                    let env = rx.attack_env(ctx.now(), s);
+                    rx.adversary.on_key_packet(&env, s + 2, &[pair]);
+                }
+                let pairs = vec![(rx.addr(group), key)];
+                rx.subscribe(ctx, Subscription { slot: s + 2, pairs }, false);
                 // A vetoed switch down: the adversary clings to the
                 // faster group; without its key the router stops the
                 // traffic regardless.
@@ -127,21 +153,21 @@ impl Policy for Replicated {
                     rx.switch(ctx, group);
                 }
             }
-            ReplicatedEligibility::Rejoin => {
+            Verdict::Rejoin => {
                 rx.switch(ctx, 1);
-                rx.policy.rejoins += 1;
+                rx.stats.rejoins += 1;
                 rx.session_join(ctx);
             }
         }
-        rx.execute(ctx, s, attack_actions);
     }
 
     /// The router learns nothing: its grant for the group simply expires.
-    fn wind_down(rx: &mut ReplicatedReceiver, ctx: &mut Ctx, _left: Vec<GroupAddr>) {
+    fn wind_down(rx: &mut Receiver<Self>, ctx: &mut Ctx, _left: Vec<GroupAddr>) {
         rx.policy.trace.push((ctx.now().as_secs_f64(), 0));
     }
 
-    fn state_digest(rx: &ReplicatedReceiver) -> String {
+    /// The decoder holds configuration and counters only.
+    fn state_digest(rx: &Receiver<Self>) -> String {
         let p = &rx.policy;
         format!(
             "{}|{:?}|{}|{}",
@@ -150,6 +176,46 @@ impl Policy for Replicated {
             p.joined_slot,
             rx.shell_digest()
         )
+    }
+}
+
+/// The Figure-5 decoder: XOR the group's components into its top key and
+/// collect the upgrade authorizations its headers carry.
+#[derive(Clone, Copy, Debug)]
+pub struct Xor;
+
+impl Decoder for Xor {
+    type Obs = (GroupObservation, UpgradeMask);
+
+    fn fold((obs, upgrades): &mut Self::Obs, fields: &DeltaFields) {
+        obs.observe(fields);
+        *upgrades = UpgradeMask(upgrades.0 | fields.upgrades.0);
+    }
+
+    /// Publishes exactly the pair it subscribes.
+    fn verdict(&mut self, (obs, upgrades): Self::Obs, group: u32, n: u32) -> Verdict {
+        match decide_replicated(&obs, upgrades, group, n) {
+            ReplicatedEligibility::Subscribe { group, key } => {
+                Verdict::Subscribe(group, key, Some((group, key)))
+            }
+            ReplicatedEligibility::Rejoin => Verdict::Rejoin,
+        }
+    }
+}
+
+/// Receiver of a replicated session.
+pub type ReplicatedReceiver = Receiver<SingleGroup<Xor>>;
+
+impl ReplicatedReceiver {
+    /// Build an honest receiver starting in the minimal group. `router`
+    /// is the SIGMA router when protected; `None` runs over classic IGMP.
+    pub fn new(cfg: FlidConfig, router: Option<NodeId>) -> Self {
+        ReplicatedReceiver::with_adversary(cfg, router, AttackPlan::honest())
+    }
+
+    /// Build a receiver running `plan`'s adversary strategy.
+    pub fn with_adversary(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Self {
+        Receiver::build(cfg, router, plan, SingleGroup::new(Xor))
     }
 }
 
@@ -223,6 +289,6 @@ mod tests {
         let drops = d.sim.world.link_stats(d.bottleneck).drops;
         println!("bottleneck drops {drops}");
         let rec = replicated(&d, r);
-        println!("rejoins {} trace {:?}", rec.rejoins, rec.trace);
+        println!("rejoins {} trace {:?}", rec.stats.rejoins, rec.trace);
     }
 }

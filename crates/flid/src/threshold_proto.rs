@@ -8,7 +8,8 @@
 //! reconstructs the key by interpolation; a receiver losing more cannot —
 //! the threshold *is* the reconstruction bound.
 //!
-//! The session uses the replicated structure (one group per level), where
+//! The session uses the replicated structure (one group per level, one
+//! [`SingleGroup`] receiver policy, read by the [`Shamir`] decoder), where
 //! the paper notes Shamir's scheme applies cleanly; for cumulative layered
 //! sharing it would forgo component reuse, the open problem §3.1.2 calls
 //! out (see `DESIGN.md` ablations).
@@ -19,7 +20,8 @@
 //! 3's generality.
 
 use crate::config::FlidConfig;
-use crate::receiver::{Policy, Receiver, SlotWindow};
+use crate::receiver::Receiver;
+use crate::replicated::{Decoder, SingleGroup, Verdict};
 use crate::sender::{KeyRule, Paced, Sender};
 use mcc_attack::AttackPlan;
 use mcc_delta::threshold::{reconstruct, Share, ThresholdLevelKeys};
@@ -116,36 +118,66 @@ impl ThresholdSender {
 
 /// What a threshold receiver saw of its group in one slot.
 #[derive(Debug, Default, Clone)]
-struct ThresholdObs {
+pub struct SharesSeen {
     shares: Vec<Share>,
     saw_last: bool,
     expected: u32,
     decrease: Option<Key>,
 }
 
-/// State of the threshold subscription policy. Climbs one group per slot while the
-/// loss rate stays within θ (an RLM-like probe policy driven by the
-/// reconstruction bound itself).
+/// The threshold decoder: rebuild the group key from the slot's Shamir
+/// shares while the loss rate stays within θ, and climb one group per
+/// such slot (an RLM-like probe policy driven by the reconstruction bound
+/// itself).
 #[derive(Clone, Debug)]
-pub struct Threshold {
+pub struct Shamir {
     /// Loss threshold θ (must match the sender's).
     pub theta: f64,
-    /// Current group.
-    pub group: u32,
-    obs: SlotWindow<ThresholdObs>,
-    /// Slot during which the current group was joined; decisions wait for
-    /// the first complete slot after a switch.
-    joined_slot: u64,
-    /// `(t, group)` trace.
-    pub trace: Vec<(f64, u32)>,
     /// Slots where the key could not be reconstructed.
     pub key_failures: u64,
 }
 
-/// Receiver of the threshold session.
-pub type ThresholdReceiver = Receiver<Threshold>;
+impl Decoder for Shamir {
+    type Obs = SharesSeen;
 
-impl Receiver<Threshold> {
+    fn fold(o: &mut SharesSeen, fields: &DeltaFields) {
+        o.shares.push(unpack_share(fields.component));
+        if fields.last_in_slot {
+            o.saw_last = true;
+            o.expected = fields.count_in_slot;
+        }
+        if let Some(d) = fields.decrease {
+            o.decrease = Some(d);
+        }
+    }
+
+    /// Publishes the reconstructed `(g, γ_g)` while subscribing
+    /// `(g+1, γ_g)`; a decrease publishes nothing.
+    fn verdict(&mut self, obs: SharesSeen, group: u32, n: u32) -> Verdict {
+        // Loss rate over the slot; a missing final packet means the
+        // expected count is unknown — treat conservatively as over
+        // threshold unless enough shares arrived anyway.
+        let received = obs.shares.len() as u32;
+        if obs.saw_last && received as f64 >= (1.0 - self.theta) * obs.expected as f64 {
+            // Probe upward: the reconstructed key doubles as the increase
+            // key of the next group.
+            let key = Key(reconstruct(&obs.shares) as u64);
+            return Verdict::Subscribe((group + 1).min(n), key, Some((group, key)));
+        }
+        self.key_failures += 1;
+        match (group, obs.decrease) {
+            (2.., Some(d)) if received > 0 => Verdict::Subscribe(group - 1, d, None),
+            // At the minimal group, without a decrease key, or in a
+            // total blackout: back to keyless re-admission.
+            _ => Verdict::Rejoin,
+        }
+    }
+}
+
+/// Receiver of the threshold session.
+pub type ThresholdReceiver = Receiver<SingleGroup<Shamir>>;
+
+impl ThresholdReceiver {
     /// Build an honest receiver.
     pub fn new(cfg: FlidConfig, theta: f64, router: Option<NodeId>) -> Self {
         ThresholdReceiver::with_adversary(cfg, theta, router, AttackPlan::honest())
@@ -158,120 +190,11 @@ impl Receiver<Threshold> {
         router: Option<NodeId>,
         plan: AttackPlan,
     ) -> Self {
-        let policy = Threshold {
+        let shamir = Shamir {
             theta,
-            group: 1,
-            obs: SlotWindow::default(),
-            joined_slot: 0,
-            trace: Vec::new(),
             key_failures: 0,
         };
-        Receiver::build(cfg, router, plan, policy)
-    }
-
-    /// Move the single subscription to group `to`.
-    fn switch(&mut self, ctx: &mut Ctx, to: u32) {
-        if to != self.policy.group {
-            self.leave(ctx, self.policy.group);
-            self.join(ctx, to);
-            self.policy.group = to;
-            self.policy.joined_slot = u64::MAX; // latched on first packet
-            self.policy.trace.push((ctx.now().as_secs_f64(), to));
-        }
-    }
-}
-
-impl Policy for Threshold {
-    fn observe(&mut self, fields: &DeltaFields, _marked: bool) -> bool {
-        if fields.group != self.group {
-            return false;
-        }
-        if self.joined_slot == u64::MAX {
-            self.joined_slot = fields.slot;
-        }
-        let o = self.obs.entry(fields.slot, ThresholdObs::default);
-        o.shares.push(unpack_share(fields.component));
-        if fields.last_in_slot {
-            o.saw_last = true;
-            o.expected = fields.count_in_slot;
-        }
-        if let Some(d) = fields.decrease {
-            o.decrease = Some(d);
-        }
-        true
-    }
-
-    fn level(&self) -> u32 {
-        self.group
-    }
-
-    fn started(rx: &mut ThresholdReceiver, ctx: &mut Ctx) {
-        rx.policy.trace.push((ctx.now().as_secs_f64(), 1));
-    }
-
-    fn evaluate(rx: &mut ThresholdReceiver, ctx: &mut Ctx, s: u64) {
-        let p = &mut rx.policy;
-        let obs = p.obs.close(s).unwrap_or_default();
-        if p.joined_slot >= s {
-            // Wait for the first complete slot after a switch.
-            return;
-        }
-        let (group, theta) = (p.group, p.theta);
-        let env = rx.attack_env(ctx.now(), s);
-        let attack_actions = rx.adversary.on_slot(&env);
-        // Loss rate over the slot; a missing final packet means the
-        // expected count is unknown — treat conservatively as over
-        // threshold unless enough shares arrived anyway.
-        let received = obs.shares.len() as u32;
-        let within_threshold =
-            obs.saw_last && received as f64 >= (1.0 - theta) * obs.expected as f64;
-        if within_threshold {
-            // Reconstruct the group key from the shares.
-            let key = Key(reconstruct(&obs.shares) as u64);
-            rx.adversary.on_key_packet(&env, s + 2, &[(group, key)]);
-            if group < rx.cfg.n() {
-                // Probe upward: the reconstructed key doubles as the
-                // increase key of the next group.
-                rx.subscribe_one(ctx, s + 2, group + 1, key);
-                rx.switch(ctx, group + 1);
-            } else {
-                rx.subscribe_one(ctx, s + 2, group, key);
-            }
-        } else {
-            rx.policy.key_failures += 1;
-            match (group, obs.decrease) {
-                (2.., Some(d)) if received > 0 => {
-                    rx.subscribe_one(ctx, s + 2, group - 1, d);
-                    if !rx.decrease_vetoed(ctx.now(), s) {
-                        rx.switch(ctx, group - 1);
-                    }
-                }
-                // At the minimal group, without a decrease key, or in a
-                // total blackout: back to keyless re-admission.
-                _ => {
-                    rx.switch(ctx, 1);
-                    rx.session_join(ctx);
-                }
-            }
-        }
-        rx.execute(ctx, s, attack_actions);
-    }
-
-    /// The router learns nothing: its grant for the group simply expires.
-    fn wind_down(rx: &mut ThresholdReceiver, ctx: &mut Ctx, _left: Vec<GroupAddr>) {
-        rx.policy.trace.push((ctx.now().as_secs_f64(), 0));
-    }
-
-    /// θ is session configuration, equal in every bucket.
-    fn state_digest(rx: &ThresholdReceiver) -> String {
-        let p = &rx.policy;
-        format!(
-            "{}|{:?}|{}|{}",
-            p.group,
-            p.obs,
-            p.joined_slot,
-            rx.shell_digest()
-        )
+        Receiver::build(cfg, router, plan, SingleGroup::new(shamir))
     }
 }
 
@@ -320,6 +243,9 @@ mod tests {
             rec.group,
             rec.trace
         );
-        assert!(rec.key_failures > 0, "over-threshold slots force descents");
+        assert!(
+            rec.decoder.key_failures > 0,
+            "over-threshold slots force descents"
+        );
     }
 }

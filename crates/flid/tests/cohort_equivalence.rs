@@ -16,8 +16,8 @@
 use mcc_attack::{AttackPlan, Honest, IgnoreDecrease, Timed};
 use mcc_flid::layered::Layered;
 use mcc_flid::receiver::{Policy, Receiver};
-use mcc_flid::replicated::Replicated;
-use mcc_flid::threshold_proto::Threshold;
+use mcc_flid::replicated::{SingleGroup, Xor};
+use mcc_flid::threshold_proto::Shamir;
 use mcc_flid::{
     CohortMember, CohortReceiver, FlidConfig, FlidReceiver, FlidSender, ReplicatedReceiver,
     ReplicatedSender, ThresholdReceiver, ThresholdSender,
@@ -50,7 +50,7 @@ impl Structure for Layered {
     }
 }
 
-impl Structure for Replicated {
+impl Structure for SingleGroup<Xor> {
     fn sender(cfg: FlidConfig) -> Box<dyn Agent> {
         Box::new(ReplicatedSender::new(cfg))
     }
@@ -62,7 +62,7 @@ impl Structure for Replicated {
     }
 }
 
-impl Structure for Threshold {
+impl Structure for SingleGroup<Shamir> {
     fn sender(cfg: FlidConfig) -> Box<dyn Agent> {
         Box::new(ThresholdSender::new(cfg, THETA))
     }
@@ -271,8 +271,8 @@ fn cohort_of_three_honest<S: Structure>() {
 #[test]
 fn cohort_of_three_honest_matches_individuals_exactly() {
     cohort_of_three_honest::<Layered>();
-    cohort_of_three_honest::<Replicated>();
-    cohort_of_three_honest::<Threshold>();
+    cohort_of_three_honest::<SingleGroup<Xor>>();
+    cohort_of_three_honest::<SingleGroup<Shamir>>();
 }
 
 #[test]
@@ -573,8 +573,8 @@ mod proptests {
         ) {
             let bw = BW[bw_step];
             shared_host_case::<Layered>(n_groups, honest, onset_s, bw, attack_kind);
-            shared_host_case::<Replicated>(n_groups, honest, onset_s, bw, attack_kind);
-            shared_host_case::<Threshold>(n_groups, honest, onset_s, bw, attack_kind);
+            shared_host_case::<SingleGroup<Xor>>(n_groups, honest, onset_s, bw, attack_kind);
+            shared_host_case::<SingleGroup<Shamir>>(n_groups, honest, onset_s, bw, attack_kind);
         }
 
         /// Contraction round-trip over random join times: however the

@@ -9,7 +9,7 @@
 //!   RED with ECN marking for the paper's ECN instantiation of DELTA),
 //! * [`node::Node`]s that unicast-route by shortest delay and multicast
 //!   along source-rooted trees maintained with hop-by-hop grafts/prunes
-//!   (the IGMP model, including configurable leave latency),
+//!   (the IGMP model; a leave prunes at the instant it happens),
 //! * [`sim::Agent`]s — protocol endpoints (FLID senders and receivers, TCP
 //!   Reno, CBR sources) dispatched through a capability-style [`sim::Ctx`],
 //! * [`edge::EdgeModule`] hooks on edge routers — the *generic* router

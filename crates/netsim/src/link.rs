@@ -27,16 +27,6 @@ pub struct LinkStats {
     pub drops_by_flow: HashMap<FlowId, u64>,
 }
 
-impl LinkStats {
-    /// Mean utilization over `span` for a link of `bps` capacity.
-    pub fn utilization(&self, bps: u64, span: SimDuration) -> f64 {
-        if span.is_zero() || bps == 0 {
-            return 0.0;
-        }
-        self.tx_bits as f64 / (bps as f64 * span.as_secs_f64())
-    }
-}
-
 /// One direction of a point-to-point channel.
 #[derive(Debug)]
 pub struct Link {
@@ -71,23 +61,14 @@ pub struct Link {
 }
 
 impl Link {
-    /// Serialization time of `pkt` on this link.
-    pub fn tx_time(&self, pkt: &Packet) -> SimDuration {
-        SimDuration::transmission(pkt.size_bits, self.bps)
-    }
-
-    /// [`Link::tx_time`] with a one-entry memo on (packet size, rate).
+    /// Serialization time of `pkt` on this link, memoized on (packet
+    /// size, rate).
     pub fn tx_time_cached(&mut self, pkt: &Packet) -> SimDuration {
         if self.tx_memo.0 != pkt.size_bits || self.tx_memo.1 != self.bps {
             let tx = SimDuration::transmission(pkt.size_bits, self.bps);
             self.tx_memo = (pkt.size_bits, self.bps, tx.as_nanos());
         }
         SimDuration::from_nanos(self.tx_memo.2)
-    }
-
-    /// True when the transmitter is idle and the queue empty.
-    pub fn is_idle(&self) -> bool {
-        self.in_service.is_none() && self.queue.is_empty()
     }
 
     /// Record a queue rejection.
@@ -100,11 +81,6 @@ impl Link {
     pub fn note_tx(&mut self, pkt: &Packet) {
         self.stats.tx_packets += 1;
         self.stats.tx_bits += pkt.size_bits;
-    }
-
-    /// One-way bandwidth-delay product in bytes (used for buffer sizing).
-    pub fn bdp_bytes(&self) -> u64 {
-        ((self.bps as f64 * self.delay.as_secs_f64()) / 8.0).ceil() as u64
     }
 }
 
@@ -132,16 +108,13 @@ mod tests {
 
     #[test]
     fn tx_time_matches_rate() {
-        let l = link(1_000_000, 20);
+        let mut l = link(1_000_000, 20);
         let p = Packet::opaque(576 * 8, FlowId(0), AgentId(0), Dest::Agent(AgentId(1)));
-        assert_eq!(l.tx_time(&p), SimDuration::from_micros(4608));
-    }
-
-    #[test]
-    fn bdp_is_rate_times_delay() {
-        let l = link(1_000_000, 20);
-        // 1 Mbps * 20 ms = 20_000 bits = 2_500 bytes.
-        assert_eq!(l.bdp_bytes(), 2_500);
+        assert_eq!(l.tx_time_cached(&p), SimDuration::from_micros(4608));
+        // A memo hit, then a rate change the memo must not survive.
+        assert_eq!(l.tx_time_cached(&p), SimDuration::from_micros(4608));
+        l.bps = 2_000_000;
+        assert_eq!(l.tx_time_cached(&p), SimDuration::from_micros(2304));
     }
 
     #[test]
@@ -153,21 +126,7 @@ mod tests {
         l.note_drop(FlowId(3));
         assert_eq!(l.stats.tx_packets, 2);
         assert_eq!(l.stats.tx_bits, 16_000);
+        assert_eq!(l.stats.drops, 1);
         assert_eq!(l.stats.drops_by_flow[&FlowId(3)], 1);
-        let util = l.stats.utilization(1_000_000, SimDuration::from_secs(1));
-        assert!((util - 0.016).abs() < 1e-9);
-    }
-
-    #[test]
-    fn idle_tracks_service_and_queue() {
-        let mut l = link(1_000_000, 20);
-        assert!(l.is_idle());
-        l.in_service = Some(Packet::opaque(
-            8,
-            FlowId(0),
-            AgentId(0),
-            Dest::Agent(AgentId(1)),
-        ));
-        assert!(!l.is_idle());
     }
 }

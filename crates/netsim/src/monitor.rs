@@ -9,18 +9,12 @@ use crate::addr::{AgentId, FlowId};
 use mcc_simcore::{SimDuration, SimTime};
 
 /// Record of deliveries for one (receiver agent, flow) pair.
-#[derive(Clone, Debug, Default)]
-pub struct DeliveryRecord {
+#[derive(Debug, Default)]
+struct DeliveryRecord {
     /// Total payload bits delivered.
-    pub bits: u64,
-    /// Total packets delivered.
-    pub packets: u64,
+    bits: u64,
     /// Bits delivered per time bin.
-    pub bins: Vec<u64>,
-    /// Time of first delivery.
-    pub first: Option<SimTime>,
-    /// Time of last delivery.
-    pub last: Option<SimTime>,
+    bins: Vec<u64>,
 }
 
 /// Collects delivery statistics for a simulation run.
@@ -68,9 +62,6 @@ impl Monitor {
         };
         let rec = &mut flows[fi].1;
         rec.bits += bits;
-        rec.packets += 1;
-        rec.first.get_or_insert(now);
-        rec.last = Some(now);
         if self.bin_memo.0 != now.as_nanos() {
             self.bin_memo = (
                 now.as_nanos(),
@@ -90,14 +81,6 @@ impl Monitor {
             .get(agent.index())
             .map(|v| v.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// The record for one (agent, flow), if any deliveries happened.
-    pub fn get(&self, agent: AgentId, flow: FlowId) -> Option<&DeliveryRecord> {
-        self.agent_flows(agent)
-            .iter()
-            .find(|(f, _)| *f == flow)
-            .map(|(_, r)| r)
     }
 
     /// Total bits delivered to `agent` across all flows.
@@ -161,18 +144,6 @@ impl Monitor {
         let secs = self.bin.as_secs_f64();
         out.into_iter().map(|b| b as f64 / secs).collect()
     }
-
-    /// All (agent, flow) pairs seen.
-    pub fn pairs(&self) -> Vec<(AgentId, FlowId)> {
-        let mut v: Vec<(AgentId, FlowId)> = self
-            .by_agent
-            .iter()
-            .enumerate()
-            .flat_map(|(a, flows)| flows.iter().map(move |(f, _)| (AgentId(a as u32), *f)))
-            .collect();
-        v.sort_unstable_by_key(|(a, f)| (a.0, f.0));
-        v
-    }
 }
 
 #[cfg(test)]
@@ -191,12 +162,9 @@ mod tests {
         mon.record(SimTime::from_millis(100), a, f, 1000);
         mon.record(SimTime::from_millis(900), a, f, 1000);
         mon.record(SimTime::from_millis(1500), a, f, 500);
-        let rec = mon.get(a, f).unwrap();
-        assert_eq!(rec.bins, vec![2000, 500]);
-        assert_eq!(rec.bits, 2500);
-        assert_eq!(rec.packets, 3);
-        assert_eq!(rec.first, Some(SimTime::from_millis(100)));
-        assert_eq!(rec.last, Some(SimTime::from_millis(1500)));
+        let series = mon.agent_series_bps(a, SimTime::from_secs(2));
+        assert_eq!(series, vec![2000.0, 500.0]);
+        assert_eq!(mon.agent_bits(a), 2500);
     }
 
     #[test]
@@ -253,7 +221,8 @@ mod tests {
         mon.record(SimTime::from_millis(100), a, FlowId(0), 100);
         mon.record(SimTime::from_millis(200), a, FlowId(1), 200);
         assert_eq!(mon.agent_bits(a), 300);
-        assert_eq!(mon.pairs().len(), 2);
+        let series = mon.agent_series_bps(a, SimTime::from_secs(1));
+        assert_eq!(series, vec![300.0], "both flows land in one bin");
     }
 
     #[test]

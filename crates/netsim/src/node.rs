@@ -19,7 +19,6 @@
 
 use crate::addr::{AgentId, GroupIdx, LinkId, NodeId};
 use crate::edge::EdgeModule;
-use mcc_simcore::SimDuration;
 
 /// Inline capacity of [`Members`]: group membership at one *host* is
 /// almost always a single agent (plus the occasional colluder pair), and
@@ -209,9 +208,6 @@ pub struct Node {
     pub local_agents: Vec<AgentId>,
     /// Optional edge module (SIGMA installs one on edge routers).
     pub edge: Option<Box<dyn EdgeModule>>,
-    /// IGMP leave latency: how long after the last local leave the node
-    /// waits before pruning upstream (models the last-member query cycle).
-    pub leave_delay: SimDuration,
 }
 
 impl Node {
@@ -224,7 +220,6 @@ impl Node {
             groups: Vec::new(),
             local_agents: Vec::new(),
             edge: None,
-            leave_delay: SimDuration::ZERO,
         }
     }
 

@@ -81,10 +81,6 @@ pub enum Body {
     /// Reference-counted: cloning shares the payload, mutation through
     /// [`Packet::body_as_mut`] copies on write.
     App(Arc<dyn AppBody>),
-    /// Host-originated group join report (IGMP model).
-    IgmpJoin(GroupAddr),
-    /// Host-originated group leave report (IGMP model).
-    IgmpLeave(GroupAddr),
     /// Router-to-router graft: extend the group tree toward the source.
     Graft(GroupAddr),
     /// Router-to-router prune: retract an empty branch of the group tree.

@@ -82,7 +82,7 @@ pub(crate) enum Event {
     EdgeTimer(NodeId, u64),
     /// Same-node delivery (sender and receiver share a host).
     LocalDeliver(AgentId, Packet),
-    /// Leave-latency expiry: re-check whether `node` still needs the group.
+    /// After a local leave: re-check whether `node` still needs the group.
     LeaveCheck(NodeId, GroupIdx),
 }
 
@@ -149,17 +149,11 @@ impl<'w> Ctx<'w> {
         self.world.local_join(self.node, self.agent, group);
     }
 
-    /// Leave a multicast group. The prune is delayed by the node's IGMP
-    /// leave latency.
+    /// Leave a multicast group. The node re-checks its membership as a
+    /// separate event at the same instant and prunes upstream if nothing
+    /// else keeps it on the tree; there is no leave latency.
     pub fn leave_group(&mut self, group: GroupAddr) {
         self.world.local_leave(self.node, self.agent, group);
-    }
-
-    /// Whether this agent is currently a member of `group`.
-    pub fn is_member(&self, group: GroupAddr) -> bool {
-        self.world
-            .group_entry(self.node, group)
-            .is_some_and(|e| e.has_member(self.agent))
     }
 
     /// Whether a flight recorder is attached. Agents must check this (one
@@ -320,12 +314,6 @@ impl World {
     /// The address interned at slab slot `gi`.
     pub fn group_addr(&self, gi: GroupIdx) -> GroupAddr {
         self.group_addrs[gi.index()]
-    }
-
-    /// The registered source host of `group`, if any.
-    pub fn group_source(&self, group: GroupAddr) -> Option<NodeId> {
-        self.group_idx(group)
-            .and_then(|gi| self.group_sources[gi.index()])
     }
 
     /// A node's forwarding state for `group`, if it is on the tree.
@@ -575,17 +563,15 @@ impl World {
         }
     }
 
-    /// A local agent leaves; prune after the node's leave latency.
+    /// A local agent leaves; the prune check runs as its own event at the
+    /// same instant.
     fn local_leave(&mut self, node: NodeId, agent: AgentId, group: GroupAddr) {
         let Some(gi) = self.group_idx(group) else {
             return; // Never joined anywhere.
         };
-        let n = node.index();
-        if let Some(entry) = self.nodes[n].group_mut(gi) {
+        if let Some(entry) = self.nodes[node.index()].group_mut(gi) {
             entry.remove_member(agent);
-            let delay = self.nodes[n].leave_delay;
-            self.events
-                .push(self.now + delay, Event::LeaveCheck(node, gi));
+            self.events.push(self.now, Event::LeaveCheck(node, gi));
         }
     }
 
@@ -773,11 +759,6 @@ impl World {
         &self.links[l.index()].stats
     }
 
-    /// Pending event count (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Total events processed so far.
     pub fn processed_events(&self) -> u64 {
         self.events.processed()
@@ -879,11 +860,6 @@ impl Sim {
         self.world.group_sources[gi.index()] = Some(source_node);
     }
 
-    /// Set a node's IGMP leave latency.
-    pub fn set_leave_delay(&mut self, node: NodeId, delay: SimDuration) {
-        self.world.nodes[node.index()].leave_delay = delay;
-    }
-
     /// Compute shortest-delay routes and mark host-facing links.
     ///
     /// Must be called after topology assembly and before [`Sim::run_until`].
@@ -963,8 +939,6 @@ impl Sim {
                 match &pkt.body {
                     Body::Graft(g) => self.world.handle_graft(node, l, *g),
                     Body::Prune(g) => self.world.handle_prune(node, l, *g),
-                    Body::IgmpJoin(g) => self.world.handle_graft(node, l, *g),
-                    Body::IgmpLeave(g) => self.world.handle_prune(node, l, *g),
                     _ => {
                         // Local unicast delivery is detected inside route().
                         let dst = pkt.dst;
@@ -1040,13 +1014,6 @@ impl Sim {
         self.agents[agent.index()]
             .as_deref()
             .and_then(|a| (a as &dyn Any).downcast_ref::<T>())
-    }
-
-    /// Mutably borrow an agent as its concrete type.
-    pub fn agent_as_mut<T: Agent>(&mut self, agent: AgentId) -> Option<&mut T> {
-        self.agents[agent.index()]
-            .as_deref_mut()
-            .and_then(|a| (a as &mut dyn Any).downcast_mut::<T>())
     }
 
     /// Borrow a node's edge module as its concrete type.

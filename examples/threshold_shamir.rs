@@ -100,7 +100,7 @@ fn main() {
     println!("group trace: {:?}", r.trace);
     println!(
         "final group: {} of 6, key failures: {}",
-        r.group, r.key_failures
+        r.group, r.decoder.key_failures
     );
     let bps = sim.monitor().agent_throughput_bps(
         receiver,

@@ -994,6 +994,33 @@ mod tests {
         }
     }
 
+    /// An empty window reads 0 bps for cohort and individual sessions
+    /// alike, as `Monitor::agent_throughput_bps` does; a real window reads
+    /// the session's goodput.
+    #[test]
+    fn an_empty_window_reads_zero_for_every_kind_of_session() {
+        for cohort in [false, true] {
+            let mut spec = TopologySpec::new(Topology::Dumbbell, 1, 1_000_000);
+            spec.mcast = vec![if cohort {
+                McastSessionSpec::new(Variant::FlidDs).receiver(ReceiverSpec::new().cohort(3))
+            } else {
+                McastSessionSpec::honest(Variant::FlidDs, 3)
+            }];
+            let mut t = spec.build();
+            t.run_secs(5);
+            let session = &t.sessions[0];
+            assert_eq!(session.weights.len() == 1, cohort);
+            assert!(
+                t.session_mean_receiver_bps(session, 2, 5) > 0.0,
+                "cohort {cohort}"
+            );
+            for (from, to) in [(3, 3), (4, 2)] {
+                let bps = t.session_mean_receiver_bps(session, from, to);
+                assert_eq!(bps, 0.0, "cohort {cohort}: window [{from}, {to})");
+            }
+        }
+    }
+
     /// Every policy evaluates a slot early enough for its subscription to
     /// cross a long access link before slot s+2 traffic reaches the router
     /// (paper Figure 2): on an uncongested dumbbell an 80 ms receiver keeps

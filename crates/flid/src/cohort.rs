@@ -22,10 +22,10 @@
 //!   have fired. Members whose adversary cannot prove dormancy get their
 //!   own bucket from the start.
 //! * *Contraction (merge)*: after each end-of-slot evaluation, buckets
-//!   with equal state digests ([`Policy::state_digest`]) whose
-//!   adversaries are provably burnt out ([`Adversary::is_inert`]) fold
-//!   back together — the survivor absorbs the count, the retired bucket's
-//!   timer chains die on the floor.
+//!   in the same state ([`Policy::same_state`]: field equality over every
+//!   decision-relevant field) whose adversaries are provably burnt out
+//!   ([`Adversary::is_inert`]) fold back together — the survivor absorbs
+//!   the count, the retired bucket's timer chains die on the floor.
 //!
 //! One agent multiplexes every bucket's timer chains through disjoint
 //! token namespaces (`(bucket + 1) << 32`), keeps the interface's group
@@ -255,8 +255,13 @@ impl<P: Policy> CohortReceiver<P> {
     /// whole seconds. Exact for synchronized buckets; across a merge the
     /// survivor's history stands in for the absorbed bucket's (their
     /// states were equal at the merge point).
+    ///
+    /// An empty window (`to <= from`) reads 0.0, as
+    /// [`Monitor::agent_throughput_bps`] does.
     pub fn weighted_throughput_bps(&self, from: u64, to: u64) -> f64 {
-        assert!(to > from, "empty window");
+        if to <= from {
+            return 0.0;
+        }
         let mut num = 0.0;
         let mut den = 0u64;
         for b in self.buckets.iter().filter(|b| b.live()) {
@@ -342,7 +347,9 @@ impl<P: Policy> CohortReceiver<P> {
         }
     }
 
-    /// Fold digest-equal buckets with burnt-out adversaries together.
+    /// Fold buckets in the same state ([`Policy::same_state`]) with
+    /// burnt-out adversaries together, pair by pair: a cohort with fewer
+    /// than two mergeable buckets compares nothing.
     fn try_merge(&mut self, now: SimTime) {
         let len = self.buckets.len();
         let mergeable = |b: &Bucket<P>| b.live() && b.rx.adversary.is_inert(now);
@@ -350,12 +357,10 @@ impl<P: Policy> CohortReceiver<P> {
             if !mergeable(&self.buckets[i]) {
                 continue;
             }
-            let di = P::state_digest(&self.buckets[i].rx);
             for j in (i + 1)..len {
-                if !mergeable(&self.buckets[j]) {
-                    continue;
-                }
-                if P::state_digest(&self.buckets[j].rx) == di {
+                if mergeable(&self.buckets[j])
+                    && P::same_state(&self.buckets[i].rx, &self.buckets[j].rx)
+                {
                     let absorbed = self.buckets[j].count;
                     self.buckets[i].count += absorbed;
                     let b = &mut self.buckets[j];
@@ -494,13 +499,13 @@ impl<P: Policy> Agent for CohortReceiver<P> {
         let sec = (ctx.now().as_nanos() / 1_000_000_000) as usize;
         if let Some(pd) = pkt.body_as::<ProtectedData>() {
             let gi = (pd.fields.group - 1) as usize;
-            for idx in 0..self.buckets.len() {
-                let b = &mut self.buckets[idx];
+            let marked = pkt.ecn == Ecn::Marked;
+            for b in &mut self.buckets {
                 if !b.live() || !b.rx.wants_group(gi) {
                     continue;
                 }
                 b.record_bits(sec, pkt.size_bits);
-                b.rx.on_packet(ctx, pkt.clone());
+                b.rx.observe_data(&pd.fields, marked);
             }
         } else if let Some(ack) = pkt.body_as::<SubscriptionAck>() {
             // Each bucket sent its own subscription — reliable or

@@ -319,17 +319,46 @@ impl Policy for Layered {
         rx.trace(ctx);
     }
 
-    fn state_digest(rx: &FlidReceiver) -> String {
-        let p = &rx.policy;
-        format!(
-            "{}|{:?}|{:?}|{}|{}|{:?}|{}",
-            p.level,
-            p.joined_slot,
-            p.obs,
-            p.deaf_until,
-            p.inflated,
-            p.marked_slots,
-            rx.shell_digest(),
-        )
+    fn same_state(a: &FlidReceiver, b: &FlidReceiver) -> bool {
+        let Layered {
+            level,
+            joined_slot,
+            obs,
+            deaf_until,
+            inflated,
+            marked_slots,
+            level_trace: _,
+        } = &a.policy;
+        let p = &b.policy;
+        *level == p.level
+            && *deaf_until == p.deaf_until
+            && *inflated == p.inflated
+            && *joined_slot == p.joined_slot
+            && *marked_slots == p.marked_slots
+            && *obs == p.obs
+            && a.same_shell(b)
+    }
+}
+
+#[cfg(test)]
+impl crate::receiver::tests::PolicyEdits for Layered {
+    fn edits() -> Vec<crate::receiver::tests::Edit<Self>> {
+        vec![
+            ("level", false, |rx| rx.policy.level += 1),
+            ("joined_slot", false, |rx| rx.policy.joined_slot[0] = None),
+            ("obs", false, |rx| {
+                rx.policy.obs.entry(u64::MAX, || SlotObservation::new(0, 1));
+            }),
+            ("deaf_until", false, |rx| rx.policy.deaf_until += 1),
+            ("inflated", false, |rx| {
+                rx.policy.inflated = !rx.policy.inflated
+            }),
+            ("marked_slots", false, |rx| {
+                rx.policy.marked_slots.entry(u64::MAX, || ());
+            }),
+            ("level_trace", true, |rx| {
+                rx.policy.level_trace.push((0.0, 0))
+            }),
+        ]
     }
 }

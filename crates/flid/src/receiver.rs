@@ -129,19 +129,22 @@ pub trait Policy: Clone + Sized + Send + 'static {
     /// should forget.
     fn wind_down(rx: &mut Receiver<Self>, ctx: &mut Ctx, left: Vec<GroupAddr>);
 
-    /// A digest of every decision-relevant field of `rx`: the policy's
-    /// own, then the shell's share (`shell_digest`). Two cohort buckets
-    /// with equal digests (and provably inert adversaries) will behave
-    /// identically forever, so the cohort may merge them. Stats and traces
-    /// are deliberately excluded (reporting, not state).
-    fn state_digest(rx: &Receiver<Self>) -> String;
+    /// Do `a` and `b` agree on every decision-relevant field — the
+    /// policy's own, then the shell's share (`Receiver::same_shell`)?
+    /// Two cohort buckets in the same state (and with provably inert
+    /// adversaries) will behave identically forever, so the cohort may
+    /// merge them. Stats, traces and decoder counters are deliberately
+    /// excluded (reporting, not state); an implementation destructures
+    /// its policy exhaustively, so a new field must be classified before
+    /// it compiles.
+    fn same_state(a: &Receiver<Self>, b: &Receiver<Self>) -> bool;
 }
 
 /// A policy's per-slot state over the open slots — at most the `s..=s+2`
 /// pipeline — kept sorted by slot in a small vector: on the per-packet
 /// path a scan of three entries beats hashing, and the order is a function
-/// of the contents, so a state digest can print it as it stands.
-#[derive(Clone, Debug)]
+/// of the contents, so two windows holding the same slots compare equal.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct SlotWindow<T>(Vec<(u64, T)>);
 
 impl<T> Default for SlotWindow<T> {
@@ -205,8 +208,8 @@ pub struct Receiver<P> {
     /// `desired` instead of reaching the `Ctx`.
     managed: bool,
     /// The membership ledger: per group index, what this receiver *wants*
-    /// joined. Maintained in both modes so state digests line up across
-    /// standalone and cohort instances of the same receiver.
+    /// joined. Maintained in both modes so standalone and cohort instances
+    /// of the same receiver compare equal.
     desired: Vec<bool>,
     /// Groups joined out of protocol (raw or smuggled), in first-join
     /// order, for [`Policy::leave_high`] to undo.
@@ -576,22 +579,46 @@ impl<P: Policy> Receiver<P> {
         SimTime::from_nanos(k * slot + guard)
     }
 
-    /// The shell's share of a state digest (see [`Policy::state_digest`]).
-    /// The scheduled lifetime is state: a bucket that will depart at t is
-    /// NOT equivalent to one that stays — merging them would hand the
-    /// absorbed members the survivor's future. `raw_joined` is not: only
-    /// an adversary action (`LeaveHigh`) reads it, and buckets merge only
-    /// once their adversaries are provably inert.
-    pub(crate) fn shell_digest(&self) -> String {
-        format!(
-            "{:?}|{:?}|{:?}|{}|{:?}|{}",
-            self.pending,
-            self.fired,
-            self.desired,
-            self.departed,
-            self.leave_at,
-            self.ever_received
-        )
+    /// The shell's share of [`Policy::same_state`]. The scheduled lifetime
+    /// is state: a bucket that will depart at t is NOT equivalent to one
+    /// that stays — merging them would hand the absorbed members the
+    /// survivor's future. `raw_joined` is not: only an adversary action
+    /// (`LeaveHigh`) reads it, and buckets merge only once their
+    /// adversaries are provably inert.
+    pub(crate) fn same_shell(&self, other: &Self) -> bool {
+        let Receiver {
+            cfg: _,
+            stats: _,
+            router: _,
+            adversary: _,
+            guard: _,
+            leave_at,
+            departed,
+            token_base: _,
+            managed: _,
+            desired,
+            raw_joined: _,
+            pending,
+            fired,
+            ever_received,
+            policy: _,
+        } = self;
+        *leave_at == other.leave_at
+            && *departed == other.departed
+            && *ever_received == other.ever_received
+            && *desired == other.desired
+            && *pending == other.pending
+            && *fired == other.fired
+    }
+
+    /// One data packet's DELTA fields, already read out of the packet —
+    /// by [`Agent::on_packet`] here, or by the cohort once for all of its
+    /// buckets.
+    #[inline]
+    pub(crate) fn observe_data(&mut self, fields: &DeltaFields, marked: bool) {
+        if !self.departed {
+            self.ever_received |= self.policy.observe(fields, marked);
+        }
     }
 }
 
@@ -627,7 +654,7 @@ impl<P: Policy> Agent for Receiver<P> {
         if let Some(pd) = pkt.body_as::<ProtectedData>() {
             // A marked packet is an ECN congestion signal (paper §3.1.2):
             // the edge router has already scrambled its component.
-            self.ever_received |= self.policy.observe(&pd.fields, pkt.ecn == Ecn::Marked);
+            self.observe_data(&pd.fields, pkt.ecn == Ecn::Marked);
         } else if let Some(ack) = pkt.body_as::<SubscriptionAck>() {
             if self.pending_sub_slot() == Some(ack.slot) {
                 self.pending = None;
@@ -682,7 +709,7 @@ impl<P: Policy> Agent for Receiver<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::testrig::{session, Rig};
     use crate::{
@@ -778,11 +805,70 @@ mod tests {
         declined: u32,
     }
 
+    /// One row of the [`Policy::same_state`] table: a named single-field
+    /// edit, and whether the edited receiver must still compare equal.
+    pub(crate) type Edit<P> = (&'static str, bool, fn(&mut Receiver<P>));
+
+    /// The policy's own rows of the `same_state` table.
+    pub(crate) trait PolicyEdits: Policy {
+        fn edits() -> Vec<Edit<Self>>;
+    }
+
+    /// The shell's rows: the compared fields, then what is not state.
+    fn shell_edits<P: Policy>() -> Vec<Edit<P>> {
+        fn sub() -> Subscription {
+            Subscription {
+                slot: u64::MAX,
+                pairs: Vec::new(),
+            }
+        }
+        vec![
+            ("clone", true, |_| {}),
+            ("pending", false, |rx| rx.pending = Some((sub(), 0))),
+            ("fired", false, |rx| rx.fired = Some(sub())),
+            ("desired", false, |rx| {
+                let last = rx.desired.last_mut().expect("a group");
+                *last = !*last;
+            }),
+            ("departed", false, |rx| rx.departed = !rx.departed),
+            ("leave_at", false, |rx| {
+                rx.leave_at += SimDuration::from_nanos(400);
+            }),
+            ("ever_received", false, |rx| {
+                rx.ever_received = !rx.ever_received;
+            }),
+            ("stats", true, |rx| rx.stats.acks += 1),
+            ("raw_joined", true, |rx| rx.raw_joined.push(1)),
+            ("token_base", true, |rx| rx.token_base += 1 << 32),
+        ]
+    }
+
+    /// One applied row: `(field, must compare equal, compares equal)`.
+    type Row = (&'static str, bool, bool);
+
+    /// Every row of `P`'s `same_state` table applied to a clone of the
+    /// probed receiver.
+    fn same_state_rows<P: PolicyEdits + Debug>(sim: &Sim, id: AgentId) -> Vec<Row> {
+        let a = &sim.agent_as::<Probe<P>>(id).expect("the probe").rx;
+        shell_edits()
+            .into_iter()
+            .chain(P::edits())
+            .map(|(field, keeps, edit)| {
+                let mut b = a.clone();
+                edit(&mut b);
+                let same = P::same_state(a, &b);
+                assert_eq!(same, P::same_state(&b, a), "{field}: asymmetric");
+                (field, keeps, same)
+            })
+            .collect()
+    }
+
     struct Case {
         name: &'static str,
         rig: Rig,
         probe: AgentId,
         view: fn(&Sim, AgentId) -> View,
+        same_state_rows: fn(&Sim, AgentId) -> Vec<Row>,
     }
 
     impl Case {
@@ -805,7 +891,7 @@ mod tests {
 
     /// A 500 kbps session with one probed receiver (leaving at `leave_at`,
     /// poked at `poke_at`) and its sender, finalized at t = 0.
-    fn case<P: Policy + Debug, S: Agent>(
+    fn case<P: PolicyEdits + Debug, S: Agent>(
         name: &'static str,
         (protected, leave_at, poke_at): (bool, u64, u64),
         receiver: impl FnOnce(FlidConfig, Option<NodeId>) -> Receiver<P>,
@@ -828,6 +914,7 @@ mod tests {
             rig,
             probe,
             view: view::<P>,
+            same_state_rows: same_state_rows::<P>,
         }
     }
 
@@ -920,6 +1007,20 @@ mod tests {
             assert!(view.judged.len() > 20, "{name}: judged {:?}", view.judged);
             assert!(view.declined > 0, "{name}: no slot was declined");
             assert_eq!(hooked, view.judged, "{name}: hooked vs judged slots");
+        }
+    }
+
+    /// `same_state` reads exactly the decision fields: a clone compares
+    /// equal, so does an edit of stats, traces or other reporting, and a
+    /// flip of any single compared field — shell or policy — does not.
+    #[test]
+    fn same_state_compares_exactly_the_decision_fields() {
+        for mut c in instantiations((true, 60, 60), &AttackPlan::honest()) {
+            let name = c.name;
+            c.run_until(8);
+            for (field, keeps, same) in (c.same_state_rows)(&c.rig.sim, c.probe) {
+                assert_eq!(same, keeps, "{name}: after an edit of `{field}`");
+            }
         }
     }
 }

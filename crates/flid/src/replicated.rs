@@ -43,7 +43,7 @@ impl ReplicatedSender {
 /// [`SingleGroup`] receiver does that depends on the key rule.
 pub trait Decoder: Clone + Debug + Send + 'static {
     /// What one slot of the subscribed group delivered.
-    type Obs: Clone + Debug + Default + Send;
+    type Obs: Clone + Debug + Default + PartialEq + Send;
 
     /// Fold one data packet of the subscribed group into its slot's
     /// observation.
@@ -167,15 +167,16 @@ impl<D: Decoder> Policy for SingleGroup<D> {
     }
 
     /// The decoder holds configuration and counters only.
-    fn state_digest(rx: &Receiver<Self>) -> String {
-        let p = &rx.policy;
-        format!(
-            "{}|{:?}|{}|{}",
-            p.group,
-            p.obs,
-            p.joined_slot,
-            rx.shell_digest()
-        )
+    fn same_state(a: &Receiver<Self>, b: &Receiver<Self>) -> bool {
+        let SingleGroup {
+            group,
+            obs,
+            joined_slot,
+            trace: _,
+            decoder: _,
+        } = &a.policy;
+        let p = &b.policy;
+        *group == p.group && *joined_slot == p.joined_slot && *obs == p.obs && a.same_shell(b)
     }
 }
 
@@ -216,6 +217,20 @@ impl ReplicatedReceiver {
     /// Build a receiver running `plan`'s adversary strategy.
     pub fn with_adversary(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Self {
         Receiver::build(cfg, router, plan, SingleGroup::new(Xor))
+    }
+}
+
+#[cfg(test)]
+impl<D: Decoder> crate::receiver::tests::PolicyEdits for SingleGroup<D> {
+    fn edits() -> Vec<crate::receiver::tests::Edit<Self>> {
+        vec![
+            ("group", false, |rx| rx.policy.group += 1),
+            ("obs", false, |rx| {
+                rx.policy.obs.entry(u64::MAX, Default::default);
+            }),
+            ("joined_slot", false, |rx| rx.policy.joined_slot += 1),
+            ("trace", true, |rx| rx.policy.trace.push((0.0, 0))),
+        ]
     }
 }
 

@@ -465,6 +465,43 @@ fn staggered_joins_get_their_own_buckets() {
     }
 }
 
+/// Two honest strata of structure `S` that join together but depart
+/// 400 ns apart: the lifetime is state, so the buckets never merge, however
+/// close the departures (a microsecond-rounded comparison merged them).
+fn sub_microsecond_lifetimes_stay_apart<S: Structure>() {
+    let name = type_name::<S>();
+    let leave_at = SimTime::from_secs(30);
+    let members = vec![
+        CohortMember {
+            count: 3,
+            join_at: SimTime::ZERO,
+            leave_at,
+            plan: AttackPlan::honest(),
+        },
+        CohortMember {
+            count: 2,
+            join_at: SimTime::ZERO,
+            leave_at: leave_at + SimDuration::from_nanos(400),
+            plan: AttackPlan::honest(),
+        },
+    ];
+    let mut coh = dumbbell_n::<S>(1_000_000, 10, Population::Cohort(members));
+    coh.sim.run_until(SimTime::from_secs(5));
+    let cohort = coh
+        .sim
+        .agent_as::<CohortReceiver<S>>(coh.agents[0])
+        .unwrap();
+    assert_eq!(cohort.bucket_count(), 2, "{name}: {:?}", cohort.levels());
+    assert_eq!(cohort.receiver_count(), 5, "{name}");
+}
+
+#[test]
+fn sub_microsecond_lifetimes_stay_in_their_own_buckets() {
+    sub_microsecond_lifetimes_stay_apart::<Layered>();
+    sub_microsecond_lifetimes_stay_apart::<SingleGroup<Xor>>();
+    sub_microsecond_lifetimes_stay_apart::<SingleGroup<Shamir>>();
+}
+
 mod proptests {
     use super::*;
     use proptest::prelude::*;

@@ -5,9 +5,9 @@
 //! (§4.2) or abuse join/leave latency. This crate makes *attacker
 //! composition* a first-class, enumerable axis:
 //!
-//! * [`Adversary`] — the trait every attack strategy implements, with four
-//!   protocol hooks (per-slot, key-packet, congestion-signal, subscription
-//!   override) plus a timer-driven activation schedule,
+//! * [`Adversary`] — the trait every attack strategy implements, with three
+//!   protocol hooks (per-slot, key-packet, congestion-signal) plus a
+//!   timer-driven activation schedule,
 //! * [`AttackAction`] — the primitive misbehaviours a protocol receiver
 //!   knows how to execute (raw joins, guessed keys, inflation, churn,
 //!   smuggled-key submission), so one strategy library drives *every*
@@ -87,7 +87,7 @@ pub enum AttackAction {
     },
 }
 
-/// An attack strategy: scheduling plus four protocol hooks.
+/// An attack strategy: scheduling plus three protocol hooks.
 ///
 /// Implementations must be deterministic — any randomness comes from the
 /// receiver's own [`DetRng`](mcc_simcore::DetRng) during action execution,
@@ -137,44 +137,6 @@ pub trait Adversary: std::fmt::Debug + Send {
     fn on_congestion_signal(&mut self, env: &AttackEnv) -> bool {
         let _ = env;
         false
-    }
-
-    /// Subscription override: the level to claim instead of the honest
-    /// `honest_level`. Levels above the honest one are capped by the keys
-    /// actually held; levels below shrink the subscription (stealth).
-    fn subscription_override(&self, env: &AttackEnv, honest_level: u32) -> u32 {
-        let _ = env;
-        honest_level
-    }
-
-    /// True when, from `after` onward, every hook is guaranteed to stay a
-    /// no-op forever: no activations, no per-slot actions, no vetoes, no
-    /// overrides. Receiver cohorts use this to *contract*: a diverged
-    /// bucket whose adversary has burnt out folds back into the honest
-    /// bucket. The default is the safe `false` (never claim inertness);
-    /// only strategies that can prove it ([`Honest`], an activated
-    /// [`Timed`] over an inert inner, an [`All`] of inert members)
-    /// override it.
-    fn is_inert(&self, after: SimTime) -> bool {
-        let _ = after;
-        false
-    }
-
-    /// The instant before which every hook is guaranteed to be a no-op
-    /// (exclusive), when the strategy can prove one: `Some(t)` means the
-    /// receiver behaves exactly like an honest one on `[start, t)`.
-    /// Receiver cohorts use this to *defer expansion* — an adversarial
-    /// member rides inside the honest bucket until its onset instead of
-    /// costing a full state machine from t = 0. `None` (the default)
-    /// claims nothing and forces an individual bucket from the start.
-    fn dormant_until(&self) -> Option<SimTime> {
-        None
-    }
-}
-
-impl Clone for Box<dyn Adversary> {
-    fn clone(&self) -> Self {
-        self.clone_box()
     }
 }
 
@@ -287,7 +249,6 @@ mod tests {
         assert!(a.on_activation(&env).is_empty());
         assert!(a.on_slot(&env).is_empty());
         assert!(!a.on_congestion_signal(&env));
-        assert_eq!(a.subscription_override(&env, 4), 4);
     }
 
     #[test]

@@ -27,12 +27,6 @@ impl Adversary for Honest {
     fn clone_box(&self) -> Box<dyn Adversary> {
         Box::new(*self)
     }
-    fn is_inert(&self, _after: SimTime) -> bool {
-        true
-    }
-    fn dormant_until(&self) -> Option<SimTime> {
-        Some(SimTime::MAX)
-    }
 }
 
 /// Inflated subscription (paper §2): grab every group up to `layer` and
@@ -80,9 +74,6 @@ impl Adversary for InflateTo {
     // and never leaves), while under SIGMA the rational attacker keeps
     // its honest machinery obeying forced decreases — that is all the
     // bandwidth its keys can open (the paper's F1 stays near fair share).
-    fn subscription_override(&self, _env: &AttackEnv, honest_level: u32) -> u32 {
-        honest_level.max(self.layer)
-    }
 }
 
 /// Refuse to lower the subscription when congested (paper §2's second
@@ -374,28 +365,10 @@ impl Adversary for Timed {
     fn on_congestion_signal(&mut self, env: &AttackEnv) -> bool {
         self.active(env) && self.inner.on_congestion_signal(env)
     }
-    fn subscription_override(&self, env: &AttackEnv, honest_level: u32) -> u32 {
-        if self.active(env) {
-            self.inner.subscription_override(env, honest_level)
-        } else {
-            honest_level
-        }
-    }
-    fn is_inert(&self, after: SimTime) -> bool {
-        // Before the onset the wrapper still has its activation ahead of
-        // it; afterwards the question is the inner strategy's alone.
-        after >= self.at && self.inner.is_inert(after)
-    }
-    fn dormant_until(&self) -> Option<SimTime> {
-        // Every hook above gates on `env.now >= at`, so the wrapper is
-        // provably honest-equivalent on `[start, at)` whatever it wraps.
-        Some(self.at)
-    }
 }
 
 /// Run several strategies simultaneously: actions concatenate in order,
-/// a congestion signal is suppressed if *any* member suppresses it, and
-/// subscription overrides fold left to right.
+/// and a congestion signal is suppressed if *any* member suppresses it.
 #[derive(Debug)]
 pub struct All(Vec<Box<dyn Adversary>>);
 
@@ -443,22 +416,6 @@ impl Adversary for All {
         }
         veto
     }
-    fn subscription_override(&self, env: &AttackEnv, honest_level: u32) -> u32 {
-        self.0
-            .iter()
-            .fold(honest_level, |lvl, a| a.subscription_override(env, lvl))
-    }
-    fn is_inert(&self, after: SimTime) -> bool {
-        self.0.iter().all(|a| a.is_inert(after))
-    }
-    fn dormant_until(&self) -> Option<SimTime> {
-        // Dormant only while *every* member is: the earliest onset wins,
-        // and a single member that can't prove dormancy poisons the claim.
-        self.0
-            .iter()
-            .map(|a| a.dormant_until())
-            .try_fold(SimTime::MAX, |acc, d| d.map(|t| acc.min(t)))
-    }
 }
 
 #[cfg(test)]
@@ -483,7 +440,6 @@ mod tests {
         assert!(t.on_activation(&before).is_empty());
         assert!(t.on_slot(&before).is_empty());
         assert!(!t.on_congestion_signal(&before));
-        assert_eq!(t.subscription_override(&before, 3), 3);
         assert_eq!(
             t.on_activation(&after),
             vec![AttackAction::Inflate { layer: u32::MAX }]
@@ -492,7 +448,6 @@ mod tests {
             t.on_slot(&after),
             vec![AttackAction::RawJoins { layer: u32::MAX }]
         );
-        assert_eq!(t.subscription_override(&after, 3), u32::MAX);
         let mut gated_veto = Timed::at(SimTime::from_secs(10), IgnoreDecrease);
         assert!(!gated_veto.on_congestion_signal(&before));
         assert!(gated_veto.on_congestion_signal(&after));
@@ -568,37 +523,5 @@ mod tests {
         );
         assert!(a.on_congestion_signal(&env), "any member may veto");
         assert_eq!(a.label(), "inflate+key_guess(10)+ignore_decrease");
-    }
-
-    #[test]
-    fn inertness_and_dormancy_claims_are_conservative() {
-        assert!(Honest.is_inert(SimTime::ZERO));
-        assert_eq!(Honest.dormant_until(), Some(SimTime::MAX));
-        let t = Timed::at(SimTime::from_secs(10), Honest);
-        assert_eq!(t.dormant_until(), Some(SimTime::from_secs(10)));
-        assert!(!t.is_inert(SimTime::from_secs(5)), "activation still ahead");
-        assert!(t.is_inert(SimTime::from_secs(10)), "burnt out after onset");
-        let live = Timed::at(SimTime::from_secs(10), InflateTo::all());
-        assert!(
-            !live.is_inert(SimTime::from_secs(20)),
-            "inflation never burns out"
-        );
-        let both = All::of(vec![
-            Box::new(Timed::at(SimTime::from_secs(4), Honest)),
-            Box::new(Timed::at(SimTime::from_secs(9), Honest)),
-        ]);
-        assert_eq!(both.dormant_until(), Some(SimTime::from_secs(4)));
-        assert!(both.is_inert(SimTime::from_secs(9)));
-        assert!(!both.is_inert(SimTime::from_secs(5)));
-        let poisoned = All::of(vec![
-            Box::new(IgnoreDecrease),
-            Box::new(Timed::at(SimTime::from_secs(9), Honest)),
-        ]);
-        assert_eq!(
-            poisoned.dormant_until(),
-            None,
-            "an immediately-active member denies dormancy"
-        );
-        assert!(KeyGuess { rate: 1 }.dormant_until().is_none());
     }
 }

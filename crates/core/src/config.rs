@@ -250,7 +250,7 @@ impl Params {
 
     /// Apply one `--sweep key=value` override. Supported keys
     /// ([`Params::SWEEP_KEYS`]): `seed` (u64), `smoothing` (bins), `quick`
-    /// (0/1), `churn_rate` (arrivals/s) and `flash_factor` (× the standing
+    /// (exactly `0` or `1`), `churn_rate` (arrivals/s) and `flash_factor` (× the standing
     /// population) — the last two finite, non-negative and small enough to
     /// fit the workload arrival cap.
     pub fn with_override(&self, key: &str, value: &str) -> Result<Params, String> {
@@ -265,7 +265,11 @@ impl Params {
                     .map_err(|e| format!("smoothing {value:?}: {e}"))?;
             }
             "quick" => {
-                p.quick = value != "0";
+                p.quick = match value {
+                    "0" => false,
+                    "1" => true,
+                    _ => return Err(format!("quick {value:?}: expected 0 or 1")),
+                };
             }
             "churn_rate" => {
                 // Poisson arrivals over the shortest run any experiment makes.
@@ -338,6 +342,11 @@ mod tests {
         assert_eq!(p.with_override("seed", "9").unwrap().seed_for(8), 9);
         assert_eq!(p.with_override("smoothing", "3").unwrap().smoothing, 3);
         assert!(p.with_override("quick", "1").unwrap().quick);
+        assert!(!p.with_override("quick", "0").unwrap().quick);
+        for bad in ["false", "yes", "2"] {
+            let err = p.with_override("quick", bad).unwrap_err();
+            assert!(err.contains("quick") && err.contains(bad), "{err}");
+        }
         assert!(p.with_override("seed", "x").is_err());
         assert!(p.with_override("bogus", "1").is_err());
     }

@@ -183,10 +183,9 @@ impl ReceiverSpec {
         self.adversary(AttackPlan::new(Timed::at(at, IgnoreDecrease)))
     }
 
-    /// Represent `n` statistically identical receivers behind one edge
-    /// interface with a single cohort agent: state and events stay
-    /// O(distinct layer-sets) instead of O(n), metrics are count-weighted
-    /// and exact for synchronized slots.
+    /// Let this receiver stand for `n` synchronized receivers behind one
+    /// edge interface: one agent, weight `n` in the session's
+    /// count-weighted metrics, so state and events stay O(1) in `n`.
     pub fn cohort(mut self, n: u64) -> ReceiverSpec {
         assert!(n >= 1, "cohort multiplier must be at least 1");
         self.cohort = n;

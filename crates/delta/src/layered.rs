@@ -152,7 +152,7 @@ impl ComponentStream {
 }
 
 /// What a receiver saw of one group during one slot.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default)]
 pub struct GroupObservation {
     /// XOR of the received component fields.
     pub xor: Key,
@@ -190,7 +190,7 @@ impl GroupObservation {
 }
 
 /// Per-slot accumulator across the groups of one session (receiver side).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct SlotObservation {
     /// The slot being observed.
     pub slot: u64,

@@ -195,12 +195,10 @@ impl Receiver<Layered> {
                 // Colluders publish reconstructed keys out-of-band here.
                 let env = self.attack_env(ctx.now(), s);
                 self.adversary.on_key_packet(&env, s + 2, &keys);
-                // A stealthy adversary may claim less than it could; more
-                // than the keys reach is impossible by construction.
-                let claimed = self.adversary.subscription_override(&env, lvl).min(lvl);
+                // More than the keys reach is impossible by construction.
                 let pairs: Vec<(GroupAddr, Key)> = keys
                     .into_iter()
-                    .filter(|&(g, _)| g <= claimed)
+                    .filter(|&(g, _)| g <= lvl)
                     .map(|(g, k)| (self.addr(g), k))
                     .collect();
                 self.subscribe(ctx, Subscription { slot: s + 2, pairs }, true);
@@ -317,48 +315,5 @@ impl Policy for Layered {
         rx.unsubscribe(ctx, left);
         rx.policy.level = 0;
         rx.trace(ctx);
-    }
-
-    fn same_state(a: &FlidReceiver, b: &FlidReceiver) -> bool {
-        let Layered {
-            level,
-            joined_slot,
-            obs,
-            deaf_until,
-            inflated,
-            marked_slots,
-            level_trace: _,
-        } = &a.policy;
-        let p = &b.policy;
-        *level == p.level
-            && *deaf_until == p.deaf_until
-            && *inflated == p.inflated
-            && *joined_slot == p.joined_slot
-            && *marked_slots == p.marked_slots
-            && *obs == p.obs
-            && a.same_shell(b)
-    }
-}
-
-#[cfg(test)]
-impl crate::receiver::tests::PolicyEdits for Layered {
-    fn edits() -> Vec<crate::receiver::tests::Edit<Self>> {
-        vec![
-            ("level", false, |rx| rx.policy.level += 1),
-            ("joined_slot", false, |rx| rx.policy.joined_slot[0] = None),
-            ("obs", false, |rx| {
-                rx.policy.obs.entry(u64::MAX, || SlotObservation::new(0, 1));
-            }),
-            ("deaf_until", false, |rx| rx.policy.deaf_until += 1),
-            ("inflated", false, |rx| {
-                rx.policy.inflated = !rx.policy.inflated
-            }),
-            ("marked_slots", false, |rx| {
-                rx.policy.marked_slots.entry(u64::MAX, || ());
-            }),
-            ("level_trace", true, |rx| {
-                rx.policy.level_trace.push((0.0, 0))
-            }),
-        ]
     }
 }

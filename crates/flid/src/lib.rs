@@ -26,14 +26,15 @@
 //!   instantiation: [`ReplicatedSender`] and [`ReplicatedReceiver`],
 //! * [`threshold_proto`] — an RLM-style loss-threshold protocol protected
 //!   by Shamir-share key distribution (§3.1.2): [`ThresholdSender`] and
-//!   [`ThresholdReceiver`],
-//! * [`cohort`] — [`CohortReceiver`], count-weighted buckets of receivers
-//!   of any policy behind one interface.
+//!   [`ThresholdReceiver`].
+//!
+//! A cohort of `n` synchronized receivers behind one interface is one
+//! receiver of these and a weight `n`, which lives with the caller
+//! (`mcc_core`'s `SessionHandle::weights`); this crate has no cohort type.
 //!
 //! FLID-DL's *dynamic layering* is modelled as static layers with no IGMP
 //! leave latency; `DESIGN.md` documents the substitution.
 
-pub mod cohort;
 pub mod config;
 pub mod layered;
 pub mod receiver;
@@ -41,7 +42,6 @@ pub mod replicated;
 pub mod sender;
 pub mod threshold_proto;
 
-pub use cohort::{CohortMember, CohortReceiver};
 pub use config::FlidConfig;
 pub use layered::FlidReceiver;
 pub use receiver::ReceiverStats;

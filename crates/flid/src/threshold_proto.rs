@@ -117,7 +117,7 @@ impl ThresholdSender {
 }
 
 /// What a threshold receiver saw of its group in one slot.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, Clone)]
 pub struct SharesSeen {
     shares: Vec<Share>,
     saw_last: bool,

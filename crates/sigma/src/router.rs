@@ -36,20 +36,22 @@ use mcc_simcore::{FxHashMap, FxHashSet, SimDuration, SimTime};
 /// Timer token for the slot-maintenance tick.
 const TICK: u64 = 0;
 
+/// Grace length in complete slots for newly expected groups and
+/// session-joins (the paper uses two).
+const GRACE_SLOTS: u64 = 2;
+
+/// Distinct invalid keys per (interface, group, slot) that flag a
+/// guessing attack (paper §4.2).
+const GUESS_ALARM: u32 = 8;
+
 /// Configuration of a [`SigmaEdgeModule`].
 #[derive(Clone, Debug)]
 pub struct SigmaConfig {
     /// Slot duration (must match the protected sessions').
     pub slot: SimDuration,
-    /// Grace length in complete slots for newly expected groups and
-    /// session-joins (the paper uses two).
-    pub grace_slots: u64,
     /// Optional collusion guard: the protected session's groups in layer
     /// order (sacrifices protocol-generality, as the paper notes).
     pub guard_groups: Option<Vec<GroupAddr>>,
-    /// Distinct invalid keys per (interface, group, slot) that flag a
-    /// guessing attack (paper §4.2).
-    pub guess_alarm: u32,
 }
 
 impl SigmaConfig {
@@ -57,9 +59,7 @@ impl SigmaConfig {
     pub fn new(slot: SimDuration) -> Self {
         SigmaConfig {
             slot,
-            grace_slots: 2,
             guard_groups: None,
-            guess_alarm: 8,
         }
     }
 
@@ -199,7 +199,7 @@ impl SigmaEdgeModule {
     pub fn suspected_guessing(&self, iface: LinkId) -> bool {
         self.tally
             .iter()
-            .any(|(&(i, _, _), keys)| i == iface && keys.len() as u32 >= self.cfg.guess_alarm)
+            .any(|(&(i, _, _), keys)| i == iface && keys.len() as u32 >= GUESS_ALARM)
     }
 
     /// The largest distinct-invalid-key tally currently held against
@@ -243,7 +243,7 @@ impl SigmaEdgeModule {
     fn grace_active(&self, g: &Grace, at_slot: u64) -> bool {
         match g.first_seen {
             None => at_slot <= g.opened_slot + 4, // still waiting for the graft
-            Some(s0) => at_slot <= s0 + self.cfg.grace_slots,
+            Some(s0) => at_slot <= s0 + GRACE_SLOTS,
         }
     }
 
@@ -293,8 +293,7 @@ impl SigmaEdgeModule {
                 }
                 let tally = self.tally.entry((iface, group, sub.slot)).or_default();
                 tally.insert(key);
-                if tally.len() as u32 >= self.cfg.guess_alarm
-                    && self.stats.first_guess_alarm_slot.is_none()
+                if tally.len() as u32 >= GUESS_ALARM && self.stats.first_guess_alarm_slot.is_none()
                 {
                     self.stats.first_guess_alarm_slot = Some(self.current_slot);
                     env.trace(TraceEvent::SigmaAlarm {
@@ -385,7 +384,7 @@ impl EdgeModule for SigmaEdgeModule {
             true
         } else if let Some(gr) = self.grace.get_mut(&(iface, group)) {
             let first = *gr.first_seen.get_or_insert(pkt_slot);
-            if pkt_slot <= first + self.cfg.grace_slots {
+            if pkt_slot <= first + GRACE_SLOTS {
                 self.stats.data_grace += 1;
                 true
             } else {
@@ -522,10 +521,8 @@ impl EdgeModule for SigmaEdgeModule {
         for (iface, group) in self.grants.entries() {
             let has_current = self.grants.max_slot(iface, group).is_some_and(|s| s >= cur);
             let grace_live = self.grace.get(&(iface, group)).is_some_and(|g| {
-                self.cfg.grace_slots > 0
-                    && g.first_seen.map_or(cur <= g.opened_slot + 4, |s0| {
-                        cur <= s0 + self.cfg.grace_slots
-                    })
+                g.first_seen
+                    .map_or(cur <= g.opened_slot + 4, |s0| cur <= s0 + GRACE_SLOTS)
             });
             if !has_current && !grace_live {
                 to_prune.push((iface, group));

@@ -15,8 +15,8 @@
 //! another interface already produced (the synchronized case: everyone
 //! converges onto the same new table, paying one allocation per *distinct*
 //! state, not per interface) or creates a fresh one (the diverged case).
-//! Memory is O(distinct layer-sets), exactly the cohort argument of
-//! `mcc-flid` applied to router state.
+//! Memory is O(distinct layer-sets): synchronized receivers on many
+//! interfaces cost the router one table between them.
 //!
 //! Layout: interfaces index a dense `Vec` by [`LinkId::index`], and a
 //! table is two sorted `Vec`s, so a lookup is an array index plus a binary

@@ -2,16 +2,20 @@
 //! (`mcc_core::topology`): for any balanced tree or parking lot the
 //! builder can produce, routing is complete and equal to an all-pairs
 //! Dijkstra, multicast membership matches the receiver set, and delivery
-//! never exceeds what the bottleneck links could have carried.
+//! never exceeds what the bottleneck links could have carried. A
+//! `cohort(n)` receiver reads exactly like `n` individual ones.
 
 use proptest::prelude::*;
 use robust_multicast::attack::{
     AttackPlan, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess, Placement,
 };
-use robust_multicast::core::topology::{BuiltTopology, McastSessionSpec, Topology, TopologySpec};
+use robust_multicast::core::topology::{
+    BuiltTopology, McastSessionSpec, ReceiverSpec, Topology, TopologySpec,
+};
 use robust_multicast::core::workload::{Dist, WorkloadSpec};
 use robust_multicast::core::{Units, Variant};
-use robust_multicast::netsim::{LinkId, NodeId, World};
+use robust_multicast::flid::{FlidReceiver, ReceiverStats, ReplicatedReceiver, ThresholdReceiver};
+use robust_multicast::netsim::{AgentId, LinkId, NodeId, World};
 use robust_multicast::simcore::{SimDuration, SimTime};
 
 /// Build a single-session FLID-DL scenario over `topology` with `k`
@@ -332,6 +336,88 @@ proptest! {
         second.sim.run_until(horizon);
 
         prop_assert_eq!(run_digest(&first, horizon), run_digest(&second, horizon));
+    }
+}
+
+/// One receiver's observables as exact bit patterns: its policy's
+/// `(t, level)` trace, its counters and its per-second goodput series.
+type ReceiverDigest = (Vec<(u64, u32)>, ReceiverStats, Vec<u64>);
+
+fn receiver_digest(t: &BuiltTopology, id: AgentId, horizon: u64) -> ReceiverDigest {
+    let sim = &t.sim;
+    let (trace, stats) = if let Some(rx) = sim.agent_as::<FlidReceiver>(id) {
+        (&rx.level_trace, &rx.stats)
+    } else if let Some(rx) = sim.agent_as::<ReplicatedReceiver>(id) {
+        (&rx.trace, &rx.stats)
+    } else {
+        let rx = sim
+            .agent_as::<ThresholdReceiver>(id)
+            .expect("a multicast receiver agent");
+        (&rx.trace, &rx.stats)
+    };
+    (
+        trace.iter().map(|&(at, l)| (at.to_bits(), l)).collect(),
+        stats.clone(),
+        t.series_bps(id, horizon)
+            .iter()
+            .map(|b| b.to_bits())
+            .collect(),
+    )
+}
+
+proptest! {
+    // Tier-1 runs a few debug cases; a release build runs the
+    // `PROPTEST_CASES` campaign.
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 8 } else { ProptestConfig::default().cases }
+    ))]
+
+    /// A cohort is one receiver with a weight: under every policy, a
+    /// `cohort(n)` spec and `n` individual specs with the same join time,
+    /// access delay and leave time read the same level trace, counters and
+    /// goodput series per receiver, and the cohort's weight is `n`.
+    /// `FlidDsGuard` is left out: the collusion guard draws one secret per
+    /// interface from the world RNG, so `n` interfaces and one take
+    /// different draws (`cohort_spec_builds_one_agent_with_count_weighted_metrics`
+    /// in `mcc_core::topology` documents the same exclusion).
+    #[test]
+    fn a_cohort_reads_like_its_individuals(
+        variant in 0usize..4,
+        n in 2u64..=4,
+        join_ms in 0u64..=3_000,
+        access_ms in 1u64..=60,
+        leave_ms in prop::option::weighted(0.5, 4_000u64..=9_000),
+        bottleneck_kbps in 300u64..=1_500,
+        seed in 0u64..1_000,
+    ) {
+        let variant = [Variant::FlidDl, Variant::FlidDs, Variant::Replicated, Variant::Threshold]
+            [variant];
+        let horizon = 10;
+        let mut r = ReceiverSpec::new()
+            .join_at(SimTime::from_millis(join_ms))
+            .access_delay(SimDuration::from_millis(access_ms));
+        if let Some(ms) = leave_ms {
+            r = r.leave_at(SimTime::from_millis(ms));
+        }
+        let run = |receivers: Vec<ReceiverSpec>| {
+            let mut spec = TopologySpec::new(Topology::Dumbbell, seed, bottleneck_kbps * 1_000);
+            spec.mcast = vec![McastSessionSpec::new(variant).with_receivers(receivers)];
+            let mut t = spec.build();
+            t.run_secs(horizon);
+            t
+        };
+        let cohort = run(vec![r.clone().cohort(n)]);
+        let individuals = run(vec![r; n as usize]);
+        prop_assert_eq!(&cohort.sessions[0].weights, &vec![n]);
+        let want = receiver_digest(&cohort, cohort.sessions[0].receivers[0], horizon);
+        for &id in &individuals.sessions[0].receivers {
+            prop_assert_eq!(
+                &receiver_digest(&individuals, id, horizon),
+                &want,
+                "{:?}: n {}, join {} ms, access {} ms, leave {:?} ms, {} kbps, seed {}",
+                variant, n, join_ms, access_ms, leave_ms, bottleneck_kbps, seed
+            );
+        }
     }
 }
 

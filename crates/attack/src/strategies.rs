@@ -233,7 +233,8 @@ impl CollusionSet {
     }
 
     /// Registered member count (diagnostics).
-    pub fn members(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn members(&self) -> u32 {
         self.0.lock().expect("collusion pool").members
     }
 }

@@ -41,7 +41,7 @@ pub struct Cli {
 
 impl Cli {
     /// Parse raw CLI arguments (no `argv[0]`).
-    pub fn parse(args: &[String]) -> Result<Cli, String> {
+    pub(crate) fn parse(args: &[String]) -> Result<Cli, String> {
         let mut cli = Cli::default();
         let mut it = args.iter();
         let value = |flag: &str, it: &mut std::slice::Iter<String>| {
@@ -214,7 +214,7 @@ fn usage() -> String {
 }
 
 /// Render `--list`.
-pub fn list() -> String {
+pub(crate) fn list() -> String {
     let mut out = String::new();
     let groups = Kind::ALL.map(|k| format!("{} {}", registry::of_kind(k).len(), k.group()));
     out.push_str(&format!(
@@ -244,7 +244,7 @@ pub fn list() -> String {
 
 /// Run a parsed invocation. Returns the path of the written report, or
 /// `None` for `--list`.
-pub fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
+pub(crate) fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
     if cli.help {
         print!("{}", usage());
         return Ok(None);

@@ -98,7 +98,10 @@ pub fn summarize(input: &str) -> Summary {
             "pkt_deliver" => {
                 if let (Some(flow), Some(bits)) = (field_u64(line, "flow"), field_u64(line, "bits"))
                 {
-                    *s.delivered_bits.entry(flow).or_default() += bits;
+                    // Saturate: `bits` comes from the file, and a crafted
+                    // line must not panic or wrap the total.
+                    let total = s.delivered_bits.entry(flow).or_default();
+                    *total = total.saturating_add(bits);
                 }
             }
             "pkt_drop" => {
@@ -195,6 +198,15 @@ not json\n";
         assert_eq!(s.drops_by_reason["edge_filter"], 1);
         assert_eq!(s.sigma_log.len(), 1);
         assert_eq!(s.sigma_log[0].0, 3_000_000_000);
+    }
+
+    #[test]
+    fn delivered_bits_saturate_instead_of_wrapping() {
+        let s = summarize(
+            "{\"t\":1,\"ev\":\"pkt_deliver\",\"flow\":1,\"bits\":18446744073709551615}\n\
+             {\"t\":2,\"ev\":\"pkt_deliver\",\"flow\":1,\"bits\":2}\n",
+        );
+        assert_eq!(s.delivered_bits[&1], u64::MAX);
     }
 
     #[test]

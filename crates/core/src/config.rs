@@ -59,7 +59,8 @@ impl RunConfig {
     }
 
     /// The [`Params`] this configuration implies.
-    pub fn params(&self) -> Params {
+    #[cfg(test)]
+    pub(crate) fn params(&self) -> Params {
         Params {
             quick: self.quick,
             ..Params::default()
@@ -72,7 +73,7 @@ impl RunConfig {
 /// re-read the environment each time. `None` = tracing off (the
 /// default, and the fallback for a malformed `MCC_TRACE`; the loud
 /// warning lives in [`RunConfig::from_env`]).
-pub fn trace_spec() -> Option<&'static TraceSpec> {
+pub(crate) fn trace_spec() -> Option<&'static TraceSpec> {
     TRACE
         .get_or_init(|| trace_from(env_var("MCC_TRACE").as_deref()).0)
         .as_ref()
@@ -80,7 +81,7 @@ pub fn trace_spec() -> Option<&'static TraceSpec> {
 
 /// Pin the trace specification before any experiment runs — the
 /// `figures` CLI's `--trace` override. First setting wins (the
-/// `OnceLock` semantics); a no-op once [`trace_spec`] has been read.
+/// `OnceLock` semantics); a no-op once `trace_spec` has been read.
 pub fn set_trace(spec: Option<TraceSpec>) {
     let _ = TRACE.set(spec);
 }
@@ -133,7 +134,7 @@ fn out_dir_from(var: Option<&str>) -> PathBuf {
 /// rest of [`RunConfig::from_env`] — for sinks that only need a place to
 /// write (re-parsing the full config would repeat its loud warnings once
 /// per experiment).
-pub fn out_dir() -> PathBuf {
+pub(crate) fn out_dir() -> PathBuf {
     out_dir_from(env_var("MCC_OUT").as_deref())
 }
 
@@ -174,8 +175,8 @@ fn threads_from(var: Option<&str>) -> (usize, Option<String>) {
 /// seed=1,2,3`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Params {
-    /// Shortened runs: durations pass through [`Params::duration`] and
-    /// session sweeps through [`Params::session_counts`].
+    /// Shortened runs: durations pass through `Params::duration` and
+    /// session sweeps through `Params::session_counts`.
     pub quick: bool,
     /// Window (in 1 s bins) of the moving average applied to throughput
     /// series — the paper-style plot smoothing. Defaults to
@@ -226,7 +227,7 @@ impl Params {
 
     /// Experiment duration: `full` seconds normally, a shortened run in
     /// quick mode.
-    pub fn duration(&self, full: u64) -> u64 {
+    pub(crate) fn duration(&self, full: u64) -> u64 {
         if self.quick {
             (full / 4).max(MIN_DURATION_SECS)
         } else {
@@ -235,7 +236,7 @@ impl Params {
     }
 
     /// The session counts swept by Figures 8a–8d.
-    pub fn session_counts(&self) -> Vec<u32> {
+    pub(crate) fn session_counts(&self) -> Vec<u32> {
         if self.quick {
             vec![1, 2, 6, 10]
         } else {
@@ -244,7 +245,7 @@ impl Params {
     }
 
     /// The effective seed for an experiment registered with `base`.
-    pub fn seed_for(&self, base: u64) -> u64 {
+    pub(crate) fn seed_for(&self, base: u64) -> u64 {
         self.seed_override.unwrap_or(base)
     }
 

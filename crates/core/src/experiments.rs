@@ -154,7 +154,7 @@ pub fn responsiveness(
 
 /// Figure 8f: one session, 20 receivers, round-trip times spread uniformly
 /// over 30–220 ms. Returns `(rtt_ms, avg_bps)` per receiver.
-pub fn rtt_experiment(variant: Variant, duration_secs: u64, seed: u64) -> Vec<(f64, f64)> {
+pub(crate) fn rtt_experiment(variant: Variant, duration_secs: u64, seed: u64) -> Vec<(f64, f64)> {
     let n_receivers = 20;
     let receivers = (0..n_receivers).map(|i| {
         let rtt_ms = 30.0 + 10.0 * i as f64;
@@ -322,7 +322,11 @@ pub fn overhead_vs_groups(ns: &[u32], duration_secs: u64, seed: u64) -> Vec<Over
 }
 
 /// Figure 9b: overhead versus slot duration at `N = 10`.
-pub fn overhead_vs_slot(slots_ms: &[u64], duration_secs: u64, seed: u64) -> Vec<OverheadRow> {
+pub(crate) fn overhead_vs_slot(
+    slots_ms: &[u64],
+    duration_secs: u64,
+    seed: u64,
+) -> Vec<OverheadRow> {
     slots_ms
         .iter()
         .map(|&ms| {
@@ -353,7 +357,7 @@ record! {
     /// one defense variant.
     #[derive(Clone, Debug)]
     pub struct MatrixCell {
-        /// Defense label ([`Variant::label`]).
+        /// Defense label (`Variant::label`).
         pub defense: &'static str,
         /// Strategy name (one of [`MATRIX_STRATEGIES`]).
         pub strategy: &'static str,
@@ -636,7 +640,7 @@ record! {
     /// at one churn rate.
     #[derive(Clone, Debug)]
     pub struct ChurnCell {
-        /// Defense label ([`Variant::label`]).
+        /// Defense label (`Variant::label`).
         pub defense: &'static str,
         /// Poisson arrival rate of the churn receivers, per second.
         pub churn_rate: f64,
@@ -739,7 +743,7 @@ fn flash_rides(ri: usize, n: usize) -> bool {
 /// The most arrivals any single run of [`churn_robustness`] asks of the
 /// workload engine — a rate point's expected Poisson arrivals plus its
 /// flash crowd. `registry::check_params` holds it against the arrival cap.
-pub fn churn_peak_arrivals(duration_secs: u64, rates: &[f64], flash_factor: f64) -> f64 {
+pub(crate) fn churn_peak_arrivals(duration_secs: u64, rates: &[f64], flash_factor: f64) -> f64 {
     let crowd = (flash_factor * CHURN_STANDING as f64).ceil();
     rates
         .iter()
@@ -761,7 +765,7 @@ pub fn churn_peak_arrivals(duration_secs: u64, rates: &[f64], flash_factor: f64)
 /// attack onset on the highest rate point. Each cell's baseline is the
 /// attack-free run at the *same* churn — the damage metrics isolate the
 /// attack from the churn itself.
-pub fn churn_robustness(
+pub(crate) fn churn_robustness(
     duration_secs: u64,
     onset_secs: u64,
     seed: u64,
@@ -856,7 +860,7 @@ record! {
     /// the inflate attacker attached at one depth of the tree.
     #[derive(Clone, Debug)]
     pub struct TreePlacementRow {
-        /// Defense label ([`Variant::label`]).
+        /// Defense label (`Variant::label`).
         pub defense: &'static str,
         /// Depth of the attacker's attachment router (tree depth = a leaf).
         pub attacker_depth: u32,
@@ -934,7 +938,7 @@ fn tree_run(
 /// path and measure honest damage — overall, inside the attacker's
 /// depth-1 subtree, and outside it — for every [`Variant::DEFENSES`]
 /// defense, against a per-(defense, depth) honest baseline.
-pub fn tree_placement(
+pub(crate) fn tree_placement(
     depth: u32,
     fanout: u32,
     duration_secs: u64,
@@ -1015,7 +1019,7 @@ record! {
     /// One defense variant's share breakdown.
     #[derive(Clone, Debug)]
     pub struct ParkingLotVariantRows {
-        /// Variant label ([`Variant::label`]).
+        /// Variant label (`Variant::label`).
         pub variant: &'static str,
         /// Attacker goodput over the post-onset window, bit/s.
         pub attacker_bps: f64,
@@ -1080,7 +1084,7 @@ fn parking_lot_run(
 /// shares on a multi-bottleneck parking lot, honest baseline versus an
 /// [`InflateTo`] attacker whose traffic crosses every hop, for FLID-DL
 /// (attack lands everywhere) and FLID-DS (contained at the edge).
-pub fn parking_lot_fairness(
+pub(crate) fn parking_lot_fairness(
     bottlenecks: usize,
     per_hop_cbr_bps: u64,
     duration_secs: u64,
@@ -1151,7 +1155,12 @@ record! {
 /// random special-packet loss (the `z` the paper sizes against 50 % loss
 /// in §5.4). Monte-Carlo over `slots` independent slots of a 10-group
 /// announcement.
-pub fn fec_ablation(repeats: &[u32], losses: &[f64], slots: u32, seed: u64) -> Vec<FecAblationRow> {
+pub(crate) fn fec_ablation(
+    repeats: &[u32],
+    losses: &[f64],
+    slots: u32,
+    seed: u64,
+) -> Vec<FecAblationRow> {
     use mcc_delta::Key;
     use mcc_sigma::fec::{chunk_tuples, encode_with_repeats, FecAccounting};
     use mcc_sigma::KeyTuple;
@@ -1221,7 +1230,7 @@ record! {
 /// Ablation: the FLID-DS slot duration trades responsiveness against
 /// SIGMA overhead — the paper sets 250 ms to match FLID-DL's 500 ms
 /// granularity through SIGMA's two-slot enforcement.
-pub fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> {
+pub(crate) fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> {
     use mcc_flid::{FlidReceiver, FlidSender};
     use mcc_netsim::prelude::*;
     use mcc_sigma::{SigmaConfig, SigmaEdgeModule};

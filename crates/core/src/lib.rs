@@ -13,10 +13,10 @@
 //!   join times, access delays and misbehaviour), with placement-aware
 //!   receiver attachment,
 //! * [`workload`] — the event-driven membership workload engine:
-//!   synthetic and trace-driven arrival processes (Poisson join/leave,
-//!   Zipf session popularity, flash crowds), heterogeneous access
-//!   rates/RTTs and background traffic mixes, expanded deterministically
-//!   from the scenario seed into ordinary receiver/traffic specs,
+//!   Poisson join/leave churn and flash crowds over uniformly chosen
+//!   sessions, heterogeneous access rates/RTTs and background traffic
+//!   mixes, expanded deterministically from the scenario seed into
+//!   ordinary receiver/traffic specs,
 //! * [`config`] — [`RunConfig::from_env`] (the one reader of `MCC_QUICK`
 //!   / `MCC_THREADS` / `MCC_OUT`) and the [`Params`] bag every
 //!   experiment runs under,
@@ -53,7 +53,7 @@ pub mod scenario;
 pub mod topology;
 pub mod workload;
 
-pub use config::{set_trace, trace_spec, Params, RunConfig};
+pub use config::{set_trace, Params, RunConfig};
 pub use mcc_obs::TraceSpec;
 pub use metrics::{ascii_chart, damage, Damage, Series};
 pub use registry::{Experiment, ExperimentDef};
@@ -65,4 +65,4 @@ pub use topology::{
     BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SessionHandle, TcpHandle, Topology,
     TopologySpec,
 };
-pub use workload::{Arrivals, Dist, FlashCrowd, Popularity, WorkloadSpec};
+pub use workload::{Arrivals, Dist, FlashCrowd, WorkloadSpec};

@@ -4,7 +4,7 @@
 //! `mcc-obs` owns the event taxonomy and the flight recorder; this module
 //! owns everything that needs the core crate — the runner hook
 //! (`begin`/`finish` around each experiment body), the `run_secs`
-//! chokepoint ([`run_sim`]), JSON serialization through the runner's
+//! chokepoint (`run_sim`), JSON serialization through the runner's
 //! canonical [`Json`] writer, and the output files:
 //!
 //! * `TRACE_<experiment>.jsonl` — every event in canonical order.
@@ -75,7 +75,7 @@ pub(crate) fn finish(name: &str) {
 /// experiments knowing tracing exists. Without an active capture the
 /// traced branch is never entered and the run is byte-for-byte the
 /// pre-observability code path.
-pub fn run_sim(sim: &mut Sim, until: SimTime) {
+pub(crate) fn run_sim(sim: &mut Sim, until: SimTime) {
     let tracing = ACTIVE.with(|a| a.borrow().is_some());
     if !tracing {
         sim.run_until(until);
@@ -115,7 +115,7 @@ pub struct TraceOutput {
     pub obs: Json,
 }
 
-/// Force-capture every [`run_sim`] call inside `f`, regardless of
+/// Force-capture every `run_sim` call inside `f`, regardless of
 /// `MCC_TRACE`, and hand back the rendered sinks instead of writing
 /// files — the in-process hook the determinism tests use. Any capture
 /// already active on this thread is restored afterwards.

@@ -284,7 +284,7 @@ pub struct Report {
 
 impl Report {
     /// The canonical `BENCH_*.json` payload.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("suite", Json::Str(self.suite.clone())),
             ("mode", Json::Str(self.mode.clone())),

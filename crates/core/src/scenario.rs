@@ -26,7 +26,7 @@
 use crate::topology::{
     BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, Topology, TopologySpec,
 };
-use mcc_attack::{All, AttackPlan, IgnoreDecrease, InflateTo, KeyGuess, Timed};
+use mcc_attack::{All, AttackPlan, InflateTo, KeyGuess, Timed};
 use mcc_simcore::{SimDuration, SimTime};
 
 /// Which congestion-control protocol (and defence level) a multicast
@@ -52,12 +52,12 @@ pub enum Variant {
 
 impl Variant {
     /// Whether the edge router enforces subscriptions (SIGMA installed).
-    pub fn protected(self) -> bool {
+    pub(crate) fn protected(self) -> bool {
         !matches!(self, Variant::FlidDl)
     }
 
     /// The plot/matrix label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Variant::FlidDl => "FLID-DL",
             Variant::FlidDs => "FLID-DS",
@@ -151,13 +151,6 @@ impl ReceiverSpec {
         self
     }
 
-    /// Override the access-link capacity (heterogeneous-rate workloads;
-    /// the paper default is 10 Mbps).
-    pub fn access_bps(mut self, bps: u64) -> ReceiverSpec {
-        self.access_bps = bps;
-        self
-    }
-
     /// Misbehave: run `plan`'s adversary strategy (the general form; the
     /// two shorthands below build their plans and call it).
     pub fn adversary(mut self, plan: AttackPlan) -> ReceiverSpec {
@@ -176,11 +169,6 @@ impl ReceiverSpec {
                 Box::new(KeyGuess { rate: 10 }),
             ])),
         )))
-    }
-
-    /// Misbehave: stop obeying decrease rules at `at`.
-    pub fn ignore_decrease_at(self, at: SimTime) -> ReceiverSpec {
-        self.adversary(AttackPlan::new(Timed::at(at, IgnoreDecrease)))
     }
 
     /// Let this receiver stand for `n` synchronized receivers behind one
@@ -228,7 +216,7 @@ impl McastSessionSpec {
 
 impl CbrSpec {
     /// A steady CBR of `rate_bps` running for the whole experiment.
-    pub fn steady(rate_bps: u64) -> CbrSpec {
+    pub(crate) fn steady(rate_bps: u64) -> CbrSpec {
         CbrSpec {
             rate_bps,
             on_off: None,
@@ -239,7 +227,7 @@ impl CbrSpec {
 
     /// Restrict the source to the `[start, stop]` window (the Figure-8e
     /// burst).
-    pub fn window(mut self, start: SimTime, stop: SimTime) -> CbrSpec {
+    pub(crate) fn window(mut self, start: SimTime, stop: SimTime) -> CbrSpec {
         self.start = start;
         self.stop = stop;
         self
@@ -247,7 +235,7 @@ impl CbrSpec {
 
     /// Chop the source into `(on, off)` periods (the Figure-8d
     /// background).
-    pub fn on_off(mut self, on: SimDuration, off: SimDuration) -> CbrSpec {
+    pub(crate) fn on_off(mut self, on: SimDuration, off: SimDuration) -> CbrSpec {
         self.on_off = Some((on, off));
         self
     }
@@ -271,7 +259,7 @@ pub struct Scenario {
 impl Scenario {
     /// A scenario over an arbitrary [`Topology`] with the §5.1 link
     /// defaults (20 ms bottlenecks, 10 ms side links, 2×BDP buffers).
-    pub fn topology(topology: Topology, bottleneck_bps: u64) -> Scenario {
+    pub(crate) fn topology(topology: Topology, bottleneck_bps: u64) -> Scenario {
         Scenario {
             spec: TopologySpec::new(topology, 0, bottleneck_bps),
             variant: Variant::FlidDl,
@@ -295,14 +283,9 @@ impl Scenario {
         )
     }
 
-    /// A star of `arms` bottleneck spokes around one hub.
-    pub fn star(arms: usize, bottleneck_bps: u64) -> Scenario {
-        Scenario::topology(Topology::Star { arms }, bottleneck_bps)
-    }
-
     /// A balanced `fanout`-ary multicast tree of the given `depth`;
     /// receivers attach at the leaves.
-    pub fn balanced_tree(depth: u32, fanout: u32, bottleneck_bps: u64) -> Scenario {
+    pub(crate) fn balanced_tree(depth: u32, fanout: u32, bottleneck_bps: u64) -> Scenario {
         Scenario::topology(Topology::BalancedTree { depth, fanout }, bottleneck_bps)
     }
 
@@ -323,7 +306,7 @@ impl Scenario {
     }
 
     /// Override the bottleneck propagation delay.
-    pub fn bottleneck_delay(mut self, delay: SimDuration) -> Scenario {
+    pub(crate) fn bottleneck_delay(mut self, delay: SimDuration) -> Scenario {
         self.spec.bottleneck_delay = delay;
         self
     }
@@ -363,7 +346,7 @@ impl Scenario {
     }
 
     /// Add a CBR background.
-    pub fn cbr(mut self, cbr: CbrSpec) -> Scenario {
+    pub(crate) fn cbr(mut self, cbr: CbrSpec) -> Scenario {
         self.spec.cbr = Some(cbr);
         self
     }

@@ -816,7 +816,7 @@ impl BuiltTopology {
     }
 
     /// The SIGMA module at one edge router, when installed.
-    pub fn sigma_at(&self, node: NodeId) -> Option<&SigmaEdgeModule> {
+    pub(crate) fn sigma_at(&self, node: NodeId) -> Option<&SigmaEdgeModule> {
         self.sim.edge_as::<SigmaEdgeModule>(node)
     }
 
@@ -868,13 +868,6 @@ impl BuiltTopology {
         } else {
             num / den as f64
         }
-    }
-
-    /// A sender agent as its concrete FLID type.
-    pub fn sender(&self, id: AgentId) -> &FlidSender {
-        self.sim
-            .agent_as::<FlidSender>(id)
-            .expect("agent is a FlidSender")
     }
 }
 

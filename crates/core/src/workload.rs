@@ -3,10 +3,10 @@
 //! Every layer below this one used to assume static membership: the
 //! receiver population was fixed at build time and stayed subscribed to
 //! the end of the run. A [`WorkloadSpec`] replaces that assumption with
-//! *arrival processes*: receivers join and leave mid-run (Poisson churn,
-//! flash crowds, or an explicit trace), pick their session by a
-//! popularity law (uniform or Zipf), and draw heterogeneous access
-//! rates/RTTs and background-traffic mixes from distributions.
+//! *arrival processes*: receivers join and leave mid-run (Poisson churn
+//! and flash crowds), pick their session uniformly, and draw
+//! heterogeneous access rates/RTTs and background-traffic mixes from
+//! distributions.
 //!
 //! ## Determinism discipline
 //!
@@ -57,44 +57,6 @@ pub enum Arrivals {
         rate_hz: f64,
         mean_dwell: SimDuration,
     },
-    /// Trace-driven: explicit `(join, dwell)` pairs, replayed verbatim.
-    Trace(Vec<(SimTime, SimDuration)>),
-}
-
-/// How an arrival picks its session.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Popularity {
-    /// Every session equally likely.
-    Uniform,
-    /// Zipf over session index: session `k` (0-based) has weight
-    /// `1 / (k+1)^exponent` — session 0 is the most popular.
-    Zipf { exponent: f64 },
-}
-
-impl Popularity {
-    /// Sample a session index in `0..n`.
-    fn sample(&self, n: usize, rng: &mut DetRng) -> usize {
-        debug_assert!(n > 0);
-        match *self {
-            Popularity::Uniform => rng.below(n as u64) as usize,
-            Popularity::Zipf { exponent } => {
-                // Hand-rolled CDF walk — populations are tiny (sessions,
-                // not receivers), so O(n) per sample is fine.
-                let weights: Vec<f64> = (0..n)
-                    .map(|k| 1.0 / ((k + 1) as f64).powf(exponent))
-                    .collect();
-                let total: f64 = weights.iter().sum();
-                let mut u = rng.next_f64() * total;
-                for (k, w) in weights.iter().enumerate() {
-                    u -= w;
-                    if u <= 0.0 {
-                        return k;
-                    }
-                }
-                n - 1
-            }
-        }
-    }
 }
 
 /// A flash crowd: at `at`, the standing population is multiplied.
@@ -118,18 +80,14 @@ pub enum Dist {
     Const(f64),
     /// Uniform on `[lo, hi)`.
     Uniform { lo: f64, hi: f64 },
-    /// Exponential with the given mean.
-    Exp { mean: f64 },
 }
 
 impl Dist {
-    /// Sample one value (non-negative by construction for the variants
-    /// used here, given non-negative parameters).
-    pub fn sample(&self, rng: &mut DetRng) -> f64 {
+    /// Sample one value.
+    pub(crate) fn sample(&self, rng: &mut DetRng) -> f64 {
         match *self {
             Dist::Const(v) => v,
             Dist::Uniform { lo, hi } => rng.range_f64(lo, hi),
-            Dist::Exp { mean } => rng.exponential_secs(mean),
         }
     }
 }
@@ -150,8 +108,6 @@ pub struct WorkloadSpec {
     pub horizon: SimDuration,
     /// The churn process.
     pub arrivals: Arrivals,
-    /// Session choice per arrival.
-    pub popularity: Popularity,
     /// Optional flash crowd on top of the churn.
     pub flash: Option<FlashCrowd>,
     /// Access-link capacity per churn receiver, bit/s.
@@ -175,7 +131,6 @@ impl WorkloadSpec {
         WorkloadSpec {
             horizon,
             arrivals: Arrivals::Off,
-            popularity: Popularity::Uniform,
             flash: None,
             access_bps: Dist::Const(10_000_000.0),
             access_delay_ms: Dist::Const(10.0),
@@ -195,18 +150,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Replay an explicit `(join, dwell)` trace.
-    pub fn trace(mut self, joins: Vec<(SimTime, SimDuration)>) -> WorkloadSpec {
-        self.arrivals = Arrivals::Trace(joins);
-        self
-    }
-
-    /// Zipf session popularity with the given exponent.
-    pub fn zipf(mut self, exponent: f64) -> WorkloadSpec {
-        self.popularity = Popularity::Zipf { exponent };
-        self
-    }
-
     /// Add a flash crowd.
     pub fn flash(mut self, flash: FlashCrowd) -> WorkloadSpec {
         assert!(
@@ -220,12 +163,6 @@ impl WorkloadSpec {
     /// Heterogeneous access-link rates (bit/s).
     pub fn access_rates(mut self, dist: Dist) -> WorkloadSpec {
         self.access_bps = dist;
-        self
-    }
-
-    /// Heterogeneous access-link delays (milliseconds).
-    pub fn access_delays_ms(mut self, dist: Dist) -> WorkloadSpec {
-        self.access_delay_ms = dist;
         self
     }
 
@@ -248,20 +185,9 @@ impl WorkloadSpec {
         self
     }
 
-    /// Would this workload generate nothing at all? An inert workload's
-    /// [`WorkloadSpec::apply`] provably leaves the spec untouched.
-    pub fn is_inert(&self) -> bool {
-        let no_arrivals = match &self.arrivals {
-            Arrivals::Off => true,
-            Arrivals::Poisson { rate_hz, .. } => *rate_hz == 0.0,
-            Arrivals::Trace(t) => t.is_empty(),
-        };
-        no_arrivals && self.flash.is_none() && self.extra_tcp == 0 && self.background.is_none()
-    }
-
     /// Expand the workload into concrete receiver/traffic specs on
-    /// `spec`, deterministically from `spec.seed`. Arrivals land on the
-    /// session chosen by the popularity law; each becomes an ordinary
+    /// `spec`, deterministically from `spec.seed`. Each arrival lands on
+    /// a session drawn uniformly and becomes an ordinary
     /// [`ReceiverSpec`] with its `join_at`/`leave_at` lifetime and
     /// sampled access parameters, appended in arrival-time order (the
     /// append order — and therefore agent/node ids — is a pure function
@@ -296,11 +222,6 @@ impl WorkloadSpec {
                     }
                 }
             }
-            Arrivals::Trace(joins) => {
-                for &(join, dwell) in joins {
-                    lifetimes.push((join, join + dwell));
-                }
-            }
         }
         // Flash crowd: factor × the standing population (cohort-weighted
         // receivers specified statically), spread over the ramp.
@@ -332,7 +253,7 @@ impl WorkloadSpec {
                 "a churn workload needs at least one session to join"
             );
             for (join_at, leave_at) in lifetimes {
-                let si = self.popularity.sample(spec.mcast.len(), &mut attrs_rng);
+                let si = attrs_rng.below(spec.mcast.len() as u64) as usize;
                 let bps = (self.access_bps.sample(&mut attrs_rng).max(1_000.0)) as u64;
                 let delay_ms = self.access_delay_ms.sample(&mut attrs_rng).max(0.1);
                 spec.mcast[si].receivers.push(ReceiverSpec {
@@ -374,16 +295,13 @@ mod tests {
     fn inert_workload_leaves_the_spec_byte_identical() {
         let mut spec = base_spec(2);
         let before = format!("{spec:?}");
-        let w = WorkloadSpec::none(SimDuration::from_secs(60));
-        assert!(w.is_inert());
-        w.apply(&mut spec);
+        WorkloadSpec::none(SimDuration::from_secs(60)).apply(&mut spec);
         assert_eq!(format!("{spec:?}"), before);
 
         // Rate-0 Poisson is inert too.
-        let w =
-            WorkloadSpec::none(SimDuration::from_secs(60)).poisson(0.0, SimDuration::from_secs(10));
-        assert!(w.is_inert());
-        w.apply(&mut spec);
+        WorkloadSpec::none(SimDuration::from_secs(60))
+            .poisson(0.0, SimDuration::from_secs(10))
+            .apply(&mut spec);
         assert_eq!(format!("{spec:?}"), before);
     }
 
@@ -451,32 +369,36 @@ mod tests {
     }
 
     #[test]
-    fn zipf_prefers_popular_sessions() {
+    fn arrivals_spread_over_every_session() {
         let mut spec = base_spec(4);
-        WorkloadSpec::none(SimDuration::from_secs(400))
-            .poisson(1.0, SimDuration::from_secs(10))
-            .zipf(1.2)
-            .apply(&mut spec);
+        let w = WorkloadSpec::none(SimDuration::from_secs(400))
+            .poisson(1.0, SimDuration::from_secs(10));
+        w.apply(&mut spec);
         let counts: Vec<usize> = spec.mcast.iter().map(|m| m.receivers.len() - 1).collect();
-        let total: usize = counts.iter().sum();
-        assert!(total > 50, "expected a few hundred arrivals, got {total}");
         assert!(
-            counts[0] > counts[3],
-            "session 0 must dominate the tail: {counts:?}"
+            counts.iter().all(|&c| c > 0),
+            "every session gets arrivals: {counts:?}"
         );
+
+        // The per-session counts partition every generated arrival.
+        let mut one = base_spec(1);
+        w.apply(&mut one);
+        let total = one.mcast[0].receivers.len() - 1;
+        assert!(total > 50, "expected a few hundred arrivals, got {total}");
+        assert_eq!(counts.iter().sum::<usize>(), total);
     }
 
     #[test]
     fn heterogeneous_attributes_come_from_their_distributions() {
         let mut spec = base_spec(1);
-        WorkloadSpec::none(SimDuration::from_secs(200))
+        let mut w = WorkloadSpec::none(SimDuration::from_secs(200))
             .poisson(0.5, SimDuration::from_secs(10))
             .access_rates(Dist::Uniform {
                 lo: 1_000_000.0,
                 hi: 5_000_000.0,
-            })
-            .access_delays_ms(Dist::Uniform { lo: 5.0, hi: 50.0 })
-            .apply(&mut spec);
+            });
+        w.access_delay_ms = Dist::Uniform { lo: 5.0, hi: 50.0 };
+        w.apply(&mut spec);
         let churn = &spec.mcast[0].receivers[1..];
         assert!(churn.len() > 10);
         for r in churn {

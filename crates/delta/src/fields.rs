@@ -39,7 +39,8 @@ impl UpgradeMask {
     }
 
     /// Number of authorized groups (the paper's `Σ f_g` accounting).
-    pub fn count(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u32 {
         self.0.count_ones()
     }
 }

@@ -28,7 +28,7 @@ impl Key {
     }
 
     /// XOR-accumulate another key/component.
-    pub fn xor(self, other: Key) -> Key {
+    pub(crate) fn xor(self, other: Key) -> Key {
         Key(self.0 ^ other.0)
     }
 }
@@ -47,7 +47,7 @@ impl fmt::Debug for Key {
 }
 
 /// XOR of an iterator of keys.
-pub fn xor_all<I: IntoIterator<Item = Key>>(keys: I) -> Key {
+pub(crate) fn xor_all<I: IntoIterator<Item = Key>>(keys: I) -> Key {
     keys.into_iter().fold(Key::ZERO, Key::xor)
 }
 

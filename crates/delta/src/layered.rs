@@ -103,7 +103,8 @@ impl LayeredKeySchedule {
 
     /// Every key that opens group `g` this slot — the SIGMA tuple
     /// (paper §3.2.1).
-    pub fn valid_keys(&self, g: u32) -> Vec<Key> {
+    #[cfg(test)]
+    pub(crate) fn valid_keys(&self, g: u32) -> Vec<Key> {
         let mut v = vec![self.top_key(g)];
         if let Some(d) = self.decrease_key(g) {
             v.push(d);
@@ -184,7 +185,7 @@ impl GroupObservation {
     }
 
     /// True when every packet of the group arrived this slot.
-    pub fn complete(&self) -> bool {
+    pub(crate) fn complete(&self) -> bool {
         self.saw_last && self.received == self.expected
     }
 }

@@ -22,22 +22,22 @@ pub mod field {
     use super::P;
 
     /// Addition mod P.
-    pub fn add(a: u32, b: u32) -> u32 {
+    pub(crate) fn add(a: u32, b: u32) -> u32 {
         (a + b) % P
     }
 
     /// Subtraction mod P.
-    pub fn sub(a: u32, b: u32) -> u32 {
+    pub(crate) fn sub(a: u32, b: u32) -> u32 {
         (a + P - b % P) % P
     }
 
     /// Multiplication mod P.
-    pub fn mul(a: u32, b: u32) -> u32 {
+    pub(crate) fn mul(a: u32, b: u32) -> u32 {
         ((a as u64 * b as u64) % P as u64) as u32
     }
 
     /// Modular exponentiation.
-    pub fn pow(mut base: u32, mut exp: u32) -> u32 {
+    pub(crate) fn pow(mut base: u32, mut exp: u32) -> u32 {
         let mut acc = 1u32;
         base %= P;
         while exp > 0 {
@@ -51,7 +51,7 @@ pub mod field {
     }
 
     /// Multiplicative inverse via Fermat's little theorem (`a != 0`).
-    pub fn inv(a: u32) -> u32 {
+    pub(crate) fn inv(a: u32) -> u32 {
         assert!(!a.is_multiple_of(P), "zero has no inverse");
         pow(a, P - 2)
     }

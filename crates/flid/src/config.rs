@@ -86,7 +86,7 @@ impl FlidConfig {
     }
 
     /// Incremental rate of group `g`: what group `g` itself transmits.
-    pub fn incremental_rate(&self, g: u32) -> f64 {
+    pub(crate) fn incremental_rate(&self, g: u32) -> f64 {
         assert!((1..=self.n()).contains(&g));
         if g == 1 {
             self.base_rate_bps
@@ -96,14 +96,15 @@ impl FlidConfig {
     }
 
     /// Per-slot probability of authorizing an upgrade *to* group `g`.
-    pub fn upgrade_probability(&self, g: u32) -> f64 {
+    pub(crate) fn upgrade_probability(&self, g: u32) -> f64 {
         assert!((2..=self.n().max(2)).contains(&g));
         (self.upgrade_p0 * self.upgrade_decay.powi(g as i32 - 2)).clamp(0.0, 1.0)
     }
 
     /// The subscription level whose cumulative rate best fits `rate_bps`
     /// (useful for oracle comparisons in tests).
-    pub fn fair_level(&self, rate_bps: f64) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn fair_level(&self, rate_bps: f64) -> u32 {
         let mut best = 1;
         for level in 1..=self.n() {
             if self.cumulative_rate(level) <= rate_bps {

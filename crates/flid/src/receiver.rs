@@ -244,13 +244,9 @@ impl<P: Policy> Receiver<P> {
     }
 
     /// Has the receiver permanently left the session?
-    pub fn departed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn departed(&self) -> bool {
         self.departed
-    }
-
-    /// The scheduled departure instant ([`SimTime::MAX`] = stays forever).
-    pub fn leave_at(&self) -> SimTime {
-        self.leave_at
     }
 
     /// The current subscription level (single-group policies: the group).

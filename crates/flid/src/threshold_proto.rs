@@ -15,7 +15,7 @@
 //! out (see `DESIGN.md` ablations).
 //!
 //! On the wire the share `(x, q(x))` is packed into the DELTA component
-//! field ([`pack_share`]); SIGMA remains unchanged — routers validate the
+//! field (`pack_share`); SIGMA remains unchanged — routers validate the
 //! reconstructed secret like any other key, which demonstrates Requirement
 //! 3's generality.
 
@@ -31,12 +31,12 @@ use mcc_sigma::keytable::KeyTuple;
 use mcc_simcore::DetRng;
 
 /// Pack a Shamir share into a 64-bit component field.
-pub fn pack_share(s: Share) -> Key {
+pub(crate) fn pack_share(s: Share) -> Key {
     Key(((s.x as u64) << 32) | s.y as u64)
 }
 
 /// Unpack a component field into a Shamir share.
-pub fn unpack_share(k: Key) -> Share {
+pub(crate) fn unpack_share(k: Key) -> Share {
     Share {
         x: (k.0 >> 32) as u32,
         y: (k.0 & 0xFFFF_FFFF) as u32,

@@ -73,13 +73,6 @@ id_type!(
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupAddr(pub u32);
 
-impl GroupAddr {
-    /// The dense index backing this address.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
 impl fmt::Debug for GroupAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "g{}", self.0)

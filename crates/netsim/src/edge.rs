@@ -39,8 +39,6 @@ pub enum EdgeAction {
     /// Anchor this router on `group`'s tree (used for the session's
     /// key-distribution control group).
     JoinModule(GroupAddr),
-    /// Release the module anchor on `group`.
-    LeaveModule(GroupAddr),
     /// Deliver [`EdgeModule::on_timer`] with `token` after the delay.
     Timer(SimDuration, u64),
     /// Record a trace event on the world's flight recorder. Only queued
@@ -84,11 +82,6 @@ impl<'a> EdgeEnv<'a> {
     /// Queue a module-membership join.
     pub fn join_module(&mut self, group: GroupAddr) {
         self.actions.push(EdgeAction::JoinModule(group));
-    }
-
-    /// Queue a module-membership leave.
-    pub fn leave_module(&mut self, group: GroupAddr) {
-        self.actions.push(EdgeAction::LeaveModule(group));
     }
 
     /// Queue a timer callback.

@@ -63,7 +63,7 @@ pub struct Link {
 impl Link {
     /// Serialization time of `pkt` on this link, memoized on (packet
     /// size, rate).
-    pub fn tx_time_cached(&mut self, pkt: &Packet) -> SimDuration {
+    pub(crate) fn tx_time_cached(&mut self, pkt: &Packet) -> SimDuration {
         if self.tx_memo.0 != pkt.size_bits || self.tx_memo.1 != self.bps {
             let tx = SimDuration::transmission(pkt.size_bits, self.bps);
             self.tx_memo = (pkt.size_bits, self.bps, tx.as_nanos());
@@ -72,13 +72,13 @@ impl Link {
     }
 
     /// Record a queue rejection.
-    pub fn note_drop(&mut self, flow: FlowId) {
+    pub(crate) fn note_drop(&mut self, flow: FlowId) {
         self.stats.drops += 1;
         *self.stats.drops_by_flow.entry(flow).or_insert(0) += 1;
     }
 
     /// Record a completed transmission.
-    pub fn note_tx(&mut self, pkt: &Packet) {
+    pub(crate) fn note_tx(&mut self, pkt: &Packet) {
         self.stats.tx_packets += 1;
         self.stats.tx_bits += pkt.size_bits;
     }

@@ -37,7 +37,7 @@ pub struct Monitor {
 
 impl Monitor {
     /// A monitor with the given bin width (the figures use 1 s bins).
-    pub fn new(bin: SimDuration) -> Self {
+    pub(crate) fn new(bin: SimDuration) -> Self {
         assert!(!bin.is_zero(), "bin width must be positive");
         Monitor {
             bin,
@@ -47,7 +47,7 @@ impl Monitor {
     }
 
     /// Record a delivery of `bits` of flow `flow` to `agent` at `now`.
-    pub fn record(&mut self, now: SimTime, agent: AgentId, flow: FlowId, bits: u64) {
+    pub(crate) fn record(&mut self, now: SimTime, agent: AgentId, flow: FlowId, bits: u64) {
         let ai = agent.index();
         if self.by_agent.len() <= ai {
             self.by_agent.resize_with(ai + 1, Vec::new);

@@ -107,7 +107,7 @@ impl Members {
 /// `BTreeSet`s: the forwarding hot path iterates them once per packet
 /// (fan-out snapshot, member delivery) while membership churn is orders
 /// of magnitude rarer, so contiguous iteration wins. The fields are
-/// private: all mutation goes through the [`GroupEntry::add_iface`]-style
+/// private: all mutation goes through the `GroupEntry::add_iface`-style
 /// helpers, which preserve the sorted-unique order the binary-search
 /// lookups — and, since grafts replay in iteration order, simulation
 /// determinism — depend on.
@@ -132,7 +132,7 @@ impl GroupEntry {
     }
 
     /// Start forwarding onto `iface`; false if it was already present.
-    pub fn add_iface(&mut self, iface: LinkId) -> bool {
+    pub(crate) fn add_iface(&mut self, iface: LinkId) -> bool {
         match self.out_ifaces.binary_search(&iface) {
             Ok(_) => false,
             Err(i) => {
@@ -143,7 +143,7 @@ impl GroupEntry {
     }
 
     /// Stop forwarding onto `iface`; false if it was not present.
-    pub fn remove_iface(&mut self, iface: LinkId) -> bool {
+    pub(crate) fn remove_iface(&mut self, iface: LinkId) -> bool {
         match self.out_ifaces.binary_search(&iface) {
             Ok(i) => {
                 self.out_ifaces.remove(i);
@@ -154,22 +154,23 @@ impl GroupEntry {
     }
 
     /// Add a local member agent; false if already a member.
-    pub fn add_member(&mut self, agent: AgentId) -> bool {
+    pub(crate) fn add_member(&mut self, agent: AgentId) -> bool {
         self.local_members.insert(agent)
     }
 
     /// Remove a local member agent; false if it was not a member.
-    pub fn remove_member(&mut self, agent: AgentId) -> bool {
+    pub(crate) fn remove_member(&mut self, agent: AgentId) -> bool {
         self.local_members.remove(agent)
     }
 
     /// Whether `agent` is a local member.
-    pub fn has_member(&self, agent: AgentId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_member(&self, agent: AgentId) -> bool {
         self.local_members.as_slice().binary_search(&agent).is_ok()
     }
 
     /// The downstream interfaces, sorted ascending.
-    pub fn ifaces(&self) -> &[LinkId] {
+    pub(crate) fn ifaces(&self) -> &[LinkId] {
         &self.out_ifaces
     }
 
@@ -212,7 +213,7 @@ pub struct Node {
 
 impl Node {
     /// A fresh node with no links or state.
-    pub fn new(id: NodeId) -> Self {
+    pub(crate) fn new(id: NodeId) -> Self {
         Node {
             id,
             out_links: Vec::new(),
@@ -224,7 +225,7 @@ impl Node {
     }
 
     /// True when this node hosts at least one agent.
-    pub fn is_host(&self) -> bool {
+    pub(crate) fn is_host(&self) -> bool {
         !self.local_agents.is_empty()
     }
 
@@ -240,7 +241,7 @@ impl Node {
     /// Current group entry, if the node is on the tree for the group at
     /// slab slot `g`. (Resolve a [`GroupAddr`](crate::addr::GroupAddr) to
     /// its `GroupIdx` via `World::group_idx`.)
-    pub fn group(&self, g: GroupIdx) -> Option<&GroupEntry> {
+    pub(crate) fn group(&self, g: GroupIdx) -> Option<&GroupEntry> {
         self.groups.get(g.index()).and_then(|slot| slot.as_ref())
     }
 

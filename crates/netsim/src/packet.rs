@@ -182,7 +182,7 @@ impl Packet {
     }
 
     /// Byte count on the wire (rounded up).
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         self.size_bits.div_ceil(8)
     }
 

@@ -103,22 +103,19 @@ impl Queue {
     }
 
     /// Bytes currently queued.
-    pub fn bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> u64 {
         match self {
             Queue::DropTail { bytes, .. } | Queue::Red { bytes, .. } => *bytes,
         }
     }
 
     /// Packets currently queued.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         match self {
             Queue::DropTail { fifo, .. } | Queue::Red { fifo, .. } => fifo.len(),
         }
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Offer a packet; `now`/`service_rate_bps` feed RED's idle decay.

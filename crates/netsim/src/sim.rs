@@ -298,7 +298,7 @@ impl World {
 
     /// The slab index of `group`, if it was ever registered or joined.
     #[inline]
-    pub fn group_idx(&self, group: GroupAddr) -> Option<GroupIdx> {
+    pub(crate) fn group_idx(&self, group: GroupAddr) -> Option<GroupIdx> {
         let a = group.0 as usize;
         if a < Self::GROUP_DENSE_CAP {
             // The dense mirror is authoritative for small addresses:
@@ -311,11 +311,6 @@ impl World {
         self.group_index.get(&group).copied()
     }
 
-    /// The address interned at slab slot `gi`.
-    pub fn group_addr(&self, gi: GroupIdx) -> GroupAddr {
-        self.group_addrs[gi.index()]
-    }
-
     /// A node's forwarding state for `group`, if it is on the tree.
     pub fn group_entry(&self, node: NodeId, group: GroupAddr) -> Option<&GroupEntry> {
         self.group_idx(group)
@@ -323,7 +318,7 @@ impl World {
     }
 
     /// Stamp and route a packet out of `node`.
-    pub fn originate(&mut self, node: NodeId, mut pkt: Packet) {
+    pub(crate) fn originate(&mut self, node: NodeId, mut pkt: Packet) {
         self.uid += 1;
         pkt.uid = self.uid;
         self.route(node, None, pkt);
@@ -727,17 +722,6 @@ impl World {
                     entry.module_member = true;
                     if !was_on_tree {
                         self.graft_upstream(node, gi);
-                    }
-                }
-                EdgeAction::LeaveModule(group) => {
-                    let Some(gi) = self.group_idx(group) else {
-                        continue;
-                    };
-                    if let Some(entry) = self.nodes[node.index()].group_mut(gi) {
-                        entry.module_member = false;
-                        if !entry.on_tree() {
-                            self.prune_upstream(node, gi);
-                        }
                     }
                 }
                 EdgeAction::Timer(delay, token) => {

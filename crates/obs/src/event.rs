@@ -29,7 +29,7 @@ pub enum DropReason {
 }
 
 impl DropReason {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DropReason::QueueFull => "queue_full",
             DropReason::EdgeFilter => "edge_filter",
@@ -117,7 +117,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// Short stable kind tag (the `"ev"` field of the JSONL sink and the
     /// `kind` byte of the pcapng record, see [`crate::pcapng`]).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TraceEvent::PktEnqueue(_) => "pkt_enqueue",
             TraceEvent::PktTransmit(_) => "pkt_transmit",
@@ -135,7 +135,7 @@ impl TraceEvent {
     }
 
     /// The packet reference, for packet-lifecycle events.
-    pub fn pkt(&self) -> Option<&PktRef> {
+    pub(crate) fn pkt(&self) -> Option<&PktRef> {
         match self {
             TraceEvent::PktEnqueue(p)
             | TraceEvent::PktTransmit(p)

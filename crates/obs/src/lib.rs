@@ -47,7 +47,8 @@ pub struct TraceSpec {
 
 impl TraceSpec {
     /// Both sinks, default directory.
-    pub fn all() -> Self {
+    #[cfg(test)]
+    pub(crate) fn all() -> Self {
         TraceSpec {
             jsonl: true,
             pcapng: true,

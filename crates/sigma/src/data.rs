@@ -23,7 +23,8 @@ pub struct ProtectedData {
 
 impl ProtectedData {
     /// The transmission slot of this packet.
-    pub fn slot(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn slot(&self) -> u64 {
         self.fields.slot
     }
 }

@@ -38,7 +38,7 @@ pub struct KeyChunk {
 impl KeyChunk {
     /// Payload bits, following the paper's accounting: a slot number plus,
     /// per tuple, a 32-bit address and `b` bits per carried key.
-    pub fn payload_bits(&self) -> u64 {
+    pub(crate) fn payload_bits(&self) -> u64 {
         SLOT_NUMBER_BITS
             + self
                 .tuples
@@ -48,7 +48,7 @@ impl KeyChunk {
     }
 
     /// Wire bits including the special-packet header.
-    pub fn wire_bits(&self) -> u64 {
+    pub(crate) fn wire_bits(&self) -> u64 {
         self.payload_bits() + SPECIAL_HEADER_BITS
     }
 }

@@ -59,14 +59,14 @@ impl CollusionGuard {
     }
 
     /// The 1-based layer index of `group`, if it belongs to the session.
-    pub fn layer_of(&self, group: GroupAddr) -> Option<u32> {
+    pub(crate) fn layer_of(&self, group: GroupAddr) -> Option<u32> {
         let i = self.groups.iter().position(|&g| g == group)?;
         Some(i as u32 + 1)
     }
 
     /// Whether `group` belongs to the session this guard was configured
     /// with (foreign groups must fall back to plain validation).
-    pub fn covers(&self, group: GroupAddr) -> bool {
+    pub(crate) fn covers(&self, group: GroupAddr) -> bool {
         self.groups.contains(&group)
     }
 

@@ -71,7 +71,7 @@ pub fn build_announcement(
 }
 
 /// Parse a special packet back into its [`KeyChunk`], if it is one.
-pub fn parse_special(pkt: &Packet) -> Option<&KeyChunk> {
+pub(crate) fn parse_special(pkt: &Packet) -> Option<&KeyChunk> {
     pkt.body_as::<KeyChunk>()
 }
 

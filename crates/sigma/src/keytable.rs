@@ -23,12 +23,12 @@ pub struct KeyTuple {
 
 impl KeyTuple {
     /// Does `key` open the group this slot?
-    pub fn matches(&self, key: Key) -> bool {
+    pub(crate) fn matches(&self, key: Key) -> bool {
         key == self.top || self.decrease == Some(key) || self.increase == Some(key)
     }
 
     /// Number of keys in the tuple (for overhead accounting).
-    pub fn key_count(&self) -> u32 {
+    pub(crate) fn key_count(&self) -> u32 {
         1 + self.decrease.is_some() as u32 + self.increase.is_some() as u32
     }
 }
@@ -52,7 +52,7 @@ impl KeyTable {
     }
 
     /// The tuple for `(group, slot)`, if known.
-    pub fn get(&self, group: GroupAddr, slot: u64) -> Option<&KeyTuple> {
+    pub(crate) fn get(&self, group: GroupAddr, slot: u64) -> Option<&KeyTuple> {
         self.entries.get(&(group, slot))
     }
 
@@ -63,7 +63,7 @@ impl KeyTable {
 
     /// Drop tuples for slots older than `min_slot` (bounded state at the
     /// router; old keys are useless by construction).
-    pub fn gc(&mut self, min_slot: u64) {
+    pub(crate) fn gc(&mut self, min_slot: u64) {
         #[expect(
             clippy::disallowed_methods,
             reason = "retain with a pure per-key predicate; order-independent"
@@ -72,13 +72,9 @@ impl KeyTable {
     }
 
     /// Number of stored tuples.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no tuples are stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 

@@ -87,7 +87,7 @@ pub struct SubscriptionAck {
 
 impl SubscriptionAck {
     /// Wire size in bits.
-    pub fn size_bits(&self) -> u64 {
+    pub(crate) fn size_bits(&self) -> u64 {
         CONTROL_HEADER_BITS
             + SLOT_NUMBER_BITS
             + self.accepted.len() as u64 * (ADDR_BITS + PAPER_KEY_BITS as u64)

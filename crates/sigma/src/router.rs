@@ -223,11 +223,6 @@ impl SigmaEdgeModule {
         self.lockout.get(&(iface, group)).copied()
     }
 
-    /// Current slot as the router sees it.
-    pub fn current_slot(&self) -> u64 {
-        self.current_slot
-    }
-
     /// Does `iface` hold a grant for `(group, slot)`? (test support)
     pub fn has_grant(&self, iface: LinkId, group: GroupAddr, slot: u64) -> bool {
         self.grants.contains(iface, group, slot)

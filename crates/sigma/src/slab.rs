@@ -22,7 +22,7 @@
 //! table is two sorted `Vec`s, so a lookup is an array index plus a binary
 //! search and a copy-on-write copies two flat vectors. A subscription
 //! message granting several groups pays one copy for all of them
-//! ([`GrantSlab::insert_all`]).
+//! (`GrantSlab::insert_all`).
 //!
 //! Determinism: the intern index is a hash set probed by content and never
 //! iterated for a result; every enumeration walks the dense interface
@@ -46,7 +46,7 @@ pub struct GrantTable {
 
 impl GrantTable {
     /// Groups present in this table, in address order.
-    pub fn groups(&self) -> impl Iterator<Item = GroupAddr> + '_ {
+    pub(crate) fn groups(&self) -> impl Iterator<Item = GroupAddr> + '_ {
         self.groups.iter().copied()
     }
 
@@ -102,24 +102,24 @@ impl GrantSlab {
     }
 
     /// Is `group` present for `iface` (even with no slot)?
-    pub fn has_group(&self, iface: LinkId, group: GroupAddr) -> bool {
+    pub(crate) fn has_group(&self, iface: LinkId, group: GroupAddr) -> bool {
         self.table(iface).is_some_and(|t| t.has_group(group))
     }
 
     /// Does `iface` hold at least one granted slot for `group`?
-    pub fn has_slots(&self, iface: LinkId, group: GroupAddr) -> bool {
+    pub(crate) fn has_slots(&self, iface: LinkId, group: GroupAddr) -> bool {
         self.table(iface)
             .is_some_and(|t| !t.slots_of(group).is_empty())
     }
 
     /// The highest granted slot for `(iface, group)`.
-    pub fn max_slot(&self, iface: LinkId, group: GroupAddr) -> Option<u64> {
+    pub(crate) fn max_slot(&self, iface: LinkId, group: GroupAddr) -> Option<u64> {
         self.table(iface)?.slots_of(group).last().map(|&(_, s)| s)
     }
 
     /// Every `(iface, group)` pair currently present, **sorted** — safe to
     /// drive event emission directly.
-    pub fn entries(&self) -> Vec<(LinkId, GroupAddr)> {
+    pub(crate) fn entries(&self) -> Vec<(LinkId, GroupAddr)> {
         self.iter()
             .flat_map(|(iface, t)| t.groups().map(move |g| (iface, g)))
             .collect()
@@ -127,7 +127,7 @@ impl GrantSlab {
 
     /// Interfaces → distinct tables: the interning win. `(N, distinct)`
     /// with `distinct ≤ N`; synchronized populations keep `distinct` tiny.
-    pub fn interning(&self) -> (usize, usize) {
+    pub(crate) fn interning(&self) -> (usize, usize) {
         let mut seen: Vec<*const GrantTable> = self.iter().map(|(_, t)| Arc::as_ptr(t)).collect();
         let ifaces = seen.len();
         seen.sort_unstable();
@@ -142,7 +142,7 @@ impl GrantSlab {
 
     /// Grant `(group, slot)` to `iface` for every group in `groups`, with
     /// one copy-on-write for the lot.
-    pub fn insert_all(&mut self, iface: LinkId, groups: &[GroupAddr], slot: u64) {
+    pub(crate) fn insert_all(&mut self, iface: LinkId, groups: &[GroupAddr], slot: u64) {
         let old = self.table(iface);
         if groups
             .iter()
@@ -158,7 +158,7 @@ impl GrantSlab {
     }
 
     /// Drop `group` from `iface` entirely (unsubscription / prune).
-    pub fn remove_group(&mut self, iface: LinkId, group: GroupAddr) {
+    pub(crate) fn remove_group(&mut self, iface: LinkId, group: GroupAddr) {
         let Some(old) = self.table(iface).filter(|t| t.has_group(group)) else {
             return;
         };

@@ -47,11 +47,6 @@ impl DetRng {
         z ^ (z >> 31)
     }
 
-    /// Next 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform float in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         // 53 bits of mantissa.
@@ -71,12 +66,6 @@ impl DetRng {
                 return (m >> 64) as u64;
             }
         }
-    }
-
-    /// A uniform integer in `[lo, hi)`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.below(hi - lo)
     }
 
     /// A uniform float in `[lo, hi)`.
@@ -104,14 +93,6 @@ impl DetRng {
         assert!(mean_secs > 0.0, "mean must be positive");
         // Inverse-CDF sampling; `1 - u` avoids ln(0).
         -mean_secs * (1.0 - self.next_f64()).ln()
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -192,21 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = DetRng::new(23);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn range_bounds() {
         let mut r = DetRng::new(29);
         for _ in 0..100 {
-            let x = r.range_u64(10, 20);
-            assert!((10..20).contains(&x));
             let y = r.range_f64(-1.0, 1.0);
             assert!((-1.0..1.0).contains(&y));
         }

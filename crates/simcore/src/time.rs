@@ -29,7 +29,8 @@ impl SimTime {
     }
 
     /// Construct from whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn from_micros(us: u64) -> Self {
         SimTime(us * 1_000)
     }
 
@@ -44,7 +45,8 @@ impl SimTime {
     }
 
     /// Construct from fractional seconds (rounds to the nearest nanosecond).
-    pub fn from_secs_f64(s: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0, "simulated time cannot be negative");
         SimTime((s * 1e9).round() as u64)
     }
@@ -62,11 +64,6 @@ impl SimTime {
     /// Duration elapsed since `earlier` (saturating at zero).
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked subtraction of a duration.
-    pub fn checked_sub(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_sub(d.0).map(SimTime)
     }
 }
 
@@ -120,11 +117,6 @@ impl SimDuration {
     /// This span as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Multiply by an integer factor (saturating).
-    pub fn saturating_mul(self, k: u64) -> Self {
-        SimDuration(self.0.saturating_mul(k))
     }
 
     /// True when the span is zero.

@@ -106,17 +106,13 @@ impl RenoSender {
     }
 
     /// Congestion window in bytes (diagnostics).
-    pub fn cwnd_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cwnd_bytes(&self) -> u64 {
         self.cwnd as u64
     }
 
-    /// Smoothed RTT, once measured.
-    pub fn srtt(&self) -> Option<mcc_simcore::SimDuration> {
-        self.rtt.srtt()
-    }
-
     /// True once `limit_bytes` have been cumulatively acknowledged.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.cfg.limit_bytes != u64::MAX && self.snd_una >= self.cfg.limit_bytes
     }
 

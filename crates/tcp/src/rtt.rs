@@ -29,7 +29,7 @@ impl Default for RttEstimator {
 
 impl RttEstimator {
     /// A fresh estimator; RFC 6298 starts the RTO at 1 s.
-    pub fn new(min_rto: SimDuration, max_rto: SimDuration) -> Self {
+    pub(crate) fn new(min_rto: SimDuration, max_rto: SimDuration) -> Self {
         RttEstimator {
             srtt: None,
             rttvar: 0.0,
@@ -41,7 +41,7 @@ impl RttEstimator {
 
     /// Feed one RTT measurement (a non-retransmitted segment's echo, per
     /// Karn's algorithm — the caller enforces that).
-    pub fn sample(&mut self, rtt: SimDuration) {
+    pub(crate) fn sample(&mut self, rtt: SimDuration) {
         let r = rtt.as_secs_f64();
         match self.srtt {
             None => {
@@ -59,17 +59,18 @@ impl RttEstimator {
     }
 
     /// The current retransmission timeout.
-    pub fn rto(&self) -> SimDuration {
+    pub(crate) fn rto(&self) -> SimDuration {
         self.rto
     }
 
     /// Exponential backoff after a timeout.
-    pub fn backoff(&mut self) {
+    pub(crate) fn backoff(&mut self) {
         self.rto = (self.rto * 2).min(self.max_rto);
     }
 
     /// Smoothed RTT, if at least one sample has been taken.
-    pub fn srtt(&self) -> Option<SimDuration> {
+    #[cfg(test)]
+    pub(crate) fn srtt(&self) -> Option<SimDuration> {
         self.srtt.map(SimDuration::from_secs_f64)
     }
 }

@@ -21,7 +21,8 @@ pub struct TcpData {
 
 impl TcpData {
     /// One-past-the-end byte offset.
-    pub fn end(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn end(&self) -> u64 {
         self.seq + self.len
     }
 }

@@ -43,20 +43,6 @@ impl CbrConfig {
             on_off: None,
         }
     }
-
-    /// The paper's Figure 8d background: `rate` during 5 s on-periods,
-    /// silent during 5 s off-periods.
-    pub fn five_five(rate_bps: u64, packet_bits: u64, dest: Dest, flow: FlowId) -> Self {
-        CbrConfig {
-            rate_bps,
-            packet_bits,
-            dest,
-            flow,
-            start: SimTime::ZERO,
-            stop: SimTime::MAX,
-            on_off: Some((SimDuration::from_secs(5), SimDuration::from_secs(5))),
-        }
-    }
 }
 
 /// A CBR traffic generator.
@@ -214,7 +200,15 @@ mod tests {
 
     #[test]
     fn is_on_phases() {
-        let cfg = CbrConfig::five_five(100_000, 4608, Dest::Agent(AgentId(0)), FlowId(0));
+        let cfg = CbrConfig {
+            rate_bps: 100_000,
+            packet_bits: 4608,
+            dest: Dest::Agent(AgentId(0)),
+            flow: FlowId(0),
+            start: SimTime::ZERO,
+            stop: SimTime::MAX,
+            on_off: Some((SimDuration::from_secs(5), SimDuration::from_secs(5))),
+        };
         let src = CbrSource::new(cfg);
         assert!(src.is_on(SimTime::from_secs(1)));
         assert!(!src.is_on(SimTime::from_secs(6)));

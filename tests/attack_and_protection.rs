@@ -2,6 +2,7 @@
 //! inflated subscription pays off under FLID-DL (Figure 1) and is
 //! neutralized by DELTA + SIGMA under FLID-DS (Figure 7).
 
+use robust_multicast::attack::{AttackPlan, IgnoreDecrease, Timed};
 use robust_multicast::core::experiments::attack_experiment;
 use robust_multicast::core::{
     McastSessionSpec, Params, ReceiverSpec, Topology, TopologySpec, Units, Variant,
@@ -69,7 +70,7 @@ fn ignore_decrease_misbehaviour_is_not_profitable_under_ds() {
         variant: Variant::FlidDs,
         n_groups: 10,
         receivers: vec![
-            ReceiverSpec::new().ignore_decrease_at(15.secs()),
+            ReceiverSpec::new().adversary(AttackPlan::new(Timed::at(15.secs(), IgnoreDecrease))),
             ReceiverSpec::default(),
         ],
     }];

@@ -212,11 +212,10 @@ proptest! {
         spec.mcast = vec![McastSessionSpec::honest(Variant::FlidDl, receivers)];
         spec.tcp = tcp;
         if topology == Topology::Dumbbell {
-            spec.workload = Some(
-                WorkloadSpec::none(SimDuration::from_secs(10))
-                    .poisson(churn_hz as f64, SimDuration::from_secs(3))
-                    .access_delays_ms(Dist::Uniform { lo: 0.5, hi: delay_hi_ms as f64 }),
-            );
+            let mut workload = WorkloadSpec::none(SimDuration::from_secs(10))
+                .poisson(churn_hz as f64, SimDuration::from_secs(3));
+            workload.access_delay_ms = Dist::Uniform { lo: 0.5, hi: delay_hi_ms as f64 };
+            spec.workload = Some(workload);
         }
         let t = spec.build();
         let world = &t.sim.world;

@@ -67,6 +67,13 @@ pub(crate) fn finish(name: &str) {
     }
 }
 
+/// Is a capture active on this thread? While one is, every simulation
+/// must really run so the trace records it: the runner's memo
+/// ([`crate::runner::memo`]) checks this and stands aside.
+pub(crate) fn capturing() -> bool {
+    ACTIVE.with(|a| a.borrow().is_some())
+}
+
 /// Run `sim` to `until` — and, when a capture is active on this thread,
 /// ride a flight recorder on the run.
 ///
@@ -76,8 +83,7 @@ pub(crate) fn finish(name: &str) {
 /// traced branch is never entered and the run is byte-for-byte the
 /// pre-observability code path.
 pub(crate) fn run_sim(sim: &mut Sim, until: SimTime) {
-    let tracing = ACTIVE.with(|a| a.borrow().is_some());
-    if !tracing {
+    if !capturing() {
         sim.run_until(until);
         return;
     }

@@ -17,7 +17,7 @@
 
 use crate::config::Params;
 use crate::experiments;
-use crate::runner::{ExperimentSpec, Json, ToJson};
+use crate::runner::{memo, ExperimentSpec, Json, ToJson};
 use crate::scenario::Variant;
 use crate::workload::MAX_ARRIVALS;
 
@@ -116,9 +116,15 @@ fn attack_body(variant: Variant, p: &Params, seed: u64) -> Json {
     experiments::attack_experiment(variant, dur, dur / 2, seed, p).to_json()
 }
 
+/// One session-count sweep, computed once per runner call: Figure 8c is
+/// Figures 8a and 8b side by side at their seed, so a suite run reads
+/// both sweeps back from the memo (DESIGN.md "One computation per run").
 fn sessions_body(variant: Variant, cross: bool, p: &Params, seed: u64) -> Json {
-    experiments::throughput_vs_sessions(variant, &p.session_counts(), cross, p.duration(200), seed)
-        .to_json()
+    let (counts, dur) = (p.session_counts(), p.duration(200));
+    let key = format!("sessions {variant:?} cross={cross} n={counts:?} dur={dur} seed={seed}");
+    memo(key, || {
+        experiments::throughput_vs_sessions(variant, &counts, cross, dur, seed).to_json()
+    })
 }
 
 /// The same experiment once per variant, under the keys of Figures 8c,

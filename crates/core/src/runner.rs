@@ -18,15 +18,24 @@
 //!   shortest-round-trip floats, non-finite numbers as `null`), so equal
 //!   results serialize to equal bytes.
 //!
+//! * experiments of one call may share a sub-result through `memo`: the
+//!   first to ask computes it, the others read a copy. The memo lives for
+//!   one `run_serial`/`run_parallel` call, its key renders every input of
+//!   the sub-result, and a traced experiment bypasses it — so whether an
+//!   experiment computed a sub-result or read it, and which worker got
+//!   there first, changes no byte of the report or of a trace.
+//!
 //! `run_serial` and `run_parallel` therefore produce the same
 //! `BENCH_*.json` payload — a property pinned by this module's tests and
 //! relied on by the `figures` CLI (`crates/bench/src/cli.rs`).
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::io;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -324,6 +333,60 @@ impl Report {
 }
 
 // ---------------------------------------------------------------------------
+// The run-scoped memo
+// ---------------------------------------------------------------------------
+
+/// Sub-results of one `run_serial`/`run_parallel` call, by key. The call
+/// creates it, shares it with its worker threads and drops it on return.
+type Memo = Arc<Mutex<BTreeMap<String, Json>>>;
+
+thread_local! {
+    /// The memo of the runner call this thread is working for.
+    static MEMO: RefCell<Option<Memo>> = const { RefCell::new(None) };
+}
+
+/// Installs a memo on this thread and, when dropped (a panicking
+/// experiment included), puts back whatever was installed before.
+struct MemoScope(Option<Memo>);
+
+impl MemoScope {
+    fn install(memo: &Memo) -> Self {
+        MemoScope(MEMO.with(|m| m.replace(Some(Arc::clone(memo)))))
+    }
+}
+
+impl Drop for MemoScope {
+    fn drop(&mut self) {
+        let prev = self.0.take();
+        MEMO.with(|m| *m.borrow_mut() = prev);
+    }
+}
+
+/// The sub-result stored under `key` by an earlier experiment of this
+/// runner call, or `f()`, stored for the later ones. `key` must render
+/// every input `f` reads, so a hit is the value `f` would return.
+///
+/// Outside a runner call, and while an `obs` trace capture is active on
+/// this thread (a traced experiment records every simulation it runs),
+/// this is just `f()`. A miss computes without holding the lock, so two
+/// workers of one `run_parallel` may both compute a key; they get the
+/// same bytes, and neither waits for the other.
+pub(crate) fn memo(key: String, f: impl FnOnce() -> Json) -> Json {
+    let Some(table) = MEMO.with(|m| m.borrow().clone()) else {
+        return f();
+    };
+    if crate::obs::capturing() {
+        return f();
+    }
+    if let Some(hit) = table.lock().expect("memo lock").get(&key) {
+        return hit.clone();
+    }
+    let value = f();
+    table.lock().expect("memo lock").insert(key, value.clone());
+    value
+}
+
+// ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
 
@@ -346,8 +409,9 @@ fn run_spec(spec: &ExperimentSpec) -> ExperimentRecord {
     }
 }
 
-/// Run every spec on the calling thread, in order.
+/// Run every spec on the calling thread, in order, sharing one `memo`.
 pub fn run_serial(suite: &str, mode: &str, specs: &[ExperimentSpec]) -> Report {
+    let _memo = MemoScope::install(&Memo::default());
     Report {
         suite: suite.to_string(),
         mode: mode.to_string(),
@@ -363,7 +427,7 @@ pub fn run_serial(suite: &str, mode: &str, specs: &[ExperimentSpec]) -> Report {
 /// [`run_serial`]. A panicking experiment propagates out of the scope, and
 /// the failure flag stops the other workers from *starting* further
 /// experiments (in-flight ones finish first), so a broken suite fails fast
-/// instead of simulating to the end.
+/// instead of simulating to the end. The workers share one `memo`.
 pub fn run_parallel(suite: &str, mode: &str, specs: &[ExperimentSpec], threads: usize) -> Report {
     let workers = threads.clamp(1, specs.len().max(1));
     if workers <= 1 {
@@ -371,21 +435,25 @@ pub fn run_parallel(suite: &str, mode: &str, specs: &[ExperimentSpec], threads: 
     }
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
+    let memo = Memo::default();
     let slots: Vec<Mutex<Option<ExperimentRecord>>> =
         specs.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                if failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i) else { break };
-                match catch_unwind(AssertUnwindSafe(|| run_spec(spec))) {
-                    Ok(record) => *slots[i].lock().expect("slot lock") = Some(record),
-                    Err(payload) => {
-                        failed.store(true, Ordering::Relaxed);
-                        resume_unwind(payload);
+            scope.spawn(|| {
+                let _memo = MemoScope::install(&memo);
+                loop {
+                    if failed.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(spec) = specs.get(i) else { break };
+                    match catch_unwind(AssertUnwindSafe(|| run_spec(spec))) {
+                        Ok(record) => *slots[i].lock().expect("slot lock") = Some(record),
+                        Err(payload) => {
+                            failed.store(true, Ordering::Relaxed);
+                            resume_unwind(payload);
+                        }
                     }
                 }
             });
@@ -553,6 +621,64 @@ mod tests {
             .collect();
         let result = catch_unwind(AssertUnwindSafe(|| run_parallel("boom", "test", &specs, 4)));
         assert!(result.is_err(), "panic must propagate out of run_parallel");
+    }
+
+    /// Specs that each ask the memo for `key`, counting the computations
+    /// in `computed`.
+    fn memo_specs(n: u64, key: &'static str, computed: &Arc<AtomicUsize>) -> Vec<ExperimentSpec> {
+        (0..n)
+            .map(|i| {
+                let computed = Arc::clone(computed);
+                ExperimentSpec::new(format!("m{i}"), i, move |_| {
+                    memo(key.to_string(), || {
+                        computed.fetch_add(1, Ordering::Relaxed);
+                        Json::U64(7)
+                    })
+                })
+            })
+            .collect()
+    }
+
+    /// Two specs asking for one key compute it once per runner call, and
+    /// the next call computes it again: the memo never outlives a call.
+    #[test]
+    fn memo_computes_a_key_once_per_run() {
+        let computed = Arc::new(AtomicUsize::new(0));
+        let specs = memo_specs(2, "once per run", &computed);
+        let first = run_serial("memo", "test", &specs).to_json_string();
+        assert_eq!(computed.load(Ordering::Relaxed), 1, "the second spec hits");
+        let second = run_serial("memo", "test", &specs).to_json_string();
+        assert_eq!(
+            computed.load(Ordering::Relaxed),
+            2,
+            "a new run starts empty"
+        );
+        assert_eq!(first, second);
+        assert_eq!(first.matches(r#""data":7"#).count(), 2);
+    }
+
+    /// A traced experiment records every simulation it runs, so an
+    /// active capture bypasses the memo.
+    #[test]
+    fn memo_stands_aside_under_a_trace_capture() {
+        let computed = Arc::new(AtomicUsize::new(0));
+        let specs = memo_specs(2, "traced", &computed);
+        crate::obs::capture("memo", || run_serial("memo", "test", &specs));
+        assert_eq!(computed.load(Ordering::Relaxed), 2);
+    }
+
+    /// Outside a runner call `memo` just computes.
+    #[test]
+    fn memo_outside_a_run_just_computes() {
+        let computed = AtomicUsize::new(0);
+        for _ in 0..2 {
+            let v = memo("outside".to_string(), || {
+                computed.fetch_add(1, Ordering::Relaxed);
+                Json::Null
+            });
+            assert_eq!(v, Json::Null);
+        }
+        assert_eq!(computed.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -37,12 +37,6 @@ impl UpgradeMask {
     pub fn authorized(&self, g: u32) -> bool {
         (1..=32).contains(&g) && self.0 & (1 << (g - 1)) != 0
     }
-
-    /// Number of authorized groups (the paper's `Σ f_g` accounting).
-    #[cfg(test)]
-    pub(crate) fn count(&self) -> u32 {
-        self.0.count_ones()
-    }
 }
 
 /// DELTA fields carried by one multicast data packet.
@@ -81,12 +75,10 @@ mod tests {
         assert!(m.authorized(32));
         assert!(!m.authorized(1));
         assert!(!m.authorized(3));
-        assert_eq!(m.count(), 3);
     }
 
     #[test]
     fn empty_mask() {
-        assert_eq!(UpgradeMask::NONE.count(), 0);
         assert!(!UpgradeMask::NONE.authorized(1));
         // Out-of-range queries are simply false.
         assert!(!UpgradeMask::NONE.authorized(0));

@@ -44,13 +44,6 @@ impl SimTime {
         SimTime(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds (rounds to the nearest nanosecond).
-    #[cfg(test)]
-    pub(crate) fn from_secs_f64(s: f64) -> Self {
-        debug_assert!(s >= 0.0, "simulated time cannot be negative");
-        SimTime((s * 1e9).round() as u64)
-    }
-
     /// This instant as whole nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -296,9 +289,10 @@ mod tests {
 
     #[test]
     fn float_round_trip() {
-        let t = SimTime::from_secs_f64(1.25);
-        assert_eq!(t, SimTime::from_millis(1250));
-        assert!((t.as_secs_f64() - 1.25).abs() < 1e-12);
+        let d = SimDuration::from_secs_f64(1.25);
+        assert_eq!(d, SimDuration::from_millis(1250));
+        assert!((d.as_secs_f64() - 1.25).abs() < 1e-12);
+        assert!((SimTime::from_millis(1250).as_secs_f64() - 1.25).abs() < 1e-12);
     }
 
     #[test]

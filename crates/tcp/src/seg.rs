@@ -19,14 +19,6 @@ pub struct TcpData {
     pub len: u64,
 }
 
-impl TcpData {
-    /// One-past-the-end byte offset.
-    #[cfg(test)]
-    pub(crate) fn end(&self) -> u64 {
-        self.seq + self.len
-    }
-}
-
 /// A cumulative acknowledgment: the receiver has every byte below `ack`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TcpAck {
@@ -37,15 +29,6 @@ pub struct TcpAck {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn seg_end() {
-        let s = TcpData {
-            seq: 1000,
-            len: 536,
-        };
-        assert_eq!(s.end(), 1536);
-    }
 
     #[test]
     fn defaults_sum_to_paper_packet() {

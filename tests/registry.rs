@@ -4,31 +4,51 @@
 //! checked against `figures --list` in `mcc-bench`'s `cli` tests.)
 
 use robust_multicast::core::registry;
-use robust_multicast::core::runner::run_serial;
+use robust_multicast::core::runner::{run_serial, Report};
 use robust_multicast::core::Params;
 
-/// Compare one experiment's quick-mode serial JSON against its golden
-/// file, regenerating the pin when `MCC_BLESS` is set.
-fn assert_quick_json_pinned(id: &str) {
-    let params = Params::quick(true);
-    let def = registry::find(id).expect("registered");
-    let specs = registry::specs(&[def], &params);
-    let got = run_serial("pin", "quick", &specs).to_json_string();
-    let golden_path = format!(
+fn golden_path(id: &str) -> String {
+    format!(
         "{}/tests/golden/{id}_quick.json",
         env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// Run the experiments `ids` in one quick-mode `run_serial`, so they
+/// share its memo, and compare each record, as its own one-record
+/// `"pin"` report, against its golden file. `MCC_BLESS` regenerates the
+/// pins instead.
+fn assert_quick_json_pinned(ids: &[&str]) {
+    let defs: Vec<_> = ids
+        .iter()
+        .map(|id| registry::find(id).expect("registered"))
+        .collect();
+    let report = run_serial(
+        "pin",
+        "quick",
+        &registry::specs(&defs, &Params::quick(true)),
     );
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "test-only switch that rewrites the golden instead of comparing; no simulation reads it"
-    )]
-    let bless = std::env::var("MCC_BLESS").is_ok();
-    if bless {
-        std::fs::write(&golden_path, &got).expect("write golden");
+    for record in report.records {
+        let id = record.name.clone();
+        let golden_path = golden_path(&id);
+        let got = Report {
+            suite: "pin".into(),
+            mode: "quick".into(),
+            records: vec![record],
+        }
+        .to_json_string();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test-only switch that rewrites the golden instead of comparing; no simulation reads it"
+        )]
+        let bless = std::env::var("MCC_BLESS").is_ok();
+        if bless {
+            std::fs::write(&golden_path, &got).expect("write golden");
+        }
+        let want = std::fs::read_to_string(&golden_path)
+            .expect("golden file missing — regenerate with MCC_BLESS=1");
+        assert_eq!(got, want, "{id} quick JSON drifted from the golden pin");
     }
-    let want = std::fs::read_to_string(&golden_path)
-        .expect("golden file missing — regenerate with MCC_BLESS=1");
-    assert_eq!(got, want, "{id} quick JSON drifted from the golden pin");
 }
 
 /// Byte pin of the robustness matrix: the quick-mode JSON of
@@ -39,7 +59,7 @@ fn assert_quick_json_pinned(id: &str) {
 /// test --test registry matrix_robustness_quick`.
 #[test]
 fn matrix_robustness_quick_json_is_byte_pinned() {
-    assert_quick_json_pinned("matrix_robustness");
+    assert_quick_json_pinned(&["matrix_robustness"]);
 }
 
 /// Byte pin of the churn sweep: the quick-mode JSON of
@@ -50,7 +70,7 @@ fn matrix_robustness_quick_json_is_byte_pinned() {
 /// churn_robustness_quick`.
 #[test]
 fn churn_robustness_quick_json_is_byte_pinned() {
-    assert_quick_json_pinned("churn_robustness");
+    assert_quick_json_pinned(&["churn_robustness"]);
 }
 
 /// Byte pins of the topology experiments: the quick-mode JSON of the
@@ -60,12 +80,12 @@ fn churn_robustness_quick_json_is_byte_pinned() {
 /// `MCC_BLESS=1 cargo test --test registry quick_json_is_byte_pinned`.
 #[test]
 fn tree_placement_quick_json_is_byte_pinned() {
-    assert_quick_json_pinned("tree_placement");
+    assert_quick_json_pinned(&["tree_placement"]);
 }
 
 #[test]
 fn parking_lot_fairness_quick_json_is_byte_pinned() {
-    assert_quick_json_pinned("parking_lot_fairness");
+    assert_quick_json_pinned(&["parking_lot_fairness"]);
 }
 
 /// Byte pins of the cheap figure and ablation payloads (under a second of
@@ -75,7 +95,7 @@ fn parking_lot_fairness_quick_json_is_byte_pinned() {
 /// test --test registry figures_and_ablations_quick`.
 #[test]
 fn figures_and_ablations_quick_json_is_byte_pinned() {
-    for id in [
+    assert_quick_json_pinned(&[
         "fig01_attack",
         "fig07_protection",
         "fig08e_responsiveness",
@@ -86,30 +106,55 @@ fn figures_and_ablations_quick_json_is_byte_pinned() {
         "fig09b_overhead_slot",
         "ablation_fec",
         "ablation_slot",
-    ] {
-        assert_quick_json_pinned(id);
-    }
+    ]);
+}
+
+/// The `data` of an experiment's golden: its one record's payload.
+fn golden_data(id: &str) -> String {
+    let golden = std::fs::read_to_string(golden_path(id)).expect("golden file");
+    let head = format!(
+        r#"{{"suite":"pin","mode":"quick","experiments":[{{"name":"{id}","seed":8,"data":"#
+    );
+    golden
+        .strip_prefix(&head)
+        .and_then(|rest| rest.strip_suffix("}]}"))
+        .unwrap_or_else(|| panic!("{id}'s golden is not one seed-8 record"))
+        .to_string()
+}
+
+/// Figure 8c is Figures 8a and 8b side by side: its pinned payload is
+/// `{flid_dl: 8a, flid_ds: 8b}` byte for byte. The runner's memo serves
+/// 8c from the 8a and 8b sweeps on exactly this identity; this reads the
+/// goldens only, no simulation.
+#[test]
+fn fig08c_golden_is_the_fig08a_and_fig08b_goldens_side_by_side() {
+    let dl = golden_data("fig08a_dl_throughput");
+    let ds = golden_data("fig08b_ds_throughput");
+    assert_eq!(
+        golden_data("fig08c_avg_no_cross"),
+        format!(r#"{{"flid_dl":{dl},"flid_ds":{ds}}}"#)
+    );
 }
 
 /// Pins that need an optimised build; CI runs them with `cargo test
-/// --release --test registry -- --ignored`. The four session-count sweeps
-/// take a minute unoptimised. `ablation_sharing` is analytic and instant,
-/// but its `naive` column at N = 5 differs in the last digit between
+/// --release --test registry -- --ignored`. The session-count sweeps of
+/// Figures 8a–d take about 16 s unoptimised on a 2-vCPU box, 2 s
+/// optimised. They run in one `run_serial`, so `fig08c_avg_no_cross` is
+/// pinned on the memo's hit path: both of its sweeps are read back from
+/// 8a and 8b. `ablation_sharing` is analytic and instant, but its `naive` column at N = 5 differs in the last digit between
 /// optimised and unoptimised builds (LLVM folds `powi` over the constant
 /// group counts at compile time), and the pin holds the bytes the release
 /// `figures` binary writes.
 #[test]
-#[ignore = "needs --release: a minute unoptimised, and ablation_sharing's last digit is build-profile dependent"]
+#[ignore = "needs --release: the 8a-d sweeps are slow unoptimised, and ablation_sharing's last digit is build-profile dependent"]
 fn release_only_quick_json_is_byte_pinned() {
-    for id in [
+    assert_quick_json_pinned(&[
         "fig08a_dl_throughput",
         "fig08b_ds_throughput",
         "fig08c_avg_no_cross",
         "fig08d_avg_cross",
         "ablation_sharing",
-    ] {
-        assert_quick_json_pinned(id);
-    }
+    ]);
 }
 
 /// A spec carries the effective seed: the registered one, or the

@@ -16,7 +16,7 @@ fn usage() -> String {
      \x20     --top N    rows in the talker table and guard-log excerpt (default 10)\n\
      \x20 -h, --help     this message\n\
      \n\
-     Produce trace files with `figures --trace all` (or MCC_TRACE=all).\n"
+     Produce trace files with `figures --trace all`.\n"
         .to_string()
 }
 

@@ -20,7 +20,7 @@ use std::path::PathBuf;
 
 use mcc_core::registry::{self, Experiment, ExperimentDef, Kind};
 use mcc_core::runner::{run_parallel, ExperimentSpec};
-use mcc_core::{Params, RunConfig, TraceSpec};
+use mcc_core::{Params, TraceSpec};
 
 /// The suite name of the combined figure report (unchanged across the
 /// registry redesign — the byte-compat contract).
@@ -199,12 +199,12 @@ fn usage() -> String {
          \x20     --only IDS       comma-separated ids or figure prefixes\n\
          \x20                      (fig01, fig08a_dl_throughput, matrix_robustness,\n\
          \x20                      tree_placement, ablations, matrices, topologies, all)\n\
-         \x20 -q, --quick          shortened runs (also: MCC_QUICK=1)\n\
-         \x20 -j, --threads N      worker threads (also: MCC_THREADS)\n\
-         \x20 -o, --out DIR        output directory (default results, also: MCC_OUT)\n\
+         \x20 -q, --quick          shortened runs\n\
+         \x20 -j, --threads N      worker threads (default: available parallelism)\n\
+         \x20 -o, --out DIR        output directory (default results)\n\
          \x20     --sweep K=A,B,C  re-run the selection once per override; keys:\n\
          \x20                      {}\n\
-         \x20     --trace SPEC     sim-time trace sinks (also: MCC_TRACE);\n\
+         \x20     --trace SPEC     sim-time trace sinks, written to DIR (default: --out);\n\
          \x20                      SPEC = jsonl|pcapng|all[:DIR], e.g. all:results/tr\n\
          \x20 -h, --help           this message\n\
          \n\
@@ -254,15 +254,21 @@ pub(crate) fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
         return Ok(None);
     }
 
-    let env = RunConfig::from_env();
-    let quick = cli.quick || env.quick;
-    let threads = cli.threads.unwrap_or(env.threads);
-    // Pin tracing before any experiment runs (first set wins): the flag
-    // beats the `MCC_TRACE` environment, and whatever is pinned here is
-    // what every experiment body sees.
-    mcc_core::set_trace(cli.trace.clone().or_else(|| env.trace.clone()));
-    let out_dir = cli.out.clone().unwrap_or(env.out_dir);
-    let params = Params::quick(quick);
+    let threads = cli.threads.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    let out_dir = cli.out.clone().unwrap_or_else(|| PathBuf::from("results"));
+    // Pin tracing before any experiment runs; trace files land in the
+    // spec's own directory, else beside the report.
+    if let Some(spec) = &cli.trace {
+        let mut spec = spec.clone();
+        spec.dir
+            .get_or_insert_with(|| out_dir.display().to_string());
+        mcc_core::set_trace(spec);
+    }
+    let params = Params::quick(cli.quick);
     let selection = cli.selection()?;
 
     // Assemble the spec list: the plain selection, or one copy per sweep
@@ -296,13 +302,7 @@ pub(crate) fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
         }
     };
 
-    // Sweeping `quick` mixes durations across records, so no single
-    // quick/full label would be honest — the record names carry the values.
-    let mode = match &cli.sweep {
-        Some((key, _)) if key == "quick" => "sweep",
-        _ if quick => "quick",
-        _ => "full",
-    };
+    let mode = if cli.quick { "quick" } else { "full" };
     println!(
         "Running {} experiments on {} threads ({} mode)...",
         specs.len(),

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run --release -p mcc-bench --bin figures -- --list
-//! MCC_QUICK=1 cargo run --release -p mcc-bench --bin figures
+//! cargo run --release -p mcc-bench --bin figures -- --quick
 //! cargo run --release -p mcc-bench --bin figures -- --only fig07,fig08a
 //! cargo run --release -p mcc-bench --bin figures -- --only ablations
 //! cargo run --release -p mcc-bench --bin figures -- --sweep seed=1,2,3

@@ -6,24 +6,26 @@
 use std::process::Command;
 
 fn sweep(value: &str) -> std::process::Output {
-    sweep_in_mode(value, "1")
+    sweep_in_mode(value, true)
 }
 
-/// `quick` is the `MCC_QUICK` value: `"0"` runs the full-length 60 s sweep.
-fn sweep_in_mode(value: &str, quick: &str) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--only", "churn_robustness", "--sweep", value])
-        .env("MCC_QUICK", quick)
-        .env("MCC_OUT", std::env::temp_dir().join("mcc_cli_validation"))
-        .output()
-        .expect("spawn figures")
+/// Without `--quick` the sweep runs at its full 60 s length.
+fn sweep_in_mode(value: &str, quick: bool) -> std::process::Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_figures"));
+    cmd.args(["--only", "churn_robustness", "--sweep", value])
+        .arg("--out")
+        .arg(std::env::temp_dir().join("mcc_cli_validation"));
+    if quick {
+        cmd.arg("--quick");
+    }
+    cmd.output().expect("spawn figures")
 }
 
 fn assert_rejected(key: &str, value: &str) {
-    assert_rejected_in_mode(key, value, "1");
+    assert_rejected_in_mode(key, value, true);
 }
 
-fn assert_rejected_in_mode(key: &str, value: &str, quick: &str) {
+fn assert_rejected_in_mode(key: &str, value: &str, quick: bool) {
     let out = sweep_in_mode(&format!("{key}={value}"), quick);
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
@@ -53,7 +55,7 @@ fn figures_rejects_a_flash_factor_over_the_arrival_cap() {
 /// bound is checked against the run the composed parameters really make.
 #[test]
 fn figures_rejects_a_churn_rate_over_the_cap_at_full_length() {
-    assert_rejected_in_mode("churn_rate", "2000", "0");
+    assert_rejected_in_mode("churn_rate", "2000", false);
 }
 
 /// The crowd multiplies the churn runs' standing population of two.

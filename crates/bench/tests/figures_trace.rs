@@ -1,11 +1,12 @@
 //! End-to-end contract of `figures --trace`, exercised through the real
 //! binary: the canonical trace files written by independent processes
-//! under different `MCC_THREADS` splits are byte-identical, and the CLI
-//! front end fails loudly (distinct exit codes) on bad flags.
+//! under different `--threads` counts are byte-identical, they land
+//! beside the report, and the CLI front end fails loudly (distinct exit
+//! codes) on bad flags.
 //!
 //! These spawn subprocesses on purpose — the trace config is pinned
-//! per-process (`OnceLock`, first set wins), so cross-thread-mode
-//! byte-identity can only be demonstrated across process boundaries.
+//! once per process (`OnceLock`), so cross-thread-mode byte-identity can
+//! only be demonstrated across process boundaries.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -65,30 +66,23 @@ fn trace_files_are_byte_identical_across_thread_modes() {
     for mode in modes {
         let scratch = Scratch::new(&format!("mode{mode}"));
         let dir = scratch.path();
-        let trace = format!("all:{}", dir.display());
         run_ok(
             figures()
-                .args(["--quick", "--only", "fig01", "--trace", &trace])
+                .args(["--quick", "--only", "fig01", "--trace", "all"])
+                .args(["--threads", mode])
                 .arg("--out")
-                .arg(dir)
-                .env("MCC_THREADS", mode)
-                .env_remove("MCC_TRACE")
-                .env_remove("MCC_QUICK"),
+                .arg(dir),
         );
         let jsonl = read(dir, "TRACE_fig01_attack.jsonl");
-        assert!(!jsonl.is_empty(), "MCC_THREADS={mode}: empty trace");
+        assert!(!jsonl.is_empty(), "--threads {mode}: empty trace");
         let pcap = read(dir, "TRACE_fig01_attack.pcapng");
         // pcapng sanity: SHB magic, then the byte-order magic little-endian.
-        assert_eq!(&pcap[0..4], &[0x0a, 0x0d, 0x0d, 0x0a], "MCC_THREADS={mode}");
-        assert_eq!(
-            &pcap[8..12],
-            &[0x4d, 0x3c, 0x2b, 0x1a],
-            "MCC_THREADS={mode}"
-        );
+        assert_eq!(&pcap[0..4], &[0x0a, 0x0d, 0x0d, 0x0a], "--threads {mode}");
+        assert_eq!(&pcap[8..12], &[0x4d, 0x3c, 0x2b, 0x1a], "--threads {mode}");
         // The metrics registry is always written alongside the sinks.
         assert!(
             dir.join("OBS_fig01_attack.json").exists(),
-            "MCC_THREADS={mode}: OBS json missing"
+            "--threads {mode}: OBS json missing"
         );
         jsonls.push(jsonl);
         pcaps.push(pcap);
@@ -96,13 +90,40 @@ fn trace_files_are_byte_identical_across_thread_modes() {
     for (i, mode) in modes.iter().enumerate().skip(1) {
         assert_eq!(
             jsonls[0], jsonls[i],
-            "TRACE jsonl bytes diverged between MCC_THREADS=1 and MCC_THREADS={mode}"
+            "TRACE jsonl bytes diverged between --threads 1 and --threads {mode}"
         );
         assert_eq!(
             pcaps[0], pcaps[i],
-            "TRACE pcapng bytes diverged between MCC_THREADS=1 and MCC_THREADS={mode}"
+            "TRACE pcapng bytes diverged between --threads 1 and --threads {mode}"
         );
     }
+}
+
+/// Without a `:DIR`, `--trace` writes beside the report in `--out` —
+/// never into the default `results/` of the working directory.
+#[test]
+fn trace_files_follow_out() {
+    let scratch = Scratch::new("follow_out");
+    let root = scratch.path();
+    run_ok(
+        figures()
+            .args([
+                "--quick", "--only", "fig08e", "--out", "o", "--trace", "jsonl",
+            ])
+            .current_dir(root),
+    );
+    let out = root.join("o");
+    for name in [
+        "BENCH_figures.json",
+        "TRACE_fig08e_responsiveness.jsonl",
+        "OBS_fig08e_responsiveness.json",
+    ] {
+        assert!(out.join(name).exists(), "{name} missing from --out");
+    }
+    assert!(
+        !root.join("results").exists(),
+        "nothing may land in the default results/"
+    );
 }
 
 /// Satellite (a): an `--only` token that selects nothing exits non-zero

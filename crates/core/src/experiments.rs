@@ -42,7 +42,6 @@ pub fn attack_experiment(
     duration_secs: u64,
     attack_at_secs: u64,
     seed: u64,
-    params: &Params,
 ) -> AttackResult {
     let mut d = Scenario::dumbbell(1.mbps())
         .seed(seed)
@@ -62,7 +61,7 @@ pub fn attack_experiment(
         .iter()
         .map(|(label, a)| {
             Series::from_values(label, 0.0, 1.0, &d.series_bps(*a, duration_secs))
-                .smoothed(params.smoothing)
+                .smoothed(Params::SMOOTHING_WINDOW)
         })
         .collect();
     let post_attack_avg_bps = agents
@@ -135,7 +134,6 @@ pub fn responsiveness(
     burst_from: u64,
     burst_to: u64,
     seed: u64,
-    params: &Params,
 ) -> Series {
     let mut d = Scenario::dumbbell(1.mbps())
         .seed(seed)
@@ -149,7 +147,7 @@ pub fn responsiveness(
         1.0,
         &d.series_bps(d.sessions[0].receivers[0], duration_secs),
     )
-    .smoothed(params.smoothing)
+    .smoothed(Params::SMOOTHING_WINDOW)
 }
 
 /// Figure 8f: one session, 20 receivers, round-trip times spread uniformly
@@ -1387,7 +1385,7 @@ mod tests {
     /// Scaled-down Figure 1: the FLID-DL attack pays off.
     #[test]
     fn attack_pays_off_unprotected() {
-        let r = attack_experiment(FlidDl, 60, 25, 42, &Params::default());
+        let r = attack_experiment(FlidDl, 60, 25, 42);
         let [f1, f2, t1, t2] = [
             r.post_attack_avg_bps[0],
             r.post_attack_avg_bps[1],
@@ -1405,7 +1403,7 @@ mod tests {
     /// Scaled-down Figure 7: FLID-DS keeps the allocation fair.
     #[test]
     fn attack_neutralized_protected() {
-        let r = attack_experiment(FlidDs, 60, 25, 42, &Params::default());
+        let r = attack_experiment(FlidDs, 60, 25, 42);
         let f1 = r.post_attack_avg_bps[0];
         let f2 = r.post_attack_avg_bps[1];
         let t_min = r.post_attack_avg_bps[2].min(r.post_attack_avg_bps[3]);
@@ -1434,7 +1432,7 @@ mod tests {
     /// and it recovers afterwards.
     #[test]
     fn responsiveness_to_cbr_burst() {
-        let s = responsiveness(FlidDs, 60, 20, 35, 3, &Params::default());
+        let s = responsiveness(FlidDs, 60, 20, 35, 3);
         let before: f64 = s.points[10..18].iter().map(|p| p.1).sum::<f64>() / 8.0;
         let during: f64 = s.points[25..33].iter().map(|p| p.1).sum::<f64>() / 8.0;
         let after: f64 = s.points[50..58].iter().map(|p| p.1).sum::<f64>() / 8.0;

@@ -17,9 +17,9 @@
 //!   sessions, heterogeneous access rates/RTTs and background traffic
 //!   mixes, expanded deterministically from the scenario seed into
 //!   ordinary receiver/traffic specs,
-//! * [`config`] — [`RunConfig::from_env`] (the one reader of `MCC_QUICK`
-//!   / `MCC_THREADS` / `MCC_OUT`) and the [`Params`] bag every
-//!   experiment runs under,
+//! * [`config`] — the [`Params`] bag every experiment runs under, and
+//!   [`set_trace`], which pins the `figures` CLI's `--trace` for the
+//!   process (nothing in the workspace reads the environment),
 //! * [`experiments`] — one function per figure of the paper (1, 7, 8a–8h,
 //!   9a/9b), thin wrappers over the builders, deterministic in their seeds,
 //! * [`registry`] — every figure and ablation as a registered
@@ -27,7 +27,7 @@
 //!   the `figures` CLI in `mcc-bench`,
 //! * [`metrics`] — series, damage/containment metrics and quick ASCII charts,
 //! * [`obs`] — the observability layer's experiment-level face:
-//!   `--trace`/`MCC_TRACE` capture lifecycle, canonical JSONL/pcapng
+//!   `--trace` capture lifecycle, canonical JSONL/pcapng
 //!   rendering and the `OBS_*.json` metrics registry,
 //! * [`runner`] — runs independent experiments concurrently with
 //!   per-experiment deterministic seeds and emits canonical JSON reports
@@ -35,9 +35,8 @@
 //!
 //! ```no_run
 //! // Figure 7 in five lines:
-//! use mcc_core::{Params, Variant};
-//! let result =
-//!     mcc_core::experiments::attack_experiment(Variant::FlidDs, 200, 100, 1, &Params::default());
+//! use mcc_core::Variant;
+//! let result = mcc_core::experiments::attack_experiment(Variant::FlidDs, 200, 100, 1);
 //! for s in &result.series {
 //!     println!("{}: mean {:.0} bps", s.label, s.mean());
 //! }
@@ -53,7 +52,7 @@ pub mod scenario;
 pub mod topology;
 pub mod workload;
 
-pub use config::{set_trace, Params, RunConfig};
+pub use config::{set_trace, Params};
 pub use mcc_obs::TraceSpec;
 pub use metrics::{ascii_chart, damage, Damage, Series};
 pub use registry::{Experiment, ExperimentDef};

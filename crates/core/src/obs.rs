@@ -27,7 +27,7 @@ use mcc_netsim::Sim;
 use mcc_obs::{jsonl, pcapng, Metrics, Recorder, TraceEvent, TraceSpec, DEFAULT_RING_CAP};
 use mcc_simcore::SimTime;
 use std::cell::RefCell;
-use std::path::PathBuf;
+use std::path::Path;
 
 thread_local! {
     static ACTIVE: RefCell<Option<Capture>> = const { RefCell::new(None) };
@@ -40,8 +40,7 @@ struct Capture {
 }
 
 /// Start a capture for `name` if tracing is configured. Runner hook;
-/// no-op (and no cost beyond one `OnceLock` read) when `MCC_TRACE` is
-/// unset.
+/// no-op (and no cost beyond one `OnceLock` read) without `--trace`.
 pub(crate) fn begin(_name: &str) {
     if config::trace_spec().is_none() {
         return;
@@ -55,7 +54,7 @@ pub(crate) fn begin(_name: &str) {
 pub(crate) fn finish(name: &str) {
     // Check the config gate *before* taking the capture: a forced capture
     // (see [`capture`]) may be active around a runner call even though
-    // `MCC_TRACE` is unset, and it belongs to the caller, not to us.
+    // tracing is off, and it belongs to the caller, not to us.
     let Some(spec) = config::trace_spec() else {
         return;
     };
@@ -121,8 +120,8 @@ pub struct TraceOutput {
     pub obs: Json,
 }
 
-/// Force-capture every `run_sim` call inside `f`, regardless of
-/// `MCC_TRACE`, and hand back the rendered sinks instead of writing
+/// Force-capture every `run_sim` call inside `f`, whether or not
+/// `--trace` is set, and hand back the rendered sinks instead of writing
 /// files — the in-process hook the determinism tests use. Any capture
 /// already active on this thread is restored afterwards.
 pub fn capture<R>(label: &str, f: impl FnOnce() -> R) -> (R, TraceOutput) {
@@ -215,13 +214,11 @@ fn sanitize(label: &str) -> String {
         .collect()
 }
 
+/// Write the sinks `spec` selects into `spec.dir` (the current directory
+/// when unset; the `figures` CLI always sets it).
 fn write_outputs(name: &str, spec: &TraceSpec, out: &TraceOutput) -> std::io::Result<()> {
-    let dir: PathBuf = spec
-        .dir
-        .as_ref()
-        .map(PathBuf::from)
-        .unwrap_or_else(config::out_dir);
-    std::fs::create_dir_all(&dir)?;
+    let dir = Path::new(spec.dir.as_deref().unwrap_or("."));
+    std::fs::create_dir_all(dir)?;
     let stem = sanitize(name);
     if spec.jsonl {
         std::fs::write(dir.join(format!("TRACE_{stem}.jsonl")), &out.jsonl)?;
@@ -294,7 +291,7 @@ mod tests {
         assert!(json.ends_with(r#""wall_ns":{"run":7}}"#), "{json}");
     }
 
-    /// The forcing API captures a run without `MCC_TRACE`, and the
+    /// The forcing API captures a run without `--trace`, and the
     /// recorder rides even a run that executes zero interesting events.
     #[test]
     fn capture_forces_a_recorder_onto_run_sim() {

@@ -113,7 +113,7 @@ impl Experiment for ExperimentDef {
 
 fn attack_body(variant: Variant, p: &Params, seed: u64) -> Json {
     let dur = p.duration(200);
-    experiments::attack_experiment(variant, dur, dur / 2, seed, p).to_json()
+    experiments::attack_experiment(variant, dur, dur / 2, seed).to_json()
 }
 
 /// One session-count sweep, computed once per runner call: Figure 8c is
@@ -141,7 +141,7 @@ fn responsiveness_body(p: &Params, seed: u64) -> Json {
     let (from, to) = (dur * 45 / 100, dur * 75 / 100);
     let series: Vec<_> = Variant::BOTH
         .iter()
-        .map(|&v| experiments::responsiveness(v, dur, from, to, seed, p))
+        .map(|&v| experiments::responsiveness(v, dur, from, to, seed))
         .collect();
     Json::obj([
         ("burst_secs", vec![from, to].to_json()),

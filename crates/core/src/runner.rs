@@ -397,7 +397,7 @@ pub(crate) fn memo(key: String, f: impl FnOnce() -> Json) -> Json {
 fn run_spec(spec: &ExperimentSpec) -> ExperimentRecord {
     let start = Instant::now();
     // Tracing capture brackets the body on this worker thread; both are
-    // no-ops unless `--trace`/`MCC_TRACE` is set.
+    // no-ops unless `--trace` is set.
     crate::obs::begin(&spec.name);
     let data = (spec.body)(spec.seed);
     crate::obs::finish(&spec.name);

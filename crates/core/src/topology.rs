@@ -325,8 +325,6 @@ impl Core {
 pub struct BuiltTopology {
     /// The simulator (run it!).
     pub sim: Sim,
-    /// The shape this was built from.
-    pub topology: Topology,
     /// All core routers (see [`Topology`] for the order).
     pub routers: Vec<NodeId>,
     /// Receiver attachment cycle (the dumbbell's edge router `B` is
@@ -345,8 +343,6 @@ pub struct BuiltTopology {
     pub tcp: Vec<TcpHandle>,
     /// Sink of the spec-level [`CbrSpec`] background, when requested.
     pub cbr_sink: Option<AgentId>,
-    /// Sinks of the workload engine's background CBR mix, in spec order.
-    pub extra_cbr_sinks: Vec<AgentId>,
     /// One cross-traffic sink per parking-lot hop, in hop order (empty
     /// unless [`Topology::ParkingLot`] set `per_hop_cbr`).
     pub hop_cbr_sinks: Vec<AgentId>,
@@ -706,7 +702,6 @@ impl TopologySpec {
 
         // The workload engine's background mix: one source/sink pair per
         // extra CBR, flows 201 upward (the spec-level CBR keeps 200).
-        let mut extra_cbr_sinks = Vec::new();
         for (i, c) in spec.extra_cbr.iter().enumerate() {
             let sh = add_sender_host(&mut sim);
             let rh = sim.add_node();
@@ -729,7 +724,6 @@ impl TopologySpec {
                 on_off: c.on_off,
             };
             sim.add_agent(sh, Box::new(CbrSource::new(cfg)), SimTime::ZERO);
-            extra_cbr_sinks.push(sink);
         }
 
         // Parking-lot cross traffic: one CBR per hop, entering at the
@@ -776,7 +770,6 @@ impl TopologySpec {
         sim.finalize();
         BuiltTopology {
             sim,
-            topology: spec.topology,
             routers: core.routers,
             attach: core.attach,
             edges,
@@ -785,7 +778,6 @@ impl TopologySpec {
             receiver_routers,
             tcp,
             cbr_sink,
-            extra_cbr_sinks,
             hop_cbr_sinks,
         }
     }

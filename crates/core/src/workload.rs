@@ -19,7 +19,7 @@
 //! [`TopologySpec`]. Joins and departures then run as ordinary
 //! deterministic sim events (agent start times and FLID `DEPART`
 //! timers), so workload runs are byte-identical across
-//! `MCC_THREADS` values like every other run. No wall clock, no global
+//! `--threads` values like every other run. No wall clock, no global
 //! RNG — the workspace lint gate (`clippy.toml`) holds this module to
 //! the same rules as the simulator core.
 //!

@@ -217,7 +217,7 @@ pub struct World {
     scratch_members: Vec<AgentId>,
     scratch_actions: Vec<EdgeAction>,
     /// The observability flight recorder, attached only while tracing is
-    /// on (`MCC_TRACE`). Boxed so the tracing-off `World` pays one pointer
+    /// on (`figures --trace`). Boxed so the tracing-off `World` pays one pointer
     /// of space and one `is_some` branch per instrumentation site.
     pub(crate) tracer: Option<Box<Recorder>>,
 }

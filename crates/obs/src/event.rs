@@ -12,7 +12,7 @@
 //!
 //! Every event — packet lifecycle, SIGMA guard decisions, FLID layer
 //! transitions, membership churn — is a function of the simulation alone,
-//! so the trace is byte-identical across `MCC_THREADS` values. The JSONL
+//! so the trace is byte-identical across `--threads` values. The JSONL
 //! sink exports all of them, the pcapng sink the packet-lifecycle subset.
 
 /// Group-address sentinel for unicast packets (`group` field of packet

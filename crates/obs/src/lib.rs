@@ -5,7 +5,7 @@
 //! only cost at an instrumentation site is one `Option::is_some` branch,
 //! and when tracing *is* on, every event is stamped with
 //! [`mcc_simcore::SimTime`] — never wall clock — so traces are
-//! byte-identical across `MCC_THREADS` values (see DESIGN.md,
+//! byte-identical across `--threads` values (see DESIGN.md,
 //! "Observability layer").
 //!
 //! Pieces:
@@ -15,7 +15,7 @@
 //! * [`recorder::Recorder`] — the per-run ring-buffer flight recorder
 //!   plus the [`recorder::Metrics`] counter registry.
 //! * [`jsonl`] / [`pcapng`] — the two trace sinks.
-//! * [`TraceSpec`] — the parsed `--trace <spec>` / `MCC_TRACE` surface.
+//! * [`TraceSpec`] — the parsed `--trace <spec>` surface.
 //!
 //! This crate deliberately depends only on `mcc-simcore` (for time and the
 //! `Stamped` ring entry) so any crate in the workspace can
@@ -31,12 +31,12 @@ pub use event::{DropReason, PktRef, TraceEvent, GROUP_NONE};
 pub use recorder::{Metrics, Recorder, DEFAULT_RING_CAP};
 
 /// What to trace and where to put it: the parsed form of
-/// `--trace <spec>` / `MCC_TRACE`.
+/// `--trace <spec>`.
 ///
 /// Grammar: `FORMATS[:DIR]` where `FORMATS` is a comma-separated subset of
 /// `jsonl`, `pcapng` — or one of the aliases `all`, `on`, `1`, `true`
-/// (both sinks). `DIR` overrides the output directory (default: the run's
-/// results directory). The metrics registry (`OBS_<experiment>.json`) is
+/// (both sinks). `DIR` overrides the output directory (default: the
+/// `figures` report directory, `--out`). The metrics registry (`OBS_<experiment>.json`) is
 /// always written when tracing is enabled.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceSpec {
@@ -56,8 +56,7 @@ impl TraceSpec {
         }
     }
 
-    /// Parse a spec string. Empty input is an error (callers treat an
-    /// empty/unset env var as "tracing off" *before* parsing).
+    /// Parse a spec string. Empty input is an error.
     pub fn parse(spec: &str) -> Result<TraceSpec, String> {
         let (formats, dir) = match spec.split_once(':') {
             Some((f, d)) if !d.is_empty() => (f, Some(d.to_string())),

@@ -22,7 +22,6 @@ use robust_multicast::core::{
 fn main() {
     let duration = 120u64;
     let attack_at = 60u64;
-    let params = Params::default();
 
     for (variant, fig) in [
         (Variant::FlidDl, "Figure 1 (FLID-DL, unprotected)"),
@@ -58,7 +57,7 @@ fn main() {
             .iter()
             .map(|(label, a)| {
                 Series::from_values(label, 0.0, 1.0, &d.series_bps(*a, duration))
-                    .smoothed(params.smoothing)
+                    .smoothed(Params::SMOOTHING_WINDOW)
             })
             .collect();
         println!("{}", ascii_chart(&series, 90, 16, "throughput (bps)"));

@@ -8,14 +8,15 @@
 //!
 //! ```text
 //! cargo run --release --example robustness_matrix            # full 60 s cells
-//! MCC_QUICK=1 cargo run --release --example robustness_matrix # 30 s cells
+//! cargo run --release --example robustness_matrix -- --quick # 30 s cells
 //! ```
 
 use robust_multicast::core::experiments::robustness_matrix;
-use robust_multicast::core::RunConfig;
 
 fn main() {
-    let quick = RunConfig::from_env().quick;
+    let quick = std::env::args()
+        .skip(1)
+        .any(|a| a == "--quick" || a == "-q");
     let duration = if quick { 30 } else { 60 };
     let onset = duration / 3;
     println!(

@@ -5,13 +5,13 @@
 use robust_multicast::attack::{AttackPlan, IgnoreDecrease, Timed};
 use robust_multicast::core::experiments::attack_experiment;
 use robust_multicast::core::{
-    McastSessionSpec, Params, ReceiverSpec, Topology, TopologySpec, Units, Variant,
+    McastSessionSpec, ReceiverSpec, Topology, TopologySpec, Units, Variant,
 };
 use robust_multicast::sigma::SigmaEdgeModule;
 
 #[test]
 fn figure1_shape_attack_pays_off_without_protection() {
-    let r = attack_experiment(Variant::FlidDl, 60, 25, 1, &Params::default());
+    let r = attack_experiment(Variant::FlidDl, 60, 25, 1);
     let f1 = r.post_attack_avg_bps[0];
     let others: f64 = r.post_attack_avg_bps[1..].iter().sum();
     assert!(
@@ -26,7 +26,7 @@ fn figure1_shape_attack_pays_off_without_protection() {
 
 #[test]
 fn figure7_shape_protection_restores_fairness() {
-    let r = attack_experiment(Variant::FlidDs, 60, 25, 1, &Params::default());
+    let r = attack_experiment(Variant::FlidDs, 60, 25, 1);
     let f1 = r.post_attack_avg_bps[0];
     let t1 = r.post_attack_avg_bps[2];
     let t2 = r.post_attack_avg_bps[3];

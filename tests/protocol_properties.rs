@@ -6,7 +6,7 @@
 use robust_multicast::core::experiments::{
     convergence, overhead_vs_groups, responsiveness, throughput_vs_sessions,
 };
-use robust_multicast::core::{Params, Variant};
+use robust_multicast::core::Variant;
 use Variant::{FlidDl, FlidDs};
 
 #[test]
@@ -40,8 +40,8 @@ fn figure8d_shape_multicast_survives_tcp_and_cbr_cross_traffic() {
 
 #[test]
 fn figure8e_shape_ds_responsiveness_tracks_dl() {
-    let dl = responsiveness(FlidDl, 60, 20, 35, 3, &Params::default());
-    let ds = responsiveness(FlidDs, 60, 20, 35, 3, &Params::default());
+    let dl = responsiveness(FlidDl, 60, 20, 35, 3);
+    let ds = responsiveness(FlidDs, 60, 20, 35, 3);
     for s in [&dl, &ds] {
         let before: f64 = s.points[12..18].iter().map(|p| p.1).sum::<f64>() / 6.0;
         let during: f64 = s.points[26..32].iter().map(|p| p.1).sum::<f64>() / 6.0;

@@ -6,7 +6,7 @@
 
 use robust_multicast::core::experiments::{attack_experiment, overhead_vs_groups};
 use robust_multicast::core::runner::{run_parallel, run_serial, ExperimentSpec, Json, ToJson};
-use robust_multicast::core::{Params, Variant};
+use robust_multicast::core::Variant;
 
 /// A fast mixed workload: one real simulation (a shortened Figure-1
 /// attack), one analytic sweep, and toy bodies of lopsided cost so the
@@ -14,7 +14,7 @@ use robust_multicast::core::{Params, Variant};
 fn specs() -> Vec<ExperimentSpec> {
     let mut v = vec![
         ExperimentSpec::new("attack_short", 42, |seed| {
-            attack_experiment(Variant::FlidDl, 12, 6, seed, &Params::default()).to_json()
+            attack_experiment(Variant::FlidDl, 12, 6, seed).to_json()
         }),
         ExperimentSpec::new("overhead", 5, |seed| {
             overhead_vs_groups(&[2, 4], 5, seed).to_json()

@@ -12,7 +12,7 @@
 //!   knows how to execute (raw joins, guessed keys, inflation, churn,
 //!   smuggled-key submission), so one strategy library drives *every*
 //!   protocol variant (FLID, replicated, threshold),
-//! * [`strategies`] — the library: [`InflateTo`], [`IgnoreDecrease`],
+//! * `strategies` — the library: [`InflateTo`], [`IgnoreDecrease`],
 //!   [`KeyGuess`], [`Colluders`] (key sharing through a [`CollusionSet`]),
 //!   [`JoinLeaveFlap`], and the composable [`Timed`] / [`All`]
 //!   schedulers,
@@ -22,10 +22,11 @@
 //!   `Timed(at, All[InflateTo::all(), KeyGuess { rate: 10 }])`
 //!   (`ReceiverSpec::inflate_at`).
 
-pub mod strategies;
+pub(crate) mod strategies;
 
+use strategies::Honest;
 pub use strategies::{
-    All, Colluders, CollusionSet, Honest, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess, Timed,
+    All, Colluders, CollusionSet, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess, Timed,
 };
 
 use mcc_delta::Key;

@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 
 /// The well-behaved receiver: every hook is a no-op.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Honest;
+pub(crate) struct Honest;
 
 impl Adversary for Honest {
     fn label(&self) -> String {
@@ -36,7 +36,7 @@ impl Adversary for Honest {
 #[derive(Clone, Copy, Debug)]
 pub struct InflateTo {
     /// Highest 1-based group to grab; `u32::MAX` = everything.
-    pub layer: u32,
+    pub(crate) layer: u32,
 }
 
 impl InflateTo {

@@ -24,11 +24,11 @@ use mcc_core::{Params, TraceSpec};
 
 /// The suite name of the combined figure report (unchanged across the
 /// registry redesign — the byte-compat contract).
-pub const SUITE: &str = "robust-multicast-figures";
+pub(crate) const SUITE: &str = "robust-multicast-figures";
 
 /// A parsed `figures` invocation.
 #[derive(Clone, Debug, Default)]
-pub struct Cli {
+pub(crate) struct Cli {
     help: bool,
     list: bool,
     only: Option<Vec<String>>,
@@ -49,13 +49,22 @@ impl Cli {
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
+        // A value flag given twice is a usage error: the second would
+        // silently replace the first.
+        fn once<T>(slot: &mut Option<T>, flag: &str, v: T) -> Result<(), String> {
+            if slot.replace(v).is_some() {
+                return Err(format!("{flag} given twice (pass it once)"));
+            }
+            Ok(())
+        }
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--list" | "-l" => cli.list = true,
                 "--quick" | "-q" => cli.quick = true,
                 "--only" => {
                     let v = value("--only", &mut it)?;
-                    cli.only = Some(v.split(',').map(|s| s.trim().to_string()).collect());
+                    let tokens = v.split(',').map(|s| s.trim().to_string()).collect();
+                    once(&mut cli.only, "--only", tokens)?;
                 }
                 "--threads" | "-j" => {
                     let v = value("--threads", &mut it)?;
@@ -65,13 +74,16 @@ impl Cli {
                     if n == 0 {
                         return Err("--threads must be at least 1".into());
                     }
-                    cli.threads = Some(n);
+                    once(&mut cli.threads, "--threads", n)?;
                 }
-                "--out" | "-o" => cli.out = Some(PathBuf::from(value("--out", &mut it)?)),
+                "--out" | "-o" => {
+                    let v = PathBuf::from(value("--out", &mut it)?);
+                    once(&mut cli.out, "--out", v)?;
+                }
                 "--trace" => {
                     let v = value("--trace", &mut it)?;
-                    cli.trace =
-                        Some(TraceSpec::parse(&v).map_err(|e| format!("--trace {v:?}: {e}"))?);
+                    let spec = TraceSpec::parse(&v).map_err(|e| format!("--trace {v:?}: {e}"))?;
+                    once(&mut cli.trace, "--trace", spec)?;
                 }
                 "--sweep" => {
                     let v = value("--sweep", &mut it)?;
@@ -92,7 +104,15 @@ impl Cli {
                     if values.is_empty() || values.iter().any(|s| s.is_empty()) {
                         return Err(format!("--sweep {v:?}: empty value list"));
                     }
-                    cli.sweep = Some((key.to_string(), values));
+                    // Each value names one record (`id@key=value`).
+                    if let Some((_, dup)) = values
+                        .iter()
+                        .enumerate()
+                        .find(|&(i, x)| values[..i].contains(x))
+                    {
+                        return Err(format!("--sweep {v:?}: value {dup:?} repeated"));
+                    }
+                    once(&mut cli.sweep, "--sweep", (key.to_string(), values))?;
                 }
                 "--help" | "-h" => cli.help = true,
                 other => return Err(format!("unknown argument {other:?}\n\n{}", usage())),
@@ -390,6 +410,30 @@ mod tests {
         }
         assert!(parse(&["--sweep", "seed"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
+    }
+
+    /// A repeated value flag, or a repeated sweep value, is a usage error
+    /// that names it: the second would silently replace the first, and
+    /// two records would share one `id@key=value` name.
+    #[test]
+    fn repeated_flags_and_sweep_values_are_rejected() {
+        for (flag, a, b) in [
+            ("--only", "ablation_sharing", "fig01"),
+            ("--sweep", "churn_rate=0.5", "seed=2"),
+            ("--trace", "jsonl", "pcapng"),
+            ("--threads", "1", "2"),
+            ("--out", "/tmp/a", "/tmp/b"),
+        ] {
+            let err = parse(&[flag, a, flag, b]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("twice"), "{err}");
+        }
+        let err = parse(&["--sweep", "seed=1,1"]).unwrap_err();
+        assert!(
+            err.contains("--sweep") && err.contains("\"1\" repeated"),
+            "{err}"
+        );
+        let err = parse(&["--sweep", "churn_rate=0.5, 2,0.5"]).unwrap_err();
+        assert!(err.contains("\"0.5\" repeated"), "{err}");
     }
 
     /// Satellite contract: an unknown `--sweep` key fails at parse time —

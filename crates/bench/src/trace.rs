@@ -22,20 +22,20 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Summary {
     /// Total lines consumed (malformed lines are counted and skipped).
-    pub lines: u64,
+    pub(crate) lines: u64,
     /// Lines that carried no recognizable `ev` field.
-    pub malformed: u64,
+    pub(crate) malformed: u64,
     /// Events by kind, ordered by kind name.
-    pub by_kind: BTreeMap<String, u64>,
+    pub(crate) by_kind: BTreeMap<String, u64>,
     /// Delivered payload bits by flow id.
-    pub delivered_bits: BTreeMap<u64, u64>,
+    pub(crate) delivered_bits: BTreeMap<u64, u64>,
     /// Drops per whole simulated second, with per-reason splits.
-    pub drops_by_sec: BTreeMap<u64, u64>,
+    pub(crate) drops_by_sec: BTreeMap<u64, u64>,
     /// Drops by reason string.
-    pub drops_by_reason: BTreeMap<String, u64>,
+    pub(crate) drops_by_reason: BTreeMap<String, u64>,
     /// SIGMA guard log: `(t_ns, line)` for every lockout and alarm, in
     /// time order.
-    pub sigma_log: Vec<(u64, String)>,
+    pub(crate) sigma_log: Vec<(u64, String)>,
 }
 
 /// Extract an integer field from a canonical JSONL line.

@@ -55,7 +55,7 @@ impl Params {
     /// paper-style plot smoothing.
     pub const SMOOTHING_WINDOW: usize = 5;
     /// The narrower window of the convergence figures (8g/8h).
-    pub const CONVERGENCE_SMOOTHING: usize = 3;
+    pub(crate) const CONVERGENCE_SMOOTHING: usize = 3;
     /// Every key `--sweep` / [`Params::with_override`] accepts — the CLI
     /// validates against this list up front, before any experiment runs.
     pub const SWEEP_KEYS: &'static [&'static str] = &["seed", "churn_rate", "flash_factor"];

@@ -27,7 +27,7 @@ record! {
     #[derive(Clone, Debug)]
     pub struct AttackResult {
         /// When F1 starts inflating, seconds.
-        pub attack_at_secs: u64,
+        pub(crate) attack_at_secs: u64,
         /// `F1, F2, T1, T2` series (bit/s, smoothed like the paper's plots).
         pub series: Vec<Series>,
         /// Average throughput of each flow after the attack begins.
@@ -54,8 +54,8 @@ pub fn attack_experiment(
     let agents = [
         ("F1", d.sessions[0].receivers[0]),
         ("F2", d.sessions[1].receivers[0]),
-        ("T1", d.tcp[0].sink),
-        ("T2", d.tcp[1].sink),
+        ("T1", d.tcp[0]),
+        ("T2", d.tcp[1]),
     ];
     let series: Vec<Series> = agents
         .iter()
@@ -84,7 +84,7 @@ record! {
         /// Mean of the individual rates.
         pub avg_bps: f64,
         /// Per-receiver average throughput, bit/s.
-        pub individual_bps: Vec<f64>,
+        pub(crate) individual_bps: Vec<f64>,
     }
 }
 
@@ -180,7 +180,7 @@ record! {
     #[derive(Clone, Debug)]
     pub struct ConvergenceResult {
         /// Per-receiver throughput series.
-        pub throughput: Vec<Series>,
+        pub(crate) throughput: Vec<Series>,
         /// Per-receiver `(t, level)` traces.
         pub levels: Vec<Series>,
     }
@@ -223,7 +223,7 @@ record! {
     #[derive(Clone, Debug)]
     pub struct OverheadRow {
         /// Swept variable: group count (9a) or slot seconds (9b).
-        pub x: f64,
+        pub(crate) x: f64,
         /// DELTA overhead, closed form (paper §5.4).
         pub delta_analytic: f64,
         /// SIGMA overhead, closed form with measured `f_g`, `z`, `h`.
@@ -231,7 +231,7 @@ record! {
         /// DELTA overhead measured from sender counters.
         pub delta_measured: f64,
         /// SIGMA overhead measured from sender counters.
-        pub sigma_measured: f64,
+        pub(crate) sigma_measured: f64,
     }
 }
 
@@ -342,7 +342,7 @@ pub(crate) fn overhead_vs_slot(
 
 /// The adversary strategies the `matrix_robustness` experiment sweeps, in
 /// matrix row order.
-pub const MATRIX_STRATEGIES: &[&str] = &[
+pub(crate) const MATRIX_STRATEGIES: &[&str] = &[
     "inflate",
     "ignore_decrease",
     "key_guess",
@@ -357,22 +357,22 @@ record! {
     pub struct MatrixCell {
         /// Defense label (`Variant::label`).
         pub defense: &'static str,
-        /// Strategy name (one of [`MATRIX_STRATEGIES`]).
+        /// Strategy name (one of `MATRIX_STRATEGIES`).
         pub strategy: &'static str,
         /// Attacker goodput over the post-onset window, bit/s.
-        pub attacker_bps: f64,
+        pub(crate) attacker_bps: f64,
         /// Honest receiver goodput under attack, bit/s.
-        pub honest_bps: f64,
+        pub(crate) honest_bps: f64,
         /// Mean TCP cross-traffic goodput under attack, bit/s.
-        pub tcp_bps: f64,
+        pub(crate) tcp_bps: f64,
         /// Honest receiver goodput in the attack-free baseline run, bit/s.
-        pub baseline_honest_bps: f64,
+        pub(crate) baseline_honest_bps: f64,
         /// Damage/containment metrics relative to the baseline.
         @splice pub damage: Damage,
         /// Keys the edge router rejected (0 when unprotected).
-        pub rejected_keys: u64,
+        pub(crate) rejected_keys: u64,
         /// Raw IGMP joins the edge router ignored (0 when unprotected).
-        pub raw_igmp_blocked: u64,
+        pub(crate) raw_igmp_blocked: u64,
     }
 }
 
@@ -381,11 +381,11 @@ record! {
     #[derive(Clone, Debug)]
     pub struct MatrixResult {
         /// Attack onset, seconds.
-        pub onset_secs: u64,
+        pub(crate) onset_secs: u64,
         /// Run duration, seconds.
-        pub duration_secs: u64,
+        pub(crate) duration_secs: u64,
         /// Fair share of each of the four competing flows, bit/s.
-        pub fair_share_bps: f64,
+        pub(crate) fair_share_bps: f64,
         /// Defense column labels, in cell order.
         pub defenses: Vec<&'static str>,
         /// Strategy row labels, in cell order.
@@ -548,12 +548,12 @@ fn matrix_run(
         .tcp(2)
         .build();
     d.run_secs(duration_secs);
-    let victims = [d.sessions[1].receivers[0], d.tcp[0].sink, d.tcp[1].sink];
+    let victims = [d.sessions[1].receivers[0], d.tcp[0], d.tcp[1]];
     measure(&d, onset_secs, duration_secs, &victims)
 }
 
 /// The registered `matrix_robustness` experiment: sweep every
-/// [`MATRIX_STRATEGIES`] strategy against every [`Variant::DEFENSES`]
+/// `MATRIX_STRATEGIES` strategy against every [`Variant::DEFENSES`]
 /// defense, with one honest-baseline run per defense for the damage
 /// metrics.
 pub fn robustness_matrix(duration_secs: u64, onset_secs: u64, seed: u64) -> MatrixResult {
@@ -619,7 +619,7 @@ pub fn robustness_matrix(duration_secs: u64, onset_secs: u64, seed: u64) -> Matr
 
 /// Mean dwell time of the churn receivers, seconds (exponentially
 /// distributed around this).
-pub const CHURN_DWELL_SECS: u64 = 15;
+pub(crate) const CHURN_DWELL_SECS: u64 = 15;
 
 /// Standing (non-churn) receivers of a churn run: the attacker and the
 /// permanent honest receiver.
@@ -627,64 +627,64 @@ const CHURN_STANDING: u64 = 2;
 
 /// The default churn-rate sweep, arrivals/second (`Params::churn_rate`
 /// overrides it with a single point).
-pub const CHURN_RATES: &[f64] = &[0.0, 0.5, 2.0];
+pub(crate) const CHURN_RATES: &[f64] = &[0.0, 0.5, 2.0];
 
 /// The default flash-crowd multiplier applied at the top churn point
 /// (`Params::flash_factor` overrides it).
-pub const CHURN_FLASH_FACTOR: f64 = 10.0;
+pub(crate) const CHURN_FLASH_FACTOR: f64 = 10.0;
 
 record! {
     /// One cell of the churn sweep: one defense under the inflate attacker
     /// at one churn rate.
     #[derive(Clone, Debug)]
-    pub struct ChurnCell {
+    pub(crate) struct ChurnCell {
         /// Defense label (`Variant::label`).
-        pub defense: &'static str,
+        pub(crate) defense: &'static str,
         /// Poisson arrival rate of the churn receivers, per second.
-        pub churn_rate: f64,
+        pub(crate) churn_rate: f64,
         /// Whether a flash crowd hit at the attack onset.
-        pub flash: bool,
+        pub(crate) flash: bool,
         /// Churn receivers the workload generated (joins over the run).
-        pub churn_receivers: u64,
+        pub(crate) churn_receivers: u64,
         /// Attacker goodput over the post-onset window, bit/s.
-        pub attacker_bps: f64,
+        pub(crate) attacker_bps: f64,
         /// Permanent honest receiver's goodput under attack, bit/s.
-        pub honest_bps: f64,
+        pub(crate) honest_bps: f64,
         /// Same receiver's goodput in the attack-free run at the same churn.
-        pub baseline_honest_bps: f64,
+        pub(crate) baseline_honest_bps: f64,
         /// Damage/containment metrics relative to that baseline.
         @splice pub damage: Damage,
         /// Keys the edge router rejected (0 when unprotected).
-        pub rejected_keys: u64,
+        pub(crate) rejected_keys: u64,
         /// Guard rejections of keys the plain table would have accepted —
         /// honest collateral of the collusion guard under churn.
-        pub guard_false_positives: u64,
+        pub(crate) guard_false_positives: u64,
         /// Key tuples installed at the edge — the per-join control-plane
         /// load the churn generates.
-        pub tuples_installed: u64,
+        pub(crate) tuples_installed: u64,
         /// Session-join messages the edge processed.
-        pub session_joins: u64,
+        pub(crate) session_joins: u64,
     }
 }
 
 record! {
     /// The full churn sweep.
     #[derive(Clone, Debug)]
-    pub struct ChurnResult {
+    pub(crate) struct ChurnResult {
         /// Attack onset, seconds.
-        pub onset_secs: u64,
+        pub(crate) onset_secs: u64,
         /// Run duration, seconds.
-        pub duration_secs: u64,
+        pub(crate) duration_secs: u64,
         /// Mean churn dwell time, seconds.
-        pub mean_dwell_secs: u64,
+        pub(crate) mean_dwell_secs: u64,
         /// Flash-crowd multiplier used at the top churn point.
-        pub flash_factor: f64,
+        pub(crate) flash_factor: f64,
         /// Defense column labels, in cell order.
-        pub defenses: Vec<&'static str>,
+        pub(crate) defenses: Vec<&'static str>,
         /// Churn-rate row labels, in cell order.
-        pub churn_rates: Vec<f64>,
+        pub(crate) churn_rates: Vec<f64>,
         /// Cells, defense-major then churn rate.
-        pub cells: Vec<ChurnCell>,
+        pub(crate) cells: Vec<ChurnCell>,
     }
 }
 
@@ -857,45 +857,45 @@ record! {
     /// One row of the `tree_placement` experiment: one defense variant versus
     /// the inflate attacker attached at one depth of the tree.
     #[derive(Clone, Debug)]
-    pub struct TreePlacementRow {
+    pub(crate) struct TreePlacementRow {
         /// Defense label (`Variant::label`).
-        pub defense: &'static str,
+        pub(crate) defense: &'static str,
         /// Depth of the attacker's attachment router (tree depth = a leaf).
-        pub attacker_depth: u32,
+        pub(crate) attacker_depth: u32,
         /// Attacker goodput over the post-onset window, bit/s.
-        pub attacker_bps: f64,
+        pub(crate) attacker_bps: f64,
         /// The same receiver's goodput when behaving honestly, bit/s.
-        pub attacker_baseline_bps: f64,
+        pub(crate) attacker_baseline_bps: f64,
         /// Mean honest-leaf goodput under attack, bit/s.
-        pub honest_mean_bps: f64,
+        pub(crate) honest_mean_bps: f64,
         /// Mean honest-leaf goodput in the attack-free baseline, bit/s.
-        pub baseline_mean_bps: f64,
+        pub(crate) baseline_mean_bps: f64,
         /// Mean honest loss across every leaf, percent of baseline.
-        pub honest_loss_pct: f64,
+        pub(crate) honest_loss_pct: f64,
         /// Mean loss of the leaves sharing the attacker's depth-1 subtree.
-        pub subtree_loss_pct: f64,
+        pub(crate) subtree_loss_pct: f64,
         /// Mean loss of the leaves outside that subtree (collateral beyond
         /// the attacker's branch — near zero when damage is local).
-        pub outside_loss_pct: f64,
+        pub(crate) outside_loss_pct: f64,
         /// Guessed keys the edge routers rejected (0 when unprotected).
-        pub rejected_keys: u64,
+        pub(crate) rejected_keys: u64,
     }
 }
 
 record! {
     /// The full `tree_placement` result.
     #[derive(Clone, Debug)]
-    pub struct TreePlacementResult {
+    pub(crate) struct TreePlacementResult {
         /// Tree depth (levels below the root).
-        pub depth: u32,
+        pub(crate) depth: u32,
         /// Children per interior router.
-        pub fanout: u32,
+        pub(crate) fanout: u32,
         /// Attack onset, seconds.
-        pub onset_secs: u64,
+        pub(crate) onset_secs: u64,
         /// Run duration, seconds.
-        pub duration_secs: u64,
+        pub(crate) duration_secs: u64,
         /// Rows, defense-major then attacker depth `1..=depth`.
-        pub rows: Vec<TreePlacementRow>,
+        pub(crate) rows: Vec<TreePlacementRow>,
     }
 }
 
@@ -996,52 +996,52 @@ pub(crate) fn tree_placement(
 record! {
     /// Per-hop measurements of the `parking_lot_fairness` experiment.
     #[derive(Clone, Debug)]
-    pub struct ParkingLotHop {
+    pub(crate) struct ParkingLotHop {
         /// 1-based hop index: the honest receiver behind this many
         /// bottlenecks.
-        pub hop: u32,
+        pub(crate) hop: u32,
         /// Its goodput under attack, bit/s.
-        pub honest_bps: f64,
+        pub(crate) honest_bps: f64,
         /// Its goodput in the attack-free baseline, bit/s.
-        pub baseline_bps: f64,
+        pub(crate) baseline_bps: f64,
         /// Goodput loss, percent of baseline.
-        pub honest_loss_pct: f64,
+        pub(crate) honest_loss_pct: f64,
         /// The hop's local cross-traffic CBR goodput under attack, bit/s.
-        pub cbr_bps: f64,
+        pub(crate) cbr_bps: f64,
         /// The same CBR's goodput in the baseline, bit/s.
-        pub cbr_baseline_bps: f64,
+        pub(crate) cbr_baseline_bps: f64,
     }
 }
 
 record! {
     /// One defense variant's share breakdown.
     #[derive(Clone, Debug)]
-    pub struct ParkingLotVariantRows {
+    pub(crate) struct ParkingLotVariantRows {
         /// Variant label (`Variant::label`).
-        pub variant: &'static str,
+        pub(crate) variant: &'static str,
         /// Attacker goodput over the post-onset window, bit/s.
-        pub attacker_bps: f64,
+        pub(crate) attacker_bps: f64,
         /// The same receiver's honest-baseline goodput, bit/s.
-        pub attacker_baseline_bps: f64,
+        pub(crate) attacker_baseline_bps: f64,
         /// Per-hop honest and cross-traffic shares.
-        pub hops: Vec<ParkingLotHop>,
+        pub(crate) hops: Vec<ParkingLotHop>,
     }
 }
 
 record! {
     /// The full `parking_lot_fairness` result.
     #[derive(Clone, Debug)]
-    pub struct ParkingLotResult {
+    pub(crate) struct ParkingLotResult {
         /// Number of chained bottlenecks.
-        pub bottlenecks: usize,
+        pub(crate) bottlenecks: usize,
         /// Per-hop cross-traffic CBR rate, bit/s.
-        pub per_hop_cbr_bps: u64,
+        pub(crate) per_hop_cbr_bps: u64,
         /// Attack onset, seconds.
-        pub onset_secs: u64,
+        pub(crate) onset_secs: u64,
         /// Run duration, seconds.
-        pub duration_secs: u64,
+        pub(crate) duration_secs: u64,
         /// One entry per [`Variant::BOTH`] variant, DL first.
-        pub variants: Vec<ParkingLotVariantRows>,
+        pub(crate) variants: Vec<ParkingLotVariantRows>,
     }
 }
 
@@ -1136,16 +1136,16 @@ pub(crate) fn parking_lot_fairness(
 record! {
     /// One row of the FEC-repetition ablation.
     #[derive(Clone, Debug)]
-    pub struct FecAblationRow {
+    pub(crate) struct FecAblationRow {
         /// Repetition factor `z`.
-        pub repeat: u32,
+        pub(crate) repeat: u32,
         /// Loss probability applied to special packets.
-        pub loss: f64,
+        pub(crate) loss: f64,
         /// Fraction of slots whose key tuples failed to reach the router
         /// completely.
-        pub slot_miss_rate: f64,
+        pub(crate) slot_miss_rate: f64,
         /// Bit-expansion factor actually paid.
-        pub expansion: f64,
+        pub(crate) expansion: f64,
     }
 }
 
@@ -1212,16 +1212,16 @@ pub(crate) fn fec_ablation(
 record! {
     /// One row of the slot-duration ablation.
     #[derive(Clone, Debug)]
-    pub struct SlotAblationRow {
+    pub(crate) struct SlotAblationRow {
         /// Slot duration in milliseconds.
-        pub slot_ms: u64,
+        pub(crate) slot_ms: u64,
         /// Steady-state receiver goodput on a 1 Mbps private bottleneck.
-        pub goodput_bps: f64,
+        pub(crate) goodput_bps: f64,
         /// Seconds from burst onset until throughput first halves
         /// (responsiveness; smaller is faster).
-        pub reaction_secs: f64,
+        pub(crate) reaction_secs: f64,
         /// Analytic SIGMA overhead at this slot duration.
-        pub sigma_overhead: f64,
+        pub(crate) sigma_overhead: f64,
     }
 }
 

@@ -35,7 +35,7 @@ record! {
 /// receiver, or a fair share when no baseline exists). `detection_secs`
 /// is the absolute detection time; `onset_secs` the attack onset
 /// (detection is reported relative to it, clamped at zero).
-pub fn damage(
+pub(crate) fn damage(
     baseline_honest_bps: f64,
     honest_bps: f64,
     attacker_bps: f64,

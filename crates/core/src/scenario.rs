@@ -6,7 +6,7 @@
 //! paper's evaluation topologies read like the prose that describes them:
 //!
 //! ```
-//! use mcc_core::scenario::{Scenario, Units, Variant};
+//! use mcc_core::{Scenario, Units, Variant};
 //!
 //! // Figures 1/7: two multicast + two TCP sessions on a 1 Mbps
 //! // bottleneck; the first multicast receiver inflates at t = 50 s.
@@ -69,7 +69,7 @@ impl Variant {
 
     /// The two paper variants, DL first — the order every side-by-side
     /// figure uses.
-    pub const BOTH: [Variant; 2] = [Variant::FlidDl, Variant::FlidDs];
+    pub(crate) const BOTH: [Variant; 2] = [Variant::FlidDl, Variant::FlidDs];
 
     /// The defense column set of the robustness matrix: unprotected
     /// FLID-DL, then every hardened variant.

@@ -47,7 +47,7 @@ pub(crate) const THRESHOLD_THETA: f64 = 0.25;
 /// The slot duration every protected session (and its SIGMA edge
 /// modules) runs at — the paper's 250 ms FLID-DS setting. Consumers
 /// converting router slot numbers to seconds must use this constant.
-pub const SIGMA_SLOT: SimDuration = SimDuration::from_millis(250);
+pub(crate) const SIGMA_SLOT: SimDuration = SimDuration::from_millis(250);
 
 /// Rate and flow-id base of the per-hop cross-traffic CBRs of
 /// [`Topology::ParkingLot`] (the spec-level [`CbrSpec`] keeps flow 200).
@@ -57,25 +57,25 @@ const PER_HOP_CBR_FLOW_BASE: u32 = 210;
 #[derive(Clone, Debug)]
 pub struct ReceiverSpec {
     /// When the receiver joins the session.
-    pub join_at: SimTime,
+    pub(crate) join_at: SimTime,
     /// When the receiver departs the session mid-run, dropping every
     /// layer and unsubscribing ([`SimTime::MAX`] = stays to the end —
     /// the historical static-membership behaviour).
-    pub leave_at: SimTime,
+    pub(crate) leave_at: SimTime,
     /// The adversary strategy the receiver runs
     /// ([`AttackPlan::honest`] for a well-behaved receiver). The plan's
     /// [`Placement`] selects the attachment point in multi-router
     /// topologies.
     pub adversary: AttackPlan,
     /// Propagation delay of the receiver's access link.
-    pub access_delay: SimDuration,
+    pub(crate) access_delay: SimDuration,
     /// Capacity of the receiver's access link, bit/s (paper default
     /// 10 Mbps; the workload engine draws heterogeneous rates here).
-    pub access_bps: u64,
+    pub(crate) access_bps: u64,
     /// Population multiplier: the one receiver agent built for this spec
     /// stands for `cohort` synchronized receivers behind one edge
     /// interface. The agent is the same for every `n`; the count is its
-    /// weight in [`SessionHandle::weights`], and count-weighted session
+    /// weight in `SessionHandle::weights`, and count-weighted session
     /// metrics read it from there.
     pub cohort: u64,
 }
@@ -117,15 +117,15 @@ impl McastSessionSpec {
 
 /// Optional on-off CBR background (Figures 8d/8e).
 #[derive(Clone, Debug)]
-pub struct CbrSpec {
+pub(crate) struct CbrSpec {
     /// Rate while on, bit/s.
-    pub rate_bps: u64,
+    pub(crate) rate_bps: u64,
     /// `(on, off)` periods; `None` = always on within the window.
-    pub on_off: Option<(SimDuration, SimDuration)>,
+    pub(crate) on_off: Option<(SimDuration, SimDuration)>,
     /// Window start.
-    pub start: SimTime,
+    pub(crate) start: SimTime,
     /// Window end.
-    pub stop: SimTime,
+    pub(crate) stop: SimTime,
 }
 
 /// Handles of one built multicast session.
@@ -142,15 +142,6 @@ pub struct SessionHandle {
     /// individual, `n` for a `cohort(n)` spec). Count-weighted session
     /// metrics divide by `weights.iter().sum()`, not `receivers.len()`.
     pub weights: Vec<u64>,
-}
-
-/// Handles of one TCP session.
-#[derive(Clone, Copy, Debug)]
-pub struct TcpHandle {
-    /// Reno sender agent.
-    pub sender: AgentId,
-    /// Sink agent (throughput is measured here).
-    pub sink: AgentId,
 }
 
 /// The shape of the core (router) graph.
@@ -203,40 +194,41 @@ impl Topology {
     }
 }
 
+/// Side-link propagation delay (sender side; receiver side comes from
+/// each [`ReceiverSpec`]).
+const SIDE_DELAY: SimDuration = SimDuration::from_millis(10);
+/// Round-trip used to size buffers (buffer = 2 × rate × rtt).
+const BUFFER_RTT: SimDuration = SimDuration::from_millis(80);
+/// Monitor bin width.
+const MONITOR_BIN: SimDuration = SimDuration::from_secs(1);
+
 /// The whole scenario: a [`Topology`] plus link parameters and the
 /// session population.
 #[derive(Clone, Debug)]
 pub struct TopologySpec {
     /// The core graph shape.
-    pub topology: Topology,
+    pub(crate) topology: Topology,
     /// Scenario seed (fully determines the run).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Capacity of every bottleneck-class link, bit/s.
-    pub bottleneck_bps: u64,
+    pub(crate) bottleneck_bps: u64,
     /// Propagation delay of every bottleneck-class link.
-    pub bottleneck_delay: SimDuration,
-    /// Side-link propagation delay (sender side; receiver side comes from
-    /// each [`ReceiverSpec`]).
-    pub side_delay: SimDuration,
-    /// Round-trip used to size buffers (buffer = 2 × rate × rtt).
-    pub buffer_rtt: SimDuration,
+    pub(crate) bottleneck_delay: SimDuration,
     /// Multicast sessions.
     pub mcast: Vec<McastSessionSpec>,
     /// Number of TCP Reno sessions.
     pub tcp: usize,
     /// Optional CBR background (source at the ingress, sink behind the
     /// first attachment point).
-    pub cbr: Option<CbrSpec>,
+    pub(crate) cbr: Option<CbrSpec>,
     /// Additional CBR backgrounds (the workload engine's background
     /// mix); each gets its own source/sink pair and flow id `201 + i`.
-    pub extra_cbr: Vec<CbrSpec>,
+    pub(crate) extra_cbr: Vec<CbrSpec>,
     /// Event-driven membership workload: expanded into concrete
     /// [`ReceiverSpec`]s / background traffic by [`TopologySpec::build`]
     /// before anything is constructed, so the expansion is a pure
     /// function of `(seed, spec)`. `None` = the static population above.
     pub workload: Option<crate::workload::WorkloadSpec>,
-    /// Monitor bin width.
-    pub monitor_bin: SimDuration,
 }
 
 impl TopologySpec {
@@ -248,14 +240,11 @@ impl TopologySpec {
             seed,
             bottleneck_bps,
             bottleneck_delay: SimDuration::from_millis(20),
-            side_delay: SimDuration::from_millis(10),
-            buffer_rtt: SimDuration::from_millis(80),
             mcast: Vec::new(),
             tcp: 0,
             cbr: None,
             extra_cbr: Vec::new(),
             workload: None,
-            monitor_bin: SimDuration::from_secs(1),
         }
     }
 }
@@ -332,17 +321,13 @@ pub struct BuiltTopology {
     pub attach: Vec<NodeId>,
     /// Routers that host receiver access links — where SIGMA modules are
     /// installed when a protected session exists, in first-use order.
-    pub edges: Vec<NodeId>,
+    pub(crate) edges: Vec<NodeId>,
     /// Forward-direction bottleneck links.
     pub bottlenecks: Vec<LinkId>,
     /// Multicast sessions.
     pub sessions: Vec<SessionHandle>,
-    /// Per session, per receiver: the router its access link hangs off.
-    pub receiver_routers: Vec<Vec<NodeId>>,
-    /// TCP sessions.
-    pub tcp: Vec<TcpHandle>,
-    /// Sink of the spec-level [`CbrSpec`] background, when requested.
-    pub cbr_sink: Option<AgentId>,
+    /// The sink of each TCP session (throughput is measured there).
+    pub tcp: Vec<AgentId>,
     /// One cross-traffic sink per parking-lot hop, in hop order (empty
     /// unless [`Topology::ParkingLot`] set `per_hop_cbr`).
     pub hop_cbr_sinks: Vec<AgentId>,
@@ -420,10 +405,10 @@ impl TopologySpec {
             w.apply(&mut spec);
         }
         let spec = spec;
-        let mut sim = Sim::new(spec.seed, spec.monitor_bin);
+        let mut sim = Sim::new(spec.seed, MONITOR_BIN);
         let bottleneck_buffer =
-            (2.0 * spec.bottleneck_bps as f64 * spec.buffer_rtt.as_secs_f64() / 8.0) as u64;
-        let side_buffer = (2.0 * 10_000_000.0 * spec.buffer_rtt.as_secs_f64() / 8.0) as u64;
+            (2.0 * spec.bottleneck_bps as f64 * BUFFER_RTT.as_secs_f64() / 8.0) as u64;
+        let side_buffer = (2.0 * 10_000_000.0 * BUFFER_RTT.as_secs_f64() / 8.0) as u64;
 
         let bottleneck_link = |sim: &mut Sim, from: NodeId, to: NodeId| {
             let (fwd, _) = sim.add_duplex_link(
@@ -505,7 +490,7 @@ impl TopologySpec {
                 h,
                 core.ingress,
                 10_000_000,
-                spec.side_delay,
+                SIDE_DELAY,
                 Queue::drop_tail(side_buffer),
                 Queue::drop_tail(side_buffer),
             );
@@ -630,7 +615,7 @@ impl TopologySpec {
                 // own rate, with its buffer sized to that rate (the
                 // default 10 Mbps reproduces the historical side buffer).
                 let access_buffer =
-                    (2.0 * r.access_bps as f64 * spec.buffer_rtt.as_secs_f64() / 8.0) as u64;
+                    (2.0 * r.access_bps as f64 * BUFFER_RTT.as_secs_f64() / 8.0) as u64;
                 sim.add_duplex_link(
                     edge,
                     h,
@@ -659,22 +644,21 @@ impl TopologySpec {
                 core.attach[j % core.attach.len()],
                 rh,
                 10_000_000,
-                spec.side_delay,
+                SIDE_DELAY,
                 Queue::drop_tail(side_buffer),
                 Queue::drop_tail(side_buffer),
             );
             let sink = sim.add_agent(rh, Box::new(TcpSink::default()), SimTime::ZERO);
             let cfg = RenoConfig::bulk(sink, FlowId(100 + j as u32));
-            let sender = sim.add_agent(
+            sim.add_agent(
                 sh,
                 Box::new(RenoSender::new(cfg)),
                 // Staggered starts desynchronize the flows.
                 SimTime::from_millis(37 * j as u64 + 11),
             );
-            tcp.push(TcpHandle { sender, sink });
+            tcp.push(sink);
         }
 
-        let mut cbr_sink = None;
         if let Some(c) = &spec.cbr {
             let sh = add_sender_host(&mut sim);
             let rh = sim.add_node();
@@ -682,7 +666,7 @@ impl TopologySpec {
                 core.attach[0],
                 rh,
                 10_000_000,
-                spec.side_delay,
+                SIDE_DELAY,
                 Queue::drop_tail(side_buffer),
                 Queue::drop_tail(side_buffer),
             );
@@ -697,7 +681,6 @@ impl TopologySpec {
                 on_off: c.on_off,
             };
             sim.add_agent(sh, Box::new(CbrSource::new(cfg)), SimTime::ZERO);
-            cbr_sink = Some(sink);
         }
 
         // The workload engine's background mix: one source/sink pair per
@@ -709,7 +692,7 @@ impl TopologySpec {
                 core.attach[i % core.attach.len()],
                 rh,
                 10_000_000,
-                spec.side_delay,
+                SIDE_DELAY,
                 Queue::drop_tail(side_buffer),
                 Queue::drop_tail(side_buffer),
             );
@@ -740,7 +723,7 @@ impl TopologySpec {
                     sh,
                     w[0],
                     10_000_000,
-                    spec.side_delay,
+                    SIDE_DELAY,
                     Queue::drop_tail(side_buffer),
                     Queue::drop_tail(side_buffer),
                 );
@@ -749,7 +732,7 @@ impl TopologySpec {
                     w[1],
                     rh,
                     10_000_000,
-                    spec.side_delay,
+                    SIDE_DELAY,
                     Queue::drop_tail(side_buffer),
                     Queue::drop_tail(side_buffer),
                 );
@@ -775,9 +758,7 @@ impl TopologySpec {
             edges,
             bottlenecks: core.bottlenecks,
             sessions,
-            receiver_routers,
             tcp,
-            cbr_sink,
             hop_cbr_sinks,
         }
     }
@@ -827,7 +808,7 @@ impl BuiltTopology {
     /// A FLID receiver agent together with its weight (panics for an
     /// agent that is not a session's FLID receiver). Kept for the
     /// benchmark's population census only; the workspace reads weights
-    /// from [`SessionHandle::weights`].
+    /// from `SessionHandle::weights`.
     pub fn cohort(&self, id: AgentId) -> CohortView<'_> {
         let weight = self
             .sessions
@@ -845,7 +826,7 @@ impl BuiltTopology {
 
     /// Count-weighted mean per-receiver throughput of a session over
     /// `[from, to)` seconds: Σ wᵢ · throughput(idᵢ) / Σ wᵢ, with the
-    /// weights of [`SessionHandle::weights`] — the mean over the expanded
+    /// weights of `SessionHandle::weights` — the mean over the expanded
     /// individual population, as every member of a cohort receives its
     /// agent's bytes.
     pub fn session_mean_receiver_bps(&self, session: &SessionHandle, from: u64, to: u64) -> f64 {
@@ -867,6 +848,24 @@ impl BuiltTopology {
 mod tests {
     use super::*;
     use crate::scenario::Units;
+
+    /// Per receiver of `session`: the router its access link hangs off,
+    /// the first hop of its host's route to the session's sender.
+    fn receiver_routers(t: &BuiltTopology, session: usize) -> Vec<NodeId> {
+        let world = &t.sim.world;
+        let s = &t.sessions[session];
+        let sender = world.agent_nodes[s.sender.index()];
+        s.receivers
+            .iter()
+            .map(|r| {
+                let host = world.agent_nodes[r.index()];
+                let access = world.nodes[host.index()]
+                    .route_to(sender)
+                    .expect("a receiver routes to its sender");
+                world.links[access.index()].to
+            })
+            .collect()
+    }
 
     fn tree_spec(depth: u32, fanout: u32, receivers: usize) -> TopologySpec {
         let mut spec = TopologySpec::new(Topology::BalancedTree { depth, fanout }, 1, 500.kbps());
@@ -918,8 +917,13 @@ mod tests {
         let mut d = spec.build();
         d.run_secs(20);
         let mc = d.throughput_bps(d.sessions[0].receivers[0], 5, 20);
-        let tcp = d.throughput_bps(d.tcp[0].sink, 5, 20);
-        let cbr = d.throughput_bps(d.cbr_sink.unwrap(), 5, 20);
+        let tcp = d.throughput_bps(d.tcp[0], 5, 20);
+        // The spec-level CBR's sink is the world's one counting sink.
+        let cbr_sink = (0..d.sim.world.agent_nodes.len() as u32)
+            .map(AgentId)
+            .find(|&a| d.sim.agent_as::<CountingSink>(a).is_some())
+            .expect("the spec's CBR sink");
+        let cbr = d.throughput_bps(cbr_sink, 5, 20);
         assert!(mc > 50_000.0, "multicast {mc}");
         assert!(tcp > 50_000.0, "tcp {tcp}");
         assert!((cbr - 100_000.0).abs() < 15_000.0, "cbr {cbr}");
@@ -941,7 +945,7 @@ mod tests {
         assert_eq!(t.attach.len(), 4);
         assert_eq!(t.attach, t.routers[3..].to_vec());
         // Auto receivers tile the leaves one each.
-        assert_eq!(t.receiver_routers[0], t.attach);
+        assert_eq!(receiver_routers(&t, 0), t.attach);
         // Every leaf edge router got a SIGMA module (protected session).
         assert_eq!(t.edges, t.attach);
         assert_eq!(t.sigmas().count(), 4);
@@ -1093,7 +1097,7 @@ mod tests {
         );
         let t = spec.build();
         // Leaf 3 is routers[6]; its depth-1 ancestor is routers[2].
-        assert_eq!(t.receiver_routers[0][2], t.routers[2]);
+        assert_eq!(receiver_routers(&t, 0)[2], t.routers[2]);
         // The interior router is now an edge (SIGMA installed there too).
         assert!(t.edges.contains(&t.routers[2]));
     }
@@ -1129,7 +1133,7 @@ mod tests {
         assert_eq!(t.routers.len(), 4);
         assert_eq!(t.attach.len(), 3);
         assert_eq!(
-            t.receiver_routers[0],
+            receiver_routers(&t, 0),
             vec![
                 t.attach[0],
                 t.attach[1],

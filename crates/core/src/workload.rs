@@ -15,7 +15,7 @@
 //! arrival up front from a [`DetRng`] derived from the scenario seed
 //! (one forked stream per component, so adding a flash crowd does not
 //! perturb the Poisson stream) and expands them into ordinary
-//! [`ReceiverSpec`]s / [`CbrSpec`]s / TCP counts on the
+//! [`ReceiverSpec`]s / `CbrSpec`s / TCP counts on the
 //! [`TopologySpec`]. Joins and departures then run as ordinary
 //! deterministic sim events (agent start times and FLID `DEPART`
 //! timers), so workload runs are byte-identical across
@@ -47,7 +47,7 @@ pub(crate) const MAX_ARRIVALS: usize = 100_000;
 
 /// The receiver arrival process.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Arrivals {
+pub(crate) enum Arrivals {
     /// No churn (the static population only).
     Off,
     /// Poisson arrivals at `rate_hz` per second with exponentially
@@ -105,22 +105,22 @@ pub struct BackgroundCbr {
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadSpec {
     /// Arrivals are generated on `[0, horizon)`.
-    pub horizon: SimDuration,
+    pub(crate) horizon: SimDuration,
     /// The churn process.
-    pub arrivals: Arrivals,
+    pub(crate) arrivals: Arrivals,
     /// Optional flash crowd on top of the churn.
-    pub flash: Option<FlashCrowd>,
+    pub(crate) flash: Option<FlashCrowd>,
     /// Access-link capacity per churn receiver, bit/s.
-    pub access_bps: Dist,
+    pub(crate) access_bps: Dist,
     /// Access-link one-way delay per churn receiver, milliseconds.
     pub access_delay_ms: Dist,
     /// Receivers represented by each arrival (1 = an individual agent;
     /// `n > 1` = a cohort of n synchronized receivers — the scale knob).
-    pub cohort: u64,
+    pub(crate) cohort: u64,
     /// Extra TCP Reno cross-traffic sessions.
-    pub extra_tcp: usize,
+    pub(crate) extra_tcp: usize,
     /// Background CBR mix.
-    pub background: Option<BackgroundCbr>,
+    pub(crate) background: Option<BackgroundCbr>,
 }
 
 impl WorkloadSpec {

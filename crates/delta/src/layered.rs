@@ -156,17 +156,17 @@ impl ComponentStream {
 #[derive(Clone, Debug, Default)]
 pub struct GroupObservation {
     /// XOR of the received component fields.
-    pub xor: Key,
+    pub(crate) xor: Key,
     /// Packets received.
-    pub received: u32,
+    pub(crate) received: u32,
     /// Whether the final packet (with the closing component) arrived.
-    pub saw_last: bool,
+    pub(crate) saw_last: bool,
     /// Total packets the group transmitted (learned from the final packet).
-    pub expected: u32,
+    pub(crate) expected: u32,
     /// A decrease field seen on this group's packets, if any.
     pub decrease_field: Option<Key>,
     /// Whether any packet of the group arrived at all.
-    pub any: bool,
+    pub(crate) any: bool,
 }
 
 impl GroupObservation {
@@ -194,7 +194,7 @@ impl GroupObservation {
 #[derive(Clone, Debug)]
 pub struct SlotObservation {
     /// The slot being observed.
-    pub slot: u64,
+    pub(crate) slot: u64,
     /// Observation per group (index `g-1`).
     pub groups: Vec<GroupObservation>,
     /// Upgrade authorizations latched from packet headers.

@@ -15,28 +15,29 @@
 //!
 //! Instantiations provided, mirroring the paper's coverage:
 //!
-//! * [`layered`] — cumulative layered multicast with congestion = one loss
+//! * `layered` — cumulative layered multicast with congestion = one loss
 //!   (FLID-DL, RLC; paper Figure 4),
-//! * [`replicated`] — replicated multicast (destination-set grouping;
+//! * `replicated` — replicated multicast (destination-set grouping;
 //!   paper Figure 5),
 //! * [`threshold`] — loss-rate-threshold protocols (RLM/MLDA/WEBRC) via
 //!   Shamir's `(k, n)` secret sharing over GF(65521) (paper §3.1.2),
 //! * [`ecn`] — the explicit-congestion-notification adaptation (routers
 //!   scramble the component field of marked packets),
-//! * [`naive`] — the paper's single-key straw man, implemented so its
-//!   insecurity is demonstrated by an executable test,
+//! * `naive` (test-only) — the paper's single-key straw man, implemented
+//!   so its insecurity is demonstrated by an executable test,
 //! * [`overhead`] — the closed-form overhead model behind Figure 9.
 //!
 //! This crate is pure algorithm — no networking. `mcc-flid` wires it into
 //! packets, and `mcc-sigma` checks the resulting keys at edge routers.
 
 pub mod ecn;
-pub mod fields;
-pub mod key;
-pub mod layered;
-pub mod naive;
+pub(crate) mod fields;
+pub(crate) mod key;
+pub(crate) mod layered;
+#[cfg(test)]
+mod naive;
 pub mod overhead;
-pub mod replicated;
+pub(crate) mod replicated;
 pub mod threshold;
 
 pub use fields::{DeltaFields, UpgradeMask};

@@ -19,14 +19,14 @@ use mcc_simcore::DetRng;
 /// The insecure design: one key per group, `k_g = ⊕` of all components of
 /// groups `1..=g`, with decrease handled by handing `k_{g-1}` out directly.
 #[derive(Clone, Debug)]
-pub struct NaiveSingleKeyScheme {
+pub(crate) struct NaiveSingleKeyScheme {
     /// Per-group component lists for the slot (index `g-1`).
-    pub components: Vec<Vec<Key>>,
+    pub(crate) components: Vec<Vec<Key>>,
 }
 
 impl NaiveSingleKeyScheme {
     /// Generate components for `n` groups sending `counts[g-1]` packets.
-    pub fn generate(rng: &mut DetRng, counts: &[u32]) -> Self {
+    pub(crate) fn generate(rng: &mut DetRng, counts: &[u32]) -> Self {
         let components = counts
             .iter()
             .map(|&c| (0..c).map(|_| Key::nonce(rng)).collect())
@@ -35,7 +35,7 @@ impl NaiveSingleKeyScheme {
     }
 
     /// The single key for group `g`: XOR of all components of groups 1..=g.
-    pub fn key(&self, g: u32) -> Key {
+    pub(crate) fn key(&self, g: u32) -> Key {
         xor_all(
             self.components
                 .iter()
@@ -45,7 +45,7 @@ impl NaiveSingleKeyScheme {
     }
 
     /// What the decrease rule must hand a congested receiver of `g` groups.
-    pub fn decrease_handout(&self, g: u32) -> Key {
+    pub(crate) fn decrease_handout(&self, g: u32) -> Key {
         assert!(g >= 2);
         self.key(g - 1)
     }
@@ -55,7 +55,7 @@ impl NaiveSingleKeyScheme {
 /// `1..g`** (group `g` itself clean) combines the handed-out `k_{g-1}` with
 /// the group-`g` components it received and obtains `k_g` — a key it is not
 /// eligible for. Works because XOR is invertible: `k_g = k_{g-1} ⊕ C_g`.
-pub fn forge_top_key(handout_k_prev: Key, received_group_g: &[Key]) -> Key {
+pub(crate) fn forge_top_key(handout_k_prev: Key, received_group_g: &[Key]) -> Key {
     handout_k_prev ^ xor_all(received_group_g.iter().copied())
 }
 

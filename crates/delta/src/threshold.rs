@@ -15,10 +15,10 @@
 use mcc_simcore::DetRng;
 
 /// The prime modulus: largest prime < 2^16.
-pub const P: u32 = 65521;
+pub(crate) const P: u32 = 65521;
 
 /// Field element arithmetic over GF(P).
-pub mod field {
+pub(crate) mod field {
     use super::P;
 
     /// Addition mod P.
@@ -126,8 +126,6 @@ pub fn threshold_k(n: u32, theta: f64) -> u32 {
 pub struct ThresholdLevelKeys {
     /// The level key `γ` (a field element; 16-bit scale as in the paper).
     pub secret: u32,
-    /// Reconstruction threshold `k`.
-    pub k: u32,
     /// One share per packet of the level, in transmission order.
     pub shares: Vec<Share>,
 }
@@ -139,7 +137,7 @@ impl ThresholdLevelKeys {
         let secret = rng.below(P as u64) as u32;
         let k = threshold_k(n, theta);
         let shares = split(secret, k, n, rng);
-        ThresholdLevelKeys { secret, k, shares }
+        ThresholdLevelKeys { secret, shares }
     }
 }
 
@@ -215,9 +213,9 @@ mod tests {
     fn schedule_respects_threshold_semantics() {
         let mut r = rng();
         let lvl = ThresholdLevelKeys::generate(20, 0.25, &mut r);
-        assert_eq!(lvl.k, 15);
         assert_eq!(lvl.shares.len(), 20);
-        // A receiver losing exactly 25 % (5 packets) still reconstructs.
+        // The threshold is k = 15: a receiver losing exactly 25 %
+        // (5 packets) still reconstructs.
         assert_eq!(reconstruct(&lvl.shares[0..15]), lvl.secret);
         // A receiver losing 30 % cannot.
         assert_ne!(reconstruct(&lvl.shares[0..14]), lvl.secret);

@@ -10,21 +10,21 @@
 //! them (paper §5).
 //!
 //! * [`config::FlidConfig`] — session parameters (paper §5.1 defaults),
-//! * [`sender::Sender`] — the one sender shell: slot timing, pacing, DELTA
+//! * `sender::Sender` — the one sender shell: slot timing, pacing, DELTA
 //!   fields, SIGMA key announcements and the overhead counters for
-//!   Figure 9, generic over a [`sender::KeyRule`] (the session structure's
+//!   Figure 9, generic over a `sender::KeyRule` (the session structure's
 //!   rates and keys); [`FlidSender`] is the cumulative-layer instantiation,
 //! * [`receiver::Receiver`] — the one receiver shell: lifecycle, SIGMA
 //!   control plane, membership ledger and [`mcc_attack`] dispatch and
 //!   execution, generic over a [`receiver::Policy`] (the session
 //!   structure's subscription rule),
-//! * [`layered`] — the cumulative policy; [`FlidReceiver`] is its
+//! * `layered` — the cumulative policy; [`FlidReceiver`] is its
 //!   instantiation (misbehaviour is an [`mcc_attack::AttackPlan`] handed
 //!   to `with_adversary`),
-//! * [`replicated`] — the single-group policy over a decoder, and a
+//! * `replicated` — the single-group policy over a decoder, and a
 //!   replicated multicast protocol protected by the Figure-5 DELTA
 //!   instantiation: [`ReplicatedSender`] and [`ReplicatedReceiver`],
-//! * [`threshold_proto`] — an RLM-style loss-threshold protocol protected
+//! * `threshold_proto` — an RLM-style loss-threshold protocol protected
 //!   by Shamir-share key distribution (§3.1.2): [`ThresholdSender`] and
 //!   [`ThresholdReceiver`].
 //!
@@ -35,18 +35,18 @@
 //! FLID-DL's *dynamic layering* is modelled as static layers with no IGMP
 //! leave latency; `DESIGN.md` documents the substitution.
 
-pub mod config;
-pub mod layered;
+pub(crate) mod config;
+pub(crate) mod layered;
 pub mod receiver;
-pub mod replicated;
-pub mod sender;
-pub mod threshold_proto;
+pub(crate) mod replicated;
+pub(crate) mod sender;
+pub(crate) mod threshold_proto;
 
 pub use config::FlidConfig;
 pub use layered::FlidReceiver;
 pub use receiver::ReceiverStats;
 pub use replicated::{ReplicatedReceiver, ReplicatedSender};
-pub use sender::{FlidSender, OverheadCounters};
+pub use sender::FlidSender;
 pub use threshold_proto::{ThresholdReceiver, ThresholdSender};
 
 /// Test scaffolding shared by this crate's unit tests: the paper's
@@ -61,13 +61,13 @@ pub(crate) mod testrig {
     use mcc_simcore::{SimDuration, SimTime};
 
     pub(crate) struct Rig {
-        pub sim: Sim,
-        pub cfg: FlidConfig,
+        pub(crate) sim: Sim,
+        pub(crate) cfg: FlidConfig,
         source: NodeId,
         /// The edge router `B` (SIGMA installed when `cfg.protected`).
-        pub edge: NodeId,
+        pub(crate) edge: NodeId,
         /// The bottleneck link `A → B`.
-        pub bottleneck: LinkId,
+        pub(crate) bottleneck: LinkId,
     }
 
     /// Paper-default session over groups `1..=n` (control group 0).

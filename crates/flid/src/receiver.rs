@@ -22,8 +22,8 @@
 //!   joins, counted into [`ReceiverStats`],
 //! * **trace events** — `Join`, `Leave`, `FlidLayer`.
 //!
-//! A [`Policy`] — [`crate::layered::Layered`] or
-//! [`crate::replicated::SingleGroup`] — supplies only what differs: how a
+//! A [`Policy`] — `crate::layered::Layered` or
+//! `crate::replicated::SingleGroup` — supplies only what differs: how a
 //! data packet is observed, whether and how a closed slot is judged, what
 //! "level" means, how [`AttackAction::Inflate`] and
 //! [`AttackAction::LeaveHigh`] move its claimed level, and what to tell
@@ -167,7 +167,7 @@ impl<T> SlotWindow<T> {
 #[derive(Debug)]
 pub struct Receiver<P> {
     /// Session configuration (must match the sender's).
-    pub cfg: FlidConfig,
+    pub(crate) cfg: FlidConfig,
     /// Counters.
     pub stats: ReceiverStats,
     /// The SIGMA edge router; `None` runs over classic IGMP.

@@ -26,8 +26,7 @@
 use crate::config::FlidConfig;
 use mcc_delta::{ComponentStream, DeltaFields, Key, LayeredKeySchedule, UpgradeMask};
 use mcc_netsim::prelude::*;
-use mcc_sigma::keytable::KeyTuple;
-use mcc_sigma::{build_announcement, layered_tuples, ProtectedData};
+use mcc_sigma::{build_announcement, layered_tuples, KeyTuple, ProtectedData};
 use mcc_simcore::{DetRng, SimDuration, SimTime};
 use std::collections::VecDeque;
 use std::fmt::Debug;
@@ -39,20 +38,20 @@ const EMIT: u64 = 1;
 #[derive(Clone, Debug, Default)]
 pub struct OverheadCounters {
     /// Data bits transmitted (wire size of data packets).
-    pub data_bits: u64,
+    pub(crate) data_bits: u64,
     /// DELTA field bits (b per component + b per decrease field).
-    pub delta_bits: u64,
+    pub(crate) delta_bits: u64,
     /// SIGMA pre-FEC information bits.
-    pub sigma_info_bits: u64,
+    pub(crate) sigma_info_bits: u64,
     /// SIGMA post-FEC payload bits.
-    pub sigma_coded_bits: u64,
+    pub(crate) sigma_coded_bits: u64,
     /// SIGMA special-packet header bits.
-    pub sigma_header_bits: u64,
+    pub(crate) sigma_header_bits: u64,
     /// Upgrade authorizations issued per group (index `g-1`; the paper's
     /// `f_g` is this divided by `slots`).
-    pub upgrades_per_group: Vec<u64>,
+    pub(crate) upgrades_per_group: Vec<u64>,
     /// Slots elapsed.
-    pub slots: u64,
+    pub(crate) slots: u64,
 }
 
 impl OverheadCounters {
@@ -106,15 +105,15 @@ impl OverheadCounters {
 #[derive(Clone, Copy, Debug)]
 pub struct Paced {
     /// Emission instant.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// 1-based group.
-    pub group: u32,
+    pub(crate) group: u32,
     /// Sequence number within the group's slot.
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// The group's closing packet of the slot.
-    pub last: bool,
+    pub(crate) last: bool,
     /// Packets the group sends this slot.
-    pub count: u32,
+    pub(crate) count: u32,
 }
 
 impl Paced {
@@ -281,7 +280,7 @@ enum Emission {
 #[derive(Debug)]
 pub struct Sender<K: KeyRule> {
     /// Session configuration.
-    pub cfg: FlidConfig,
+    pub(crate) cfg: FlidConfig,
     rule: K,
     /// Fractional packet credits per group (carries remainders across
     /// slots so long-run group rates are exact).

@@ -27,7 +27,7 @@ use mcc_attack::AttackPlan;
 use mcc_delta::threshold::{reconstruct, Share, ThresholdLevelKeys};
 use mcc_delta::{DeltaFields, Key, UpgradeMask};
 use mcc_netsim::prelude::*;
-use mcc_sigma::keytable::KeyTuple;
+use mcc_sigma::KeyTuple;
 use mcc_simcore::DetRng;
 
 /// Pack a Shamir share into a 64-bit component field.
@@ -56,7 +56,7 @@ pub struct GroupSlotKeys {
 #[derive(Debug)]
 pub struct Shares {
     /// Loss-rate threshold θ (RLM default 0.25).
-    pub theta: f64,
+    pub(crate) theta: f64,
 }
 
 impl KeyRule for Shares {
@@ -132,7 +132,7 @@ pub struct SharesSeen {
 #[derive(Clone, Debug)]
 pub struct Shamir {
     /// Loss threshold θ (must match the sender's).
-    pub theta: f64,
+    pub(crate) theta: f64,
     /// Slots where the key could not be reconstructed.
     pub key_failures: u64,
 }

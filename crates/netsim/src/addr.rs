@@ -8,14 +8,14 @@
 use std::fmt;
 
 macro_rules! id_type {
-    ($(#[$doc:meta])* $name:ident, $tag:literal) => {
+    ($(#[$doc:meta])* $vis:vis $name:ident, $tag:literal) => {
         $(#[$doc])*
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        pub struct $name(pub u32);
+        $vis struct $name($vis u32);
 
         impl $name {
             /// The dense index backing this identifier.
-            pub fn index(self) -> usize {
+            $vis fn index(self) -> usize {
                 self.0 as usize
             }
         }
@@ -36,23 +36,23 @@ macro_rules! id_type {
 
 id_type!(
     /// A router or host in the topology.
-    NodeId,
+    pub NodeId,
     "n"
 );
 id_type!(
     /// One *unidirectional* channel. Duplex links are created as a pair of
     /// `LinkId`s that reference each other (see `Link::reverse`).
-    LinkId,
+    pub LinkId,
     "l"
 );
 id_type!(
     /// A protocol endpoint attached to a node (sender, receiver, TCP agent…).
-    AgentId,
+    pub AgentId,
     "a"
 );
 id_type!(
     /// A traffic flow, used for per-flow accounting at monitors and queues.
-    FlowId,
+    pub FlowId,
     "f"
 );
 id_type!(
@@ -60,7 +60,7 @@ id_type!(
     /// the first time a [`GroupAddr`] is registered or joined. All per-node
     /// multicast state is indexed by `GroupIdx`, so the forwarding hot path
     /// never hashes a group address.
-    GroupIdx,
+    pub(crate) GroupIdx,
     "gi"
 );
 

@@ -4,10 +4,10 @@
 //! substitution table). It models exactly the network abstractions the
 //! paper's evaluation exercises:
 //!
-//! * point-to-point duplex [`link::Link`]s with a serialization rate,
+//! * point-to-point duplex `link::Link`s with a serialization rate,
 //!   propagation delay and a [`queue::Queue`] (drop-tail sized in bytes, or
 //!   RED with ECN marking for the paper's ECN instantiation of DELTA),
-//! * [`node::Node`]s that unicast-route by shortest delay and multicast
+//! * `node::Node`s that unicast-route by shortest delay and multicast
 //!   along source-rooted trees maintained with hop-by-hop grafts/prunes
 //!   (the IGMP model; a leave prunes at the instant it happens),
 //! * [`sim::Agent`]s — protocol endpoints (FLID senders and receivers, TCP
@@ -15,7 +15,7 @@
 //! * [`edge::EdgeModule`] hooks on edge routers — the *generic* router
 //!   support demanded by the paper's Requirement 3; SIGMA is one
 //!   implementation, classic IGMP (no module) is another,
-//! * a [`monitor::Monitor`] recording per-receiver time-binned throughput,
+//! * a `monitor::Monitor` recording per-receiver time-binned throughput,
 //!   which is precisely the measurement behind every figure in the paper.
 //!
 //! The simulator is deterministic: a seed fully determines a run.
@@ -50,34 +50,32 @@
 //! assert_eq!(sim.agent_as::<Sink>(sink).unwrap().got, 1);
 //! ```
 
-pub mod addr;
-pub mod edge;
-pub mod link;
-pub mod monitor;
-pub mod node;
-pub mod packet;
+pub(crate) mod addr;
+pub(crate) mod edge;
+pub(crate) mod link;
+pub(crate) mod monitor;
+pub(crate) mod node;
+pub(crate) mod packet;
 pub mod queue;
 pub mod shard;
-pub mod sim;
+pub(crate) mod sim;
 
 /// One-stop imports for scenario and protocol code.
 pub mod prelude {
     pub use crate::addr::{AgentId, FlowId, GroupAddr, LinkId, NodeId};
     pub use crate::edge::{EdgeAction, EdgeEnv, EdgeModule};
-    pub use crate::monitor::Monitor;
-    pub use crate::packet::{AppBody, Body, Dest, Ecn, Packet};
-    pub use crate::queue::{EnqueueOutcome, Queue, RedConfig};
-    pub use crate::sim::{Agent, Ctx, Sim, World, CONTROL_FLOW};
+    pub use crate::packet::{AppBody, Dest, Ecn, Packet};
+    pub use crate::queue::{Queue, RedConfig};
+    pub use crate::sim::{Agent, Ctx, Sim};
 }
 
 pub use addr::{AgentId, FlowId, GroupAddr, LinkId, NodeId};
-pub use packet::{Body, Dest, Ecn, Packet};
 pub use queue::Queue;
-pub use sim::{Agent, Ctx, Sim, World};
+pub use sim::{Sim, World};
 
 // Re-exported so protocol crates can emit trace events through
 // `Ctx::trace` / `EdgeEnv::trace` without depending on `mcc-obs` directly.
-pub use mcc_obs::{DropReason, PktRef, TraceEvent};
+pub use mcc_obs::TraceEvent;
 
 #[cfg(test)]
 mod tests {

@@ -33,19 +33,19 @@ pub struct Link {
     /// This link's id.
     pub id: LinkId,
     /// Transmitting node.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Receiving node.
     pub to: NodeId,
     /// The opposite direction of the same physical channel.
-    pub reverse: LinkId,
+    pub(crate) reverse: LinkId,
     /// Serialization rate in bits per second.
-    pub bps: u64,
+    pub(crate) bps: u64,
     /// Propagation delay.
     pub delay: SimDuration,
     /// Output queue (head-of-line packet is held separately in `in_service`).
-    pub queue: Queue,
+    pub(crate) queue: Queue,
     /// Packet currently being serialized, if any.
-    pub in_service: Option<Packet>,
+    pub(crate) in_service: Option<Packet>,
     /// True when `to` is a host (has attached agents); edge modules filter
     /// multicast data on host-facing links and never forward SIGMA specials
     /// onto them.

@@ -27,7 +27,7 @@ struct DeliveryRecord {
 #[derive(Debug)]
 pub struct Monitor {
     /// Width of each throughput bin.
-    pub bin: SimDuration,
+    pub(crate) bin: SimDuration,
     /// `by_agent[agent][..] = (flow, record)`, flows in first-seen order.
     by_agent: Vec<Vec<(FlowId, DeliveryRecord)>>,
     /// `(now nanos, bin index)` memo: a multicast wave delivers thousands

@@ -120,7 +120,7 @@ pub struct GroupEntry {
     local_members: Members,
     /// True when the node's edge module holds the membership (e.g. a SIGMA
     /// router subscribed to a session's key-distribution control group).
-    pub module_member: bool,
+    pub(crate) module_member: bool,
 }
 
 impl GroupEntry {
@@ -204,11 +204,11 @@ pub struct Node {
     pub(crate) routes: Routes,
     /// Multicast forwarding state: a slab indexed by [`GroupIdx`], grown
     /// lazily. `None` slots mean "not on the tree for that group".
-    pub groups: Vec<Option<GroupEntry>>,
+    pub(crate) groups: Vec<Option<GroupEntry>>,
     /// Agents attached to this node.
-    pub local_agents: Vec<AgentId>,
+    pub(crate) local_agents: Vec<AgentId>,
     /// Optional edge module (SIGMA installs one on edge routers).
-    pub edge: Option<Box<dyn EdgeModule>>,
+    pub(crate) edge: Option<Box<dyn EdgeModule>>,
 }
 
 impl Node {

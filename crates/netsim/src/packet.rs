@@ -76,7 +76,7 @@ impl<T: Clone + fmt::Debug + Send + Sync + Any> AppBody for T {
 
 /// The payload of a packet.
 #[derive(Clone, Debug)]
-pub enum Body {
+pub(crate) enum Body {
     /// Protocol-defined payload (TCP segment, FLID data, SIGMA message …).
     /// Reference-counted: cloning shares the payload, mutation through
     /// [`Packet::body_as_mut`] copies on write.
@@ -108,9 +108,9 @@ pub struct Packet {
     pub router_alert: bool,
     /// Unique id assigned when the packet is first sent. Multicast copies
     /// share the uid of the original.
-    pub uid: u64,
+    pub(crate) uid: u64,
     /// Payload.
-    pub body: Body,
+    pub(crate) body: Body,
 }
 
 impl Packet {
@@ -134,7 +134,7 @@ impl Packet {
         }
     }
 
-    /// A control packet with an [`Body::Opaque`] payload.
+    /// A control packet with an `Body::Opaque` payload.
     pub fn opaque(size_bits: u64, flow: FlowId, src: AgentId, dst: Dest) -> Self {
         Packet {
             size_bits,

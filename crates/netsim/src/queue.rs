@@ -22,32 +22,30 @@ pub enum EnqueueOutcome {
     Dropped,
 }
 
-/// Configuration for a RED (random early detection) queue.
+/// RED's average-queue lower threshold, in quarters of the byte limit:
+/// below it, never mark.
+const MIN_THRESH_QUARTERS: u64 = 1;
+/// RED's average-queue upper threshold, in quarters of the byte limit:
+/// above it, always mark/drop.
+const MAX_THRESH_QUARTERS: u64 = 3;
+/// RED's marking probability at the upper threshold (gentle RED ramps to
+/// 1 above it).
+const MAX_P: f64 = 0.1;
+/// EWMA weight of RED's average queue estimate.
+const WEIGHT: f64 = 0.002;
+
+/// Configuration for a RED (random early detection) queue: thresholds at
+/// 25 % / 75 % of the byte limit, `max_p` 0.1, EWMA weight 0.002.
 #[derive(Clone, Copy, Debug)]
 pub struct RedConfig {
     /// Hard byte limit (as for drop-tail).
-    pub limit_bytes: u64,
-    /// Average-queue lower threshold in bytes: below this, never mark.
-    pub min_thresh_bytes: u64,
-    /// Average-queue upper threshold in bytes: above this, always mark/drop.
-    pub max_thresh_bytes: u64,
-    /// Marking probability at `max_thresh` (gentle RED ramps to 1 above it).
-    pub max_p: f64,
-    /// EWMA weight for the average queue estimate.
-    pub weight: f64,
+    pub(crate) limit_bytes: u64,
 }
 
 impl RedConfig {
-    /// A reasonable RED parametrization for a queue of `limit_bytes`:
-    /// thresholds at 25 % / 75 % of the limit, `max_p` 0.1, weight 0.002.
+    /// The RED parametrization for a queue of `limit_bytes`.
     pub fn for_limit(limit_bytes: u64) -> Self {
-        RedConfig {
-            limit_bytes,
-            min_thresh_bytes: limit_bytes / 4,
-            max_thresh_bytes: limit_bytes * 3 / 4,
-            max_p: 0.1,
-            weight: 0.002,
-        }
+        RedConfig { limit_bytes }
     }
 }
 
@@ -155,9 +153,9 @@ impl Queue {
                 if let Some(idle) = idle_since.take() {
                     let idle_span = now.since(idle);
                     let virtual_pkts = virtual_dequeues(idle_span, service_rate_bps);
-                    *avg *= (1.0 - cfg.weight).powi(virtual_pkts.min(10_000) as i32);
+                    *avg *= (1.0 - WEIGHT).powi(virtual_pkts.min(10_000) as i32);
                 }
-                *avg = *avg * (1.0 - cfg.weight) + (*bytes as f64) * cfg.weight;
+                *avg = *avg * (1.0 - WEIGHT) + (*bytes as f64) * WEIGHT;
 
                 // Hard limit applies regardless of RED's verdict.
                 if *bytes + sz > cfg.limit_bytes {
@@ -222,8 +220,8 @@ enum RedVerdict {
 }
 
 fn red_verdict(cfg: &RedConfig, avg: f64, count: &mut u64, rng: &mut DetRng) -> RedVerdict {
-    let min = cfg.min_thresh_bytes as f64;
-    let max = cfg.max_thresh_bytes as f64;
+    let min = (cfg.limit_bytes * MIN_THRESH_QUARTERS / 4) as f64;
+    let max = (cfg.limit_bytes * MAX_THRESH_QUARTERS / 4) as f64;
     if avg < min {
         *count = 0;
         RedVerdict::Accept
@@ -232,7 +230,7 @@ fn red_verdict(cfg: &RedConfig, avg: f64, count: &mut u64, rng: &mut DetRng) -> 
         RedVerdict::Congest
     } else {
         *count += 1;
-        let pb = cfg.max_p * (avg - min) / (max - min);
+        let pb = MAX_P * (avg - min) / (max - min);
         // Uniformize inter-mark gaps, as in the original RED paper.
         let pa = (pb / (1.0 - (*count as f64) * pb).max(1e-9)).clamp(0.0, 1.0);
         if rng.chance(pa) {
@@ -359,16 +357,12 @@ mod tests {
 
     #[test]
     fn red_hard_limit_still_drops() {
-        let cfg = RedConfig {
-            limit_bytes: 1_000,
-            min_thresh_bytes: 100_000, // never congest by average
-            max_thresh_bytes: 200_000,
-            max_p: 0.0,
-            weight: 0.002,
-        };
-        let mut q = Queue::red(cfg);
+        // The average stays far below the 250-byte lower threshold (it is
+        // 1.8 bytes at the second offer), so only the hard limit can drop.
+        let mut q = Queue::red(RedConfig::for_limit(1_000));
         let mut r = rng();
-        q.enqueue(pkt(900).ecn_capable(), SimTime::ZERO, 1_000_000, &mut r);
+        let (o, _) = q.enqueue(pkt(900).ecn_capable(), SimTime::ZERO, 1_000_000, &mut r);
+        assert_eq!(o, EnqueueOutcome::Enqueued);
         let (o, _) = q.enqueue(pkt(200).ecn_capable(), SimTime::ZERO, 1_000_000, &mut r);
         assert_eq!(o, EnqueueOutcome::Dropped);
     }

@@ -62,10 +62,10 @@ fn pkt_ref(node: NodeId, link: Option<LinkId>, pkt: &Packet) -> PktRef {
 }
 
 /// Flow id used by simulator-internal control packets (grafts/prunes).
-pub const CONTROL_FLOW: FlowId = FlowId(u32::MAX);
+pub(crate) const CONTROL_FLOW: FlowId = FlowId(u32::MAX);
 
 /// Wire size assumed for graft/prune control packets.
-pub const CONTROL_PACKET_BITS: u64 = 512;
+pub(crate) const CONTROL_PACKET_BITS: u64 = 512;
 
 /// Scheduled occurrences.
 #[derive(Debug)]
@@ -105,7 +105,7 @@ pub struct Ctx<'w> {
     /// The agent being dispatched.
     pub agent: AgentId,
     /// The node it is attached to.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
 }
 
 impl<'w> Ctx<'w> {
@@ -175,7 +175,7 @@ impl<'w> Ctx<'w> {
 /// All passive simulation state.
 pub struct World {
     /// Current simulation time.
-    pub now: SimTime,
+    pub(crate) now: SimTime,
     pub(crate) events: EventQueue<Event>,
     /// All links, indexed by [`LinkId`].
     pub links: Vec<Link>,
@@ -198,7 +198,7 @@ pub struct World {
     /// Registered multicast source host per group, indexed by [`GroupIdx`].
     pub(crate) group_sources: Vec<Option<NodeId>>,
     /// Root randomness for the run.
-    pub rng: DetRng,
+    pub(crate) rng: DetRng,
     /// Delivery statistics.
     pub monitor: Monitor,
     pub(crate) uid: u64,

@@ -22,10 +22,10 @@
 //! emit events without dependency cycles; file I/O and JSON serialization
 //! stay in `mcc-core`'s `obs` module.
 
-pub mod event;
+pub(crate) mod event;
 pub mod jsonl;
 pub mod pcapng;
-pub mod recorder;
+pub(crate) mod recorder;
 
 pub use event::{DropReason, PktRef, TraceEvent, GROUP_NONE};
 pub use recorder::{Metrics, Recorder, DEFAULT_RING_CAP};
@@ -34,8 +34,7 @@ pub use recorder::{Metrics, Recorder, DEFAULT_RING_CAP};
 /// `--trace <spec>`.
 ///
 /// Grammar: `FORMATS[:DIR]` where `FORMATS` is a comma-separated subset of
-/// `jsonl`, `pcapng` — or one of the aliases `all`, `on`, `1`, `true`
-/// (both sinks). `DIR` overrides the output directory (default: the
+/// `jsonl`, `pcapng` — or `all` (both sinks). `DIR` overrides the output directory (default: the
 /// `figures` report directory, `--out`). The metrics registry (`OBS_<experiment>.json`) is
 /// always written when tracing is enabled.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,8 +70,8 @@ impl TraceSpec {
         for fmt in formats.split(',') {
             match fmt.trim() {
                 "jsonl" => out.jsonl = true,
-                "pcapng" | "pcap" => out.pcapng = true,
-                "all" | "on" | "1" | "true" => {
+                "pcapng" => out.pcapng = true,
+                "all" => {
                     out.jsonl = true;
                     out.pcapng = true;
                 }
@@ -117,9 +116,7 @@ mod tests {
             TraceSpec::parse("jsonl,pcapng").expect("valid"),
             TraceSpec::all()
         );
-        for alias in ["all", "on", "1", "true"] {
-            assert_eq!(TraceSpec::parse(alias).expect("valid"), TraceSpec::all());
-        }
+        assert_eq!(TraceSpec::parse("all").expect("valid"), TraceSpec::all());
         assert_eq!(
             TraceSpec::parse("all:results/traces").expect("valid").dir,
             Some("results/traces".to_string())
@@ -131,5 +128,12 @@ mod tests {
         assert!(TraceSpec::parse("").is_err());
         assert!(TraceSpec::parse("csv").is_err());
         assert!(TraceSpec::parse("jsonl,bogus").is_err());
+        // Only the documented `jsonl|pcapng|all` grammar parses.
+        for alias in ["on", "1", "true", "pcap", "jsonl,pcap:/tmp/tr"] {
+            assert!(
+                TraceSpec::parse(alias).is_err(),
+                "{alias:?} is not a format"
+            );
+        }
     }
 }

@@ -39,10 +39,10 @@ use mcc_simcore::SimTime;
 
 /// `LINKTYPE_USER0`: reserved for private use, the standard choice for a
 /// custom encapsulation.
-pub const LINKTYPE_USER0: u16 = 147;
+pub(crate) const LINKTYPE_USER0: u16 = 147;
 
 /// Bytes of one Enhanced Packet Block payload record.
-pub const RECORD_LEN: usize = 48;
+pub(crate) const RECORD_LEN: usize = 48;
 
 /// Fixed prefix: SHB (28 bytes) + IDB with if_tsresol option (32 bytes).
 pub const HEADER_LEN: usize = 28 + 32;

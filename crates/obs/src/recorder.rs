@@ -27,21 +27,21 @@ pub struct Metrics {
     /// Packet-lifecycle counters.
     pub enqueues: u64,
     pub transmits: u64,
-    pub marks: u64,
+    pub(crate) marks: u64,
     pub drops: u64,
     pub delivers: u64,
     /// SIGMA guard counters.
     pub guard_checks: u64,
-    pub guard_denials: u64,
-    pub lockouts: u64,
-    pub alarms: u64,
+    pub(crate) guard_denials: u64,
+    pub(crate) lockouts: u64,
+    pub(crate) alarms: u64,
     /// FLID layer transitions.
     pub layer_changes: u64,
     /// Session membership churn (workload arrivals / departures).
     pub joins: u64,
     pub leaves: u64,
     /// SIGMA key tuples installed at routers.
-    pub key_installs: u64,
+    pub(crate) key_installs: u64,
     /// Events evicted from a full ring.
     pub trace_overflow: u64,
     /// Wall-clock nanoseconds the run spent in `run_until`.

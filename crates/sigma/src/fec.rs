@@ -19,20 +19,20 @@ use mcc_delta::PAPER_KEY_BITS;
 use mcc_netsim::GroupAddr;
 
 /// Header bits of one special packet (the paper's per-packet share of `h`).
-pub const SPECIAL_HEADER_BITS: u64 = 256;
+pub(crate) const SPECIAL_HEADER_BITS: u64 = 256;
 
 /// Maximum payload bits per special packet before chunking.
-pub const MAX_CHUNK_PAYLOAD_BITS: u64 = 8 * 512;
+pub(crate) const MAX_CHUNK_PAYLOAD_BITS: u64 = 8 * 512;
 
 /// One special packet's payload: key tuples for `slot`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KeyChunk {
     /// The slot these keys open.
-    pub slot: u64,
+    pub(crate) slot: u64,
     /// Chunk index / total chunks for this slot (reassembly bookkeeping).
     pub index: u32,
     /// Labeled tuples.
-    pub tuples: Vec<(GroupAddr, KeyTuple)>,
+    pub(crate) tuples: Vec<(GroupAddr, KeyTuple)>,
 }
 
 impl KeyChunk {
@@ -54,7 +54,7 @@ impl KeyChunk {
 }
 
 /// Split a slot's tuples into chunks bounded by
-/// [`MAX_CHUNK_PAYLOAD_BITS`].
+/// `MAX_CHUNK_PAYLOAD_BITS`.
 pub fn chunk_tuples(slot: u64, tuples: Vec<(GroupAddr, KeyTuple)>) -> Vec<KeyChunk> {
     let mut chunks = Vec::new();
     let mut current: Vec<(GroupAddr, KeyTuple)> = Vec::new();

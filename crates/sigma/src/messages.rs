@@ -18,13 +18,13 @@ use mcc_delta::{Key, PAPER_KEY_BITS};
 use mcc_netsim::GroupAddr;
 
 /// Fixed header bits assumed for control messages (IP+UDP-ish).
-pub const CONTROL_HEADER_BITS: u64 = 224;
+pub(crate) const CONTROL_HEADER_BITS: u64 = 224;
 
 /// Slot-number width on the wire (the paper's `l`).
-pub const SLOT_NUMBER_BITS: u64 = 8;
+pub(crate) const SLOT_NUMBER_BITS: u64 = 8;
 
 /// Address width on the wire.
-pub const ADDR_BITS: u64 = 32;
+pub(crate) const ADDR_BITS: u64 = 32;
 
 /// A receiver requests admission to a session (paper Fig. 6a).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,7 +82,7 @@ pub struct SubscriptionAck {
     /// The slot being acknowledged.
     pub slot: u64,
     /// The pairs the router accepted (valid keys only).
-    pub accepted: Vec<(GroupAddr, Key)>,
+    pub(crate) accepted: Vec<(GroupAddr, Key)>,
 }
 
 impl SubscriptionAck {

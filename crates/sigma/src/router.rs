@@ -48,10 +48,10 @@ const GUESS_ALARM: u32 = 8;
 #[derive(Clone, Debug)]
 pub struct SigmaConfig {
     /// Slot duration (must match the protected sessions').
-    pub slot: SimDuration,
+    pub(crate) slot: SimDuration,
     /// Optional collusion guard: the protected session's groups in layer
     /// order (sacrifices protocol-generality, as the paper notes).
-    pub guard_groups: Option<Vec<GroupAddr>>,
+    pub(crate) guard_groups: Option<Vec<GroupAddr>>,
 }
 
 impl SigmaConfig {

@@ -37,7 +37,7 @@ use std::sync::Arc;
 /// slot" is distinct from "the group was never granted" (the prune logic in
 /// the router relies on the difference while a grace is live).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub struct GrantTable {
+pub(crate) struct GrantTable {
     /// Groups present, ascending.
     groups: Vec<GroupAddr>,
     /// Granted `(group, slot)` pairs, ascending; every group is in `groups`.

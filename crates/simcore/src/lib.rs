@@ -31,11 +31,11 @@
 //! assert_eq!(t, SimTime::from_millis(1));
 //! ```
 
-pub mod event;
-pub mod fx;
-pub mod rng;
-pub mod stamped;
-pub mod time;
+pub(crate) mod event;
+pub(crate) mod fx;
+pub(crate) mod rng;
+pub(crate) mod stamped;
+pub(crate) mod time;
 
 pub use event::EventQueue;
 pub use fx::{FxHashMap, FxHashSet};

@@ -63,8 +63,6 @@ impl SimTime {
 impl SimDuration {
     /// The zero-length span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The longest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from whole nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {

@@ -9,19 +9,17 @@
 //! * slow start and congestion avoidance ([`reno::RenoSender`]),
 //! * fast retransmit on three duplicate ACKs and Reno fast recovery,
 //! * go-back-N retransmission timeout with exponential backoff and Karn's
-//!   algorithm for RTT sampling ([`rtt::RttEstimator`]),
+//!   algorithm for RTT sampling (`rtt::RttEstimator`),
 //! * a cumulative-ACK receiver with out-of-order reassembly
 //!   ([`sink::TcpSink`]).
 //!
 //! Segments are 576 bytes on the wire (536-byte payload + 40-byte header),
 //! matching the paper's "all data traffic uses 576-byte packets".
 
-pub mod reno;
-pub mod rtt;
-pub mod seg;
-pub mod sink;
+pub(crate) mod reno;
+pub(crate) mod rtt;
+pub(crate) mod seg;
+pub(crate) mod sink;
 
-pub use reno::{RenoConfig, RenoSender, RenoStats};
-pub use rtt::RttEstimator;
-pub use seg::{TcpAck, TcpData, ACK_BITS, DEFAULT_HEADER_BYTES, DEFAULT_MSS_BYTES};
+pub use reno::{RenoConfig, RenoSender};
 pub use sink::TcpSink;

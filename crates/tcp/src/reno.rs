@@ -6,23 +6,19 @@ use crate::seg::{TcpAck, TcpData, DEFAULT_HEADER_BYTES, DEFAULT_MSS_BYTES};
 use mcc_netsim::prelude::*;
 use mcc_simcore::SimTime;
 
+/// Initial slow-start threshold: unbounded, as in NS-2.
+const INITIAL_SSTHRESH: f64 = f64::INFINITY;
+
 /// Configuration of a [`RenoSender`].
 #[derive(Clone, Debug)]
 pub struct RenoConfig {
     /// The receiving [`crate::sink::TcpSink`] agent.
-    pub dst: AgentId,
+    pub(crate) dst: AgentId,
     /// Flow tag shared by data and ACKs.
-    pub flow: FlowId,
-    /// Payload bytes per segment.
-    pub mss: u64,
-    /// Header bytes added to each data segment on the wire.
-    pub header_bytes: u64,
-    /// Initial slow-start threshold in bytes (effectively "unbounded" by
-    /// default, as in NS-2).
-    pub initial_ssthresh: u64,
+    pub(crate) flow: FlowId,
     /// Stop after successfully transferring this many bytes (`u64::MAX` for
     /// a greedy, never-ending bulk transfer — the paper's FTP-style load).
-    pub limit_bytes: u64,
+    pub(crate) limit_bytes: u64,
 }
 
 impl RenoConfig {
@@ -31,9 +27,6 @@ impl RenoConfig {
         RenoConfig {
             dst,
             flow,
-            mss: DEFAULT_MSS_BYTES,
-            header_bytes: DEFAULT_HEADER_BYTES,
-            initial_ssthresh: u64::MAX,
             limit_bytes: u64::MAX,
         }
     }
@@ -41,17 +34,17 @@ impl RenoConfig {
 
 /// Counters exposed for tests and experiment reports.
 #[derive(Clone, Debug, Default)]
-pub struct RenoStats {
+pub(crate) struct RenoStats {
     /// Segments sent (first transmissions).
-    pub sent_segments: u64,
+    pub(crate) sent_segments: u64,
     /// Retransmitted segments (fast retransmit + RTO).
-    pub retransmits: u64,
+    pub(crate) retransmits: u64,
     /// Retransmission timeouts taken.
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
     /// Fast-retransmit events.
-    pub fast_retransmits: u64,
+    pub(crate) fast_retransmits: u64,
     /// Highest cumulative ACK seen.
-    pub acked_bytes: u64,
+    pub(crate) acked_bytes: u64,
 }
 
 /// TCP Reno bulk sender.
@@ -77,21 +70,15 @@ pub struct RenoSender {
     /// Token matching the live RTO timer; stale timers are ignored.
     rto_gen: u64,
     /// Counters.
-    pub stats: RenoStats,
+    pub(crate) stats: RenoStats,
 }
 
 impl RenoSender {
     /// Build a sender.
     pub fn new(cfg: RenoConfig) -> Self {
-        assert!(cfg.mss > 0, "MSS must be positive");
-        let mss = cfg.mss as f64;
         RenoSender {
-            ssthresh: if cfg.initial_ssthresh == u64::MAX {
-                f64::INFINITY
-            } else {
-                cfg.initial_ssthresh as f64
-            },
-            cwnd: mss,
+            ssthresh: INITIAL_SSTHRESH,
+            cwnd: DEFAULT_MSS_BYTES as f64,
             snd_una: 0,
             snd_nxt: 0,
             dupacks: 0,
@@ -121,11 +108,11 @@ impl RenoSender {
     }
 
     fn wire_bits(&self) -> u64 {
-        (self.cfg.mss + self.cfg.header_bytes) * 8
+        (DEFAULT_MSS_BYTES + DEFAULT_HEADER_BYTES) * 8
     }
 
     fn send_segment(&mut self, ctx: &mut Ctx, seq: u64, retransmit: bool) {
-        let len = self.cfg.mss.min(self.cfg.limit_bytes.saturating_sub(seq));
+        let len = DEFAULT_MSS_BYTES.min(self.cfg.limit_bytes.saturating_sub(seq));
         if len == 0 {
             return;
         }
@@ -156,9 +143,9 @@ impl RenoSender {
     /// Send whatever the window currently allows.
     fn send_available(&mut self, ctx: &mut Ctx) {
         let cwnd = self.cwnd as u64;
-        while self.flight() + self.cfg.mss <= cwnd && self.snd_nxt < self.cfg.limit_bytes {
+        while self.flight() + DEFAULT_MSS_BYTES <= cwnd && self.snd_nxt < self.cfg.limit_bytes {
             let seq = self.snd_nxt;
-            let len = self.cfg.mss.min(self.cfg.limit_bytes - seq);
+            let len = DEFAULT_MSS_BYTES.min(self.cfg.limit_bytes - seq);
             self.send_segment(ctx, seq, false);
             self.snd_nxt = seq + len;
         }
@@ -190,7 +177,7 @@ impl RenoSender {
         self.snd_nxt = self.snd_nxt.max(ack);
         self.stats.acked_bytes = self.stats.acked_bytes.max(ack);
         self.dupacks = 0;
-        let mss = self.cfg.mss as f64;
+        let mss = DEFAULT_MSS_BYTES as f64;
         if self.in_recovery {
             // Reno: leave recovery on the first ACK advancing snd_una,
             // deflating the window to ssthresh.
@@ -211,7 +198,7 @@ impl RenoSender {
             return;
         }
         self.dupacks += 1;
-        let mss = self.cfg.mss as f64;
+        let mss = DEFAULT_MSS_BYTES as f64;
         if self.in_recovery {
             // Window inflation while the hole drains.
             self.cwnd += mss;
@@ -256,7 +243,7 @@ impl Agent for RenoSender {
         }
         // Retransmission timeout: multiplicative collapse + go-back-N.
         self.stats.timeouts += 1;
-        let mss = self.cfg.mss as f64;
+        let mss = DEFAULT_MSS_BYTES as f64;
         self.ssthresh = (self.flight() as f64 / 2.0).max(2.0 * mss);
         self.cwnd = mss;
         self.dupacks = 0;
@@ -266,7 +253,7 @@ impl Agent for RenoSender {
         self.rtt.backoff();
         let seq = self.snd_una;
         self.send_segment(ctx, seq, true);
-        self.snd_nxt = seq + self.cfg.mss.min(self.cfg.limit_bytes.saturating_sub(seq));
+        self.snd_nxt = seq + DEFAULT_MSS_BYTES.min(self.cfg.limit_bytes.saturating_sub(seq));
         self.arm_rto(ctx);
     }
 }
@@ -336,7 +323,7 @@ mod tests {
             u64::MAX,
         );
         // After ~4 RTTs (400 ms) of slow start, cwnd should have grown from
-        // 1 MSS to well beyond 8 MSS.
+        // 1 MSS to well beyond 8 DEFAULT_MSS_BYTES.
         sim.run_until(SimTime::from_millis(450));
         let s = sim.agent_as::<RenoSender>(snd).unwrap();
         assert!(

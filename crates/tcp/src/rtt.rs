@@ -4,7 +4,7 @@ use mcc_simcore::SimDuration;
 
 /// Jacobson/Karels smoothed RTT estimator with exponential RTO backoff.
 #[derive(Clone, Debug)]
-pub struct RttEstimator {
+pub(crate) struct RttEstimator {
     /// Smoothed RTT in seconds, `None` before the first sample.
     srtt: Option<f64>,
     /// RTT variance in seconds.
@@ -12,9 +12,9 @@ pub struct RttEstimator {
     /// Current retransmission timeout.
     rto: SimDuration,
     /// Lower clamp for the RTO.
-    pub min_rto: SimDuration,
+    pub(crate) min_rto: SimDuration,
     /// Upper clamp for the RTO.
-    pub max_rto: SimDuration,
+    pub(crate) max_rto: SimDuration,
 }
 
 impl Default for RttEstimator {

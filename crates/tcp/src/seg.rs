@@ -2,28 +2,28 @@
 
 /// Default payload bytes per segment: 576-byte packets minus a 40-byte
 /// TCP/IP header, as in the paper's evaluation settings.
-pub const DEFAULT_MSS_BYTES: u64 = 536;
+pub(crate) const DEFAULT_MSS_BYTES: u64 = 536;
 
 /// Default TCP/IP header size in bytes.
-pub const DEFAULT_HEADER_BYTES: u64 = 40;
+pub(crate) const DEFAULT_HEADER_BYTES: u64 = 40;
 
 /// Wire size of a pure ACK in bits (header only).
-pub const ACK_BITS: u64 = DEFAULT_HEADER_BYTES * 8;
+pub(crate) const ACK_BITS: u64 = DEFAULT_HEADER_BYTES * 8;
 
 /// A data segment: `payload` bytes starting at byte offset `seq`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TcpData {
+pub(crate) struct TcpData {
     /// Byte sequence number of the first payload byte.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Payload length in bytes.
-    pub len: u64,
+    pub(crate) len: u64,
 }
 
 /// A cumulative acknowledgment: the receiver has every byte below `ack`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TcpAck {
+pub(crate) struct TcpAck {
     /// Next byte expected.
-    pub ack: u64,
+    pub(crate) ack: u64,
 }
 
 #[cfg(test)]

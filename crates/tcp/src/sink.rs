@@ -12,13 +12,13 @@ pub struct TcpSink {
     /// Non-overlapping received intervals `start → end`, merged on insert.
     intervals: BTreeMap<u64, u64>,
     /// Next byte expected (everything below is contiguous).
-    pub cum_ack: u64,
+    pub(crate) cum_ack: u64,
     /// Goodput: contiguous bytes delivered (advances with `cum_ack`).
-    pub goodput_bytes: u64,
+    pub(crate) goodput_bytes: u64,
     /// Count of segments that were duplicates of already-received data.
-    pub dup_segments: u64,
+    pub(crate) dup_segments: u64,
     /// Total data segments received.
-    pub segments: u64,
+    pub(crate) segments: u64,
 }
 
 impl TcpSink {

@@ -10,8 +10,8 @@
 //! Both are instances of [`CbrSource`]: a fixed-rate packet stream with an
 //! optional on/off duty cycle and an active window.
 
-pub mod cbr;
-pub mod sink;
+pub(crate) mod cbr;
+pub(crate) mod sink;
 
 pub use cbr::{CbrConfig, CbrSource};
 pub use sink::CountingSink;

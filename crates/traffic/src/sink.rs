@@ -9,7 +9,7 @@ pub struct CountingSink {
     /// Packets received.
     pub packets: u64,
     /// Bits received.
-    pub bits: u64,
+    pub(crate) bits: u64,
 }
 
 impl Agent for CountingSink {

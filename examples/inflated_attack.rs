@@ -50,8 +50,8 @@ fn main() {
         let agents = [
             ("F1", d.sessions[0].receivers[0]),
             ("F2", d.sessions[1].receivers[0]),
-            ("T1", d.tcp[0].sink),
-            ("T2", d.tcp[1].sink),
+            ("T1", d.tcp[0]),
+            ("T2", d.tcp[1]),
         ];
         let series: Vec<Series> = agents
             .iter()

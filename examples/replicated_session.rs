@@ -8,8 +8,7 @@
 //! cargo run --release --example replicated_session
 //! ```
 
-use robust_multicast::flid::replicated::{ReplicatedReceiver, ReplicatedSender};
-use robust_multicast::flid::FlidConfig;
+use robust_multicast::flid::{FlidConfig, ReplicatedReceiver, ReplicatedSender};
 use robust_multicast::netsim::prelude::*;
 use robust_multicast::sigma::{SigmaConfig, SigmaEdgeModule};
 use robust_multicast::simcore::{SimDuration, SimTime};

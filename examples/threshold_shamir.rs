@@ -14,8 +14,7 @@
 //! ```
 
 use robust_multicast::delta::threshold::{reconstruct, split, threshold_k};
-use robust_multicast::flid::threshold_proto::{ThresholdReceiver, ThresholdSender};
-use robust_multicast::flid::FlidConfig;
+use robust_multicast::flid::{FlidConfig, ThresholdReceiver, ThresholdSender};
 use robust_multicast::netsim::prelude::*;
 use robust_multicast::sigma::{SigmaConfig, SigmaEdgeModule};
 use robust_multicast::simcore::{DetRng, SimDuration, SimTime};

@@ -4,9 +4,10 @@
 
 use robust_multicast::attack::AttackPlan;
 use robust_multicast::delta::Key;
-use robust_multicast::flid::replicated::{ReplicatedReceiver, ReplicatedSender};
-use robust_multicast::flid::threshold_proto::{ThresholdReceiver, ThresholdSender};
-use robust_multicast::flid::{FlidConfig, FlidReceiver, FlidSender};
+use robust_multicast::flid::{
+    FlidConfig, FlidReceiver, FlidSender, ReplicatedReceiver, ReplicatedSender, ThresholdReceiver,
+    ThresholdSender,
+};
 use robust_multicast::netsim::prelude::*;
 use robust_multicast::sigma::{SigmaConfig, SigmaEdgeModule, Subscription};
 use robust_multicast::simcore::{SimDuration, SimTime};

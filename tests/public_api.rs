@@ -1,11 +1,21 @@
-//! The public surface's guard (DESIGN.md "Public surface"): every `pub fn`
-//! and `pub const fn` in `crates/*/src` outside `src/bin` is named, other
-//! than where a function of that name is defined, by non-test,
-//! non-comment code in `crates/*/src`, `src/`, `examples/` or
-//! `benchmark/src/` — or it sits in `ALLOWED` with the reader that keeps
-//! it. A function only its own crate calls belongs in `pub(crate)`, where
-//! rustc's dead-code lint (the clippy gate) watches it instead. Std only,
-//! so it runs in tier-1 without a parser dependency.
+//! The public surface's guard (DESIGN.md "Public surface"). In
+//! `crates/*/src` outside `src/bin`:
+//!
+//! * every `pub fn` and `pub const fn` is named, other than where a
+//!   function of that name is defined, by non-test, non-comment code in
+//!   `crates/*/src`, `src/`, `examples/` or `benchmark/src/`;
+//! * every `pub struct|enum|trait|type|const|static` is named by that code
+//!   other than in its definition and in the `impl` headers about it;
+//! * every `pub mod` is reached by a path rooted at its crate
+//!   (`mcc_<crate>::m…`, `robust_multicast::<crate>::m…`) from another
+//!   package's non-test code: another crate, a `src/bin` target, an
+//!   example or the benchmark.
+//!
+//! An item that fails its rule sits in `ALLOWED`, `ALLOWED_TYPES` or
+//! `ALLOWED_MODS` with the reader that keeps it, or it belongs in
+//! `pub(crate)`, where rustc's dead-code and `unreachable_pub` lints (the
+//! clippy gate) watch it instead. Std only, so it runs in tier-1 without a
+//! parser dependency.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -14,14 +24,6 @@ use std::path::{Path, PathBuf};
 /// Public functions no non-test code names, each with the reader that
 /// keeps it public.
 const ALLOWED: &[(&str, &str)] = &[
-    (
-        "decrease_handout",
-        "mcc_delta::naive's unit test: the paper's §3.1.1 forgery demonstration",
-    ),
-    (
-        "forge_top_key",
-        "mcc_delta::naive's unit test: the paper's §3.1.1 forgery demonstration",
-    ),
     (
         "capture",
         "tests/workload_inert.rs and tests/trace_determinism.rs: the in-process trace capture behind their byte-identity proofs",
@@ -43,6 +45,14 @@ const ALLOWED: &[(&str, &str)] = &[
         "tests/protocol_properties.rs's no-grant-from-a-guess property; the reader for ROADMAP 8(b)'s grant oracle",
     ),
 ];
+
+/// Public types, consts, traits and statics no non-test code names, each
+/// with the reader that keeps it public.
+const ALLOWED_TYPES: &[(&str, &str)] = &[];
+
+/// Public modules no other package's non-test code reaches, each with the
+/// doctest or integration test that reads it.
+const ALLOWED_MODS: &[(&str, &str)] = &[];
 
 /// One source file: its path relative to the workspace root and its text
 /// with comments, literal contents and `#[cfg(test)]` items blanked.
@@ -212,19 +222,52 @@ fn rust_files(dir: &Path, skip: &[&str], into: &mut Vec<PathBuf>) {
     }
 }
 
-/// `(path:line, name)` of every `pub fn` / `pub const fn` in `source`.
-fn public_fns(source: &Source) -> Vec<(String, String)> {
+/// The kinds of public item the guard audits, each under its own rule.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kind {
+    /// `pub fn` / `pub const fn`: named by non-test code.
+    Fn,
+    /// `pub struct|enum|trait|type|const|static`: named by non-test code
+    /// other than its definition and its `impl` headers.
+    Type,
+    /// `pub mod`: reached by a path from another package's non-test code.
+    Mod,
+}
+
+impl Kind {
+    fn noun(self) -> &'static str {
+        match self {
+            Kind::Fn => "pub fn",
+            Kind::Type => "pub type, const, trait or static",
+            Kind::Mod => "pub mod",
+        }
+    }
+}
+
+/// `(path:line, name)` of every public item of `kind` in `source`.
+fn public_items(source: &Source, kind: Kind) -> Vec<(String, String)> {
     let b = source.code.as_bytes();
     let mut found = Vec::new();
     for (at, _) in source.code.match_indices("pub ") {
         if at > 0 && is_ident(b[at - 1]) {
             continue;
         }
-        let rest = &source.code[at + 4..];
-        let rest = rest.strip_prefix("const ").unwrap_or(rest);
-        let Some(rest) = rest.strip_prefix("fn ") else {
+        let Some((keyword, mut rest)) = source.code[at + 4..].split_once(' ') else {
             continue;
         };
+        let item = match keyword {
+            "fn" => Kind::Fn,
+            "const" if rest.starts_with("fn ") => {
+                rest = &rest[3..];
+                Kind::Fn
+            }
+            "struct" | "enum" | "trait" | "type" | "const" | "static" => Kind::Type,
+            "mod" => Kind::Mod,
+            _ => continue,
+        };
+        if item != kind {
+            continue;
+        }
         let name: String = rest
             .chars()
             .take_while(|&c| c.is_ascii_alphanumeric() || c == '_')
@@ -235,53 +278,199 @@ fn public_fns(source: &Source) -> Vec<(String, String)> {
     found
 }
 
-/// Every identifier `sources` use, not counting the name right after an
-/// `fn` keyword (a definition, not a use).
+/// Every identifier in `code` with its byte offset.
+fn idents(code: &str) -> impl Iterator<Item = (usize, &str)> {
+    let b = code.as_bytes();
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        while i < b.len() && !is_ident(b[i]) {
+            i += 1;
+        }
+        let start = i;
+        while i < b.len() && is_ident(b[i]) {
+            i += 1;
+        }
+        (start < b.len()).then(|| (start, &code[start..i]))
+    })
+}
+
+/// The types an `impl` header is about: the trait and the self type, each
+/// the last segment of its path (`impl<K: Rule> fmt::Debug for Sender<K>`
+/// is about `Debug` and `Sender`; `K` and `Rule` are uses).
+fn impl_subjects(header: &str) -> Vec<&str> {
+    let mut rest = header.trim_start();
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        for (i, c) in rest.char_indices() {
+            depth += match c {
+                '<' => 1,
+                '>' => -1,
+                _ => 0,
+            };
+            if depth == 0 {
+                rest = &rest[i + 1..];
+                break;
+            }
+        }
+    }
+    let rest = rest.split(" where ").next().unwrap_or(rest);
+    rest.split(" for ")
+        .filter_map(|part| {
+            let path = part.trim().split(['<', ' ']).next()?;
+            path.rsplit("::").next().filter(|s| !s.is_empty())
+        })
+        .collect()
+}
+
+/// Every identifier `sources` use. Not counted: the name right after an
+/// item keyword (a definition, not a use) and the trait and self type an
+/// item-level `impl` header is about.
 fn uses(sources: &[Source]) -> BTreeSet<String> {
+    const DEFINING: &[&str] = &[
+        "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+    ];
     let mut used = BTreeSet::new();
     for source in sources {
-        let mut prev = "";
-        for word in source
-            .code
-            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        {
-            if word.is_empty() {
-                continue;
-            }
-            if prev != "fn" {
+        let code = &source.code;
+        // `(from, to, subjects)` of every item-level `impl` header.
+        let headers: Vec<(usize, usize, Vec<&str>)> = idents(code)
+            .filter(|&(at, word)| {
+                let line_start = code[..at].rfind('\n').map_or(0, |n| n + 1);
+                let lead = code[line_start..at].trim();
+                word == "impl" && (lead.is_empty() || lead == "unsafe")
+            })
+            .map(|(at, _)| {
+                let to = code[at..].find('{').map_or(code.len(), |n| at + n);
+                (at, to, impl_subjects(&code[at + 4..to]))
+            })
+            .collect();
+        let (mut prev, mut prev_at) = ("", 0);
+        for (at, word) in idents(code) {
+            // `'static` is a lifetime, not an item keyword.
+            let defines = DEFINING.contains(&prev) && !code[..prev_at].ends_with('\'');
+            let about = headers
+                .iter()
+                .any(|(from, to, subjects)| (*from..*to).contains(&at) && subjects.contains(&word));
+            if !defines && !about {
                 used.insert(word.to_owned());
             }
-            prev = word;
+            (prev, prev_at) = (word, at);
         }
     }
     used
 }
 
-/// The guard itself: every problem, one per line, empty when clean.
-fn audit(defining: &[Source], corpus: &[Source], allowed: &[(&str, &str)]) -> Vec<String> {
+/// The modules of workspace crate `krate` (its directory under `crates/`)
+/// that `sources` reach by a path rooted at the crate: `mcc_<krate>::m…`,
+/// `robust_multicast::<krate>::m…`, or a `{…}` use tree under either.
+fn reached_modules(sources: &[&Source], krate: &str) -> BTreeSet<String> {
+    let roots = [
+        format!("mcc_{krate}::"),
+        format!("robust_multicast::{krate}::"),
+    ];
+    let mut reached = BTreeSet::new();
+    for source in sources {
+        let code = source.code.as_str();
+        for root in &roots {
+            for (at, _) in code.match_indices(root.as_str()) {
+                if at > 0 && is_ident(code.as_bytes()[at - 1]) {
+                    continue;
+                }
+                // Walk the path (and any nested use tree) that follows.
+                let mut depth = 0;
+                let mut segment = String::new();
+                for c in code[at + root.len()..].chars() {
+                    if c.is_ascii() && is_ident(c as u8) {
+                        segment.push(c);
+                        continue;
+                    }
+                    if !segment.is_empty() {
+                        reached.insert(std::mem::take(&mut segment));
+                    }
+                    match c {
+                        '{' => depth += 1,
+                        '}' if depth == 1 => break,
+                        '}' => depth -= 1,
+                        ':' | '*' => {}
+                        ',' | ' ' | '\n' if depth > 0 => {}
+                        _ => break,
+                    }
+                }
+            }
+        }
+    }
+    reached
+}
+
+/// The crate directory a workspace path belongs to, when its code is part
+/// of that crate's library (`crates/<krate>/src`, not `src/bin`).
+fn library_of(path: &str) -> Option<&str> {
+    let rest = path.strip_prefix("crates/")?;
+    let (krate, rest) = rest.split_once('/')?;
+    (rest.starts_with("src/") && !rest.starts_with("src/bin/")).then_some(krate)
+}
+
+/// The guard for one kind of item: every problem, one per line, empty
+/// when clean.
+fn audit(
+    kind: Kind,
+    defining: &[Source],
+    corpus: &[Source],
+    allowed: &[(&str, &str)],
+) -> Vec<String> {
     let used = uses(corpus);
-    let defined: Vec<(String, String)> = defining.iter().flat_map(public_fns).collect();
+    let mut defined: Vec<(String, String, bool)> = Vec::new();
+    for source in defining {
+        let reached = (kind == Kind::Mod).then(|| {
+            let krate = library_of(&source.path).unwrap_or("");
+            let others: Vec<&Source> = corpus
+                .iter()
+                .filter(|s| library_of(&s.path) != Some(krate))
+                .collect();
+            reached_modules(&others, krate)
+        });
+        for (at, name) in public_items(source, kind) {
+            let read = match &reached {
+                Some(reached) => reached.contains(&name),
+                None => used.contains(&name),
+            };
+            defined.push((at, name, read));
+        }
+    }
     let allow: BTreeSet<&str> = allowed.iter().map(|&(name, _)| name).collect();
     let mut problems = Vec::new();
-    for (at, name) in &defined {
-        if !used.contains(name) && !allow.contains(name.as_str()) {
-            problems.push(format!("{at} {name}: no non-test caller"));
+    for (at, name, read) in &defined {
+        if !read && !allow.contains(name.as_str()) {
+            let why = match kind {
+                Kind::Fn => "no non-test caller",
+                Kind::Type => "no non-test reader",
+                Kind::Mod => "no other package's non-test code reaches it by path",
+            };
+            problems.push(format!("{at} {name}: {why}"));
         }
     }
     for (name, _) in allowed {
-        if !defined.iter().any(|(_, n)| n == name) {
-            problems.push(format!("ALLOWED entry `{name}` is stale: no such pub fn"));
-        } else if used.contains(*name) {
+        let mut same = defined.iter().filter(|(_, n, _)| n == name).peekable();
+        if same.peek().is_none() {
             problems.push(format!(
-                "ALLOWED entry `{name}` is stale: non-test code now names it"
+                "ALLOWED entry `{name}` is stale: no such {}",
+                kind.noun()
             ));
+        } else if same.all(|(_, _, read)| *read) {
+            let now = match kind {
+                Kind::Fn | Kind::Type => "non-test code now names it",
+                Kind::Mod => "another package now reaches it",
+            };
+            problems.push(format!("ALLOWED entry `{name}` is stale: {now}"));
         }
     }
     problems
 }
 
-#[test]
-fn every_public_fn_has_a_non_test_caller() {
+/// The defining sources (`crates/*/src` outside `src/bin`) and the corpus
+/// that may read them (those plus `src/bin`, `src/`, `examples/` and
+/// `benchmark/src/`).
+fn workspace() -> (Vec<Source>, Vec<Source>) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut defining_paths = Vec::new();
     let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))
@@ -307,15 +496,52 @@ fn every_public_fn_has_a_non_test_caller() {
         "found only {} source files under crates/",
         defining.len()
     );
+    (defining, corpus)
+}
 
-    let problems = audit(&defining, &corpus, ALLOWED);
+/// Fail with every problem and what to do about each.
+fn assert_clean(kind: Kind, problems: Vec<String>, remedy: &str) {
     assert!(
         problems.is_empty(),
-        "{} public-surface problem(s):\n  {}\n\nFor each `pub fn` above: delete it, make it `pub(crate)` \
-         (rustc's dead-code lint then watches it), or add it to `ALLOWED` in tests/public_api.rs \
-         with the reader that needs it. Remove a stale `ALLOWED` entry.",
+        "{} public-surface problem(s):\n  {}\n\nFor each `{}` above: {remedy} Remove a stale \
+         `ALLOWED` entry.",
         problems.len(),
-        problems.join("\n  ")
+        problems.join("\n  "),
+        kind.noun()
+    );
+}
+
+#[test]
+fn every_public_fn_has_a_non_test_caller() {
+    let (defining, corpus) = workspace();
+    assert_clean(
+        Kind::Fn,
+        audit(Kind::Fn, &defining, &corpus, ALLOWED),
+        "delete it, make it `pub(crate)` (rustc's dead-code lint then watches it), or add it to \
+         `ALLOWED` in tests/public_api.rs with the reader that needs it.",
+    );
+}
+
+#[test]
+fn every_public_type_and_const_has_a_non_test_reader() {
+    let (defining, corpus) = workspace();
+    assert_clean(
+        Kind::Type,
+        audit(Kind::Type, &defining, &corpus, ALLOWED_TYPES),
+        "delete it, make it `pub(crate)` (rustc's dead-code lint then watches it), or add it to \
+         `ALLOWED_TYPES` in tests/public_api.rs with the reader that needs it.",
+    );
+}
+
+#[test]
+fn every_public_mod_is_reached_from_another_package() {
+    let (defining, corpus) = workspace();
+    assert_clean(
+        Kind::Mod,
+        audit(Kind::Mod, &defining, &corpus, ALLOWED_MODS),
+        "make it `pub(crate)` and re-export what other packages need at the crate root, or add \
+         it to `ALLOWED_MODS` in tests/public_api.rs naming the doctest or integration test \
+         that reads it.",
     );
 }
 
@@ -332,7 +558,7 @@ fn the_audit_sees_through_comments_literals_and_test_items() {
     };
     let corpus = [lib];
     assert_eq!(
-        audit(&corpus, &corpus, &[]),
+        audit(Kind::Fn, &corpus, &corpus, &[]),
         ["crates/x/src/lib.rs:2 unused: no non-test caller"]
     );
     let stale = [
@@ -341,10 +567,56 @@ fn the_audit_sees_through_comments_literals_and_test_items() {
         ("unused", "kept"),
     ];
     assert_eq!(
-        audit(&corpus, &corpus, &stale),
+        audit(Kind::Fn, &corpus, &corpus, &stale),
         [
             "ALLOWED entry `used` is stale: non-test code now names it",
             "ALLOWED entry `gone` is stale: no such pub fn",
+        ]
+    );
+}
+
+#[test]
+fn the_type_and_module_audits_see_definitions_impls_and_packages() {
+    let source = |path: &str, text: &str| Source {
+        path: path.into(),
+        code: without_test_items(code_only(text)),
+    };
+    let lib = source(
+        "crates/x/src/lib.rs",
+        "pub mod reached;\npub mod own_use;\npub mod by_brace;\npub mod idle;\n\
+         pub struct Lonely;\nimpl Lonely { fn f() {} }\nimpl fmt::Debug for Lonely {}\n\
+         pub trait Rule: Send + 'static + Marker {}\npub trait Marker {}\n\
+         pub struct Shell<K: Rule>(K);\n\
+         impl<K: Rule> Shell<K> {}\npub const LIMIT: u8 = 1;\n\
+         fn f() { let _ = LIMIT; own_use::g(); }\n\
+         #[cfg(test)]\nmod tests { fn t() { let _ = super::Lonely; super::idle::h(); } }\n",
+    );
+    let other = source(
+        "crates/y/src/lib.rs",
+        "use mcc_x::reached::Thing;\nuse mcc_x::{by_brace::{a, b}, Shell};\n",
+    );
+    let corpus = [lib, other];
+    let defining = &corpus[..1];
+    assert_eq!(
+        audit(Kind::Type, defining, &corpus, &[]),
+        ["crates/x/src/lib.rs:5 Lonely: no non-test reader"]
+    );
+    assert_eq!(
+        audit(Kind::Mod, defining, &corpus, &[("idle", "a doctest")]),
+        ["crates/x/src/lib.rs:2 own_use: no other package's non-test code reaches it by path"]
+    );
+    assert_eq!(
+        audit(
+            Kind::Mod,
+            defining,
+            &corpus,
+            &[("reached", "kept"), ("gone", "vanished")]
+        ),
+        [
+            "crates/x/src/lib.rs:2 own_use: no other package's non-test code reaches it by path",
+            "crates/x/src/lib.rs:4 idle: no other package's non-test code reaches it by path",
+            "ALLOWED entry `reached` is stale: another package now reaches it",
+            "ALLOWED entry `gone` is stale: no such pub mod",
         ]
     );
 }

@@ -9,11 +9,10 @@ use proptest::prelude::*;
 use robust_multicast::attack::{
     AttackPlan, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess, Placement,
 };
-use robust_multicast::core::topology::{
-    BuiltTopology, McastSessionSpec, ReceiverSpec, Topology, TopologySpec,
+use robust_multicast::core::{
+    BuiltTopology, Dist, McastSessionSpec, ReceiverSpec, Topology, TopologySpec, Units, Variant,
+    WorkloadSpec,
 };
-use robust_multicast::core::workload::{Dist, WorkloadSpec};
-use robust_multicast::core::{Units, Variant};
 use robust_multicast::flid::{FlidReceiver, ReceiverStats, ReplicatedReceiver, ThresholdReceiver};
 use robust_multicast::netsim::{AgentId, LinkId, NodeId, World};
 use robust_multicast::simcore::{SimDuration, SimTime};

@@ -12,8 +12,7 @@ use proptest::prelude::*;
 use robust_multicast::core::obs::{capture, render_runs};
 use robust_multicast::core::registry::{self};
 use robust_multicast::core::runner::run_serial;
-use robust_multicast::core::topology::{McastSessionSpec, Topology, TopologySpec};
-use robust_multicast::core::{Params, Variant};
+use robust_multicast::core::{McastSessionSpec, Params, Topology, TopologySpec, Variant};
 use robust_multicast::obs::{Recorder, DEFAULT_RING_CAP};
 use robust_multicast::simcore::SimTime;
 

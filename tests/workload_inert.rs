@@ -8,9 +8,7 @@
 
 use proptest::prelude::*;
 use robust_multicast::core::obs::capture;
-use robust_multicast::core::topology::{McastSessionSpec, Topology, TopologySpec};
-use robust_multicast::core::workload::WorkloadSpec;
-use robust_multicast::core::Variant;
+use robust_multicast::core::{McastSessionSpec, Topology, TopologySpec, Variant, WorkloadSpec};
 use robust_multicast::simcore::SimDuration;
 
 const HORIZON_SECS: u64 = 8;

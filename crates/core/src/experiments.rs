@@ -1,10 +1,12 @@
-//! One entry point per figure of the paper's evaluation (§5).
+//! One function per registered experiment: the figures of the paper's
+//! evaluation (§5), the defense matrices, the ablations and the
+//! topology experiments.
 //!
 //! Every function is deterministic in its `seed` and parameterized by
 //! duration so the same code drives both the full regeneration (the
-//! `mcc-bench` binaries) and fast integration tests. The experiment
-//! index in `DESIGN.md` maps each function to its figure; `EXPERIMENTS.md`
-//! records paper-versus-measured shapes.
+//! `figures` binary of `mcc-bench`) and fast integration tests. The
+//! experiment index in `DESIGN.md` maps each function to its figure;
+//! `EXPERIMENTS.md` records paper-versus-measured shapes.
 
 use crate::config::Params;
 use crate::metrics::{damage, Damage, Series};

@@ -13,7 +13,6 @@
 //! * [`Topology::ParkingLot`] — `N` chained bottleneck links with
 //!   cross-traffic CBRs entering and leaving at each hop (the classic
 //!   multi-bottleneck fairness shape),
-//! * [`Topology::Star`] — one hub, `arms` bottleneck spokes,
 //! * [`Topology::BalancedTree`] — a balanced `fanout`-ary distribution
 //!   tree with receivers at the leaves and configurable attacker
 //!   placement (leaf versus interior subtree) via
@@ -49,7 +48,7 @@ pub(crate) const THRESHOLD_THETA: f64 = 0.25;
 /// converting router slot numbers to seconds must use this constant.
 pub(crate) const SIGMA_SLOT: SimDuration = SimDuration::from_millis(250);
 
-/// Rate and flow-id base of the per-hop cross-traffic CBRs of
+/// Flow-id base of the per-hop cross-traffic CBRs of
 /// [`Topology::ParkingLot`] (the spec-level [`CbrSpec`] keeps flow 200).
 const PER_HOP_CBR_FLOW_BASE: u32 = 210;
 
@@ -164,12 +163,6 @@ pub enum Topology {
         /// traffic).
         per_hop_cbr: Option<u64>,
     },
-    /// One hub with `arms` bottleneck spokes; senders attach at the hub,
-    /// receivers round-robin over the arm routers.
-    Star {
-        /// Number of spokes (≥ 1).
-        arms: usize,
-    },
     /// A balanced `fanout`-ary multicast tree of the given `depth`
     /// (depth 0 = just the root). Every parent→child link is a
     /// bottleneck-class link; senders attach at the root and receivers
@@ -180,18 +173,6 @@ pub enum Topology {
         /// Children per interior router (≥ 1).
         fanout: u32,
     },
-}
-
-impl Topology {
-    /// A short label for reports and plots.
-    pub fn label(&self) -> String {
-        match self {
-            Topology::Dumbbell => "dumbbell".into(),
-            Topology::ParkingLot { bottlenecks, .. } => format!("parking_lot({bottlenecks})"),
-            Topology::Star { arms } => format!("star({arms})"),
-            Topology::BalancedTree { depth, fanout } => format!("tree(d{depth},f{fanout})"),
-        }
-    }
 }
 
 /// Side-link propagation delay (sender side; receiver side comes from
@@ -263,7 +244,7 @@ fn nary_parent(i: usize, fanout: u32) -> usize {
 /// The assembled core (router) graph, before sessions are attached.
 struct Core {
     /// All core routers: `[A, B]` for the dumbbell, chain order for the
-    /// parking lot, `[hub, arms…]` for the star, breadth-first for trees.
+    /// parking lot, breadth-first for trees.
     routers: Vec<NodeId>,
     /// Where sender hosts (multicast, TCP, CBR sources) attach.
     ingress: NodeId,
@@ -286,13 +267,6 @@ impl Core {
                 Topology::Dumbbell => self.attach[0],
                 Topology::ParkingLot { .. } => {
                     self.routers[(depth as usize).min(self.routers.len() - 1)]
-                }
-                Topology::Star { arms } => {
-                    if depth == 0 {
-                        self.routers[0]
-                    } else {
-                        self.attach[leaf % arms]
-                    }
                 }
                 Topology::BalancedTree {
                     depth: tree_depth,
@@ -450,23 +424,6 @@ impl TopologySpec {
                     routers,
                 }
             }
-            Topology::Star { arms } => {
-                assert!(arms >= 1, "a star needs at least one arm");
-                let hub = sim.add_node();
-                let mut routers = vec![hub];
-                let mut links = Vec::new();
-                for _ in 0..arms {
-                    let arm = sim.add_node();
-                    links.push(bottleneck_link(&mut sim, hub, arm));
-                    routers.push(arm);
-                }
-                Core {
-                    ingress: hub,
-                    attach: routers[1..].to_vec(),
-                    bottlenecks: links,
-                    routers,
-                }
-            }
             Topology::BalancedTree { depth, fanout } => {
                 assert!(fanout >= 1, "a tree needs a positive fanout");
                 let total = nary_tree_size(depth, fanout);
@@ -484,17 +441,19 @@ impl TopologySpec {
             }
         };
 
-        let add_sender_host = |sim: &mut Sim| {
-            let h = sim.add_node();
-            sim.add_duplex_link(
-                h,
-                core.ingress,
-                10_000_000,
-                SIDE_DELAY,
-                Queue::drop_tail(side_buffer),
-                Queue::drop_tail(side_buffer),
-            );
-            h
+        // Every host outside a session's receivers hangs off the core by
+        // one 10 Mbps side link. A host pair is a sender host linked to
+        // `from` and a receiver host linked from `to`, made in that order.
+        let side_link = |sim: &mut Sim, a: NodeId, b: NodeId| {
+            let buffer = || Queue::drop_tail(side_buffer);
+            sim.add_duplex_link(a, b, 10_000_000, SIDE_DELAY, buffer(), buffer());
+        };
+        let host_pair = |sim: &mut Sim, from: NodeId, to: NodeId| {
+            let sender = sim.add_node();
+            side_link(sim, sender, from);
+            let receiver = sim.add_node();
+            side_link(sim, to, receiver);
+            (sender, receiver)
         };
 
         // Per-session configurations, computed up front so the SIGMA
@@ -575,7 +534,8 @@ impl TopologySpec {
         let mut sessions = Vec::new();
         for (si, m) in spec.mcast.iter().enumerate() {
             let cfg = cfgs[si].clone();
-            let sender_host = add_sender_host(&mut sim);
+            let sender_host = sim.add_node();
+            side_link(&mut sim, sender_host, core.ingress);
             for g in cfg.groups.iter().chain([&cfg.control_group]) {
                 sim.register_group(*g, sender_host);
             }
@@ -638,16 +598,7 @@ impl TopologySpec {
 
         let mut tcp = Vec::new();
         for j in 0..spec.tcp {
-            let sh = add_sender_host(&mut sim);
-            let rh = sim.add_node();
-            sim.add_duplex_link(
-                core.attach[j % core.attach.len()],
-                rh,
-                10_000_000,
-                SIDE_DELAY,
-                Queue::drop_tail(side_buffer),
-                Queue::drop_tail(side_buffer),
-            );
+            let (sh, rh) = host_pair(&mut sim, core.ingress, core.attach[j % core.attach.len()]);
             let sink = sim.add_agent(rh, Box::new(TcpSink::default()), SimTime::ZERO);
             let cfg = RenoConfig::bulk(sink, FlowId(100 + j as u32));
             sim.add_agent(
@@ -659,96 +610,48 @@ impl TopologySpec {
             tcp.push(sink);
         }
 
-        if let Some(c) = &spec.cbr {
-            let sh = add_sender_host(&mut sim);
-            let rh = sim.add_node();
-            sim.add_duplex_link(
-                core.attach[0],
-                rh,
-                10_000_000,
-                SIDE_DELAY,
-                Queue::drop_tail(side_buffer),
-                Queue::drop_tail(side_buffer),
-            );
-            let sink = sim.add_agent(rh, Box::new(CountingSink::default()), SimTime::ZERO);
-            let cfg = CbrConfig {
-                rate_bps: c.rate_bps,
-                packet_bits: 576 * 8,
-                dest: Dest::Agent(sink),
-                flow: FlowId(200),
-                start: c.start,
-                stop: c.stop,
-                on_off: c.on_off,
-            };
-            sim.add_agent(sh, Box::new(CbrSource::new(cfg)), SimTime::ZERO);
-        }
-
-        // The workload engine's background mix: one source/sink pair per
-        // extra CBR, flows 201 upward (the spec-level CBR keeps 200).
-        for (i, c) in spec.extra_cbr.iter().enumerate() {
-            let sh = add_sender_host(&mut sim);
-            let rh = sim.add_node();
-            sim.add_duplex_link(
-                core.attach[i % core.attach.len()],
-                rh,
-                10_000_000,
-                SIDE_DELAY,
-                Queue::drop_tail(side_buffer),
-                Queue::drop_tail(side_buffer),
-            );
-            let sink = sim.add_agent(rh, Box::new(CountingSink::default()), SimTime::ZERO);
-            let cfg = CbrConfig {
-                rate_bps: c.rate_bps,
-                packet_bits: 576 * 8,
-                dest: Dest::Agent(sink),
-                flow: FlowId(201 + i as u32),
-                start: c.start,
-                stop: c.stop,
-                on_off: c.on_off,
-            };
-            sim.add_agent(sh, Box::new(CbrSource::new(cfg)), SimTime::ZERO);
-        }
-
-        // Parking-lot cross traffic: one CBR per hop, entering at the
-        // hop's upstream router and leaving right after the bottleneck.
-        let mut hop_cbr_sinks = Vec::new();
+        // Cross traffic as `(from, to, flow, cbr)`, one host pair each:
+        // the spec's CBR (flow 200) and the workload's background mix
+        // (201 upward) run from the ingress to the attachment cycle; a
+        // parking lot's per-hop CBRs (210 upward) enter at each hop's
+        // upstream router and leave right after its bottleneck.
+        let mut cross: Vec<(NodeId, NodeId, u32, CbrSpec)> = spec
+            .cbr
+            .iter()
+            .map(|c| (core.ingress, core.attach[0], 200, c.clone()))
+            .chain(spec.extra_cbr.iter().enumerate().map(|(i, c)| {
+                let to = core.attach[i % core.attach.len()];
+                (core.ingress, to, 201 + i as u32, c.clone())
+            }))
+            .collect();
+        let first_hop = cross.len();
         if let Topology::ParkingLot {
             per_hop_cbr: Some(rate),
             ..
         } = spec.topology
         {
-            for (hop, w) in core.routers.windows(2).enumerate() {
-                let sh = sim.add_node();
-                sim.add_duplex_link(
-                    sh,
-                    w[0],
-                    10_000_000,
-                    SIDE_DELAY,
-                    Queue::drop_tail(side_buffer),
-                    Queue::drop_tail(side_buffer),
-                );
-                let rh = sim.add_node();
-                sim.add_duplex_link(
-                    w[1],
-                    rh,
-                    10_000_000,
-                    SIDE_DELAY,
-                    Queue::drop_tail(side_buffer),
-                    Queue::drop_tail(side_buffer),
-                );
-                let sink = sim.add_agent(rh, Box::new(CountingSink::default()), SimTime::ZERO);
-                let cfg = CbrConfig::steady(
-                    rate,
-                    576 * 8,
-                    Dest::Agent(sink),
-                    FlowId(PER_HOP_CBR_FLOW_BASE + hop as u32),
-                    SimTime::ZERO,
-                    SimTime::MAX,
-                );
-                sim.add_agent(sh, Box::new(CbrSource::new(cfg)), SimTime::ZERO);
-                hop_cbr_sinks.push(sink);
-            }
+            cross.extend(core.routers.windows(2).enumerate().map(|(hop, w)| {
+                let flow = PER_HOP_CBR_FLOW_BASE + hop as u32;
+                (w[0], w[1], flow, CbrSpec::steady(rate))
+            }));
         }
+        let mut cbr_sinks = Vec::new();
+        for (from, to, flow, c) in cross {
+            let (sh, rh) = host_pair(&mut sim, from, to);
+            let sink = sim.add_agent(rh, Box::new(CountingSink::default()), SimTime::ZERO);
+            let cfg = CbrConfig {
+                rate_bps: c.rate_bps,
+                packet_bits: 576 * 8,
+                dest: Dest::Agent(sink),
+                flow: FlowId(flow),
+                start: c.start,
+                stop: c.stop,
+                on_off: c.on_off,
+            };
+            sim.add_agent(sh, Box::new(CbrSource::new(cfg)), SimTime::ZERO);
+            cbr_sinks.push(sink);
+        }
+        let hop_cbr_sinks = cbr_sinks.split_off(first_hop);
 
         sim.finalize();
         BuiltTopology {
@@ -1125,23 +1028,79 @@ mod tests {
         }
     }
 
+    /// The cross-traffic contract: every CBR sink, in flow order, with
+    /// the router its host hangs off. The spec's CBR (200) and the
+    /// workload's background (201 up) run from the ingress to the
+    /// attachment cycle; the per-hop CBRs (210 up) cross one hop each.
     #[test]
-    fn star_arms_attach_round_robin() {
-        let mut spec = TopologySpec::new(Topology::Star { arms: 3 }, 3, 500.kbps());
-        spec.mcast = vec![McastSessionSpec::honest(Variant::FlidDl, 6)];
-        let t = spec.build();
+    fn cross_traffic_sinks_take_their_flow_ids_and_routers() {
+        use crate::workload::{BackgroundCbr, Dist, WorkloadSpec};
+        let mut spec = TopologySpec::new(
+            Topology::ParkingLot {
+                bottlenecks: 3,
+                per_hop_cbr: Some(100_000),
+            },
+            2,
+            1.mbps(),
+        );
+        spec.cbr = Some(CbrSpec::steady(100_000));
+        let background = BackgroundCbr {
+            count: 2,
+            rate_bps: Dist::Const(100_000.0),
+        };
+        spec.workload = Some(WorkloadSpec::none(SimDuration::from_secs(3)).background(background));
+        let (t, trace) = crate::obs::capture("cross_traffic", || {
+            let mut t = spec.build();
+            t.run_secs(3);
+            t
+        });
+        let world = &t.sim.world;
+        let sinks: Vec<AgentId> = (0..world.agent_nodes.len() as u32)
+            .map(AgentId)
+            .filter(|&a| t.sim.agent_as::<CountingSink>(a).is_some())
+            .collect();
+        assert_eq!(t.hop_cbr_sinks, sinks[3..]);
+        let r = &t.routers;
+        let want = [
+            (200, r[1]),
+            (201, r[1]),
+            (202, r[2]),
+            (210, r[1]),
+            (211, r[2]),
+            (212, r[3]),
+        ];
+        assert_eq!(sinks.len(), want.len());
+        for (&sink, (flow, router)) in sinks.iter().zip(want) {
+            let host = &world.nodes[world.agent_nodes[sink.index()].index()];
+            let access = &world.links[host.out_links[0].index()];
+            assert_eq!(access.to, router, "flow {flow}");
+            let to_sink = format!(r#""agent":{},"#, sink.0);
+            let deliveries: Vec<&str> = trace
+                .jsonl
+                .lines()
+                .filter(|l| l.contains(r#""ev":"pkt_deliver""#) && l.contains(&to_sink))
+                .collect();
+            assert!(
+                !deliveries.is_empty(),
+                "flow {flow}: the sink receives nothing"
+            );
+            let of_flow = format!(r#""flow":{flow},"#);
+            for line in deliveries {
+                assert!(line.contains(&of_flow), "flow {flow}: {line}");
+            }
+        }
+    }
+
+    /// Auto receivers wrap round the attachment cycle: six receivers on
+    /// the three leaves of a hub-and-spokes tree take each leaf twice.
+    #[test]
+    fn auto_receivers_wrap_round_robin_over_the_leaves() {
+        let t = tree_spec(1, 3, 6).build();
         assert_eq!(t.routers.len(), 4);
         assert_eq!(t.attach.len(), 3);
         assert_eq!(
             receiver_routers(&t, 0),
-            vec![
-                t.attach[0],
-                t.attach[1],
-                t.attach[2],
-                t.attach[0],
-                t.attach[1],
-                t.attach[2]
-            ]
+            [&t.attach[..], &t.attach[..]].concat()
         );
     }
 

@@ -45,20 +45,6 @@ const STREAM_BACKGROUND: u64 = 4;
 /// of building a million-agent sim by accident (use cohorts for scale).
 pub(crate) const MAX_ARRIVALS: usize = 100_000;
 
-/// The receiver arrival process.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Arrivals {
-    /// No churn (the static population only).
-    Off,
-    /// Poisson arrivals at `rate_hz` per second with exponentially
-    /// distributed dwell times of the given mean. `rate_hz == 0` is the
-    /// empty process.
-    Poisson {
-        rate_hz: f64,
-        mean_dwell: SimDuration,
-    },
-}
-
 /// A flash crowd: at `at`, the standing population is multiplied.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlashCrowd {
@@ -106,8 +92,11 @@ pub struct BackgroundCbr {
 pub struct WorkloadSpec {
     /// Arrivals are generated on `[0, horizon)`.
     pub(crate) horizon: SimDuration,
-    /// The churn process.
-    pub(crate) arrivals: Arrivals,
+    /// Poisson churn: receiver arrivals per second (0 = no churn, the
+    /// static population only).
+    churn_hz: f64,
+    /// Mean of the exponentially distributed churn dwell times.
+    mean_dwell: SimDuration,
     /// Optional flash crowd on top of the churn.
     pub(crate) flash: Option<FlashCrowd>,
     /// Access-link capacity per churn receiver, bit/s.
@@ -130,7 +119,8 @@ impl WorkloadSpec {
     pub fn none(horizon: SimDuration) -> WorkloadSpec {
         WorkloadSpec {
             horizon,
-            arrivals: Arrivals::Off,
+            churn_hz: 0.0,
+            mean_dwell: SimDuration::ZERO,
             flash: None,
             access_bps: Dist::Const(10_000_000.0),
             access_delay_ms: Dist::Const(10.0),
@@ -143,10 +133,8 @@ impl WorkloadSpec {
     /// Poisson churn at `rate_hz` arrivals/s with the given mean dwell.
     pub fn poisson(mut self, rate_hz: f64, mean_dwell: SimDuration) -> WorkloadSpec {
         assert!(rate_hz.is_finite() && rate_hz >= 0.0, "churn rate");
-        self.arrivals = Arrivals::Poisson {
-            rate_hz,
-            mean_dwell,
-        };
+        self.churn_hz = rate_hz;
+        self.mean_dwell = mean_dwell;
         self
     }
 
@@ -202,25 +190,16 @@ impl WorkloadSpec {
         let horizon = self.horizon.as_secs_f64();
         // (join, leave) lifetimes, churn stream first.
         let mut lifetimes: Vec<(SimTime, SimTime)> = Vec::new();
-        match &self.arrivals {
-            Arrivals::Off => {}
-            Arrivals::Poisson {
-                rate_hz,
-                mean_dwell,
-            } => {
-                if *rate_hz > 0.0 {
-                    let mean_gap = 1.0 / rate_hz;
-                    let mut t = arrivals_rng.exponential_secs(mean_gap);
-                    while t < horizon {
-                        assert!(lifetimes.len() < MAX_ARRIVALS, "workload arrival cap");
-                        let join = SimTime::from_nanos((t * 1e9) as u64);
-                        let dwell =
-                            arrivals_rng.exponential_secs(mean_dwell.as_secs_f64().max(1e-9));
-                        let leave = join + SimDuration::from_nanos((dwell * 1e9) as u64);
-                        lifetimes.push((join, leave));
-                        t += arrivals_rng.exponential_secs(mean_gap);
-                    }
-                }
+        if self.churn_hz > 0.0 {
+            let mean_gap = 1.0 / self.churn_hz;
+            let mut t = arrivals_rng.exponential_secs(mean_gap);
+            while t < horizon {
+                assert!(lifetimes.len() < MAX_ARRIVALS, "workload arrival cap");
+                let join = SimTime::from_nanos((t * 1e9) as u64);
+                let dwell = arrivals_rng.exponential_secs(self.mean_dwell.as_secs_f64().max(1e-9));
+                let leave = join + SimDuration::from_nanos((dwell * 1e9) as u64);
+                lifetimes.push((join, leave));
+                t += arrivals_rng.exponential_secs(mean_gap);
             }
         }
         // Flash crowd: factor × the standing population (cohort-weighted

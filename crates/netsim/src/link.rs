@@ -52,25 +52,9 @@ pub struct Link {
     pub host_facing: bool,
     /// Counters.
     pub stats: LinkStats,
-    /// One-entry memo `(size_bits, bps, tx nanos)` for
-    /// [`Link::tx_time_cached`]: a flow sends same-sized packets back to
-    /// back, and the 128-bit division inside `SimDuration::transmission`
-    /// is hot-path expensive. Keyed on the rate too, so mutating the
-    /// public `bps` field mid-run cannot serve stale times.
-    pub(crate) tx_memo: (u64, u64, u64),
 }
 
 impl Link {
-    /// Serialization time of `pkt` on this link, memoized on (packet
-    /// size, rate).
-    pub(crate) fn tx_time_cached(&mut self, pkt: &Packet) -> SimDuration {
-        if self.tx_memo.0 != pkt.size_bits || self.tx_memo.1 != self.bps {
-            let tx = SimDuration::transmission(pkt.size_bits, self.bps);
-            self.tx_memo = (pkt.size_bits, self.bps, tx.as_nanos());
-        }
-        SimDuration::from_nanos(self.tx_memo.2)
-    }
-
     /// Record a queue rejection.
     pub(crate) fn note_drop(&mut self, flow: FlowId) {
         self.stats.drops += 1;
@@ -102,19 +86,7 @@ mod tests {
             in_service: None,
             host_facing: false,
             stats: LinkStats::default(),
-            tx_memo: (u64::MAX, 0, 0),
         }
-    }
-
-    #[test]
-    fn tx_time_matches_rate() {
-        let mut l = link(1_000_000, 20);
-        let p = Packet::opaque(576 * 8, FlowId(0), AgentId(0), Dest::Agent(AgentId(1)));
-        assert_eq!(l.tx_time_cached(&p), SimDuration::from_micros(4608));
-        // A memo hit, then a rate change the memo must not survive.
-        assert_eq!(l.tx_time_cached(&p), SimDuration::from_micros(4608));
-        l.bps = 2_000_000;
-        assert_eq!(l.tx_time_cached(&p), SimDuration::from_micros(2304));
     }
 
     #[test]

@@ -511,7 +511,7 @@ impl World {
             if tracing {
                 ev = Some(TraceEvent::PktEnqueue(pkt_ref(node, Some(l), &pkt)));
             }
-            let tx = link.tx_time_cached(&pkt);
+            let tx = SimDuration::transmission(pkt.size_bits, link.bps);
             link.in_service = Some(pkt);
             self.events.push(now + tx, Event::Departure(l));
         } else {
@@ -803,7 +803,6 @@ impl Sim {
             in_service: None,
             host_facing: false,
             stats: LinkStats::default(),
-            tx_memo: (u64::MAX, 0, 0),
         });
         self.world.links.push(Link {
             id: ba,
@@ -816,7 +815,6 @@ impl Sim {
             in_service: None,
             host_facing: false,
             stats: LinkStats::default(),
-            tx_memo: (u64::MAX, 0, 0),
         });
         self.world.nodes[a.index()].out_links.push(ab);
         self.world.nodes[b.index()].out_links.push(ba);
@@ -904,7 +902,7 @@ impl Sim {
                 let delay = link.delay;
                 let next_tx = match link.queue.dequeue(now) {
                     Some(next) => {
-                        let tx = link.tx_time_cached(&next);
+                        let tx = SimDuration::transmission(next.size_bits, link.bps);
                         link.in_service = Some(next);
                         Some(tx)
                     }

@@ -204,7 +204,7 @@ proptest! {
             0 => Topology::BalancedTree { depth: size, fanout },
             1 => Topology::ParkingLot { bottlenecks: size as usize, per_hop_cbr: None },
             2 => Topology::ParkingLot { bottlenecks: size as usize, per_hop_cbr: Some(100_000) },
-            3 => Topology::Star { arms: (size + fanout) as usize },
+            3 => Topology::BalancedTree { depth: 1, fanout: size + fanout },
             _ => Topology::Dumbbell,
         };
         let mut spec = TopologySpec::new(topology, seed, 1.mbps());
@@ -224,10 +224,10 @@ proptest! {
                 prop_assert_eq!(
                     src.route_to(dst.id),
                     want[dst.id.index()],
-                    "{:?} -> {:?} on {}",
+                    "{:?} -> {:?} on {:?}",
                     src.id,
                     dst.id,
-                    topology.label()
+                    topology
                 );
             }
         }

@@ -101,16 +101,25 @@ impl Members {
     }
 }
 
+/// What keeps a node on a group's tree: a downstream interface, a local
+/// member agent, or the node's edge module.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Interest {
+    Iface(LinkId),
+    Member(AgentId),
+    Module,
+}
+
 /// Per-group forwarding state at one node.
 ///
 /// The interface and member sets are **sorted** flat storage rather than
 /// `BTreeSet`s: the forwarding hot path iterates them once per packet
 /// (fan-out snapshot, member delivery) while membership churn is orders
 /// of magnitude rarer, so contiguous iteration wins. The fields are
-/// private: all mutation goes through the `GroupEntry::add_iface`-style
-/// helpers, which preserve the sorted-unique order the binary-search
-/// lookups — and, since grafts replay in iteration order, simulation
-/// determinism — depend on.
+/// private: all mutation goes through [`GroupEntry::add`] and
+/// [`GroupEntry::remove`], which preserve the sorted-unique order the
+/// binary-search lookups — and, since grafts replay in iteration order,
+/// simulation determinism — depend on.
 #[derive(Debug, Default, Clone)]
 pub struct GroupEntry {
     /// Downstream out-links the group is forwarded onto (sorted, unique).
@@ -120,7 +129,7 @@ pub struct GroupEntry {
     local_members: Members,
     /// True when the node's edge module holds the membership (e.g. a SIGMA
     /// router subscribed to a session's key-distribution control group).
-    pub(crate) module_member: bool,
+    module_member: bool,
 }
 
 impl GroupEntry {
@@ -131,42 +140,34 @@ impl GroupEntry {
             || self.module_member
     }
 
-    /// Start forwarding onto `iface`; false if it was already present.
-    pub(crate) fn add_iface(&mut self, iface: LinkId) -> bool {
-        match self.out_ifaces.binary_search(&iface) {
-            Ok(_) => false,
-            Err(i) => {
-                self.out_ifaces.insert(i, iface);
-                true
-            }
+    /// Record `interest`; false if it was already held.
+    pub(crate) fn add(&mut self, interest: Interest) -> bool {
+        match interest {
+            Interest::Iface(iface) => match self.out_ifaces.binary_search(&iface) {
+                Ok(_) => false,
+                Err(i) => {
+                    self.out_ifaces.insert(i, iface);
+                    true
+                }
+            },
+            Interest::Member(agent) => self.local_members.insert(agent),
+            Interest::Module => !std::mem::replace(&mut self.module_member, true),
         }
     }
 
-    /// Stop forwarding onto `iface`; false if it was not present.
-    pub(crate) fn remove_iface(&mut self, iface: LinkId) -> bool {
-        match self.out_ifaces.binary_search(&iface) {
-            Ok(i) => {
-                self.out_ifaces.remove(i);
-                true
-            }
-            Err(_) => false,
+    /// Drop `interest`; false if it was not held.
+    pub(crate) fn remove(&mut self, interest: Interest) -> bool {
+        match interest {
+            Interest::Iface(iface) => match self.out_ifaces.binary_search(&iface) {
+                Ok(i) => {
+                    self.out_ifaces.remove(i);
+                    true
+                }
+                Err(_) => false,
+            },
+            Interest::Member(agent) => self.local_members.remove(agent),
+            Interest::Module => std::mem::take(&mut self.module_member),
         }
-    }
-
-    /// Add a local member agent; false if already a member.
-    pub(crate) fn add_member(&mut self, agent: AgentId) -> bool {
-        self.local_members.insert(agent)
-    }
-
-    /// Remove a local member agent; false if it was not a member.
-    pub(crate) fn remove_member(&mut self, agent: AgentId) -> bool {
-        self.local_members.remove(agent)
-    }
-
-    /// Whether `agent` is a local member.
-    #[cfg(test)]
-    pub(crate) fn has_member(&self, agent: AgentId) -> bool {
-        self.local_members.as_slice().binary_search(&agent).is_ok()
     }
 
     /// The downstream interfaces, sorted ascending.
@@ -278,19 +279,23 @@ mod tests {
     fn on_tree_logic() {
         let mut e = GroupEntry::default();
         assert!(!e.on_tree());
-        assert!(e.add_member(AgentId(1)));
-        assert!(!e.add_member(AgentId(1)), "duplicate member rejected");
-        assert!(e.has_member(AgentId(1)));
-        assert!(e.on_tree());
-        assert!(e.remove_member(AgentId(1)));
-        assert!(e.add_iface(LinkId(4)));
-        assert!(e.on_tree());
-        assert!(e.remove_iface(LinkId(4)));
-        assert!(!e.remove_iface(LinkId(4)), "double remove rejected");
-        e.module_member = true;
-        assert!(e.on_tree());
-        e.module_member = false;
-        assert!(!e.on_tree());
+        for interest in [
+            Interest::Member(AgentId(1)),
+            Interest::Iface(LinkId(4)),
+            Interest::Module,
+        ] {
+            assert!(e.add(interest));
+            assert!(!e.add(interest), "duplicate {interest:?} rejected");
+            assert!(e.on_tree(), "{interest:?} keeps the node on the tree");
+            assert!(e.remove(interest));
+            assert!(
+                !e.remove(interest),
+                "double remove of {interest:?} rejected"
+            );
+            assert!(!e.on_tree(), "{interest:?} gone");
+        }
+        assert!(e.add(Interest::Member(AgentId(1))));
+        assert_eq!(e.members(), [AgentId(1)]);
     }
 
     #[test]
@@ -306,7 +311,7 @@ mod tests {
     #[test]
     fn group_slab_grows_and_clears() {
         let mut n = Node::new(NodeId(0));
-        n.group_or_default(GroupIdx(3)).module_member = true;
+        n.group_or_default(GroupIdx(3)).add(Interest::Module);
         assert_eq!(n.groups.len(), 4);
         assert!(n.group(GroupIdx(3)).unwrap().on_tree());
         assert!(n.group(GroupIdx(2)).is_none(), "other slots stay empty");

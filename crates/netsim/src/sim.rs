@@ -36,7 +36,7 @@ use crate::addr::{AgentId, FlowId, GroupAddr, GroupIdx, LinkId, NodeId};
 use crate::edge::{EdgeAction, EdgeEnv, EdgeModule};
 use crate::link::{Link, LinkStats};
 use crate::monitor::Monitor;
-use crate::node::{GroupEntry, Node, Routes};
+use crate::node::{GroupEntry, Interest, Node, Routes};
 use crate::packet::{Body, Dest, Packet};
 use crate::queue::{EnqueueOutcome, Queue};
 use mcc_obs::{DropReason, PktRef, Recorder, TraceEvent, GROUP_NONE};
@@ -146,14 +146,16 @@ impl<'w> Ctx<'w> {
     /// Join a multicast group (IGMP host report). Grafting toward the
     /// source happens hop-by-hop with real control packets.
     pub fn join_group(&mut self, group: GroupAddr) {
-        self.world.local_join(self.node, self.agent, group);
+        let member = Interest::Member(self.agent);
+        self.world.join_tree(self.node, group, member);
     }
 
     /// Leave a multicast group. The node re-checks its membership as a
     /// separate event at the same instant and prunes upstream if nothing
     /// else keeps it on the tree; there is no leave latency.
     pub fn leave_group(&mut self, group: GroupAddr) {
-        self.world.local_leave(self.node, self.agent, group);
+        let member = Interest::Member(self.agent);
+        self.world.leave_tree(self.node, group, member);
     }
 
     /// Whether a flight recorder is attached. Agents must check this (one
@@ -547,41 +549,58 @@ impl World {
         }
     }
 
-    /// A local agent joins a group at its host node.
-    fn local_join(&mut self, node: NodeId, agent: AgentId, group: GroupAddr) {
+    /// Put `interest` on `node`'s entry for `group`, grafting one hop
+    /// toward the source if the node was off the tree. Every way onto the
+    /// tree — agent joins, grafts from downstream, edge-module grafts and
+    /// anchors — comes through here.
+    fn join_tree(&mut self, node: NodeId, group: GroupAddr, interest: Interest) {
         let gi = self.intern_group(group);
         let entry = self.nodes[node.index()].group_or_default(gi);
         let was_on_tree = entry.on_tree();
-        entry.add_member(agent);
+        entry.add(interest);
         if !was_on_tree {
-            self.graft_upstream(node, gi);
+            self.send_upstream(node, gi, Body::Graft);
         }
     }
 
-    /// A local agent leaves; the prune check runs as its own event at the
-    /// same instant.
-    fn local_leave(&mut self, node: NodeId, agent: AgentId, group: GroupAddr) {
+    /// Take `interest` off `node`'s entry for `group`. An agent's leave
+    /// re-checks the node as its own event at the same instant; an
+    /// interface prune checks at once.
+    fn leave_tree(&mut self, node: NodeId, group: GroupAddr, interest: Interest) {
         let Some(gi) = self.group_idx(group) else {
-            return; // Never joined anywhere.
+            return; // Never registered or joined anywhere.
         };
-        if let Some(entry) = self.nodes[node.index()].group_mut(gi) {
-            entry.remove_member(agent);
-            self.events.push(self.now, Event::LeaveCheck(node, gi));
+        let Some(entry) = self.nodes[node.index()].group_mut(gi) else {
+            return;
+        };
+        entry.remove(interest);
+        match interest {
+            Interest::Member(_) => self.events.push(self.now, Event::LeaveCheck(node, gi)),
+            _ => self.prune_if_off_tree(node, gi),
         }
     }
 
-    /// Grow the tree one hop toward the source.
-    fn graft_upstream(&mut self, node: NodeId, gi: GroupIdx) {
-        let Some(source) = self.group_sources[gi.index()] else {
-            return; // Unregistered group: membership stays local.
-        };
-        if source == node {
-            return;
+    /// Drop `node`'s entry and prune one hop toward the source if nothing
+    /// keeps the node on the tree any more.
+    fn prune_if_off_tree(&mut self, node: NodeId, gi: GroupIdx) {
+        let n = node.index();
+        if self.nodes[n].group(gi).is_some_and(|e| !e.on_tree()) {
+            self.nodes[n].group_remove(gi);
+            self.send_upstream(node, gi, Body::Prune);
         }
+    }
+
+    /// Send a graft or prune (`body`) one hop toward the group's source.
+    /// An unregistered group's membership stays local, and the source
+    /// itself has no route to itself.
+    fn send_upstream(&mut self, node: NodeId, gi: GroupIdx, body: fn(GroupAddr) -> Body) {
+        let Some(source) = self.group_sources[gi.index()] else {
+            return;
+        };
         let Some(out) = self.nodes[node.index()].route_to(source) else {
             return;
         };
-        let graft = Packet {
+        let control = Packet {
             size_bits: CONTROL_PACKET_BITS,
             flow: CONTROL_FLOW,
             src: AgentId(u32::MAX),
@@ -589,81 +608,29 @@ impl World {
             ecn: Default::default(),
             router_alert: false,
             uid: 0,
-            body: Body::Graft(self.group_addrs[gi.index()]),
+            body: body(self.group_addrs[gi.index()]),
         };
-        self.enqueue_link(out, graft);
+        self.enqueue_link(out, control);
     }
 
-    /// Shrink the tree one hop toward the source and drop local state.
-    fn prune_upstream(&mut self, node: NodeId, gi: GroupIdx) {
-        self.nodes[node.index()].group_remove(gi);
-        let Some(source) = self.group_sources[gi.index()] else {
-            return;
-        };
-        if source == node {
-            return;
-        }
-        let Some(out) = self.nodes[node.index()].route_to(source) else {
-            return;
-        };
-        let prune = Packet {
-            size_bits: CONTROL_PACKET_BITS,
-            flow: CONTROL_FLOW,
-            src: AgentId(u32::MAX),
-            dst: Dest::Router(source),
-            ecn: Default::default(),
-            router_alert: false,
-            uid: 0,
-            body: Body::Prune(self.group_addrs[gi.index()]),
-        };
-        self.enqueue_link(out, prune);
-    }
-
-    /// Handle a graft arriving on `in_link`.
-    fn handle_graft(&mut self, node: NodeId, in_link: LinkId, group: GroupAddr) {
-        let iface = self.links[in_link.index()].reverse;
-        let n = node.index();
-        // Grafts from host-facing interfaces are subject to the edge module
-        // (SIGMA ignores raw IGMP: that is the whole defence).
-        if self.links[iface.index()].host_facing && self.nodes[n].edge.is_some() {
-            let mut allowed = true;
+    /// A graft (`join`) or prune arriving on `in_link`. Those from a
+    /// host-facing interface are raw IGMP and pass the edge module first
+    /// (SIGMA ignores them: that is the whole defence).
+    fn handle_igmp(&mut self, node: NodeId, in_link: LinkId, group: GroupAddr, join: bool) {
+        let iface = self.link_reverse[in_link.index()];
+        let mut allowed = true;
+        if self.link_host_facing[iface.index()] {
             self.with_edge(node, |m, env| {
-                allowed = m.allow_igmp(env, iface, group, true);
+                allowed = m.allow_igmp(env, iface, group, join)
             });
-            if !allowed {
-                return;
-            }
         }
-        let gi = self.intern_group(group);
-        let entry = self.nodes[n].group_or_default(gi);
-        let was_on_tree = entry.on_tree();
-        entry.add_iface(iface);
-        if !was_on_tree {
-            self.graft_upstream(node, gi);
-        }
-    }
-
-    /// Handle a prune arriving on `in_link`.
-    fn handle_prune(&mut self, node: NodeId, in_link: LinkId, group: GroupAddr) {
-        let iface = self.links[in_link.index()].reverse;
-        let n = node.index();
-        if self.links[iface.index()].host_facing && self.nodes[n].edge.is_some() {
-            let mut allowed = true;
-            self.with_edge(node, |m, env| {
-                allowed = m.allow_igmp(env, iface, group, false);
-            });
-            if !allowed {
-                return;
-            }
-        }
-        let Some(gi) = self.group_idx(group) else {
+        if !allowed {
             return;
-        };
-        if let Some(entry) = self.nodes[n].group_mut(gi) {
-            entry.remove_iface(iface);
-            if !entry.on_tree() {
-                self.prune_upstream(node, gi);
-            }
+        }
+        if join {
+            self.join_tree(node, group, Interest::Iface(iface));
+        } else {
+            self.leave_tree(node, group, Interest::Iface(iface));
         }
     }
 
@@ -696,34 +663,12 @@ impl World {
             match action {
                 EdgeAction::Send(pkt) => self.originate(node, pkt),
                 EdgeAction::GraftIface(group, iface) => {
-                    let gi = self.intern_group(group);
-                    let entry = self.nodes[node.index()].group_or_default(gi);
-                    let was_on_tree = entry.on_tree();
-                    entry.add_iface(iface);
-                    if !was_on_tree {
-                        self.graft_upstream(node, gi);
-                    }
+                    self.join_tree(node, group, Interest::Iface(iface));
                 }
                 EdgeAction::PruneIface(group, iface) => {
-                    let Some(gi) = self.group_idx(group) else {
-                        continue;
-                    };
-                    if let Some(entry) = self.nodes[node.index()].group_mut(gi) {
-                        entry.remove_iface(iface);
-                        if !entry.on_tree() {
-                            self.prune_upstream(node, gi);
-                        }
-                    }
+                    self.leave_tree(node, group, Interest::Iface(iface));
                 }
-                EdgeAction::JoinModule(group) => {
-                    let gi = self.intern_group(group);
-                    let entry = self.nodes[node.index()].group_or_default(gi);
-                    let was_on_tree = entry.on_tree();
-                    entry.module_member = true;
-                    if !was_on_tree {
-                        self.graft_upstream(node, gi);
-                    }
-                }
+                EdgeAction::JoinModule(group) => self.join_tree(node, group, Interest::Module),
                 EdgeAction::Timer(delay, token) => {
                     self.events
                         .push(self.now + delay, Event::EdgeTimer(node, token));
@@ -919,8 +864,8 @@ impl Sim {
             Event::Arrival(l, pkt) => {
                 let node = self.world.link_to[l.index()];
                 match &pkt.body {
-                    Body::Graft(g) => self.world.handle_graft(node, l, *g),
-                    Body::Prune(g) => self.world.handle_prune(node, l, *g),
+                    Body::Graft(g) => self.world.handle_igmp(node, l, *g, true),
+                    Body::Prune(g) => self.world.handle_igmp(node, l, *g, false),
                     _ => {
                         // Local unicast delivery is detected inside route().
                         let dst = pkt.dst;
@@ -941,14 +886,7 @@ impl Sim {
                 self.world.with_edge(node, |m, env| m.on_timer(env, token));
             }
             Event::LocalDeliver(a, pkt) => self.deliver(a, pkt),
-            Event::LeaveCheck(node, gi) => {
-                let n = node.index();
-                if let Some(entry) = self.world.nodes[n].group(gi) {
-                    if !entry.on_tree() {
-                        self.world.prune_upstream(node, gi);
-                    }
-                }
-            }
+            Event::LeaveCheck(node, gi) => self.world.prune_if_off_tree(node, gi),
         }
     }
 

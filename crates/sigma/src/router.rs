@@ -40,6 +40,10 @@ const TICK: u64 = 0;
 /// session-joins (the paper uses two).
 const GRACE_SLOTS: u64 = 2;
 
+/// Slots a grace period stays open while its group's first packet has
+/// not yet arrived (the graft is still travelling toward the source).
+const GRAFT_WAIT_SLOTS: u64 = 4;
+
 /// Distinct invalid keys per (interface, group, slot) that flag a
 /// guessing attack (paper §4.2).
 const GUESS_ALARM: u32 = 8;
@@ -237,7 +241,7 @@ impl SigmaEdgeModule {
 
     fn grace_active(&self, g: &Grace, at_slot: u64) -> bool {
         match g.first_seen {
-            None => at_slot <= g.opened_slot + 4, // still waiting for the graft
+            None => at_slot <= g.opened_slot + GRAFT_WAIT_SLOTS,
             Some(s0) => at_slot <= s0 + GRACE_SLOTS,
         }
     }
@@ -515,10 +519,10 @@ impl EdgeModule for SigmaEdgeModule {
         let mut to_prune: Vec<(LinkId, GroupAddr)> = Vec::new();
         for (iface, group) in self.grants.entries() {
             let has_current = self.grants.max_slot(iface, group).is_some_and(|s| s >= cur);
-            let grace_live = self.grace.get(&(iface, group)).is_some_and(|g| {
-                g.first_seen
-                    .map_or(cur <= g.opened_slot + 4, |s0| cur <= s0 + GRACE_SLOTS)
-            });
+            let grace_live = self
+                .grace
+                .get(&(iface, group))
+                .is_some_and(|g| self.grace_active(g, cur));
             if !has_current && !grace_live {
                 to_prune.push((iface, group));
             }

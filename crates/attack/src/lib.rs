@@ -18,9 +18,10 @@
 //!   schedulers,
 //! * [`AttackPlan`] — a cloneable handle used by scenario specs
 //!   (`mcc_core::ReceiverSpec::adversary`) and handed to every receiver's
-//!   `with_adversary` constructor. The Figure 1/7 attacker is
-//!   `Timed(at, All[InflateTo::all(), KeyGuess { rate: 10 }])`
-//!   (`ReceiverSpec::inflate_at`).
+//!   `with_adversary` constructor. The paper's §4.2 attacker (Figures 1
+//!   and 7, the matrix's "inflate" cell, the churn and tree experiments)
+//!   is [`AttackPlan::inflate_at`]:
+//!   `Timed(at, All[InflateTo::all(), KeyGuess { rate: 10 }])`.
 
 pub(crate) mod strategies;
 
@@ -192,6 +193,18 @@ impl AttackPlan {
     /// The well-behaved receiver.
     pub fn honest() -> AttackPlan {
         AttackPlan::new(Honest)
+    }
+
+    /// The paper's §4.2 attacker from `at` on: grab every group, keep
+    /// hammering raw joins, and guess ten keys per group per slot.
+    pub fn inflate_at(at: SimTime) -> AttackPlan {
+        AttackPlan::new(Timed::boxed(
+            at,
+            Box::new(All::of(vec![
+                Box::new(InflateTo::all()),
+                Box::new(KeyGuess { rate: 10 }),
+            ])),
+        ))
     }
 
     /// Target the plan at a specific attachment point.

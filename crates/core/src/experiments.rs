@@ -14,7 +14,7 @@ use crate::runner::record;
 use crate::scenario::{Scenario, Units, Variant};
 use crate::topology::{BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SIGMA_SLOT};
 use mcc_attack::{
-    All, AttackPlan, Colluders, CollusionSet, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess,
+    AttackPlan, Colluders, CollusionSet, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess,
     Placement, Timed,
 };
 use mcc_delta::overhead::{delta_overhead, sigma_overhead, OverheadParams};
@@ -410,19 +410,6 @@ struct CellPlans {
     extra: Option<AttackPlan>,
 }
 
-/// The matrix's "inflate" strategy (InflateTo::all + key guessing)
-/// activated at `onset` — also the attacker of the churn sweep and, with
-/// a [`Placement`], of the tree experiment.
-fn inflate_plan_at(onset: SimTime) -> AttackPlan {
-    AttackPlan::new(Timed::boxed(
-        onset,
-        Box::new(All::of(vec![
-            Box::new(InflateTo::all()),
-            Box::new(KeyGuess { rate: 10 }),
-        ])),
-    ))
-}
-
 fn strategy_cell_plans(name: &str, onset: SimTime) -> CellPlans {
     let at_start = |attacker| CellPlans {
         attacker,
@@ -430,7 +417,7 @@ fn strategy_cell_plans(name: &str, onset: SimTime) -> CellPlans {
         extra: None,
     };
     match name {
-        "inflate" => at_start(inflate_plan_at(onset)),
+        "inflate" => at_start(AttackPlan::inflate_at(onset)),
         "ignore_decrease" => at_start(AttackPlan::new(Timed::at(onset, IgnoreDecrease))),
         "key_guess" => at_start(AttackPlan::new(Timed::at(onset, KeyGuess { rate: 10 }))),
         "colluders" => {
@@ -798,7 +785,7 @@ pub(crate) fn churn_robustness(
                 )
             };
             let (baseline, baseline_churners) = run_with(AttackPlan::honest());
-            let (run, churn_receivers) = run_with(inflate_plan_at(onset));
+            let (run, churn_receivers) = run_with(AttackPlan::inflate_at(onset));
             assert_eq!(
                 baseline_churners, churn_receivers,
                 "workload expansion must not depend on the adversary"
@@ -968,7 +955,7 @@ pub(crate) fn tree_placement(
                 )
             };
             let base = run_with(AttackPlan::honest());
-            let run = run_with(inflate_plan_at(onset_secs.secs()));
+            let run = run_with(AttackPlan::inflate_at(onset_secs.secs()));
             let (honest, baseline) = (&run.victims_bps, &base.victims_bps);
             let honest_mean_bps = mean(honest);
             let baseline_mean_bps = mean(baseline);

@@ -26,7 +26,7 @@
 use crate::topology::{
     BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, Topology, TopologySpec,
 };
-use mcc_attack::{All, AttackPlan, InflateTo, KeyGuess, Timed};
+use mcc_attack::AttackPlan;
 use mcc_simcore::{SimDuration, SimTime};
 
 /// Which congestion-control protocol (and defence level) a multicast
@@ -162,13 +162,7 @@ impl ReceiverSpec {
     /// composite the paper's §4.2 attacker runs: grab everything, keep
     /// hammering raw joins, and guess ten keys per group per slot.
     pub fn inflate_at(self, at: SimTime) -> ReceiverSpec {
-        self.adversary(AttackPlan::new(Timed::boxed(
-            at,
-            Box::new(All::of(vec![
-                Box::new(InflateTo::all()),
-                Box::new(KeyGuess { rate: 10 }),
-            ])),
-        )))
+        self.adversary(AttackPlan::inflate_at(at))
     }
 
     /// Let this receiver stand for `n` synchronized receivers behind one

@@ -134,10 +134,13 @@ impl Receiver<Layered> {
         }
     }
 
-    /// Fall back to the minimal group and ask for keyless re-admission.
+    /// Fall back to the minimal group, leaving and unsubscribing every
+    /// group above it, and ask for keyless re-admission.
     fn rejoin(&mut self, ctx: &mut Ctx) {
+        let left = (2..=self.policy.level).map(|g| self.addr(g)).collect();
+        self.drop_to(ctx, 1);
+        self.unsubscribe(ctx, left);
         self.stats.rejoins += 1;
-        self.policy.level = 1;
         self.session_join(ctx);
         self.trace(ctx);
     }
@@ -215,9 +218,6 @@ impl Receiver<Layered> {
                 // key to stay ("n ← null"); SIGMA's session-join is its
                 // continuous keyless path back into the minimal group
                 // (§3.2.2). Groups above the minimal one are abandoned.
-                let left = (2..=self.policy.level).map(|g| self.addr(g)).collect();
-                self.drop_to(ctx, 1);
-                self.unsubscribe(ctx, left);
                 self.rejoin(ctx);
             }
         }

@@ -63,7 +63,8 @@ pub(crate) mod testrig {
     pub(crate) struct Rig {
         pub(crate) sim: Sim,
         pub(crate) cfg: FlidConfig,
-        source: NodeId,
+        /// The session source `S`.
+        pub(crate) source: NodeId,
         /// The edge router `B` (SIGMA installed when `cfg.protected`).
         pub(crate) edge: NodeId,
         /// The bottleneck link `A → B`.
@@ -86,9 +87,13 @@ pub(crate) mod testrig {
             let mut sim = Sim::new(seed, SimDuration::from_secs(1));
             let [source, a, edge] = [(); 3].map(|()| sim.add_node());
             side_link(&mut sim, source, a);
-            // Buffer = 2 × (capacity × 80 ms end-to-end RTT), as per §5.1.
+            // Buffer = 2 × (capacity × 80 ms end-to-end RTT), as per §5.1;
+            // an ECN session's bottleneck runs RED so it marks.
             let buf = (2.0 * bottleneck_bps as f64 * 0.080 / 8.0) as u64;
-            let q = || Queue::drop_tail(buf);
+            let q = || match cfg.ecn {
+                true => Queue::red(RedConfig::for_limit(buf)),
+                false => Queue::drop_tail(buf),
+            };
             let delay = SimDuration::from_millis(20);
             let (bottleneck, _) = sim.add_duplex_link(a, edge, bottleneck_bps, delay, q(), q());
             for g in cfg.groups.iter().chain([&cfg.control_group]) {
@@ -165,21 +170,9 @@ pub(crate) mod testrig {
 #[cfg(test)]
 mod integration {
     use super::testrig::{flid, flid_dumbbell};
-    use mcc_attack::{All, AttackPlan, InflateTo, KeyGuess, Timed};
+    use mcc_attack::AttackPlan;
     use mcc_sigma::SigmaEdgeModule;
     use mcc_simcore::SimTime;
-
-    /// The paper's §4.2 attacker: grab everything, keep hammering raw
-    /// joins, and guess ten keys per group per slot, from `at` on.
-    fn inflate_at(at: SimTime) -> AttackPlan {
-        AttackPlan::new(Timed::boxed(
-            at,
-            Box::new(All::of(vec![
-                Box::new(InflateTo::all()),
-                Box::new(KeyGuess { rate: 10 }),
-            ])),
-        ))
-    }
 
     #[test]
     fn honest_ds_receiver_converges_to_fair_level() {
@@ -215,7 +208,7 @@ mod integration {
     fn dl_attacker_inflates_successfully() {
         // Two receivers on a 500 kbps bottleneck; fair ≈ 250 kbps each.
         // The attacker joins everything at t = 20 s.
-        let plans = [inflate_at(SimTime::from_secs(20))];
+        let plans = [AttackPlan::inflate_at(SimTime::from_secs(20))];
         let (d, rs) = flid_dumbbell((77, 60), false, 500_000, 2, &plans);
         let attacker = d.goodput_bps(rs[0], 30, 60);
         let victim = d.goodput_bps(rs[1], 30, 60);
@@ -231,7 +224,7 @@ mod integration {
 
     #[test]
     fn ds_attacker_fails_to_inflate() {
-        let plans = [inflate_at(SimTime::from_secs(20))];
+        let plans = [AttackPlan::inflate_at(SimTime::from_secs(20))];
         let (d, rs) = flid_dumbbell((77, 60), true, 500_000, 2, &plans);
         let attacker = d.goodput_bps(rs[0], 30, 60);
         let victim = d.goodput_bps(rs[1], 30, 60);

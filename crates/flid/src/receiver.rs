@@ -566,6 +566,7 @@ impl<P: Policy> Agent for Receiver<P> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::layered::Layered;
     use crate::testrig::{session, Rig};
     use crate::{
         FlidReceiver, FlidSender, ReplicatedReceiver, ReplicatedSender, ThresholdReceiver,
@@ -573,6 +574,7 @@ pub(crate) mod tests {
     };
     use mcc_attack::{InflateTo, Timed};
     use mcc_delta::UpgradeMask;
+    use mcc_traffic::{CbrConfig, CbrSource, CountingSink};
     use std::fmt::Debug;
     use std::sync::{Arc, Mutex};
 
@@ -591,6 +593,8 @@ pub(crate) mod tests {
         judged: Vec<u64>,
         /// Slots the policy declined although the session had delivered.
         declined: u32,
+        /// `(level, ledger)` after each PROCESS while still a member.
+        ledgers: Vec<(u32, Vec<bool>)>,
     }
 
     impl<P: Policy + Clone> Probe<P> {
@@ -622,7 +626,12 @@ pub(crate) mod tests {
                 if token == PROCESS {
                     self.predict(ctx.now());
                 }
-                return self.rx.on_timer(ctx, token);
+                self.rx.on_timer(ctx, token);
+                if token == PROCESS && !self.rx.departed {
+                    let ledger = (self.rx.level(), self.rx.desired.clone());
+                    self.ledgers.push(ledger);
+                }
+                return;
             }
             for t in [PROCESS, ATTACK, RETX] {
                 self.rx.on_timer(ctx, t);
@@ -703,6 +712,7 @@ pub(crate) mod tests {
             late_timers: 0,
             judged: Vec::new(),
             declined: 0,
+            ledgers: Vec::new(),
         });
         rig.run(sender(cfg), 0);
         Case {
@@ -802,6 +812,53 @@ pub(crate) mod tests {
             assert!(view.judged.len() > 20, "{name}: judged {:?}", view.judged);
             assert!(view.declined > 0, "{name}: no slot was declined");
             assert_eq!(hooked, view.judged, "{name}: hooked vs judged slots");
+        }
+    }
+    /// A burst over a RED bottleneck drives ECN FLID-DS receivers through
+    /// the marked-slot rejoin, from levels above the minimal one. After
+    /// every PROCESS an honest receiver's ledger holds exactly groups
+    /// `1..=level`: a rejoin leaves what it no longer claims.
+    #[test]
+    fn an_ecn_rejoin_leaves_the_groups_above_level_one() {
+        let bps = 300_000;
+        for (seed, receivers) in [(1, 1), (2, 3)] {
+            let mut cfg = session(10, 1, true);
+            cfg.ecn = true;
+            let mut rig = Rig::new(seed, bps, cfg.clone());
+            let probes: Vec<AgentId> = (0..receivers)
+                .map(|_| {
+                    let rx = FlidReceiver::with_adversary(
+                        cfg.clone(),
+                        rig.router(),
+                        AttackPlan::honest(),
+                    );
+                    rig.receiver(Probe {
+                        rx,
+                        poke_at: SimTime::MAX,
+                        late_timers: 0,
+                        judged: Vec::new(),
+                        declined: 0,
+                        ledgers: Vec::new(),
+                    })
+                })
+                .collect();
+            // 80 % of the bottleneck from 20 s to 30 s.
+            let sink = Dest::Agent(rig.receiver(CountingSink::default()));
+            let (from, until) = (SimTime::from_secs(20), SimTime::from_secs(30));
+            let burst = CbrConfig::steady(bps * 4 / 5, 576 * 8, sink, FlowId(99), from, until);
+            let burst = Box::new(CbrSource::new(burst));
+            rig.sim.add_agent(rig.source, burst, SimTime::ZERO);
+            rig.run(FlidSender::new(cfg.clone()), 40);
+            let mut rejoins = 0;
+            for &id in &probes {
+                let p = rig.sim.agent_as::<Probe<Layered>>(id).expect("the probe");
+                rejoins += p.rx.stats.rejoins;
+                for (k, (level, ledger)) in p.ledgers.iter().enumerate() {
+                    let want: Vec<bool> = (1..=cfg.n()).map(|g| g <= *level).collect();
+                    assert_eq!(*ledger, want, "seed {seed}: PROCESS {k} at level {level}");
+                }
+            }
+            assert!(rejoins > 0, "seed {seed}: the burst must force a rejoin");
         }
     }
 }

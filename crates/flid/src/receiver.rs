@@ -814,6 +814,7 @@ pub(crate) mod tests {
             assert_eq!(hooked, view.judged, "{name}: hooked vs judged slots");
         }
     }
+
     /// A burst over a RED bottleneck drives ECN FLID-DS receivers through
     /// the marked-slot rejoin, from levels above the minimal one. After
     /// every PROCESS an honest receiver's ledger holds exactly groups

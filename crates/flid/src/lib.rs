@@ -90,9 +90,12 @@ pub(crate) mod testrig {
             // Buffer = 2 × (capacity × 80 ms end-to-end RTT), as per §5.1;
             // an ECN session's bottleneck runs RED so it marks.
             let buf = (2.0 * bottleneck_bps as f64 * 0.080 / 8.0) as u64;
-            let q = || match cfg.ecn {
-                true => Queue::red(RedConfig::for_limit(buf)),
-                false => Queue::drop_tail(buf),
+            let q = || {
+                if cfg.ecn {
+                    Queue::red(RedConfig::for_limit(buf))
+                } else {
+                    Queue::drop_tail(buf)
+                }
             };
             let delay = SimDuration::from_millis(20);
             let (bottleneck, _) = sim.add_duplex_link(a, edge, bottleneck_bps, delay, q(), q());

@@ -127,6 +127,12 @@ impl<'w> Ctx<'w> {
     }
 
     /// Fire `on_timer(token)` after `delay`.
+    ///
+    /// Every call schedules one event, and nothing cancels it: a replaced
+    /// timer still sits in the event list until it fires. A timer restarted
+    /// on every packet (a retransmission timeout) should therefore keep a
+    /// deadline and one scheduled event that re-arms itself at the deadline
+    /// when it fires early, as `mcc-tcp`'s `RtoTimer` does.
     pub fn timer_in(&mut self, delay: SimDuration, token: u64) {
         let at = self.world.now + delay;
         self.world
@@ -135,7 +141,8 @@ impl<'w> Ctx<'w> {
     }
 
     /// Fire `on_timer(token)` at the absolute instant `at` (clamped to
-    /// `now` so simulated time never runs backwards).
+    /// `now` so simulated time never runs backwards). Like
+    /// [`Ctx::timer_in`], each call is one event that stays scheduled.
     pub fn timer_at(&mut self, at: SimTime, token: u64) {
         let at = at.max(self.world.now);
         self.world

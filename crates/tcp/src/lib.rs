@@ -10,6 +10,13 @@
 //! * fast retransmit on three duplicate ACKs and Reno fast recovery,
 //! * go-back-N retransmission timeout with exponential backoff and Karn's
 //!   algorithm for RTT sampling (`rtt::RttEstimator`),
+//! * one retransmission deadline per sender (`rtt::RtoTimer`): every ACK
+//!   moves the deadline, but at most one timer event is scheduled. An
+//!   event that fires before the deadline re-arms itself there; a new one
+//!   is scheduled only when the deadline moves earlier than it (the RTO
+//!   shrank after a backoff). A timeout fires at the same instant as a
+//!   fresh timer per ACK would, without leaving a dead event per ACK in
+//!   the simulator's event list,
 //! * a cumulative-ACK receiver with out-of-order reassembly
 //!   ([`sink::TcpSink`]).
 //!

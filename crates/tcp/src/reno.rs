@@ -1,7 +1,7 @@
 //! The sending side: slow start, congestion avoidance, fast
 //! retransmit/recovery (RFC 2581) and the RTO machinery (RFC 6298).
 
-use crate::rtt::RttEstimator;
+use crate::rtt::{RtoFire, RtoTimer, RttEstimator};
 use crate::seg::{TcpAck, TcpData, DEFAULT_HEADER_BYTES, DEFAULT_MSS_BYTES};
 use mcc_netsim::prelude::*;
 use mcc_simcore::SimTime;
@@ -67,8 +67,8 @@ pub struct RenoSender {
     rtt: RttEstimator,
     /// Segment being timed for an RTT sample: `(end_byte, sent_at)`.
     timed: Option<(u64, SimTime)>,
-    /// Token matching the live RTO timer; stale timers are ignored.
-    rto_gen: u64,
+    /// The retransmission deadline and its one scheduled event.
+    rto_timer: RtoTimer,
     /// Counters.
     pub(crate) stats: RenoStats,
 }
@@ -86,7 +86,7 @@ impl RenoSender {
             recover: 0,
             rtt: RttEstimator::default(),
             timed: None,
-            rto_gen: 0,
+            rto_timer: RtoTimer::default(),
             stats: RenoStats::default(),
             cfg,
         }
@@ -152,14 +152,16 @@ impl RenoSender {
         self.arm_rto(ctx);
     }
 
-    /// (Re)arm the retransmission timer if data is in flight.
+    /// Restart the retransmission deadline if data is in flight, else
+    /// stop it. Schedules an event only when the pending one would fire
+    /// after the new deadline.
     fn arm_rto(&mut self, ctx: &mut Ctx) {
         if self.flight() > 0 {
-            self.rto_gen += 1;
-            ctx.timer_in(self.rtt.rto(), self.rto_gen);
+            if let Some((at, token)) = self.rto_timer.restart(ctx.now() + self.rtt.rto()) {
+                ctx.timer_at(at, token);
+            }
         } else {
-            // Nothing outstanding; invalidate any live timer.
-            self.rto_gen += 1;
+            self.rto_timer.stop();
         }
     }
 
@@ -238,8 +240,16 @@ impl Agent for RenoSender {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
-        if token != self.rto_gen || self.flight() == 0 || self.finished() {
-            return; // stale timer
+        match self.rto_timer.fire(ctx.now(), token) {
+            RtoFire::Ignore => return,
+            RtoFire::Rearm(at, token) => {
+                ctx.timer_at(at, token);
+                return;
+            }
+            RtoFire::Timeout => {}
+        }
+        if self.flight() == 0 || self.finished() {
+            return;
         }
         // Retransmission timeout: multiplicative collapse + go-back-N.
         self.stats.timeouts += 1;
@@ -433,5 +443,27 @@ mod tests {
         assert!(s.stats.timeouts > 0, "{:?}", s.stats);
         let k = sim.agent_as::<TcpSink>(sink).unwrap();
         assert!(k.goodput_bytes > 100_000, "goodput {}", k.goodput_bytes);
+    }
+
+    #[test]
+    fn restarting_the_rto_keeps_one_timer_event() {
+        // A bulk flow restarts its RTO on every ACK. Were each restart a
+        // new event, the event list would hold one dead timer per ACK of
+        // the last RTO (about 220 here); it must instead stay within what
+        // the in-flight window can occupy.
+        let (bps, delay, queue_bytes) = (1_000_000, SimDuration::from_millis(20), 10_000);
+        let (mut sim, snd, _) = tcp_over_bottleneck(bps, delay, queue_bytes, u64::MAX);
+        sim.run_until(SimTime::from_secs(60));
+        let s = sim.agent_as::<RenoSender>(snd).unwrap();
+        assert!(s.stats.sent_segments > 10_000, "{:?}", s.stats);
+        // The window is at most the bottleneck buffer plus the pipe.
+        let rtt = (delay + SimDuration::from_millis(1)) * 2;
+        let bdp_bytes = bps * rtt.as_nanos() / 8 / 1_000_000_000;
+        let window = (queue_bytes + bdp_bytes) / (DEFAULT_MSS_BYTES + DEFAULT_HEADER_BYTES);
+        // Each segment or ACK in flight is at most one pending event, plus
+        // one per link direction in service and the RTO event.
+        let bound = window as usize + 4 + 1;
+        let peak = sim.world.peak_pending_events();
+        assert!(peak <= bound, "peak depth {peak} > bound {bound}");
     }
 }

@@ -3,6 +3,7 @@
 use crate::seg::{TcpAck, TcpData, ACK_BITS};
 use mcc_netsim::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included};
 
 /// A TCP receiver. Every data segment triggers an immediate cumulative ACK
 /// (no delayed ACKs — the paper's era NS-2 Reno sink behaves the same way
@@ -27,32 +28,39 @@ impl TcpSink {
         if end <= seq {
             return false;
         }
-        // Find overlap with predecessor and successors, merge into one run.
+        // The run `[seq, end)` joins: its predecessor if that overlaps or
+        // abuts it, else a new run at `seq`.
         let mut start = seq;
-        let mut stop = end;
-        // Predecessor that might overlap or abut.
         if let Some((&ps, &pe)) = self.intervals.range(..=seq).next_back() {
             if pe >= seq {
                 if pe >= end {
                     return false; // fully covered
                 }
                 start = ps;
-                stop = stop.max(pe);
             }
         }
-        // Successors swallowed by the merged run.
-        let swallowed: Vec<u64> = self
+        // Later runs starting at or before `end` are swallowed. In-order
+        // data has none, so the predecessor is extended in place.
+        let mut stop = end;
+        while let Some((&s, &e)) = self
             .intervals
-            .range(start..=stop)
-            .map(|(&s, _)| s)
-            .collect();
-        let mut new = stop;
-        for s in swallowed {
-            let e = self.intervals.remove(&s).expect("present");
-            new = new.max(e);
+            .range((Excluded(start), Included(end)))
+            .next()
+        {
+            self.intervals.remove(&s);
+            stop = stop.max(e);
         }
-        self.intervals.insert(start, new.max(stop));
+        self.intervals.insert(start, stop);
         true
+    }
+
+    /// Account one data segment `[seq, seq + len)`.
+    fn receive(&mut self, seq: u64, len: u64) {
+        self.segments += 1;
+        if !self.insert(seq, seq + len) {
+            self.dup_segments += 1;
+        }
+        self.advance_cum_ack();
     }
 
     fn advance_cum_ack(&mut self) {
@@ -70,11 +78,7 @@ impl Agent for TcpSink {
         let Some(&TcpData { seq, len }) = pkt.body_as::<TcpData>() else {
             return; // stray non-data packet
         };
-        self.segments += 1;
-        if !self.insert(seq, seq + len) {
-            self.dup_segments += 1;
-        }
-        self.advance_cum_ack();
+        self.receive(seq, len);
         let ack = Packet::app(
             ACK_BITS,
             pkt.flow,
@@ -89,6 +93,7 @@ impl Agent for TcpSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sink() -> TcpSink {
         TcpSink::default()
@@ -147,5 +152,37 @@ mod tests {
         s.advance_cum_ack();
         assert_eq!(s.cum_ack, 1072);
         assert_eq!(s.intervals.len(), 1);
+    }
+
+    proptest! {
+        /// Random segment orders with duplicates and overlaps agree with
+        /// a byte bitmap: the ACK is the first missing byte, goodput the
+        /// bytes below it, and a segment is a duplicate when it brings no
+        /// new byte.
+        #[test]
+        fn reassembly_matches_a_byte_bitmap(
+            segs in prop::collection::vec(0u64..u64::MAX, 1..120),
+        ) {
+            // Offsets on a 16-byte grid and lengths of 0..64 bytes, so
+            // segments often abut, overlap and repeat.
+            const SLOTS: u64 = 128;
+            let mut s = sink();
+            let mut have = vec![false; (SLOTS * 16 + 64) as usize];
+            let mut dups = 0;
+            for word in segs {
+                let seq = (word % SLOTS) * 16;
+                let len = (word >> 32) % 64;
+                let bytes = &mut have[seq as usize..(seq + len) as usize];
+                if bytes.iter().all(|&b| b) {
+                    dups += 1;
+                }
+                bytes.fill(true);
+                s.receive(seq, len);
+                let cum = have.iter().position(|&b| !b).unwrap() as u64;
+                prop_assert_eq!(s.cum_ack, cum);
+                prop_assert_eq!(s.goodput_bytes, cum);
+                prop_assert_eq!(s.dup_segments, dups);
+            }
+        }
     }
 }

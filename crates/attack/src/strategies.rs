@@ -7,7 +7,7 @@
 //! several.
 
 use crate::{Adversary, AttackAction, AttackEnv};
-use mcc_delta::Key;
+use mcc_delta::{Key, KEY_LEAD};
 use mcc_simcore::{OnOffGrid, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -274,7 +274,7 @@ impl Adversary for Colluders {
     fn on_slot(&mut self, env: &AttackEnv) -> Vec<AttackAction> {
         self.set.gc(env.slot.saturating_sub(2));
         let mut actions = Vec::new();
-        for sub_slot in [env.slot + 1, env.slot + 2] {
+        for sub_slot in env.slot + 1..=env.slot + KEY_LEAD {
             let pairs: Vec<(u32, Key)> = self
                 .set
                 .keys_from_others(self.member, sub_slot)

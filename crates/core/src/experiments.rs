@@ -12,7 +12,7 @@ use crate::config::Params;
 use crate::metrics::{damage, Damage, Series};
 use crate::runner::record;
 use crate::scenario::{Scenario, Units, Variant};
-use crate::topology::{BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec, SIGMA_SLOT};
+use crate::topology::{BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec};
 use mcc_attack::{
     AttackPlan, Colluders, CollusionSet, IgnoreDecrease, InflateTo, JoinLeaveFlap, KeyGuess,
     Placement, Timed,
@@ -237,25 +237,20 @@ record! {
     }
 }
 
-/// The paper's Figure-9 session: `R = 4 Mbps`, `r = 100 Kbps`, 500-byte
-/// data packets, 16-bit keys. Returns the session config for `n` groups
-/// and slot `t`.
+/// The paper's Figure-9 session, as [`OverheadParams::paper`] describes
+/// it (`R = 4 Mbps`, `r = 100 Kbps`, 500-byte data packets). Returns the
+/// session config for `n` groups and slot `t`.
 fn fig9_config(n: u32, slot: SimDuration) -> FlidConfig {
-    let r: f64 = 100_000.0;
-    let big_r = 4_000_000.0;
-    let m = (big_r / r).powf(1.0 / (n as f64 - 1.0));
+    let p = OverheadParams::paper(n, slot.as_secs_f64());
     FlidConfig {
         groups: (1..=n).map(|g| GroupAddr(1000 + g)).collect(),
         control_group: GroupAddr(1000),
         flow: FlowId(0),
-        base_rate_bps: r,
-        rate_factor: m,
+        base_rate_bps: p.base_rate_bps,
+        rate_factor: p.rate_factor(),
         slot,
-        packet_bits: 4000,
+        packet_bits: p.data_bits_per_packet.into(),
         protected: true,
-        fec_repeat: 2,
-        upgrade_p0: 0.6,
-        upgrade_decay: 0.75,
         ecn: false,
     }
 }
@@ -286,15 +281,7 @@ fn overhead_point(cfg: FlidConfig, duration_secs: u64, seed: u64) -> OverheadRow
     sim.run_until(SimTime::from_secs(duration_secs));
     let o = &sim.agent_as::<FlidSender>(sender).unwrap().overhead;
 
-    let params = OverheadParams {
-        n_groups: n,
-        data_bits_per_packet: 4000,
-        key_bits: 16,
-        slot_number_bits: 8,
-        base_rate_bps: 100_000.0,
-        session_rate_bps: 4_000_000.0,
-        slot_secs,
-    };
+    let params = OverheadParams::paper(n, slot_secs);
     OverheadRow {
         x: 0.0, // filled by the caller
         delta_analytic: delta_overhead(&params),
@@ -496,7 +483,7 @@ fn measure(
         m.guard_false_positives += edge.stats.guard_false_positives;
         m.tuples_installed += edge.stats.tuples_installed;
         m.session_joins += edge.stats.session_joins;
-        m.detection_secs = [m.detection_secs, edge.stats.detection_secs(SIGMA_SLOT)]
+        m.detection_secs = [m.detection_secs, edge.detection_secs()]
             .into_iter()
             .flatten()
             .reduce(f64::min);
@@ -1263,6 +1250,15 @@ pub(crate) fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> 
                 true,
             );
             cfg.slot = SimDuration::from_millis(ms);
+            let params = OverheadParams {
+                n_groups: cfg.n(),
+                data_bits_per_packet: cfg.packet_bits as u32,
+                key_bits: 16,
+                slot_number_bits: 8,
+                base_rate_bps: cfg.base_rate_bps,
+                session_rate_bps: cfg.cumulative_rate(cfg.n()),
+                slot_secs: ms as f64 / 1000.0,
+            };
             for g in cfg.groups.iter().chain([&cfg.control_group]) {
                 sim.register_group(*g, s);
             }
@@ -1304,7 +1300,6 @@ pub(crate) fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> 
                 cs,
                 Box::new(CbrSource::new(CbrConfig::steady(
                     800_000,
-                    576 * 8,
                     Dest::Agent(cbr_sink),
                     FlowId(2),
                     SimTime::from_secs(40),
@@ -1323,15 +1318,6 @@ pub(crate) fn slot_ablation(slot_ms: &[u64], seed: u64) -> Vec<SlotAblationRow> 
                 .position(|&v| v < steady / 2.0)
                 .map(|i| i as f64 + 0.5)
                 .unwrap_or(f64::INFINITY);
-            let params = OverheadParams {
-                n_groups: 10,
-                data_bits_per_packet: 4608,
-                key_bits: 16,
-                slot_number_bits: 8,
-                base_rate_bps: 100_000.0,
-                session_rate_bps: 3_844_335.937_5,
-                slot_secs: ms as f64 / 1000.0,
-            };
             SlotAblationRow {
                 slot_ms: ms,
                 goodput_bps: steady,

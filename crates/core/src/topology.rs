@@ -39,15 +39,6 @@ use mcc_simcore::{SimDuration, SimTime};
 use mcc_tcp::{RenoConfig, RenoSender, TcpSink};
 use mcc_traffic::{CbrConfig, CbrSource, CountingSink};
 
-/// Loss threshold θ of the RLM-style [`Variant::Threshold`] sessions
-/// (RLM's default, paper §3.1.2).
-pub(crate) const THRESHOLD_THETA: f64 = 0.25;
-
-/// The slot duration every protected session (and its SIGMA edge
-/// modules) runs at — the paper's 250 ms FLID-DS setting. Consumers
-/// converting router slot numbers to seconds must use this constant.
-pub(crate) const SIGMA_SLOT: SimDuration = SimDuration::from_millis(250);
-
 /// Flow-id base of the per-hop cross-traffic CBRs of
 /// [`Topology::ParkingLot`] (the spec-level [`CbrSpec`] keeps flow 200).
 const PER_HOP_CBR_FLOW_BASE: u32 = 210;
@@ -104,13 +95,10 @@ pub struct McastSessionSpec {
 }
 
 impl McastSessionSpec {
-    /// A session with `k` honest receivers joining at t = 0.
+    /// A session of [`McastSessionSpec::new`]'s shape with `k` honest
+    /// receivers joining at t = 0.
     pub fn honest(variant: Variant, k: usize) -> Self {
-        McastSessionSpec {
-            variant,
-            n_groups: 10,
-            receivers: vec![ReceiverSpec::default(); k],
-        }
+        McastSessionSpec::new(variant).with_receivers(vec![ReceiverSpec::default(); k])
     }
 }
 
@@ -506,18 +494,13 @@ impl TopologySpec {
 
         // Any protected session installs SIGMA at every edge router; the
         // module is generic, so one instance per router serves every
-        // session (smallest slot wins for maintenance granularity). A
-        // `FlidDsGuard` session additionally scopes the §4.2 collusion
-        // guard to its groups — the guard is protocol-specific (it must
-        // know the layering), so it covers the first such session only.
-        let protected_slot = spec
-            .mcast
-            .iter()
-            .filter(|m| m.variant.protected())
-            .map(|_| SIGMA_SLOT)
-            .min();
-        if let Some(slot) = protected_slot {
-            let mut sigma_cfg = SigmaConfig::new(slot);
+        // session, at the slot every protected session shares
+        // (`FlidConfig::paper`'s FLID-DS slot). A `FlidDsGuard` session
+        // additionally scopes the §4.2 collusion guard to its groups — the
+        // guard is protocol-specific (it must know the layering), so it
+        // covers the first such session only.
+        if let Some(first) = spec.mcast.iter().position(|m| m.variant.protected()) {
+            let mut sigma_cfg = SigmaConfig::new(cfgs[first].slot);
             if let Some((si, _)) = spec
                 .mcast
                 .iter()
@@ -556,10 +539,10 @@ impl TopologySpec {
                     },
                 ),
                 Variant::Threshold => (
-                    Box::new(ThresholdSender::new(cfg.clone(), THRESHOLD_THETA)),
+                    Box::new(ThresholdSender::new(cfg.clone())),
                     |r, cfg, router| {
                         build_receiver(r, |plan| {
-                            ThresholdReceiver::with_adversary(cfg, THRESHOLD_THETA, router, plan)
+                            ThresholdReceiver::with_adversary(cfg, router, plan)
                         })
                     },
                 ),
@@ -641,7 +624,6 @@ impl TopologySpec {
             let sink = sim.add_agent(rh, Box::new(CountingSink::default()), SimTime::ZERO);
             let cfg = CbrConfig {
                 rate_bps: c.rate_bps,
-                packet_bits: 576 * 8,
                 dest: Dest::Agent(sink),
                 flow: FlowId(flow),
                 start: c.start,

@@ -14,6 +14,11 @@ use std::ops::BitXor;
 /// The key/component width used by the paper's evaluation (bits).
 pub const PAPER_KEY_BITS: u32 = 16;
 
+/// Slots between a key announcement and the subscription it authorizes:
+/// keys announced (and reconstructed) in slot `s` authorize slot
+/// `s + KEY_LEAD` (paper §3.2.2).
+pub const KEY_LEAD: u64 = 2;
+
 /// A group key, decrease nonce, or per-packet component.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Key(pub u64);

@@ -41,7 +41,7 @@ pub(crate) mod replicated;
 pub mod threshold;
 
 pub use fields::{DeltaFields, UpgradeMask};
-pub use key::{Key, PAPER_KEY_BITS};
+pub use key::{Key, KEY_LEAD, PAPER_KEY_BITS};
 pub use layered::{
     decide_layered, ComponentStream, Eligibility, GroupObservation, LayeredKeySchedule,
     SlotObservation,

@@ -44,7 +44,7 @@ impl OverheadParams {
 
     /// The multiplicative cumulative-rate factor `m` implied by Eq. 10:
     /// `R = r · m^{N-1}`.
-    pub(crate) fn rate_factor(&self) -> f64 {
+    pub fn rate_factor(&self) -> f64 {
         if self.n_groups <= 1 {
             return 1.0;
         }

@@ -3,6 +3,24 @@
 use mcc_netsim::{FlowId, GroupAddr};
 use mcc_simcore::SimDuration;
 
+/// FEC repetition factor for SIGMA's special packets: every announcement
+/// packet goes out twice, enough to overcome 50 % loss (paper §5.4).
+pub(crate) const FEC_REPEAT: u32 = 2;
+
+/// Per-slot probability of authorizing an upgrade to group 2; higher
+/// groups decay geometrically by [`UPGRADE_DECAY`].
+pub(crate) const UPGRADE_P0: f64 = 0.6;
+
+/// Geometric decay of the upgrade-authorization probability per group
+/// (`p_g = p0 · decay^{g-2}`), emulating FLID-DL's less-frequent increase
+/// signals at higher layers.
+pub(crate) const UPGRADE_DECAY: f64 = 0.75;
+
+/// Loss threshold θ of the RLM-style threshold sessions: a receiver
+/// keeping at least a `1-θ` fraction of a slot's packets reconstructs its
+/// group key (RLM's default, paper §3.1.2).
+pub const THRESHOLD_THETA: f64 = 0.25;
+
 /// Configuration of one FLID-DL / FLID-DS session.
 ///
 /// Defaults mirror the paper's evaluation settings (§5.1): 10 groups, the
@@ -28,16 +46,6 @@ pub struct FlidConfig {
     /// True for FLID-DS (DELTA + SIGMA protection), false for plain
     /// FLID-DL.
     pub protected: bool,
-    /// FEC repetition factor for SIGMA specials (paper: overcome 50 % loss
-    /// ⇒ 2).
-    pub fec_repeat: u32,
-    /// Probability of authorizing an upgrade to group 2 in a slot; the
-    /// per-group probability decays geometrically
-    /// (`p_g = p0 · decay^{g-2}`), emulating FLID-DL's less-frequent
-    /// increase signals at higher layers.
-    pub upgrade_p0: f64,
-    /// Geometric decay of the upgrade-authorization probability.
-    pub upgrade_decay: f64,
     /// Mark data packets ECN-capable: congestion is then signalled by RED
     /// marking instead of loss, and edge routers scramble marked
     /// components (paper §3.1.2, "Congestion notification").
@@ -67,9 +75,6 @@ impl FlidConfig {
             },
             packet_bits: 576 * 8,
             protected,
-            fec_repeat: 2,
-            upgrade_p0: 0.6,
-            upgrade_decay: 0.75,
             ecn: false,
         }
     }
@@ -98,7 +103,7 @@ impl FlidConfig {
     /// Per-slot probability of authorizing an upgrade *to* group `g`.
     pub(crate) fn upgrade_probability(&self, g: u32) -> f64 {
         assert!((2..=self.n().max(2)).contains(&g));
-        (self.upgrade_p0 * self.upgrade_decay.powi(g as i32 - 2)).clamp(0.0, 1.0)
+        (UPGRADE_P0 * UPGRADE_DECAY.powi(g as i32 - 2)).clamp(0.0, 1.0)
     }
 
     /// The subscription level whose cumulative rate best fits `rate_bps`
@@ -158,6 +163,24 @@ mod tests {
         let c = cfg(10, false);
         assert!(c.upgrade_probability(2) > c.upgrade_probability(5));
         assert!(c.upgrade_probability(10) > 0.0);
+    }
+
+    /// The paper's parameter table (DESIGN.md "Paper parameters"), read
+    /// from each value's one home.
+    #[test]
+    fn paper_parameter_table() {
+        let (dl, ds) = (cfg(10, false), cfg(10, true));
+        assert_eq!((dl.base_rate_bps, dl.rate_factor), (100_000.0, 1.5));
+        assert_eq!(dl.packet_bits, 576 * 8);
+        assert_eq!(dl.slot, SimDuration::from_millis(500));
+        assert_eq!(ds.slot, SimDuration::from_millis(250));
+        assert_eq!(FEC_REPEAT, 2);
+        assert_eq!((UPGRADE_P0, UPGRADE_DECAY), (0.6, 0.75));
+        assert_eq!(dl.upgrade_probability(2), 0.6);
+        assert_eq!(dl.upgrade_probability(3), 0.6 * 0.75);
+        assert_eq!(dl.upgrade_probability(4), 0.6 * 0.5625);
+        assert_eq!(THRESHOLD_THETA, 0.25);
+        assert_eq!(mcc_delta::KEY_LEAD, 2);
     }
 
     #[test]

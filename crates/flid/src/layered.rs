@@ -23,7 +23,7 @@
 use crate::config::FlidConfig;
 use crate::receiver::{Policy, Receiver, SlotWindow};
 use mcc_attack::AttackPlan;
-use mcc_delta::{decide_layered, DeltaFields, Eligibility, Key, SlotObservation};
+use mcc_delta::{decide_layered, DeltaFields, Eligibility, Key, SlotObservation, KEY_LEAD};
 use mcc_netsim::prelude::*;
 use mcc_netsim::TraceEvent;
 use mcc_sigma::Subscription;
@@ -166,7 +166,7 @@ impl Receiver<Layered> {
             return;
         }
         let sub = Subscription {
-            slot: s + 2,
+            slot: s + KEY_LEAD,
             pairs: keys,
         };
         self.subscribe(ctx, sub, true);
@@ -197,14 +197,15 @@ impl Receiver<Layered> {
             Eligibility::Subscribe { level: lvl, keys } => {
                 // Colluders publish reconstructed keys out-of-band here.
                 let env = self.attack_env(ctx.now(), s);
-                self.adversary.on_key_packet(&env, s + 2, &keys);
+                self.adversary.on_key_packet(&env, s + KEY_LEAD, &keys);
                 // More than the keys reach is impossible by construction.
                 let pairs: Vec<(GroupAddr, Key)> = keys
                     .into_iter()
                     .filter(|&(g, _)| g <= lvl)
                     .map(|(g, k)| (self.addr(g), k))
                     .collect();
-                self.subscribe(ctx, Subscription { slot: s + 2, pairs }, true);
+                let slot = s + KEY_LEAD;
+                self.subscribe(ctx, Subscription { slot, pairs }, true);
                 if lvl < dlevel {
                     self.forced_decrease(ctx, s, lvl);
                 } else if lvl == dlevel + 1 && self.policy.level == dlevel {

@@ -9,7 +9,9 @@
 //! key reconstruction and SIGMA subscriptions so edge routers *enforce*
 //! them (paper §5).
 //!
-//! * [`config::FlidConfig`] — session parameters (paper §5.1 defaults),
+//! * [`config::FlidConfig`] — session parameters (paper §5.1 defaults);
+//!   the values no session varies (FEC repeat, upgrade probabilities,
+//!   [`THRESHOLD_THETA`]) are constants beside it,
 //! * `sender::Sender` — the one sender shell: slot timing, pacing, DELTA
 //!   fields, SIGMA key announcements and the overhead counters for
 //!   Figure 9, generic over a `sender::KeyRule` (the session structure's
@@ -42,7 +44,7 @@ pub(crate) mod replicated;
 pub(crate) mod sender;
 pub(crate) mod threshold_proto;
 
-pub use config::FlidConfig;
+pub use config::{FlidConfig, THRESHOLD_THETA};
 pub use layered::FlidReceiver;
 pub use receiver::ReceiverStats;
 pub use replicated::{ReplicatedReceiver, ReplicatedSender};

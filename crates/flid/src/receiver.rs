@@ -33,7 +33,7 @@
 
 use crate::config::FlidConfig;
 use mcc_attack::{Adversary, AttackAction, AttackEnv, AttackPlan};
-use mcc_delta::{DeltaFields, Key};
+use mcc_delta::{DeltaFields, Key, KEY_LEAD};
 use mcc_netsim::prelude::*;
 use mcc_netsim::TraceEvent;
 use mcc_sigma::{ProtectedData, SessionJoin, Subscription, SubscriptionAck, Unsubscription};
@@ -416,7 +416,7 @@ impl<P: Policy> Receiver<P> {
                             pairs.push((self.addr(g), Key(ctx.rng().next_u64())));
                         }
                     }
-                    let slot = slot + 2;
+                    let slot = slot + KEY_LEAD;
                     self.send_subscription(ctx, Subscription { slot, pairs });
                     self.stats.guess_subscriptions += 1;
                 }
@@ -579,7 +579,6 @@ pub(crate) mod tests {
     use std::sync::{Arc, Mutex};
 
     const POKE: u64 = 1 << 40;
-    const THETA: f64 = 0.25;
 
     /// Hosts a receiver and, at `poke_at`, hands it every timer and a data
     /// packet directly — what a departed receiver must ignore.
@@ -742,8 +741,8 @@ pub(crate) mod tests {
             case(
                 "threshold",
                 setup,
-                |cfg, router| ThresholdReceiver::with_adversary(cfg, THETA, router, plan.clone()),
-                |cfg| ThresholdSender::new(cfg, THETA),
+                |cfg, router| ThresholdReceiver::with_adversary(cfg, router, plan.clone()),
+                ThresholdSender::new,
             ),
         ]
     }
@@ -846,7 +845,7 @@ pub(crate) mod tests {
             // 80 % of the bottleneck from 20 s to 30 s.
             let sink = Dest::Agent(rig.receiver(CountingSink::default()));
             let (from, until) = (SimTime::from_secs(20), SimTime::from_secs(30));
-            let burst = CbrConfig::steady(bps * 4 / 5, 576 * 8, sink, FlowId(99), from, until);
+            let burst = CbrConfig::steady(bps * 4 / 5, sink, FlowId(99), from, until);
             let burst = Box::new(CbrSource::new(burst));
             rig.sim.add_agent(rig.source, burst, SimTime::ZERO);
             rig.run(FlidSender::new(cfg.clone()), 40);

@@ -23,6 +23,7 @@ use crate::sender::{Layers, Sender};
 use mcc_attack::AttackPlan;
 use mcc_delta::{
     decide_replicated, DeltaFields, GroupObservation, Key, ReplicatedEligibility, UpgradeMask,
+    KEY_LEAD,
 };
 use mcc_netsim::prelude::*;
 use mcc_sigma::Subscription;
@@ -142,10 +143,11 @@ impl<D: Decoder> Policy for SingleGroup<D> {
             Verdict::Subscribe(group, key, publish) => {
                 if let Some(pair) = publish {
                     let env = rx.attack_env(ctx.now(), s);
-                    rx.adversary.on_key_packet(&env, s + 2, &[pair]);
+                    rx.adversary.on_key_packet(&env, s + KEY_LEAD, &[pair]);
                 }
                 let pairs = vec![(rx.addr(group), key)];
-                rx.subscribe(ctx, Subscription { slot: s + 2, pairs }, false);
+                let slot = s + KEY_LEAD;
+                rx.subscribe(ctx, Subscription { slot, pairs }, false);
                 // A vetoed switch down: the adversary clings to the
                 // faster group; without its key the router stops the
                 // traffic regardless.
@@ -195,13 +197,10 @@ impl Decoder for Xor {
 pub type ReplicatedReceiver = Receiver<SingleGroup<Xor>>;
 
 impl ReplicatedReceiver {
-    /// Build an honest receiver starting in the minimal group. `router`
-    /// is the SIGMA router when protected; `None` runs over classic IGMP.
-    pub fn new(cfg: FlidConfig, router: Option<NodeId>) -> Self {
-        ReplicatedReceiver::with_adversary(cfg, router, AttackPlan::honest())
-    }
-
-    /// Build a receiver running `plan`'s adversary strategy.
+    /// Build a receiver starting in the minimal group and running `plan`'s
+    /// adversary strategy ([`AttackPlan::honest`] for a well-behaved
+    /// one). `router` is the SIGMA router when protected; `None` runs over
+    /// classic IGMP.
     pub fn with_adversary(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Self {
         Receiver::build(cfg, router, plan, SingleGroup::new(Xor))
     }
@@ -218,7 +217,11 @@ mod tests {
         let mut cfg = session(6, 2, protected);
         cfg.slot = SimDuration::from_millis(250);
         let mut d = Rig::new(21, bottleneck, cfg.clone());
-        let r = d.receiver(ReplicatedReceiver::new(cfg.clone(), d.router()));
+        let r = d.receiver(ReplicatedReceiver::with_adversary(
+            cfg.clone(),
+            d.router(),
+            AttackPlan::honest(),
+        ));
         d.run(ReplicatedSender::new(cfg), secs);
         (d, r)
     }

@@ -23,8 +23,8 @@
 //! [`crate::ReplicatedSender`] and [`crate::ThresholdSender`], the names
 //! `Sim::agent_as` downcasts to. Dispatch is static.
 
-use crate::config::FlidConfig;
-use mcc_delta::{ComponentStream, DeltaFields, Key, LayeredKeySchedule, UpgradeMask};
+use crate::config::{FlidConfig, FEC_REPEAT};
+use mcc_delta::{ComponentStream, DeltaFields, Key, LayeredKeySchedule, UpgradeMask, KEY_LEAD};
 use mcc_netsim::prelude::*;
 use mcc_sigma::{build_announcement, layered_tuples, KeyTuple, ProtectedData};
 use mcc_simcore::{DetRng, SimDuration, SimTime};
@@ -358,12 +358,12 @@ impl<K: KeyRule> Sender<K> {
         let mut at_start = Vec::new();
         if self.cfg.protected {
             let ann = build_announcement(
-                s + 2,
+                s + KEY_LEAD,
                 K::tuples(&keys, &self.cfg.groups),
                 self.cfg.control_group,
                 ctx.agent,
                 self.cfg.flow,
-                self.cfg.fec_repeat,
+                FEC_REPEAT,
             );
             self.overhead.sigma_info_bits += ann.accounting.info_bits;
             self.overhead.sigma_coded_bits += ann.accounting.coded_bits;
@@ -494,7 +494,7 @@ mod tests {
             },
             Case {
                 name: "threshold",
-                sender: |c| Box::new(ThresholdSender::new(c, 0.25)),
+                sender: |c| Box::new(ThresholdSender::new(c)),
                 rate: FlidConfig::cumulative_rate,
                 min_packets: 2,
                 overhead: overhead::<crate::threshold_proto::Shares>,

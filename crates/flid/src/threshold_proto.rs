@@ -19,7 +19,7 @@
 //! reconstructed secret like any other key, which demonstrates Requirement
 //! 3's generality.
 
-use crate::config::FlidConfig;
+use crate::config::{FlidConfig, THRESHOLD_THETA};
 use crate::receiver::Receiver;
 use crate::replicated::{Decoder, SingleGroup, Verdict};
 use crate::sender::{KeyRule, Paced, Sender};
@@ -54,10 +54,7 @@ pub struct GroupSlotKeys {
 /// share per packet) and a decrease nonce carried in the group's decrease
 /// fields. Groups run replicated-style, at cumulative rates.
 #[derive(Debug)]
-pub struct Shares {
-    /// Loss-rate threshold θ (RLM default 0.25).
-    pub(crate) theta: f64,
-}
+pub struct Shares;
 
 impl KeyRule for Shares {
     type Keys = Vec<GroupSlotKeys>;
@@ -73,7 +70,7 @@ impl KeyRule for Shares {
         counts
             .iter()
             .map(|&count| GroupSlotKeys {
-                level: ThresholdLevelKeys::generate(count, self.theta, rng),
+                level: ThresholdLevelKeys::generate(count, THRESHOLD_THETA, rng),
                 decrease: Key::nonce(rng),
             })
             .collect()
@@ -109,10 +106,9 @@ impl KeyRule for Shares {
 pub type ThresholdSender = Sender<Shares>;
 
 impl ThresholdSender {
-    /// Build a sender with loss threshold `theta`.
-    pub fn new(cfg: FlidConfig, theta: f64) -> Self {
-        assert!((0.0..1.0).contains(&theta));
-        Sender::build(cfg, Shares { theta })
+    /// Build a sender with loss threshold [`THRESHOLD_THETA`].
+    pub fn new(cfg: FlidConfig) -> Self {
+        Sender::build(cfg, Shares)
     }
 }
 
@@ -126,13 +122,11 @@ pub struct SharesSeen {
 }
 
 /// The threshold decoder: rebuild the group key from the slot's Shamir
-/// shares while the loss rate stays within θ, and climb one group per
-/// such slot (an RLM-like probe policy driven by the reconstruction bound
-/// itself).
+/// shares while the loss rate stays within [`THRESHOLD_THETA`], and climb
+/// one group per such slot (an RLM-like probe policy driven by the
+/// reconstruction bound itself).
 #[derive(Clone, Debug)]
 pub struct Shamir {
-    /// Loss threshold θ (must match the sender's).
-    pub(crate) theta: f64,
     /// Slots where the key could not be reconstructed.
     pub key_failures: u64,
 }
@@ -158,7 +152,7 @@ impl Decoder for Shamir {
         // expected count is unknown — treat conservatively as over
         // threshold unless enough shares arrived anyway.
         let received = obs.shares.len() as u32;
-        if obs.saw_last && received as f64 >= (1.0 - self.theta) * obs.expected as f64 {
+        if obs.saw_last && received as f64 >= (1.0 - THRESHOLD_THETA) * obs.expected as f64 {
             // Probe upward: the reconstructed key doubles as the increase
             // key of the next group.
             let key = Key(reconstruct(&obs.shares) as u64);
@@ -178,22 +172,10 @@ impl Decoder for Shamir {
 pub type ThresholdReceiver = Receiver<SingleGroup<Shamir>>;
 
 impl ThresholdReceiver {
-    /// Build an honest receiver.
-    pub fn new(cfg: FlidConfig, theta: f64, router: Option<NodeId>) -> Self {
-        ThresholdReceiver::with_adversary(cfg, theta, router, AttackPlan::honest())
-    }
-
-    /// Build a receiver running `plan`'s adversary strategy.
-    pub fn with_adversary(
-        cfg: FlidConfig,
-        theta: f64,
-        router: Option<NodeId>,
-        plan: AttackPlan,
-    ) -> Self {
-        let shamir = Shamir {
-            theta,
-            key_failures: 0,
-        };
+    /// Build a receiver running `plan`'s adversary strategy
+    /// ([`AttackPlan::honest`] for a well-behaved one).
+    pub fn with_adversary(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Self {
+        let shamir = Shamir { key_failures: 0 };
         Receiver::build(cfg, router, plan, SingleGroup::new(shamir))
     }
 }
@@ -202,7 +184,6 @@ impl ThresholdReceiver {
 mod tests {
     use super::*;
     use crate::testrig::{session, Rig};
-    use mcc_simcore::SimDuration;
 
     #[test]
     fn share_packing_round_trips() {
@@ -211,11 +192,14 @@ mod tests {
     }
 
     fn run(bottleneck: u64, secs: u64) -> (Rig, AgentId) {
-        let mut cfg = session(6, 3, true);
-        cfg.slot = SimDuration::from_millis(250);
+        let cfg = session(6, 3, true);
         let mut d = Rig::new(31, bottleneck, cfg.clone());
-        let r = d.receiver(ThresholdReceiver::new(cfg.clone(), 0.25, d.router()));
-        d.run(ThresholdSender::new(cfg, 0.25), secs);
+        let r = d.receiver(ThresholdReceiver::with_adversary(
+            cfg.clone(),
+            d.router(),
+            AttackPlan::honest(),
+        ));
+        d.run(ThresholdSender::new(cfg), secs);
         (d, r)
     }
 

@@ -17,7 +17,7 @@
 //! optional add-on to the otherwise generic router.
 
 use crate::keytable::KeyTable;
-use mcc_delta::{DeltaFields, Key};
+use mcc_delta::{DeltaFields, Key, KEY_LEAD};
 use mcc_netsim::{GroupAddr, LinkId};
 use mcc_simcore::{DetRng, FxHashMap};
 
@@ -134,7 +134,7 @@ impl CollusionGuard {
         let Some(layer) = self.layer_of(group) else {
             return false;
         };
-        let Some(data_slot) = sub_slot.checked_sub(2) else {
+        let Some(data_slot) = sub_slot.checked_sub(KEY_LEAD) else {
             return false;
         };
         // Lower top key: γ ⊕ accumulated component perturbations 1..=layer.
@@ -187,7 +187,7 @@ mod tests {
         let mut guard = CollusionGuard::new(addrs.clone());
         let mut table = KeyTable::new();
         let data_slot = 4u64;
-        let sub_slot = data_slot + 2;
+        let sub_slot = data_slot + KEY_LEAD;
         for g in 1..=n {
             table.insert(
                 addrs[(g - 1) as usize],

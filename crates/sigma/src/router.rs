@@ -114,19 +114,6 @@ pub struct SigmaStats {
     pub first_guess_alarm_slot: Option<u64>,
 }
 
-impl SigmaStats {
-    /// When the edge first caught the misbehaviour — the earlier of the
-    /// first lockout and the first guess alarm — in seconds, for slots of
-    /// length `slot`.
-    pub fn detection_secs(&self, slot: SimDuration) -> Option<f64> {
-        [self.first_lockout_slot, self.first_guess_alarm_slot]
-            .into_iter()
-            .flatten()
-            .min()
-            .map(|s| s as f64 * slot.as_secs_f64())
-    }
-}
-
 /// Grace state for one (interface, group).
 #[derive(Clone, Copy, Debug)]
 struct Grace {
@@ -139,7 +126,8 @@ struct Grace {
 /// The SIGMA edge-router implementation.
 #[derive(Debug)]
 pub struct SigmaEdgeModule {
-    cfg: SigmaConfig,
+    /// Slot duration (the protected sessions').
+    slot: SimDuration,
     table: KeyTable,
     /// Granted slots per (interface, group), content-interned: equal
     /// per-interface tables are stored once (see [`crate::slab`]).
@@ -164,16 +152,16 @@ pub struct SigmaEdgeModule {
 impl SigmaEdgeModule {
     /// Build a module from its configuration.
     pub fn new(cfg: SigmaConfig) -> Self {
-        let guard = cfg.guard_groups.clone().map(CollusionGuard::new);
+        let SigmaConfig { slot, guard_groups } = cfg;
         SigmaEdgeModule {
-            cfg,
+            slot,
             table: KeyTable::new(),
             grants: GrantSlab::new(),
             grace: FxHashMap::default(),
             lockout: FxHashMap::default(),
             protected: FxHashSet::default(),
             tally: FxHashMap::default(),
-            guard,
+            guard: guard_groups.map(CollusionGuard::new),
             ticking: false,
             current_slot: 0,
             stats: SigmaStats::default(),
@@ -181,15 +169,26 @@ impl SigmaEdgeModule {
     }
 
     fn slot_of(&self, now: SimTime) -> u64 {
-        now.as_nanos() / self.cfg.slot.as_nanos()
+        now.as_nanos() / self.slot.as_nanos()
+    }
+
+    /// When this edge first caught the misbehaviour — the earlier of the
+    /// first lockout and the first guess alarm — in seconds.
+    pub fn detection_secs(&self) -> Option<f64> {
+        let stats = &self.stats;
+        [stats.first_lockout_slot, stats.first_guess_alarm_slot]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(|s| s as f64 * self.slot.as_secs_f64())
     }
 
     fn ensure_ticking(&mut self, env: &mut EdgeEnv) {
         self.current_slot = self.slot_of(env.now);
         if !self.ticking {
             self.ticking = true;
-            let into_slot = env.now.as_nanos() % self.cfg.slot.as_nanos();
-            let remain = self.cfg.slot.as_nanos() - into_slot;
+            let into_slot = env.now.as_nanos() % self.slot.as_nanos();
+            let remain = self.slot.as_nanos() - into_slot;
             env.timer_in(SimDuration::from_nanos(remain.max(1)), TICK);
         }
     }
@@ -563,7 +562,7 @@ impl EdgeModule for SigmaEdgeModule {
         if let Some(guard) = &mut self.guard {
             guard.gc(cur.saturating_sub(3));
         }
-        env.timer_in(self.cfg.slot, TICK);
+        env.timer_in(self.slot, TICK);
     }
 }
 
@@ -1003,6 +1002,7 @@ mod tests {
         }
         assert_eq!(m.stats.first_guess_alarm_slot, Some(8));
         assert_eq!(m.guess_tally(iface), 10);
+        assert_eq!(m.detection_secs(), Some(2.0), "slot 8 of 250 ms");
 
         // Keyless grace → exhaustion → lockout stamps the other field.
         let minimal = GroupAddr(1);
@@ -1025,6 +1025,7 @@ mod tests {
         assert!(!m.filter_data(&mut e, iface, &mut data_packet(minimal, 13)));
         assert_eq!(m.stats.first_lockout_slot, Some(13));
         assert_eq!(m.lockout_until(iface, minimal), Some(14));
+        assert_eq!(m.detection_secs(), Some(2.0), "the earlier of the two");
     }
 
     #[test]

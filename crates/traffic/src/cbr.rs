@@ -3,13 +3,14 @@
 use mcc_netsim::prelude::*;
 use mcc_simcore::{SimDuration, SimTime};
 
+/// Wire size of each CBR packet in bits: the paper's 576-byte packets.
+const PACKET_BITS: u64 = 576 * 8;
+
 /// Configuration of a [`CbrSource`].
 #[derive(Clone, Debug)]
 pub struct CbrConfig {
     /// Transmission rate while *on*, in bits per second.
     pub rate_bps: u64,
-    /// Wire size of each packet in bits (the paper uses 576-byte packets).
-    pub packet_bits: u64,
     /// Where the stream goes (unicast agent or multicast group).
     pub dest: Dest,
     /// Flow tag for accounting.
@@ -25,17 +26,9 @@ pub struct CbrConfig {
 
 impl CbrConfig {
     /// An always-on stream.
-    pub fn steady(
-        rate_bps: u64,
-        packet_bits: u64,
-        dest: Dest,
-        flow: FlowId,
-        start: SimTime,
-        stop: SimTime,
-    ) -> Self {
+    pub fn steady(rate_bps: u64, dest: Dest, flow: FlowId, start: SimTime, stop: SimTime) -> Self {
         CbrConfig {
             rate_bps,
-            packet_bits,
             dest,
             flow,
             start,
@@ -57,12 +50,11 @@ impl CbrSource {
     /// Build from a configuration.
     pub fn new(cfg: CbrConfig) -> Self {
         assert!(cfg.rate_bps > 0, "CBR rate must be positive");
-        assert!(cfg.packet_bits > 0, "CBR packet size must be positive");
         CbrSource { cfg, sent: 0 }
     }
 
     fn interval(&self) -> SimDuration {
-        SimDuration::transmission(self.cfg.packet_bits, self.cfg.rate_bps)
+        SimDuration::transmission(PACKET_BITS, self.cfg.rate_bps)
     }
 
     /// True when the duty cycle says "on" at instant `t`.
@@ -113,7 +105,7 @@ impl Agent for CbrSource {
         let now = ctx.now();
         if self.is_on(now) {
             ctx.send(Packet::opaque(
-                self.cfg.packet_bits,
+                PACKET_BITS,
                 self.cfg.flow,
                 ctx.agent,
                 self.cfg.dest,
@@ -162,7 +154,6 @@ mod tests {
     fn base(rate: u64) -> CbrConfig {
         CbrConfig::steady(
             rate,
-            576 * 8,
             Dest::Agent(AgentId(0)), // overwritten by run_cbr
             FlowId(1),
             SimTime::ZERO,
@@ -202,7 +193,6 @@ mod tests {
     fn is_on_phases() {
         let cfg = CbrConfig {
             rate_bps: 100_000,
-            packet_bits: 4608,
             dest: Dest::Agent(AgentId(0)),
             flow: FlowId(0),
             start: SimTime::ZERO,

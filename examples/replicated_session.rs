@@ -8,6 +8,7 @@
 //! cargo run --release --example replicated_session
 //! ```
 
+use robust_multicast::attack::AttackPlan;
 use robust_multicast::flid::{FlidConfig, ReplicatedReceiver, ReplicatedSender};
 use robust_multicast::netsim::prelude::*;
 use robust_multicast::sigma::{SigmaConfig, SigmaEdgeModule};
@@ -47,13 +48,12 @@ fn main() {
         Queue::drop_tail(1_000_000),
     );
 
-    let mut cfg = FlidConfig::paper(
+    let cfg = FlidConfig::paper(
         (1..=6).map(GroupAddr).collect(),
         GroupAddr(0),
         FlowId(1),
         true,
     );
-    cfg.slot = SimDuration::from_millis(250);
     for g in cfg.groups.iter().chain([&cfg.control_group]) {
         sim.register_group(*g, s);
     }
@@ -64,7 +64,11 @@ fn main() {
 
     let receiver = sim.add_agent(
         h,
-        Box::new(ReplicatedReceiver::new(cfg.clone(), Some(b))),
+        Box::new(ReplicatedReceiver::with_adversary(
+            cfg.clone(),
+            Some(b),
+            AttackPlan::honest(),
+        )),
         SimTime::from_millis(5),
     );
     sim.add_agent(

@@ -13,8 +13,9 @@
 //! cargo run --release --example threshold_shamir
 //! ```
 
+use robust_multicast::attack::AttackPlan;
 use robust_multicast::delta::threshold::{reconstruct, split, threshold_k};
-use robust_multicast::flid::{FlidConfig, ThresholdReceiver, ThresholdSender};
+use robust_multicast::flid::{FlidConfig, ThresholdReceiver, ThresholdSender, THRESHOLD_THETA};
 use robust_multicast::netsim::prelude::*;
 use robust_multicast::sigma::{SigmaConfig, SigmaEdgeModule};
 use robust_multicast::simcore::{DetRng, SimDuration, SimTime};
@@ -23,8 +24,7 @@ fn main() {
     // --- Part 1: the primitive ---------------------------------------
     let mut rng = DetRng::new(9);
     let n_packets = 20;
-    let theta = 0.25;
-    let k = threshold_k(n_packets, theta);
+    let k = threshold_k(n_packets, THRESHOLD_THETA);
     let secret = 0x5EC2;
     let shares = split(secret, k, n_packets, &mut rng);
     println!("level key {secret:#06x} split into {n_packets} shares, threshold k = {k}");
@@ -72,13 +72,12 @@ fn main() {
         Queue::drop_tail(1_000_000),
         Queue::drop_tail(1_000_000),
     );
-    let mut cfg = FlidConfig::paper(
+    let cfg = FlidConfig::paper(
         (1..=6).map(GroupAddr).collect(),
         GroupAddr(0),
         FlowId(1),
         true,
     );
-    cfg.slot = SimDuration::from_millis(250);
     for g in cfg.groups.iter().chain([&cfg.control_group]) {
         sim.register_group(*g, s);
     }
@@ -88,10 +87,14 @@ fn main() {
     );
     let receiver = sim.add_agent(
         h,
-        Box::new(ThresholdReceiver::new(cfg.clone(), theta, Some(b))),
+        Box::new(ThresholdReceiver::with_adversary(
+            cfg.clone(),
+            Some(b),
+            AttackPlan::honest(),
+        )),
         SimTime::from_millis(5),
     );
-    sim.add_agent(s, Box::new(ThresholdSender::new(cfg, theta)), SimTime::ZERO);
+    sim.add_agent(s, Box::new(ThresholdSender::new(cfg)), SimTime::ZERO);
     sim.finalize();
     sim.run_until(SimTime::from_secs(30));
 

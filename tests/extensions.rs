@@ -265,7 +265,6 @@ fn incremental_deployment_legacy_multicast_passes_sigma() {
     sim.add_agent(hosts[0], Box::new(Joiner { group: legacy }), SimTime::ZERO);
     let cfg = CbrConfig::steady(
         200_000,
-        576 * 8,
         Dest::Group(legacy),
         FlowId(5),
         SimTime::from_millis(200),
@@ -288,13 +287,12 @@ fn replicated_and_threshold_variants_run_end_to_end() {
     // Replicated.
     let mut sim = Sim::new(59, SimDuration::from_secs(1));
     let (s, _a, b, hosts) = dumbbell_nodes(&mut sim, 500_000, false, 1);
-    let mut cfg = FlidConfig::paper(
+    let cfg = FlidConfig::paper(
         (1..=6).map(GroupAddr).collect(),
         GroupAddr(0),
         FlowId(1),
         true,
     );
-    cfg.slot = SimDuration::from_millis(250);
     for g in cfg.groups.iter().chain([&cfg.control_group]) {
         sim.register_group(*g, s);
     }
@@ -304,7 +302,11 @@ fn replicated_and_threshold_variants_run_end_to_end() {
     );
     let r = sim.add_agent(
         hosts[0],
-        Box::new(ReplicatedReceiver::new(cfg.clone(), Some(b))),
+        Box::new(ReplicatedReceiver::with_adversary(
+            cfg.clone(),
+            Some(b),
+            AttackPlan::honest(),
+        )),
         SimTime::from_millis(5),
     );
     sim.add_agent(s, Box::new(ReplicatedSender::new(cfg)), SimTime::ZERO);
@@ -316,13 +318,12 @@ fn replicated_and_threshold_variants_run_end_to_end() {
     // Threshold (Shamir).
     let mut sim = Sim::new(61, SimDuration::from_secs(1));
     let (s, _a, b, hosts) = dumbbell_nodes(&mut sim, 500_000, false, 1);
-    let mut cfg = FlidConfig::paper(
+    let cfg = FlidConfig::paper(
         (1..=6).map(GroupAddr).collect(),
         GroupAddr(0),
         FlowId(1),
         true,
     );
-    cfg.slot = SimDuration::from_millis(250);
     for g in cfg.groups.iter().chain([&cfg.control_group]) {
         sim.register_group(*g, s);
     }
@@ -332,10 +333,14 @@ fn replicated_and_threshold_variants_run_end_to_end() {
     );
     let r = sim.add_agent(
         hosts[0],
-        Box::new(ThresholdReceiver::new(cfg.clone(), 0.25, Some(b))),
+        Box::new(ThresholdReceiver::with_adversary(
+            cfg.clone(),
+            Some(b),
+            AttackPlan::honest(),
+        )),
         SimTime::from_millis(5),
     );
-    sim.add_agent(s, Box::new(ThresholdSender::new(cfg, 0.25)), SimTime::ZERO);
+    sim.add_agent(s, Box::new(ThresholdSender::new(cfg)), SimTime::ZERO);
     sim.finalize();
     sim.run_until(SimTime::from_secs(30));
     let rec = sim.agent_as::<ThresholdReceiver>(r).unwrap();

@@ -40,7 +40,6 @@ fn run_cbr_scenario(
     let sink = sim.add_agent(b, Box::new(CountingSink::default()), SimTime::ZERO);
     let cfg = CbrConfig::steady(
         rate_bps,
-        576 * 8,
         Dest::Agent(sink),
         FlowId(0),
         SimTime::ZERO,

@@ -14,12 +14,10 @@ use mcc_simcore::DetRng;
 
 /// Scramble the component field of a congestion-marked packet.
 ///
-/// Returns `true` when the field was altered. Idempotence is irrelevant:
-/// each call randomizes again, and any randomization destroys the key
-/// contribution.
-pub fn scramble_marked_component(fields: &mut DeltaFields, rng: &mut DetRng) -> bool {
+/// Idempotence is irrelevant: each call randomizes again, and any
+/// randomization destroys the key contribution.
+pub fn scramble_marked_component(fields: &mut DeltaFields, rng: &mut DetRng) {
     fields.component = Key::nonce(rng);
-    true
 }
 
 #[cfg(test)]

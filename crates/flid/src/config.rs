@@ -1,6 +1,6 @@
 //! Session configuration shared by FLID senders and receivers.
 
-use mcc_netsim::{FlowId, GroupAddr};
+use mcc_netsim::{FlowId, GroupAddr, DATA_PACKET_BYTES};
 use mcc_simcore::SimDuration;
 
 /// FEC repetition factor for SIGMA's special packets: every announcement
@@ -73,7 +73,7 @@ impl FlidConfig {
             } else {
                 SimDuration::from_millis(500)
             },
-            packet_bits: 576 * 8,
+            packet_bits: DATA_PACKET_BYTES * 8,
             protected,
             ecn: false,
         }

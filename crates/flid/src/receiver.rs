@@ -505,10 +505,10 @@ impl<P: Policy> Agent for Receiver<P> {
             // floor; the receiver is no longer part of the session.
             return;
         }
-        if let Some(pd) = pkt.body_as::<ProtectedData>() {
+        if let Some(fields) = ProtectedData::read(&pkt) {
             // A marked packet is an ECN congestion signal (paper §3.1.2):
             // the edge router has already scrambled its component.
-            self.ever_received |= self.policy.observe(&pd.fields, pkt.ecn == Ecn::Marked);
+            self.ever_received |= self.policy.observe(&fields, pkt.ecn == Ecn::Marked);
         } else if let Some(ack) = pkt.body_as::<SubscriptionAck>() {
             if self
                 .pending
@@ -646,7 +646,7 @@ pub(crate) mod tests {
                 upgrades: UpgradeMask::NONE,
             };
             let cfg = &self.rx.cfg;
-            let data = ProtectedData { fields };
+            let data = ProtectedData::new(fields);
             let pkt = Packet::app(
                 cfg.packet_bits,
                 cfg.flow,

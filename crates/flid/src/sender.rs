@@ -413,7 +413,7 @@ impl<K: KeyRule> Sender<K> {
                         self.cfg.flow,
                         ctx.agent,
                         Dest::Group(self.cfg.groups[(e.group - 1) as usize]),
-                        ProtectedData { fields },
+                        ProtectedData::new(fields),
                     );
                     if self.cfg.ecn {
                         pkt = pkt.ecn_capable();
@@ -507,7 +507,7 @@ mod tests {
     #[derive(Debug)]
     struct Tap {
         join: Vec<GroupAddr>,
-        data: Vec<ProtectedData>,
+        data: Vec<DeltaFields>,
         specials: u64,
     }
     impl Agent for Tap {
@@ -517,8 +517,8 @@ mod tests {
             }
         }
         fn on_packet(&mut self, _ctx: &mut Ctx, pkt: Packet) {
-            if let Some(pd) = pkt.body_as::<ProtectedData>() {
-                self.data.push(*pd);
+            if let Some(fields) = ProtectedData::read(&pkt) {
+                self.data.push(fields);
             } else if pkt.body_as::<mcc_sigma::fec::KeyChunk>().is_some() {
                 self.specials += 1;
             }
@@ -576,11 +576,7 @@ mod tests {
         for case in instantiations() {
             let (sim, id, _) = run(&case, false, 0, 10);
             for g in 1..=c.n() {
-                let packets = tap(&sim, id)
-                    .data
-                    .iter()
-                    .filter(|d| d.fields.group == g)
-                    .count() as u64;
+                let packets = tap(&sim, id).data.iter().filter(|d| d.group == g).count() as u64;
                 let rate = (packets * c.packet_bits) as f64 / 10.0;
                 let want = (case.rate)(&c, g);
                 let err = (rate - want).abs() / want;
@@ -598,9 +594,9 @@ mod tests {
             let mut lasts: BTreeMap<(u64, u32), u32> = BTreeMap::new();
             let mut counts: BTreeMap<(u64, u32), u32> = BTreeMap::new();
             for d in data {
-                *counts.entry((d.fields.slot, d.fields.group)).or_insert(0) += 1;
-                if d.fields.last_in_slot {
-                    *lasts.entry((d.fields.slot, d.fields.group)).or_insert(0) += 1;
+                *counts.entry((d.slot, d.group)).or_insert(0) += 1;
+                if d.last_in_slot {
+                    *lasts.entry((d.slot, d.group)).or_insert(0) += 1;
                 }
             }
             // Skip the final (possibly truncated) slot.
@@ -613,11 +609,9 @@ mod tests {
                 // And the advertised count matches what was sent.
                 let d = data
                     .iter()
-                    .find(|d| {
-                        d.fields.slot == slot && d.fields.group == group && d.fields.last_in_slot
-                    })
+                    .find(|d| d.slot == slot && d.group == group && d.last_in_slot)
                     .unwrap();
-                assert_eq!(d.fields.count_in_slot, counts[&(slot, group)], "{name}");
+                assert_eq!(d.count_in_slot, counts[&(slot, group)], "{name}");
             }
             for (&(slot, group), &cnt) in &counts {
                 if slot == max_slot {
@@ -639,8 +633,8 @@ mod tests {
         let (sim, id, _) = run(&layered, true, 0, 4);
         // Rebuild slot 2's observation from the wire.
         let mut obs = SlotObservation::new(2, 4);
-        for d in tap(&sim, id).data.iter().filter(|d| d.fields.slot == 2) {
-            obs.observe(&d.fields);
+        for d in tap(&sim, id).data.iter().filter(|d| d.slot == 2) {
+            obs.observe(d);
         }
         match decide_layered(&obs, 4, 4) {
             Eligibility::Subscribe { level, keys } => {

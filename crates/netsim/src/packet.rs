@@ -5,21 +5,28 @@
 //! (unicast agent, multicast group, or a router's control plane), an ECN
 //! codepoint, the "router alert" bit SIGMA's special packets use, and a typed
 //! body. Protocol crates define their own body types and attach them through
-//! the [`AppBody`] object-safe clone-able trait — `netsim` stays independent
+//! the object-safe [`AppBody`] trait — `netsim` stays independent
 //! of every congestion-control protocol, mirroring the paper's Requirement 3.
 //!
-//! Payloads are **reference-counted with copy-on-write**: [`Body::App`]
-//! holds an `Arc<dyn AppBody>`, so cloning a packet (multicast fan-out
-//! copies one per branch) is a pointer bump, not a heap clone. The payload
-//! is only deep-cloned — via [`AppBody::clone_arc`], straight into a fresh
-//! `Arc` and at most once per shared packet — when someone actually
-//! mutates it through [`Packet::body_as_mut`] (e.g. the SIGMA edge module
-//! scrambling the ECN component fields of a marked packet).
+//! Payloads are **shared, never copied**: the body is an
+//! `Arc<dyn AppBody>`, so cloning a packet (multicast fan-out copies one
+//! per branch) is a pointer bump. Nothing mutates a body after it is
+//! made. What a router rewrites per branch — SIGMA's ECN scrambling and
+//! collusion-guard perturbation of the DELTA fields — goes into the two
+//! opaque [`Packet::xor`] words instead: zero when a packet is made,
+//! copied with it, never read by `netsim`. The protocol that writes them
+//! applies them when it reads its body, so each branch sees its own view
+//! of one shared payload.
 
 use crate::addr::{AgentId, FlowId, GroupAddr, NodeId};
 use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
+
+/// Wire size of a data packet in bytes, headers included: the paper's
+/// "all data traffic uses 576-byte packets" (§5.1). FLID data, CBR and
+/// TCP segments all read it.
+pub const DATA_PACKET_BYTES: u64 = 576;
 
 /// Where a packet is headed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -45,48 +52,29 @@ pub enum Ecn {
     Marked,
 }
 
-/// Object-safe, clonable application payload.
+/// Object-safe application payload.
 ///
-/// Implemented automatically for any `Clone + Debug + Send + Sync +
-/// 'static` type by the blanket impl below (`Sync` because the payload
-/// sits behind an `Arc` shared across fan-out branches).
+/// Implemented automatically for any `Debug + Send + Sync + 'static` type
+/// by the blanket impl below (`Sync` because the payload sits behind an
+/// `Arc` shared across fan-out branches).
 pub trait AppBody: fmt::Debug + Send + Sync {
-    /// Deep-clone into a fresh `Arc` (one allocation). Called only on
-    /// copy-on-write — when a shared payload is mutated through
-    /// [`Packet::body_as_mut`] — never on plain packet clones or multicast
-    /// fan-out.
-    fn clone_arc(&self) -> Arc<dyn AppBody>;
     /// Downcast support.
     fn as_any(&self) -> &dyn Any;
-    /// Mutable downcast support (ECN component scrambling mutates bodies).
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<T: Clone + fmt::Debug + Send + Sync + Any> AppBody for T {
-    fn clone_arc(&self) -> Arc<dyn AppBody> {
-        Arc::new(self.clone())
-    }
+impl<T: fmt::Debug + Send + Sync + Any> AppBody for T {
     fn as_any(&self) -> &dyn Any {
         self
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
-/// The payload of a packet.
-#[derive(Clone, Debug)]
-pub(crate) enum Body {
-    /// Protocol-defined payload (TCP segment, FLID data, SIGMA message …).
-    /// Reference-counted: cloning shares the payload, mutation through
-    /// [`Packet::body_as_mut`] copies on write.
-    App(Arc<dyn AppBody>),
-    /// Router-to-router graft: extend the group tree toward the source.
-    Graft(GroupAddr),
-    /// Router-to-router prune: retract an empty branch of the group tree.
-    Prune(GroupAddr),
-    /// Contentless filler (pure bandwidth load, e.g. CBR payloads).
-    Opaque,
+/// The body of a router-to-router graft (`join`) or prune for `group`,
+/// sent one hop toward the group's source. Only `netsim` makes and reads
+/// it, on packets of the simulator's control flow.
+#[derive(Debug)]
+pub(crate) struct TreeControl {
+    pub(crate) group: GroupAddr,
+    pub(crate) join: bool,
 }
 
 /// A simulated packet.
@@ -106,15 +94,19 @@ pub struct Packet {
     /// SIGMA's "intercept at edge routers, do not forward to local
     /// interfaces" network-layer bit (paper §3.2.1).
     pub router_alert: bool,
-    /// Unique id assigned when the packet is first sent. Multicast copies
-    /// share the uid of the original.
-    pub(crate) uid: u64,
-    /// Payload.
-    pub(crate) body: Body,
+    /// Two opaque per-branch words. Zero when a packet is made and copied
+    /// with it; `netsim` never reads them. A protocol that rewrites header
+    /// fields per fan-out branch XORs the change in here instead of
+    /// mutating the shared body (SIGMA: word 0 the DELTA component, word 1
+    /// the decrease field).
+    pub xor: [u64; 2],
+    /// Payload, shared by every copy; `None` is contentless filler (pure
+    /// bandwidth load, e.g. CBR payloads).
+    pub(crate) body: Option<Arc<dyn AppBody>>,
 }
 
 impl Packet {
-    /// A new application packet; `uid` is stamped by the simulator on send.
+    /// A new application packet.
     pub fn app(
         size_bits: u64,
         flow: FlowId,
@@ -129,12 +121,12 @@ impl Packet {
             dst,
             ecn: Ecn::NotCapable,
             router_alert: false,
-            uid: 0,
-            body: Body::App(Arc::new(body)),
+            xor: [0; 2],
+            body: Some(Arc::new(body)),
         }
     }
 
-    /// A control packet with an `Body::Opaque` payload.
+    /// A packet with a contentless payload.
     pub fn opaque(size_bits: u64, flow: FlowId, src: AgentId, dst: Dest) -> Self {
         Packet {
             size_bits,
@@ -143,42 +135,14 @@ impl Packet {
             dst,
             ecn: Ecn::NotCapable,
             router_alert: false,
-            uid: 0,
-            body: Body::Opaque,
+            xor: [0; 2],
+            body: None,
         }
     }
 
     /// Borrow the app body as a concrete type, if it is one.
     pub fn body_as<T: Any>(&self) -> Option<&T> {
-        match &self.body {
-            // Explicit deref for the same reason as `Clone`: the box itself
-            // satisfies the blanket impl and would downcast to itself.
-            Body::App(b) => (**b).as_any().downcast_ref::<T>(),
-            _ => None,
-        }
-    }
-
-    /// Mutably borrow the app body as a concrete type, if it is one.
-    ///
-    /// Copy-on-write: when the payload is shared (the packet was cloned,
-    /// e.g. by multicast fan-out), it is deep-cloned via
-    /// [`AppBody::clone_arc`] exactly once before the mutable borrow is
-    /// handed out — other holders keep the unmutated original. A failed
-    /// downcast never clones.
-    pub fn body_as_mut<T: Any>(&mut self) -> Option<&mut T> {
-        match &mut self.body {
-            Body::App(b) => {
-                (**b).as_any().downcast_ref::<T>()?;
-                if Arc::get_mut(b).is_none() {
-                    *b = (**b).clone_arc();
-                }
-                Arc::get_mut(b)
-                    .expect("unique after copy-on-write")
-                    .as_any_mut()
-                    .downcast_mut::<T>()
-            }
-            _ => None,
-        }
+        self.body.as_deref()?.as_any().downcast_ref::<T>()
     }
 
     /// Byte count on the wire (rounded up).
@@ -202,6 +166,7 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Demo {
@@ -223,13 +188,8 @@ mod tests {
         let p = pkt();
         assert_eq!(p.body_as::<Demo>(), Some(&Demo { x: 7 }));
         assert!(p.body_as::<u32>().is_none());
-    }
-
-    #[test]
-    fn downcast_mut_mutates() {
-        let mut p = pkt();
-        p.body_as_mut::<Demo>().unwrap().x = 9;
-        assert_eq!(p.body_as::<Demo>().unwrap().x, 9);
+        let filler = Packet::opaque(64, FlowId(1), AgentId(0), Dest::Agent(AgentId(1)));
+        assert!(filler.body_as::<Demo>().is_none());
     }
 
     #[test]
@@ -254,19 +214,17 @@ mod tests {
         assert!(p.router_alert);
     }
 
-    /// A payload whose clone count is observable: every deep clone
-    /// (`clone_arc` goes through `Clone` via the blanket impl) bumps the
-    /// shared counter.
+    /// A payload whose clone count is observable: every deep clone bumps
+    /// the shared counter.
     #[derive(Debug)]
     struct Counting {
         x: u32,
-        clones: Arc<std::sync::atomic::AtomicUsize>,
+        clones: Arc<AtomicUsize>,
     }
 
     impl Clone for Counting {
         fn clone(&self) -> Self {
-            self.clones
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.clones.fetch_add(1, Ordering::SeqCst);
             Counting {
                 x: self.x,
                 clones: self.clones.clone(),
@@ -274,10 +232,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn packet_clones_share_the_body_without_copying() {
-        let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let p = Packet::app(
+    fn counting(clones: &Arc<AtomicUsize>) -> Packet {
+        Packet::app(
             512,
             FlowId(0),
             AgentId(0),
@@ -286,88 +242,67 @@ mod tests {
                 x: 1,
                 clones: clones.clone(),
             },
-        );
+        )
+    }
+
+    #[test]
+    fn packet_clones_share_the_body_without_copying() {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let p = counting(&clones);
         let copies: Vec<Packet> = (0..50).map(|_| p.clone()).collect();
         assert_eq!(
-            clones.load(std::sync::atomic::Ordering::SeqCst),
+            clones.load(Ordering::SeqCst),
             0,
             "fan-out clones must be pointer bumps"
         );
         drop(copies);
     }
 
+    /// A branch that writes its XOR words changes only its own copy: the
+    /// body stays shared and uncloned, and every other holder still reads
+    /// zero words over the original payload.
     #[test]
-    fn mutation_copies_on_write_exactly_once() {
-        let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let p = Packet::app(
-            512,
-            FlowId(0),
-            AgentId(0),
-            Dest::Group(GroupAddr(1)),
-            Counting {
-                x: 1,
-                clones: clones.clone(),
-            },
-        );
+    fn writing_branch_words_clones_nothing() {
+        let clones = Arc::new(AtomicUsize::new(0));
+        let p = counting(&clones);
+        assert_eq!(p.xor, [0; 2], "a new packet carries zero words");
         let mut branch = p.clone();
-        branch.body_as_mut::<Counting>().unwrap().x = 9;
-        assert_eq!(
-            clones.load(std::sync::atomic::Ordering::SeqCst),
-            1,
-            "a shared body is deep-cloned exactly once on mutation"
-        );
-        // A second mutation of the now-unique body is in place.
-        branch.body_as_mut::<Counting>().unwrap().x = 10;
-        assert_eq!(clones.load(std::sync::atomic::Ordering::SeqCst), 1);
-        // The original kept the unmutated payload.
-        assert_eq!(p.body_as::<Counting>().unwrap().x, 1);
-        assert_eq!(branch.body_as::<Counting>().unwrap().x, 10);
-    }
-
-    #[test]
-    fn unique_body_mutates_in_place_without_cloning() {
-        let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut p = Packet::app(
-            512,
-            FlowId(0),
-            AgentId(0),
-            Dest::Agent(AgentId(1)),
-            Counting {
-                x: 1,
-                clones: clones.clone(),
-            },
-        );
-        p.body_as_mut::<Counting>().unwrap().x = 2;
-        assert_eq!(clones.load(std::sync::atomic::Ordering::SeqCst), 0);
+        branch.xor[0] ^= 0xA5;
+        branch.xor[1] ^= 0x5A;
+        let sibling = p.clone();
+        assert_eq!(clones.load(Ordering::SeqCst), 0);
+        assert_eq!(branch.xor, [0xA5, 0x5A]);
+        assert_eq!(p.xor, [0; 2]);
+        assert_eq!(sibling.xor, [0; 2]);
+        // Words travel with further copies of the branch.
+        assert_eq!(branch.clone().xor, [0xA5, 0x5A]);
+        let shared = p.body_as::<Counting>().unwrap();
+        assert!(std::ptr::eq(shared, branch.body_as::<Counting>().unwrap()));
+        assert_eq!(shared.x, 1);
     }
 
     #[test]
     fn failed_downcast_never_clones() {
-        let clones = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let p = Packet::app(
-            512,
-            FlowId(0),
-            AgentId(0),
-            Dest::Agent(AgentId(1)),
-            Counting {
-                x: 1,
-                clones: clones.clone(),
-            },
-        );
-        let mut q = p.clone();
-        assert!(q.body_as_mut::<Demo>().is_none());
-        assert_eq!(clones.load(std::sync::atomic::Ordering::SeqCst), 0);
+        let clones = Arc::new(AtomicUsize::new(0));
+        let q = counting(&clones).clone();
+        assert!(q.body_as::<Demo>().is_none());
+        assert_eq!(clones.load(Ordering::SeqCst), 0);
     }
 
     #[test]
     fn control_bodies_clone() {
-        let p = Packet {
-            body: Body::Graft(GroupAddr(3)),
-            ..Packet::opaque(512, FlowId(0), AgentId(0), Dest::Router(NodeId(1)))
-        };
-        match p.clone().body {
-            Body::Graft(g) => assert_eq!(g, GroupAddr(3)),
-            other => panic!("unexpected body {other:?}"),
-        }
+        let p = Packet::app(
+            512,
+            FlowId(0),
+            AgentId(0),
+            Dest::Router(NodeId(1)),
+            TreeControl {
+                group: GroupAddr(3),
+                join: true,
+            },
+        );
+        let c = p.clone();
+        let body = c.body_as::<TreeControl>().expect("control body");
+        assert_eq!((body.group, body.join), (GroupAddr(3), true));
     }
 }

@@ -28,16 +28,17 @@
 //!   buffers owned by the `World` (taken with `mem::take` so re-entrant
 //!   forwarding triggered by edge actions cannot alias them, and restored
 //!   afterwards), instead of allocating fresh `Vec`s per packet;
-//! * packet payloads are `Arc`-shared ([`crate::packet::Body::App`]), so
-//!   each branch's copy is a pointer bump, and the packet itself is
-//!   *moved* into the last branch rather than cloned.
+//! * packet payloads are `Arc`-shared and never mutated (per-branch
+//!   rewrites go into [`Packet::xor`]), so each branch's copy is a pointer
+//!   bump, and the packet itself is *moved* into the last branch rather
+//!   than cloned.
 
 use crate::addr::{AgentId, FlowId, GroupAddr, GroupIdx, LinkId, NodeId};
 use crate::edge::{EdgeAction, EdgeEnv, EdgeModule};
 use crate::link::{Link, LinkStats};
 use crate::monitor::Monitor;
 use crate::node::{GroupEntry, Interest, Node, Routes};
-use crate::packet::{Body, Dest, Packet};
+use crate::packet::{Dest, Packet, TreeControl};
 use crate::queue::{EnqueueOutcome, Queue};
 use mcc_obs::{DropReason, PktRef, Recorder, TraceEvent, GROUP_NONE};
 use mcc_simcore::{DetRng, EventQueue, FxHashMap, SimDuration, SimTime};
@@ -120,10 +121,10 @@ impl<'w> Ctx<'w> {
     }
 
     /// Send a packet from this agent's node. The source field is stamped
-    /// with this agent's id and the packet gets a fresh uid.
+    /// with this agent's id.
     pub fn send(&mut self, mut pkt: Packet) {
         pkt.src = self.agent;
-        self.world.originate(self.node, pkt);
+        self.world.route(self.node, None, pkt);
     }
 
     /// Fire `on_timer(token)` after `delay`.
@@ -210,7 +211,6 @@ pub struct World {
     pub(crate) rng: DetRng,
     /// Delivery statistics.
     pub monitor: Monitor,
-    pub(crate) uid: u64,
     pub(crate) finalized: bool,
     /// Hot-path sidecars: dense copies of `Link::to`, `Link::reverse` and
     /// `Link::host_facing`, rebuilt by `finalize`. A `Link` record spans
@@ -245,7 +245,6 @@ impl World {
             group_sources: Vec::new(),
             rng: DetRng::new(seed),
             monitor: Monitor::new(monitor_bin),
-            uid: 0,
             finalized: false,
             link_to: Vec::new(),
             link_reverse: Vec::new(),
@@ -324,13 +323,6 @@ impl World {
     pub fn group_entry(&self, node: NodeId, group: GroupAddr) -> Option<&GroupEntry> {
         self.group_idx(group)
             .and_then(|gi| self.nodes[node.index()].group(gi))
-    }
-
-    /// Stamp and route a packet out of `node`.
-    pub(crate) fn originate(&mut self, node: NodeId, mut pkt: Packet) {
-        self.uid += 1;
-        pkt.uid = self.uid;
-        self.route(node, None, pkt);
     }
 
     /// Route `pkt` standing at `node` (having arrived on `in_link`, if any).
@@ -566,7 +558,7 @@ impl World {
         let was_on_tree = entry.on_tree();
         entry.add(interest);
         if !was_on_tree {
-            self.send_upstream(node, gi, Body::Graft);
+            self.send_upstream(node, gi, true);
         }
     }
 
@@ -593,30 +585,30 @@ impl World {
         let n = node.index();
         if self.nodes[n].group(gi).is_some_and(|e| !e.on_tree()) {
             self.nodes[n].group_remove(gi);
-            self.send_upstream(node, gi, Body::Prune);
+            self.send_upstream(node, gi, false);
         }
     }
 
-    /// Send a graft or prune (`body`) one hop toward the group's source.
+    /// Send a graft (`join`) or prune one hop toward the group's source.
     /// An unregistered group's membership stays local, and the source
     /// itself has no route to itself.
-    fn send_upstream(&mut self, node: NodeId, gi: GroupIdx, body: fn(GroupAddr) -> Body) {
+    fn send_upstream(&mut self, node: NodeId, gi: GroupIdx, join: bool) {
         let Some(source) = self.group_sources[gi.index()] else {
             return;
         };
         let Some(out) = self.nodes[node.index()].route_to(source) else {
             return;
         };
-        let control = Packet {
-            size_bits: CONTROL_PACKET_BITS,
-            flow: CONTROL_FLOW,
-            src: AgentId(u32::MAX),
-            dst: Dest::Router(source),
-            ecn: Default::default(),
-            router_alert: false,
-            uid: 0,
-            body: body(self.group_addrs[gi.index()]),
-        };
+        let control = Packet::app(
+            CONTROL_PACKET_BITS,
+            CONTROL_FLOW,
+            AgentId(u32::MAX),
+            Dest::Router(source),
+            TreeControl {
+                group: self.group_addrs[gi.index()],
+                join,
+            },
+        );
         self.enqueue_link(out, control);
     }
 
@@ -668,7 +660,7 @@ impl World {
     fn apply_edge_actions(&mut self, node: NodeId, actions: &mut Vec<EdgeAction>) {
         for action in actions.drain(..) {
             match action {
-                EdgeAction::Send(pkt) => self.originate(node, pkt),
+                EdgeAction::Send(pkt) => self.route(node, None, pkt),
                 EdgeAction::GraftIface(group, iface) => {
                     self.join_tree(node, group, Interest::Iface(iface));
                 }
@@ -870,18 +862,21 @@ impl Sim {
             }
             Event::Arrival(l, pkt) => {
                 let node = self.world.link_to[l.index()];
-                match &pkt.body {
-                    Body::Graft(g) => self.world.handle_igmp(node, l, *g, true),
-                    Body::Prune(g) => self.world.handle_igmp(node, l, *g, false),
-                    _ => {
-                        // Local unicast delivery is detected inside route().
-                        let dst = pkt.dst;
-                        match dst {
-                            Dest::Agent(a) if self.world.agent_nodes[a.index()] == node => {
-                                self.deliver(a, pkt)
-                            }
-                            _ => self.world.route(node, Some(l), pkt),
+                // Only the simulator's own control flow carries grafts and
+                // prunes, so other packets skip the downcast.
+                let control = match pkt.flow {
+                    CONTROL_FLOW => pkt.body_as::<TreeControl>().map(|c| (c.group, c.join)),
+                    _ => None,
+                };
+                if let Some((group, join)) = control {
+                    self.world.handle_igmp(node, l, group, join);
+                } else {
+                    match pkt.dst {
+                        Dest::Agent(a) if self.world.agent_nodes[a.index()] == node => {
+                            self.deliver(a, pkt)
                         }
+                        // Local unicast delivery is detected inside route().
+                        _ => self.world.route(node, Some(l), pkt),
                     }
                 }
             }
@@ -899,20 +894,15 @@ impl Sim {
 
     /// Deliver a packet to an agent, recording data deliveries.
     fn deliver(&mut self, agent: AgentId, pkt: Packet) {
-        match &pkt.body {
-            Body::App(_) | Body::Opaque => {
-                let now = self.world.now;
-                self.world
-                    .monitor
-                    .record(now, agent, pkt.flow, pkt.size_bits);
-                if self.world.tracer.is_some() {
-                    let node = self.world.agent_nodes[agent.index()];
-                    let mut p = pkt_ref(node, None, &pkt);
-                    p.agent = agent.0;
-                    self.world.trace(TraceEvent::PktDeliver(p));
-                }
-            }
-            _ => {}
+        let now = self.world.now;
+        self.world
+            .monitor
+            .record(now, agent, pkt.flow, pkt.size_bits);
+        if self.world.tracer.is_some() {
+            let node = self.world.agent_nodes[agent.index()];
+            let mut p = pkt_ref(node, None, &pkt);
+            p.agent = agent.0;
+            self.world.trace(TraceEvent::PktDeliver(p));
         }
         self.dispatch(agent, |a, ctx| a.on_packet(ctx, pkt));
     }

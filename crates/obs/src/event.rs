@@ -56,7 +56,7 @@ pub struct PktRef {
     /// Wire size in bits.
     pub size_bits: u64,
 }
-// Deliberately absent: the simulator's packet `uid`. The trace names a
+// Deliberately absent: any packet serial number. The trace names a
 // packet by where it is and what it carries, so a trace stays comparable
 // across changes that only renumber packets.
 

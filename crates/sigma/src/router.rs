@@ -359,7 +359,7 @@ impl EdgeModule for SigmaEdgeModule {
         let Dest::Group(group) = pkt.dst else {
             return true;
         };
-        let Some(pd) = pkt.body_as::<ProtectedData>() else {
+        let Some(seen) = ProtectedData::read(pkt) else {
             // Unprotected session data: pass iff the group is not known to
             // be key-protected (incremental deployment, §3.2.3).
             return !self.protected.contains(&group);
@@ -368,7 +368,7 @@ impl EdgeModule for SigmaEdgeModule {
         if !self.protected.contains(&group) {
             self.protected.insert(group);
         }
-        let pkt_slot = pd.fields.slot;
+        let pkt_slot = seen.slot;
 
         let granted = self.grants.contains(iface, group, pkt_slot);
         let allowed = if granted {
@@ -420,25 +420,19 @@ impl EdgeModule for SigmaEdgeModule {
                 allowed,
             });
         }
-        if allowed {
-            let marked = pkt.ecn == Ecn::Marked;
-            // Only take the mutable borrow when something will actually be
-            // rewritten: `body_as_mut` is copy-on-write, so touching it on
-            // every granted packet would deep-clone the shared payload once
-            // per fan-out branch for nothing.
-            if marked || self.guard.is_some() {
-                let fields = &mut pkt
-                    .body_as_mut::<ProtectedData>()
-                    .expect("checked above")
-                    .fields;
-                // ECN instantiation: marked packets lose their component.
-                if marked {
-                    scramble_marked_component(fields, env.rng);
-                }
-                if let Some(guard) = &mut self.guard {
-                    guard.perturb(iface, group, fields, env.rng);
-                }
+        let marked = pkt.ecn == Ecn::Marked;
+        if allowed && (marked || self.guard.is_some()) {
+            // Rewrite a stack copy; the change goes into this branch's XOR
+            // words, never into the body every branch shares.
+            let mut fields = seen;
+            // ECN instantiation: marked packets lose their component.
+            if marked {
+                scramble_marked_component(&mut fields, env.rng);
             }
+            if let Some(guard) = &mut self.guard {
+                guard.perturb(iface, group, &mut fields, env.rng);
+            }
+            ProtectedData::rewrite(pkt, &seen, &fields);
         }
         allowed
     }
@@ -570,8 +564,9 @@ impl EdgeModule for SigmaEdgeModule {
 mod tests {
     use super::*;
     use crate::keytable::KeyTuple;
-    use mcc_delta::{DeltaFields, UpgradeMask};
+    use mcc_delta::{DeltaFields, UpgradeMask, KEY_LEAD};
     use mcc_simcore::DetRng;
+    use proptest::prelude::*;
 
     fn env<'a>(rng: &'a mut DetRng, now: SimTime) -> EdgeEnv<'a> {
         EdgeEnv {
@@ -593,18 +588,16 @@ mod tests {
             FlowId(1),
             AgentId(0),
             Dest::Group(group),
-            ProtectedData {
-                fields: DeltaFields {
-                    slot,
-                    group: 1,
-                    seq_in_slot: 0,
-                    last_in_slot: false,
-                    count_in_slot: 0,
-                    component: Key(1),
-                    decrease: None,
-                    upgrades: UpgradeMask::NONE,
-                },
-            },
+            ProtectedData::new(DeltaFields {
+                slot,
+                group: 1,
+                seq_in_slot: 0,
+                last_in_slot: false,
+                count_in_slot: 0,
+                component: Key(1),
+                decrease: None,
+                upgrades: UpgradeMask::NONE,
+            }),
         )
     }
 
@@ -1039,10 +1032,94 @@ mod tests {
         m.on_message(&mut e, iface, &subscription(g, 10, Key(77)));
         let mut pkt = data_packet(g, 10);
         pkt.ecn = Ecn::Marked;
-        let before = pkt.body_as::<ProtectedData>().unwrap().fields.component;
+        let before = ProtectedData::read(&pkt).unwrap().component;
         let mut e = env(&mut rng, SimTime::from_secs(2));
         assert!(m.filter_data(&mut e, iface, &mut pkt));
-        let after = pkt.body_as::<ProtectedData>().unwrap().fields.component;
+        let after = ProtectedData::read(&pkt).unwrap().component;
         assert_ne!(before, after, "marked component must be scrambled");
+    }
+
+    proptest! {
+        /// The per-branch view against the copy-on-write reference. One
+        /// granted packet fans out to 1–4 interfaces, marked or not,
+        /// through a guarded edge or a plain one. Each branch reads what
+        /// scrambling and then perturbing a private copy gives under an
+        /// identically seeded `DetRng`. Every branch still shares the
+        /// original body. The guard accepts a branch's lower top key on
+        /// that branch's interface and rejects it on any other.
+        #[test]
+        fn branch_views_match_copy_on_write(
+            component in 0u64..u64::MAX,
+            decrease in prop::option::weighted(0.5, 0u64..u64::MAX),
+            n_ifaces in 1u32..5,
+            marked in prop::bool::weighted(0.5),
+            guarded in prop::bool::weighted(0.5),
+            seed in 0u64..u64::MAX,
+        ) {
+            let g = GroupAddr(5);
+            let slot = 10;
+            let cfg = SigmaConfig::new(SimDuration::from_millis(250));
+            let mut m = SigmaEdgeModule::new(if guarded { cfg.with_guard(vec![g]) } else { cfg });
+            let ifaces: Vec<LinkId> = (0..n_ifaces).map(|i| LinkId(3 + i)).collect();
+            for &iface in &ifaces {
+                m.grants.insert(iface, g, slot);
+            }
+            // The slot's only packet of a one-group session: its component
+            // is the top key γ_1.
+            let fields = DeltaFields {
+                slot,
+                group: 1,
+                seq_in_slot: 0,
+                last_in_slot: true,
+                count_in_slot: 1,
+                component: Key(component),
+                decrease: decrease.map(Key),
+                upgrades: UpgradeMask::NONE,
+            };
+            let mut original = Packet::app(
+                576 * 8,
+                FlowId(1),
+                AgentId(0),
+                Dest::Group(g),
+                ProtectedData::new(fields),
+            );
+            if marked {
+                original.ecn = Ecn::Marked;
+            }
+            let mut rng = DetRng::new(seed);
+            let mut ref_rng = DetRng::new(seed);
+            let mut ref_guard = CollusionGuard::new(vec![g]);
+            let mut views = Vec::new();
+            for &iface in &ifaces {
+                let mut branch = original.clone();
+                let mut e = env(&mut rng, SimTime::from_millis(slot * 250));
+                prop_assert!(m.filter_data(&mut e, iface, &mut branch));
+                let mut want = fields;
+                if marked {
+                    scramble_marked_component(&mut want, &mut ref_rng);
+                }
+                if guarded {
+                    ref_guard.perturb(iface, g, &mut want, &mut ref_rng);
+                }
+                prop_assert_eq!(ProtectedData::read(&branch), Some(want));
+                prop_assert!(std::ptr::eq(
+                    branch.body_as::<ProtectedData>().unwrap(),
+                    original.body_as::<ProtectedData>().unwrap(),
+                ));
+                views.push(want);
+            }
+            prop_assert_eq!(ProtectedData::read(&original), Some(fields));
+            if guarded {
+                install_tuple(&mut m, g, slot + KEY_LEAD, Key(component));
+                let guard = m.guard.as_mut().unwrap();
+                for (view, &own) in views.iter().zip(&ifaces) {
+                    for &at in &ifaces {
+                        let ok = guard.validate(at, g, slot + KEY_LEAD, view.component, &m.table, &mut rng);
+                        // A scrambled component carries no key at all.
+                        prop_assert_eq!(ok, at == own && !marked);
+                    }
+                }
+            }
+        }
     }
 }

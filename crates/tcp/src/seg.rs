@@ -1,8 +1,10 @@
 //! TCP segment bodies.
 
-/// Default payload bytes per segment: 576-byte packets minus a 40-byte
-/// TCP/IP header, as in the paper's evaluation settings.
-pub(crate) const DEFAULT_MSS_BYTES: u64 = 536;
+use mcc_netsim::DATA_PACKET_BYTES;
+
+/// Default payload bytes per segment: the paper's 576-byte data packet
+/// minus a 40-byte TCP/IP header.
+pub(crate) const DEFAULT_MSS_BYTES: u64 = DATA_PACKET_BYTES - DEFAULT_HEADER_BYTES;
 
 /// Default TCP/IP header size in bytes.
 pub(crate) const DEFAULT_HEADER_BYTES: u64 = 40;

@@ -1,10 +1,11 @@
 //! Constant-bit-rate sources with optional on/off duty cycling.
 
 use mcc_netsim::prelude::*;
+use mcc_netsim::DATA_PACKET_BYTES;
 use mcc_simcore::{SimDuration, SimTime};
 
 /// Wire size of each CBR packet in bits: the paper's 576-byte packets.
-const PACKET_BITS: u64 = 576 * 8;
+const PACKET_BITS: u64 = DATA_PACKET_BYTES * 8;
 
 /// Configuration of a [`CbrSource`].
 #[derive(Clone, Debug)]

@@ -115,18 +115,16 @@ mod sigma_containment {
             FlowId(1),
             AgentId(0),
             Dest::Group(group),
-            ProtectedData {
-                fields: DeltaFields {
-                    slot,
-                    group: 1,
-                    seq_in_slot: 0,
-                    last_in_slot: false,
-                    count_in_slot: 0,
-                    component: Key(1),
-                    decrease: None,
-                    upgrades: UpgradeMask::NONE,
-                },
-            },
+            ProtectedData::new(DeltaFields {
+                slot,
+                group: 1,
+                seq_in_slot: 0,
+                last_in_slot: false,
+                count_in_slot: 0,
+                component: Key(1),
+                decrease: None,
+                upgrades: UpgradeMask::NONE,
+            }),
         )
     }
 

@@ -60,7 +60,7 @@ pub(crate) fn finish(name: &str) {
     };
     let cap = ACTIVE.with(|a| a.borrow_mut().take());
     let Some(mut cap) = cap else { return };
-    let out = render(name, &mut cap.runs);
+    let out = render_runs(name, &mut cap.runs);
     if let Err(e) = write_outputs(name, spec, &out) {
         eprintln!("warning: trace output for {name} not written: {e}");
     }
@@ -134,22 +134,18 @@ pub fn capture<R>(label: &str, f: impl FnOnce() -> R) -> (R, TraceOutput) {
         cap
     });
     let mut cap = cap.expect("capture stays active across f");
-    (value, render(label, &mut cap.runs))
+    (value, render_runs(label, &mut cap.runs))
 }
 
-/// Render recorders through the exact canonical pipeline the file sinks
-/// use — the hook the workspace determinism tests use to compare sink
-/// bytes without touching the filesystem.
+/// Render recorders (one per run, in run order) through the canonical
+/// pipeline: what `finish` writes to disk, what [`capture`] hands back,
+/// and what the benchmark's traced pass times.
 pub fn render_runs(label: &str, runs: &mut [Recorder]) -> TraceOutput {
-    render(label, runs)
-}
-
-fn render(label: &str, runs: &mut [Recorder]) -> TraceOutput {
     let mut events: Vec<(u32, SimTime, String, TraceEvent)> = Vec::new();
     for (i, rec) in runs.iter_mut().enumerate() {
         let run = i as u32;
-        for s in rec.take_events() {
-            events.push((run, s.at, jsonl::render(run, s.at, &s.msg), s.msg));
+        for (at, ev) in rec.take_events() {
+            events.push((run, at, jsonl::render(run, at, &ev), ev));
         }
     }
     // Canonical order: each ring is already in time order, and the line
@@ -264,7 +260,7 @@ mod tests {
             SimTime::from_nanos(5),
             TraceEvent::Join { agent: 1, group: 4 },
         );
-        let out = render("t", &mut [rec]);
+        let out = render_runs("t", &mut [rec]);
         let lines: Vec<&str> = out.jsonl.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"t\":5"), "time-sorted: {}", lines[0]);

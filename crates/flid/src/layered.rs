@@ -17,22 +17,19 @@
 //! strategy through its hooks and executes the resulting actions; this
 //! policy executes the two that move the claimed level against the layered
 //! structure (an inflated receiver *claims* the grabbed level, so
-//! [`mcc_attack::AttackAction::Inflate`] and `LeaveHigh` move `level` and
-//! the trace).
+//! [`mcc_attack::AttackAction::Inflate`] and `LeaveHigh` move the shell's
+//! level).
 
 use crate::config::FlidConfig;
 use crate::receiver::{Policy, Receiver, SlotWindow};
 use mcc_attack::AttackPlan;
 use mcc_delta::{decide_layered, DeltaFields, Eligibility, Key, SlotObservation, KEY_LEAD};
 use mcc_netsim::prelude::*;
-use mcc_netsim::TraceEvent;
 use mcc_sigma::Subscription;
 
 /// State of the layered key rule.
 #[derive(Clone, Debug)]
 pub struct Layered {
-    /// Current subscription level (number of groups).
-    level: u32,
     /// Per group (index `g-1`): the slot during which it was joined;
     /// `None` when not subscribed. A group only takes part in decisions
     /// from its first *complete* slot onward.
@@ -47,8 +44,6 @@ pub struct Layered {
     inflated: bool,
     /// Slots in which a congestion-marked packet arrived (ECN variant).
     marked_slots: SlotWindow<()>,
-    /// `(time, level)` trace for the convergence figures.
-    pub level_trace: Vec<(f64, u32)>,
 }
 
 /// A FLID-DL / FLID-DS receiver agent.
@@ -60,34 +55,18 @@ impl Receiver<Layered> {
     /// the SIGMA edge router for FLID-DS; `None` runs plain FLID-DL over
     /// classic IGMP.
     pub fn with_adversary(cfg: FlidConfig, router: Option<NodeId>, plan: AttackPlan) -> Self {
+        // The shell joins the minimal group at start: its slot latches on
+        // the first packet, like every later join's.
+        let mut joined_slot = vec![None; cfg.n() as usize];
+        joined_slot[0] = Some(u64::MAX);
         let policy = Layered {
-            level: 1,
-            joined_slot: vec![None; cfg.n() as usize],
+            joined_slot,
             obs: SlotWindow::default(),
             deaf_until: 0,
             inflated: false,
             marked_slots: SlotWindow::default(),
-            level_trace: Vec::new(),
         };
         Receiver::build(cfg, router, plan, policy)
-    }
-
-    fn trace(&mut self, ctx: &mut Ctx) {
-        let level = self.policy.level;
-        let from = self.policy.level_trace.last().map_or(u32::MAX, |&(_, l)| l);
-        self.policy
-            .level_trace
-            .push((ctx.now().as_secs_f64(), level));
-        // Flight-recorder event only on an actual layer transition (the
-        // local `level_trace` keeps every sample for the figures).
-        if level != from && ctx.trace_on() {
-            ctx.trace(TraceEvent::FlidLayer {
-                agent: ctx.agent.0,
-                from_layer: from,
-                to_layer: level,
-                slot: self.slot_of(ctx.now()),
-            });
-        }
     }
 
     fn join_level(&mut self, ctx: &mut Ctx, g: u32) {
@@ -105,10 +84,10 @@ impl Receiver<Layered> {
 
     /// Leave every group above `to` and claim level `to`.
     fn drop_to(&mut self, ctx: &mut Ctx, to: u32) {
-        for g in (to + 1)..=self.policy.level {
+        for g in (to + 1)..=self.level() {
             self.leave_level(ctx, g);
         }
-        self.policy.level = to;
+        self.set_level(ctx, to);
     }
 
     /// One-level decrease with the FLID-DL deaf period, unless vetoed.
@@ -116,11 +95,10 @@ impl Receiver<Layered> {
         if self.decrease_vetoed(ctx.now(), s) {
             return;
         }
-        if s >= self.policy.deaf_until && self.policy.level > 1 {
-            self.drop_to(ctx, self.policy.level - 1);
+        if s >= self.policy.deaf_until && self.level() > 1 {
+            self.drop_to(ctx, self.level() - 1);
             self.policy.deaf_until = s + 2;
             self.stats.decreases += 1;
-            self.trace(ctx);
         }
     }
 
@@ -130,19 +108,17 @@ impl Receiver<Layered> {
         if !self.decrease_vetoed(ctx.now(), s) {
             self.drop_to(ctx, to);
             self.stats.decreases += 1;
-            self.trace(ctx);
         }
     }
 
     /// Fall back to the minimal group, leaving and unsubscribing every
     /// group above it, and ask for keyless re-admission.
     fn rejoin(&mut self, ctx: &mut Ctx) {
-        let left = (2..=self.policy.level).map(|g| self.addr(g)).collect();
+        let left = (2..=self.level()).map(|g| self.addr(g)).collect();
         self.drop_to(ctx, 1);
         self.unsubscribe(ctx, left);
         self.stats.rejoins += 1;
         self.session_join(ctx);
-        self.trace(ctx);
     }
 
     /// ECN congestion response, FLID-DS side: the marked packets'
@@ -170,13 +146,13 @@ impl Receiver<Layered> {
             pairs: keys,
         };
         self.subscribe(ctx, sub, true);
-        if level < self.policy.level {
+        if level < self.level() {
             self.forced_decrease(ctx, s, level);
         }
     }
 
     fn handle_slot_dl(&mut self, ctx: &mut Ctx, s: u64, obs: &SlotObservation, dlevel: u32) {
-        let level = self.policy.level;
+        let level = self.level();
         if obs.complete_prefix(dlevel) < dlevel {
             self.decrease_dl(ctx, s);
         } else if level == dlevel && level < self.cfg.n() && obs.upgrades.authorized(level + 1) {
@@ -187,9 +163,8 @@ impl Receiver<Layered> {
     /// Join the freshly authorized group `next` before its packets flow.
     fn upgrade(&mut self, ctx: &mut Ctx, next: u32) {
         self.join_level(ctx, next);
-        self.policy.level = next;
+        self.set_level(ctx, next);
         self.stats.increases += 1;
-        self.trace(ctx);
     }
 
     fn handle_slot_ds(&mut self, ctx: &mut Ctx, s: u64, obs: &SlotObservation, dlevel: u32) {
@@ -208,7 +183,7 @@ impl Receiver<Layered> {
                 self.subscribe(ctx, Subscription { slot, pairs }, true);
                 if lvl < dlevel {
                     self.forced_decrease(ctx, s, lvl);
-                } else if lvl == dlevel + 1 && self.policy.level == dlevel {
+                } else if lvl == dlevel + 1 && self.level() == dlevel {
                     self.upgrade(ctx, lvl);
                 }
                 // lvl == dlevel with a pending newer group: nothing to do —
@@ -229,7 +204,7 @@ impl Policy for Layered {
     /// The slot's observation, whether it was ECN-marked, its decision level.
     type Closed = (SlotObservation, bool, u32);
 
-    fn observe(&mut self, fields: &DeltaFields, marked: bool) -> bool {
+    fn observe(&mut self, fields: &DeltaFields, marked: bool, _level: u32) -> bool {
         let slot = fields.slot;
         if marked {
             self.marked_slots.entry(slot, || ());
@@ -248,25 +223,16 @@ impl Policy for Layered {
         true
     }
 
-    fn level(&self) -> u32 {
-        self.level
-    }
-
-    fn started(rx: &mut FlidReceiver, ctx: &mut Ctx) {
-        rx.policy.joined_slot[0] = Some(u64::MAX);
-        rx.trace(ctx);
-    }
-
-    /// The decision level counts the groups subscribed for the whole of
-    /// slot `s`; at level 0 the slot is not judged.
-    fn close(&mut self, s: u64) -> Option<Self::Closed> {
+    /// The decision level counts the groups of `1..=level` subscribed for
+    /// the whole of slot `s`; at decision level 0 the slot is not judged.
+    fn close(&mut self, s: u64, level: u32) -> Option<Self::Closed> {
         let n = self.joined_slot.len() as u32;
         let obs = self
             .obs
             .close(s)
             .unwrap_or_else(|| SlotObservation::new(s, n));
         let marked = self.marked_slots.close(s).is_some();
-        let joined = &self.joined_slot[..self.level as usize];
+        let joined = &self.joined_slot[..level as usize];
         let dlevel = joined
             .iter()
             .take_while(|j| j.is_some_and(|j| j < s))
@@ -294,27 +260,23 @@ impl Policy for Layered {
     /// honest level would strand already-joined groups.
     fn inflate(rx: &mut FlidReceiver, ctx: &mut Ctx, slot: u64, layer: u32) {
         rx.policy.inflated = true;
-        let to = layer.min(rx.cfg.n()).max(rx.policy.level);
+        let to = layer.min(rx.cfg.n()).max(rx.level());
         for g in 1..=to {
             rx.join(ctx, g);
             rx.policy.joined_slot[(g - 1) as usize].get_or_insert(slot);
         }
-        rx.policy.level = to;
-        rx.trace(ctx);
+        rx.set_level(ctx, to);
     }
 
     /// Drop back to the minimal group and resume the control law.
     fn leave_high(rx: &mut FlidReceiver, ctx: &mut Ctx) {
         rx.drop_to(ctx, 1);
         rx.policy.inflated = false;
-        rx.trace(ctx);
     }
 
     /// One unsubscription covers every group the shell just left.
     fn wind_down(rx: &mut FlidReceiver, ctx: &mut Ctx, left: Vec<GroupAddr>) {
         rx.policy.joined_slot.fill(None);
         rx.unsubscribe(ctx, left);
-        rx.policy.level = 0;
-        rx.trace(ctx);
     }
 }

@@ -20,16 +20,21 @@
 //! * **attack execution** — every [`AttackAction`] that does not touch the
 //!   claimed level: guessed-key floods, smuggled-key submissions and raw
 //!   joins, counted into [`ReceiverStats`],
-//! * **trace events** — `Join`, `Leave`, `FlidLayer`.
+//! * **the claimed level** — the group count under the layered policy,
+//!   the one group under a single-group policy — and its `(t, level)`
+//!   record [`Receiver::level_trace`], both written only by
+//!   `Receiver::set_level`: level 1 at start, level 0 at departure, every
+//!   move of a policy in between,
+//! * **trace events** — `Join`, `Leave`, and `FlidLayer` on every real
+//!   level transition, whatever the policy.
 //!
 //! A [`Policy`] — `crate::layered::Layered` or
 //! `crate::replicated::SingleGroup` — supplies only what differs: how a
-//! data packet is observed, whether and how a closed slot is judged, what
-//! "level" means, how [`AttackAction::Inflate`] and
-//! [`AttackAction::LeaveHigh`] move its claimed level, and what to tell
-//! the router on departure. Dispatch is static (`Receiver<P>` is
-//! monomorphised per policy): `observe` runs once per delivered data
-//! packet, 2,000 receivers wide in the fan-out workload.
+//! data packet is observed, whether and how a closed slot is judged, how
+//! [`AttackAction::Inflate`] and [`AttackAction::LeaveHigh`] move the
+//! claimed level, and what to tell the router on departure. Dispatch is
+//! static (`Receiver<P>` is monomorphised per policy): `observe` runs once
+//! per delivered data packet, 2,000 receivers wide in the fan-out workload.
 
 use crate::config::FlidConfig;
 use mcc_attack::{Adversary, AttackAction, AttackEnv, AttackPlan};
@@ -73,34 +78,28 @@ pub struct ReceiverStats {
 }
 
 /// The subscription rule of one session structure — everything a
-/// receiver does that is *not* lifecycle, control plane or attack
-/// dispatch.
+/// receiver does that is *not* lifecycle, claimed level, control plane or
+/// attack dispatch.
 ///
-/// The state-only half (`observe`, `level`, `close`) takes `&mut self`;
-/// the rules that act on the world take the whole [`Receiver`] so they
-/// can reach the shell's ledger and senders while updating `rx.policy`.
+/// The state-only half (`observe`, `close`) takes `&mut self` and reads
+/// the shell's claimed `level`; the rules that act on the world take the
+/// whole [`Receiver`] so they can reach the shell's ledger and senders,
+/// and move the level through `Receiver::set_level`, while updating
+/// `rx.policy`.
 pub trait Policy: Sized + Send + 'static {
     /// What a closed slot is judged on.
     type Closed;
 
     /// Record one data packet of the session (`marked`: it carried an ECN
-    /// congestion mark); `false` when it is not part of the subscription
-    /// (stale traffic of a group just left). The per-packet path: no
-    /// shell access, no `Ctx`.
-    fn observe(&mut self, fields: &DeltaFields, marked: bool) -> bool;
+    /// congestion mark) at claimed level `level`; `false` when it is not
+    /// part of the subscription (stale traffic of a group just left). The
+    /// per-packet path: no shell access, no `Ctx`.
+    fn observe(&mut self, fields: &DeltaFields, marked: bool, level: u32) -> bool;
 
-    /// The current honest subscription level (layered) or group
-    /// (single-group policy).
-    fn level(&self) -> u32;
-
-    /// The shell has joined the minimal group and sent the session-join:
-    /// record the initial level.
-    fn started(rx: &mut Receiver<Self>, ctx: &mut Ctx);
-
-    /// Slot `slot` has closed (and the session has delivered): drop its
-    /// state, returning what it is judged on — `None` when no group was
-    /// subscribed for the whole slot.
-    fn close(&mut self, slot: u64) -> Option<Self::Closed>;
+    /// Slot `slot` has closed (and the session has delivered) at claimed
+    /// level `level`: drop its state, returning what it is judged on —
+    /// `None` when no group was subscribed for the whole slot.
+    fn close(&mut self, slot: u64, level: u32) -> Option<Self::Closed>;
 
     /// Judge closed slot `slot`: subscribe for `slot + 2` and move between
     /// groups. The adversary's per-slot hook runs just before.
@@ -125,8 +124,9 @@ pub trait Policy: Sized + Send + 'static {
 
     /// The shell has left every group in the ledger (`left`, in group
     /// order): reset the policy's state and unsubscribe what the router
-    /// should forget.
-    fn wind_down(rx: &mut Receiver<Self>, ctx: &mut Ctx, left: Vec<GroupAddr>);
+    /// should forget. The default tells the router nothing: its grant
+    /// for the group simply expires.
+    fn wind_down(_rx: &mut Receiver<Self>, _ctx: &mut Ctx, _left: Vec<GroupAddr>) {}
 }
 
 /// A policy's per-slot state over the open slots — at most the `s..=s+2`
@@ -161,15 +161,22 @@ impl<T> SlotWindow<T> {
 
 /// A multicast receiver agent: the shell around a subscription
 /// [`Policy`]. The three instantiations are [`crate::FlidReceiver`],
-/// [`crate::ReplicatedReceiver`] and [`crate::ThresholdReceiver`]; the
-/// policy's public fields read through the receiver (`rx.level_trace`,
-/// `rx.group`, …).
+/// [`crate::ReplicatedReceiver`] and [`crate::ThresholdReceiver`]; every
+/// one reads back through [`Receiver::level`], [`Receiver::level_trace`]
+/// and [`Receiver::stats`].
 #[derive(Debug)]
 pub struct Receiver<P> {
     /// Session configuration (must match the sender's).
     pub(crate) cfg: FlidConfig,
     /// Counters.
     pub stats: ReceiverStats,
+    /// The claimed level: the number of groups (layered) or the one group
+    /// (single-group policies); 0 once departed.
+    level: u32,
+    /// `(time, level)` at start, at departure and at every level decision
+    /// (a layered decision that keeps the level still records a sample),
+    /// for the convergence figures.
+    pub level_trace: Vec<(f64, u32)>,
     /// The SIGMA edge router; `None` runs over classic IGMP.
     router: Option<NodeId>,
     pub(crate) adversary: Box<dyn Adversary>,
@@ -195,13 +202,6 @@ pub struct Receiver<P> {
     pub(crate) policy: P,
 }
 
-impl<P> std::ops::Deref for Receiver<P> {
-    type Target = P;
-    fn deref(&self) -> &P {
-        &self.policy
-    }
-}
-
 impl<P: Policy> Receiver<P> {
     /// A receiver for `cfg` behind `router` running `plan`'s adversary
     /// strategy under `policy`.
@@ -222,6 +222,8 @@ impl<P: Policy> Receiver<P> {
         Receiver {
             cfg,
             stats: ReceiverStats::default(),
+            level: 1,
+            level_trace: Vec::new(),
             router,
             adversary: plan.build(),
             guard,
@@ -251,7 +253,24 @@ impl<P: Policy> Receiver<P> {
 
     /// The current subscription level (single-group policies: the group).
     pub fn level(&self) -> u32 {
-        self.policy.level()
+        self.level
+    }
+
+    /// Claim level `to`: the one writer of the level and its record. Every
+    /// call samples `level_trace`; a `FlidLayer` event marks only a real
+    /// transition (the first from `u32::MAX`).
+    pub(crate) fn set_level(&mut self, ctx: &mut Ctx, to: u32) {
+        let from = self.level_trace.last().map_or(u32::MAX, |&(_, l)| l);
+        self.level = to;
+        self.level_trace.push((ctx.now().as_secs_f64(), to));
+        if to != from && ctx.trace_on() {
+            ctx.trace(TraceEvent::FlidLayer {
+                agent: ctx.agent.0,
+                from_layer: from,
+                to_layer: to,
+                slot: self.slot_of(ctx.now()),
+            });
+        }
     }
 
     /// Tell the receiver how far (one-way) it sits from its edge router.
@@ -367,7 +386,7 @@ impl<P: Policy> Receiver<P> {
             now,
             slot,
             n_groups: self.cfg.n(),
-            level: self.policy.level(),
+            level: self.level,
             protected: self.protected(),
         }
     }
@@ -467,6 +486,7 @@ impl<P: Policy> Receiver<P> {
         }
         self.pending = None;
         P::wind_down(self, ctx, left);
+        self.set_level(ctx, 0);
         if ctx.trace_on() {
             ctx.trace(TraceEvent::Leave {
                 agent: ctx.agent.0,
@@ -480,7 +500,7 @@ impl<P: Policy> Agent for Receiver<P> {
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.join(ctx, 1);
         self.session_join(ctx);
-        P::started(self, ctx);
+        self.set_level(ctx, 1);
         if ctx.trace_on() {
             ctx.trace(TraceEvent::Join {
                 agent: ctx.agent.0,
@@ -508,7 +528,8 @@ impl<P: Policy> Agent for Receiver<P> {
         if let Some(fields) = ProtectedData::read(&pkt) {
             // A marked packet is an ECN congestion signal (paper §3.1.2):
             // the edge router has already scrambled its component.
-            self.ever_received |= self.policy.observe(&fields, pkt.ecn == Ecn::Marked);
+            let marked = pkt.ecn == Ecn::Marked;
+            self.ever_received |= self.policy.observe(&fields, marked, self.level);
         } else if let Some(ack) = pkt.body_as::<SubscriptionAck>() {
             if self
                 .pending
@@ -534,7 +555,7 @@ impl<P: Policy> Agent for Receiver<P> {
                 let s = self.slot_of(now - self.guard).saturating_sub(1);
                 ctx.timer_at(now + self.cfg.slot, PROCESS);
                 if self.ever_received {
-                    let Some(closed) = self.policy.close(s) else {
+                    let Some(closed) = self.policy.close(s, self.level) else {
                         return;
                     };
                     let env = self.attack_env(now, s);
@@ -604,7 +625,7 @@ pub(crate) mod tests {
                 return;
             }
             let s = self.rx.slot_of(now - self.rx.guard).saturating_sub(1);
-            match self.rx.policy.clone().close(s) {
+            match self.rx.policy.clone().close(s, self.rx.level) {
                 Some(_) => self.judged.push(s),
                 None => self.declined += 1,
             }
@@ -661,6 +682,8 @@ pub(crate) mod tests {
     /// What a test reads back from the probe.
     struct View {
         departed: bool,
+        /// The claimed level and the last `level_trace` sample.
+        level: (u32, Option<u32>),
         late_timers: u32,
         /// The receiver's whole state, `Debug`-rendered.
         state: String,
@@ -686,6 +709,7 @@ pub(crate) mod tests {
         let p = sim.agent_as::<Probe<P>>(id).expect("the probe");
         View {
             departed: p.rx.departed(),
+            level: (p.rx.level(), p.rx.level_trace.last().map(|&(_, l)| l)),
             late_timers: p.late_timers,
             state: format!("{:?}", p.rx),
             judged: p.judged.clone(),
@@ -748,13 +772,16 @@ pub(crate) mod tests {
     }
 
     /// Departure leaves every group the agent joined — honest, raw or
-    /// smuggled — so nothing keeps flowing to a receiver that has left.
+    /// smuggled — so nothing keeps flowing to a receiver that has left,
+    /// and the receiver reports, and records last, level 0.
     #[test]
     fn departure_leaves_every_joined_group() {
         let inflate = AttackPlan::new(Timed::at(SimTime::from_secs(5), InflateTo::all()));
         for mut c in instantiations((false, 10, 30), &inflate) {
             let name = c.name;
-            assert!(c.run_until(20).departed, "{name}: departed");
+            let view = c.run_until(20);
+            assert!(view.departed, "{name}: departed");
+            assert_eq!(view.level, (0, Some(0)), "{name}: (level, last sample)");
             let world = &c.rig.sim.world;
             let host = world.agent_nodes[c.probe.index()];
             for g in &c.rig.cfg.groups {

@@ -67,30 +67,24 @@ pub enum Verdict {
 }
 
 /// State of the single-group subscription policy: the receiver holds
-/// exactly one group.
+/// exactly one group, the shell's claimed level.
 #[derive(Clone, Debug)]
 pub struct SingleGroup<D: Decoder> {
-    /// Current (1-based) group.
-    pub group: u32,
     /// Per slot: what arrived of the group.
     obs: SlotWindow<D::Obs>,
     /// Slot during which the current group was joined; decisions wait for
     /// the first complete slot after a switch.
     joined_slot: u64,
-    /// `(t, group)` trace.
-    pub trace: Vec<(f64, u32)>,
     /// The session structure's packet reader.
-    pub decoder: D,
+    pub(crate) decoder: D,
 }
 
 impl<D: Decoder> SingleGroup<D> {
     /// The policy in the minimal group, reading packets with `decoder`.
     pub(crate) fn new(decoder: D) -> Self {
         SingleGroup {
-            group: 1,
             obs: SlotWindow::default(),
             joined_slot: 0,
-            trace: Vec::new(),
             decoder,
         }
     }
@@ -99,12 +93,12 @@ impl<D: Decoder> SingleGroup<D> {
 impl<D: Decoder> Receiver<SingleGroup<D>> {
     /// Move the single subscription to group `to`.
     fn switch(&mut self, ctx: &mut Ctx, to: u32) {
-        if to != self.policy.group {
-            self.leave(ctx, self.policy.group);
+        let from = self.level();
+        if to != from {
+            self.leave(ctx, from);
             self.join(ctx, to);
-            self.policy.group = to;
             self.policy.joined_slot = u64::MAX; // latched on first packet
-            self.policy.trace.push((ctx.now().as_secs_f64(), to));
+            self.set_level(ctx, to);
         }
     }
 }
@@ -112,8 +106,8 @@ impl<D: Decoder> Receiver<SingleGroup<D>> {
 impl<D: Decoder> Policy for SingleGroup<D> {
     type Closed = D::Obs;
 
-    fn observe(&mut self, fields: &DeltaFields, _marked: bool) -> bool {
-        if fields.group != self.group {
+    fn observe(&mut self, fields: &DeltaFields, _marked: bool, group: u32) -> bool {
+        if fields.group != group {
             return false; // Stale traffic from a group we just left.
         }
         if self.joined_slot == u64::MAX {
@@ -123,22 +117,14 @@ impl<D: Decoder> Policy for SingleGroup<D> {
         true
     }
 
-    fn level(&self) -> u32 {
-        self.group
-    }
-
-    fn started(rx: &mut Receiver<Self>, ctx: &mut Ctx) {
-        rx.policy.trace.push((ctx.now().as_secs_f64(), 1));
-    }
-
     /// A group joined during slot `s` waits for its first complete slot.
-    fn close(&mut self, s: u64) -> Option<D::Obs> {
+    fn close(&mut self, s: u64, _group: u32) -> Option<D::Obs> {
         let obs = self.obs.close(s).unwrap_or_default();
         (self.joined_slot < s).then_some(obs)
     }
 
     fn judge(rx: &mut Receiver<Self>, ctx: &mut Ctx, s: u64, obs: D::Obs) {
-        let current = rx.policy.group;
+        let current = rx.level();
         match rx.policy.decoder.verdict(obs, current, rx.cfg.n()) {
             Verdict::Subscribe(group, key, publish) => {
                 if let Some(pair) = publish {
@@ -161,11 +147,6 @@ impl<D: Decoder> Policy for SingleGroup<D> {
                 rx.session_join(ctx);
             }
         }
-    }
-
-    /// The router learns nothing: its grant for the group simply expires.
-    fn wind_down(rx: &mut Receiver<Self>, ctx: &mut Ctx, _left: Vec<GroupAddr>) {
-        rx.policy.trace.push((ctx.now().as_secs_f64(), 0));
     }
 }
 
@@ -237,10 +218,10 @@ mod tests {
         let (d, r) = run(true, 1_000_000, 40);
         let rec = replicated(&d, r);
         assert!(
-            (4..=6).contains(&rec.group),
+            (4..=6).contains(&rec.level()),
             "group {} (trace {:?})",
-            rec.group,
-            rec.trace
+            rec.level(),
+            rec.level_trace
         );
         let bps = d.goodput_bps(r, 20, 40);
         assert!(bps > 300_000.0, "replicated goodput {bps}");
@@ -252,10 +233,10 @@ mod tests {
         let (d, r) = run(true, 250_000, 40);
         let rec = replicated(&d, r);
         assert!(
-            (2..=4).contains(&rec.group),
+            (2..=4).contains(&rec.level()),
             "group {} (trace {:?})",
-            rec.group,
-            rec.trace
+            rec.level(),
+            rec.level_trace
         );
     }
 
@@ -264,10 +245,10 @@ mod tests {
         let (d, r) = run(false, 1_000_000, 30);
         let rec = replicated(&d, r);
         assert!(
-            rec.group >= 3,
+            rec.level() >= 3,
             "group {} (trace {:?})",
-            rec.group,
-            rec.trace
+            rec.level(),
+            rec.level_trace
         );
     }
 
@@ -280,6 +261,6 @@ mod tests {
         let drops = d.sim.world.link_stats(d.bottleneck).drops;
         println!("bottleneck drops {drops}");
         let rec = replicated(&d, r);
-        println!("rejoins {} trace {:?}", rec.stats.rejoins, rec.trace);
+        println!("rejoins {} trace {:?}", rec.stats.rejoins, rec.level_trace);
     }
 }

@@ -128,7 +128,7 @@ pub struct SharesSeen {
 #[derive(Clone, Debug)]
 pub struct Shamir {
     /// Slots where the key could not be reconstructed.
-    pub key_failures: u64,
+    key_failures: u64,
 }
 
 impl Decoder for Shamir {
@@ -178,6 +178,11 @@ impl ThresholdReceiver {
         let shamir = Shamir { key_failures: 0 };
         Receiver::build(cfg, router, plan, SingleGroup::new(shamir))
     }
+
+    /// Slots where the key could not be reconstructed.
+    pub fn key_failures(&self) -> u64 {
+        self.policy.decoder.key_failures
+    }
 }
 
 #[cfg(test)]
@@ -208,10 +213,10 @@ mod tests {
         let (d, r) = run(1_000_000, 40);
         let rec = d.sim.agent_as::<ThresholdReceiver>(r).unwrap();
         assert!(
-            rec.group >= 4,
+            rec.level() >= 4,
             "group {} (trace {:?})",
-            rec.group,
-            rec.trace
+            rec.level(),
+            rec.level_trace
         );
         let bps = d.goodput_bps(r, 20, 40);
         assert!(bps > 250_000.0, "threshold goodput {bps}");
@@ -222,13 +227,13 @@ mod tests {
         let (d, r) = run(250_000, 40);
         let rec = d.sim.agent_as::<ThresholdReceiver>(r).unwrap();
         assert!(
-            rec.group <= 4,
+            rec.level() <= 4,
             "group {} should be capped (trace {:?})",
-            rec.group,
-            rec.trace
+            rec.level(),
+            rec.level_trace
         );
         assert!(
-            rec.decoder.key_failures > 0,
+            rec.key_failures() > 0,
             "over-threshold slots force descents"
         );
     }

@@ -17,9 +17,9 @@
 //! * [`jsonl`] / [`pcapng`] — the two trace sinks.
 //! * [`TraceSpec`] — the parsed `--trace <spec>` surface.
 //!
-//! This crate deliberately depends only on `mcc-simcore` (for time and the
-//! `Stamped` ring entry) so any crate in the workspace can
-//! emit events without dependency cycles; file I/O and JSON serialization
+//! This crate deliberately depends only on `mcc-simcore` (for the
+//! [`mcc_simcore::SimTime`] every ring entry is keyed by) so any crate in
+//! the workspace can emit events without dependency cycles; file I/O and JSON serialization
 //! stay in `mcc-core`'s `obs` module.
 
 pub(crate) mod event;

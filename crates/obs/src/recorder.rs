@@ -7,10 +7,11 @@
 //! canonical event order (see `mcc-core`'s `obs` module).
 
 use crate::event::TraceEvent;
-use mcc_simcore::{SimTime, Stamped};
+use mcc_simcore::SimTime;
 
-/// Default ring capacity per recorder (events). At ~72 bytes per stamped
-/// event this bounds a run's flight recorder at ~300 MiB; quick-mode
+/// Default ring capacity per recorder (events). At 48 bytes per
+/// `(SimTime, TraceEvent)` entry this bounds a run's flight recorder at
+/// 192 MiB; quick-mode
 /// figure runs stay far below it. Overflow evicts the oldest events and
 /// is counted in [`Metrics::trace_overflow`] — an overflowed trace is
 /// still deterministic but no longer complete, so sinks surface the
@@ -120,17 +121,17 @@ impl Metrics {
     }
 }
 
-/// A simple bounded ring over `Stamped<TraceEvent>`.
+/// A simple bounded ring of `(time, event)` entries.
 #[derive(Debug, Default)]
 struct Ring {
-    buf: Vec<Stamped<TraceEvent>>,
+    buf: Vec<(SimTime, TraceEvent)>,
     /// Next overwrite position once `buf.len() == cap`.
     head: usize,
     evicted: u64,
 }
 
 impl Ring {
-    fn push(&mut self, cap: usize, s: Stamped<TraceEvent>) {
+    fn push(&mut self, cap: usize, s: (SimTime, TraceEvent)) {
         if self.buf.len() < cap {
             self.buf.push(s);
         } else {
@@ -141,7 +142,7 @@ impl Ring {
     }
 
     /// Drain in record order (oldest surviving first).
-    fn drain(&mut self) -> Vec<Stamped<TraceEvent>> {
+    fn drain(&mut self) -> Vec<(SimTime, TraceEvent)> {
         let mut out = std::mem::take(&mut self.buf);
         out.rotate_left(self.head);
         self.head = 0;
@@ -149,11 +150,10 @@ impl Ring {
     }
 }
 
-/// The flight recorder of one run: a ring of stamped events plus the
+/// The flight recorder of one run: a ring of time-stamped events plus the
 /// run's [`Metrics`].
 #[derive(Debug)]
 pub struct Recorder {
-    seq: u64,
     cap: usize,
     ring: Ring,
     /// Counters for every event recorded.
@@ -165,7 +165,6 @@ impl Recorder {
     /// argument is ignored; it keeps the signature `benchmark/` calls.
     pub fn new(_stream: u32, cap: usize) -> Self {
         Recorder {
-            seq: 0,
             cap: cap.max(1),
             ring: Ring::default(),
             metrics: Metrics::default(),
@@ -176,22 +175,13 @@ impl Recorder {
     #[inline]
     pub fn record(&mut self, at: SimTime, ev: TraceEvent) {
         self.metrics.count(&ev);
-        self.seq += 1;
-        self.ring.push(
-            self.cap,
-            Stamped {
-                at,
-                dst: 0,
-                src: 0,
-                seq: self.seq,
-                msg: ev,
-            },
-        );
+        self.ring.push(self.cap, (at, ev));
         self.metrics.trace_overflow = self.ring.evicted;
     }
 
-    /// Take the events recorded so far, oldest surviving first.
-    pub fn take_events(&mut self) -> Vec<Stamped<TraceEvent>> {
+    /// Take the `(time, event)` entries recorded so far, oldest surviving
+    /// first.
+    pub fn take_events(&mut self) -> Vec<(SimTime, TraceEvent)> {
         self.ring.drain()
     }
 
@@ -257,9 +247,15 @@ mod tests {
         let kept: Vec<u32> = r
             .take_events()
             .iter()
-            .map(|s| s.msg.pkt().expect("packet event").flow)
+            .map(|(_, ev)| ev.pkt().expect("packet event").flow)
             .collect();
         assert_eq!(kept, vec![3, 4, 5], "oldest events evicted first");
+    }
+
+    /// The figure `DEFAULT_RING_CAP`'s bound is computed from.
+    #[test]
+    fn a_ring_entry_is_48_bytes() {
+        assert_eq!(size_of::<(SimTime, TraceEvent)>(), 48);
     }
 
     #[test]

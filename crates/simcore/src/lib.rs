@@ -13,7 +13,7 @@
 //! * [`FxHashMap`]/[`FxHashSet`] — hot-path hash containers with a cheap
 //!   multiplicative hasher (simulation keys are never adversarial input),
 //! * [`Stamped`] / [`merge_stamped`] — time-stamped messages with a total
-//!   drain order (the flight recorder's ring entries).
+//!   drain order (kept for the benchmark's merge kernel).
 //!
 //! The engine is intentionally synchronous and single-threaded, in the spirit
 //! of event-driven network stacks such as smoltcp: simplicity and determinism

@@ -3,7 +3,9 @@
 //! A [`Stamped`] message carries the key `(time, source, sequence)`;
 //! [`merge_stamped`] sorts a batch by exactly that key, so any
 //! interleaving of several sources' FIFO streams drains in one order.
-//! The flight recorder stamps its trace events this way.
+//! Nothing in the workspace stamps messages this way any more (the flight
+//! recorder keys its ring by `(SimTime, TraceEvent)` alone); the type stays
+//! for the benchmark's merge kernel.
 
 use crate::time::SimTime;
 

@@ -83,7 +83,7 @@ fn main() {
 
     let r = sim.agent_as::<ReplicatedReceiver>(receiver).unwrap();
     println!("group-switch trace (time s → group):");
-    for (t, g) in &r.trace {
+    for (t, g) in &r.level_trace {
         println!(
             "  {t:>6.2} s  group {g}  ({:.0} kbps)",
             cfg.cumulative_rate(*g) / 1000.0
@@ -95,7 +95,7 @@ fn main() {
         SimTime::from_secs(40),
     );
     println!("\nsteady-state throughput: {bps:.0} bps on a 500 kbps bottleneck");
-    println!("final group: {} of 6", r.group);
+    println!("final group: {} of 6", r.level());
     let sigma = sim.edge_as::<SigmaEdgeModule>(b).unwrap();
     println!("router accepted keys: {}", sigma.stats.accepted_keys);
 }

@@ -99,10 +99,11 @@ fn main() {
     sim.run_until(SimTime::from_secs(30));
 
     let r = sim.agent_as::<ThresholdReceiver>(receiver).unwrap();
-    println!("group trace: {:?}", r.trace);
+    println!("group trace: {:?}", r.level_trace);
     println!(
         "final group: {} of 6, key failures: {}",
-        r.group, r.decoder.key_failures
+        r.level(),
+        r.key_failures()
     );
     let bps = sim.monitor().agent_throughput_bps(
         receiver,

@@ -313,7 +313,8 @@ fn replicated_and_threshold_variants_run_end_to_end() {
     sim.finalize();
     sim.run_until(SimTime::from_secs(30));
     let rec = sim.agent_as::<ReplicatedReceiver>(r).unwrap();
-    assert!(rec.group >= 2, "replicated receiver climbed: {}", rec.group);
+    let level = rec.level();
+    assert!(level >= 2, "replicated receiver climbed: {level}");
 
     // Threshold (Shamir).
     let mut sim = Sim::new(61, SimDuration::from_secs(1));
@@ -344,5 +345,6 @@ fn replicated_and_threshold_variants_run_end_to_end() {
     sim.finalize();
     sim.run_until(SimTime::from_secs(30));
     let rec = sim.agent_as::<ThresholdReceiver>(r).unwrap();
-    assert!(rec.group >= 2, "threshold receiver climbed: {}", rec.group);
+    let level = rec.level();
+    assert!(level >= 2, "threshold receiver climbed: {level}");
 }

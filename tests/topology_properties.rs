@@ -337,7 +337,7 @@ proptest! {
     }
 }
 
-/// One receiver's observables as exact bit patterns: its policy's
+/// One receiver's observables as exact bit patterns: its shell's
 /// `(t, level)` trace, its counters and its per-second goodput series.
 type ReceiverDigest = (Vec<(u64, u32)>, ReceiverStats, Vec<u64>);
 
@@ -346,12 +346,12 @@ fn receiver_digest(t: &BuiltTopology, id: AgentId, horizon: u64) -> ReceiverDige
     let (trace, stats) = if let Some(rx) = sim.agent_as::<FlidReceiver>(id) {
         (&rx.level_trace, &rx.stats)
     } else if let Some(rx) = sim.agent_as::<ReplicatedReceiver>(id) {
-        (&rx.trace, &rx.stats)
+        (&rx.level_trace, &rx.stats)
     } else {
         let rx = sim
             .agent_as::<ThresholdReceiver>(id)
             .expect("a multicast receiver agent");
-        (&rx.trace, &rx.stats)
+        (&rx.level_trace, &rx.stats)
     };
     (
         trace.iter().map(|&(at, l)| (at.to_bits(), l)).collect(),

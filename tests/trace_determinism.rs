@@ -7,14 +7,21 @@
 //! 2. **Inert and reproducible on any topology**: on random trees and
 //!    parking lots, a traced run delivers exactly the bits an untraced
 //!    run does, and two traced runs render identical JSONL and pcapng.
+//!
+//! A third test pins what the trace says about receivers: every
+//! policy's `flid_layer` lines are its level record's transitions.
 
 use proptest::prelude::*;
 use robust_multicast::core::obs::{capture, render_runs};
 use robust_multicast::core::registry::{self};
 use robust_multicast::core::runner::run_serial;
-use robust_multicast::core::{McastSessionSpec, Params, Topology, TopologySpec, Variant};
+use robust_multicast::core::{
+    McastSessionSpec, Params, ReceiverSpec, Topology, TopologySpec, Variant,
+};
+use robust_multicast::flid::{FlidReceiver, ReplicatedReceiver, ThresholdReceiver};
 use robust_multicast::obs::{Recorder, DEFAULT_RING_CAP};
 use robust_multicast::simcore::SimTime;
+use std::collections::BTreeMap;
 
 /// Quick-mode serial JSON of one registry experiment — the same bytes the
 /// golden pins in `tests/registry.rs` compare against.
@@ -117,4 +124,86 @@ proptest! {
         prop_assert_eq!(&first.jsonl, &second.jsonl, "JSONL diverged");
         prop_assert_eq!(&first.pcapng, &second.pcapng, "pcapng bytes diverged");
     }
+}
+
+/// A level transition `(t in ns, from, to)`; the first is from `u32::MAX`.
+type Transition = (u64, u32, u32);
+
+/// The integer field `key` of one flat JSONL line.
+fn field(line: &str, key: &str) -> u64 {
+    let at = line.find(&format!("\"{key}\":")).expect("field present") + key.len() + 3;
+    let digits = line[at..].split([',', '}']).next().expect("a value");
+    digits.parse().expect("an integer field")
+}
+
+/// Every policy's layer events mirror its level record: in a dumbbell
+/// with a FLID-DS, a replicated and a threshold session (one replicated
+/// receiver leaving mid-run), each receiver's `flid_layer` lines are
+/// exactly the steps of its `level_trace` to a new level — the first from
+/// `u32::MAX`, the leaver's last to 0.
+#[test]
+fn every_policys_layer_events_mirror_its_level_trace() {
+    let mut spec = TopologySpec::new(Topology::Dumbbell, 5, 1_500_000);
+    let leaver = ReceiverSpec::new().leave_at(SimTime::from_secs(12));
+    spec.mcast = vec![
+        McastSessionSpec::honest(Variant::FlidDs, 1),
+        McastSessionSpec::new(Variant::Replicated)
+            .with_receivers(vec![ReceiverSpec::new(), leaver]),
+        McastSessionSpec::honest(Variant::Threshold, 1),
+    ];
+    let (t, out) = capture("layers", || {
+        let mut t = spec.build();
+        t.run_secs(20);
+        t
+    });
+
+    let mut events: BTreeMap<u32, Vec<Transition>> = BTreeMap::new();
+    for line in out
+        .jsonl
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"flid_layer\""))
+    {
+        let step = (
+            field(line, "t"),
+            field(line, "from") as u32,
+            field(line, "to") as u32,
+        );
+        events
+            .entry(field(line, "agent") as u32)
+            .or_default()
+            .push(step);
+    }
+    let leaver = t.sessions[1].receivers[1];
+    for session in &t.sessions {
+        for &id in &session.receivers {
+            let trace = if let Some(rx) = t.sim.agent_as::<FlidReceiver>(id) {
+                &rx.level_trace
+            } else if let Some(rx) = t.sim.agent_as::<ReplicatedReceiver>(id) {
+                &rx.level_trace
+            } else {
+                let rx = t.sim.agent_as::<ThresholdReceiver>(id);
+                &rx.expect("a multicast receiver").level_trace
+            };
+            let mut want: Vec<Transition> = Vec::new();
+            let mut from = u32::MAX;
+            for &(secs, level) in trace {
+                if level != from {
+                    want.push(((secs * 1e9).round() as u64, from, level));
+                    from = level;
+                }
+            }
+            assert!(want.len() >= 2, "{id}: never moved from level 1: {trace:?}");
+            assert_eq!(want[0].1, u32::MAX, "{id}: first transition");
+            assert_eq!(from == 0, id == leaver, "{id}: only the leaver ends at 0");
+            // Same-instant lines sort by content; compare in that order.
+            let mut got = events.remove(&id.0).unwrap_or_default();
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "{id}: flid_layer lines vs level_trace");
+        }
+    }
+    assert!(
+        events.is_empty(),
+        "layer events of non-receivers: {events:?}"
+    );
 }

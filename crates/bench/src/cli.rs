@@ -314,7 +314,7 @@ pub(crate) fn run(cli: &Cli) -> Result<Option<PathBuf>, String> {
                 registry::check_params(&swept)?;
                 let mut batch = registry::specs(&selection, &swept);
                 for spec in &mut batch {
-                    spec.name = format!("{}@{key}={value}", spec.name);
+                    spec.name = format!("{}@{key}={value}", spec.name).into();
                 }
                 specs.append(&mut batch);
             }

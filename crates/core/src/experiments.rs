@@ -37,19 +37,43 @@ record! {
     }
 }
 
-/// Figures 1 & 7: two multicast + two TCP sessions on a 1 Mbps bottleneck;
-/// F1 inflates its subscription at `attack_at_secs`.
+/// The attack population of Figures 1 and 7 and of the robustness matrix:
+/// two sessions of `variant` plus two TCP flows on a 1 Mbps bottleneck.
+/// Session 0 holds the receiver running `attacker`, joining at `join_at`,
+/// and, for collusion, an `extra` receiver; session 1 holds one honest
+/// receiver.
+fn attack_population(
+    variant: Variant,
+    attacker: AttackPlan,
+    join_at: SimTime,
+    extra: Option<AttackPlan>,
+) -> Scenario {
+    let n_groups = variant_groups(variant);
+    let attack_session = McastSessionSpec::new(variant)
+        .groups(n_groups)
+        .receiver(ReceiverSpec::new().adversary(attacker).join_at(join_at))
+        .with_receivers(extra.map(|plan| ReceiverSpec::new().adversary(plan)));
+    Scenario::dumbbell(1.mbps())
+        .session(attack_session)
+        .session(
+            McastSessionSpec::new(variant)
+                .groups(n_groups)
+                .receiver(ReceiverSpec::new()),
+        )
+        .tcp(2)
+}
+
+/// Figures 1 & 7: the attack population with F1 inflating its
+/// subscription at `attack_at_secs`.
 pub fn attack_experiment(
     variant: Variant,
     duration_secs: u64,
     attack_at_secs: u64,
     seed: u64,
 ) -> AttackResult {
-    let mut d = Scenario::dumbbell(1.mbps())
+    let inflate = AttackPlan::inflate_at(attack_at_secs.secs());
+    let mut d = attack_population(variant, inflate, SimTime::ZERO, None)
         .seed(seed)
-        .sessions(1, variant)
-        .attacker_at(attack_at_secs.secs())
-        .tcp(2)
         .build();
     d.run_secs(duration_secs);
 
@@ -491,43 +515,6 @@ fn measure(
     m
 }
 
-/// One matrix run: two sessions of `variant` (session 0 holds the
-/// attacker, session 1 an honest receiver) plus two TCP flows on a 1 Mbps
-/// bottleneck — the Figure-1/7 population, generalized over variants.
-/// Victims: the honest receiver, then the two TCP sinks.
-fn matrix_run(
-    variant: Variant,
-    attacker: AttackPlan,
-    attacker_join_at: SimTime,
-    extra: Option<AttackPlan>,
-    duration_secs: u64,
-    onset_secs: u64,
-    seed: u64,
-) -> Measured {
-    let n_groups = variant_groups(variant);
-    let mut attack_session = McastSessionSpec::new(variant).groups(n_groups).receiver(
-        ReceiverSpec::new()
-            .adversary(attacker)
-            .join_at(attacker_join_at),
-    );
-    if let Some(plan) = extra {
-        attack_session = attack_session.receiver(ReceiverSpec::new().adversary(plan));
-    }
-    let mut d = Scenario::dumbbell(1.mbps())
-        .seed(seed)
-        .session(attack_session)
-        .session(
-            McastSessionSpec::new(variant)
-                .groups(n_groups)
-                .receiver(ReceiverSpec::new()),
-        )
-        .tcp(2)
-        .build();
-    d.run_secs(duration_secs);
-    let victims = [d.sessions[1].receivers[0], d.tcp[0], d.tcp[1]];
-    measure(&d, onset_secs, duration_secs, &victims)
-}
-
 /// The registered `matrix_robustness` experiment: sweep every
 /// `MATRIX_STRATEGIES` strategy against every [`Variant::DEFENSES`]
 /// defense, with one honest-baseline run per defense for the damage
@@ -539,16 +526,14 @@ pub fn robustness_matrix(duration_secs: u64, onset_secs: u64, seed: u64) -> Matr
         // One seed per defense column: a cell and its baseline differ
         // only in the adversary — never in the seed or the topology.
         let column_seed = seed ^ ((di as u64 + 1) << 24);
+        // Victims: the honest receiver, then the two TCP sinks.
         let run_with = |attacker, join_at, extra| {
-            matrix_run(
-                variant,
-                attacker,
-                join_at,
-                extra,
-                duration_secs,
-                onset_secs,
-                column_seed,
-            )
+            let mut d = attack_population(variant, attacker, join_at, extra)
+                .seed(column_seed)
+                .build();
+            d.run_secs(duration_secs);
+            let victims = [d.sessions[1].receivers[0], d.tcp[0], d.tcp[1]];
+            measure(&d, onset_secs, duration_secs, &victims)
         };
         let baseline = run_with(AttackPlan::honest(), SimTime::ZERO, None);
         // Strategy cells with an extra (feeder) receiver get their own

@@ -7,7 +7,7 @@
 //!   FLID-DS), unit-suffix literals (`1.mbps()`, `50.secs()`) and the
 //!   fluent [`Scenario`] builder,
 //! * `topology` — the generic topology layer: [`Topology`] shapes
-//!   (dumbbell, parking lot, star, balanced tree), [`TopologySpec`] and
+//!   (dumbbell, parking lot, balanced tree), [`TopologySpec`] and
 //!   the one builder every scenario goes through (any mix of multicast
 //!   sessions, TCP Reno cross traffic and on-off CBR, with per-receiver
 //!   join times, access delays and misbehaviour), with placement-aware

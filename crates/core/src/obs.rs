@@ -39,9 +39,9 @@ struct Capture {
     runs: Vec<Recorder>,
 }
 
-/// Start a capture for `name` if tracing is configured. Runner hook;
-/// no-op (and no cost beyond one `OnceLock` read) without `--trace`.
-pub(crate) fn begin(_name: &str) {
+/// Start a capture if tracing is configured. Runner hook; no-op (and no
+/// cost beyond one `OnceLock` read) without `--trace`.
+pub(crate) fn begin() {
     if config::trace_spec().is_none() {
         return;
     }

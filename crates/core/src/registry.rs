@@ -3,8 +3,9 @@
 //!
 //! Each entry implements [`Experiment`] — an `id`, the paper figure it
 //! reproduces, a one-line description and a registered seed — and carries
-//! a body that maps the parameter bag to canonical JSON; [`specs`] is the
-//! one way to run it. [`REGISTRY`] is the single source of truth consumed
+//! a `fn` body that maps the parameter bag to canonical JSON; [`specs`] is
+//! the one way to run it, copying each row into a plain-data
+//! [`ExperimentSpec`]. [`REGISTRY`] is the single source of truth consumed
 //! by the `figures` CLI in `mcc-bench`, the repo benchmark and the
 //! registry tests; adding a scenario is one [`ExperimentDef`] row here
 //! instead of a new binary.
@@ -477,19 +478,17 @@ pub fn matching(selector: &str) -> Vec<ExperimentDef> {
 }
 
 /// Runner specs for a set of entries under `params`: the bridge between
-/// the registry and `runner::{run_serial, run_parallel}`. Spec names are
-/// registry ids (optionally suffixed by the caller for sweeps), seeds are
-/// the effective `params` seeds, and bodies run the registered
-/// experiment — so registry runs serialize exactly like the historical
-/// hand-built suite.
+/// the registry and `runner::{run_serial, run_parallel}`. Each spec borrows
+/// its registry id as its name (a sweep assigns an owned `id@key=value`),
+/// runs at the effective `params` seed and carries the row's body, so
+/// registry runs serialize exactly like the historical hand-built suite.
 pub fn specs(defs: &[ExperimentDef], params: &Params) -> Vec<ExperimentSpec> {
     defs.iter()
-        .map(|d| {
-            let def = *d;
-            let p = params.clone();
-            ExperimentSpec::new(def.id, params.seed_for(def.seed), move |seed| {
-                (def.body)(&p, seed)
-            })
+        .map(|d| ExperimentSpec {
+            name: d.id.into(),
+            seed: params.seed_for(d.seed),
+            params: params.clone(),
+            body: d.body,
         })
         .collect()
 }
@@ -550,6 +549,24 @@ mod tests {
         assert_eq!(specs(&[def], &Params::default())[0].seed, 0);
         let p = Params::default().with_override("seed", "77").unwrap();
         assert_eq!(specs(&[def], &p)[0].seed, 77);
+    }
+
+    /// A sweep value the composed run cannot fit under the arrival cap is
+    /// refused before anything runs, naming the key, the value and the cap;
+    /// `with_override` only parses it.
+    #[test]
+    fn check_params_refuses_values_over_the_arrival_cap() {
+        let p = Params::default();
+        for (key, bad) in [("churn_rate", "100000"), ("flash_factor", "1000000")] {
+            let err = check_params(&p.with_override(key, bad).unwrap()).unwrap_err();
+            assert!(
+                err.contains(key) && err.contains(bad) && err.contains("100000-arrival"),
+                "{err}"
+            );
+        }
+        for (key, fits) in [("churn_rate", "1"), ("flash_factor", "100")] {
+            assert!(check_params(&p.with_override(key, fits).unwrap()).is_ok());
+        }
     }
 
     /// The analytic ablation is cheap enough to run in tests and pins the

@@ -28,7 +28,13 @@
 //! `run_serial` and `run_parallel` therefore produce the same
 //! `BENCH_*.json` payload — a property pinned by this module's tests and
 //! relied on by the `figures` CLI (`crates/bench/src/cli.rs`).
+//!
+//! A spec is plain data: a name, a seed, the [`Params`] it runs under and
+//! a `fn` body. Building a suite copies registry rows; only a sweep's
+//! renamed spec owns its name.
 
+use crate::config::Params;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io;
@@ -252,26 +258,15 @@ pub(crate) use record;
 // Specs, records, reports
 // ---------------------------------------------------------------------------
 
-/// One independent experiment: a name, its own deterministic seed, and a
-/// body mapping that seed to a JSON payload.
+/// One independent experiment, as plain data: a name, its own
+/// deterministic seed, the parameters it runs under and the body mapping
+/// them to a JSON payload. [`crate::registry::specs`] builds these from
+/// registry rows; a sweep renames a spec by assigning an owned `name`.
 pub struct ExperimentSpec {
-    pub name: String,
+    pub name: Cow<'static, str>,
     pub seed: u64,
-    body: Box<dyn Fn(u64) -> Json + Send + Sync>,
-}
-
-impl ExperimentSpec {
-    pub fn new(
-        name: impl Into<String>,
-        seed: u64,
-        body: impl Fn(u64) -> Json + Send + Sync + 'static,
-    ) -> Self {
-        ExperimentSpec {
-            name: name.into(),
-            seed,
-            body: Box::new(body),
-        }
-    }
+    pub params: Params,
+    pub body: fn(&Params, u64) -> Json,
 }
 
 /// The outcome of one experiment.
@@ -398,11 +393,11 @@ fn run_spec(spec: &ExperimentSpec) -> ExperimentRecord {
     let start = Instant::now();
     // Tracing capture brackets the body on this worker thread; both are
     // no-ops unless `--trace` is set.
-    crate::obs::begin(&spec.name);
-    let data = (spec.body)(spec.seed);
+    crate::obs::begin();
+    let data = (spec.body)(&spec.params, spec.seed);
     crate::obs::finish(&spec.name);
     ExperimentRecord {
-        name: spec.name.clone(),
+        name: spec.name.to_string(),
         seed: spec.seed,
         data,
         elapsed: start.elapsed(),
@@ -477,7 +472,6 @@ pub fn run_parallel(suite: &str, mode: &str, specs: &[ExperimentSpec], threads: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Params;
     use crate::{experiments, registry};
 
     record! {
@@ -511,12 +505,28 @@ mod tests {
         );
     }
 
+    /// A spec named `name` at `seed`, running `body` under default params.
+    fn spec(
+        name: impl Into<Cow<'static, str>>,
+        seed: u64,
+        body: fn(&Params, u64) -> Json,
+    ) -> ExperimentSpec {
+        ExperimentSpec {
+            name: name.into(),
+            seed,
+            params: Params::default(),
+            body,
+        }
+    }
+
     fn toy_specs() -> Vec<ExperimentSpec> {
         // Bodies of very different cost, so parallel completion order is
-        // scrambled relative to spec order.
+        // scrambled relative to spec order; each reads its index from its
+        // seed.
         (0..12u64)
             .map(|i| {
-                ExperimentSpec::new(format!("toy{i:02}"), 1000 + i, move |seed| {
+                spec(format!("toy{i:02}"), 1000 + i, |_, seed| {
+                    let i = seed - 1000;
                     let spins = if i % 3 == 0 { 400_000 } else { 50 };
                     let mut acc = seed;
                     for k in 0..spins {
@@ -565,13 +575,13 @@ mod tests {
     fn real_experiments_serial_vs_parallel() {
         let specs = || {
             vec![
-                ExperimentSpec::new("overhead_groups", 5, |seed| {
+                spec("overhead_groups", 5, |_, seed| {
                     experiments::overhead_vs_groups(&[2, 6], 5, seed).to_json()
                 }),
-                ExperimentSpec::new("overhead_slot", 5, |seed| {
+                spec("overhead_slot", 5, |_, seed| {
                     experiments::overhead_vs_slot(&[250, 500], 5, seed).to_json()
                 }),
-                ExperimentSpec::new("fec_ablation", 9, |seed| {
+                spec("fec_ablation", 9, |_, seed| {
                     experiments::fec_ablation(&[1, 2], &[0.25, 0.5], 200, seed).to_json()
                 }),
             ]
@@ -597,7 +607,7 @@ mod tests {
     fn figure_suite_is_complete_and_uniquely_named() {
         let specs = registry::specs(&registry::figures(), &Params::quick(true));
         assert_eq!(specs.len(), 12);
-        let mut names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
+        let mut names: Vec<&str> = specs.iter().map(|s| &*s.name).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 12, "duplicate experiment names");
@@ -611,11 +621,11 @@ mod tests {
     fn panicking_experiment_propagates() {
         let specs: Vec<ExperimentSpec> = (0..8u64)
             .map(|i| {
-                ExperimentSpec::new(format!("p{i}"), i, move |_| {
-                    if i == 2 {
+                spec(format!("p{i}"), i, |_, seed| {
+                    if seed == 2 {
                         panic!("experiment p2 exploded");
                     }
-                    Json::U64(i)
+                    Json::U64(seed)
                 })
             })
             .collect();
@@ -623,33 +633,28 @@ mod tests {
         assert!(result.is_err(), "panic must propagate out of run_parallel");
     }
 
-    /// Specs that each ask the memo for `key`, counting the computations
-    /// in `computed`.
-    fn memo_specs(n: u64, key: &'static str, computed: &Arc<AtomicUsize>) -> Vec<ExperimentSpec> {
-        (0..n)
-            .map(|i| {
-                let computed = Arc::clone(computed);
-                ExperimentSpec::new(format!("m{i}"), i, move |_| {
-                    memo(key.to_string(), || {
-                        computed.fetch_add(1, Ordering::Relaxed);
-                        Json::U64(7)
-                    })
-                })
-            })
-            .collect()
+    /// Two specs running `body`, which asks the memo for one key and
+    /// counts its computations in a per-test static.
+    fn memo_specs(body: fn(&Params, u64) -> Json) -> Vec<ExperimentSpec> {
+        (0..2).map(|i| spec(format!("m{i}"), i, body)).collect()
     }
 
     /// Two specs asking for one key compute it once per runner call, and
     /// the next call computes it again: the memo never outlives a call.
     #[test]
     fn memo_computes_a_key_once_per_run() {
-        let computed = Arc::new(AtomicUsize::new(0));
-        let specs = memo_specs(2, "once per run", &computed);
+        static COMPUTED: AtomicUsize = AtomicUsize::new(0);
+        let specs = memo_specs(|_, _| {
+            memo("once per run".to_string(), || {
+                COMPUTED.fetch_add(1, Ordering::Relaxed);
+                Json::U64(7)
+            })
+        });
         let first = run_serial("memo", "test", &specs).to_json_string();
-        assert_eq!(computed.load(Ordering::Relaxed), 1, "the second spec hits");
+        assert_eq!(COMPUTED.load(Ordering::Relaxed), 1, "the second spec hits");
         let second = run_serial("memo", "test", &specs).to_json_string();
         assert_eq!(
-            computed.load(Ordering::Relaxed),
+            COMPUTED.load(Ordering::Relaxed),
             2,
             "a new run starts empty"
         );
@@ -661,10 +666,15 @@ mod tests {
     /// active capture bypasses the memo.
     #[test]
     fn memo_stands_aside_under_a_trace_capture() {
-        let computed = Arc::new(AtomicUsize::new(0));
-        let specs = memo_specs(2, "traced", &computed);
+        static COMPUTED: AtomicUsize = AtomicUsize::new(0);
+        let specs = memo_specs(|_, _| {
+            memo("traced".to_string(), || {
+                COMPUTED.fetch_add(1, Ordering::Relaxed);
+                Json::U64(7)
+            })
+        });
         crate::obs::capture("memo", || run_serial("memo", "test", &specs));
-        assert_eq!(computed.load(Ordering::Relaxed), 2);
+        assert_eq!(COMPUTED.load(Ordering::Relaxed), 2);
     }
 
     /// Outside a runner call `memo` just computes.

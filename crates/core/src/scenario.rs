@@ -6,14 +6,16 @@
 //! paper's evaluation topologies read like the prose that describes them:
 //!
 //! ```
-//! use mcc_core::{Scenario, Units, Variant};
+//! use mcc_attack::AttackPlan;
+//! use mcc_core::{McastSessionSpec, ReceiverSpec, Scenario, Units, Variant};
 //!
 //! // Figures 1/7: two multicast + two TCP sessions on a 1 Mbps
 //! // bottleneck; the first multicast receiver inflates at t = 50 s.
+//! let attacker = ReceiverSpec::new().adversary(AttackPlan::inflate_at(50.secs()));
 //! let spec = Scenario::dumbbell(1.mbps())
 //!     .seed(1)
+//!     .session(McastSessionSpec::new(Variant::FlidDs).receiver(attacker))
 //!     .sessions(1, Variant::FlidDs)
-//!     .attacker_at(50.secs())
 //!     .tcp(2)
 //!     .topology_spec();
 //! assert_eq!(spec.mcast.len(), 2);
@@ -151,18 +153,11 @@ impl ReceiverSpec {
         self
     }
 
-    /// Misbehave: run `plan`'s adversary strategy (the general form; the
-    /// two shorthands below build their plans and call it).
+    /// Misbehave: run `plan`'s adversary strategy
+    /// ([`AttackPlan::inflate_at`] is the paper's §4.2 attacker).
     pub fn adversary(mut self, plan: AttackPlan) -> ReceiverSpec {
         self.adversary = plan;
         self
-    }
-
-    /// Misbehave: inflate the subscription to every group at `at` — the
-    /// composite the paper's §4.2 attacker runs: grab everything, keep
-    /// hammering raw joins, and guess ten keys per group per slot.
-    pub fn inflate_at(self, at: SimTime) -> ReceiverSpec {
-        self.adversary(AttackPlan::inflate_at(at))
     }
 
     /// Let this receiver stand for `n` synchronized receivers behind one
@@ -240,14 +235,11 @@ impl CbrSpec {
 // ---------------------------------------------------------------------------
 
 /// Fluent builder for the paper's evaluation scenarios, over any
-/// [`Topology`].
-///
-/// Wraps a [`TopologySpec`] and remembers the last session variant so
-/// follow-up calls like [`Scenario::attacker_at`] don't repeat it.
+/// [`Topology`]: a [`TopologySpec`] and nothing else, so every call says
+/// everything it adds.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     spec: TopologySpec,
-    variant: Variant,
 }
 
 impl Scenario {
@@ -256,7 +248,6 @@ impl Scenario {
     pub(crate) fn topology(topology: Topology, bottleneck_bps: u64) -> Scenario {
         Scenario {
             spec: TopologySpec::new(topology, 0, bottleneck_bps),
-            variant: Variant::FlidDl,
         }
     }
 
@@ -305,31 +296,17 @@ impl Scenario {
         self
     }
 
-    /// Add `n` honest single-receiver sessions of `variant`, which also
-    /// becomes the builder's default variant.
+    /// Add `n` honest single-receiver sessions of `variant`.
     pub fn sessions(mut self, n: u32, variant: Variant) -> Scenario {
-        self.variant = variant;
         self.spec
             .mcast
             .extend((0..n).map(|_| McastSessionSpec::honest(variant, 1)));
         self
     }
 
-    /// Add one fully specified session (also updates the default
-    /// variant).
+    /// Add one fully specified session.
     pub fn session(mut self, session: McastSessionSpec) -> Scenario {
-        self.variant = session.variant;
         self.spec.mcast.push(session);
-        self
-    }
-
-    /// Prepend a session whose single receiver inflates its subscription
-    /// at `at` — the Figure-1/7 attacker, always session 0 so result
-    /// indexing is stable.
-    pub fn attacker_at(mut self, at: SimTime) -> Scenario {
-        let attacker =
-            McastSessionSpec::new(self.variant).receiver(ReceiverSpec::new().inflate_at(at));
-        self.spec.mcast.insert(0, attacker);
         self
     }
 
@@ -388,17 +365,18 @@ mod tests {
 
     #[test]
     fn builder_assembles_the_figure1_topology() {
+        let attacker = ReceiverSpec::new().adversary(AttackPlan::inflate_at(100.secs()));
         let spec = Scenario::dumbbell(1.mbps())
             .seed(1)
+            .session(McastSessionSpec::new(Variant::FlidDl).receiver(attacker))
             .sessions(1, Variant::FlidDl)
-            .attacker_at(100.secs())
             .tcp(2)
             .topology_spec();
         assert_eq!(spec.seed, 1);
         assert_eq!(spec.bottleneck_bps, 1_000_000);
         assert_eq!(spec.mcast.len(), 2);
         assert_eq!(spec.tcp, 2);
-        // The attacker is session 0 and inherits the variant.
+        // The attacker is session 0.
         assert_eq!(spec.mcast[0].variant, Variant::FlidDl);
         assert_eq!(
             spec.mcast[0].receivers[0].adversary.label(),

@@ -708,4 +708,26 @@ mod tests {
         sim.finalize();
         sim.add_node();
     }
+
+    /// The dense group table is the only interner: the largest address it
+    /// holds interns, and a larger one that was never interned looks up
+    /// as absent rather than panicking.
+    #[test]
+    fn group_table_interns_up_to_its_limit() {
+        let mut sim = Sim::new(1, SimDuration::from_secs(1));
+        let h = sim.add_node();
+        sim.register_group(GroupAddr(65_535), h);
+        assert!(sim.world.group_idx(GroupAddr(65_535)).is_some());
+        assert!(sim.world.group_idx(GroupAddr(65_534)).is_none());
+        assert!(sim.world.group_idx(GroupAddr(70_000)).is_none());
+        assert!(sim.world.group_idx(GroupAddr(u32::MAX)).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "group address g65536 is over")]
+    fn interning_an_address_over_the_limit_names_it() {
+        let mut sim = Sim::new(1, SimDuration::from_secs(1));
+        let h = sim.add_node();
+        sim.register_group(GroupAddr(65_536), h);
+    }
 }

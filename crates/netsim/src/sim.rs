@@ -41,7 +41,7 @@ use crate::node::{GroupEntry, Interest, Node, Routes};
 use crate::packet::{Dest, Packet, TreeControl};
 use crate::queue::{EnqueueOutcome, Queue};
 use mcc_obs::{DropReason, PktRef, Recorder, TraceEvent, GROUP_NONE};
-use mcc_simcore::{DetRng, EventQueue, FxHashMap, SimDuration, SimTime};
+use mcc_simcore::{DetRng, EventQueue, SimDuration, SimTime};
 use std::any::Any;
 
 /// The packet identity a trace event carries, copied out of `pkt` standing
@@ -193,17 +193,13 @@ pub struct World {
     pub nodes: Vec<Node>,
     /// Attachment node of each agent.
     pub agent_nodes: Vec<NodeId>,
-    /// The group-address interner: address → dense slab index. Grows at
-    /// `register_group` and on first join; read once per multicast hop
-    /// (hence the cheap multiplicative hasher).
-    pub(crate) group_index: FxHashMap<GroupAddr, GroupIdx>,
-    /// Direct-indexed mirror of `group_index` for small addresses
-    /// (`addr < GROUP_DENSE_CAP`, which covers every address the topology
-    /// builders allocate): `group_dense[addr]` is the slab index or
-    /// `u32::MAX`. The multicast hot path does one interner lookup per
-    /// hop, and an array load beats even a cheap hash.
+    /// The group-address interner, direct-indexed by address: address →
+    /// dense slab index, or `u32::MAX`. Grows at `register_group` and on
+    /// first join; addresses stay below `GROUP_DENSE_CAP` (the topology
+    /// builders allocate `1000 × (session + 1) + g`). The multicast hot
+    /// path reads it once per hop: one array load.
     pub(crate) group_dense: Vec<u32>,
-    /// Reverse of `group_index`, indexed by [`GroupIdx`].
+    /// Reverse of `group_dense`, indexed by [`GroupIdx`].
     pub(crate) group_addrs: Vec<GroupAddr>,
     /// Registered multicast source host per group, indexed by [`GroupIdx`].
     pub(crate) group_sources: Vec<Option<NodeId>>,
@@ -239,7 +235,6 @@ impl World {
             links: Vec::new(),
             nodes: Vec::new(),
             agent_nodes: Vec::new(),
-            group_index: FxHashMap::default(),
             group_dense: Vec::new(),
             group_addrs: Vec::new(),
             group_sources: Vec::new(),
@@ -280,25 +275,26 @@ impl World {
         }
     }
 
-    /// Addresses below this get a slot in the direct-indexed
-    /// `group_dense` mirror (at most 256 KiB, touched only at the few hot
-    /// entries). Larger addresses still work through the hash map.
+    /// Every interned address is below this, so `group_dense` stays at
+    /// most 256 KiB (touched only at the few hot entries).
     const GROUP_DENSE_CAP: usize = 1 << 16;
 
     /// The dense slab index of `group`, interning it if new.
     fn intern_group(&mut self, group: GroupAddr) -> GroupIdx {
-        if let Some(&gi) = self.group_index.get(&group) {
+        if let Some(gi) = self.group_idx(group) {
             return gi;
         }
-        let gi = GroupIdx(self.group_addrs.len() as u32);
-        self.group_index.insert(group, gi);
         let a = group.0 as usize;
-        if a < Self::GROUP_DENSE_CAP {
-            if a >= self.group_dense.len() {
-                self.group_dense.resize(a + 1, u32::MAX);
-            }
-            self.group_dense[a] = gi.0;
+        assert!(
+            a < Self::GROUP_DENSE_CAP,
+            "group address {group} is over the interner's {} limit",
+            Self::GROUP_DENSE_CAP
+        );
+        if a >= self.group_dense.len() {
+            self.group_dense.resize(a + 1, u32::MAX);
         }
+        let gi = GroupIdx(self.group_addrs.len() as u32);
+        self.group_dense[a] = gi.0;
         self.group_addrs.push(group);
         self.group_sources.push(None);
         gi
@@ -307,16 +303,10 @@ impl World {
     /// The slab index of `group`, if it was ever registered or joined.
     #[inline]
     pub(crate) fn group_idx(&self, group: GroupAddr) -> Option<GroupIdx> {
-        let a = group.0 as usize;
-        if a < Self::GROUP_DENSE_CAP {
-            // The dense mirror is authoritative for small addresses:
-            // `intern_group` always writes it for them.
-            return match self.group_dense.get(a) {
-                Some(&gi) if gi != u32::MAX => Some(GroupIdx(gi)),
-                _ => None,
-            };
+        match self.group_dense.get(group.0 as usize) {
+            Some(&gi) if gi != u32::MAX => Some(GroupIdx(gi)),
+            _ => None,
         }
-        self.group_index.get(&group).copied()
     }
 
     /// A node's forwarding state for `group`, if it is on the tree.

@@ -92,7 +92,7 @@ fn colluders_smuggle_keys_until_the_guard_blocks_them() {
 #[test]
 fn replicated_and_threshold_variants_contain_inflation() {
     for variant in [Variant::Replicated, Variant::Threshold] {
-        let attacker = ReceiverSpec::new().inflate_at(10.secs());
+        let attacker = ReceiverSpec::new().adversary(AttackPlan::inflate_at(10.secs()));
         let mut d = Scenario::dumbbell(1.mbps())
             .seed(9)
             .session(McastSessionSpec::new(variant).groups(6).receiver(attacker))

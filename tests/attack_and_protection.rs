@@ -45,7 +45,7 @@ fn the_attack_is_visible_in_router_counters() {
     spec.mcast = vec![McastSessionSpec {
         variant: Variant::FlidDs,
         n_groups: 10,
-        receivers: vec![ReceiverSpec::new().inflate_at(10.secs())],
+        receivers: vec![ReceiverSpec::new().adversary(AttackPlan::inflate_at(10.secs()))],
     }];
     let mut d = spec.build();
     d.run_secs(40);

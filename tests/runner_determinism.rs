@@ -6,23 +6,39 @@
 
 use robust_multicast::core::experiments::{attack_experiment, overhead_vs_groups};
 use robust_multicast::core::runner::{run_parallel, run_serial, ExperimentSpec, Json, ToJson};
-use robust_multicast::core::Variant;
+use robust_multicast::core::{Params, Variant};
+use std::borrow::Cow;
+
+/// A spec named `name` at `seed`, running `body` under default params.
+fn spec(
+    name: impl Into<Cow<'static, str>>,
+    seed: u64,
+    body: fn(&Params, u64) -> Json,
+) -> ExperimentSpec {
+    ExperimentSpec {
+        name: name.into(),
+        seed,
+        params: Params::default(),
+        body,
+    }
+}
 
 /// A fast mixed workload: one real simulation (a shortened Figure-1
 /// attack), one analytic sweep, and toy bodies of lopsided cost so the
 /// parallel completion order differs from spec order.
 fn specs() -> Vec<ExperimentSpec> {
     let mut v = vec![
-        ExperimentSpec::new("attack_short", 42, |seed| {
+        spec("attack_short", 42, |_, seed| {
             attack_experiment(Variant::FlidDl, 12, 6, seed).to_json()
         }),
-        ExperimentSpec::new("overhead", 5, |seed| {
+        spec("overhead", 5, |_, seed| {
             overhead_vs_groups(&[2, 4], 5, seed).to_json()
         }),
     ];
     for i in 0..6u64 {
-        v.push(ExperimentSpec::new(format!("toy{i}"), i, move |seed| {
-            let spins = if i % 2 == 0 { 200_000 } else { 10 };
+        // Each toy reads its index from its seed.
+        v.push(spec(format!("toy{i}"), i, |_, seed| {
+            let spins = if seed % 2 == 0 { 200_000 } else { 10 };
             let mut acc = seed;
             for k in 0..spins {
                 acc = acc.wrapping_mul(2862933555777941757).wrapping_add(k);

@@ -8,7 +8,7 @@
 
 use crate::{Adversary, AttackAction, AttackEnv};
 use mcc_delta::{Key, KEY_LEAD};
-use mcc_simcore::{OnOffGrid, SimDuration, SimTime};
+use mcc_simcore::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -119,44 +119,47 @@ impl Adversary for KeyGuess {
 
 /// Join/leave churn: alternate between a full inflation and a drop back to
 /// the minimal level every `period`, abusing graft/prune latency and
-/// SIGMA's keyless grace windows. The attack is a thin wrapper over the
-/// workload layer's pulse-churn primitive: [`OnOffGrid`] owns the grid
-/// arithmetic and the phase, this strategy only maps the two phases onto
-/// attack actions.
+/// SIGMA's keyless grace windows. The toggles land exactly on the
+/// `k·period` grid anchored to the simulation epoch, independent of when
+/// the receiver started observing.
 #[derive(Clone, Copy, Debug)]
 pub struct JoinLeaveFlap {
-    grid: OnOffGrid,
+    /// The half-cycle.
+    period: SimDuration,
+    /// Current phase: `true` between an inflation and the next leave.
+    up: bool,
 }
 
 impl JoinLeaveFlap {
-    /// Flap with the given half-cycle.
+    /// Flap with the given half-cycle, starting in the down phase.
     pub fn new(period: SimDuration) -> JoinLeaveFlap {
         assert!(!period.is_zero(), "flap period");
-        JoinLeaveFlap {
-            grid: OnOffGrid::new(period),
-        }
+        JoinLeaveFlap { period, up: false }
     }
 }
 
 impl Adversary for JoinLeaveFlap {
     fn label(&self) -> String {
-        format!("flap({}ms)", self.grid.period().as_nanos() / 1_000_000)
+        format!("flap({}ms)", self.period.as_nanos() / 1_000_000)
     }
     fn clone_box(&self) -> Box<dyn Adversary> {
         Box::new(*self)
     }
     fn next_activation(&self, after: SimTime) -> Option<SimTime> {
-        Some(self.grid.next_after(after))
+        let period = self.period.as_nanos();
+        let k = after.as_nanos() / period + 1;
+        Some(SimTime::from_nanos(k * period))
     }
     fn on_activation(&mut self, env: &AttackEnv) -> Vec<AttackAction> {
         // Self-gate to the flap grid: under a composite ([`All`]) the
         // receiver fires activations at the *union* of the members'
         // schedules, and a toggle at a sibling's instant would corrupt
         // the phase.
-        if !self.grid.on_grid(env.now) {
+        if !env.now.as_nanos().is_multiple_of(self.period.as_nanos()) {
             return Vec::new();
         }
-        if self.grid.toggle() {
+        self.up = !self.up;
+        if self.up {
             vec![AttackAction::Inflate { layer: u32::MAX }]
         } else {
             vec![AttackAction::LeaveHigh]
@@ -164,7 +167,7 @@ impl Adversary for JoinLeaveFlap {
     }
     fn on_congestion_signal(&mut self, _env: &AttackEnv) -> bool {
         // While flapped up, congestion signals are ignored wholesale.
-        self.grid.is_up()
+        self.up
     }
 }
 
@@ -464,6 +467,10 @@ mod tests {
     fn flap_alternates_inflate_and_leave_on_a_grid() {
         let mut f = JoinLeaveFlap::new(SimDuration::from_secs(4));
         assert_eq!(
+            f.next_activation(SimTime::ZERO),
+            Some(SimTime::from_secs(4))
+        );
+        assert_eq!(
             f.next_activation(SimTime::from_secs(1)),
             Some(SimTime::from_secs(4))
         );
@@ -477,8 +484,19 @@ mod tests {
             vec![AttackAction::Inflate { layer: u32::MAX }]
         );
         assert!(f.on_congestion_signal(&env), "up phase ignores signals");
+        // An activation off the grid (a composite sibling's instant) does
+        // nothing and keeps the phase.
+        let off_grid = env_at(SimTime::from_secs(5), 20);
+        assert!(f.on_activation(&off_grid).is_empty());
+        assert!(f.on_congestion_signal(&off_grid), "still up");
         assert_eq!(f.on_activation(&env), vec![AttackAction::LeaveHigh]);
         assert!(!f.on_congestion_signal(&env), "down phase obeys them");
+    }
+
+    #[test]
+    #[should_panic(expected = "flap period")]
+    fn flap_rejects_a_zero_period() {
+        let _ = JoinLeaveFlap::new(SimDuration::ZERO);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `EXPERIMENTS.md` records paper-versus-measured shapes.
 
 use crate::config::Params;
-use crate::metrics::{damage, Damage, Series};
+use crate::metrics::{damage, loss_pct, Damage, Series};
 use crate::runner::record;
 use crate::scenario::{Scenario, Units, Variant};
 use crate::topology::{BuiltTopology, CbrSpec, McastSessionSpec, ReceiverSpec};
@@ -37,34 +37,30 @@ record! {
     }
 }
 
-/// The attack population of Figures 1 and 7 and of the robustness matrix:
-/// two sessions of `variant` plus two TCP flows on a 1 Mbps bottleneck.
-/// Session 0 holds the receiver running `attacker`, joining at `join_at`,
-/// and, for collusion, an `extra` receiver; session 1 holds one honest
-/// receiver.
-fn attack_population(
+/// The contest population of every attack-versus-baseline experiment
+/// (Figures 1/7, the robustness matrix, the tree and the parking lot): two
+/// sessions of `variant` added to `shape`. Session 0 holds the receiver
+/// running `attacker`, joining at `join_at`, and, for collusion, an
+/// `extra` receiver; session 1 holds `honest` honest receivers, the
+/// victims.
+fn contest(
+    shape: Scenario,
     variant: Variant,
     attacker: AttackPlan,
     join_at: SimTime,
     extra: Option<AttackPlan>,
+    honest: usize,
 ) -> Scenario {
-    let n_groups = variant_groups(variant);
     let attack_session = McastSessionSpec::new(variant)
-        .groups(n_groups)
         .receiver(ReceiverSpec::new().adversary(attacker).join_at(join_at))
         .with_receivers(extra.map(|plan| ReceiverSpec::new().adversary(plan)));
-    Scenario::dumbbell(1.mbps())
+    shape
         .session(attack_session)
-        .session(
-            McastSessionSpec::new(variant)
-                .groups(n_groups)
-                .receiver(ReceiverSpec::new()),
-        )
-        .tcp(2)
+        .session(McastSessionSpec::honest(variant, honest))
 }
 
-/// Figures 1 & 7: the attack population with F1 inflating its
-/// subscription at `attack_at_secs`.
+/// Figures 1 & 7: the contest population on a 1 Mbps dumbbell with two
+/// TCP flows and F1 inflating its subscription at `attack_at_secs`.
 pub fn attack_experiment(
     variant: Variant,
     duration_secs: u64,
@@ -72,7 +68,8 @@ pub fn attack_experiment(
     seed: u64,
 ) -> AttackResult {
     let inflate = AttackPlan::inflate_at(attack_at_secs.secs());
-    let mut d = attack_population(variant, inflate, SimTime::ZERO, None)
+    let shape = Scenario::dumbbell(1.mbps()).tcp(2);
+    let mut d = contest(shape, variant, inflate, SimTime::ZERO, None, 1)
         .seed(seed)
         .build();
     d.run_secs(duration_secs);
@@ -482,6 +479,21 @@ impl Measured {
     }
 }
 
+/// Build and run a [`contest`] population for `duration_secs` and read it
+/// out. The victims, in order: session 1's receivers, then the TCP sinks,
+/// then the parking lot's per-hop CBR sinks.
+fn run_contest(population: Scenario, onset_secs: u64, duration_secs: u64) -> Measured {
+    let mut t = population.build();
+    t.run_secs(duration_secs);
+    let victims = [
+        &t.sessions[1].receivers[..],
+        &t.tcp[..],
+        &t.hop_cbr_sinks[..],
+    ]
+    .concat();
+    measure(&t, onset_secs, duration_secs, &victims)
+}
+
 /// Read a finished run out. The attacker is measured from the onset
 /// itself — a strategy whose whole payoff is skipping the honest ramp
 /// (collusion) shows up in those first seconds. The victims get a settling
@@ -528,12 +540,9 @@ pub fn robustness_matrix(duration_secs: u64, onset_secs: u64, seed: u64) -> Matr
         let column_seed = seed ^ ((di as u64 + 1) << 24);
         // Victims: the honest receiver, then the two TCP sinks.
         let run_with = |attacker, join_at, extra| {
-            let mut d = attack_population(variant, attacker, join_at, extra)
-                .seed(column_seed)
-                .build();
-            d.run_secs(duration_secs);
-            let victims = [d.sessions[1].receivers[0], d.tcp[0], d.tcp[1]];
-            measure(&d, onset_secs, duration_secs, &victims)
+            let shape = Scenario::dumbbell(1.mbps()).tcp(2);
+            let population = contest(shape, variant, attacker, join_at, extra, 1);
+            run_contest(population.seed(column_seed), onset_secs, duration_secs)
         };
         let baseline = run_with(AttackPlan::honest(), SimTime::ZERO, None);
         // Strategy cells with an extra (feeder) receiver get their own
@@ -664,7 +673,6 @@ fn churn_run(
     onset_secs: u64,
     seed: u64,
 ) -> (Measured, u64) {
-    let n_groups = variant_groups(variant);
     let mut w = crate::workload::WorkloadSpec::none(SimDuration::from_secs(duration_secs))
         .poisson(churn_rate, SimDuration::from_secs(CHURN_DWELL_SECS));
     if let Some(f) = flash {
@@ -674,7 +682,6 @@ fn churn_run(
         .seed(seed)
         .session(
             McastSessionSpec::new(variant)
-                .groups(n_groups)
                 .receiver(ReceiverSpec::new().adversary(attacker))
                 .receiver(ReceiverSpec::new()),
         )
@@ -793,27 +800,6 @@ pub(crate) fn churn_robustness(
 // Topology experiments: trees and parking lots beyond the dumbbell
 // ---------------------------------------------------------------------------
 
-/// The session group count for `variant`, shared by the robustness
-/// matrix and the topology experiments: the replicated / threshold
-/// ladders carry each group's *full* rate, so ten groups would outgrow
-/// the bottleneck; six (≤ 759 kbps) fit.
-fn variant_groups(variant: Variant) -> u32 {
-    match variant {
-        Variant::Replicated | Variant::Threshold => 6,
-        _ => 10,
-    }
-}
-
-/// Goodput loss of `bps` against `baseline_bps`, percent (0 when the
-/// baseline is empty).
-fn loss_pct(baseline_bps: f64, bps: f64) -> f64 {
-    if baseline_bps > 0.0 {
-        (baseline_bps - bps) / baseline_bps * 100.0
-    } else {
-        0.0
-    }
-}
-
 record! {
     /// One row of the `tree_placement` experiment: one defense variant versus
     /// the inflate attacker attached at one depth of the tree.
@@ -860,37 +846,6 @@ record! {
     }
 }
 
-/// One tree run: session 0 holds the (possibly attacking) placed
-/// receiver, session 1 one honest receiver per leaf (the victims), both of
-/// `variant`, over a 500 kbps balanced tree.
-fn tree_run(
-    variant: Variant,
-    depth: u32,
-    fanout: u32,
-    attacker: AttackPlan,
-    duration_secs: u64,
-    onset_secs: u64,
-    seed: u64,
-) -> Measured {
-    let n_groups = variant_groups(variant);
-    let leaves = (fanout as usize).pow(depth);
-    let mut t = Scenario::balanced_tree(depth, fanout, 500.kbps())
-        .seed(seed)
-        .session(
-            McastSessionSpec::new(variant)
-                .groups(n_groups)
-                .receiver(ReceiverSpec::new().adversary(attacker)),
-        )
-        .session(
-            McastSessionSpec::new(variant)
-                .groups(n_groups)
-                .with_receivers((0..leaves).map(|_| ReceiverSpec::new())),
-        )
-        .build();
-    t.run_secs(duration_secs);
-    measure(&t, onset_secs, duration_secs, &t.sessions[1].receivers)
-}
-
 /// The registered `tree_placement` experiment: on a balanced
 /// `fanout`-ary tree with one honest receiver per leaf, attach the
 /// matrix's inflate attacker at every depth `1..=depth` of leaf 0's root
@@ -916,15 +871,16 @@ pub(crate) fn tree_placement(
             // The baseline shares seed, topology and placement with the
             // attack run — they differ only in the adversary.
             let run_with = |attacker: AttackPlan| {
-                tree_run(
+                let shape = Scenario::balanced_tree(depth, fanout, 500.kbps());
+                let population = contest(
+                    shape,
                     variant,
-                    depth,
-                    fanout,
                     attacker.at(placement),
-                    duration_secs,
-                    onset_secs,
-                    column_seed,
-                )
+                    SimTime::ZERO,
+                    None,
+                    leaves,
+                );
+                run_contest(population.seed(column_seed), onset_secs, duration_secs)
             };
             let base = run_with(AttackPlan::honest());
             let run = run_with(AttackPlan::inflate_at(onset_secs.secs()));
@@ -1006,39 +962,6 @@ record! {
     }
 }
 
-/// One parking-lot run: the attacker session's receiver sits behind the
-/// last bottleneck (its traffic crosses every hop), the honest session
-/// has one receiver per hop, and a CBR enters and leaves at each hop.
-/// Victims: the per-hop honest receivers, then the per-hop CBR sinks.
-fn parking_lot_run(
-    variant: Variant,
-    bottlenecks: usize,
-    per_hop_cbr_bps: u64,
-    attacker: AttackPlan,
-    duration_secs: u64,
-    onset_secs: u64,
-    seed: u64,
-) -> Measured {
-    let n_groups = variant_groups(variant);
-    let mut t = Scenario::parking_lot(bottlenecks, 1.mbps())
-        .per_hop_cbr(per_hop_cbr_bps)
-        .seed(seed)
-        .session(
-            McastSessionSpec::new(variant)
-                .groups(n_groups)
-                .receiver(ReceiverSpec::new().adversary(attacker)),
-        )
-        .session(
-            McastSessionSpec::new(variant)
-                .groups(n_groups)
-                .with_receivers((0..bottlenecks).map(|_| ReceiverSpec::new())),
-        )
-        .build();
-    t.run_secs(duration_secs);
-    let victims = [&t.sessions[1].receivers[..], &t.hop_cbr_sinks[..]].concat();
-    measure(&t, onset_secs, duration_secs, &victims)
-}
-
 /// The registered `parking_lot_fairness` experiment: per-hop goodput
 /// shares on a multi-bottleneck parking lot, honest baseline versus an
 /// [`InflateTo`] attacker whose traffic crosses every hop, for FLID-DL
@@ -1054,16 +977,11 @@ pub(crate) fn parking_lot_fairness(
     let mut variants = Vec::new();
     for (vi, &variant) in Variant::BOTH.iter().enumerate() {
         let column_seed = seed ^ ((vi as u64 + 1) << 16);
+        // Victims: the per-hop honest receivers, then the per-hop CBR sinks.
         let run_with = |attacker: AttackPlan| {
-            parking_lot_run(
-                variant,
-                bottlenecks,
-                per_hop_cbr_bps,
-                attacker,
-                duration_secs,
-                onset_secs,
-                column_seed,
-            )
+            let shape = Scenario::parking_lot(bottlenecks, 1.mbps()).per_hop_cbr(per_hop_cbr_bps);
+            let population = contest(shape, variant, attacker, SimTime::ZERO, None, bottlenecks);
+            run_contest(population.seed(column_seed), onset_secs, duration_secs)
         };
         let base = run_with(AttackPlan::honest().at(last_hop));
         let attack = AttackPlan::new(Timed::at(onset_secs.secs(), InflateTo::all())).at(last_hop);

@@ -43,20 +43,25 @@ pub(crate) fn damage(
     detection_secs: Option<f64>,
     onset_secs: f64,
 ) -> Damage {
-    let honest_loss_pct = if baseline_honest_bps > 0.0 {
-        (baseline_honest_bps - honest_bps) / baseline_honest_bps * 100.0
-    } else {
-        0.0
-    };
     let attacker_excess_pct = if entitled_bps > 0.0 {
         (attacker_bps - entitled_bps) / entitled_bps * 100.0
     } else {
         0.0
     };
     Damage {
-        honest_loss_pct,
+        honest_loss_pct: loss_pct(baseline_honest_bps, honest_bps),
         attacker_excess_pct,
         time_to_lockout_secs: detection_secs.map(|t| (t - onset_secs).max(0.0)),
+    }
+}
+
+/// Goodput loss of `bps` against `baseline_bps`, percent (0 when the
+/// baseline is empty).
+pub(crate) fn loss_pct(baseline_bps: f64, bps: f64) -> f64 {
+    if baseline_bps > 0.0 {
+        (baseline_bps - bps) / baseline_bps * 100.0
+    } else {
+        0.0
     }
 }
 

@@ -58,6 +58,18 @@ impl Variant {
         !matches!(self, Variant::FlidDl)
     }
 
+    /// The session's group count (paper §3.1.2: a session structure fixes
+    /// its own ladder). The layered FLID variants run the paper's 10
+    /// groups. The replicated and threshold ladders carry each group's
+    /// *full* rate, so ten groups would outgrow the bottleneck; six
+    /// (≤ 759 kbps) fit.
+    pub(crate) fn groups(self) -> u32 {
+        match self {
+            Variant::FlidDl | Variant::FlidDs | Variant::FlidDsGuard => 10,
+            Variant::Replicated | Variant::Threshold => 6,
+        }
+    }
+
     /// The plot/matrix label.
     pub(crate) fn label(self) -> &'static str {
         match self {
@@ -171,20 +183,13 @@ impl ReceiverSpec {
 }
 
 impl McastSessionSpec {
-    /// An empty session of `variant` with the paper's 10 groups; add
-    /// receivers with [`McastSessionSpec::receiver`].
+    /// An empty session of `variant`, on the group ladder its variant
+    /// fixes; add receivers with [`McastSessionSpec::receiver`].
     pub fn new(variant: Variant) -> McastSessionSpec {
         McastSessionSpec {
             variant,
-            n_groups: 10,
             receivers: Vec::new(),
         }
-    }
-
-    /// Override the group count.
-    pub fn groups(mut self, n: u32) -> McastSessionSpec {
-        self.n_groups = n;
-        self
     }
 
     /// Add one receiver.
@@ -389,10 +394,8 @@ mod tests {
     #[test]
     fn session_and_receiver_builders_cover_the_sweeps() {
         let s = McastSessionSpec::new(Variant::FlidDs)
-            .groups(4)
             .receiver(ReceiverSpec::new().join_at(10.secs()))
             .receiver(ReceiverSpec::new().access_delay(95.ms()));
-        assert_eq!(s.n_groups, 4);
         assert_eq!(s.receivers.len(), 2);
         assert_eq!(s.receivers[0].join_at, SimTime::from_secs(10));
         assert_eq!(s.receivers[1].access_delay, SimDuration::from_millis(95));

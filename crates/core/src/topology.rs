@@ -86,10 +86,8 @@ impl Default for ReceiverSpec {
 /// One multicast session.
 #[derive(Clone, Debug)]
 pub struct McastSessionSpec {
-    /// FLID-DS (hardened) or FLID-DL (original).
+    /// The protocol and defence; it also fixes the group count.
     pub variant: Variant,
-    /// Number of groups (paper default 10).
-    pub n_groups: u32,
     /// The session's receivers.
     pub receivers: Vec<ReceiverSpec>,
 }
@@ -453,7 +451,9 @@ impl TopologySpec {
             .map(|(si, m)| {
                 let base = 1000 * (si as u32 + 1);
                 FlidConfig::paper(
-                    (1..=m.n_groups).map(|g| GroupAddr(base + g)).collect(),
+                    (1..=m.variant.groups())
+                        .map(|g| GroupAddr(base + g))
+                        .collect(),
                     GroupAddr(base),
                     FlowId(si as u32),
                     m.variant.protected(),
@@ -786,6 +786,22 @@ mod tests {
         let d = dumbbell_spec(1, &[Variant::FlidDl, Variant::FlidDl]).build();
         let g0: std::collections::HashSet<_> = d.sessions[0].cfg.groups.iter().copied().collect();
         assert!(d.sessions[1].cfg.groups.iter().all(|g| !g0.contains(g)));
+    }
+
+    #[test]
+    fn each_variant_builds_the_group_ladder_it_fixes() {
+        let d = dumbbell_spec(1, &Variant::DEFENSES).build();
+        let built: Vec<u32> = d.sessions.iter().map(|s| s.cfg.n()).collect();
+        assert_eq!(built, [10, 10, 10, 6, 6]);
+        for (s, v) in d.sessions.iter().zip(Variant::DEFENSES) {
+            assert_eq!(s.cfg.n(), v.groups(), "{v}");
+            if matches!(v, Variant::Replicated | Variant::Threshold) {
+                // A single-group ladder carries each group's full rate:
+                // the top group must fit the matrix's 1 Mbps bottleneck.
+                let top = s.cfg.cumulative_rate(v.groups());
+                assert!(top <= 1.mbps() as f64, "{v} tops out at {top} bit/s");
+            }
+        }
     }
 
     #[test]

@@ -41,4 +41,4 @@ pub use event::EventQueue;
 pub use fx::{FxHashMap, FxHashSet};
 pub use rng::DetRng;
 pub use stamped::{merge_stamped, Stamped};
-pub use time::{OnOffGrid, SimDuration, SimTime};
+pub use time::{SimDuration, SimTime};

@@ -200,55 +200,6 @@ impl Div<SimDuration> for SimDuration {
     }
 }
 
-/// A periodic on/off toggle anchored to the simulation epoch: activations
-/// land exactly on the `k·period` grid, independent of when the driver
-/// started observing. This is the shared scheduling primitive behind
-/// pulse-style churn workloads (synchronized join/leave waves) and the
-/// `JoinLeaveFlap` attack strategy in `mcc-attack` — both fire on the
-/// identical grid, so the attack is a thin wrapper over the workload
-/// mechanism rather than a second scheduler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OnOffGrid {
-    period: SimDuration,
-    up: bool,
-}
-
-impl OnOffGrid {
-    /// A grid with the given half-cycle, starting in the "off" phase.
-    pub fn new(period: SimDuration) -> Self {
-        assert!(!period.is_zero(), "grid period must be positive");
-        OnOffGrid { period, up: false }
-    }
-
-    /// The first grid instant strictly after `after`.
-    pub fn next_after(&self, after: SimTime) -> SimTime {
-        let k = after.as_nanos() / self.period.as_nanos() + 1;
-        SimTime::from_nanos(k * self.period.as_nanos())
-    }
-
-    /// Does `now` land exactly on the grid? Drivers that fire at the union
-    /// of several schedules use this to self-gate toggles.
-    pub fn on_grid(&self, now: SimTime) -> bool {
-        now.as_nanos().is_multiple_of(self.period.as_nanos())
-    }
-
-    /// Flip the phase and return the new state (`true` = on).
-    pub fn toggle(&mut self) -> bool {
-        self.up = !self.up;
-        self.up
-    }
-
-    /// Current phase: `true` between an "on" toggle and the next "off".
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
-    /// The grid half-cycle.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-}
-
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.6}s", self.as_secs_f64())
@@ -336,32 +287,5 @@ mod tests {
     fn display_formats_seconds() {
         assert_eq!(format!("{}", SimTime::from_millis(1500)), "1.500000");
         assert_eq!(format!("{:?}", SimDuration::from_micros(250)), "0.000250s");
-    }
-
-    #[test]
-    fn grid_next_after_is_strictly_after_on_the_period_grid() {
-        let g = OnOffGrid::new(SimDuration::from_secs(4));
-        assert_eq!(g.next_after(SimTime::from_secs(1)), SimTime::from_secs(4));
-        assert_eq!(g.next_after(SimTime::from_secs(4)), SimTime::from_secs(8));
-        assert_eq!(g.next_after(SimTime::ZERO), SimTime::from_secs(4));
-        assert!(g.on_grid(SimTime::from_secs(8)));
-        assert!(!g.on_grid(SimTime::from_secs(9)));
-    }
-
-    #[test]
-    fn grid_toggle_alternates_phases() {
-        let mut g = OnOffGrid::new(SimDuration::from_millis(500));
-        assert!(!g.is_up(), "grids start off");
-        assert!(g.toggle());
-        assert!(g.is_up());
-        assert!(!g.toggle());
-        assert!(!g.is_up());
-        assert_eq!(g.period(), SimDuration::from_millis(500));
-    }
-
-    #[test]
-    #[should_panic(expected = "grid period")]
-    fn grid_rejects_zero_period() {
-        let _ = OnOffGrid::new(SimDuration::ZERO);
     }
 }

@@ -95,12 +95,8 @@ fn replicated_and_threshold_variants_contain_inflation() {
         let attacker = ReceiverSpec::new().adversary(AttackPlan::inflate_at(10.secs()));
         let mut d = Scenario::dumbbell(1.mbps())
             .seed(9)
-            .session(McastSessionSpec::new(variant).groups(6).receiver(attacker))
-            .session(
-                McastSessionSpec::new(variant)
-                    .groups(6)
-                    .receiver(ReceiverSpec::new()),
-            )
+            .session(McastSessionSpec::new(variant).receiver(attacker))
+            .session(McastSessionSpec::new(variant).receiver(ReceiverSpec::new()))
             .build();
         d.run_secs(40);
         let sigma = d

@@ -44,7 +44,6 @@ fn the_attack_is_visible_in_router_counters() {
     let mut spec = TopologySpec::new(Topology::Dumbbell, 3, 500_000);
     spec.mcast = vec![McastSessionSpec {
         variant: Variant::FlidDs,
-        n_groups: 10,
         receivers: vec![ReceiverSpec::new().adversary(AttackPlan::inflate_at(10.secs()))],
     }];
     let mut d = spec.build();
@@ -68,7 +67,6 @@ fn ignore_decrease_misbehaviour_is_not_profitable_under_ds() {
     let mut spec = TopologySpec::new(Topology::Dumbbell, 9, 500_000);
     spec.mcast = vec![McastSessionSpec {
         variant: Variant::FlidDs,
-        n_groups: 10,
         receivers: vec![
             ReceiverSpec::new().adversary(AttackPlan::new(Timed::at(15.secs(), IgnoreDecrease))),
             ReceiverSpec::default(),
